@@ -30,8 +30,7 @@ for t in (0.0, 2.0, 4.0, 6.0, 8.0, 10.0):
     for name, solver in (("orth", mp_orth), ("inv", mp_inv)):
         rep = solver(p, cfg)
         flag = "in " if regime.in_regime else "out"
-        state = f"{rep.residual:.1e}" if rep.failure is None \
-            else rep.failure.split(":")[0]
+        state = f"{rep.residual:.1e}" if rep.failure is None else rep.failure
         print(f"t = {t:4.1f}      {kappa:10.1e}    {flag}    {name:>5}"
               f"   {rep.iterations:>4}   {state}")
 

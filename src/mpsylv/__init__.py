@@ -22,6 +22,7 @@ from .costmodel import (
 )
 from .errors import (
     DimensionError,
+    Failure,
     FormatOverflowError,
     IterationLimitError,
     MpsylvError,

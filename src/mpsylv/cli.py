@@ -29,17 +29,16 @@ import numpy as np
 from .costmodel import ALGORITHMS, CostModel, flops, k_star, phi
 from .errors import MpsylvError
 from .gmresir import GmresConfig, gmres_ir_sylv
-from .linalg import DEFAULT_KRON_CAP
+from .linalg import DEFAULT_KRON_CAP, sylvester_kron_operator
 from .mmio import read_matrix
 from .precision import (
-    BINARY64,
     FlopCounter,
     FpFormat,
     PrecisionContext,
     parse_format,
 )
 from .refinement import RefinementConfig, mp_inv, mp_orth
-from .sylvester import SylvesterProblem, bartels_stewart, residual
+from .sylvester import SylvesterProblem, bartels_stewart
 
 __all__ = [
     "ProblemGenerator",
@@ -130,7 +129,6 @@ def _logspace_problem(rng, m: int, n: int, t: float) -> SylvesterProblem:
         C = rng.standard_normal((m, n))
         if not check_kappa:
             return SylvesterProblem(A, B, C)
-        from .linalg import sylvester_kron_operator
         Mf = sylvester_kron_operator(A, B)
         sv = np.linalg.svd(Mf, compute_uv=False)
         kappa = float(sv[0] / sv[-1])
@@ -213,11 +211,9 @@ def _run_one(name: str, p: SylvesterProblem, rcfg: RefinementConfig,
     if name == "bs":
         X, rep = bartels_stewart(p, PrecisionContext(rcfg.u_h, counter, "high"))
         return rep.residual, None, True, None
-    if name == "or":
-        rep = mp_orth(p, rcfg, counter, y0_zero=y0_zero)
-        return rep.residual, rep.iterations, rep.converged, rep.failure
-    if name == "in":
-        rep = mp_inv(p, rcfg, counter, y0_zero=y0_zero)
+    if name in ("or", "in"):
+        solve = mp_orth if name == "or" else mp_inv
+        rep = solve(p, rcfg, counter, y0_zero=y0_zero)
         return rep.residual, rep.iterations, rep.converged, rep.failure
     if name in ("gmres", "gmres-ul", "gmres-uh"):
         if name == "gmres-ul":
@@ -232,12 +228,6 @@ def _run_one(name: str, p: SylvesterProblem, rcfg: RefinementConfig,
     raise ValueError(f"unknown solver {name!r}")
 
 
-def _failure_slug(failure: str | None) -> str:
-    if failure is None:
-        return "ok"
-    return failure.split(":", 1)[0].split()[0]
-
-
 def run_solve(p: SylvesterProblem, rcfg: RefinementConfig, out,
               solvers=ALL_SOLVERS, restart: int = 20, seed="external",
               u_g: FpFormat | None = None, y0_zero: bool = False,
@@ -248,7 +238,7 @@ def run_solve(p: SylvesterProblem, rcfg: RefinementConfig, out,
         try:
             res, iters, conv, failure = _run_one(name, p, rcfg, restart,
                                                  u_g=u_g, y0_zero=y0_zero)
-            status = _failure_slug(failure)
+            status = failure or "ok"
         except MpsylvError as exc:
             res, iters, conv, status = float("nan"), None, False, type(exc).__name__
         rows.append([name, res, iters, conv, status])
@@ -261,7 +251,6 @@ def run_solve(p: SylvesterProblem, rcfg: RefinementConfig, out,
 def _condu(p: SylvesterProblem, u_h: FpFormat) -> float | None:
     if p.m * p.n > DEFAULT_KRON_CAP:
         return None
-    from .linalg import sylvester_kron_operator
     sv = np.linalg.svd(sylvester_kron_operator(p.A, p.B), compute_uv=False)
     if sv[-1] == 0.0:
         return float("inf")
@@ -288,7 +277,7 @@ def run_sweep_cond(m: int, n: int, t_values, seed: int, rcfg: RefinementConfig,
             try:
                 res, iters, conv, failure = _run_one(name, p, rcfg, restart)
                 if failure is not None:
-                    failures.append(f"{name}:{_failure_slug(failure)}")
+                    failures.append(f"{name}:{failure}")
             except MpsylvError as exc:
                 res, iters = float("nan"), None
                 failures.append(f"{name}:{type(exc).__name__}")
@@ -363,8 +352,22 @@ def _add_common(sp):
 
 
 def _parse_t_range(spec: str):
-    lo, hi = spec.split(":", 1)
+    lo, _, hi = spec.partition(":")
+    if not (lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(
+            f"expected a:b with integers 0 <= a <= b, got {spec!r}")
     return list(range(int(lo), int(hi) + 1))
+
+
+def _solver_list(accepted):
+    def parse(spec: str):
+        names = spec.split(",")
+        unknown = [s for s in names if s not in accepted]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown solver(s) {','.join(unknown)}; choose from {','.join(accepted)}")
+        return names
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -382,7 +385,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", default="logspace-conditioned",
                     choices=("random-dense", "logspace-conditioned",
                              "hermitian", "lyapunov"))
-    sp.add_argument("--solvers", type=str, default=",".join(ALL_SOLVERS))
+    sp.add_argument("--solvers", type=_solver_list(ALL_SOLVERS + ("gmres",)),
+                    default=",".join(ALL_SOLVERS))
     sp.add_argument("--y0-zero", action="store_true",
                     help="fall back to a zero initial iterate when the "
                          "low-precision triangular solve fails")
@@ -394,8 +398,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep-cond", help="conditioning sweep over t")
     _add_common(sp)
-    sp.add_argument("--t-range", type=str, default="0:15", metavar="a:b")
-    sp.add_argument("--solvers", type=str, default=",".join(ALL_SOLVERS))
+    sp.add_argument("--t-range", type=_parse_t_range, default="0:15", metavar="a:b")
+    sp.add_argument("--solvers", type=_solver_list(ALL_SOLVERS),
+                    default=",".join(ALL_SOLVERS))
     sp.add_argument("--restart", type=int, default=20)
 
     sp = sub.add_parser("sweep-costmodel", help="(rho, phi, k*) tables")
@@ -406,18 +411,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="instrumented flops vs model")
     _add_common(sp)
-    sp.add_argument("--solvers", type=str, default="or,in")
+    sp.add_argument("--solvers", type=_solver_list(("or", "in")), default="or,in")
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     if args.command == "sweep-costmodel":
         run_sweep_costmodel(args.m, args.n, args.out,
                             reproducible=args.reproducible)
         print(f"wrote {args.out}")
         return 0
-    rcfg = RefinementConfig(args.ul, args.uh, args.epsilon, args.max_iter)
+    try:
+        rcfg = RefinementConfig(args.ul, args.uh, args.epsilon, args.max_iter)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if getattr(args, "ug", None) not in (None, args.ul, args.uh):
+        parser.error("--ug must equal --ul or --uh")
     if args.command == "solve":
         if args.matrix_market is not None:
             A, B, C = (read_matrix(f) for f in args.matrix_market)
@@ -427,21 +438,21 @@ def main(argv=None) -> int:
             p = generate(ProblemGenerator(args.kind, args.m, args.n,
                                           args.t, args.seed))
             seed = args.seed
-        rows = run_solve(p, rcfg, args.out, solvers=args.solvers.split(","),
+        rows = run_solve(p, rcfg, args.out, solvers=args.solvers,
                          seed=seed, u_g=args.ug, y0_zero=args.y0_zero,
                          reproducible=args.reproducible)
         for row in rows:
             print(f"{row[0]:>9}: residual={row[1]!r} status={row[4]}")
         return 0
     if args.command == "sweep-cond":
-        run_sweep_cond(args.m, args.n, _parse_t_range(args.t_range), args.seed,
-                       rcfg, args.out, solvers=args.solvers.split(","),
+        run_sweep_cond(args.m, args.n, args.t_range, args.seed,
+                       rcfg, args.out, solvers=args.solvers,
                        restart=args.restart, reproducible=args.reproducible)
         print(f"wrote {args.out}")
         return 0
     if args.command == "bench":
         rows = run_bench(args.m, args.n, args.seed, rcfg, args.out,
-                         algorithms=args.solvers.split(","),
+                         algorithms=args.solvers,
                          reproducible=args.reproducible)
         for row in rows:
             print(f"{row[0]}: k={row[3]} low {row[4]:.3e}/{row[5]:.3e} "

@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types and failure reasons shared across the package."""
+
+from enum import StrEnum
+
+
+class Failure(StrEnum):
+    """Why a refinement run ended without converging.
+
+    The value is the slug the command line writes in its status column;
+    the reports carry the free-text explanation in a separate ``detail``.
+    """
+
+    SINGULAR_EQUATION = "singular_equation"
+    NAN_BREAKDOWN = "nan_breakdown"
+    NON_CONVERGENCE = "non_convergence"
+    GMRES_STAGNATION = "gmres_stagnation"
+    PRECONDITIONER = "preconditioner"
 
 
 class MpsylvError(Exception):

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericBreakdownError, SingularEquationError
-from .linalg import SchurFactors, gemm, unvec, vec
+from .errors import Failure, NumericBreakdownError, SingularEquationError
+from .linalg import SchurFactors, _dot, _vec_norm2_ctx, gemm, unvec, vec
 from .precision import (
     BINARY64,
     FlopCounter,
@@ -35,7 +35,7 @@ from .precision import (
     _ssqrt,
     _ssub,
 )
-from .refinement import RefinementConfig, _low_precision_schur_pair
+from .refinement import RefinementConfig, _low_precision_schur_pair, _refine
 from .sylvester import SylvesterProblem, residual, solve_sylv_tri
 
 __all__ = ["GmresConfig", "GmresIrReport", "apply_preconditioner", "gmres_ir_sylv"]
@@ -72,7 +72,8 @@ class GmresIrReport:
     inner_iterations: list
     residual_history: list
     converged: bool
-    failure: str | None = None
+    failure: Failure | None = None
+    detail: str = ""
 
 
 def apply_preconditioner(W, sf_A: SchurFactors, sf_B: SchurFactors,
@@ -83,30 +84,6 @@ def apply_preconditioner(W, sf_A: SchurFactors, sf_B: SchurFactors,
     V = solve_sylv_tri(sf_A.T, sf_B.T, V, ctx)
     return gemm(1.0, gemm(1.0, sf_A.U, V, 0.0, None, ctx),
                 sf_B.U.conj().T, 0.0, None, ctx)
-
-
-def _dot_vec(x, y, ctx):
-    if ctx.format.is_binary64:
-        ctx.count(2 * len(x))
-        return complex(np.vdot(x, y))
-    fmt = ctx.format
-    ctx.count(2 * len(x))
-    acc = 0j
-    for i in range(len(x)):
-        acc = _sadd(acc, _smul(complex(x[i]).conjugate(), complex(y[i]), fmt), fmt)
-    return acc
-
-
-def _norm_vec(x, ctx):
-    fmt = ctx.format
-    if fmt.is_binary64:
-        ctx.count(2 * len(x) + 1)
-        return float(np.linalg.norm(x))
-    ctx.count(2 * len(x) + 1)
-    acc = 0.0
-    for i in range(len(x)):
-        acc = _sadd(acc, _sabs(complex(x[i]), fmt) ** 2, fmt).real
-    return _ssqrt(acc, fmt)
 
 
 def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext):
@@ -133,7 +110,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
             r = np.asarray(fl_sub(b, matvec(x), ctx)).ravel()
         else:
             r = b.copy()
-        beta = _norm_vec(r, ctx)
+        beta = _vec_norm2_ctx(r, ctx)
         if not np.isfinite(beta):
             return unvec(x, m, n), total_inner, True
         if beta <= tol * beta0:
@@ -150,10 +127,10 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
         while j < p:
             w = np.asarray(matvec(V[:, j])).ravel()
             for i in range(j + 1):
-                h = _dot_vec(V[:, i], w, ctx)
+                h = _dot(V[:, i], w, ctx)
                 H[i, j] = h
                 w = np.asarray(fl_sub(w, fl_mul(h, V[:, i], ctx), ctx)).ravel()
-            hq = _norm_vec(w, ctx)
+            hq = _vec_norm2_ctx(w, ctx)
             H[j + 1, j] = hq
             total_inner += 1
             if not np.isfinite(hq):
@@ -201,7 +178,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
             stagnated = True
             break
     else:
-        stagnated = stagnated or True
+        stagnated = True
     return unvec(x, m, n), total_inner, stagnated
 
 
@@ -241,38 +218,24 @@ def gmres_ir_sylv(p: SylvesterProblem, gcfg: GmresConfig, rcfg: RefinementConfig
         W = gemm(1.0, A_g, W, 1.0, gemm(1.0, W, B_g, 0.0, None, ctx_g), ctx_g)
         return vec(apply_preconditioner(W, sf_A, sf_B, ctx_g))
 
-    X = np.zeros((m, n), dtype=np.complex128)
-    inner_counts = []
-    history = []
-    converged = False
-    failure = None
-    outer = 0
-    while outer < rcfg.max_iter:
+    stable = 10.0 * max(m, n) * rcfg.u_h.unit_roundoff
+    inner_counts, stalls, history = [], [], []
+
+    def correction(X):
         R = gemm(-1.0, A, X, 1.0, C, ctx_h)
         R = gemm(-1.0, X, B, 1.0, R, ctx_h)
-        try:
-            Rt = apply_preconditioner(_round_complex_array(R, gcfg.u_g),
-                                      sf_A, sf_B, ctx_pre)
-            E, li, stagnated = _gmres_correction(matvec, Rt, gcfg, ctx_g)
-        except (SingularEquationError, NumericBreakdownError) as exc:
-            failure = f"preconditioner failure: {exc}"
-            break
-        X = np.asarray(fl_add(X, E, ctx_h))
-        outer += 1
+        Rt = apply_preconditioner(_round_complex_array(R, gcfg.u_g), sf_A, sf_B, ctx_pre)
+        E, li, stagnated = _gmres_correction(matvec, Rt, gcfg, ctx_g)
         inner_counts.append(li)
+        stalls.append(stagnated)
+        return E
+
+    def accept(X):
         history.append(residual(p, X))
-        nE = float(np.linalg.norm(E))
-        nX = float(np.linalg.norm(X))
-        if not (np.isfinite(nE) and np.isfinite(nX)):
-            failure = "nan_breakdown: iterate diverged to non-finite values"
-            break
-        stable = 10.0 * max(m, n) * rcfg.u_h.unit_roundoff
-        if nE <= eps * nX or history[-1] <= stable:
-            converged = True
-            break
-        if stagnated:
-            failure = "gmres_stagnation: inner residual stopped decreasing"
-            break
-    if failure is None and not converged:
-        failure = "non_convergence: correction ratio above epsilon at max_iter"
-    return GmresIrReport(X, outer, inner_counts, history, converged, failure)
+        return history[-1] <= stable
+
+    X, outer, _, failure, detail = _refine(
+        np.zeros((m, n), dtype=np.complex128), correction, ctx_h, eps, rcfg.max_iter,
+        step_errors=(SingularEquationError, NumericBreakdownError),
+        step_failure=Failure.PRECONDITIONER, accept=accept, stalled=lambda: stalls[-1])
+    return GmresIrReport(X, outer, inner_counts, history, failure is None, failure, detail)

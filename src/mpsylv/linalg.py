@@ -333,14 +333,10 @@ def householder_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
         Q[j:, j:] = _apply_reflector_left_rounded(Q[j:, j:], w, beta, ctx)
     Q = Q[:, :n].copy()
     R = R[:n, :].copy()
-    np_triu_inplace(R)
+    R[np.tril_indices(R.shape[0], -1)] = 0.0
     Q, R = _fix_r_diagonal(Q, R, ctx)
     _check_rank(R, A, ctx)
     return QrFactors(Q, R)
-
-
-def np_triu_inplace(R: np.ndarray) -> None:
-    R[np.tril_indices(R.shape[0], -1)] = 0.0
 
 
 # ---------------------------------------------------------------------------

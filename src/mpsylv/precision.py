@@ -60,9 +60,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FpFormat:
-    """A binary floating-point format with IEEE-style exponent biasing."""
+    """A binary floating-point format with IEEE-style exponent biasing.
 
-    name: str
+    Formats compare and hash by their bits; the name is only a label, so
+    ``parse_format("24:8") == BINARY32``.
+    """
+
+    name: str = field(compare=False)
     significand_bits: int  # t, including the implicit leading bit
     exponent_bits: int
     supports_subnormals: bool = True

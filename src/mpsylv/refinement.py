@@ -15,11 +15,11 @@ precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NumericBreakdownError, SingularEquationError
+from .errors import Failure, NumericBreakdownError, SingularEquationError
 from .linalg import gemm, lu, lu_solve, mgs_qr, schur, SchurFactors
 from .precision import (
     BINARY64,
@@ -80,8 +80,8 @@ class SolveReport:
     """Outcome of a refinement run.
 
     ``iterations`` counts computed corrections; ``correction_norms`` holds
-    ||D_i||_F per step.  ``failure`` is None on success, otherwise one of
-    "singular_equation", "nan_breakdown", "non_convergence" with detail.
+    ||D_i||_F per step.  ``failure`` is None on success, otherwise the
+    `Failure` that ended the run, explained in ``detail``.
     """
 
     X: np.ndarray
@@ -89,7 +89,43 @@ class SolveReport:
     correction_norms: list
     residual: float
     converged: bool
-    failure: str | None = None
+    failure: Failure | None = None
+    detail: str = ""
+
+
+def _refine(x, correction, ctx: PrecisionContext, eps: float, max_iter: int,
+            step_errors=(), step_failure: Failure | None = None,
+            accept=None, stalled=None):
+    """The outer loop every refinement solver runs on.
+
+    Each pass computes ``d = correction(x)``, updates x <- x + d in the
+    precision of ``ctx`` and records ||d||.  A correction that raises one
+    of ``step_errors`` ends the run with ``step_failure`` before the
+    update.  After the update, non-finite ||d|| or ||x|| is a
+    nan_breakdown; the run converges when ||d|| <= eps ||x|| or when
+    ``accept(x)`` holds (``accept`` is called on every updated iterate,
+    so it may record it); otherwise a true ``stalled()`` ends it with
+    gmres_stagnation.  Returns (x, iterations, correction norms, failure,
+    detail), with failure None on convergence.
+    """
+    norms = []
+    for i in range(max_iter):
+        try:
+            d = correction(x)
+        except step_errors as exc:
+            return x, i, norms, step_failure, str(exc)
+        x = np.asarray(fl_add(x, d, ctx))
+        nd, nx = float(np.linalg.norm(d)), float(np.linalg.norm(x))
+        norms.append(nd)
+        accepted = accept is not None and accept(x)
+        if not (np.isfinite(nd) and np.isfinite(nx)):
+            return x, i + 1, norms, Failure.NAN_BREAKDOWN, "iterate diverged to non-finite values"
+        if nd <= eps * nx or accepted:
+            return x, i + 1, norms, None, ""
+        if stalled is not None and stalled():
+            return x, i + 1, norms, Failure.GMRES_STAGNATION, "inner residual stopped decreasing"
+    return (x, max_iter, norms, Failure.NON_CONVERGENCE,
+            "correction ratio above epsilon at max_iter")
 
 
 def solve_pert_sylv_tri_stat(T_A, dT_A, T_B, dT_B, C, Y0,
@@ -107,38 +143,22 @@ def solve_pert_sylv_tri_stat(T_A, dT_A, T_B, dT_B, C, Y0,
     T_A = np.asarray(T_A, dtype=np.complex128)
     T_B = np.asarray(T_B, dtype=np.complex128)
     C = np.asarray(C, dtype=np.complex128)
-    Y = np.asarray(Y0, dtype=np.complex128).copy()
     m, n = C.shape
-    eps = cfg.resolve_epsilon(m, n)
     S_A = fl_add(T_A, dT_A, ctx)
     S_B = fl_add(T_B, dT_B, ctx)
     pert_problem = SylvesterProblem(S_A, S_B, C)
-    norms = []
-    converged = False
-    failure = None
-    i = 0
-    while i < cfg.max_iter:
+
+    def correction(Y):
         R = gemm(-1.0, S_A, Y, 1.0, C, ctx)
         R = gemm(-1.0, Y, S_B, 1.0, R, ctx)
-        try:
-            D = solve_sylv_tri(T_A, T_B, R, ctx)
-        except NumericBreakdownError as exc:
-            failure = f"nan_breakdown: {exc}"
-            break
-        Y = fl_add(Y, D, ctx)
-        i += 1
-        nD = float(np.linalg.norm(D))
-        nY = float(np.linalg.norm(Y))
-        norms.append(nD)
-        if not (np.isfinite(nD) and np.isfinite(nY)):
-            failure = "nan_breakdown: iterate diverged to non-finite values"
-            break
-        if nD <= eps * nY:
-            converged = True
-            break
-    if failure is None and not converged:
-        failure = "non_convergence: correction ratio above epsilon at max_iter"
-    return SolveReport(Y, i, norms, residual(pert_problem, Y), converged, failure)
+        return solve_sylv_tri(T_A, T_B, R, ctx)
+
+    Y, k, norms, failure, detail = _refine(
+        np.asarray(Y0, dtype=np.complex128).copy(), correction, ctx,
+        cfg.resolve_epsilon(m, n), cfg.max_iter,
+        step_errors=NumericBreakdownError, step_failure=Failure.NAN_BREAKDOWN)
+    return SolveReport(Y, k, norms, residual(pert_problem, Y), failure is None,
+                       failure, detail)
 
 
 def ir_linear_system(M, dM, b, x0, cfg: RefinementConfig,
@@ -153,38 +173,18 @@ def ir_linear_system(M, dM, b, x0, cfg: RefinementConfig,
     ctx = PrecisionContext(cfg.u_h, counter, "high")
     M = np.asarray(M, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128).ravel()
-    x = np.asarray(x0, dtype=np.complex128).ravel().copy()
-    s = b.size
-    eps = cfg.resolve_epsilon(s, 1)
     F = lu(fl_sub(M, dM, ctx), ctx)
-    norms = []
-    converged = False
-    failure = None
-    i = 0
-    while i < cfg.max_iter:
+
+    def correction(x):
         r = gemm(-1.0, M, x[:, None], 1.0, b[:, None], ctx)
-        d = lu_solve(F, r, ctx=ctx).ravel()
-        x = np.asarray(fl_add(x, d, ctx))
-        i += 1
-        nd = float(np.linalg.norm(d))
-        nx = float(np.linalg.norm(x))
-        norms.append(nd)
-        if not (np.isfinite(nd) and np.isfinite(nx)):
-            failure = "nan_breakdown: iterate diverged to non-finite values"
-            break
-        if nd <= eps * nx:
-            converged = True
-            break
-    if failure is None and not converged:
-        failure = "non_convergence: correction ratio above epsilon at max_iter"
+        return lu_solve(F, r, ctx=ctx).ravel()
+
+    x, k, norms, failure, detail = _refine(
+        np.asarray(x0, dtype=np.complex128).ravel().copy(), correction, ctx,
+        cfg.resolve_epsilon(b.size, 1), cfg.max_iter)
     res = float(np.linalg.norm(b - M @ x)
                 / max(np.linalg.norm(b) + np.linalg.norm(M) * np.linalg.norm(x), 1e-300))
-    return SolveReport(x, i, norms, res, converged, failure)
-
-
-def _failed_report(p: SylvesterProblem, reason: str) -> SolveReport:
-    X = np.full((p.m, p.n), np.nan, dtype=np.complex128)
-    return SolveReport(X, 0, [], float("nan"), False, reason)
+    return SolveReport(x, k, norms, res, failure is None, failure, detail)
 
 
 def _low_precision_schur_pair(p: SylvesterProblem, ctx_l: PrecisionContext):
@@ -197,9 +197,85 @@ def _low_precision_schur_pair(p: SylvesterProblem, ctx_l: PrecisionContext):
     return sf_A, sf_B
 
 
-def _initial_triangular_solve(T_A, T_B, F, ctx_l: PrecisionContext):
-    F_l = _round_complex_array(np.asarray(F), ctx_l.format)
-    return solve_sylv_tri(T_A, T_B, F_l, ctx_l)
+def _sandwich(L, M, R, ctx: PrecisionContext) -> np.ndarray:
+    return gemm(1.0, gemm(1.0, L, M, 0.0, None, ctx), R, 0.0, None, ctx)
+
+
+# A factor recovery takes the low-precision Schur pair and the coefficients
+# rounded to the high precision, B None for a Lyapunov equation (whose
+# second factor is the first), and returns F, the similarity transforms
+# of A and B (None for Lyapunov), and the back-transform of Y to X.
+
+def _reorthonormalize(sf_A: SchurFactors, sf_B: SchurFactors, A, B, C,
+                      ctx: PrecisionContext):
+    """`mp_orth`: the Q factors of a modified Gram-Schmidt QR (positive
+    diagonal) of the Schur vectors stand in for them."""
+    Q_A = mgs_qr(sf_A.U, ctx).Q
+    Q_B = Q_A if B is None else mgs_qr(sf_B.U, ctx).Q
+    return (_sandwich(Q_A.conj().T, C, Q_B, ctx),
+            _sandwich(Q_A.conj().T, A, Q_A, ctx),
+            None if B is None else _sandwich(Q_B.conj().T, B, Q_B, ctx),
+            lambda Y: _sandwich(Q_A, Y, Q_B.conj().T, ctx))
+
+
+def _invert(sf_A: SchurFactors, sf_B: SchurFactors, A, B, C, ctx: PrecisionContext):
+    """`mp_inv`: the Schur vectors are kept and their inverses applied
+    through LU factorizations."""
+    U_A, U_B = sf_A.U, sf_B.U
+    lu_A = lu(U_A.conj().T, ctx)
+    lu_B = None if B is None else lu(U_B, ctx)
+    S_A = lu_solve(lu_A, gemm(1.0, U_A.conj().T, A, 0.0, None, ctx), side="right", ctx=ctx)
+    S_B = None if B is None else \
+        lu_solve(lu_B, gemm(1.0, B, U_B, 0.0, None, ctx), side="left", ctx=ctx)
+
+    def solution(Y):
+        Z = lu_solve(lu_A, Y, side="left", ctx=ctx)
+        if B is None:  # Z U_A^-1 = Z (U_A^*)^-* reuses lu_A
+            return lu_solve(lu_A, Z, side="right", transpose="conj", ctx=ctx)
+        return lu_solve(lu_B, Z, side="right", ctx=ctx)
+
+    return _sandwich(U_A.conj().T, C, U_B, ctx), S_A, S_B, solution
+
+
+def _failed_report(p: SylvesterProblem, exc: Exception, stage: str) -> SolveReport:
+    X = np.full((p.m, p.n), np.nan, dtype=np.complex128)
+    failure = Failure.SINGULAR_EQUATION if isinstance(exc, SingularEquationError) \
+        else Failure.NAN_BREAKDOWN
+    return SolveReport(X, 0, [], float("nan"), False, failure, f"{stage}: {exc}")
+
+
+def _mixed_precision(p: SylvesterProblem, cfg: RefinementConfig,
+                     counter: FlopCounter | None, y0_zero: bool,
+                     recovery) -> SolveReport:
+    """The pipeline `mp_orth` and `mp_inv` share, with their factor recovery.
+
+    Schur pair in the low precision; right-hand side F and perturbations
+    L_A, L_B (L_B = L_A^* for Lyapunov) from ``recovery`` in the high
+    precision; an initial triangular solve in the low precision (a failure
+    there is reported, or replaced by a zero start with ``y0_zero``);
+    stationary refinement; and the back-transform by ``recovery``.
+    """
+    ctx_l = PrecisionContext(cfg.u_l, counter, "low")
+    ctx_h = PrecisionContext(cfg.u_h, counter, "high")
+    sf_A, sf_B = _low_precision_schur_pair(p, ctx_l)
+    fmt = ctx_h.format
+    B = None if p.kind == "lyapunov" else _round_complex_array(p.B, fmt)
+    F, S_A, S_B, solution = recovery(sf_A, sf_B, _round_complex_array(p.A, fmt), B,
+                                     _round_complex_array(p.C, fmt), ctx_h)
+    L_A = fl_sub(S_A, sf_A.T, ctx_h)
+    L_B = L_A.conj().T.copy() if B is None else fl_sub(S_B, sf_B.T, ctx_h)
+    try:
+        Y0 = solve_sylv_tri(sf_A.T, sf_B.T, _round_complex_array(F, ctx_l.format), ctx_l)
+    except (SingularEquationError, NumericBreakdownError) as exc:
+        if not y0_zero:
+            return _failed_report(p, exc, "initial triangular solve")
+        Y0 = np.zeros((p.m, p.n), dtype=np.complex128)
+    try:
+        inner = solve_pert_sylv_tri_stat(sf_A.T, L_A, sf_B.T, L_B, F, Y0, cfg, counter)
+    except SingularEquationError as exc:
+        return _failed_report(p, exc, "refinement")
+    X = solution(inner.X)
+    return replace(inner, X=X, residual=residual(p, X))
 
 
 def mp_orth(p: SylvesterProblem, cfg: RefinementConfig,
@@ -215,38 +291,7 @@ def mp_orth(p: SylvesterProblem, cfg: RefinementConfig,
     ``y0_zero`` the failed initial solve is replaced by a zero start
     instead (an experimentation override, off by default).
     """
-    ctx_l = PrecisionContext(cfg.u_l, counter, "low")
-    ctx_h = PrecisionContext(cfg.u_h, counter, "high")
-    sf_A, sf_B = _low_precision_schur_pair(p, ctx_l)
-    qr_A = mgs_qr(sf_A.U, ctx_h)
-    qr_B = qr_A if p.kind == "lyapunov" else mgs_qr(sf_B.U, ctx_h)
-    Q_A, Q_B = qr_A.Q, qr_B.Q
-    C = _round_complex_array(p.C, ctx_h.format)
-    A = _round_complex_array(p.A, ctx_h.format)
-    F = gemm(1.0, gemm(1.0, Q_A.conj().T, C, 0.0, None, ctx_h), Q_B, 0.0, None, ctx_h)
-    L_A = fl_sub(gemm(1.0, gemm(1.0, Q_A.conj().T, A, 0.0, None, ctx_h),
-                      Q_A, 0.0, None, ctx_h), sf_A.T, ctx_h)
-    if p.kind == "lyapunov":
-        L_B = L_A.conj().T.copy()
-    else:
-        B = _round_complex_array(p.B, ctx_h.format)
-        L_B = fl_sub(gemm(1.0, gemm(1.0, Q_B.conj().T, B, 0.0, None, ctx_h),
-                          Q_B, 0.0, None, ctx_h), sf_B.T, ctx_h)
-    try:
-        Y0 = _initial_triangular_solve(sf_A.T, sf_B.T, F, ctx_l)
-    except (SingularEquationError, NumericBreakdownError) as exc:
-        if not y0_zero:
-            return _failed_report(
-                p, f"{_failure_name(exc)} at initial triangular solve: {exc}")
-        Y0 = np.zeros((p.m, p.n), dtype=np.complex128)
-    try:
-        inner = solve_pert_sylv_tri_stat(sf_A.T, L_A, sf_B.T, L_B, F, Y0, cfg, counter)
-    except SingularEquationError as exc:
-        return _failed_report(p, f"singular_equation during refinement: {exc}")
-    X = gemm(1.0, gemm(1.0, Q_A, inner.X, 0.0, None, ctx_h),
-             Q_B.conj().T, 0.0, None, ctx_h)
-    return SolveReport(X, inner.iterations, inner.correction_norms,
-                       residual(p, X), inner.converged, inner.failure)
+    return _mixed_precision(p, cfg, counter, y0_zero, _reorthonormalize)
 
 
 def mp_inv(p: SylvesterProblem, cfg: RefinementConfig,
@@ -258,49 +303,7 @@ def mp_inv(p: SylvesterProblem, cfg: RefinementConfig,
     factorized in the high precision and all factor applications on the
     recovery side become triangular solves.
     """
-    ctx_l = PrecisionContext(cfg.u_l, counter, "low")
-    ctx_h = PrecisionContext(cfg.u_h, counter, "high")
-    sf_A, sf_B = _low_precision_schur_pair(p, ctx_l)
-    lu_A = lu(sf_A.U.conj().T, ctx_h)
-    lu_B = None if p.kind == "lyapunov" else lu(sf_B.U, ctx_h)
-    C = _round_complex_array(p.C, ctx_h.format)
-    A = _round_complex_array(p.A, ctx_h.format)
-    U_A, U_B = sf_A.U, sf_B.U
-    F = gemm(1.0, gemm(1.0, U_A.conj().T, C, 0.0, None, ctx_h), U_B, 0.0, None, ctx_h)
-    W = gemm(1.0, U_A.conj().T, A, 0.0, None, ctx_h)
-    L_A = fl_sub(lu_solve(lu_A, W, side="right", transpose="no", ctx=ctx_h),
-                 sf_A.T, ctx_h)
-    if p.kind == "lyapunov":
-        L_B = L_A.conj().T.copy()
-    else:
-        B = _round_complex_array(p.B, ctx_h.format)
-        W = gemm(1.0, B, U_B, 0.0, None, ctx_h)
-        L_B = fl_sub(lu_solve(lu_B, W, side="left", transpose="no", ctx=ctx_h),
-                     sf_B.T, ctx_h)
-    try:
-        Y0 = _initial_triangular_solve(sf_A.T, sf_B.T, F, ctx_l)
-    except (SingularEquationError, NumericBreakdownError) as exc:
-        if not y0_zero:
-            return _failed_report(
-                p, f"{_failure_name(exc)} at initial triangular solve: {exc}")
-        Y0 = np.zeros((p.m, p.n), dtype=np.complex128)
-    try:
-        inner = solve_pert_sylv_tri_stat(sf_A.T, L_A, sf_B.T, L_B, F, Y0, cfg, counter)
-    except SingularEquationError as exc:
-        return _failed_report(p, f"singular_equation during refinement: {exc}")
-    Z = lu_solve(lu_A, inner.X, side="left", transpose="no", ctx=ctx_h)
-    if p.kind == "lyapunov":
-        X = lu_solve(lu_A, Z, side="right", transpose="conj", ctx=ctx_h)
-    else:
-        X = lu_solve(lu_B, Z, side="right", transpose="no", ctx=ctx_h)
-    return SolveReport(X, inner.iterations, inner.correction_norms,
-                       residual(p, X), inner.converged, inner.failure)
-
-
-def _failure_name(exc: Exception) -> str:
-    if isinstance(exc, SingularEquationError):
-        return "singular_equation"
-    return "nan_breakdown"
+    return _mixed_precision(p, cfg, counter, y0_zero, _invert)
 
 
 @dataclass(frozen=True)

@@ -261,7 +261,7 @@ def test_criterion_8_singular_equation_behavior(rng):
         assert not rep.converged
         assert rep.failure is not None
         assert rep.failure.startswith(("singular_equation", "nan_breakdown"))
-        assert "initial triangular solve" in rep.failure
+        assert "initial triangular solve" in rep.detail
         assert np.isnan(rep.X).all()
     _report(8, "singular equation behavior", "(typed failure at the initial solve)")
 

@@ -178,3 +178,27 @@ class TestMainEntry:
                    "--y0-zero", "--solvers", "or", "--out", str(out),
                    "--reproducible"])
         assert rc == 0
+
+    def test_ug_given_as_bits_matches_ul(self, tmp_path):
+        out = tmp_path / "g.csv"
+        rc = main(["solve", "--m", "4", "--n", "4", "--seed", "1", "--ul", "binary32",
+                   "--ug", "24:8", "--solvers", "gmres", "--out", str(out),
+                   "--reproducible"])
+        assert rc == 0
+        row = [l for l in out.read_text().splitlines() if l.startswith("gmres")][0]
+        assert row.endswith(",ok")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--solvers", "bs,xx"],
+        ["sweep-cond", "--t-range", "3"],
+        ["sweep-cond", "--solvers", "gmres"],
+        ["solve", "--ul", "binary64", "--uh", "binary32"],
+        ["solve", "--solvers", "gmres", "--ug", "binary16"],
+    ])
+    def test_bad_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--m", "3", "--n", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()

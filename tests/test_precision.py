@@ -84,6 +84,12 @@ class TestFormats:
         f = parse_format("16:8")
         assert (f.significand_bits, f.exponent_bits) == (16, 8)
 
+    def test_equality_is_by_bits_not_name(self):
+        f = parse_format("24:8")
+        assert f.name != BINARY32.name
+        assert f == BINARY32 and hash(f) == hash(BINARY32)
+        assert f in (BINARY16, BINARY32) and f != B24
+
     def test_flush_to_zero_not_offered(self):
         with pytest.raises(ValueError):
             FpFormat("ftz", 8, 8, supports_subnormals=False)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpsylv.errors import Failure, NumericBreakdownError
 from mpsylv.linalg import mgs_qr, schur, sep_f, sylvester_kron_operator, unvec, vec
 from mpsylv.precision import (
     B24,
@@ -13,6 +14,7 @@ from mpsylv.precision import (
 )
 from mpsylv.refinement import (
     RefinementConfig,
+    _refine,
     check_convergence_regime,
     ir_linear_system,
     mp_inv,
@@ -128,6 +130,41 @@ class TestStationary:
         assert rep.failure and "nan_breakdown" in rep.failure
 
 
+class TestRefineLoop:
+    """The order of checks the shared refinement loop applies."""
+
+    @staticmethod
+    def run(corrections, **kw):
+        steps = iter(corrections)
+        return _refine(np.zeros(1, dtype=complex), lambda x: next(steps),
+                       PrecisionContext(BINARY64), 1e-12, 3, **kw)
+
+    def test_failed_step_leaves_iterate_and_count(self):
+        def step(x):
+            raise NumericBreakdownError("boom")
+        x, k, norms, failure, detail = _refine(
+            np.ones(1, dtype=complex), step, PrecisionContext(BINARY64), 1e-12, 3,
+            step_errors=NumericBreakdownError, step_failure=Failure.NAN_BREAKDOWN)
+        assert (x[0], k, norms, failure, detail) == (1, 0, [], Failure.NAN_BREAKDOWN, "boom")
+
+    def test_non_finite_comes_before_acceptance(self):
+        accepted = []
+        _, k, _, failure, _ = self.run([np.array([np.inf])],
+                                       accept=lambda x: accepted.append(x) or True)
+        assert (k, failure, len(accepted)) == (1, Failure.NAN_BREAKDOWN, 1)
+
+    def test_acceptance_comes_before_stall(self):
+        _, k, _, failure, _ = self.run([np.ones(1)], accept=lambda x: True,
+                                       stalled=lambda: True)
+        assert (k, failure) == (1, None)
+
+    def test_stall_then_iteration_limit(self):
+        _, k, norms, failure, _ = self.run([np.ones(1)], stalled=lambda: True)
+        assert (k, norms, failure) == (1, [1.0], Failure.GMRES_STAGNATION)
+        _, k, norms, failure, _ = self.run([np.ones(1)] * 3, stalled=lambda: False)
+        assert (k, norms, failure) == (3, [1.0] * 3, Failure.NON_CONVERGENCE)
+
+
 class TestIrLinearSystem:
     def test_unperturbed_converges_fast(self, rng):
         M = cmat(rng, 8, 8) + 4 * np.eye(8)
@@ -216,7 +253,7 @@ class TestMixedPrecisionSolvers:
         rep = solver(p, CFG32)
         assert not rep.converged
         assert rep.failure is not None
-        assert "initial triangular solve" in rep.failure
+        assert "initial triangular solve" in rep.detail
         assert rep.failure.startswith(("singular_equation", "nan_breakdown"))
         assert np.isnan(rep.X).all()
 
@@ -230,7 +267,7 @@ class TestMixedPrecisionSolvers:
         # the equation itself is singular, so refinement still fails, but
         # through the refinement stage rather than at the initial solve
         assert not rep.converged
-        assert "refinement" in rep.failure
+        assert "refinement" in rep.detail
 
     def test_iteration_counts_close_between_variants(self, rng):
         from mpsylv.cli import ProblemGenerator, generate
