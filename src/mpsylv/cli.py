@@ -313,7 +313,13 @@ def run_sweep_costmodel(m: int, n: int, out, step: float = 0.01,
 
 def run_bench(m: int, n: int, seed: int, rcfg: RefinementConfig, out,
               algorithms=("or", "in"), reproducible: bool = False) -> list:
-    """Instrumented flop counts for the mixed solvers next to the model."""
+    """Instrumented flop counts for the mixed solvers next to the model.
+
+    ``algorithms`` holds "or" (mp_orth) and/or "in" (mp_inv).
+    """
+    unknown = [a for a in algorithms if a not in ("or", "in")]
+    if unknown:
+        raise ValueError(f"unknown bench algorithms {unknown}; known: or, in")
     columns = ["algorithm", "m", "n", "k", "low_measured", "low_model",
                "high_measured", "high_model", "low_ratio", "high_ratio"]
     rows = []

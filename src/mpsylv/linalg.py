@@ -32,6 +32,8 @@ from .precision import (
     fl_mul,
     fl_sub,
     _csqrt,
+    _mul_parts,
+    _round_real_array,
     _round_complex_array,
     _sabs,
     _sadd,
@@ -196,29 +198,47 @@ def norm(M, kind: str = "frobenius") -> float:
 
 
 def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext) -> complex:
-    """conj(x).y accumulated in ascending index order under ctx."""
+    """conj(x).y accumulated in ascending index order under ctx.
+
+    The rounded products are formed in one vector pass; only the
+    sequential accumulation runs per element.
+    """
+    ctx.count(2 * len(x))
     if ctx.format.is_binary64:
-        ctx.count(2 * len(x))
         return complex(np.vdot(x, y))
     fmt = ctx.format
-    ctx.count(2 * len(x))
+    x = np.asarray(x, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    re, im = _mul_parts(x.real, -x.imag, y.real, y.imag, fmt)
     acc = 0j
-    for i in range(len(x)):
-        acc = _sadd(acc, _smul(complex(x[i]).conjugate(), complex(y[i]), fmt), fmt)
+    for pr, pi in zip(re.tolist(), im.tolist()):
+        acc = _sadd(acc, complex(pr, pi), fmt)
     return acc
 
 
 def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
-    """Euclidean vector norm composed from rounded square/add/sqrt steps."""
+    """Euclidean vector norm composed from rounded square/add/sqrt steps.
+
+    Each |x_i| is formed from two rounded squares, a rounded add and a
+    rounded sqrt in one vector pass; its square is added unrounded into a
+    rounded ascending accumulation.
+    """
+    ctx.count(2 * len(x) + 1)
     if ctx.format.is_binary64:
-        ctx.count(2 * len(x) + 1)
         return float(np.linalg.norm(x))
     fmt = ctx.format
-    ctx.count(2 * len(x) + 1)
+    x = np.asarray(x, dtype=np.complex128)
+    r = _round_real_array
+    with np.errstate(invalid="ignore", over="ignore"):
+        sq = r(np.array([x.real * x.real, x.imag * x.imag]), fmt)
+        s = r(sq[0] + sq[1], fmt)
+        finite = np.isfinite(s)
+        mag = np.where(finite, r(np.sqrt(np.where(finite, s, 0.0)), fmt), np.inf)
     acc = 0.0
-    for i in range(len(x)):
-        acc = _sadd(acc, _sabs(complex(x[i]), fmt) ** 2, fmt).real
-        # |x_i|^2 as two rounded squares and one rounded add
+    for a in mag.tolist():
+        # a ** 2 (libm pow) is the defined square; for t > 26 it can
+        # differ from a * a in the last bit
+        acc = _sadd(acc, a ** 2, fmt).real
     return _ssqrt(acc, fmt)
 
 
@@ -475,24 +495,17 @@ def _givens(f: complex, g: complex, fmt: FpFormat):
     return c, s
 
 
-def _rot_rows(H: np.ndarray, k: int, c: float, s: complex, j0: int, j1: int,
-              ctx: PrecisionContext):
-    r1 = H[k, j0:j1]
-    r2 = H[k + 1, j0:j1]
-    new1 = fl_add(fl_mul(c, r1, ctx), fl_mul(s, r2, ctx), ctx)
-    new2 = fl_sub(fl_mul(c, r2, ctx), fl_mul(np.conj(s), r1, ctx), ctx)
-    H[k, j0:j1] = new1
-    H[k + 1, j0:j1] = new2
+def _rotate(P: np.ndarray, Q: np.ndarray, c: float, s1: complex, s2: complex,
+            ctx: PrecisionContext):
+    """Rounded plane rotation (c P + s1 Q, c Q - s2 P) of two equal-length vectors.
 
-
-def _rot_cols(H: np.ndarray, k: int, c: float, s: complex, i0: int, i1: int,
-              ctx: PrecisionContext):
-    c1 = H[i0:i1, k]
-    c2 = H[i0:i1, k + 1]
-    new1 = fl_add(fl_mul(c, c1, ctx), fl_mul(np.conj(s), c2, ctx), ctx)
-    new2 = fl_sub(fl_mul(c, c2, ctx), fl_mul(s, c1, ctx), ctx)
-    H[i0:i1, k] = new1
-    H[i0:i1, k + 1] = new2
+    One fl_mul over the stacked operands and one fl_add over the stacked
+    products, so the flops charged are those of four products and two sums.
+    """
+    prods = fl_mul(np.array([[c], [s1], [c], [s2]], dtype=np.complex128),
+                   np.array([P, Q, Q, P]), ctx)
+    new = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
+    return new[0], new[1]
 
 
 def _wilkinson_shift(H: np.ndarray, hi: int, fmt: FpFormat) -> complex:
@@ -558,9 +571,15 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
         for k in range(lo, hi):
             c, s = _givens(x, y, fmt)
             j0 = max(lo, k - 1)
-            _rot_rows(H, k, c, s, j0, m, ctx)
-            _rot_cols(H, k, c, s, 0, min(k + 3, hi + 1), ctx)
-            _rot_cols(U, k, c, s, 0, m, ctx)
+            H[k, j0:], H[k + 1, j0:] = _rotate(H[k, j0:], H[k + 1, j0:],
+                                               c, s, np.conj(s), ctx)
+            # the H and U column updates are independent: rotate them together
+            i1 = min(k + 3, hi + 1)
+            new1, new2 = _rotate(np.concatenate([H[:i1, k], U[:, k]]),
+                                 np.concatenate([H[:i1, k + 1], U[:, k + 1]]),
+                                 c, np.conj(s), s, ctx)
+            H[:i1, k], U[:, k] = new1[:i1], new1[i1:]
+            H[:i1, k + 1], U[:, k + 1] = new2[:i1], new2[i1:]
             if k > lo:
                 H[k + 1, k - 1] = 0.0
             if k < hi - 1:
@@ -619,18 +638,13 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
                 c = _sdiv(1.0, _ssqrt(_sadd(1.0, _smul(t, t, fmt), fmt).real, fmt), fmt).real
                 s = _smul(_smul(t, c, fmt), phase, fmt)
                 # similarity with G = [[c, s], [-conj(s), c]] on (p, q)
-                rp = W[p, :].copy()
-                rq = W[q, :].copy()
-                W[p, :] = fl_add(fl_mul(c, rp, ctx), fl_mul(s, rq, ctx), ctx)
-                W[q, :] = fl_sub(fl_mul(c, rq, ctx), fl_mul(np.conj(s), rp, ctx), ctx)
-                cp = W[:, p].copy()
-                cq = W[:, q].copy()
-                W[:, p] = fl_add(fl_mul(c, cp, ctx), fl_mul(np.conj(s), cq, ctx), ctx)
-                W[:, q] = fl_sub(fl_mul(c, cq, ctx), fl_mul(s, cp, ctx), ctx)
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = fl_add(fl_mul(c, vp, ctx), fl_mul(np.conj(s), vq, ctx), ctx)
-                V[:, q] = fl_sub(fl_mul(c, vq, ctx), fl_mul(s, vp, ctx), ctx)
+                W[p, :], W[q, :] = _rotate(W[p, :], W[q, :], c, s, np.conj(s), ctx)
+                # the W and V column updates are independent: rotate them together
+                new_p, new_q = _rotate(np.concatenate([W[:, p], V[:, p]]),
+                                       np.concatenate([W[:, q], V[:, q]]),
+                                       c, np.conj(s), s, ctx)
+                W[:, p], V[:, p] = new_p[:n], new_p[n:]
+                W[:, q], V[:, q] = new_q[:n], new_q[n:]
     else:
         raise IterationLimitError(f"Jacobi did not converge in {max_sweeps} sweeps")
     return V, np.real(np.diag(W)).copy()

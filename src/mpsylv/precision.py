@@ -21,14 +21,34 @@ formats are::
     binary64    53           11         2^-53
 
 Subnormal numbers are supported and rounded with gradual underflow.
-Flush-to-zero is not offered.
+Flush-to-zero is not offered.  A format needs 2 to 53 significand bits
+and 2 to 11 exponent bits: values are stored as binary64, so a wider
+format could not be represented.
+
+Rounding has one reference implementation, a software kernel in the style
+of the vectorised ``chop`` of Higham & Pranesh ("Simulating low precision
+floating-point arithmetic", SISC 41(5), 2019).  The two formats with the
+bits of an IEEE interchange format, binary32 (24:8) and binary16 (11:5),
+round through the hardware conversion instead: ``float32``/``float16``
+casts for arrays, ``struct`` ``'f'``/``'e'`` packing for scalars.  Those
+conversions round to nearest, ties to even, with gradual underflow and
+overflow to infinity, which is exactly the rounding the software kernel
+implements, so results are bit-identical.  For t <= 25, the exact
+result of +, -, *, / or sqrt on values of the format, rounded first to
+binary64 and then to the format, is the correctly rounded result
+(Figueroa, "When is double rounding innocuous?", SIGNUM 1995).  A sum
+that carries a nonzero 2Sum residual still breaks its tie in the
+software kernel, which keeps it exact for operands of any width.  NaN
+inputs keep their payload.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +83,8 @@ class FpFormat:
     """A binary floating-point format with IEEE-style exponent biasing.
 
     Formats compare and hash by their bits; the name is only a label, so
-    ``parse_format("24:8") == BINARY32``.
+    ``parse_format("24:8") == BINARY32``.  The derived constants are
+    computed once per format.
     """
 
     name: str = field(compare=False)
@@ -74,24 +95,32 @@ class FpFormat:
     def __post_init__(self):
         if self.significand_bits < 2:
             raise ValueError("significand needs at least 2 bits")
+        if self.significand_bits > 53:
+            raise ValueError(
+                f"significand of {self.significand_bits} bits is wider than "
+                "binary64's 53, in which values are stored")
         if self.exponent_bits < 2:
             raise ValueError("exponent needs at least 2 bits")
+        if self.exponent_bits > 11:
+            raise ValueError(
+                f"exponent of {self.exponent_bits} bits is wider than "
+                "binary64's 11, in which values are stored")
         if not self.supports_subnormals:
             raise ValueError("flush-to-zero semantics are not supported")
 
-    @property
+    @cached_property
     def unit_roundoff(self) -> float:
         return 2.0 ** -self.significand_bits
 
-    @property
+    @cached_property
     def emax(self) -> int:
         return 2 ** (self.exponent_bits - 1) - 1
 
-    @property
+    @cached_property
     def emin(self) -> int:
         return 1 - self.emax
 
-    @property
+    @cached_property
     def max_finite(self) -> float:
         t = self.significand_bits
         return (2.0 - 2.0 ** (1 - t)) * 2.0**self.emax
@@ -104,9 +133,14 @@ class FpFormat:
     def smallest_subnormal(self) -> float:
         return 2.0 ** (self.emin - self.significand_bits + 1)
 
-    @property
+    @cached_property
     def is_binary64(self) -> bool:
         return self.significand_bits == 53 and self.exponent_bits == 11
+
+    @cached_property
+    def _native(self):
+        """(numpy dtype, struct packer) of the matching IEEE format, or None."""
+        return _NATIVE.get((self.significand_bits, self.exponent_bits))
 
     @classmethod
     def from_bits(cls, significand_bits: int, exponent_bits: int,
@@ -115,6 +149,12 @@ class FpFormat:
             name = f"p{significand_bits}e{exponent_bits}"
         return cls(name, significand_bits, exponent_bits)
 
+
+# formats whose rounding the hardware conversions perform exactly
+_NATIVE = {
+    (24, 8): (np.float32, struct.Struct("f")),
+    (11, 5): (np.float16, struct.Struct("e")),
+}
 
 BFLOAT16 = FpFormat("bfloat16", 8, 8)
 BINARY16 = FpFormat("binary16", 11, 5)
@@ -204,17 +244,16 @@ class PrecisionContext:
 # ---------------------------------------------------------------------------
 # rounding kernels
 
-def _round_real_array(x: np.ndarray, fmt: FpFormat,
-                      err: np.ndarray | None = None) -> np.ndarray:
+def _chop(x: np.ndarray, fmt: FpFormat,
+          err: np.ndarray | None = None) -> np.ndarray:
     """Round a float64 array to the nearest representable values in fmt.
 
-    ``err`` carries the part of the exact result that was lost when it was
-    first rounded to double (a 2Sum residual); it is used only to break
-    ties that fall exactly on a midpoint of the target format.
+    The software kernel, and the reference for the native casts.  ``err``
+    carries the part of the exact result that was lost when it was first
+    rounded to double (a 2Sum residual); it is used only to break ties
+    that fall exactly on a midpoint of the target format.
     """
     out = np.array(x, dtype=np.float64, copy=True)
-    if fmt.is_binary64:
-        return out
     mask = np.isfinite(out) & (out != 0.0)
     if not mask.any():
         return out
@@ -243,9 +282,30 @@ def _round_real_array(x: np.ndarray, fmt: FpFormat,
     return out
 
 
-def _round_real_scalar(x: float, fmt: FpFormat, err: float = 0.0) -> float:
-    if fmt.is_binary64 or x == 0.0 or not math.isfinite(x):
-        return x
+def _round_real_array(x: np.ndarray, fmt: FpFormat,
+                      err: np.ndarray | None = None) -> np.ndarray:
+    """Round a float64 array into fmt; a native cast where one is exact."""
+    if fmt.is_binary64:
+        return np.array(x, dtype=np.float64, copy=True)
+    native = fmt._native
+    if native is None:
+        return _chop(x, fmt, err)
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = x.astype(native[0]).astype(np.float64)
+    nan = np.isnan(out)
+    if np.count_nonzero(nan):
+        out[nan] = x[nan]  # the cast would drop NaN payload bits
+    if err is not None and np.count_nonzero(err):
+        err = np.asarray(err, dtype=np.float64)
+        tie = (err != 0.0) & np.isfinite(err)
+        if np.count_nonzero(tie):
+            out[tie] = _chop(x[tie], fmt, err[tie])
+    return out
+
+
+def _chop_scalar(x: float, fmt: FpFormat, err: float = 0.0) -> float:
+    """The software kernel for one finite nonzero double."""
     _, e = math.frexp(x)
     if e - 1 > fmt.emax + 1:
         return math.copysign(math.inf, x)
@@ -265,6 +325,19 @@ def _round_real_scalar(x: float, fmt: FpFormat, err: float = 0.0) -> float:
     return y
 
 
+def _round_real_scalar(x: float, fmt: FpFormat, err: float = 0.0) -> float:
+    if fmt.is_binary64 or x == 0.0 or not math.isfinite(x):
+        return x
+    native = fmt._native
+    if native is None or (err != 0.0 and math.isfinite(err)):
+        return _chop_scalar(x, fmt, err)
+    packer = native[1]
+    try:
+        return packer.unpack(packer.pack(x))[0]
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def round_to(x: float, fmt: FpFormat) -> float:
     """Round one double to the nearest value representable in ``fmt``.
 
@@ -278,9 +351,8 @@ def round_to(x: float, fmt: FpFormat) -> float:
 def _round_complex_array(z: np.ndarray, fmt: FpFormat) -> np.ndarray:
     if fmt.is_binary64:
         return np.array(z, dtype=np.complex128, copy=True)
-    re = _round_real_array(np.asarray(z.real, dtype=np.float64), fmt)
-    im = _round_real_array(np.asarray(z.imag, dtype=np.float64), fmt)
-    return re + 1j * im
+    y = _round_real_array(np.array([z.real, z.imag]), fmt)
+    return y[0] + 1j * y[1]
 
 
 def round_complex(z: complex, fmt: FpFormat) -> complex:
@@ -323,6 +395,16 @@ def _unwrap(z: np.ndarray, scalar: bool):
     return complex(z) if scalar else z
 
 
+def _operands(a, b, ctx: PrecisionContext):
+    """Operands as complex128 arrays plus whether both were scalars;
+    charges one flop per element of the broadcast result."""
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    ctx.count(np.broadcast(a, b).size)
+    return a, b, scalar
+
+
 def _two_sum(a: np.ndarray, b: np.ndarray):
     """Knuth 2Sum: s + e == a + b exactly, s == fl64(a + b)."""
     with np.errstate(invalid="ignore"):
@@ -334,63 +416,49 @@ def _two_sum(a: np.ndarray, b: np.ndarray):
 
 def _rounded_sum(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
     """Correctly rounded a + b into fmt (single rounding of the exact sum)."""
-    sr, er = _two_sum(a.real, b.real)
-    si, ei = _two_sum(a.imag, b.imag)
-    return _round_real_array(sr, fmt, er) + 1j * _round_real_array(si, fmt, ei)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    s, e = _two_sum(np.array([a.real, a.imag]), np.array([b.real, b.imag]))
+    y = _round_real_array(s, fmt, e)
+    return y[0] + 1j * y[1]
+
+
+def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
+    """Rounded real and imaginary parts of (ar + i ai)(br + i bi), stacked.
+
+    Four rounded real products, then a rounded difference and sum: two
+    rounding calls over stacked operands.  Charges no flops.
+    """
+    r = _round_real_array
+    with np.errstate(invalid="ignore", over="ignore"):
+        p = r(np.array([ar * br, ai * bi, ar * bi, ai * br]), fmt)
+        return r(np.array([p[0] - p[1], p[2] + p[3]]), fmt)
 
 
 def fl_add(a, b, ctx: PrecisionContext):
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    out_shape = np.broadcast_shapes(a.shape, b.shape)
-    ctx.count(int(np.prod(out_shape)) if out_shape else 1)
+    a, b, scalar = _operands(a, b, ctx)
     if ctx.format.is_binary64:
         return _unwrap(a + b, scalar)
-    a, b = np.broadcast_arrays(a, b)
     return _unwrap(_rounded_sum(a, b, ctx.format), scalar)
 
 
 def fl_sub(a, b, ctx: PrecisionContext):
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    out_shape = np.broadcast_shapes(a.shape, b.shape)
-    ctx.count(int(np.prod(out_shape)) if out_shape else 1)
+    a, b, scalar = _operands(a, b, ctx)
     if ctx.format.is_binary64:
         return _unwrap(a - b, scalar)
-    a, b = np.broadcast_arrays(a, b)
     return _unwrap(_rounded_sum(a, -b, ctx.format), scalar)
 
 
 def fl_mul(a, b, ctx: PrecisionContext):
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    out_shape = np.broadcast_shapes(a.shape, b.shape)
-    ctx.count(int(np.prod(out_shape)) if out_shape else 1)
+    a, b, scalar = _operands(a, b, ctx)
     if ctx.format.is_binary64:
         return _unwrap(a * b, scalar)
-    fmt = ctx.format
-    r = _round_real_array
-    ar, ai = a.real, a.imag
-    br, bi = b.real, b.imag
-    with np.errstate(invalid="ignore", over="ignore"):
-        rr = r(ar * br, fmt)
-        ii = r(ai * bi, fmt)
-        ri = r(ar * bi, fmt)
-        ir = r(ai * br, fmt)
-        re = r(rr - ii, fmt)
-        im = r(ri + ir, fmt)
+    re, im = _mul_parts(a.real, a.imag, b.real, b.imag, ctx.format)
     return _unwrap(re + 1j * im, scalar)
 
 
 def fl_div(a, b, ctx: PrecisionContext):
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    out_shape = np.broadcast_shapes(a.shape, b.shape)
-    ctx.count(int(np.prod(out_shape)) if out_shape else 1)
+    a, b, scalar = _operands(a, b, ctx)
     if ctx.format.is_binary64:
         return _unwrap(a / b, scalar)
     fmt = ctx.format
@@ -417,7 +485,7 @@ def fl_sqrt(x, ctx: PrecisionContext):
     """Rounded square root of a nonnegative real array or scalar."""
     scalar = np.ndim(x) == 0
     x = np.asarray(np.real(np.asarray(x)), dtype=np.float64)
-    ctx.count(int(np.prod(x.shape)) if x.shape else 1)
+    ctx.count(x.size)
     y = np.sqrt(x)
     if not ctx.format.is_binary64:
         y = _round_real_array(y, ctx.format)

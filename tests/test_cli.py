@@ -118,6 +118,12 @@ class TestRunners:
         _, m, n, k, lo, lo_m, hi, hi_m, rlo, rhi = rows[0]
         assert 0.7 <= rlo <= 1.3 and 0.8 <= rhi <= 1.2
 
+    def test_bench_rejects_unknown_algorithm(self, tmp_path):
+        out = tmp_path / "b.csv"
+        with pytest.raises(ValueError, match="bs"):
+            run_bench(3, 3, 0, RCFG, out, algorithms=("or", "bs"))
+        assert not out.exists()
+
     def test_reproducible_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_sweep_cond(5, 5, [0, 1, 2], 7, RCFG, a, solvers=("or", "bs"),
@@ -194,6 +200,8 @@ class TestMainEntry:
         ["sweep-cond", "--solvers", "gmres"],
         ["solve", "--ul", "binary64", "--uh", "binary32"],
         ["solve", "--solvers", "gmres", "--ug", "binary16"],
+        ["solve", "--ul", "60:11"],
+        ["solve", "--ul", "8:15"],
     ])
     def test_bad_flag_is_a_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "bad.csv"

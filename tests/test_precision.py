@@ -27,6 +27,10 @@ from mpsylv.precision import (
     round_complex,
     round_matrix,
     round_to,
+    _chop,
+    _chop_scalar,
+    _round_real_array,
+    _round_real_scalar,
 )
 
 ALL_FORMATS = [BFLOAT16, BINARY16, TF32, B24, BINARY32, BINARY64]
@@ -89,6 +93,21 @@ class TestFormats:
         assert f.name != BINARY32.name
         assert f == BINARY32 and hash(f) == hash(BINARY32)
         assert f in (BINARY16, BINARY32) and f != B24
+
+    @pytest.mark.parametrize("spec, message", [
+        ("60:11", "significand of 60 bits"),
+        ("54:8", "significand of 54 bits"),
+        ("8:15", "exponent of 15 bits"),
+        ("11:12", "exponent of 12 bits"),
+    ])
+    def test_rejects_formats_wider_than_binary64(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            parse_format(spec)
+
+    def test_widest_admissible_formats(self):
+        assert parse_format("53:11") == BINARY64
+        assert parse_format("53:8").max_finite == 2.0**128 - 2.0**75
+        assert parse_format("8:11").emax == 1023
 
     def test_flush_to_zero_not_offered(self):
         with pytest.raises(ValueError):
@@ -229,6 +248,129 @@ class TestFlOps:
         ctx = PrecisionContext(TF32)
         assert isinstance(fl_add(1.0, 2.0, ctx), complex)
         assert isinstance(fl_mul(np.ones(3), 2.0, ctx), np.ndarray)
+
+
+NATIVE = [(BINARY32, np.float32), (BINARY16, np.float16)]
+
+
+def _bits(v):
+    return np.asarray(v, dtype=np.float64).view(np.uint64)
+
+
+def _ulp(v, fmt):
+    """Spacing of fmt at the positive finite doubles v."""
+    q = np.maximum(np.frexp(v)[1] - 1, fmt.emin)
+    return np.ldexp(1.0, q - fmt.significand_bits + 1)
+
+
+def _boundaries(fmt):
+    """Doubles at and beside fmt's subnormal, tie and overflow boundaries."""
+    tiny, normal, top = fmt.smallest_subnormal, fmt.smallest_normal, fmt.max_finite
+    u = fmt.unit_roundoff
+    with np.errstate(over="ignore"):  # binary64 has no double past its top
+        x = np.array([0.0, tiny, tiny / 2, 3 * tiny / 2, normal, normal - tiny,
+                      normal - tiny / 2, 1 + u, 1 + 3 * u, top, top + _ulp(top, fmt) / 2,
+                      2 * top, math.inf])
+        x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, math.inf)])
+    return np.concatenate([x, -x])
+
+
+def _grid(fmt, dtype, patterns):
+    """The positive values of fmt with the given bit patterns, the midpoints
+    to their successors, and the doubles on either side of each midpoint."""
+    v = np.asarray(patterns, dtype=np.uint64).astype(
+        np.uint16 if dtype is np.float16 else np.uint32).view(dtype).astype(np.float64)
+    mid = v + _ulp(v, fmt) / 2
+    x = np.concatenate([v, mid, np.nextafter(mid, 0.0), np.nextafter(mid, math.inf)])
+    return np.concatenate([x, -x])
+
+
+def _exhaustive_grid(fmt, dtype):
+    if dtype is np.float16:  # every positive finite binary16 value
+        return _grid(fmt, dtype, np.arange(1, 0x7C00))
+    # the first and last significands of every binary32 binade
+    mant = np.array([0, 1, 2, 3, 2**22, 2**23 - 3, 2**23 - 2, 2**23 - 1])
+    pats = (np.arange(255)[:, None] << 23 | mant).ravel()
+    return _grid(fmt, dtype, pats[pats > 0])
+
+
+class TestNativeCasts:
+    """The native casts against the software kernel they replace."""
+
+    @pytest.mark.parametrize("fmt, dtype", NATIVE)
+    def test_software_kernel_matches_cast_at_boundaries(self, fmt, dtype):
+        x = np.concatenate([_boundaries(fmt), _exhaustive_grid(fmt, dtype)])
+        with np.errstate(over="ignore"):
+            cast = x.astype(dtype).astype(np.float64)
+        soft = _chop(x, fmt)
+        assert (_bits(soft) == _bits(cast)).all()
+        assert (_bits(_round_real_array(x, fmt)) == _bits(soft)).all()
+
+    @pytest.mark.parametrize("fmt, dtype", NATIVE)
+    def test_scalar_pack_matches_software_at_boundaries(self, fmt, dtype):
+        x = np.concatenate([_boundaries(fmt), _exhaustive_grid(fmt, dtype)]).tolist()
+        got = [_round_real_scalar(v, fmt) for v in x]
+        ref = [v if v == 0.0 or not math.isfinite(v) else _chop_scalar(v, fmt) for v in x]
+        assert (_bits(got) == _bits(ref)).all()
+
+    @pytest.mark.parametrize("fmt, dtype", NATIVE)
+    @given(pattern=st.integers(1, 2**31), sign=st.sampled_from([1.0, -1.0]),
+           err_sign=st.sampled_from([0.0, 1.0, -1.0]))
+    @settings(max_examples=300)
+    def test_midpoint_with_residual(self, fmt, dtype, pattern, sign, err_sign):
+        # v and its successor w bracket the midpoint; a residual of either
+        # sign says which side of the midpoint the exact value lies on
+        top = 0x7C00 if dtype is np.float16 else 0x7F800000
+        v = float(_grid(fmt, dtype, [pattern % (top - 1) + 1])[0])
+        w = v + float(_ulp(v, fmt))
+        mid = (v + w) / 2
+        err = err_sign * mid * 2.0**-60
+        x, e = np.array([sign * mid]), np.array([sign * err])
+        if err_sign == 0.0:
+            with np.errstate(over="ignore"):
+                want = float(x.astype(dtype)[0])
+        else:
+            want = sign * (w if err_sign > 0 else v)
+            want = math.copysign(math.inf, want) if abs(want) > fmt.max_finite else want
+        assert _bits(_round_real_array(x, fmt, e)) == _bits(want)
+        assert _bits(_chop(x, fmt, e)) == _bits(want)
+        assert _bits(_round_real_scalar(sign * mid, fmt, sign * err)) == _bits(want)
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    @given(payload=st.integers(1, 2**51 - 1), negative=st.booleans(),
+           quiet=st.booleans())
+    @settings(max_examples=50)
+    def test_nan_payload_passes_through(self, fmt, payload, negative, quiet):
+        bits = np.uint64(0x7FF0000000000000 | (quiet << 51) | payload | (negative << 63))
+        x = np.array([bits]).view(np.float64)
+        assert _bits(_round_real_array(x, fmt)) == bits
+        assert _bits(_round_real_scalar(float(x[0]), fmt)) == bits
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    @given(x=finite_doubles)
+    @settings(max_examples=200)
+    def test_scalar_equals_array(self, fmt, x):
+        assert _bits(_round_real_scalar(x, fmt)) == _bits(_round_real_array(np.array([x]), fmt))
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_scalar_equals_array_at_boundaries(self, fmt):
+        x = _boundaries(fmt)
+        assert (_bits([_round_real_scalar(v, fmt) for v in x.tolist()])
+                == _bits(_round_real_array(x, fmt))).all()
+
+    def test_software_kernel_on_a_million_doubles(self, rng):
+        # the inputs of acceptance criterion 1, which now checks the cast
+        # dispatch; this keeps the software kernel under the same oracle
+        N = 1_000_000
+        x = rng.standard_normal(N) * np.exp(rng.uniform(-90, 90, N))
+        x[:100] = [0.0, -0.0, np.inf, -np.inf, np.nan, 65504.0, 65520.0,
+                   70000.0, 2.0**-24, 2.0**-25] * 10
+        for fmt, dtype in NATIVE:
+            with np.errstate(over="ignore"):
+                cast = x.astype(dtype).astype(np.float64)
+            soft = _chop(x, fmt)
+            ok = (_bits(soft) == _bits(cast)) | (np.isnan(soft) & np.isnan(cast))
+            assert ok.all(), fmt.name
 
 
 class TestRoundMatrix:
