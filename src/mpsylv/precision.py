@@ -348,11 +348,23 @@ def round_to(x: float, fmt: FpFormat) -> float:
     return _round_real_scalar(float(x), fmt)
 
 
+def _compose(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array with parts re and im, stored as they are.
+
+    ``re + 1j * im`` is not exact: 1j * inf has a NaN real part, and
+    adding the +0 real part of 1j * im turns a real -0 into +0.
+    """
+    z = np.empty(np.shape(re), dtype=np.complex128)
+    z.real = re
+    z.imag = im
+    return z
+
+
 def _round_complex_array(z: np.ndarray, fmt: FpFormat) -> np.ndarray:
     if fmt.is_binary64:
         return np.array(z, dtype=np.complex128, copy=True)
     y = _round_real_array(np.array([z.real, z.imag]), fmt)
-    return y[0] + 1j * y[1]
+    return _compose(y[0], y[1])
 
 
 def round_complex(z: complex, fmt: FpFormat) -> complex:
@@ -420,7 +432,7 @@ def _rounded_sum(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
         a, b = np.broadcast_arrays(a, b)
     s, e = _two_sum(np.array([a.real, a.imag]), np.array([b.real, b.imag]))
     y = _round_real_array(s, fmt, e)
-    return y[0] + 1j * y[1]
+    return _compose(y[0], y[1])
 
 
 def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
@@ -454,7 +466,7 @@ def fl_mul(a, b, ctx: PrecisionContext):
     if ctx.format.is_binary64:
         return _unwrap(a * b, scalar)
     re, im = _mul_parts(a.real, a.imag, b.real, b.imag, ctx.format)
-    return _unwrap(re + 1j * im, scalar)
+    return _unwrap(_compose(re, im), scalar)
 
 
 def fl_div(a, b, ctx: PrecisionContext):
@@ -478,7 +490,7 @@ def fl_div(a, b, ctx: PrecisionContext):
         re = r(r(num_r + r(num_i * t, fmt), fmt) / d, fmt)
         im_plain = r(r(num_i - r(num_r * t, fmt), fmt) / d, fmt)
         im = np.where(swap, -im_plain, im_plain)
-    return _unwrap(re + 1j * im, scalar)
+    return _unwrap(_compose(re, im), scalar)
 
 
 def fl_sqrt(x, ctx: PrecisionContext):

@@ -244,6 +244,20 @@ class TestFlOps:
             ref = np.sqrt(np.float32(np.abs(a))).astype(np.float64)
         assert (np.asarray(fl_sqrt(np.abs(a), ctx)) == ref).all()
 
+    def test_overflowing_imaginary_part_leaves_real_part(self):
+        z = fl_mul(300j, 300.0, PrecisionContext(BINARY16))
+        assert _bits(z.real) == _bits(0.0) and z.imag == math.inf
+        z = fl_add(np.array([1.0 + 65504j]), 65504j, PrecisionContext(BINARY16))[0]
+        assert z.real == 1.0 and z.imag == math.inf
+
+    def test_negative_zero_real_part_survives(self):
+        for fmt in (BFLOAT16, BINARY16, BINARY32, FpFormat.from_bits(40, 11)):
+            ctx = PrecisionContext(fmt)
+            z = fl_mul(-1.0, 0.0, ctx)
+            assert _bits(z.real) == _bits(-0.0) and _bits(z.imag) == _bits(0.0)
+            z = fl_add(complex(-0.0, 1.0), complex(-0.0, 2.0), ctx)
+            assert _bits(z.real) == _bits(-0.0) and z.imag == 3.0
+
     def test_scalar_in_scalar_out(self):
         ctx = PrecisionContext(TF32)
         assert isinstance(fl_add(1.0, 2.0, ctx), complex)
@@ -392,6 +406,12 @@ class TestRoundMatrix:
         with pytest.warns(PrecisionOverflowWarning):
             R = round_matrix(np.array([[1e6]]), BINARY16)
         assert R[0, 0].real == math.inf
+
+    def test_imaginary_overflow_keeps_real_part(self):
+        with pytest.warns(PrecisionOverflowWarning):
+            R = round_matrix(np.array([[1e6j, complex(-0.0, 1e6)]]), BINARY16)
+        assert _bits(R[0, 0].real) == _bits(0.0) and R[0, 0].imag == math.inf
+        assert _bits(R[0, 1].real) == _bits(-0.0) and R[0, 1].imag == math.inf
 
 
 class TestFlopCounter:
