@@ -70,6 +70,7 @@ from .precision import (
     fl_mul,
     fl_sqrt,
     fl_sub,
+    fl_sum,
     format_from_name,
     parse_format,
     round_complex,

@@ -27,6 +27,7 @@ from .precision import (
     fl_div,
     fl_mul,
     fl_sub,
+    fl_sum,
     _round_complex_array,
     _sabs,
     _sadd,
@@ -167,9 +168,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
                 acc = _ssub(acc, _smul(complex(H[i, l]), complex(y[l]), fmt), fmt)
             ctx.count(2 * (j - i))
             y[i] = _sdiv(acc, complex(H[i, i]), fmt)
-        upd = np.zeros(N, dtype=np.complex128)
-        for l in range(j):
-            upd = np.asarray(fl_add(upd, fl_mul(y[l], V[:, l], ctx), ctx)).ravel()
+        upd = fl_sum(fl_mul(y[:, None], V[:, :j].T, ctx), ctx)
         x = np.asarray(fl_add(x, upd, ctx)).ravel()
         final = abs(complex(g[j]))
         if final <= tol * beta0:

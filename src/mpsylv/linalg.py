@@ -31,6 +31,8 @@ from .precision import (
     fl_div,
     fl_mul,
     fl_sub,
+    fl_sum,
+    _compose,
     _csqrt,
     _mul_parts,
     _round_real_array,
@@ -66,6 +68,9 @@ __all__ = [
 ]
 
 DEFAULT_KRON_CAP = 4096
+
+# products formed per fl_mul call in gemm; bounds its working memory
+_GEMM_BLOCK = 1 << 15
 
 _CTX64 = PrecisionContext(BINARY64)
 
@@ -127,8 +132,10 @@ def _enter(A: np.ndarray, ctx: PrecisionContext, what: str = "matrix") -> np.nda
 def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     """fl(alpha*A@B + beta*C) with a fixed ascending-k accumulation order.
 
-    The k loop is innermost and ascending, so results are deterministic
-    and reproducible in every format.  ``C`` may be None when beta == 0.
+    Each entry sums its k rounded products in ascending order, so results
+    are deterministic and reproducible in every format.  The products are
+    formed a block of k indices at a time and summed with `fl_sum`.
+    ``C`` may be None when beta == 0.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -144,9 +151,11 @@ def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
         C = as_matrix(C)
         if C.shape != (m, n):
             raise DimensionError(f"C has shape {C.shape}, expected {(m, n)}")
-    acc = np.zeros((m, n), dtype=np.complex128)
-    for p in range(k):
-        acc = fl_add(acc, fl_mul(A[:, p:p + 1], B[p:p + 1, :], ctx), ctx)
+    kb = max(1, _GEMM_BLOCK // (m * n))
+    acc = None
+    for p in range(0, k, kb):
+        prods = fl_mul(A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :], ctx)
+        acc = fl_sum(prods, ctx, start=acc)
     if alpha != 1:
         acc = fl_mul(alpha, acc, ctx)
     if beta == 0:
@@ -200,20 +209,17 @@ def norm(M, kind: str = "frobenius") -> float:
 def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext) -> complex:
     """conj(x).y accumulated in ascending index order under ctx.
 
-    The rounded products are formed in one vector pass; only the
-    sequential accumulation runs per element.
+    The rounded products are formed in one vector pass and summed with
+    `fl_sum`.  binary64 takes numpy's ``vdot``.
     """
-    ctx.count(2 * len(x))
     if ctx.format.is_binary64:
+        ctx.count(2 * len(x))
         return complex(np.vdot(x, y))
-    fmt = ctx.format
+    ctx.count(len(x))
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    re, im = _mul_parts(x.real, -x.imag, y.real, y.imag, fmt)
-    acc = 0j
-    for pr, pi in zip(re.tolist(), im.tolist()):
-        acc = _sadd(acc, complex(pr, pi), fmt)
-    return acc
+    return complex(fl_sum(_compose(*_mul_parts(x.real, -x.imag, y.real, y.imag, ctx.format)),
+                          ctx))
 
 
 def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
@@ -315,9 +321,7 @@ def _make_reflector(x: np.ndarray, ctx: PrecisionContext):
 def _apply_reflector_left_rounded(M: np.ndarray, w: np.ndarray, beta: float,
                                   ctx: PrecisionContext) -> np.ndarray:
     """M <- (I - beta w w*) M, rows matching len(w)."""
-    t = np.zeros(M.shape[1], dtype=np.complex128)
-    for i in range(len(w)):
-        t = fl_add(t, fl_mul(complex(w[i]).conjugate(), M[i, :], ctx), ctx)
+    t = fl_sum(fl_mul(np.conj(w)[:, None], M, ctx), ctx)
     bw = fl_mul(beta, w, ctx)
     return fl_sub(M, fl_mul(bw[:, None], t[None, :], ctx), ctx)
 
@@ -325,9 +329,7 @@ def _apply_reflector_left_rounded(M: np.ndarray, w: np.ndarray, beta: float,
 def _apply_reflector_right_rounded(M: np.ndarray, w: np.ndarray, beta: float,
                                    ctx: PrecisionContext) -> np.ndarray:
     """M <- M (I - beta w w*), columns matching len(w)."""
-    t = np.zeros(M.shape[0], dtype=np.complex128)
-    for i in range(len(w)):
-        t = fl_add(t, fl_mul(M[:, i], complex(w[i]), ctx), ctx)
+    t = fl_sum(fl_mul(M.T, w[:, None], ctx), ctx)
     bw = fl_mul(beta, np.conj(w), ctx)
     return fl_sub(M, fl_mul(t[:, None], bw[None, :], ctx), ctx)
 

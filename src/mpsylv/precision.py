@@ -75,6 +75,7 @@ __all__ = [
     "fl_mul",
     "fl_div",
     "fl_sqrt",
+    "fl_sum",
 ]
 
 
@@ -154,6 +155,12 @@ class FpFormat:
 _NATIVE = {
     (24, 8): (np.float32, struct.Struct("f")),
     (11, 5): (np.float16, struct.Struct("e")),
+}
+
+# formats whose sums fl_sum accumulates in a numpy complex dtype
+_SUM_DTYPE = {
+    (53, 11): np.complex128,
+    (24, 8): np.complex64,
 }
 
 BFLOAT16 = FpFormat("bfloat16", 8, 8)
@@ -317,7 +324,10 @@ def _chop_scalar(x: float, fmt: FpFormat, err: float = 0.0) -> float:
         lo = math.floor(scaled)
         if scaled - lo == 0.5:
             r = lo + (1 if err > 0.0 else 0)
-    y = math.ldexp(r, shift)
+    try:
+        y = math.ldexp(r, shift)
+    except OverflowError:  # rounded up past the largest double
+        return math.copysign(math.inf, x)
     if abs(y) > fmt.max_finite:
         return math.copysign(math.inf, x)
     if y == 0.0:
@@ -469,28 +479,84 @@ def fl_mul(a, b, ctx: PrecisionContext):
     return _unwrap(_compose(re, im), scalar)
 
 
-def fl_div(a, b, ctx: PrecisionContext):
-    a, b, scalar = _operands(a, b, ctx)
-    if ctx.format.is_binary64:
-        return _unwrap(a / b, scalar)
-    fmt = ctx.format
-    r = _round_real_array
-    a, b = np.broadcast_arrays(a, b)
+def _quotient(a, b, fmt: FpFormat) -> np.ndarray:
+    """a / b entrywise by Smith's method, bit-identical to `_sdiv`.
+
+    Every step is rounded into fmt.  In binary64 nothing is rounded and
+    the steps follow CPython's complex division, which `_sdiv` uses: its
+    swapped branch forms the imaginary part as (Re a * t - Im a) / d where
+    the rounded steps form -((Im a - Re a * t) / d), which differs in the
+    sign of a zero.  Charges no flops.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.complex128),
+                               np.asarray(b, dtype=np.complex128))
+    binary64 = fmt.is_binary64
+    r = (lambda x: x) if binary64 else (lambda x: _round_real_array(x, fmt))
     ar, ai = a.real, a.imag
     br, bi = b.real, b.imag
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # Smith's algorithm, branch chosen entrywise on |Re b| vs |Im b|
+        # branch chosen entrywise on |Re b| vs |Im b|
         swap = np.abs(br) < np.abs(bi)
         num_r = np.where(swap, ai, ar)
         num_i = np.where(swap, ar, ai)
         den_big = np.where(swap, bi, br)
         den_small = np.where(swap, br, bi)
-        t = r(den_small / den_big, fmt)
-        d = r(den_big + r(den_small * t, fmt), fmt)
-        re = r(r(num_r + r(num_i * t, fmt), fmt) / d, fmt)
-        im_plain = r(r(num_i - r(num_r * t, fmt), fmt) / d, fmt)
-        im = np.where(swap, -im_plain, im_plain)
-    return _unwrap(_compose(re, im), scalar)
+        t = r(den_small / den_big)
+        d = r(den_big + r(den_small * t))
+        re = r(r(num_r + r(num_i * t)) / d)
+        if binary64:
+            rt = num_r * t
+            im = np.where(swap, rt - num_i, num_i - rt) / d
+        else:
+            im = r(r(num_i - r(num_r * t)) / d)
+            im = np.where(swap, -im, im)
+    return _compose(re, im)
+
+
+def fl_div(a, b, ctx: PrecisionContext):
+    a, b, scalar = _operands(a, b, ctx)
+    if ctx.format.is_binary64:
+        return _unwrap(a / b, scalar)
+    return _unwrap(_quotient(a, b, ctx.format), scalar)
+
+
+def fl_sum(P, ctx: PrecisionContext, start=None):
+    """fl(...fl(fl(start + P[0]) + P[1]) ... + P[k-1]) along axis 0.
+
+    The sums run in ascending order, each rounded into the context's
+    format, and one flop is charged per element of P.  ``start`` may be
+    any double and defaults to +0; P holds values of the format.  An
+    empty P returns ``start`` unrounded.
+
+    In binary64 and binary32 the sums after the first run as one
+    ``np.add.accumulate`` in complex128 or complex64.  Each of them adds
+    two values of the format, and the hardware's IEEE round-to-nearest-
+    even sum of two such values is the correctly rounded sum the software
+    path computes, with the same overflow, gradual underflow and signed
+    zeros.  A NaN, or a P that is not representable, goes through the
+    per-step path: numpy picks the payload of a NaN met by a NaN
+    differently in its accumulate and add loops.
+    """
+    P = np.asarray(P, dtype=np.complex128)
+    ctx.count(P.size)
+    fmt = ctx.format
+    acc = np.zeros(P.shape[1:], dtype=np.complex128) if start is None \
+        else np.asarray(start, dtype=np.complex128)
+    if P.shape[0] == 0:
+        return np.array(np.broadcast_to(acc, P.shape[1:]))
+    add = (lambda a, b: a + b) if fmt.is_binary64 else \
+        (lambda a, b: _rounded_sum(a, b, fmt))
+    acc = add(acc, P[0])
+    dtype = _SUM_DTYPE.get((fmt.significand_bits, fmt.exponent_bits))
+    if dtype is not None and not np.isnan(acc).any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = P.astype(dtype)
+            if np.array_equal(X[1:], P[1:]):  # false on a NaN or an inexact cast
+                X[0] = acc
+                return np.add.accumulate(X, axis=0, out=X)[-1].astype(np.complex128)
+    for p in P[1:]:
+        acc = add(acc, p)
+    return acc
 
 
 def fl_sqrt(x, ctx: PrecisionContext):

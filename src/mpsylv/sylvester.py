@@ -14,6 +14,7 @@ always evaluated in binary64 no matter which precisions the solver used.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,12 @@ from .linalg import SchurFactors, as_matrix, gemm, hermitian_eig, schur, sep_f
 from .precision import (
     BINARY64,
     PrecisionContext,
+    fl_add,
     fl_div,
     fl_mul,
-    fl_sub,
+    fl_sum,
+    _quotient,
     _round_complex_array,
-    _sadd,
-    _sdiv,
 )
 
 __all__ = [
@@ -108,53 +109,91 @@ def _triangular_form(T: np.ndarray) -> str:
     raise DimensionError("coefficient is not triangular")
 
 
+@functools.lru_cache(maxsize=16)
+def _wave_plan(m: int, n: int, lower: bool):
+    """Gather indices of the anti-diagonal wavefront of an m x n solve.
+
+    Columns are taken in ascending order (descending when T_B is lower
+    triangular); q is a column's position in that order.  Entry (i, k)
+    depends only on Y[i, columns before k] and Y[rows below i, k], so all
+    entries with (m-1-i) + q == w form wave w, and each has a chain of
+    exactly w subtractions in the order of a column-by-column solve: the
+    q updates y[i, c] T_B[c, k] in column order, then T_A[i, r] y[r, k]
+    for r = m-1 down to i+1.  Indices point into the row-major buffer
+    [Y | T_A | T_B]; each wave is (target, left, right) with one chain
+    step per row of left and right.
+    """
+    cols = np.arange(n)[::-1] if lower else np.arange(n)
+    off_a, off_b = m * n, m * n + m * m
+    waves = []
+    for w in range(m + n - 1):
+        q = np.arange(max(0, w - m + 1), min(n, w + 1))
+        i, k = m - 1 - (w - q), cols[q]
+        s = np.arange(w)[:, None]
+        c = cols[np.minimum(s, n - 1)]
+        r = m - 1 - (s - q)
+        in_b = s < q
+        left = np.where(in_b, i * n + c, off_a + i * m + r)
+        right = np.where(in_b, off_b + c * n + k, r * n + k)
+        waves.append((i * n + k, left, right))
+    return cols, waves
+
+
 def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     """Solve T_A Y + Y T_B = C with T_A upper triangular.
 
     T_B may be upper triangular (columns are solved in ascending order) or
     lower triangular (descending order, which serves the adjoint factor of
     the Lyapunov paths).  Each column is obtained by back substitution on
-    the shifted coefficient T_A + T_B[j, j] I.
+    the shifted coefficient T_A + T_B[j, j] I.  The entries are computed
+    an anti-diagonal wave at a time (see `_wave_plan`): one rounded
+    product, one rounded sum and one division per wave, in the operation
+    order of the column-by-column recurrence, so results and flop counts
+    are those of that recurrence.
 
     Raises SingularEquationError when a shifted diagonal entry is exactly
     zero, and NumericBreakdownError when a NaN or infinity appears in the
-    recurrence.
+    recurrence, at the first column (in solve order) where the
+    column-by-column recurrence would have raised, having charged the
+    flops it would have charged by then.
     """
     T_A = as_matrix(T_A)
     T_B = as_matrix(T_B)
     if _triangular_form(T_A) != "upper":
         raise DimensionError("T_A must be upper triangular")
     b_form = _triangular_form(T_B)
-    W = as_matrix(C).copy()
-    m, n = W.shape
+    C = as_matrix(C)
+    m, n = C.shape
     if T_A.shape != (m, m) or T_B.shape != (n, n):
         raise DimensionError("inconsistent dimensions")
     fmt = ctx.format
-    Y = np.zeros((m, n), dtype=np.complex128)
-    order = range(n) if b_form == "upper" else range(n - 1, -1, -1)
-    for j in order:
-        shift = complex(T_B[j, j])
-        col = W[:, j].copy()
-        y = np.zeros(m, dtype=np.complex128)
-        for i in range(m - 1, -1, -1):
-            ctx.count(2)
-            d = _sadd(complex(T_A[i, i]), shift, fmt)
-            if d == 0:
-                raise SingularEquationError(i, j)
-            y[i] = _sdiv(complex(col[i]), d, fmt)
-            if i > 0:
-                col[:i] = fl_sub(col[:i], fl_mul(T_A[:i, i], y[i], ctx), ctx)
-        if not np.isfinite(y).all():
-            raise NumericBreakdownError(
-                f"non-finite values while solving column {j}")
-        Y[:, j] = y
-        if b_form == "upper" and j + 1 < n:
-            W[:, j + 1:] = fl_sub(
-                W[:, j + 1:], fl_mul(y[:, None], T_B[j:j + 1, j + 1:], ctx), ctx)
-        elif b_form == "lower" and j > 0:
-            W[:, :j] = fl_sub(
-                W[:, :j], fl_mul(y[:, None], T_B[j:j + 1, :j], ctx), ctx)
-    return Y
+    quiet = PrecisionContext(fmt)
+    cols, waves = _wave_plan(m, n, b_form == "lower")
+    # the shifted diagonals T_A[i, i] + T_B[k, k]
+    D = fl_add(np.diag(T_A)[:, None], np.diag(T_B)[None, :], quiet).ravel()
+    buf = np.concatenate([np.zeros(m * n, dtype=np.complex128), T_A.ravel(), T_B.ravel()])
+    c_flat = C.ravel()
+    for target, left, right in waves:
+        prods = fl_mul(buf[left], buf[right], quiet)
+        buf[target] = _quotient(fl_sum(-prods, quiet, start=c_flat[target]),
+                                D[target], fmt)
+    Y = buf[:m * n].reshape(m, n)
+    singular = D.reshape(m, n) == 0
+    failed = (singular.any(axis=0) | ~np.isfinite(Y).all(axis=0))[cols]
+    if not failed.any():
+        ctx.count(m * n * (m + n))
+        return Y
+    # flops of the p columns solved before the failing one
+    p = int(np.argmax(failed))
+    j = int(cols[p])
+    done = p * m * (m + 1) + m * p * (2 * n - p - 1)
+    if singular[:, j].any():
+        i = int(np.flatnonzero(singular[:, j])[-1])
+        # rows m-1 .. i+1 charged 2 + 2r each, row i its shifted diagonal
+        ctx.count(done + 2 * (m - 1 - i) + m * (m - 1) - i * (i + 1) + 2)
+        raise SingularEquationError(i, j)
+    ctx.count(done + m * (m + 1))
+    raise NumericBreakdownError(f"non-finite values while solving column {j}")
 
 
 def bartels_stewart(p: SylvesterProblem, ctx: PrecisionContext = _CTX64):

@@ -141,6 +141,11 @@ class TestRoundTo:
             z = round_to(-0.0, fmt)
             assert z == 0.0 and math.copysign(1, z) == -1
 
+    def test_rounding_up_past_the_largest_double_overflows(self):
+        fmt = FpFormat.from_bits(40, 11)
+        assert round_to(1.7976931348623157e308, fmt) == math.inf
+        assert round_to(-1.7976931348623157e308, fmt) == -math.inf
+
     def test_underflow_to_signed_zero(self):
         tiny = BINARY16.smallest_subnormal
         assert round_to(tiny * 0.49, BINARY16) == 0.0
