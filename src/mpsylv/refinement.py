@@ -93,6 +93,21 @@ class SolveReport:
     detail: str = ""
 
 
+def _norm(v) -> float:
+    """Frobenius norm of v.
+
+    ``np.linalg.norm`` squares without scaling, so entries above ~1e154
+    overflow it; then, and only then, the norm of v scaled by its largest
+    magnitude is taken instead.
+    """
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+    if math.isinf(nrm) and np.isfinite(v).all():
+        s = float(np.abs(v).max())
+        nrm = s * float(np.linalg.norm(v / s))
+    return nrm
+
+
 def _refine(x, correction, ctx: PrecisionContext, eps: float, max_iter: int,
             step_errors=(), step_failure: Failure | None = None,
             accept=None, stalled=None):
@@ -101,12 +116,12 @@ def _refine(x, correction, ctx: PrecisionContext, eps: float, max_iter: int,
     Each pass computes ``d = correction(x)``, updates x <- x + d in the
     precision of ``ctx`` and records ||d||.  A correction that raises one
     of ``step_errors`` ends the run with ``step_failure`` before the
-    update.  After the update, non-finite ||d|| or ||x|| is a
-    nan_breakdown; the run converges when ||d|| <= eps ||x|| or when
-    ``accept(x)`` holds (``accept`` is called on every updated iterate,
-    so it may record it); otherwise a true ``stalled()`` ends it with
-    gmres_stagnation.  Returns (x, iterations, correction norms, failure,
-    detail), with failure None on convergence.
+    update.  After the update, a non-finite entry of d or x, or a norm
+    past the largest double, is a nan_breakdown; the run converges when
+    ||d|| <= eps ||x|| or when ``accept(x)`` holds (``accept`` is called
+    on every updated iterate, so it may record it); otherwise a true
+    ``stalled()`` ends it with gmres_stagnation.  Returns (x, iterations,
+    correction norms, failure, detail), with failure None on convergence.
     """
     norms = []
     for i in range(max_iter):
@@ -115,10 +130,12 @@ def _refine(x, correction, ctx: PrecisionContext, eps: float, max_iter: int,
         except step_errors as exc:
             return x, i, norms, step_failure, str(exc)
         x = np.asarray(fl_add(x, d, ctx))
-        nd, nx = float(np.linalg.norm(d)), float(np.linalg.norm(x))
+        nd, nx = _norm(d), _norm(x)
         norms.append(nd)
         accepted = accept is not None and accept(x)
-        if not (np.isfinite(nd) and np.isfinite(nx)):
+        # a norm past the largest double would make the ratio test meaningless
+        if not (np.isfinite(d).all() and np.isfinite(x).all()
+                and math.isfinite(nd) and math.isfinite(nx)):
             return x, i + 1, norms, Failure.NAN_BREAKDOWN, "iterate diverged to non-finite values"
         if nd <= eps * nx or accepted:
             return x, i + 1, norms, None, ""

@@ -187,9 +187,9 @@ GOLDEN = {
         "residual": "4.418911565301941e-17",
     },
     "ir-diverges": {
-        "iterations": 13, "slug": "nan_breakdown", "inner": None,
-        "flops": {"high": 79},
-        "x_sha": "c96247c6ce5f1c59281093d908568d45fabf5be4ed8241a002644d34da110358",
+        "iterations": 20, "slug": "non_convergence", "inner": None,
+        "flops": {"high": 121},
+        "x_sha": "6767bb19d0c240135d079b430530088928b038213d3c4ec5f33b2f4c038a50a3",
         "residual": "nan",
     },
     "ir-non-convergence": {
@@ -235,9 +235,9 @@ GOLDEN = {
         "residual": "nan",
     },
     "stat-diverges": {
-        "iterations": 3, "slug": "nan_breakdown", "inner": None,
-        "flops": {"high": 35},
-        "x_sha": "f26fb6f81947fc8e9729bb00259fede1d2354cb23e75f3f0fab931f54ca04cda",
+        "iterations": 4, "slug": "nan_breakdown", "inner": None,
+        "flops": {"high": 56},
+        "x_sha": "ef7460540332ce6db17f0ae6bdefcee4499bec3100d12af6e0107fd9cfd53f55",
         "residual": "nan",
     },
     "stat-nan-rhs": {

@@ -158,6 +158,17 @@ class TestRefineLoop:
                                        stalled=lambda: True)
         assert (k, failure) == (1, None)
 
+    def test_finite_iterate_past_1e154_is_not_a_breakdown(self):
+        # the unscaled sum of squares overflows; the entries do not
+        _, k, norms, failure, _ = self.run([np.array([1e250]), np.array([1e-10])])
+        assert (k, failure) == (2, None) and norms == [1e250, 1e-10]
+
+    def test_norm_past_the_largest_double_is_a_breakdown(self):
+        big = np.array([1.5e308, 1.5e308])
+        x, k, _, failure, _ = _refine(np.zeros(2, dtype=complex), lambda x: big,
+                                      PrecisionContext(BINARY64), 1e-12, 3)
+        assert np.isfinite(x).all() and (k, failure) == (1, Failure.NAN_BREAKDOWN)
+
     def test_stall_then_iteration_limit(self):
         _, k, norms, failure, _ = self.run([np.ones(1)], stalled=lambda: True)
         assert (k, norms, failure) == (1, [1.0], Failure.GMRES_STAGNATION)
@@ -166,6 +177,17 @@ class TestRefineLoop:
 
 
 class TestIrLinearSystem:
+    def test_large_right_hand_side_converges_like_a_small_one(self):
+        # x ~ 1e250 squares past the largest double; only a scaled norm
+        # sees that it is finite
+        with np.errstate(over="ignore"):  # the reported residual's unscaled norms
+            reps = [ir_linear_system(np.eye(1), 2.0**-30 * np.eye(1), [b], [0],
+                                     RefinementConfig(BINARY32, BINARY64))
+                    for b in (1e250, 1.0)]
+        for rep in reps:
+            assert rep.converged and rep.failure is None and rep.iterations == 3
+        assert reps[0].X[0] == 1e250
+
     def test_unperturbed_converges_fast(self, rng):
         M = cmat(rng, 8, 8) + 4 * np.eye(8)
         b = cmat(rng, 8, 1).ravel()
