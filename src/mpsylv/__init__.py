@@ -25,6 +25,7 @@ from .errors import (
     Failure,
     FormatOverflowError,
     IterationLimitError,
+    MatrixMarketError,
     MpsylvError,
     NotHermitianError,
     NumericBreakdownError,

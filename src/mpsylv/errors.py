@@ -25,6 +25,10 @@ class DimensionError(MpsylvError, ValueError):
     """Operands have inconsistent shapes."""
 
 
+class MatrixMarketError(MpsylvError, ValueError):
+    """A Matrix Market file does not follow the format."""
+
+
 class SingularMatrixError(MpsylvError):
     """An exactly zero pivot was met while factorizing a matrix."""
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, MatrixMarketError
+from .precision import _compose
 
 __all__ = ["read_matrix", "write_matrix"]
 
@@ -25,56 +26,105 @@ def _parse_number(tok: str) -> float:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read one matrix from a Matrix Market file as complex128."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split()
-        if len(header) < 5 or header[0] != "%%MatrixMarket" or header[1] != "matrix":
-            raise ValueError(f"{path}: not a Matrix Market matrix file")
-        layout, field, symmetry = header[2].lower(), header[3].lower(), header[4].lower()
-        if layout not in ("array", "coordinate"):
-            raise ValueError(f"{path}: unsupported layout {layout!r}")
-        if field not in ("real", "integer", "complex"):
-            raise ValueError(f"{path}: unsupported field {field!r}")
-        if symmetry not in _SYMMETRIES:
-            raise ValueError(f"{path}: unsupported symmetry {symmetry!r}")
-        line = fh.readline()
-        while line.startswith("%") or not line.strip():
-            line = fh.readline()
-        sizes = line.split()
-        rows, cols = int(sizes[0]), int(sizes[1])
-        M = np.zeros((rows, cols), dtype=np.complex128)
-        if layout == "array":
-            if symmetry != "general" and rows != cols:
-                raise DimensionError(f"{path}: symmetric array must be square")
-            entries = []
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("%"):
-                    continue
-                toks = line.split()
-                if field == "complex":
-                    entries.append(complex(_parse_number(toks[0]),
-                                           _parse_number(toks[1])))
-                else:
-                    entries.append(complex(_parse_number(toks[0])))
-            it = iter(entries)
-            for j in range(cols):
-                i0 = j if symmetry != "general" else 0
-                for i in range(i0, rows):
-                    _store(M, i, j, next(it), symmetry)
-        else:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("%"):
-                    continue
-                toks = line.split()
+    """Read one matrix from a Matrix Market file as complex128.
+
+    Raises MatrixMarketError for a file that does not follow the format:
+    a bad header or size line, a coordinate index outside the declared
+    size (indices are 1-based), a line with too few numbers, or an entry
+    count other than the declared nnz (coordinate) or the number the
+    size and symmetry imply (array).  Symmetric, Hermitian and
+    skew-symmetric files store the lower triangle, the skew-symmetric
+    one without its zero diagonal.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read(fh, path)
+    except UnicodeDecodeError as exc:
+        raise MatrixMarketError(f"{path}: not a text file ({exc.reason})") from None
+
+
+def _read(fh, path) -> np.ndarray:
+    header = fh.readline().split()
+    if len(header) < 5 or header[0] != "%%MatrixMarket" or header[1] != "matrix":
+        raise MatrixMarketError(f"{path}: not a Matrix Market matrix file")
+    layout, field, symmetry = header[2].lower(), header[3].lower(), header[4].lower()
+    if layout not in ("array", "coordinate"):
+        raise MatrixMarketError(f"{path}: unsupported layout {layout!r}")
+    if field not in ("real", "integer", "complex"):
+        raise MatrixMarketError(f"{path}: unsupported field {field!r}")
+    if symmetry not in _SYMMETRIES:
+        raise MatrixMarketError(f"{path}: unsupported symmetry {symmetry!r}")
+    # (line number, tokens) of every line that is not blank or a comment
+    body = [(n, toks) for n, toks in enumerate((line.split() for line in fh), 2)
+            if toks and not toks[0].startswith("%")]
+    if not body:
+        raise MatrixMarketError(f"{path}: missing size line")
+    n, sizes = body[0]
+    coordinate = layout == "coordinate"
+    try:
+        dims = [int(t) for t in sizes[:3 if coordinate else 2]]
+    except ValueError:
+        dims = []
+    if len(dims) != (3 if coordinate else 2) or min(dims) < 0:
+        raise MatrixMarketError(f"{path}:{n}: bad size line {' '.join(sizes)!r}")
+    rows, cols = dims[0], dims[1]
+    if symmetry != "general" and rows != cols:
+        raise MatrixMarketError(f"{path}: a {symmetry} matrix must be square")
+    entries = body[1:]
+    if coordinate:
+        expected = dims[2]
+    elif symmetry == "general":
+        expected = rows * cols
+    elif symmetry == "skew-symmetric":
+        expected = cols * (cols - 1) // 2
+    else:
+        expected = cols * (cols + 1) // 2
+    if len(entries) != expected:
+        raise MatrixMarketError(
+            f"{path}: declares {expected} entries, holds {len(entries)}")
+    per = 2 if field == "complex" else 1
+    width = per + (2 if coordinate else 0)
+    short = next(((n, len(toks)) for n, toks in entries if len(toks) < width), None)
+    if short is not None:
+        raise MatrixMarketError(f"{path}:{short[0]}: expected {width} numbers, got {short[1]}")
+    values = _numbers(entries, width - per, width, path)
+    if per == 2:
+        values = _compose(values[0::2], values[1::2])
+    M = np.zeros((rows, cols), dtype=np.complex128)
+    if coordinate:
+        for (n, toks), v in zip(entries, values.tolist()):
+            try:
                 i, j = int(toks[0]) - 1, int(toks[1]) - 1
-                if field == "complex":
-                    v = complex(_parse_number(toks[2]), _parse_number(toks[3]))
-                else:
-                    v = complex(_parse_number(toks[2]))
-                _store(M, i, j, v, symmetry)
+            except ValueError as exc:
+                raise MatrixMarketError(f"{path}:{n}: {exc}") from None
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise MatrixMarketError(
+                    f"{path}:{n}: index ({i + 1}, {j + 1}) outside {rows} x {cols}")
+            _store(M, i, j, v, symmetry)
+    elif symmetry == "general":
+        M[:] = values.reshape(cols, rows).T
+    else:
+        # the lower triangle in column order
+        J, I = np.triu_indices(cols, 1 if symmetry == "skew-symmetric" else 0)
+        M[I, J] = values
+        off = I != J
+        mirror = {"symmetric": values, "hermitian": np.conj(values), "skew-symmetric": -values}
+        M[J[off], I[off]] = mirror[symmetry][off]
     return M
+
+
+def _numbers(entries, first, stop, path) -> np.ndarray:
+    """Tokens first..stop-1 of every entry line, parsed, in one flat array."""
+    try:
+        return np.array([_parse_number(t) for _, toks in entries for t in toks[first:stop]],
+                        dtype=np.float64)
+    except ValueError:
+        for n, toks in entries:
+            try:
+                [_parse_number(t) for t in toks[first:stop]]
+            except ValueError as exc:
+                raise MatrixMarketError(f"{path}:{n}: {exc}") from None
+        raise
 
 
 def _store(M, i, j, v, symmetry):

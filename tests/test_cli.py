@@ -156,6 +156,18 @@ class TestMainEntry:
         body = [l for l in out.read_text().splitlines() if l.startswith("bs")]
         assert float(body[0].split(",")[1]) < 1e-13
 
+    def test_malformed_matrix_market_is_a_usage_error(self, tmp_path, capsys):
+        paths = [tmp_path / f"{name}.mtx" for name in "ABC"]
+        for path in paths:
+            write_matrix(path, np.eye(2))
+        paths[1].write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n")
+        out = tmp_path / "mm.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--matrix-market", *map(str, paths), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "outside 2 x 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_costmodel_cli(self, tmp_path):
         out = tmp_path / "cm.csv"
         assert main(["sweep-costmodel", "--out", str(out)]) == 0
