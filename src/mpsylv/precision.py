@@ -482,16 +482,29 @@ def fl_mul(a, b, ctx: PrecisionContext):
 def _quotient(a, b, fmt: FpFormat) -> np.ndarray:
     """a / b entrywise by Smith's method, bit-identical to `_sdiv`.
 
-    Every step is rounded into fmt.  In binary64 nothing is rounded and
-    the steps follow CPython's complex division, which `_sdiv` uses: its
-    swapped branch forms the imaginary part as (Re a * t - Im a) / d where
-    the rounded steps form -((Im a - Re a * t) / d), which differs in the
-    sign of a zero.  Charges no flops.
+    Every step is rounded into fmt.  In binary32, operands that are
+    binary32 values (and not NaN) take the steps as float32 operations,
+    whose correctly rounded results are the rounded steps (the double
+    rounding of +, *, / is innocuous for t <= 25).  In binary64 nothing
+    is rounded and the steps follow CPython's complex division, which
+    `_sdiv` uses: its swapped branch forms the imaginary part as
+    (Re a * t - Im a) / d where the rounded steps form
+    -((Im a - Re a * t) / d), which differs in the sign of a zero.
+    Charges no flops.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.complex128),
-                               np.asarray(b, dtype=np.complex128))
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
     binary64 = fmt.is_binary64
-    r = (lambda x: x) if binary64 else (lambda x: _round_real_array(x, fmt))
+    native = False
+    if fmt == BINARY32:
+        # every step is one IEEE binary32 operation on binary32 values
+        with np.errstate(over="ignore", invalid="ignore"):
+            a32, b32 = a.astype(np.complex64), b.astype(np.complex64)
+        if np.array_equal(a32, a) and np.array_equal(b32, b):  # false on a NaN
+            a, b, native = a32, b32, True
+    r = (lambda x: x) if binary64 or native else (lambda x: _round_real_array(x, fmt))
     ar, ai = a.real, a.imag
     br, bi = b.real, b.imag
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -548,12 +561,16 @@ def fl_sum(P, ctx: PrecisionContext, start=None):
         (lambda a, b: _rounded_sum(a, b, fmt))
     acc = add(acc, P[0])
     dtype = _SUM_DTYPE.get((fmt.significand_bits, fmt.exponent_bits))
-    if dtype is not None and not np.isnan(acc).any():
+    if dtype is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             X = P.astype(dtype)
-            if np.array_equal(X[1:], P[1:]):  # false on a NaN or an inexact cast
+            # complex64 must hold P exactly (false on a NaN too)
+            if dtype is np.complex128 or np.array_equal(X[1:], P[1:]):
                 X[0] = acc
-                return np.add.accumulate(X, axis=0, out=X)[-1].astype(np.complex128)
+                total = np.add.accumulate(X, axis=0, out=X)[-1]
+                # a NaN anywhere reaches the total; the loop keeps its payload
+                if not np.isnan(total).any():
+                    return total.astype(np.complex128)
     for p in P[1:]:
         acc = add(acc, p)
     return acc
