@@ -1,9 +1,11 @@
 """Direct solvers for A X + X B = C.
 
-The triangular recurrence solves the transformed equation column by
-column; `bartels_stewart` wraps it between Schur decompositions of the
-coefficients and `solve_hermitian` replaces the Schur step with an
-eigendecomposition when both coefficients are Hermitian.
+The triangular recurrence solves the transformed equation one
+anti-diagonal wave of entries at a time, in the operation order of
+column-by-column substitution; `bartels_stewart` wraps it between Schur
+decompositions of the coefficients and `solve_hermitian` replaces the
+Schur step with an eigendecomposition when both coefficients are
+Hermitian.
 
 The quality measure used throughout the package is the relative residual
 
