@@ -218,8 +218,8 @@ def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext) -> complex:
     ctx.count(len(x))
     x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    return complex(fl_sum(_compose(*_mul_parts(x.real, -x.imag, y.real, y.imag, ctx.format)),
-                          ctx))
+    re, im = _mul_parts(x.real, -x.imag, y.real, y.imag, ctx.format)
+    return complex(fl_sum(_compose(re, im), ctx))
 
 
 def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:

@@ -108,8 +108,7 @@ def _read(fh, path) -> np.ndarray:
         J, I = np.triu_indices(cols, 1 if symmetry == "skew-symmetric" else 0)
         M[I, J] = values
         off = I != J
-        mirror = {"symmetric": values, "hermitian": np.conj(values), "skew-symmetric": -values}
-        M[J[off], I[off]] = mirror[symmetry][off]
+        M[J[off], I[off]] = _mirror(values[off], symmetry)
     return M
 
 
@@ -127,15 +126,19 @@ def _numbers(entries, first, stop, path) -> np.ndarray:
         raise
 
 
+def _mirror(v, symmetry):
+    """The entry at (j, i) of a non-general matrix whose entry at (i, j) is v."""
+    if symmetry == "hermitian":
+        return np.conj(v)
+    if symmetry == "skew-symmetric":
+        return -v
+    return v
+
+
 def _store(M, i, j, v, symmetry):
     M[i, j] = v
-    if i != j:
-        if symmetry == "symmetric":
-            M[j, i] = v
-        elif symmetry == "hermitian":
-            M[j, i] = v.conjugate()
-        elif symmetry == "skew-symmetric":
-            M[j, i] = -v
+    if i != j and symmetry != "general":
+        M[j, i] = _mirror(v, symmetry)
 
 
 def _format_number(x: float, hexfloat: bool) -> str:

@@ -563,9 +563,9 @@ def fl_sum(P, ctx: PrecisionContext, start=None):
     two values of the format, and the hardware's IEEE round-to-nearest-
     even sum of two such values is the correctly rounded sum the software
     path computes, with the same overflow, gradual underflow and signed
-    zeros.  A NaN, or a P that is not representable, goes through the
-    per-step path: numpy picks the payload of a NaN met by a NaN
-    differently in its accumulate and add loops.
+    zeros.  A P that complex64 cannot hold, or a total that is NaN, is
+    summed by the per-step path instead: numpy picks the payload of a NaN
+    met by a NaN differently in its accumulate and add loops.
     """
     P = np.asarray(P, dtype=np.complex128)
     ctx.count(P.size)

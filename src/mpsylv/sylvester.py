@@ -111,7 +111,7 @@ def _triangular_form(T: np.ndarray) -> str:
     raise DimensionError("coefficient is not triangular")
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=8)  # a plan holds about m n (m + n) indices
 def _wave_plan(m: int, n: int, lower: bool):
     """Gather indices of the anti-diagonal wavefront of an m x n solve.
 

@@ -74,6 +74,13 @@ def test_rejects_garbage_header(tmp_path):
         read_matrix(path)
 
 
+def test_read_array_hermitian(tmp_path):
+    path = tmp_path / "h.mtx"
+    path.write_text("%%MatrixMarket matrix array complex hermitian\n"
+                    "2 2\n1 0\n2 -3\n4 0\n")
+    assert (read_matrix(path) == np.array([[1, 2 + 3j], [2 - 3j, 4]])).all()
+
+
 def test_read_array_skew_symmetric_omits_the_diagonal(tmp_path):
     path = tmp_path / "k.mtx"
     path.write_text("%%MatrixMarket matrix array real skew-symmetric\n"
