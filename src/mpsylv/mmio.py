@@ -100,7 +100,9 @@ def _read(fh, path) -> np.ndarray:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise MatrixMarketError(
                     f"{path}:{n}: index ({i + 1}, {j + 1}) outside {rows} x {cols}")
-            _store(M, i, j, v, symmetry)
+            M[i, j] = v
+            if i != j and symmetry != "general":
+                M[j, i] = _mirror(v, symmetry)
     elif symmetry == "general":
         M[:] = values.reshape(cols, rows).T
     else:
@@ -133,12 +135,6 @@ def _mirror(v, symmetry):
     if symmetry == "skew-symmetric":
         return -v
     return v
-
-
-def _store(M, i, j, v, symmetry):
-    M[i, j] = v
-    if i != j and symmetry != "general":
-        M[j, i] = _mirror(v, symmetry)
 
 
 def _format_number(x: float, hexfloat: bool) -> str:

@@ -133,17 +133,25 @@ _TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "1.5", "0x1p-1", "nan", "x"
 @st.composite
 def near_valid_files(draw):
     """Small Matrix Market texts, mostly well formed, with random damage."""
-    layout = draw(st.sampled_from(["array", "coordinate", "cube"]))
-    field = draw(st.sampled_from(["real", "integer", "complex", "pattern"]))
-    symmetry = draw(st.sampled_from(["general", "symmetric", "hermitian",
-                                     "skew-symmetric", "diagonal"]))
+    layout = draw(st.sampled_from(["array", "coordinate"] * 3 + ["cube"]))
+    field = draw(st.sampled_from(["real", "integer", "complex"] * 2 + ["pattern"]))
+    symmetry = draw(st.sampled_from(["general"] * 4 + ["symmetric", "hermitian",
+                                                       "skew-symmetric", "diagonal"]))
     lines = [f"%%MatrixMarket matrix {layout} {field} {symmetry}"]
     rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     nnz = draw(st.integers(0, 4))
     lines.append(f"{rows} {cols}" + (f" {nnz}" if layout == "coordinate" else ""))
-    for _ in range(draw(st.integers(0, 10))):
-        lines.append(" ".join(draw(st.lists(_TOKENS, max_size=5))))
-    if draw(st.booleans()):  # damage one line
+    if draw(st.integers(0, 3)):  # as many entries as a general matrix declares
+        count = nnz if layout == "coordinate" else rows * cols
+        number = st.sampled_from(["0", "-1", "1.5", "0x1p-1", "nan", "1e400"])
+        for _ in range(count):
+            index = [str(draw(st.integers(0, 4))) for _ in range(2 * (layout == "coordinate"))]
+            values = [draw(number) for _ in range(1 + (field == "complex"))]
+            lines.append(" ".join(index + values))
+    else:
+        for _ in range(draw(st.integers(0, 10))):
+            lines.append(" ".join(draw(st.lists(_TOKENS, max_size=5))))
+    if not draw(st.integers(0, 3)):  # damage one line
         k = draw(st.integers(0, len(lines) - 1))
         lines[k] = " ".join(draw(st.lists(_TOKENS, max_size=5)))
     return "\n".join(lines) + "\n"
