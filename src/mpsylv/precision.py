@@ -558,39 +558,41 @@ def fl_sum(P, ctx: PrecisionContext, start=None):
     any double and defaults to +0; P holds values of the format.  An
     empty P returns ``start`` unrounded.
 
-    In binary64 and binary32 the sums after the first run as one
-    ``np.add.accumulate`` in complex128 or complex64.  Each of them adds
-    two values of the format, and the hardware's IEEE round-to-nearest-
-    even sum of two such values is the correctly rounded sum the software
-    path computes, with the same overflow, gradual underflow and signed
-    zeros.  A P that complex64 cannot hold, or a total that is NaN, is
-    summed by the per-step path instead: numpy picks the payload of a NaN
-    met by a NaN differently in its accumulate and add loops.
+    In binary64 and binary32 the sums run as one ``np.add.accumulate`` in
+    complex128 or complex64 (after a first sum rounded in software when
+    ``start`` is not a binary32 value).  Each step adds two values of the
+    format, and the hardware's IEEE round-to-nearest-even sum of two such
+    values is the correctly rounded sum the software path computes, with
+    the same overflow, gradual underflow and signed zeros.  A P that
+    complex64 cannot hold, or a total that is NaN, is summed step by step
+    instead: numpy picks the payload of a NaN met by a NaN differently in
+    its accumulate and add loops.
     """
     P = np.asarray(P, dtype=np.complex128)
     ctx.count(P.size)
     fmt = ctx.format
     acc = np.zeros(P.shape[1:], dtype=np.complex128) if start is None \
-        else np.asarray(start, dtype=np.complex128)
-    if P.shape[0] == 0:
-        return np.array(np.broadcast_to(acc, P.shape[1:]))
+        else np.broadcast_to(np.asarray(start, dtype=np.complex128), P.shape[1:])
     add = (lambda a, b: a + b) if fmt.is_binary64 else \
         (lambda a, b: _rounded_sum(a, b, fmt))
-    acc = add(acc, P[0])
     dtype = _SUM_DTYPE.get((fmt.significand_bits, fmt.exponent_bits))
-    if dtype is not None:
+    if dtype is not None and len(P):
         with np.errstate(over="ignore", invalid="ignore"):
-            X = P.astype(dtype)
+            X = np.empty((len(P) + 1,) + P.shape[1:], dtype=dtype)
+            X[0], X[1:] = acc, P
             # complex64 must hold P exactly (false on a NaN too)
-            if dtype is np.complex128 or np.array_equal(X[1:], P[1:]):
-                X[0] = acc
+            if dtype is np.complex128 or np.array_equal(X[1:], P):
+                if dtype is np.complex64 and not np.array_equal(X[0], acc):
+                    # start is not a binary32 value: round the first sum in software
+                    X[1] = add(acc, P[0])
+                    X = X[1:]
                 total = np.add.accumulate(X, axis=0, out=X)[-1]
                 # a NaN anywhere reaches the total; the loop keeps its payload
                 if not np.isnan(total).any():
                     return total.astype(np.complex128)
-    for p in P[1:]:
+    for p in P:
         acc = add(acc, p)
-    return acc
+    return np.array(acc)
 
 
 def fl_sqrt(x, ctx: PrecisionContext):
