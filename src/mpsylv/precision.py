@@ -42,14 +42,14 @@ software kernel, which keeps it exact for operands of any width.  NaN
 inputs keep their payload.
 
 Sequential sums have one whole-array form, `fl_sum`.  In binary64 and
-binary32 it runs all but its first sum as one ``np.add.accumulate`` in
-complex128 or complex64.  That is exact, not an approximation: every
-partial sum adds two values of the format, the hardware rounds that sum
-to nearest, ties to even, with gradual underflow and overflow to
-infinity, and so returns the correctly rounded result the software path
-computes (Higham & Pranesh make the same point: a format with a hardware
-dtype needs no simulated rounding).  Products are never formed in
-complex64, whose SIMD multiply fuses its steps.
+binary32 it runs its sums as one ``np.add.accumulate`` in complex128 or
+complex64.  That is exact, not an approximation: every partial sum adds
+two values of the format, the hardware rounds that sum to nearest, ties
+to even, with gradual underflow and overflow to infinity, and so returns
+the correctly rounded result the software path computes (Higham &
+Pranesh make the same point: a format with a hardware dtype needs no
+simulated rounding).  Products are never formed in complex64, whose SIMD
+multiply fuses its steps.
 
 Complex division has two references.  The scalar `_sdiv` in binary64 is
 CPython's complex division (Smith's method, dividing by the
