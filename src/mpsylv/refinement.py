@@ -94,11 +94,12 @@ class SolveReport:
 
 
 def _norm(v) -> float:
-    """Frobenius norm of v.
+    """Frobenius norm of v, finite exactly when every entry is finite and
+    the norm is below the largest double.
 
-    ``np.linalg.norm`` squares without scaling, so entries above ~1e154
-    overflow it; then, and only then, the norm of v scaled by its largest
-    magnitude is taken instead.
+    ``np.linalg.norm`` squares without scaling, so finite entries above
+    ~1e154 overflow it; then, and only then, the norm of v scaled by its
+    largest magnitude is taken instead.
     """
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(v))
@@ -133,9 +134,7 @@ def _refine(x, correction, ctx: PrecisionContext, eps: float, max_iter: int,
         nd, nx = _norm(d), _norm(x)
         norms.append(nd)
         accepted = accept is not None and accept(x)
-        # a norm past the largest double would make the ratio test meaningless
-        if not (np.isfinite(d).all() and np.isfinite(x).all()
-                and math.isfinite(nd) and math.isfinite(nx)):
+        if not (math.isfinite(nd) and math.isfinite(nx)):
             return x, i + 1, norms, Failure.NAN_BREAKDOWN, "iterate diverged to non-finite values"
         if nd <= eps * nx or accepted:
             return x, i + 1, norms, None, ""
