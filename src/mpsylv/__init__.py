@@ -27,6 +27,7 @@ from .errors import (
     IterationLimitError,
     MatrixMarketError,
     MpsylvError,
+    NonFiniteInputError,
     NotHermitianError,
     NumericBreakdownError,
     PrecisionOverflowWarning,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costmodel import ALGORITHMS, CostModel, flops, k_star, phi
-from .errors import MatrixMarketError, MpsylvError
+from .errors import MpsylvError
 from .gmresir import GmresConfig, gmres_ir_sylv
 from .linalg import DEFAULT_KRON_CAP, sylvester_kron_operator
 from .mmio import read_matrix
@@ -437,11 +437,13 @@ def main(argv=None) -> int:
         parser.error("--ug must equal --ul or --uh")
     if args.command == "solve":
         if args.matrix_market is not None:
+            # a malformed file, mismatched shapes, a non-finite entry or a
+            # structure the matrices lack (all ValueErrors) is a usage error
             try:
-                A, B, C = (read_matrix(f) for f in args.matrix_market)
-            except MatrixMarketError as exc:
+                p = SylvesterProblem(*(read_matrix(f) for f in args.matrix_market),
+                                     kind=args.problem_kind)
+            except ValueError as exc:
                 parser.error(str(exc))
-            p = SylvesterProblem(A, B, C, kind=args.problem_kind)
             seed = "matrix-market"
         else:
             p = generate(ProblemGenerator(args.kind, args.m, args.n,

@@ -4,11 +4,12 @@
 high-precision flop.  ``phi(rho)`` is the iteration budget at which a
 mixed-precision solver breaks even with the one-precision direct solver,
 and ``k_star = floor(phi)`` the largest affordable iteration count.  All
-counts are leading order only.
+counts are leading order only, and all are read from one table, `flops`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -60,41 +61,39 @@ def _alpha_beta(m: int, n: int):
     return float(m**3 + n**3), float(m * n * (m + n))
 
 
+def _direct(algorithm: str, m: int, n: int) -> float:
+    """Flops of the Bartels-Stewart baseline a mixed solver competes with."""
+    base = "bartels_stewart_lyap" if algorithm.endswith("_lyap") else "bartels_stewart_sylv"
+    return flops(base, m, n).high_flops
+
+
 def phi(cm: CostModel) -> float:
-    """Break-even iteration budget; may be negative when low flops are dear."""
-    a, b = _alpha_beta(cm.m, cm.n)
-    r = cm.rho
-    if cm.algorithm == "mp_orth_sylv":
-        return ((19.0 - 25.0 * r) * a + (1.0 - r) * b) / (3.0 * b)
-    if cm.algorithm == "mp_inv_sylv":
-        return ((20.0 + 1.0 / 3.0 - 25.0 * r) * a + (1.0 - r) * b) / (3.0 * b)
-    if cm.algorithm == "mp_orth_lyap":
-        return (21.0 - 27.0 * r) / 6.0
-    return (22.0 + 1.0 / 3.0 - 27.0 * r) / 6.0
+    """Break-even iteration budget; may be negative when low flops are dear.
+
+    The high-precision count high(k) is linear in the iteration count k,
+    so rho * low + high(phi) = direct gives
+    phi = (direct - rho * low - high(0)) / (high(1) - high(0)).
+    """
+    f0 = flops(cm.algorithm, cm.m, cm.n, 0)
+    f1 = flops(cm.algorithm, cm.m, cm.n, 1)
+    return ((_direct(cm.algorithm, cm.m, cm.n) - cm.rho * f0.low_flops - f0.high_flops)
+            / (f1.high_flops - f0.high_flops))
 
 
 def k_star(cm: CostModel) -> int:
     """floor(phi); clamps to -1 when the mixed route is never cheaper."""
-    import math
-    k = math.floor(phi(cm))
-    return max(k, -1)
+    return max(math.floor(phi(cm)), -1)
 
 
 def crossover_rho(algorithm: str, m: int, n: int, k: int) -> Crossover:
-    """The rho at which phi(rho) == k, clamped into [0, 1] with a flag."""
+    """The rho at which phi(rho) == k, clamped into [0, 1] with a flag:
+    rho = (direct - high(k)) / low."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    a, b = _alpha_beta(m, n)
-    if algorithm == "mp_orth_sylv":
-        r = (19.0 * a + b - 3.0 * k * b) / (25.0 * a + b)
-    elif algorithm == "mp_inv_sylv":
-        r = ((20.0 + 1.0 / 3.0) * a + b - 3.0 * k * b) / (25.0 * a + b)
-    elif algorithm == "mp_orth_lyap":
-        r = (21.0 - 6.0 * k) / 27.0
-    elif algorithm == "mp_inv_lyap":
-        r = (22.0 + 1.0 / 3.0 - 6.0 * k) / 27.0
-    else:
+    if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
+    f = flops(algorithm, m, n, k)
+    r = (_direct(algorithm, m, n) - f.high_flops) / f.low_flops
     clamped = r < 0.0 or r > 1.0
     return Crossover(min(max(r, 0.0), 1.0), clamped)
 

@@ -29,6 +29,10 @@ class MatrixMarketError(MpsylvError, ValueError):
     """A Matrix Market file does not follow the format."""
 
 
+class NonFiniteInputError(MpsylvError, ValueError):
+    """An input matrix has a NaN or infinite entry."""
+
+
 class SingularMatrixError(MpsylvError):
     """An exactly zero pivot was met while factorizing a matrix."""
 

@@ -5,9 +5,10 @@ correction equation is solved by restarted GMRES applied to the left
 preconditioned operator.  The preconditioner is the inverse Sylvester
 operator built from the low-precision Schur factors and is applied
 implicitly in three steps: transform the right-hand side with the unitary
-factors, solve the triangular equation, transform back.  Both the
-operator and the preconditioner act on matrices, never on an explicitly
-formed Kronecker matrix.
+factors, solve the triangular equation, transform back.  These are the
+steps of `bartels_stewart` (`sylvester._schur_solve`, exported here as
+`apply_preconditioner`).  Both the operator and the preconditioner act on
+matrices, never on an explicitly formed Kronecker matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Failure, NumericBreakdownError, SingularEquationError
-from .linalg import SchurFactors, _dot, _vec_norm2_ctx, gemm, unvec, vec
+from .linalg import _dot, _vec_norm2_ctx, gemm, unvec, vec
 from .precision import (
     BINARY64,
     FlopCounter,
@@ -36,8 +37,11 @@ from .precision import (
     _ssqrt,
     _ssub,
 )
-from .refinement import RefinementConfig, _low_precision_schur_pair, _refine
-from .sylvester import SylvesterProblem, residual, solve_sylv_tri
+from .refinement import RefinementConfig, _refine
+from .sylvester import SylvesterProblem, _schur_pair, residual
+from .sylvester import _schur_solve as apply_preconditioner
+# unused here; bench/test_selftest.py checks that the tracer wraps this binding
+from .sylvester import solve_sylv_tri  # noqa: F401
 
 __all__ = ["GmresConfig", "GmresIrReport", "apply_preconditioner", "gmres_ir_sylv"]
 
@@ -75,16 +79,6 @@ class GmresIrReport:
     converged: bool
     failure: Failure | None = None
     detail: str = ""
-
-
-def apply_preconditioner(W, sf_A: SchurFactors, sf_B: SchurFactors,
-                         ctx: PrecisionContext) -> np.ndarray:
-    """Apply the inverse Sylvester operator of the Schur factors to W."""
-    V = gemm(1.0, gemm(1.0, sf_A.U.conj().T, np.asarray(W, dtype=np.complex128),
-                       0.0, None, ctx), sf_B.U, 0.0, None, ctx)
-    V = solve_sylv_tri(sf_A.T, sf_B.T, V, ctx)
-    return gemm(1.0, gemm(1.0, sf_A.U, V, 0.0, None, ctx),
-                sf_B.U.conj().T, 0.0, None, ctx)
 
 
 def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext):
@@ -203,7 +197,7 @@ def gmres_ir_sylv(p: SylvesterProblem, gcfg: GmresConfig, rcfg: RefinementConfig
     ctx_h = PrecisionContext(rcfg.u_h, counter, "high")
     ctx_pre = PrecisionContext(gcfg.u_g, counter, "precond")
     ctx_g = PrecisionContext(gcfg.u_g, counter, "gmres")
-    sf_A, sf_B = _low_precision_schur_pair(p, PrecisionContext(rcfg.u_l, counter, "low"))
+    sf_A, sf_B = _schur_pair(p, PrecisionContext(rcfg.u_l, counter, "low"))
     A = _round_complex_array(p.A, ctx_h.format)
     B = _round_complex_array(p.B, ctx_h.format)
     C = _round_complex_array(p.C, ctx_h.format)

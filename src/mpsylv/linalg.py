@@ -11,6 +11,7 @@ intended for oracles and diagnostics only and are capped in size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,16 +188,29 @@ def _norm_two(M: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
     return float(np.sqrt(max(lam, 0.0)))
 
 
+def _frobenius(v) -> float:
+    """Frobenius norm of an array in binary64: ``np.linalg.norm`` where that
+    is finite, else (finite entries above ~1e154 overflow its unscaled
+    squares) the norm of v scaled by its largest magnitude.  Finite exactly
+    when every entry is finite and the norm is below the largest double."""
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(v))
+    if math.isinf(nrm) and np.isfinite(v).all():
+        s = float(np.abs(v).max())
+        nrm = s * float(np.linalg.norm(v / s))
+    return nrm
+
+
 def norm(M, kind: str = "frobenius") -> float:
     """Matrix norm, always evaluated in binary64.
 
     ``kind`` is one of ``frobenius``, ``inf``, ``one``, ``two``.  The
-    two-norm runs a power iteration on M*M (tolerance 1e-10, at most 1000
-    iterations).
+    Frobenius norm scales past overflow (`_frobenius`); the two-norm runs
+    a power iteration on M*M (tolerance 1e-10, at most 1000 iterations).
     """
     M = as_matrix(M)
     if kind == "frobenius":
-        return float(np.linalg.norm(M))
+        return _frobenius(M)
     if kind == "inf":
         return float(np.abs(M).sum(axis=1).max())
     if kind == "one":
@@ -397,37 +411,22 @@ def _apply_pivots(B: np.ndarray, piv: np.ndarray, inverse: bool = False) -> np.n
     return B
 
 
-def _solve_lower(L: np.ndarray, B: np.ndarray, ctx, unit: bool, conj: bool) -> np.ndarray:
-    """Columnwise forward substitution for L X = B (or L* X = B when conj)."""
-    n = L.shape[0]
+def _substitute(T: np.ndarray, B: np.ndarray, ctx, lower: bool, unit: bool,
+                conj: bool) -> np.ndarray:
+    """Columnwise substitution for T X = B (or T* X = B when conj), with T
+    read as lower triangular (forward) or upper triangular (backward)."""
+    n = T.shape[0]
     X = B.copy()
-    for i in range(n):
-        col = np.conj(L[i, i:]) if conj else L[:, i][i:]
-        diag = col[0]
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        rest = slice(i + 1, n) if lower else slice(0, i)
         if not unit:
+            diag = np.conj(T[i, i]) if conj else T[i, i]
             if diag == 0:
                 raise SingularMatrixError("zero diagonal in triangular solve")
             X[i, :] = fl_div(X[i, :], diag, ctx)
-        if i + 1 < n:
-            X[i + 1:, :] = fl_sub(X[i + 1:, :],
-                                  fl_mul(col[1:, None], X[i:i + 1, :], ctx), ctx)
-    return X
-
-
-def _solve_upper(U: np.ndarray, B: np.ndarray, ctx, unit: bool, conj: bool) -> np.ndarray:
-    """Columnwise back substitution for U X = B (or U* X = B when conj)."""
-    n = U.shape[0]
-    X = B.copy()
-    for i in range(n - 1, -1, -1):
-        col = np.conj(U[i, :i + 1]) if conj else U[:i + 1, i]
-        diag = col[-1]
-        if not unit:
-            if diag == 0:
-                raise SingularMatrixError("zero diagonal in triangular solve")
-            X[i, :] = fl_div(X[i, :], diag, ctx)
-        if i > 0:
-            X[:i, :] = fl_sub(X[:i, :],
-                              fl_mul(col[:-1, None], X[i:i + 1, :], ctx), ctx)
+        col = np.conj(T[i, rest]) if conj else T[rest, i]
+        if col.size:
+            X[rest, :] = fl_sub(X[rest, :], fl_mul(col[:, None], X[i:i + 1, :], ctx), ctx)
     return X
 
 
@@ -450,11 +449,11 @@ def lu_solve(F: LuFactors, B, side: str = "left", transpose: str = "no",
     if transpose == "no":
         # A = P^T L U:  solve L Z = P B, then U X = Z
         Z = _apply_pivots(B, F.pivots)
-        Z = _solve_lower(F.lu, Z, ctx, unit=True, conj=False)
-        return _solve_upper(F.lu, Z, ctx, unit=False, conj=False)
+        Z = _substitute(F.lu, Z, ctx, lower=True, unit=True, conj=False)
+        return _substitute(F.lu, Z, ctx, lower=False, unit=False, conj=False)
     # A* = U* L* P: solve U* Z = B (lower), L* W = Z (upper), X = P^T W
-    Z = _solve_lower(F.lu, B, ctx, unit=False, conj=True)
-    W = _solve_upper(F.lu, Z, ctx, unit=True, conj=True)
+    Z = _substitute(F.lu, B, ctx, lower=True, unit=False, conj=True)
+    W = _substitute(F.lu, Z, ctx, lower=False, unit=True, conj=True)
     return _apply_pivots(W, F.pivots, inverse=True)
 
 
@@ -532,7 +531,10 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
 
     A subdiagonal entry deflates (is set to exact zero) once its magnitude
     drops below u*(|h_kk| + |h_k+1,k+1|) with u the context's unit roundoff.
-    Raises IterationLimitError after 30*m sweeps.
+    A is rounded into the context's format on entry, so callers pass it
+    unrounded: an entry past the format's range raises FormatOverflowError
+    before any flop is charged.  Raises IterationLimitError after 30*m
+    sweeps.
     """
     A = _enter(A, ctx, "schur input")
     m = A.shape[0]
@@ -601,7 +603,9 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
     """Eigendecomposition A = U diag(d) U* of a Hermitian matrix.
 
     Cyclic Jacobi sweeps; converges when the off-diagonal Frobenius mass
-    falls below n*u*||A||_F.
+    falls below n*u*||A||_F.  A is rounded into the context's format on
+    entry (FormatOverflowError for an entry past its range), so callers
+    pass it unrounded.
     """
     A = as_matrix(A)
     n = A.shape[0]

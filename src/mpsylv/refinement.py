@@ -20,7 +20,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import Failure, NumericBreakdownError, SingularEquationError
-from .linalg import gemm, lu, lu_solve, mgs_qr, schur, SchurFactors
+from .linalg import SchurFactors, _frobenius, gemm, lu, lu_solve, mgs_qr
+# unused here; bench/test_selftest.py checks that the tracer wraps this binding
+from .linalg import schur  # noqa: F401
 from .precision import (
     BINARY64,
     FlopCounter,
@@ -30,7 +32,8 @@ from .precision import (
     fl_sub,
     _round_complex_array,
 )
-from .sylvester import SylvesterProblem, residual, solve_sylv_tri
+from .sylvester import (SylvesterProblem, _relative_residual, _sandwich, _schur_pair,
+                        residual, solve_sylv_tri)
 
 __all__ = [
     "RefinementConfig",
@@ -93,22 +96,6 @@ class SolveReport:
     detail: str = ""
 
 
-def _norm(v) -> float:
-    """Frobenius norm of v, finite exactly when every entry is finite and
-    the norm is below the largest double.
-
-    ``np.linalg.norm`` squares without scaling, so finite entries above
-    ~1e154 overflow it; then, and only then, the norm of v scaled by its
-    largest magnitude is taken instead.
-    """
-    with np.errstate(over="ignore"):
-        nrm = float(np.linalg.norm(v))
-    if math.isinf(nrm) and np.isfinite(v).all():
-        s = float(np.abs(v).max())
-        nrm = s * float(np.linalg.norm(v / s))
-    return nrm
-
-
 def _refine(x, correction, ctx: PrecisionContext, eps: float, max_iter: int,
             step_errors=(), step_failure: Failure | None = None,
             accept=None, stalled=None):
@@ -131,7 +118,7 @@ def _refine(x, correction, ctx: PrecisionContext, eps: float, max_iter: int,
         except step_errors as exc:
             return x, i, norms, step_failure, str(exc)
         x = np.asarray(fl_add(x, d, ctx))
-        nd, nx = _norm(d), _norm(x)
+        nd, nx = _frobenius(d), _frobenius(x)
         norms.append(nd)
         accepted = accept is not None and accept(x)
         if not (math.isfinite(nd) and math.isfinite(nx)):
@@ -162,7 +149,6 @@ def solve_pert_sylv_tri_stat(T_A, dT_A, T_B, dT_B, C, Y0,
     m, n = C.shape
     S_A = fl_add(T_A, dT_A, ctx)
     S_B = fl_add(T_B, dT_B, ctx)
-    pert_problem = SylvesterProblem(S_A, S_B, C)
 
     def correction(Y):
         R = gemm(-1.0, S_A, Y, 1.0, C, ctx)
@@ -173,8 +159,8 @@ def solve_pert_sylv_tri_stat(T_A, dT_A, T_B, dT_B, C, Y0,
         np.asarray(Y0, dtype=np.complex128).copy(), correction, ctx,
         cfg.resolve_epsilon(m, n), cfg.max_iter,
         step_errors=NumericBreakdownError, step_failure=Failure.NAN_BREAKDOWN)
-    return SolveReport(Y, k, norms, residual(pert_problem, Y), failure is None,
-                       failure, detail)
+    return SolveReport(Y, k, norms, _relative_residual(S_A, S_B, C, Y),
+                       failure is None, failure, detail)
 
 
 def ir_linear_system(M, dM, b, x0, cfg: RefinementConfig,
@@ -198,23 +184,9 @@ def ir_linear_system(M, dM, b, x0, cfg: RefinementConfig,
     x, k, norms, failure, detail = _refine(
         np.asarray(x0, dtype=np.complex128).ravel().copy(), correction, ctx,
         cfg.resolve_epsilon(b.size, 1), cfg.max_iter)
-    res = float(np.linalg.norm(b - M @ x)
-                / max(np.linalg.norm(b) + np.linalg.norm(M) * np.linalg.norm(x), 1e-300))
+    res = _frobenius(b - M @ x) / max(
+        _frobenius(b) + _frobenius(M) * _frobenius(x), 1e-300)
     return SolveReport(x, k, norms, res, failure is None, failure, detail)
-
-
-def _low_precision_schur_pair(p: SylvesterProblem, ctx_l: PrecisionContext):
-    A_l = _round_complex_array(p.A, ctx_l.format)
-    sf_A = schur(A_l, ctx_l)
-    if p.kind == "lyapunov":
-        sf_B = SchurFactors(sf_A.U, sf_A.T.conj().T.copy(), sf_A.computed_in)
-    else:
-        sf_B = schur(_round_complex_array(p.B, ctx_l.format), ctx_l)
-    return sf_A, sf_B
-
-
-def _sandwich(L, M, R, ctx: PrecisionContext) -> np.ndarray:
-    return gemm(1.0, gemm(1.0, L, M, 0.0, None, ctx), R, 0.0, None, ctx)
 
 
 # A factor recovery takes the low-precision Schur pair and the coefficients
@@ -273,7 +245,7 @@ def _mixed_precision(p: SylvesterProblem, cfg: RefinementConfig,
     """
     ctx_l = PrecisionContext(cfg.u_l, counter, "low")
     ctx_h = PrecisionContext(cfg.u_h, counter, "high")
-    sf_A, sf_B = _low_precision_schur_pair(p, ctx_l)
+    sf_A, sf_B = _schur_pair(p, ctx_l)
     fmt = ctx_h.format
     B = None if p.kind == "lyapunov" else _round_complex_array(p.B, fmt)
     F, S_A, S_B, solution = recovery(sf_A, sf_B, _round_complex_array(p.A, fmt), B,

@@ -2,10 +2,13 @@
 
 The triangular recurrence solves the transformed equation one
 anti-diagonal wave of entries at a time, in the operation order of
-column-by-column substitution; `bartels_stewart` wraps it between Schur
-decompositions of the coefficients and `solve_hermitian` replaces the
-Schur step with an eigendecomposition when both coefficients are
-Hermitian.
+column-by-column substitution.  Every Schur-based solver in the package
+has the Bartels-Stewart shape, written once here: a Schur pair of the
+coefficients (`_schur_pair`), then a transform, a triangular solve and a
+back-transform (`_schur_solve`, which GMRES-IR applies as its
+preconditioner).  `bartels_stewart` runs both in one precision;
+`solve_hermitian` replaces the Schur step with an eigendecomposition
+when both coefficients are Hermitian.
 
 The quality measure used throughout the package is the relative residual
 
@@ -21,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericBreakdownError, SingularEquationError
-from .linalg import SchurFactors, as_matrix, gemm, hermitian_eig, schur, sep_f
+from .errors import (DimensionError, NonFiniteInputError, NumericBreakdownError,
+                     SingularEquationError)
+from .linalg import SchurFactors, _frobenius, as_matrix, gemm, hermitian_eig, schur, sep_f
 from .precision import (
     BINARY64,
     PrecisionContext,
@@ -53,7 +57,8 @@ class SylvesterProblem:
 
     ``kind`` is one of ``general``, ``lyapunov`` (B = A*) or ``hermitian``
     (A = A*, B = B*).  The kind is declared, never inferred, so structural
-    fast paths are only taken deliberately.
+    fast paths are only taken deliberately.  A NaN or infinite entry raises
+    NonFiniteInputError.
     """
 
     A: np.ndarray
@@ -62,27 +67,27 @@ class SylvesterProblem:
     kind: str = "general"
 
     def __post_init__(self):
-        A = as_matrix(self.A)
-        B = as_matrix(self.B)
-        C = as_matrix(self.C)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
+        for name in "ABC":
+            M = as_matrix(getattr(self, name))
+            if not np.isfinite(M).all():
+                raise NonFiniteInputError(f"{name} has a NaN or infinite entry")
+            object.__setattr__(self, name, M)
+        A, B, C = self.A, self.B, self.C
         m, n = C.shape
         if A.shape != (m, m) or B.shape != (n, n):
             raise DimensionError(
                 f"incompatible shapes A{A.shape} B{B.shape} C{C.shape}")
         if self.kind not in ("general", "lyapunov", "hermitian"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        u = BINARY64.unit_roundoff
-        if self.kind == "lyapunov":
-            if m != n or np.linalg.norm(B - A.conj().T) > 10 * u * max(
-                    np.linalg.norm(A), 1e-300):
-                raise ValueError("kind='lyapunov' requires B = A*")
-        if self.kind == "hermitian":
-            if np.linalg.norm(A - A.conj().T) > 10 * u * max(np.linalg.norm(A), 1e-300) \
-                    or np.linalg.norm(B - B.conj().T) > 10 * u * max(np.linalg.norm(B), 1e-300):
-                raise ValueError("kind='hermitian' requires Hermitian A and B")
+
+        def adjoint(X, Y):  # X = Y* to 10 u ||Y||_F
+            return _frobenius(X - Y.conj().T) <= 10 * BINARY64.unit_roundoff * max(
+                _frobenius(Y), 1e-300)
+
+        if self.kind == "lyapunov" and not (m == n and adjoint(B, A)):
+            raise ValueError("kind='lyapunov' requires B = A*")
+        if self.kind == "hermitian" and not (adjoint(A, A) and adjoint(B, B)):
+            raise ValueError("kind='hermitian' requires Hermitian A and B")
 
     @property
     def m(self) -> int:
@@ -198,24 +203,38 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     raise NumericBreakdownError(f"non-finite values while solving column {j}")
 
 
+def _sandwich(L, M, R, ctx: PrecisionContext) -> np.ndarray:
+    """fl((L M) R): two rounded products under ctx."""
+    return gemm(1.0, gemm(1.0, L, M, 0.0, None, ctx), R, 0.0, None, ctx)
+
+
+def _schur_pair(p: SylvesterProblem, ctx: PrecisionContext):
+    """Schur factors of A and B under ctx; B's are A's adjoint for kind=
+    'lyapunov'.  `schur` rounds the coefficients on entry (and raises
+    FormatOverflowError past the format's range), so they go in unrounded."""
+    sf_A = schur(p.A, ctx)
+    if p.kind == "lyapunov":
+        return sf_A, SchurFactors(sf_A.U, sf_A.T.conj().T, sf_A.computed_in)
+    return sf_A, schur(p.B, ctx)
+
+
+def _schur_solve(W, sf_A: SchurFactors, sf_B: SchurFactors,
+                 ctx: PrecisionContext) -> np.ndarray:
+    """Apply the inverse Sylvester operator of the Schur factors to W:
+    transform, solve the triangular equation, transform back, all under ctx."""
+    V = _sandwich(sf_A.U.conj().T, W, sf_B.U, ctx)
+    V = solve_sylv_tri(sf_A.T, sf_B.T, V, ctx)
+    return _sandwich(sf_A.U, V, sf_B.U.conj().T, ctx)
+
+
 def bartels_stewart(p: SylvesterProblem, ctx: PrecisionContext = _CTX64):
     """Schur-transform, solve the triangular equation, transform back.
 
     For kind='lyapunov' only one Schur decomposition is computed and the
     second factor pair is its adjoint.  Returns (X, DirectSolveReport).
     """
-    A = _round_complex_array(p.A, ctx.format)
-    C = _round_complex_array(p.C, ctx.format)
-    sf_A = schur(A, ctx)
-    if p.kind == "lyapunov":
-        sf_B = SchurFactors(sf_A.U, sf_A.T.conj().T, sf_A.computed_in)
-    else:
-        sf_B = schur(_round_complex_array(p.B, ctx.format), ctx)
-    Ct = gemm(1.0, gemm(1.0, sf_A.U.conj().T, C, 0.0, None, ctx),
-              sf_B.U, 0.0, None, ctx)
-    Y = solve_sylv_tri(sf_A.T, sf_B.T, Ct, ctx)
-    X = gemm(1.0, gemm(1.0, sf_A.U, Y, 0.0, None, ctx),
-             sf_B.U.conj().T, 0.0, None, ctx)
+    sf_A, sf_B = _schur_pair(p, ctx)
+    X = _schur_solve(_round_complex_array(p.C, ctx.format), sf_A, sf_B, ctx)
     return X, DirectSolveReport(residual(p, X), sf_A, sf_B)
 
 
@@ -225,16 +244,24 @@ def solve_hermitian(p: SylvesterProblem, ctx: PrecisionContext = _CTX64) -> np.n
         raise ValueError("solve_hermitian requires kind='hermitian'")
     U_A, d_A = hermitian_eig(p.A, ctx)
     U_B, d_B = hermitian_eig(p.B, ctx)
-    Ct = gemm(1.0, gemm(1.0, U_A.conj().T, _round_complex_array(p.C, ctx.format),
-                        0.0, None, ctx), U_B, 0.0, None, ctx)
+    Ct = _sandwich(U_A.conj().T, _round_complex_array(p.C, ctx.format), U_B, ctx)
     denom = d_A[:, None] + d_B[None, :]
     if (denom == 0).any():
         i, j = np.argwhere(denom == 0)[0]
         raise SingularEquationError(int(i), int(j))
     ctx.count(denom.size)
     Y = fl_div(Ct, denom, ctx)
-    return gemm(1.0, gemm(1.0, U_A, Y, 0.0, None, ctx),
-                U_B.conj().T, 0.0, None, ctx)
+    return _sandwich(U_A, Y, U_B.conj().T, ctx)
+
+
+def _relative_residual(A, B, C, X) -> float:
+    """||A X + X B - C||_F / (||C||_F + ||X||_F (||A||_F + ||B||_F)) of
+    arrays, in binary64 with norms that scale past overflow."""
+    num = _frobenius(A @ X + X @ B - C)
+    den = _frobenius(C) + _frobenius(X) * (_frobenius(A) + _frobenius(B))
+    if den == 0.0:
+        return 0.0
+    return float(num / den)
 
 
 def residual(p: SylvesterProblem, X) -> float:
@@ -242,12 +269,7 @@ def residual(p: SylvesterProblem, X) -> float:
     X = as_matrix(X)
     if X.shape != p.C.shape:
         raise DimensionError("solution shape does not match C")
-    num = np.linalg.norm(p.A @ X + X @ p.B - p.C)
-    den = np.linalg.norm(p.C) + np.linalg.norm(X) * (
-        np.linalg.norm(p.A) + np.linalg.norm(p.B))
-    if den == 0.0:
-        return 0.0
-    return float(num / den)
+    return _relative_residual(p.A, p.B, p.C, X)
 
 
 def solution_norm_bound(p: SylvesterProblem) -> float:

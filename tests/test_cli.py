@@ -168,6 +168,31 @@ class TestMainEntry:
         assert "outside 2 x 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, message", [
+        ("shapes", "incompatible shapes"),
+        ("nan", "NaN or infinite"),
+        ("lyapunov", "requires B = A*"),
+    ])
+    def test_unusable_matrix_market_problem_is_a_usage_error(self, tmp_path, capsys,
+                                                              case, message):
+        A, B, C = np.eye(2) + np.triu(np.ones((2, 2))), np.eye(2), np.ones((2, 2))
+        if case == "shapes":
+            C = np.ones((2, 3))
+        elif case == "nan":
+            C[1, 0] = np.nan
+        paths = [tmp_path / f"{name}.mtx" for name in "ABC"]
+        for path, M in zip(paths, (A, B, C)):
+            write_matrix(path, M)
+        out = tmp_path / "mm.csv"
+        argv = ["solve", "--matrix-market", *map(str, paths), "--out", str(out)]
+        if case == "lyapunov":
+            argv += ["--problem-kind", "lyapunov"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_costmodel_cli(self, tmp_path):
         out = tmp_path / "cm.csv"
         assert main(["sweep-costmodel", "--out", str(out)]) == 0

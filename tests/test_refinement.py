@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,17 @@ class TestIrLinearSystem:
         for rep in reps:
             assert rep.converged and rep.failure is None and rep.iterations == 3
         assert reps[0].X[0] == 1e250
+
+    def test_diverged_iterate_has_a_finite_residual_and_no_warning(self):
+        # each step multiplies the error by about -2^40; after 20 steps
+        # x ~ -6.7e240, whose residual needs a scaled norm
+        cfg = RefinementConfig(BINARY64, BINARY64, max_iter=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = ir_linear_system(np.eye(1), np.eye(1) - 2.0**-40, np.ones(1),
+                                   np.zeros(1), cfg)
+        assert rep.failure == Failure.NON_CONVERGENCE and np.isfinite(rep.X).all()
+        assert rep.residual == 1.0
 
     def test_unperturbed_converges_fast(self, rng):
         M = cmat(rng, 8, 8) + 4 * np.eye(8)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from mpsylv.errors import DimensionError, SingularEquationError
+from mpsylv.errors import (
+    DimensionError,
+    FormatOverflowError,
+    MpsylvError,
+    NonFiniteInputError,
+    SingularEquationError,
+)
+from mpsylv.gmresir import GmresConfig, gmres_ir_sylv
 from mpsylv.linalg import cond_inf, sylvester_kron_operator, unvec, vec
 from mpsylv.precision import (
     BFLOAT16,
@@ -13,6 +20,7 @@ from mpsylv.precision import (
     FlopCounter,
     PrecisionContext,
 )
+from mpsylv.refinement import RefinementConfig, mp_inv, mp_orth
 from mpsylv.sylvester import (
     SylvesterProblem,
     bartels_stewart,
@@ -150,6 +158,52 @@ class TestBartelsStewart:
             SylvesterProblem(A, A, cmat(rng, 3, 3), kind="lyapunov")
         with pytest.raises(ValueError):
             SylvesterProblem(A, A.conj().T, cmat(rng, 3, 3), kind="hermitian")
+
+
+class TestProblemValidation:
+    @pytest.mark.parametrize("where", ["A", "B", "C"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_is_typed(self, where, value, rng):
+        mats = {"A": cmat(rng, 3, 3), "B": cmat(rng, 2, 2), "C": cmat(rng, 3, 2)}
+        mats[where][0, 0] = value
+        with pytest.raises(NonFiniteInputError, match=where) as exc:
+            SylvesterProblem(mats["A"], mats["B"], mats["C"])
+        assert isinstance(exc.value, MpsylvError) and isinstance(exc.value, ValueError)
+
+    def test_structure_check_holds_past_the_unscaled_norms_overflow(self):
+        # ||A||_F squares past the largest double; an unscaled norm would
+        # read inf and let any B through
+        A = np.array([[1e200, 1e200], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="B = A"):
+            SylvesterProblem(A, -A.T, np.ones((2, 2)), kind="lyapunov")
+        with pytest.raises(ValueError, match="Hermitian"):
+            SylvesterProblem(A, np.eye(2), np.ones((2, 2)), kind="hermitian")
+        p = SylvesterProblem(A, A.T, np.ones((2, 2)), kind="lyapunov")
+        assert p.kind == "lyapunov"
+
+
+CFG16 = RefinementConfig(BINARY16, BINARY64)
+SCHUR_SOLVERS = {
+    "mp_orth": lambda p, c: mp_orth(p, CFG16, c),
+    "mp_inv": lambda p, c: mp_inv(p, CFG16, c),
+    "gmres_ir_sylv": lambda p, c: gmres_ir_sylv(p, GmresConfig(BINARY16), CFG16, c),
+    "bartels_stewart": lambda p, c: bartels_stewart(p, PrecisionContext(BINARY16, c, "low")),
+}
+
+
+class TestCoefficientOverflow:
+    """An entry past the low format's range fails in the Schur step's entry
+    check, before any flop, not after 30 m stalled QR sweeps."""
+
+    @pytest.mark.parametrize("solver", sorted(SCHUR_SOLVERS))
+    def test_raises_format_overflow_before_any_flop(self, solver, rng):
+        A = rng.standard_normal((6, 6)) + 4 * np.eye(6)
+        A[0, 1] = 1e5  # binary16 holds at most 65504
+        p = SylvesterProblem(A, rng.standard_normal((6, 6)), rng.standard_normal((6, 6)))
+        counter = FlopCounter()
+        with pytest.raises(FormatOverflowError):
+            SCHUR_SOLVERS[solver](p, counter)
+        assert counter.total() == 0
 
 
 class TestSolveHermitian:
