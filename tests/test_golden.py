@@ -190,7 +190,7 @@ GOLDEN = {
         "iterations": 20, "slug": "non_convergence", "inner": None,
         "flops": {"high": 121},
         "x_sha": "6767bb19d0c240135d079b430530088928b038213d3c4ec5f33b2f4c038a50a3",
-        "residual": "nan",
+        "residual": "1.0",
     },
     "ir-non-convergence": {
         "iterations": 2, "slug": "non_convergence", "inner": None,
