@@ -209,9 +209,9 @@ def _sandwich(L, M, R, ctx: PrecisionContext) -> np.ndarray:
 
 
 def _schur_pair(p: SylvesterProblem, ctx: PrecisionContext):
-    """Schur factors of A and B under ctx; B's are A's adjoint for kind=
-    'lyapunov'.  `schur` rounds the coefficients on entry (and raises
-    FormatOverflowError past the format's range), so they go in unrounded."""
+    """Schur factors of A and B under ctx (B's are A's adjoint for a Lyapunov
+    equation).  `schur` rounds the coefficients on entry and raises
+    FormatOverflowError past the format's range, so they go in unrounded."""
     sf_A = schur(p.A, ctx)
     if p.kind == "lyapunov":
         return sf_A, SchurFactors(sf_A.U, sf_A.T.conj().T, sf_A.computed_in)
@@ -259,9 +259,7 @@ def _relative_residual(A, B, C, X) -> float:
     arrays, in binary64 with norms that scale past overflow."""
     num = _frobenius(A @ X + X @ B - C)
     den = _frobenius(C) + _frobenius(X) * (_frobenius(A) + _frobenius(B))
-    if den == 0.0:
-        return 0.0
-    return float(num / den)
+    return 0.0 if den == 0.0 else num / den
 
 
 def residual(p: SylvesterProblem, X) -> float:
