@@ -205,43 +205,37 @@ def _metadata(rcfg: RefinementConfig, gcfg_restart: int, seed, extra: dict) -> d
 # solver dispatch
 
 def _run_one(name: str, p: SylvesterProblem, rcfg: RefinementConfig,
-             restart: int, counter: FlopCounter | None = None,
-             u_g: FpFormat | None = None, y0_zero: bool = False):
-    """Returns (residual, iterations, converged, failure)."""
-    if name == "bs":
-        X, rep = bartels_stewart(p, PrecisionContext(rcfg.u_h, counter, "high"))
-        return rep.residual, None, True, None
-    if name in ("or", "in"):
-        solve = mp_orth if name == "or" else mp_inv
-        rep = solve(p, rcfg, counter, y0_zero=y0_zero)
-        return rep.residual, rep.iterations, rep.converged, rep.failure
-    if name in ("gmres", "gmres-ul", "gmres-uh"):
-        if name == "gmres-ul":
-            u_g = rcfg.u_l
-        elif name == "gmres-uh":
-            u_g = rcfg.u_h
-        elif u_g is None:
-            u_g = rcfg.u_h
-        rep = gmres_ir_sylv(p, GmresConfig(u_g, restart=restart), rcfg, counter)
-        res = rep.residual_history[-1] if rep.residual_history else float("nan")
-        return res, rep.outer_iterations, rep.converged, rep.failure
-    raise ValueError(f"unknown solver {name!r}")
+             restart: int, y0_zero: bool = False):
+    """Run one solver; returns (residual, iterations, converged, status).
+
+    The status is "ok", the report's Failure, or the class name of an
+    MpsylvError the solver raised (residual nan, iterations None).  The
+    solvers are looked up as module globals on each call, so they can be
+    swapped for instrumented ones.
+    """
+    try:
+        if name == "bs":
+            return bartels_stewart(p, PrecisionContext(rcfg.u_h))[1].residual, None, True, "ok"
+        if name in ("or", "in"):
+            rep = (mp_orth if name == "or" else mp_inv)(p, rcfg, y0_zero=y0_zero)
+            res, iters = rep.residual, rep.iterations
+        elif name in ("gmres-ul", "gmres-uh"):
+            u_g = rcfg.u_l if name == "gmres-ul" else rcfg.u_h
+            rep = gmres_ir_sylv(p, GmresConfig(u_g, restart=restart), rcfg)
+            res = rep.residual_history[-1] if rep.residual_history else float("nan")
+            iters = rep.outer_iterations
+        else:
+            raise ValueError(f"unknown solver {name!r}")
+    except MpsylvError as exc:
+        return float("nan"), None, False, type(exc).__name__
+    return res, iters, rep.converged, rep.failure or "ok"
 
 
 def run_solve(p: SylvesterProblem, rcfg: RefinementConfig, out,
               solvers=ALL_SOLVERS, restart: int = 20, seed="external",
-              u_g: FpFormat | None = None, y0_zero: bool = False,
-              reproducible: bool = False) -> list:
+              y0_zero: bool = False, reproducible: bool = False) -> list:
     """Solve one problem with each selected solver; returns the rows."""
-    rows = []
-    for name in solvers:
-        try:
-            res, iters, conv, failure = _run_one(name, p, rcfg, restart,
-                                                 u_g=u_g, y0_zero=y0_zero)
-            status = failure or "ok"
-        except MpsylvError as exc:
-            res, iters, conv, status = float("nan"), None, False, type(exc).__name__
-        rows.append([name, res, iters, conv, status])
+    rows = [[name, *_run_one(name, p, rcfg, restart, y0_zero)] for name in solvers]
     md = _metadata(rcfg, restart, seed, {"m": p.m, "n": p.n, "kind": p.kind})
     _write_csv(out, md, ["solver", "residual", "iterations", "converged", "status"],
                rows, reproducible)
@@ -263,31 +257,18 @@ def run_sweep_cond(m: int, n: int, t_values, seed: int, rcfg: RefinementConfig,
     """Conditioning sweep: one generated problem per t, all solvers on it."""
     columns = ["t", "condu", "res_sylv", "r_or", "r_in",
                "r_gmres_ul", "r_gmres_uh", "i_or", "i_in", "status"]
-    colmap = {"bs": "res_sylv", "or": "r_or", "in": "r_in",
-              "gmres-ul": "r_gmres_ul", "gmres-uh": "r_gmres_uh"}
     rows = []
     for idx, t in enumerate(t_values):
-        g = ProblemGenerator("logspace-conditioned", m, n, float(t), seed, stream=idx)
-        p = generate(g)
-        row = {c: None for c in columns}
-        row["t"] = float(t)
-        row["condu"] = _condu(p, rcfg.u_h)
-        failures = []
-        for name in solvers:
-            try:
-                res, iters, conv, failure = _run_one(name, p, rcfg, restart)
-                if failure is not None:
-                    failures.append(f"{name}:{failure}")
-            except MpsylvError as exc:
-                res, iters = float("nan"), None
-                failures.append(f"{name}:{type(exc).__name__}")
-            row[colmap[name]] = res
-            if name == "or":
-                row["i_or"] = iters
-            elif name == "in":
-                row["i_in"] = iters
-        row["status"] = ";".join(failures) if failures else "ok"
-        rows.append([row[c] for c in columns])
+        p = generate(ProblemGenerator("logspace-conditioned", m, n, float(t), seed,
+                                      stream=idx))
+        condu = _condu(p, rcfg.u_h)
+        runs = [(name, _run_one(name, p, rcfg, restart)) for name in solvers]
+        got, blank = dict(runs), (None,) * 4
+        failures = [f"{name}:{r[3]}" for name, r in runs if r[3] != "ok"]
+        rows.append([float(t), condu,
+                     *(got.get(s, blank)[0] for s in ("bs", "or", "in", "gmres-ul", "gmres-uh")),
+                     got.get("or", blank)[1], got.get("in", blank)[1],
+                     ";".join(failures) or "ok"])
     md = _metadata(rcfg, restart, seed,
                    {"m": m, "n": n, "t_values": ":".join(str(t) for t in t_values),
                     "solvers": ",".join(solvers)})
@@ -384,14 +365,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve one problem with selected solvers")
     _add_common(sp)
-    sp.add_argument("--ug", type=parse_format, default=None,
-                    help="precision for the plain 'gmres' solver entry "
-                         "(must equal --ul or --uh; default --uh)")
     sp.add_argument("--t", type=float, default=0.0)
     sp.add_argument("--kind", default="logspace-conditioned",
                     choices=("random-dense", "logspace-conditioned",
                              "hermitian", "lyapunov"))
-    sp.add_argument("--solvers", type=_solver_list(ALL_SOLVERS + ("gmres",)),
+    sp.add_argument("--solvers", type=_solver_list(ALL_SOLVERS),
                     default=",".join(ALL_SOLVERS))
     sp.add_argument("--y0-zero", action="store_true",
                     help="fall back to a zero initial iterate when the "
@@ -433,16 +411,15 @@ def main(argv=None) -> int:
         rcfg = RefinementConfig(args.ul, args.uh, args.epsilon, args.max_iter)
     except ValueError as exc:
         parser.error(str(exc))
-    if getattr(args, "ug", None) not in (None, args.ul, args.uh):
-        parser.error("--ug must equal --ul or --uh")
     if args.command == "solve":
         if args.matrix_market is not None:
-            # a malformed file, mismatched shapes, a non-finite entry or a
-            # structure the matrices lack (all ValueErrors) is a usage error
+            # a missing or unreadable file (OSError), a malformed file,
+            # mismatched shapes, a non-finite entry or a structure the
+            # matrices lack (all ValueErrors) is a usage error
             try:
                 p = SylvesterProblem(*(read_matrix(f) for f in args.matrix_market),
                                      kind=args.problem_kind)
-            except ValueError as exc:
+            except (OSError, ValueError) as exc:
                 parser.error(str(exc))
             seed = "matrix-market"
         else:
@@ -450,7 +427,7 @@ def main(argv=None) -> int:
                                           args.t, args.seed))
             seed = args.seed
         rows = run_solve(p, rcfg, args.out, solvers=args.solvers,
-                         seed=seed, u_g=args.ug, y0_zero=args.y0_zero,
+                         seed=seed, y0_zero=args.y0_zero,
                          reproducible=args.reproducible)
         for row in rows:
             print(f"{row[0]:>9}: residual={row[1]!r} status={row[4]}")

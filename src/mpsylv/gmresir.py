@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Failure, NumericBreakdownError, SingularEquationError
-from .linalg import _dot, _vec_norm2_ctx, gemm, unvec, vec
+from .linalg import _frobenius, _mgs_project, _vec_norm2_ctx, gemm, unvec, vec
 from .precision import (
     BINARY64,
     FlopCounter,
@@ -93,7 +93,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
     N = m * n
     b = vec(np.asarray(rhs_mat))
     x = np.zeros(N, dtype=np.complex128)
-    beta0 = float(np.linalg.norm(b))
+    beta0 = _frobenius(b)
     if beta0 == 0.0:
         return unvec(x, m, n), 0, False
     tol = max(gcfg.inner_tol, 4.0 * fmt.unit_roundoff)
@@ -121,10 +121,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
         j = 0
         while j < p:
             w = np.asarray(matvec(V[:, j])).ravel()
-            for i in range(j + 1):
-                h = _dot(V[:, i], w, ctx)
-                H[i, j] = h
-                w = np.asarray(fl_sub(w, fl_mul(h, V[:, i], ctx), ctx)).ravel()
+            H[:j + 1, j], w = _mgs_project(V[:, :j + 1], w, ctx)
             hq = _vec_norm2_ctx(w, ctx)
             H[j + 1, j] = hq
             total_inner += 1

@@ -33,9 +33,7 @@ from .precision import (
     fl_mul,
     fl_sub,
     fl_sum,
-    _compose,
     _csqrt,
-    _mul_parts,
     _round_real_array,
     _round_complex_array,
     _sabs,
@@ -78,11 +76,10 @@ _CTX64 = PrecisionContext(BINARY64)
 
 @dataclass(frozen=True)
 class SchurFactors:
-    """Unitary factor U and upper-triangular factor T, with provenance."""
+    """Unitary factor U and upper-triangular factor T of A = U T U*."""
 
     U: np.ndarray
     T: np.ndarray
-    computed_in: FpFormat
 
 
 @dataclass(frozen=True)
@@ -229,11 +226,7 @@ def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext) -> complex:
     if ctx.format.is_binary64:
         ctx.count(2 * len(x))
         return complex(np.vdot(x, y))
-    ctx.count(len(x))
-    x = np.asarray(x, dtype=np.complex128)
-    y = np.asarray(y, dtype=np.complex128)
-    re, im = _mul_parts(x.real, -x.imag, y.real, y.imag, ctx.format)
-    return complex(fl_sum(_compose(re, im), ctx))
+    return complex(fl_sum(fl_mul(np.conj(x), y, ctx), ctx))
 
 
 def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
@@ -289,6 +282,16 @@ def _check_rank(R: np.ndarray, A: np.ndarray, ctx: PrecisionContext):
             f"input is numerically rank deficient (min |R_jj| = {dmin:.3e})")
 
 
+def _mgs_project(Q: np.ndarray, v: np.ndarray, ctx: PrecisionContext):
+    """Project v off the columns of Q one at a time (modified Gram-Schmidt)
+    under ctx; returns the coefficients conj(q_i).v and the remainder."""
+    h = np.zeros(Q.shape[1], dtype=np.complex128)
+    for i in range(Q.shape[1]):
+        h[i] = _dot(Q[:, i], v, ctx)
+        v = fl_sub(v, fl_mul(h[i], Q[:, i], ctx), ctx)
+    return h, v
+
+
 def mgs_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
     """Modified Gram-Schmidt QR with a positive real diagonal of R."""
     A = _enter(A, ctx, "qr input")
@@ -298,11 +301,7 @@ def mgs_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
     Q = A.copy()
     R = np.zeros((n, n), dtype=np.complex128)
     for j in range(n):
-        v = Q[:, j]
-        for i in range(j):
-            r = _dot(Q[:, i], v, ctx)
-            R[i, j] = r
-            v = fl_sub(v, fl_mul(r, Q[:, i], ctx), ctx)
+        R[:j, j], v = _mgs_project(Q[:, :j], Q[:, j], ctx)
         nv = _vec_norm2_ctx(v, ctx)
         R[j, j] = nv
         if nv == 0.0:
@@ -485,11 +484,11 @@ def _givens(f: complex, g: complex, fmt: FpFormat):
     """Unitary [[c, s], [-conj(s), c]]* zeroing g against f; c real."""
     if g == 0:
         return 1.0, 0j
+    ag = _sabs(g, fmt)
     if f == 0:
-        ag = _sabs(g, fmt)
         return 0.0, _sdiv(g.conjugate(), ag, fmt)
     af = _sabs(f, fmt)
-    d2 = _sadd(_smul(af, af, fmt), _smul(_sabs(g, fmt), _sabs(g, fmt), fmt), fmt).real
+    d2 = _sadd(_smul(af, af, fmt), _smul(ag, ag, fmt), fmt).real
     d = _ssqrt(d2, fmt)
     c = _sdiv(af, d, fmt).real
     s = _sdiv(_smul(_sdiv(f, af, fmt), g.conjugate(), fmt), d, fmt)
@@ -507,6 +506,22 @@ def _rotate(P: np.ndarray, Q: np.ndarray, c: float, s1: complex, s2: complex,
                    np.array([P, Q, Q, P]), ctx)
     new = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
     return new[0], new[1]
+
+
+def _rotate_similarity(M: np.ndarray, V: np.ndarray, p: int, q: int, c: float,
+                       s: complex, cols, rows, ctx: PrecisionContext) -> None:
+    """M <- G* M G and V <- V G in place, G = [[c, s], [-conj(s), c]] on (p, q).
+
+    The row update covers the entries ``cols`` of rows p and q of M, the
+    column update the entries ``rows`` of columns p and q of M; the M and
+    V column updates are independent and rotated together.
+    """
+    M[p, cols], M[q, cols] = _rotate(M[p, cols], M[q, cols], c, s, np.conj(s), ctx)
+    new_p, new_q = _rotate(np.concatenate([M[rows, p], V[:, p]]),
+                           np.concatenate([M[rows, q], V[:, q]]), c, np.conj(s), s, ctx)
+    k = len(new_p) - V.shape[0]
+    M[rows, p], V[:, p] = new_p[:k], new_p[k:]
+    M[rows, q], V[:, q] = new_q[:k], new_q[k:]
 
 
 def _wilkinson_shift(H: np.ndarray, hi: int, fmt: FpFormat) -> complex:
@@ -542,7 +557,7 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
         raise DimensionError("schur requires a square matrix")
     fmt = ctx.format
     if m == 1:
-        return SchurFactors(np.eye(1, dtype=np.complex128), A.copy(), fmt)
+        return SchurFactors(np.eye(1, dtype=np.complex128), A.copy())
     H, U = _hessenberg(A, ctx)
     u = fmt.unit_roundoff
     limit = 30 * m
@@ -574,16 +589,8 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
         y = complex(H[lo + 1, lo])
         for k in range(lo, hi):
             c, s = _givens(x, y, fmt)
-            j0 = max(lo, k - 1)
-            H[k, j0:], H[k + 1, j0:] = _rotate(H[k, j0:], H[k + 1, j0:],
-                                               c, s, np.conj(s), ctx)
-            # the H and U column updates are independent: rotate them together
-            i1 = min(k + 3, hi + 1)
-            new1, new2 = _rotate(np.concatenate([H[:i1, k], U[:, k]]),
-                                 np.concatenate([H[:i1, k + 1], U[:, k + 1]]),
-                                 c, np.conj(s), s, ctx)
-            H[:i1, k], U[:, k] = new1[:i1], new1[i1:]
-            H[:i1, k + 1], U[:, k + 1] = new2[:i1], new2[i1:]
+            _rotate_similarity(H, U, k, k + 1, c, s, slice(max(lo, k - 1), None),
+                               slice(min(k + 3, hi + 1)), ctx)
             if k > lo:
                 H[k + 1, k - 1] = 0.0
             if k < hi - 1:
@@ -593,7 +600,7 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
         stuck += 1
     T = H
     T[np.tril_indices(m, -1)] = 0.0
-    return SchurFactors(U, T, fmt)
+    return SchurFactors(U, T)
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +618,8 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
     n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise DimensionError("hermitian_eig requires a square matrix")
-    nrm = float(np.linalg.norm(A))
-    if float(np.linalg.norm(A - A.conj().T)) > 10 * ctx.format.unit_roundoff * max(nrm, 1e-300):
+    nrm = _frobenius(A)
+    if _frobenius(A - A.conj().T) > 10 * ctx.format.unit_roundoff * max(nrm, 1e-300):
         raise NotHermitianError("input is not Hermitian to working accuracy")
     W = _enter(A, ctx, "eig input")
     fmt = ctx.format
@@ -621,9 +628,7 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
         return V, np.array([W[0, 0].real])
     tol = n * fmt.unit_roundoff * max(nrm, 1e-300)
     for _ in range(max_sweeps):
-        offmat = W - np.diag(np.diag(W))
-        off = float(np.linalg.norm(offmat))
-        if off <= tol:
+        if _frobenius(W - np.diag(np.diag(W))) <= tol:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -643,14 +648,7 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
                     t = _sdiv(-1.0, _ssub(root, tau, fmt), fmt).real
                 c = _sdiv(1.0, _ssqrt(_sadd(1.0, _smul(t, t, fmt), fmt).real, fmt), fmt).real
                 s = _smul(_smul(t, c, fmt), phase, fmt)
-                # similarity with G = [[c, s], [-conj(s), c]] on (p, q)
-                W[p, :], W[q, :] = _rotate(W[p, :], W[q, :], c, s, np.conj(s), ctx)
-                # the W and V column updates are independent: rotate them together
-                new_p, new_q = _rotate(np.concatenate([W[:, p], V[:, p]]),
-                                       np.concatenate([W[:, q], V[:, q]]),
-                                       c, np.conj(s), s, ctx)
-                W[:, p], V[:, p] = new_p[:n], new_p[n:]
-                W[:, q], V[:, q] = new_q[:n], new_q[n:]
+                _rotate_similarity(W, V, p, q, c, s, slice(None), slice(None), ctx)
     else:
         raise IterationLimitError(f"Jacobi did not converge in {max_sweeps} sweeps")
     return V, np.real(np.diag(W)).copy()

@@ -261,9 +261,6 @@ class PrecisionContext:
         if self.counter is not None:
             self.counter.add(self.bucket, n)
 
-    def with_bucket(self, bucket: str) -> "PrecisionContext":
-        return PrecisionContext(self.format, self.counter, bucket)
-
 
 # ---------------------------------------------------------------------------
 # rounding kernels

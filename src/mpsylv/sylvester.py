@@ -214,7 +214,7 @@ def _schur_pair(p: SylvesterProblem, ctx: PrecisionContext):
     FormatOverflowError past the format's range, so they go in unrounded."""
     sf_A = schur(p.A, ctx)
     if p.kind == "lyapunov":
-        return sf_A, SchurFactors(sf_A.U, sf_A.T.conj().T, sf_A.computed_in)
+        return sf_A, SchurFactors(sf_A.U, sf_A.T.conj().T)
     return sf_A, schur(p.B, ctx)
 
 
@@ -275,4 +275,4 @@ def solution_norm_bound(p: SylvesterProblem) -> float:
     s = sep_f(p.A, p.B)
     if s == 0.0:
         return float("inf")
-    return float(np.linalg.norm(p.C) / s)
+    return _frobenius(p.C) / s

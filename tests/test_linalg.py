@@ -269,6 +269,15 @@ class TestHermitianEig:
         with pytest.raises(NotHermitianError):
             hermitian_eig(cmat(rng, 4, 4), CTX)
 
+    def test_rejects_non_hermitian_past_unscaled_norm_range(self):
+        # entries above ~1e154 overflow an unscaled Frobenius norm to inf
+        with pytest.raises(NotHermitianError):
+            hermitian_eig(np.array([[1e200, 1e200], [0.0, 1.0]]), CTX)
+
+    def test_large_hermitian_entries(self):
+        U, d = hermitian_eig(np.array([[1e200, 1e199], [1e199, 1e200]]), CTX)
+        assert np.allclose(sorted(d), [0.9e200, 1.1e200], rtol=1e-12, atol=0.0)
+
 
 class TestKronAndConditioning:
     def test_scalar_operator(self):
