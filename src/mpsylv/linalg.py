@@ -33,8 +33,11 @@ from .precision import (
     fl_mul,
     fl_sub,
     fl_sum,
+    _binary32,
     _csqrt,
+    _plane_product,
     _round_real_array,
+    _round_real_scalar,
     _round_complex_array,
     _sabs,
     _sadd,
@@ -42,6 +45,7 @@ from .precision import (
     _smul,
     _ssqrt,
     _ssub,
+    _widened,
 )
 
 __all__ = [
@@ -234,13 +238,43 @@ def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
 
     Each |x_i| is formed from two rounded squares, a rounded add and a
     rounded sqrt in one vector pass; its square is added unrounded into a
-    rounded ascending accumulation.
+    rounded ascending accumulation.  When the squares overflow although
+    every entry is finite, the steps run again on the entries scaled by a
+    power of two, which is exact, and the norm is scaled back.
     """
     ctx.count(2 * len(x) + 1)
     if ctx.format.is_binary64:
         return float(np.linalg.norm(x))
     fmt = ctx.format
     x = np.asarray(x, dtype=np.complex128)
+    nrm = _norm2_steps(x, fmt)
+    if nrm == math.inf and np.isfinite(x).all():
+        scaled, e = _scaled_down(x)
+        nrm = _scaled_up(_norm2_steps(scaled, fmt), e, fmt).real
+    return nrm
+
+
+def _scaled_down(x: np.ndarray):
+    """(x * 2^-e, e), e the binary exponent of the largest real or imaginary
+    part of the finite nonzero vector x: every scaled part is below 1 in
+    magnitude, and the scaling is exact in binary64."""
+    parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    _, e = math.frexp(float(np.abs(parts).max()))
+    return (parts * math.ldexp(1.0, -e)).view(np.complex128), e
+
+
+def _scaled_up(z: complex, e: int, fmt: FpFormat) -> complex:
+    """z * 2^e rounded into fmt: exact unless a part overflows to inf."""
+    def up(v):
+        try:
+            return _round_real_scalar(math.ldexp(v, e), fmt)
+        except OverflowError:  # past the largest double
+            return math.copysign(math.inf, v)
+    return complex(up(z.real), up(z.imag))
+
+
+def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
+    """The rounded steps of `_vec_norm2_ctx`; charges no flops."""
     r = _round_real_array
     with np.errstate(invalid="ignore", over="ignore"):
         sq = r(np.array([x.real * x.real, x.imag * x.imag]), fmt)
@@ -313,7 +347,24 @@ def mgs_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
 
 
 def _make_reflector(x: np.ndarray, ctx: PrecisionContext):
-    """Householder vector w and real beta with (I - beta w w*) x = -phase*|x| e1."""
+    """Householder vector w and real beta with (I - beta w w*) x = -phase*|x| e1.
+
+    When a step overflows although x is finite, the reflector is formed
+    from x * 2^-e instead (see `_scaled_down`).  That is the same
+    transformation, with w scaled by 2^-e and beta by 4^e; only head is
+    scaled back.  The flops charged are those of one formation.
+    """
+    w, beta, head = _reflector_steps(x, ctx)
+    if w is not None and not (0.0 < beta < math.inf and np.isfinite([w[0], head]).all()) \
+            and np.isfinite(x).all():
+        scaled, e = _scaled_down(x)
+        w, beta, head = _reflector_steps(scaled, PrecisionContext(ctx.format))
+        head = _scaled_up(head, e, ctx.format)
+    return w, beta, head
+
+
+def _reflector_steps(x: np.ndarray, ctx: PrecisionContext):
+    """The rounded steps of `_make_reflector`."""
     fmt = ctx.format
     nx = _vec_norm2_ctx(x, ctx)
     if nx == 0.0:
@@ -501,9 +552,26 @@ def _rotate(P: np.ndarray, Q: np.ndarray, c: float, s1: complex, s2: complex,
 
     One fl_mul over the stacked operands and one fl_add over the stacked
     products, so the flops charged are those of four products and two sums.
+    In binary32, when every operand is a binary32 value, the same products
+    and sums run as float32 operations on the real and imaginary planes,
+    with no complex128 round trip between them (see `fl_mul`); a NaN in
+    the result sends the rotation back to the software path.
     """
-    prods = fl_mul(np.array([[c], [s1], [c], [s2]], dtype=np.complex128),
-                   np.array([P, Q, Q, P]), ctx)
+    coef = [c, s1, c, s2]
+    new = None
+    if ctx.format._is_binary32:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ops = _binary32(np.concatenate((coef, P, Q)))
+            if ops is not None:
+                v = ops[0]  # [c, s1, c, s2] times the rows [P, Q, Q, P]
+                re, im = _plane_product(v[:4, None], v[4:].reshape(2, -1)[[0, 1, 1, 0]])
+                np.negative(re[3], out=re[3])
+                np.negative(im[3], out=im[3])
+                new = _widened(re[0::2] + re[1::2], im[0::2] + im[1::2])
+    if new is not None:
+        ctx.count(6 * len(P))
+        return new[0], new[1]
+    prods = fl_mul(np.array(coef, dtype=np.complex128)[:, None], np.array([P, Q, Q, P]), ctx)
     new = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
     return new[0], new[1]
 

@@ -48,8 +48,19 @@ two values of the format, the hardware rounds that sum to nearest, ties
 to even, with gradual underflow and overflow to infinity, and so returns
 the correctly rounded result the software path computes (Higham &
 Pranesh make the same point: a format with a hardware dtype needs no
-simulated rounding).  Products are never formed in complex64, whose SIMD
-multiply fuses its steps.
+simulated rounding).
+
+For the same reason `fl_add`, `fl_sub` and `fl_mul` in binary32 compute
+in complex64 when every operand is a binary32 value.  A sum or difference
+is one complex64 operation.  A product is formed from the float32 real
+and imaginary planes as (ar*br - ai*bi, ar*bi + ai*br): the four
+products, the difference and the sum the software path rounds, in the
+same order.  The complex64 ``*`` is never used, because its SIMD multiply
+may fuse steps.  The guard casts the operands to complex64 once and
+compares them with the originals; a value that is not binary32, or a
+NaN, fails it, and the software path runs instead.  A result that holds
+a NaN is recomputed by the software path, so NaN payloads stay the ones
+it produces.  `linalg._rotate` uses the same guard and product.
 
 Complex division has two references.  The scalar `_sdiv` in binary64 is
 CPython's complex division (Smith's method, dividing by the
@@ -154,6 +165,10 @@ class FpFormat:
     @cached_property
     def is_binary64(self) -> bool:
         return self.significand_bits == 53 and self.exponent_bits == 11
+
+    @cached_property
+    def _is_binary32(self) -> bool:
+        return self.significand_bits == 24 and self.exponent_bits == 8
 
     @cached_property
     def _native(self):
@@ -459,6 +474,44 @@ def _rounded_sum(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
     return _compose(y[0], y[1])
 
 
+def _binary32(*xs):
+    """complex64 copies of the complex128 arrays xs if every entry of every
+    x is a binary32 value, else None; a NaN entry fails the test.
+
+    Call under ``np.errstate(over="ignore")``: a value past binary32's range
+    casts to inf with a warning.
+    """
+    out = []
+    for x in xs:
+        x32 = x.astype(np.complex64)
+        if not (x32 == x).all():
+            return None
+        out.append(x32)
+    return out
+
+
+def _widened(re: np.ndarray, im: np.ndarray):
+    """The complex128 array with the float32 parts re and im, or None if
+    it holds a NaN: the software path then recomputes the result, so that
+    NaN payloads are the ones it produces."""
+    z = _compose(re, im)
+    return None if np.isnan(z).any() else z
+
+
+def _plane_product(a: np.ndarray, b: np.ndarray):
+    """The real and imaginary parts of a * b for complex64 arrays, formed
+    as ar*br - ai*bi and ar*bi + ai*br from float32 planes; the shapes
+    broadcast.
+
+    On binary32 values each step is the correctly rounded binary32 result,
+    so the parts equal `_mul_parts`: the same four products, difference
+    and sum, in the same order.  The complex64 ``*`` is not used: its SIMD
+    loop may fuse steps.
+    """
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
     """Rounded real and imaginary parts of (ar + i ai)(br + i bi), stacked.
 
@@ -471,26 +524,59 @@ def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
         return r(np.array([p[0] - p[1], p[2] + p[3]]), fmt)
 
 
+def _native_sum(a, b, op):
+    """op(a, b), op being np.add or np.subtract, as one complex64 operation
+    on binary32 operands; None where `_binary32` or `_widened` is None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = _binary32(a, b)
+        if ops is None:
+            return None
+        s = op(*ops)
+    return _widened(s.real, s.imag)
+
+
+def _native_product(a, b):
+    """a * b from the float32 planes of binary32 operands; None where
+    `_binary32` or `_widened` is None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = _binary32(a, b)
+        if ops is None:
+            return None
+        re, im = _plane_product(*ops)
+    return _widened(re, im)
+
+
 def fl_add(a, b, ctx: PrecisionContext):
     a, b, scalar = _operands(a, b, ctx)
-    if ctx.format.is_binary64:
+    fmt = ctx.format
+    if fmt.is_binary64:
         return _unwrap(a + b, scalar)
-    return _unwrap(_rounded_sum(a, b, ctx.format), scalar)
+    z = _native_sum(a, b, np.add) if fmt._is_binary32 else None
+    if z is None:
+        z = _rounded_sum(a, b, fmt)
+    return _unwrap(z, scalar)
 
 
 def fl_sub(a, b, ctx: PrecisionContext):
     a, b, scalar = _operands(a, b, ctx)
-    if ctx.format.is_binary64:
+    fmt = ctx.format
+    if fmt.is_binary64:
         return _unwrap(a - b, scalar)
-    return _unwrap(_rounded_sum(a, -b, ctx.format), scalar)
+    z = _native_sum(a, b, np.subtract) if fmt._is_binary32 else None
+    if z is None:
+        z = _rounded_sum(a, -b, fmt)
+    return _unwrap(z, scalar)
 
 
 def fl_mul(a, b, ctx: PrecisionContext):
     a, b, scalar = _operands(a, b, ctx)
-    if ctx.format.is_binary64:
+    fmt = ctx.format
+    if fmt.is_binary64:
         return _unwrap(a * b, scalar)
-    re, im = _mul_parts(a.real, a.imag, b.real, b.imag, ctx.format)
-    return _unwrap(_compose(re, im), scalar)
+    z = _native_product(a, b) if fmt._is_binary32 else None
+    if z is None:
+        z = _compose(*_mul_parts(a.real, a.imag, b.real, b.imag, fmt))
+    return _unwrap(z, scalar)
 
 
 def _quotient(a, b, fmt: FpFormat) -> np.ndarray:
@@ -512,16 +598,15 @@ def _quotient(a, b, fmt: FpFormat) -> np.ndarray:
         a, b = np.broadcast_arrays(a, b)
     binary64 = fmt.is_binary64
     native = False
-    if fmt == BINARY32:
-        # every step is one IEEE binary32 operation on binary32 values
-        with np.errstate(over="ignore", invalid="ignore"):
-            a32, b32 = a.astype(np.complex64), b.astype(np.complex64)
-        if np.array_equal(a32, a) and np.array_equal(b32, b):  # false on a NaN
-            a, b, native = a32, b32, True
-    r = (lambda x: x) if binary64 or native else (lambda x: _round_real_array(x, fmt))
-    ar, ai = a.real, a.imag
-    br, bi = b.real, b.imag
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if fmt._is_binary32:
+            # every step is one IEEE binary32 operation on binary32 values
+            ops = _binary32(a, b)
+            if ops is not None:
+                (a, b), native = ops, True
+        r = (lambda x: x) if binary64 or native else (lambda x: _round_real_array(x, fmt))
+        ar, ai = a.real, a.imag
+        br, bi = b.real, b.imag
         # branch chosen entrywise on |Re b| vs |Im b|
         swap = np.abs(br) < np.abs(bi)
         num_r = np.where(swap, ai, ar)
@@ -575,11 +660,12 @@ def fl_sum(P, ctx: PrecisionContext, start=None):
     dtype = _SUM_DTYPE.get((fmt.significand_bits, fmt.exponent_bits))
     if dtype is not None and len(P):
         with np.errstate(over="ignore", invalid="ignore"):
-            X = np.empty((len(P) + 1,) + P.shape[1:], dtype=dtype)
-            X[0], X[1:] = acc, P
             # complex64 must hold P exactly (false on a NaN too)
-            if dtype is np.complex128 or np.array_equal(X[1:], P):
-                if dtype is np.complex64 and not np.array_equal(X[0], acc):
+            ops = [P] if dtype is np.complex128 else _binary32(P)
+            if ops is not None:
+                X = np.empty((len(P) + 1,) + P.shape[1:], dtype=dtype)
+                X[0], X[1:] = acc, ops[0]
+                if dtype is np.complex64 and _binary32(acc) is None:
                     # start is not a binary32 value: round the first sum in software
                     X[1] = add(acc, P[0])
                     X = X[1:]

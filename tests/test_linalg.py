@@ -11,6 +11,10 @@ from mpsylv.errors import (
     SingularMatrixError,
 )
 from mpsylv.linalg import (
+    _givens,
+    _make_reflector,
+    _rotate,
+    _vec_norm2_ctx,
     cond_inf,
     gemm,
     hermitian_eig,
@@ -35,6 +39,10 @@ from mpsylv.precision import (
     B24,
     FlopCounter,
     PrecisionContext,
+    _compose,
+    _mul_parts,
+    _rounded_sum,
+    round_matrix,
 )
 
 from conftest import cmat, hermitian
@@ -241,6 +249,58 @@ class TestSchur:
         got = np.sort_complex(np.diag(sf.T))
         ref = np.sort_complex(np.exp(2j * np.pi * np.arange(3) / 3))
         assert np.abs(got - ref).max() < 1e-10
+
+
+def _soft_rotate(P, Q, c, s1, s2):
+    """`_rotate`'s products and sums composed from the software path."""
+    a = np.array([[c], [s1], [c], [s2]], dtype=np.complex128)
+    a, b = np.broadcast_arrays(a, np.array([P, Q, Q, P]))
+    prods = _compose(*_mul_parts(a.real, a.imag, b.real, b.imag, BINARY32))
+    return _rounded_sum(prods[0::2], np.array([prods[1], -prods[3]]), BINARY32)
+
+
+class TestRotate:
+    @pytest.mark.parametrize("case", ["binary32", "overflow", "nan", "off-format"])
+    def test_binary32_matches_software_composition(self, case, rng):
+        P, Q = round_matrix(cmat(rng, 2, 33, scale=1e3), BINARY32)
+        c, s = _givens(complex(P[0]), complex(Q[0]), BINARY32)
+        if case == "overflow":
+            c, s = _givens(1 + 0j, 1 + 0j, BINARY32)
+            P[1] = Q[1] = BINARY32.max_finite  # c P + s Q passes the top
+        elif case == "nan":
+            P[3] = complex(np.inf, 1.0)  # Im s * inf with Im s = 0
+            c, s = _givens(1 + 0j, 1 + 0j, BINARY32)
+        elif case == "off-format":
+            Q[4] = 0.1
+        counter = FlopCounter()
+        new_p, new_q = _rotate(P, Q, c, s, np.conj(s),
+                               PrecisionContext(BINARY32, counter, "low"))
+        ref = _soft_rotate(P, Q, c, s, np.conj(s))
+        for got, want in ((new_p, ref[0]), (new_q, ref[1])):
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+        assert counter.get("low") == 6 * len(P)
+        assert np.isnan(ref).any() == (case == "nan")
+        assert np.isfinite(ref).all() == (case in ("binary32", "off-format"))
+
+
+class TestHouseholderScaling:
+    def test_norm_past_the_squares_range(self):
+        counter = FlopCounter()
+        ctx = PrecisionContext(BINARY16, counter, "low")
+        assert _vec_norm2_ctx(np.array([300.0, 1.0]), ctx) == 300.0
+        assert counter.get("low") == 5
+        assert _vec_norm2_ctx(np.array([60000.0, 60000.0]), ctx) == np.inf
+
+    def test_reflector_past_the_squares_range(self):
+        x = np.array([300.0, 1.0 + 0j])
+        counter = FlopCounter()
+        w, beta, head = _make_reflector(x, PrecisionContext(BINARY16, counter, "low"))
+        assert np.isfinite(w).all() and 0.0 < beta < np.inf
+        assert head == -300.0
+        assert counter.get("low") == 2 * len(x) + 4
+        y = x - beta * w * np.vdot(w, x)
+        u = BINARY16.unit_roundoff
+        assert abs(y[0] - head) <= 4 * u * 300 and abs(y[1]) <= 4 * u * 300
 
 
 class TestHermitianEig:

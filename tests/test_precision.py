@@ -27,10 +27,16 @@ from mpsylv.precision import (
     round_complex,
     round_matrix,
     round_to,
+    _binary32,
     _chop,
     _chop_scalar,
+    _compose,
+    _mul_parts,
+    _native_product,
+    _native_sum,
     _round_real_array,
     _round_real_scalar,
+    _rounded_sum,
 )
 
 ALL_FORMATS = [BFLOAT16, BINARY16, TF32, B24, BINARY32, BINARY64]
@@ -390,6 +396,98 @@ class TestNativeCasts:
             soft = _chop(x, fmt)
             ok = (_bits(soft) == _bits(cast)) | (np.isnan(soft) & np.isnan(cast))
             assert ok.all(), fmt.name
+
+
+def _binary32_values(rng, n):
+    """Binary32 values from random bit patterns, so every binade and the
+    subnormals are hit, plus the specials; no NaN."""
+    bits = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
+    v = bits.view(np.float32)
+    specials = [0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, BINARY32.max_finite,
+                BINARY32.smallest_subnormal, BINARY32.smallest_normal]
+    return np.concatenate([specials, v[~np.isnan(v)].astype(np.float64)])
+
+
+def _soft_sum(a, b):
+    return _rounded_sum(*np.broadcast_arrays(np.asarray(a, dtype=np.complex128),
+                                             np.asarray(b, dtype=np.complex128)), BINARY32)
+
+
+def _soft_product(a, b):
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    return _compose(*_mul_parts(a.real, a.imag, b.real, b.imag, BINARY32))
+
+
+def _cbits(z):
+    """The bits of the real and imaginary parts of z."""
+    z = np.asarray(z, dtype=np.complex128)
+    return np.array([_bits(z.real), _bits(z.imag)])
+
+
+class TestBinary32Native:
+    """fl_add, fl_sub and fl_mul in binary32 against the software path."""
+
+    CTX = PrecisionContext(BINARY32)
+
+    def _pairs(self, rng):
+        v = _binary32_values(rng, 20000)
+        k = len(v) // 4
+        a = _compose(v[:k], v[k:2 * k])
+        b = _compose(v[2 * k:3 * k], v[3 * k:4 * k])
+        # every special against every special, in both parts
+        s = v[:9]
+        sa, sb = np.meshgrid(_compose(*np.meshgrid(s, s)), _compose(*np.meshgrid(s, s)))
+        return np.concatenate([a, sa.ravel()]), np.concatenate([b, sb.ravel()])
+
+    def test_ops_match_software_bit_for_bit(self, rng):
+        a, b = self._pairs(rng)
+        for op, ref in ((fl_add, _soft_sum(a, b)), (fl_sub, _soft_sum(a, -b)),
+                        (fl_mul, _soft_product(a, b))):
+            assert (_cbits(op(a, b, self.CTX)) == _cbits(ref)).all(), op.__name__
+        # the grid holds inf * 0 and inf - inf, whose NaNs the software recomputes
+        assert np.isnan(fl_mul(a, b, self.CTX)).any()
+
+    def test_native_path_taken_unless_the_result_holds_a_nan(self, rng):
+        a, b = self._pairs(rng)
+        ok = ~(np.isnan(_soft_product(a, b)) | np.isnan(_soft_sum(a, b))
+               | np.isnan(_soft_sum(a, -b)))
+        a, b = a[ok], b[ok]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert (_cbits(_native_product(a, b)) == _cbits(_soft_product(a, b))).all()
+            assert (_cbits(_native_sum(a, b, np.add)) == _cbits(_soft_sum(a, b))).all()
+            assert (_cbits(_native_sum(a, b, np.subtract)) == _cbits(_soft_sum(a, -b))).all()
+        assert np.isinf(_soft_product(a, b)).any()  # products that overflow
+        assert (np.abs(_soft_product(a, b)) < BINARY32.smallest_normal).any()
+
+    def test_scalars_and_broadcast_shapes(self, rng):
+        v = _binary32_values(rng, 64)[9:]
+        x, y = complex(v[0], v[1]), complex(v[2], -v[3])
+        col, row = _compose(v[4:8], v[8:12])[:, None], _compose(v[12:19], v[19:26])[None, :]
+        for op, ref in ((fl_add, _soft_sum), (fl_mul, _soft_product),
+                        (fl_sub, lambda p, q: _soft_sum(p, -np.asarray(q)))):
+            got = op(x, y, self.CTX)
+            assert isinstance(got, complex)
+            assert (_cbits(got) == _cbits(ref(x, y))).all()
+            for p, q in ((col, row), (x, row), (col, y)):
+                got = op(p, q, self.CTX)
+                assert got.shape == np.broadcast(p, q).shape
+                assert (_cbits(got) == _cbits(ref(p, q))).all()
+
+    def test_operand_off_the_format_takes_the_software_path(self):
+        # 1 + 2^-24 is not a binary32 value: its cast would round it to 1
+        a, b = 1 + 2.0**-24, 1 + 2.0**-23
+        assert _binary32(np.asarray(a + 0j)) is None
+        assert fl_mul(a, b, self.CTX) == 1 + 2.0**-22
+        assert fl_add(0.1, 0.2, self.CTX) == _soft_sum(0.1, 0.2)
+
+    def test_nan_operand_keeps_its_payload(self):
+        nan = np.array([0x7FF8000000000123, 0xFFF4000000000001], dtype=np.uint64).view(np.float64)
+        a = _compose(nan, np.array([1.0, 2.0]))
+        for got, ref in ((fl_add(a, 1.0, self.CTX), _soft_sum(a, 1.0)),
+                         (fl_sub(1.0, a, self.CTX), _soft_sum(1.0, -a)),
+                         (fl_mul(a, 3.0, self.CTX), _soft_product(a, 3.0))):
+            assert (_cbits(got) == _cbits(ref)).all()
+        assert _bits(fl_add(a, 1.0, self.CTX).real)[0] == 0x7FF8000000000123
 
 
 class TestRoundMatrix:
