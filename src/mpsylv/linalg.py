@@ -554,8 +554,9 @@ def _rotate(P: np.ndarray, Q: np.ndarray, c: float, s1: complex, s2: complex,
     products, so the flops charged are those of four products and two sums.
     In binary32, when every operand is a binary32 value, the same products
     and sums run as float32 operations on the real and imaginary planes,
-    with no complex128 round trip between them (see `fl_mul`); a NaN in
-    the result sends the rotation back to the software path.
+    with no complex128 round trip between them (see the `precision`
+    docstring); a NaN in the result sends the rotation back to the
+    software path.
     """
     coef = [c, s1, c, s2]
     new = None
