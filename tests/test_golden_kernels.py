@@ -53,6 +53,19 @@ def _schur(A):
     return run
 
 
+def _deflating():
+    # block upper triangular with diagonal blocks 0:3, 3:5, 5:7, 7:10: the
+    # Hessenberg form starts with an exact zero (a -0.0) on the subdiagonal
+    # and two 1e-9 couplings that a low format deflates in the first pass
+    A = np.triu(_complex(17, 10, 10), -2)
+    for lo, hi in ((0, 3), (3, 5), (5, 7), (7, 10)):
+        A[hi:, lo:hi] = 0.0
+    A[3, 2] = 1e-9 + 1e-9j
+    A[5, 4] = complex(-0.0, -0.0)
+    A[7, 6] = -1e-9j
+    return A
+
+
 def _eig(ctx):
     G = _complex(12, 5, 5)
     V, d = hermitian_eig((G + G.conj().T) / 2, ctx)
@@ -78,6 +91,7 @@ def _norm_case(ctx):
 KERNELS = {
     "schur-complex": _schur(_complex(10, 6, 6)),
     "schur-real": _schur(np.random.default_rng(11).standard_normal((6, 6))),
+    "schur-deflate": _schur(_deflating()),
     "hermitian_eig": _eig,
     "mgs_qr": _qr(mgs_qr),
     "householder_qr": _qr(householder_qr),
@@ -339,6 +353,55 @@ GOLDEN = {
         "out": [
             "964703db17391681c67811ac02f03ec0a28e59fc7fc81ae066719a6af7b350c2",
             "e4261298187015c1bbd7a2bb1ed6c3f17201a6a8a6f4ffa310c678ab5655838b",
+        ],
+    },
+    "schur-deflate/40:11": {
+        "flops": 8570,
+        "out": [
+            "017bcf120529f725b8f2705deace35f236bc3d52a349f1024a17d20d803d181b",
+            "071eca6fe9de845fedf7e0996e028055455e8aa0c8045b30115fd0835b730136",
+        ],
+    },
+    "schur-deflate/b24": {
+        "flops": 5030,
+        "out": [
+            "47f64e2efc0e2665e06b8be770f15a5159bc722897a8e287a09cda55989717a2",
+            "cce8e4d1f763f2feabc38a8b6520c85a19e0acfdfdbe6e6ae5f38b740b0d0068",
+        ],
+    },
+    "schur-deflate/bfloat16": {
+        "flops": 4610,
+        "out": [
+            "ab734d92f2e18f29b9be1a48763387733ec7ccaebdb9b240ff9ecedfd1713fea",
+            "757e8a80140471dd44ad81c148fcda33b6a071ffe223dfeb4bca080683a0f045",
+        ],
+    },
+    "schur-deflate/binary16": {
+        "flops": 3235,
+        "out": [
+            "b4ddb597fa67b683f938785c9355a84cd8135d9c38414e1980d636e5d5a4a849",
+            "0a0da8eb980adda65db67648429dfcfdfecc4464fbcafe7261ce34e40ed09b07",
+        ],
+    },
+    "schur-deflate/binary32": {
+        "flops": 5582,
+        "out": [
+            "f602e47f50d9e18afcdf3f1ab33476a19b65b6d6454ed64b9f8724aa14777e6e",
+            "67b51bc23da1d64e62eaf12327c6f6aa5137a05382dfb9fc3819d8d3dc65aa41",
+        ],
+    },
+    "schur-deflate/binary64": {
+        "flops": 9830,
+        "out": [
+            "c63dd843a340dabebe6aa75a23bdfdf32000a7482f0799103aec0d18ab1493e9",
+            "ac0ab737ebf9aba398eb888a6fddd1be2af276ca7b15f9c87485f186890dd0e5",
+        ],
+    },
+    "schur-deflate/tf32": {
+        "flops": 5030,
+        "out": [
+            "82240c8c4d704dfeaba451a5922c72d8c3a89285abfb3a8a235edd41fc3ba8c9",
+            "7c7faf06d992aacdbc6e550643c2a4d985ba04db3f9bdde4f9cd67b3cf58af30",
         ],
     },
     "schur-real/40:11": {
