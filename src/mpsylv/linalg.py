@@ -546,51 +546,46 @@ def _givens(f: complex, g: complex, fmt: FpFormat):
     return c, s
 
 
+def _rotate_rows(X: np.ndarray, c: float, s1: complex, s2: complex,
+                 ctx: PrecisionContext, native: bool = False) -> None:
+    """X <- (c X0 + s1 X1, c X1 - s2 X0) in place, X a (2, n) view.
+
+    The rows are gathered once as [X0, X1, X1, X0], multiplied by
+    [c, s1, c, s2] and summed in pairs: the flops of four products and two
+    sums per column.  binary64 runs the complex128 product and sum of
+    `fl_mul` and `fl_add`.  In binary32 with ``native`` (the caller has
+    checked that the operands are binary32 values) the products come from
+    the float32 planes (`_plane_product`); a NaN result falls back to
+    `fl_mul` and `fl_add`, as every other format does.  Call under
+    ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    G = X[[0, 1, 1, 0]]
+    coef = np.array([[c], [s1], [c], [s2]], dtype=np.complex128)
+    new = None
+    if ctx.format.is_binary64:
+        prods = coef * G
+        new = prods[0::2] + np.array([prods[1], -prods[3]])
+    elif native:
+        re, im = _plane_product(coef.astype(np.complex64), G.astype(np.complex64))
+        re[3], im[3] = -re[3], -im[3]
+        new = _widened(re[0::2] + re[1::2], im[0::2] + im[1::2])
+    if new is None:
+        prods = fl_mul(coef, G, ctx)
+        new = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
+    else:
+        ctx.count(6 * X.shape[1])
+    X[...] = new
+
+
 def _rotate(P: np.ndarray, Q: np.ndarray, c: float, s1: complex, s2: complex,
             ctx: PrecisionContext):
-    """Rounded plane rotation (c P + s1 Q, c Q - s2 P) of two equal-length vectors.
-
-    One fl_mul over the stacked operands and one fl_add over the stacked
-    products, so the flops charged are those of four products and two sums.
-    In binary32, when every operand is a binary32 value, the same products
-    and sums run as float32 operations on the real and imaginary planes,
-    with no complex128 round trip between them (see the `precision`
-    docstring); a NaN in the result sends the rotation back to the
-    software path.
-    """
-    coef = [c, s1, c, s2]
-    new = None
-    if ctx.format._is_binary32:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ops = _binary32(np.concatenate((coef, P, Q)))
-            if ops is not None:
-                v = ops[0]  # [c, s1, c, s2] times the rows [P, Q, Q, P]
-                re, im = _plane_product(v[:4, None], v[4:].reshape(2, -1)[[0, 1, 1, 0]])
-                np.negative(re[3], out=re[3])
-                np.negative(im[3], out=im[3])
-                new = _widened(re[0::2] + re[1::2], im[0::2] + im[1::2])
-    if new is not None:
-        ctx.count(6 * len(P))
-        return new[0], new[1]
-    prods = fl_mul(np.array(coef, dtype=np.complex128)[:, None], np.array([P, Q, Q, P]), ctx)
-    new = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
-    return new[0], new[1]
-
-
-def _rotate_similarity(M: np.ndarray, V: np.ndarray, p: int, q: int, c: float,
-                       s: complex, cols, rows, ctx: PrecisionContext) -> None:
-    """M <- G* M G and V <- V G in place, G = [[c, s], [-conj(s), c]] on (p, q).
-
-    The row update covers the entries ``cols`` of rows p and q of M, the
-    column update the entries ``rows`` of columns p and q of M; the M and
-    V column updates are independent and rotated together.
-    """
-    M[p, cols], M[q, cols] = _rotate(M[p, cols], M[q, cols], c, s, np.conj(s), ctx)
-    new_p, new_q = _rotate(np.concatenate([M[rows, p], V[:, p]]),
-                           np.concatenate([M[rows, q], V[:, q]]), c, np.conj(s), s, ctx)
-    k = len(new_p) - V.shape[0]
-    M[rows, p], V[:, p] = new_p[:k], new_p[k:]
-    M[rows, q], V[:, q] = new_q[:k], new_q[k:]
+    """`_rotate_rows` out of place on two equal-length vectors; binary32
+    takes the native path when every operand is a binary32 value."""
+    X = np.array([P, Q], dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        native = ctx.format._is_binary32 and _binary32(X, np.array([c, s1, s2])) is not None
+        _rotate_rows(X, c, s1, s2, ctx, native)
+    return X[0], X[1]
 
 
 def _wilkinson_shift(H: np.ndarray, hi: int, fmt: FpFormat) -> complex:
@@ -625,51 +620,57 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
     if A.shape[0] != A.shape[1]:
         raise DimensionError("schur requires a square matrix")
     fmt = ctx.format
-    if m == 1:
-        return SchurFactors(np.eye(1, dtype=np.complex128), A.copy())
     H, U = _hessenberg(A, ctx)
+    # U above H in one array: a Givens step rotates the rows of H through
+    # one view and the columns of U and H together through another
+    UH = np.concatenate([U, H])
+    H = UH[m:]
     u = fmt.unit_roundoff
     limit = 30 * m
     sweeps = 0
     stuck = 0
     hi = m - 1
-    while hi > 0:
-        # deflate every negligible subdiagonal in one pass
-        for k in range(1, hi + 1):
-            if H[k, k - 1] != 0 and abs(H[k, k - 1]) <= u * (
-                    abs(H[k - 1, k - 1]) + abs(H[k, k])):
-                H[k, k - 1] = 0.0
-        if H[hi, hi - 1] == 0:
-            hi -= 1
-            stuck = 0
-            continue
-        lo = hi
-        while lo > 0 and H[lo, lo - 1] != 0:
-            lo -= 1
-        if sweeps >= limit:
-            raise IterationLimitError(
-                f"QR iteration did not converge within {limit} sweeps")
-        if stuck > 0 and stuck % 10 == 0:
-            # exceptional shift to break a stalled cycle
-            shift = complex(abs(H[hi, hi - 1]) + 0.75 * abs(H[hi, hi]))
-        else:
-            shift = _wilkinson_shift(H, hi, fmt)
-        x = _ssub(complex(H[lo, lo]), shift, fmt)
-        y = complex(H[lo + 1, lo])
-        for k in range(lo, hi):
-            c, s = _givens(x, y, fmt)
-            _rotate_similarity(H, U, k, k + 1, c, s, slice(max(lo, k - 1), None),
-                               slice(min(k + 3, hi + 1)), ctx)
-            if k > lo:
-                H[k + 1, k - 1] = 0.0
-            if k < hi - 1:
-                x = complex(H[k + 1, k])
-                y = complex(H[k + 2, k])
-        sweeps += 1
-        stuck += 1
-    T = H
-    T[np.tril_indices(m, -1)] = 0.0
-    return SchurFactors(U, T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        native = fmt._is_binary32 and _binary32(UH) is not None
+        while hi > 0:
+            # deflate every negligible subdiagonal in one pass, leaving exact
+            # zeros (-0.0 too) alone; np.hypot has the bits of abs() of a
+            # complex scalar, which np.abs on an array does not always have
+            d, sub = np.diagonal(H)[:hi + 1], np.diagonal(H, -1)[:hi]
+            ad = np.hypot(d.real, d.imag)
+            j = 1 + np.flatnonzero(
+                (sub != 0) & (np.hypot(sub.real, sub.imag) <= u * (ad[:-1] + ad[1:])))
+            H[j, j - 1] = 0.0
+            if H[hi, hi - 1] == 0:
+                hi -= 1
+                stuck = 0
+                continue
+            lo = hi
+            while lo > 0 and H[lo, lo - 1] != 0:
+                lo -= 1
+            if sweeps >= limit:
+                raise IterationLimitError(
+                    f"QR iteration did not converge within {limit} sweeps")
+            if stuck > 0 and stuck % 10 == 0:
+                # exceptional shift to break a stalled cycle
+                shift = complex(abs(H[hi, hi - 1]) + 0.75 * abs(H[hi, hi]))
+            else:
+                shift = _wilkinson_shift(H, hi, fmt)
+            x = _ssub(complex(H[lo, lo]), shift, fmt)
+            y = complex(H[lo + 1, lo])
+            for k in range(lo, hi):
+                c, s = _givens(x, y, fmt)
+                _rotate_rows(H[k:k + 2, max(lo, k - 1):], c, s, np.conj(s), ctx, native)
+                _rotate_rows(UH[:m + min(k + 3, hi + 1), k:k + 2].T, c, np.conj(s), s,
+                             ctx, native)
+                if k > lo:
+                    H[k + 1, k - 1] = 0.0
+                if k < hi - 1:
+                    x = complex(H[k + 1, k])
+                    y = complex(H[k + 2, k])
+            sweeps += 1
+            stuck += 1
+    return SchurFactors(UH[:m].copy(), np.triu(H))
 
 
 # ---------------------------------------------------------------------------
@@ -690,37 +691,40 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
     nrm = _frobenius(A)
     if _frobenius(A - A.conj().T) > 10 * ctx.format.unit_roundoff * max(nrm, 1e-300):
         raise NotHermitianError("input is not Hermitian to working accuracy")
-    W = _enter(A, ctx, "eig input")
     fmt = ctx.format
-    V = np.eye(n, dtype=np.complex128)
-    if n == 1:
-        return V, np.array([W[0, 0].real])
+    # V above W in one array, as U above H in `schur`
+    VW = np.concatenate([np.eye(n, dtype=np.complex128), _enter(A, ctx, "eig input")])
+    W = VW[n:]
     tol = n * fmt.unit_roundoff * max(nrm, 1e-300)
-    for _ in range(max_sweeps):
-        if _frobenius(W - np.diag(np.diag(W))) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                w = complex(W[p, q])
-                aw = abs(w)
-                if aw == 0.0 or aw <= 1e-3 * tol / n:
-                    continue
-                a = complex(W[p, p]).real
-                b = complex(W[q, q]).real
-                awr = _sabs(w, fmt)
-                phase = _sdiv(w, awr, fmt)
-                tau = _sdiv(_ssub(a, b, fmt), _smul(2.0, awr, fmt), fmt).real
-                root = _ssqrt(_sadd(1.0, _smul(tau, tau, fmt), fmt).real, fmt)
-                if tau >= 0:
-                    t = _sdiv(1.0, _sadd(tau, root, fmt), fmt).real
-                else:
-                    t = _sdiv(-1.0, _ssub(root, tau, fmt), fmt).real
-                c = _sdiv(1.0, _ssqrt(_sadd(1.0, _smul(t, t, fmt), fmt).real, fmt), fmt).real
-                s = _smul(_smul(t, c, fmt), phase, fmt)
-                _rotate_similarity(W, V, p, q, c, s, slice(None), slice(None), ctx)
-    else:
-        raise IterationLimitError(f"Jacobi did not converge in {max_sweeps} sweeps")
-    return V, np.real(np.diag(W)).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        native = fmt._is_binary32 and _binary32(VW) is not None
+        for _ in range(max_sweeps):
+            if _frobenius(W - np.diag(np.diag(W))) <= tol:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    w = complex(W[p, q])
+                    aw = abs(w)
+                    if aw == 0.0 or aw <= 1e-3 * tol / n:
+                        continue
+                    a = complex(W[p, p]).real
+                    b = complex(W[q, q]).real
+                    awr = _sabs(w, fmt)
+                    phase = _sdiv(w, awr, fmt)
+                    tau = _sdiv(_ssub(a, b, fmt), _smul(2.0, awr, fmt), fmt).real
+                    root = _ssqrt(_sadd(1.0, _smul(tau, tau, fmt), fmt).real, fmt)
+                    if tau >= 0:
+                        t = _sdiv(1.0, _sadd(tau, root, fmt), fmt).real
+                    else:
+                        t = _sdiv(-1.0, _ssub(root, tau, fmt), fmt).real
+                    c = _sdiv(1.0, _ssqrt(_sadd(1.0, _smul(t, t, fmt), fmt).real, fmt), fmt).real
+                    s = _smul(_smul(t, c, fmt), phase, fmt)
+                    # rows p and q of W, then columns p and q of V and W
+                    _rotate_rows(W[p:q + 1:q - p], c, s, np.conj(s), ctx, native)
+                    _rotate_rows(VW[:, p:q + 1:q - p].T, c, np.conj(s), s, ctx, native)
+        else:
+            raise IterationLimitError(f"Jacobi did not converge in {max_sweeps} sweeps")
+    return VW[:n].copy(), np.real(np.diag(W)).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from mpsylv.linalg import (
     _givens,
     _make_reflector,
     _rotate,
+    _rotate_rows,
     _vec_norm2_ctx,
     cond_inf,
     gemm,
@@ -42,6 +43,8 @@ from mpsylv.precision import (
     _compose,
     _mul_parts,
     _rounded_sum,
+    fl_add,
+    fl_mul,
     round_matrix,
 )
 
@@ -281,6 +284,39 @@ class TestRotate:
         assert counter.get("low") == 6 * len(P)
         assert np.isnan(ref).any() == (case == "nan")
         assert np.isfinite(ref).all() == (case in ("binary32", "off-format"))
+
+    @pytest.mark.parametrize("fmt", [BINARY64, BFLOAT16], ids=lambda f: f.name)
+    def test_matches_fl_mul_fl_add(self, fmt, rng):
+        P, Q = round_matrix(cmat(rng, 2, 29, scale=1e2), fmt)
+        c, s = _givens(complex(P[0]), complex(Q[0]), fmt)
+        counter = FlopCounter()
+        new_p, new_q = _rotate(P, Q, c, s, np.conj(s), PrecisionContext(fmt, counter, "low"))
+        assert counter.get("low") == 6 * len(P)
+        ctx = PrecisionContext(fmt)
+        prods = fl_mul(np.array([[c], [s], [c], [np.conj(s)]]), np.array([P, Q, Q, P]), ctx)
+        ref = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
+        for got, want in ((new_p, ref[0]), (new_q, ref[1])):
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64, BFLOAT16], ids=lambda f: f.name)
+    def test_strided_view_in_place(self, fmt, rng):
+        # columns p and q of a stacked [V; W], as in hermitian_eig
+        n, p, q = 7, 1, 5
+        VW = round_matrix(cmat(rng, 2 * n, n), fmt)
+        c, s = _givens(complex(VW[0, p]), complex(VW[0, q]), fmt)
+        before = VW.copy()
+        want = _rotate(VW[:, p], VW[:, q], c, np.conj(s), s, PrecisionContext(fmt))
+        counter = FlopCounter()
+        with np.errstate(over="ignore", invalid="ignore"):
+            _rotate_rows(VW[:, p:q + 1:q - p].T, c, np.conj(s), s,
+                         PrecisionContext(fmt, counter, "low"), fmt == BINARY32)
+        assert counter.get("low") == 6 * 2 * n
+        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)  # noqa: E731
+        for got, ref in ((VW[:, p], want[0]), (VW[:, q], want[1])):
+            assert (bits(got) == bits(ref)).all()
+        others = np.ones(n, dtype=bool)
+        others[[p, q]] = False
+        assert (bits(VW[:, others]) == bits(before[:, others])).all()
 
 
 class TestHouseholderScaling:
