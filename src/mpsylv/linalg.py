@@ -77,6 +77,9 @@ _GEMM_BLOCK = 1 << 15
 
 _CTX64 = PrecisionContext(BINARY64)
 
+# the rows [X0, X1, X1, X0] that `_rotate_rows` multiplies by [c, s1, c, s2]
+_PAIR = np.array([0, 1, 1, 0])
+
 
 @dataclass(frozen=True)
 class SchurFactors:
@@ -559,8 +562,8 @@ def _rotate_rows(X: np.ndarray, c: float, s1: complex, s2: complex,
     `fl_mul` and `fl_add`, as every other format does.  Call under
     ``np.errstate(over="ignore", invalid="ignore")``.
     """
-    G = X[[0, 1, 1, 0]]
-    coef = np.array([[c], [s1], [c], [s2]], dtype=np.complex128)
+    G = X[_PAIR]
+    coef = np.array([c, s1, c, s2], dtype=np.complex128)[:, None]
     new = None
     if ctx.format.is_binary64:
         prods = coef * G
@@ -660,8 +663,8 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
             y = complex(H[lo + 1, lo])
             for k in range(lo, hi):
                 c, s = _givens(x, y, fmt)
-                _rotate_rows(H[k:k + 2, max(lo, k - 1):], c, s, np.conj(s), ctx, native)
-                _rotate_rows(UH[:m + min(k + 3, hi + 1), k:k + 2].T, c, np.conj(s), s,
+                _rotate_rows(H[k:k + 2, max(lo, k - 1):], c, s, s.conjugate(), ctx, native)
+                _rotate_rows(UH[:m + min(k + 3, hi + 1), k:k + 2].T, c, s.conjugate(), s,
                              ctx, native)
                 if k > lo:
                     H[k + 1, k - 1] = 0.0
@@ -720,8 +723,8 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
                     c = _sdiv(1.0, _ssqrt(_sadd(1.0, _smul(t, t, fmt), fmt).real, fmt), fmt).real
                     s = _smul(_smul(t, c, fmt), phase, fmt)
                     # rows p and q of W, then columns p and q of V and W
-                    _rotate_rows(W[p:q + 1:q - p], c, s, np.conj(s), ctx, native)
-                    _rotate_rows(VW[:, p:q + 1:q - p].T, c, np.conj(s), s, ctx, native)
+                    _rotate_rows(W[p:q + 1:q - p], c, s, s.conjugate(), ctx, native)
+                    _rotate_rows(VW[:, p:q + 1:q - p].T, c, s.conjugate(), s, ctx, native)
         else:
             raise IterationLimitError(f"Jacobi did not converge in {max_sweeps} sweeps")
     return VW[:n].copy(), np.real(np.diag(W)).copy()
