@@ -41,7 +41,9 @@ from .precision import (
     _round_complex_array,
     _sabs,
     _sadd,
+    _scaled_up,
     _sdiv,
+    _shypot,
     _smul,
     _ssqrt,
     _ssub,
@@ -264,16 +266,6 @@ def _scaled_down(x: np.ndarray):
     parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
     _, e = math.frexp(float(np.abs(parts).max()))
     return (parts * math.ldexp(1.0, -e)).view(np.complex128), e
-
-
-def _scaled_up(z: complex, e: int, fmt: FpFormat) -> complex:
-    """z * 2^e rounded into fmt: exact unless a part overflows to inf."""
-    def up(v):
-        try:
-            return _round_real_scalar(math.ldexp(v, e), fmt)
-        except OverflowError:  # past the largest double
-            return math.copysign(math.inf, v)
-    return complex(up(z.real), up(z.imag))
 
 
 def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
@@ -543,7 +535,10 @@ def _givens(f: complex, g: complex, fmt: FpFormat):
         return 0.0, _sdiv(g.conjugate(), ag, fmt)
     af = _sabs(f, fmt)
     d2 = _sadd(_smul(af, af, fmt), _smul(ag, ag, fmt), fmt).real
-    d = _ssqrt(d2, fmt)
+    if (d2 == 0.0 or d2 == math.inf) and not fmt.is_binary64:
+        d = _shypot(af, ag, fmt)  # the squares left the format's range
+    else:
+        d = _ssqrt(d2, fmt)
     c = _sdiv(af, d, fmt).real
     s = _sdiv(_smul(_sdiv(f, af, fmt), g.conjugate(), fmt), d, fmt)
     return c, s

@@ -754,15 +754,36 @@ def _ssqrt(x: float, fmt: FpFormat) -> float:
     return _round_real_scalar(math.sqrt(x), fmt)
 
 
+def _scaled_up(z: complex, e: int, fmt: FpFormat) -> complex:
+    """z * 2^e rounded into fmt: exact unless a part overflows to inf."""
+    def up(v):
+        try:
+            return _round_real_scalar(math.ldexp(v, e), fmt)
+        except OverflowError:  # past the largest double
+            return math.copysign(math.inf, v)
+    return complex(up(z.real), up(z.imag))
+
+
+def _shypot(a: float, b: float, fmt: FpFormat) -> float:
+    """sqrt(a*a + b*b) composed from rounded square, add, sqrt steps.
+
+    When the sum of squares rounds to 0 or inf although a and b are finite
+    and not both 0, the steps run again on a and b scaled by a power of
+    two, which is exact, and the root is scaled back.
+    """
+    r = _round_real_scalar
+    s = r(r(a * a, fmt) + r(b * b, fmt), fmt)
+    if (s == 0.0 or s == math.inf) and (a or b) and math.isfinite(a) and math.isfinite(b):
+        _, e = math.frexp(max(abs(a), abs(b)))
+        return _scaled_up(_shypot(math.ldexp(a, -e), math.ldexp(b, -e), fmt), e, fmt).real
+    return _ssqrt(s, fmt) if math.isfinite(s) else math.inf
+
+
 def _sabs(z: complex, fmt: FpFormat) -> float:
-    """|z| composed from rounded square, add, sqrt steps."""
+    """|z| composed from rounded square, add, sqrt steps (`_shypot`)."""
     if fmt.is_binary64:
         return abs(z)
-    r = _round_real_scalar
-    s = r(r(z.real * z.real, fmt) + r(z.imag * z.imag, fmt), fmt)
-    if not math.isfinite(s):
-        return math.inf
-    return _ssqrt(s, fmt)
+    return _shypot(z.real, z.imag, fmt)
 
 
 def _csqrt(z: complex, fmt: FpFormat) -> complex:

@@ -43,9 +43,12 @@ from mpsylv.precision import (
     _compose,
     _mul_parts,
     _rounded_sum,
+    _sabs,
     fl_add,
     fl_mul,
+    round_complex,
     round_matrix,
+    round_to,
 )
 
 from conftest import cmat, hermitian
@@ -337,6 +340,29 @@ class TestHouseholderScaling:
         y = x - beta * w * np.vdot(w, x)
         u = BINARY16.unit_roundoff
         assert abs(y[0] - head) <= 4 * u * 300 and abs(y[1]) <= 4 * u * 300
+
+
+class TestSquaresPastTheRange:
+    """binary16 squares underflow below |x| ~ 2.4e-4 and overflow from 256."""
+
+    def test_abs(self):
+        a = round_to(1e-4, BINARY16)
+        exact = a * 2**0.5
+        assert abs(_sabs(complex(a, a), BINARY16) - exact) <= 2 * BINARY16.unit_roundoff * exact
+        assert _sabs(300.0, BINARY16) == 300.0
+        assert _sabs(-300j, BINARY16) == 300.0
+        assert _sabs(60000 + 60000j, BINARY16) == np.inf  # |z| itself overflows
+        assert _sabs(0j, BINARY16) == 0.0
+
+    @pytest.mark.parametrize("f, g", [(300.0, 1.0), (1e-4, 1e-4j), (1.0, 1e3j)])
+    def test_givens(self, f, g):
+        f, g = round_complex(f, BINARY16), round_complex(g, BINARY16)
+        c, s = _givens(f, g, BINARY16)
+        u = BINARY16.unit_roundoff
+        assert np.isfinite([c, s]).all()
+        assert abs(c * c + abs(s) ** 2 - 1.0) <= 8 * u
+        # the rotation's second row sends [f, g] to c g - conj(s) f = 0
+        assert abs(c * g - np.conj(s) * f) <= 8 * u * max(abs(f), abs(g))
 
 
 class TestHermitianEig:
