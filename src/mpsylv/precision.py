@@ -764,16 +764,17 @@ def _scaled_up(z: complex, e: int, fmt: FpFormat) -> complex:
     return complex(up(z.real), up(z.imag))
 
 
-def _shypot(a: float, b: float, fmt: FpFormat) -> float:
+def _shypot(a: float, b: float, fmt: FpFormat, rescale: bool = True) -> float:
     """sqrt(a*a + b*b) composed from rounded square, add, sqrt steps.
 
-    When the sum of squares rounds to 0 or inf although a and b are finite
-    and not both 0, the steps run again on a and b scaled by a power of
-    two, which is exact, and the root is scaled back.
+    With ``rescale``, when the sum of squares rounds to 0 or inf although
+    a and b are finite and not both 0, the steps run again on a and b
+    scaled by a power of two, which is exact, and the root is scaled back.
     """
     r = _round_real_scalar
     s = r(r(a * a, fmt) + r(b * b, fmt), fmt)
-    if (s == 0.0 or s == math.inf) and (a or b) and math.isfinite(a) and math.isfinite(b):
+    if rescale and (s == 0.0 or s == math.inf) and (a or b) \
+            and math.isfinite(a) and math.isfinite(b):
         _, e = math.frexp(max(abs(a), abs(b)))
         return _scaled_up(_shypot(math.ldexp(a, -e), math.ldexp(b, -e), fmt), e, fmt).real
     return _ssqrt(s, fmt) if math.isfinite(s) else math.inf
@@ -795,7 +796,10 @@ def _csqrt(z: complex, fmt: FpFormat) -> complex:
         return 0j
     r = _round_real_scalar
     a, b = z.real, z.imag
-    mag = _sabs(z, fmt)
+    # unscaled: past the squares' range mag is inf and a Wilkinson shift
+    # falls back to d; scaling it would change the shifts, and so the
+    # results, of binary32 Schur forms whose discriminant passes ~1.8e19
+    mag = _shypot(a, b, fmt, rescale=False)
     if a >= 0.0:
         u = _ssqrt(r(r(mag + a, fmt) / 2.0, fmt), fmt)
         if u == 0.0:
