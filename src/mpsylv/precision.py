@@ -60,7 +60,10 @@ may fuse steps.  The guard casts the operands to complex64 once and
 compares them with the originals; a value that is not binary32, or a
 NaN, fails it, and the software path runs instead.  A result that holds
 a NaN is recomputed by the software path, so NaN payloads stay the ones
-it produces.  `linalg._rotate` uses the same guard and product.
+it produces.  The Givens kernel `linalg._rotate_rows` forms its products
+the same way.  `schur` and `hermitian_eig` run the guard once per
+factorization, on the stacked factors before the first rotation: every
+later operand is a rounded result of the same format.
 
 Complex division has two references.  The scalar `_sdiv` in binary64 is
 CPython's complex division (Smith's method, dividing by the

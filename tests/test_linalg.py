@@ -213,6 +213,18 @@ class TestSchur:
         assert np.allclose(P @ P.T, np.eye(3), atol=1e-12)
         assert np.allclose(np.sort(P.ravel())[-3:], 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("h11, z", [
+        # abs() (libm hypot) puts |h21| exactly on u*(|h11| + |h22|), while
+        # numpy's vectorized complex abs reads |h21| one ulp higher ...
+        (abs(0.105 - 0.93j) * 2.0**53, 0.105 - 0.93j),
+        # ... or |h11| one ulp lower
+        (-0.455 - 0.992j, (-0.455 - 0.992j) * 2.0**-53),
+    ])
+    def test_deflation_threshold_uses_scalar_abs(self, h11, z):
+        H = np.array([[h11, 1.0], [z, 0.0]])
+        sf = schur(H, CTX)
+        assert (sf.U == np.eye(2)).all() and (sf.T == np.triu(H)).all()
+
     def test_triangular_preserved(self, rng):
         T0 = np.triu(cmat(rng, 5, 5))
         sf = schur(T0, CTX)
