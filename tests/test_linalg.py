@@ -269,6 +269,10 @@ class TestSchur:
         assert np.abs(got - ref).max() < 1e-10
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def _soft_rotate(P, Q, c, s1, s2):
     """`_rotate`'s products and sums composed from the software path."""
     a = np.array([[c], [s1], [c], [s2]], dtype=np.complex128)
@@ -311,7 +315,7 @@ class TestRotate:
         prods = fl_mul(np.array([[c], [s], [c], [np.conj(s)]]), np.array([P, Q, Q, P]), ctx)
         ref = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
         for got, want in ((new_p, ref[0]), (new_q, ref[1])):
-            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+            assert (_bits(got) == _bits(want)).all()
 
     @pytest.mark.parametrize("fmt", [BINARY32, BINARY64, BFLOAT16], ids=lambda f: f.name)
     def test_strided_view_in_place(self, fmt, rng):
@@ -326,12 +330,11 @@ class TestRotate:
             _rotate_rows(VW[:, p:q + 1:q - p].T, c, np.conj(s), s,
                          PrecisionContext(fmt, counter, "low"), fmt == BINARY32)
         assert counter.get("low") == 6 * 2 * n
-        bits = lambda a: np.ascontiguousarray(a).view(np.uint64)  # noqa: E731
         for got, ref in ((VW[:, p], want[0]), (VW[:, q], want[1])):
-            assert (bits(got) == bits(ref)).all()
+            assert (_bits(got) == _bits(ref)).all()
         others = np.ones(n, dtype=bool)
         others[[p, q]] = False
-        assert (bits(VW[:, others]) == bits(before[:, others])).all()
+        assert (_bits(VW[:, others]) == _bits(before[:, others])).all()
 
 
 class TestHouseholderScaling:
