@@ -20,6 +20,7 @@ spawn_key=(stream,)); the row index of a sweep is the stream.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 GENERATOR_ID = "philox4x64-10"
+_T_MAX = 307
 ALL_SOLVERS = ("or", "in", "gmres-ul", "gmres-uh", "bs")
 
 
@@ -83,10 +85,14 @@ class ProblemGenerator:
         if self.kind not in ("random-dense", "logspace-conditioned",
                              "hermitian", "lyapunov"):
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.m < 1 or self.n < 1:
+            raise ValueError(f"m and n must be at least 1, got {self.m} x {self.n}")
         if self.kind == "lyapunov" and self.m != self.n:
             raise ValueError("lyapunov generator requires m == n")
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
+        # past 307 the kappa window's bound 10^(t+1) overflows a double;
+        # a NaN fails both comparisons
+        if not 0 <= self.t <= _T_MAX:
+            raise ValueError(f"t must lie in [0, {_T_MAX}], got {self.t}")
 
 
 def _rng(g: ProblemGenerator) -> np.random.Generator:
@@ -402,13 +408,30 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    out = os.path.abspath(args.out)
+    if os.path.isdir(out):
+        parser.error(f"--out: {out} is a directory")
+    if not os.path.isdir(os.path.dirname(out)):
+        parser.error(f"--out: directory {os.path.dirname(out)} does not exist")
     if args.command == "sweep-costmodel":
+        try:
+            CostModel(args.m, args.n, 0.0, "mp_orth_sylv")
+        except ValueError as exc:
+            parser.error(str(exc))
         run_sweep_costmodel(args.m, args.n, args.out,
                             reproducible=args.reproducible)
         print(f"wrote {args.out}")
         return 0
+    # every setting is checked before the first solve runs
     try:
         rcfg = RefinementConfig(args.ul, args.uh, args.epsilon, args.max_iter)
+        if args.command == "sweep-cond":
+            GmresConfig(restart=args.restart)
+            ProblemGenerator("logspace-conditioned", args.m, args.n, float(args.t_range[-1]))
+        elif args.command == "bench":
+            ProblemGenerator("random-dense", args.m, args.n)
+        elif args.matrix_market is None:
+            g = ProblemGenerator(args.kind, args.m, args.n, args.t, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "solve":
@@ -423,9 +446,7 @@ def main(argv=None) -> int:
                 parser.error(str(exc))
             seed = "matrix-market"
         else:
-            p = generate(ProblemGenerator(args.kind, args.m, args.n,
-                                          args.t, args.seed))
-            seed = args.seed
+            p, seed = generate(g), args.seed
         rows = run_solve(p, rcfg, args.out, solvers=args.solvers,
                          seed=seed, y0_zero=args.y0_zero,
                          reproducible=args.reproducible)

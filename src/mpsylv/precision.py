@@ -61,16 +61,22 @@ compares them with the originals; a value that is not binary32, or a
 NaN, fails it, and the software path runs instead.  A result that holds
 a NaN is recomputed by the software path, so NaN payloads stay the ones
 it produces.  The Givens kernel `linalg._rotate_rows` forms its products
-the same way.  `schur` and `hermitian_eig` run the guard once per
-factorization, on the stacked factors before the first rotation: every
-later operand is a rounded result of the same format.
+the same way.  Three callers run the guard once per call, not once per
+step: `schur` and `hermitian_eig`, on the stacked factors before the
+first rotation, and `sylvester.solve_sylv_tri`, on its stacked
+[Y | T_A | T_B] buffer, C and the shifted diagonals before the first
+wave.  Every later operand is a rounded result of the same format.
 
 Complex division has two references.  The scalar `_sdiv` in binary64 is
 CPython's complex division (Smith's method, dividing by the
 denominator), while `fl_div` in binary64 is numpy's, which multiplies by
 a reciprocal and differs in the last bit for many quotients.  In the
 other formats both are Smith's method with every step rounded.
-`_quotient` is the vector form of `_sdiv`, bit for bit.
+`_quotient` is the vector form of `_sdiv`, bit for bit.  It is composed
+of two halves: `_smith_denominator`, the steps that depend on the
+divisor only, and `_smith_numerator`.  `solve_sylv_tri` divides by the
+same shifted diagonals in every wave, so it forms the denominator half
+once per solve and the numerator half per wave.
 """
 
 from __future__ import annotations
@@ -582,8 +588,53 @@ def fl_mul(a, b, ctx: PrecisionContext):
     return _unwrap(z, scalar)
 
 
+def _exact(x):
+    """The rounding of a step that needs none: binary64, or a native dtype."""
+    return x
+
+
+def _step_rounding(fmt: FpFormat):
+    """The rounding `_smith_denominator` and `_smith_numerator` apply to each
+    step computed in float64: none in binary64, `_round_real_array` else."""
+    return _exact if fmt.is_binary64 else (lambda x: _round_real_array(x, fmt))
+
+
+def _smith_denominator(b: np.ndarray, r):
+    """The half of Smith's method that depends on the divisor b only:
+    (swap, t, d), swap choosing the branch entrywise on |Re b| < |Im b|,
+    t the ratio of b's smaller part to its larger and d the scaled
+    denominator, each step rounded by r.  Call under
+    ``np.errstate(divide="ignore", invalid="ignore", over="ignore")``.
+    """
+    br, bi = b.real, b.imag
+    swap = np.abs(br) < np.abs(bi)
+    den_big = np.where(swap, bi, br)
+    den_small = np.where(swap, br, bi)
+    t = r(den_small / den_big)
+    return swap, t, r(den_big + r(den_small * t))
+
+
+def _smith_numerator(a: np.ndarray, den, r, binary64: bool):
+    """The real and imaginary parts of a / b from a and the
+    `_smith_denominator` of b, each step rounded by r.  In binary64 the
+    imaginary part follows CPython's complex division (see `_quotient`).
+    Call under the same ``np.errstate`` as `_smith_denominator`.
+    """
+    swap, t, d = den
+    ar, ai = a.real, a.imag
+    num_r = np.where(swap, ai, ar)
+    num_i = np.where(swap, ar, ai)
+    re = r(r(num_r + r(num_i * t)) / d)
+    if binary64:
+        rt = num_r * t
+        return re, np.where(swap, rt - num_i, num_i - rt) / d
+    im = r(r(num_i - r(num_r * t)) / d)
+    return re, np.where(swap, -im, im)
+
+
 def _quotient(a, b, fmt: FpFormat) -> np.ndarray:
-    """a / b entrywise by Smith's method, bit-identical to `_sdiv`.
+    """a / b entrywise by Smith's method, bit-identical to `_sdiv`:
+    `_smith_numerator` of `_smith_denominator`.
 
     Every step is rounded into fmt.  In binary32, operands that are
     binary32 values (and not NaN) take the steps as float32 operations,
@@ -599,33 +650,15 @@ def _quotient(a, b, fmt: FpFormat) -> np.ndarray:
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
-    binary64 = fmt.is_binary64
-    native = False
+    r = _step_rounding(fmt)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if fmt._is_binary32:
             # every step is one IEEE binary32 operation on binary32 values
             ops = _binary32(a, b)
             if ops is not None:
-                (a, b), native = ops, True
-        r = (lambda x: x) if binary64 or native else (lambda x: _round_real_array(x, fmt))
-        ar, ai = a.real, a.imag
-        br, bi = b.real, b.imag
-        # branch chosen entrywise on |Re b| vs |Im b|
-        swap = np.abs(br) < np.abs(bi)
-        num_r = np.where(swap, ai, ar)
-        num_i = np.where(swap, ar, ai)
-        den_big = np.where(swap, bi, br)
-        den_small = np.where(swap, br, bi)
-        t = r(den_small / den_big)
-        d = r(den_big + r(den_small * t))
-        re = r(r(num_r + r(num_i * t)) / d)
-        if binary64:
-            rt = num_r * t
-            im = np.where(swap, rt - num_i, num_i - rt) / d
-        else:
-            im = r(r(num_i - r(num_r * t)) / d)
-            im = np.where(swap, -im, im)
-    return _compose(re, im)
+                (a, b), r = ops, _exact
+        return _compose(*_smith_numerator(a, _smith_denominator(b, r), r,
+                                          fmt.is_binary64))
 
 
 def fl_div(a, b, ctx: PrecisionContext):

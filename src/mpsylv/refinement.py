@@ -65,8 +65,9 @@ class RefinementConfig:
     def __post_init__(self):
         if self.u_h.unit_roundoff > self.u_l.unit_roundoff:
             raise ValueError("the high precision must not be coarser than the low one")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        # a NaN fails the comparison too
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

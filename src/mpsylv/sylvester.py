@@ -2,13 +2,19 @@
 
 The triangular recurrence solves the transformed equation one
 anti-diagonal wave of entries at a time, in the operation order of
-column-by-column substitution.  Every Schur-based solver in the package
-has the Bartels-Stewart shape, written once here: a Schur pair of the
-coefficients (`_schur_pair`), then a transform, a triangular solve and a
-back-transform (`_schur_solve`, which GMRES-IR applies as its
-preconditioner).  `bartels_stewart` runs both in one precision;
-`solve_hermitian` replaces the Schur step with an eigendecomposition
-when both coefficients are Hermitian.
+column-by-column substitution.  What does not change from wave to wave
+is done once per solve: the check that the operands are values of the
+format, which lets binary32 and binary64 run every wave in their
+hardware dtype, and the denominator half of Smith's complex division by
+the shifted diagonals.
+
+Every Schur-based solver in the package has the Bartels-Stewart shape,
+written once here: a Schur pair of the coefficients (`_schur_pair`),
+then a transform, a triangular solve and a back-transform
+(`_schur_solve`, which GMRES-IR applies as its preconditioner).
+`bartels_stewart` runs both in one precision; `solve_hermitian`
+replaces the Schur step with an eigendecomposition when both
+coefficients are Hermitian.
 
 The quality measure used throughout the package is the relative residual
 
@@ -34,8 +40,13 @@ from .precision import (
     fl_div,
     fl_mul,
     fl_sum,
-    _quotient,
+    _binary32,
+    _exact,
+    _plane_product,
     _round_complex_array,
+    _smith_denominator,
+    _smith_numerator,
+    _step_rounding,
 )
 
 __all__ = [
@@ -126,13 +137,20 @@ def _wave_plan(m: int, n: int, lower: bool):
     entries with (m-1-i) + q == w form wave w, and each has a chain of
     exactly w subtractions in the order of a column-by-column solve: the
     q updates y[i, c] T_B[c, k] in column order, then T_A[i, r] y[r, k]
-    for r = m-1 down to i+1.  Indices point into the row-major buffer
-    [Y | T_A | T_B]; each wave is (target, left, right) with one chain
-    step per row of left and right.
+    for r = m-1 down to i+1.
+
+    Y is stored in wave order, wave w in ascending q, so that each wave
+    fills one slice.  Returns (cols, order, waves): order[p] is the
+    row-major index i * n + k of the entry at wave-order position p, and
+    each wave is (start, stop, left, right), the slice it fills and, one
+    chain step per row, the indices of its factors in the buffer
+    [Y in wave order | T_A | T_B] (T_A and T_B row-major).
     """
     cols = np.arange(n)[::-1] if lower else np.arange(n)
     off_a, off_b = m * n, m * n + m * m
+    order = np.empty(m * n, dtype=np.intp)
     waves = []
+    start = 0
     for w in range(m + n - 1):
         q = np.arange(max(0, w - m + 1), min(n, w + 1))
         i, k = m - 1 - (w - q), cols[q]
@@ -142,8 +160,15 @@ def _wave_plan(m: int, n: int, lower: bool):
         in_b = s < q
         left = np.where(in_b, i * n + c, off_a + i * m + r)
         right = np.where(in_b, off_b + c * n + k, r * n + k)
-        waves.append((i * n + k, left, right))
-    return cols, waves
+        order[start:start + len(q)] = i * n + k
+        waves.append((start, start + len(q), left, right))
+        start += len(q)
+    # row-major indices of Y entries to wave-order positions, replaced
+    # one wave at a time so that the plan is held only once
+    remap = np.concatenate([np.argsort(order), np.arange(off_a, off_b + n * n)])
+    for w, (a, b, left, right) in enumerate(waves):
+        waves[w] = (a, b, remap[left], remap[right])
+    return cols, order, waves
 
 
 def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
@@ -157,6 +182,22 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     product, one rounded sum and one division per wave, in the operation
     order of the column-by-column recurrence, so results and flop counts
     are those of that recurrence.
+
+    Once per solve, not per wave: ``np.errstate`` is entered, the
+    denominator half of Smith's method (`precision._smith_denominator`)
+    is formed for all m n shifted diagonals, and the operands are checked.
+    binary64 then runs every wave in complex128: the product of `fl_mul`
+    and, for the chain, one ``np.subtract.accumulate`` from C, which is
+    the accumulate of `fl_sum` on the negated products.  binary32 runs
+    the waves in complex64 when [Y | T_A | T_B], C and the shifted
+    diagonals all hold binary32 values (`precision._binary32`), with
+    products from the float32 planes (`precision._plane_product`): each
+    step is the correctly rounded result the software path computes.  Other formats,
+    and binary32 operands that fail the check (a C not rounded into the
+    format, a NaN), take each wave through `fl_mul` and `fl_sum`.  Both
+    finish with `precision._smith_numerator`.  The two binary32 paths
+    differ at most in NaN payloads, which never leave the solve: a NaN in
+    Y raises below.
 
     Raises SingularEquationError when a shifted diagonal entry is exactly
     zero, and NumericBreakdownError when a NaN or infinity appears in the
@@ -175,16 +216,38 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
         raise DimensionError("inconsistent dimensions")
     fmt = ctx.format
     quiet = PrecisionContext(fmt)
-    cols, waves = _wave_plan(m, n, b_form == "lower")
+    cols, order, waves = _wave_plan(m, n, b_form == "lower")
     # the shifted diagonals T_A[i, i] + T_B[k, k]
     D = fl_add(np.diag(T_A)[:, None], np.diag(T_B)[None, :], quiet).ravel()
     buf = np.concatenate([np.zeros(m * n, dtype=np.complex128), T_A.ravel(), T_B.ravel()])
-    c_flat = C.ravel()
-    for target, left, right in waves:
-        prods = fl_mul(buf[left], buf[right], quiet)
-        buf[target] = _quotient(fl_sum(-prods, quiet, start=c_flat[target]),
-                                D[target], fmt)
-    Y = buf[:m * n].reshape(m, n)
+    c, d = C.ravel()[order], D[order]
+    r = _step_rounding(fmt)
+    native = fmt.is_binary64
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if fmt._is_binary32:
+            ops = _binary32(buf, c, d)
+            if ops is not None:
+                (buf, c, d), r, native = ops, _exact, True
+        den = _smith_denominator(d, r)
+        for start, stop, left, right in waves:
+            a, b = buf[left], buf[right]
+            if native:
+                X = np.empty((len(left) + 1, stop - start), dtype=buf.dtype)
+                X[0] = c[start:stop]
+                if fmt.is_binary64:
+                    np.multiply(a, b, out=X[1:])
+                else:
+                    X[1:].real, X[1:].imag = _plane_product(a, b)
+                # x - p is x + (-p) exactly: fl_sum(-prods, start=c)
+                s = np.subtract.accumulate(X, axis=0, out=X)[-1]
+            else:
+                s = fl_sum(-fl_mul(a, b, quiet), quiet, start=c[start:stop])
+            y = buf[start:stop]
+            y.real, y.imag = _smith_numerator(s, [x[start:stop] for x in den], r,
+                                              fmt.is_binary64)
+    Y = np.empty(m * n, dtype=np.complex128)
+    Y[order] = buf[:m * n]
+    Y = Y.reshape(m, n)
     singular = D.reshape(m, n) == 0
     failed = (singular.any(axis=0) | ~np.isfinite(Y).all(axis=0))[cols]
     if not failed.any():

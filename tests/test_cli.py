@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from mpsylv import cli
 from mpsylv.cli import (
     ProblemGenerator,
     generate,
@@ -61,6 +64,17 @@ class TestGenerate:
             ProblemGenerator("weird", 3, 3)
         with pytest.raises(ValueError):
             ProblemGenerator("lyapunov", 3, 4)
+
+    @pytest.mark.parametrize("m, n, t", [
+        (0, 3, 0.0), (3, 0, 0.0), (-2, 3, 0.0),
+        (3, 3, -1.0), (3, 3, math.nan), (3, 3, math.inf), (3, 3, 308.0),
+    ])
+    def test_rejects_sizes_and_t_out_of_range(self, m, n, t):
+        with pytest.raises(ValueError):
+            ProblemGenerator("logspace-conditioned", m, n, t)
+
+    def test_largest_t_is_accepted(self):
+        ProblemGenerator("logspace-conditioned", 3, 3, 307.0)
 
 
 class TestRunners:
@@ -245,6 +259,12 @@ class TestMainEntry:
         ["solve", "--solvers", "gmres", "--ug", "binary16"],
         ["solve", "--ul", "60:11"],
         ["solve", "--ul", "8:15"],
+        ["solve", "--epsilon", "nan"],
+        ["solve", "--epsilon", "inf"],
+        ["solve", "--t", "nan"],
+        ["solve", "--t", "309"],
+        ["sweep-cond", "--restart", "0"],
+        ["sweep-cond", "--t-range", "0:400"],
     ])
     def test_bad_flag_is_a_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "bad.csv"
@@ -253,3 +273,37 @@ class TestMainEntry:
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
+
+    # argparse keeps the last value of a flag, so these cases cannot go
+    # through the test above, which appends its own --m and --n
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--m", "0"],
+        ["solve", "--m", "-2"],
+        ["solve", "--n", "0", "--kind", "random-dense"],
+        ["sweep-cond", "--m", "0"],
+        ["bench", "--n", "0"],
+        ["sweep-costmodel", "--m", "0"],
+    ])
+    def test_bad_size_is_a_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("missing", [True, False], ids=["no-directory", "a-directory"])
+    @pytest.mark.parametrize("command", ["solve", "sweep-cond", "bench", "sweep-costmodel"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                             command, missing):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the --out check")
+        for name in ("_run_one", "mp_orth", "mp_inv", "run_sweep_costmodel"):
+            monkeypatch.setattr(cli, name, no_solve)
+        out = tmp_path / "missing" / "o.csv" if missing else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--m", "3", "--n", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--out" in err
+        assert list(tmp_path.iterdir()) == []

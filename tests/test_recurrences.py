@@ -24,6 +24,7 @@ from mpsylv.precision import (
     fl_sub,
     fl_sum,
     parse_format,
+    round_matrix,
     round_to,
     _quotient,
     _sadd,
@@ -291,3 +292,87 @@ class TestWavefront:
                     C = rng.standard_normal((3, 4))
                     assert _outcome(solve_sylv_tri, T_A, T_B, C, fmt) \
                         == _outcome(column_order_solve, T_A, T_B, C, fmt)
+
+
+# ---------------------------------------------------------------------------
+# the wavefront at the benchmark's shapes, and the path it takes
+
+
+def benchmark_case(m, lower, fmt, rounded, scale=1.0, seed=0):
+    """A well-conditioned m x m triangular equation with coefficients in
+    fmt; C is rounded into fmt or left as raw doubles."""
+    f = parse_format(fmt)
+    rng = np.random.default_rng(seed)
+    cm = lambda r, c: rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+    T_A = np.triu(cm(m, m)) + 3 * np.eye(m)
+    T_B = np.triu(cm(m, m)) + 3 * np.eye(m)
+    if lower:
+        T_B = T_B.T.copy()
+    C = scale * cm(m, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return (round_matrix(T_A, f), round_matrix(T_B, f),
+                round_matrix(C, f) if rounded else C)
+
+
+class TestWavefrontShapes:
+    @pytest.mark.parametrize("rounded", [True, False], ids=["C-rounded", "C-raw"])
+    @pytest.mark.parametrize("fmt", ["binary32", "binary64", "bfloat16"])
+    @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+    @pytest.mark.parametrize("m", [10, 12, 24])
+    def test_matches_column_order(self, m, lower, fmt, rounded):
+        T_A, T_B, C = benchmark_case(m, lower, fmt, rounded)
+        got = _outcome(solve_sylv_tri, T_A, T_B, C, fmt)
+        assert isinstance(got[0], bytes)  # the solve succeeds
+        assert got == _outcome(column_order_solve, T_A, T_B, C, fmt)
+
+    @pytest.mark.parametrize("fmt", ["binary32", "binary64", "bfloat16"])
+    @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+    def test_overflow_breaks_down_where_column_order_does(self, lower, fmt):
+        # C near the top of the range: a product overflows within the first columns
+        T_A, T_B, C = benchmark_case(12, lower, fmt, True,
+                                     scale=parse_format(fmt).max_finite / 4)
+        got = _outcome(solve_sylv_tri, T_A, T_B, C, fmt)
+        assert got[0][0] == "breakdown"
+        assert got == _outcome(column_order_solve, T_A, T_B, C, fmt)
+
+
+class TestSolvePath:
+    """binary32 and binary64 solves on values of the format run natively,
+    with no call into the software rounding; others take fl_mul/fl_sum."""
+
+    SOFTWARE = ("_round_real_array", "fl_mul", "fl_sum", "_quotient")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import mpsylv.precision as precision
+        import mpsylv.sylvester as sylvester
+        seen = []
+        for module in (precision, sylvester):
+            for name in self.SOFTWARE:
+                if hasattr(module, name):
+                    def spy(*args, _f=getattr(module, name), _name=name, **kwargs):
+                        seen.append(_name)
+                        return _f(*args, **kwargs)
+                    monkeypatch.setattr(module, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("fmt", ["binary32", "binary64"])
+    def test_format_values_take_the_native_path(self, calls, fmt):
+        T_A, T_B, C = benchmark_case(10, False, fmt, True)
+        calls.clear()  # rounding the case made calls of its own
+        solve_sylv_tri(T_A, T_B, C, PrecisionContext(parse_format(fmt)))
+        assert calls == []
+
+    def test_raw_c_takes_the_software_path(self, calls):
+        T_A, T_B, C = benchmark_case(10, True, "binary32", False)
+        got = _outcome(solve_sylv_tri, T_A, T_B, C, "binary32")
+        assert {"fl_mul", "fl_sum"} <= set(calls)
+        assert got == _outcome(column_order_solve, T_A, T_B, C, "binary32")
+
+    def test_nan_operand_takes_the_software_path(self, calls):
+        T_A, T_B, C = benchmark_case(10, False, "binary32", True)
+        T_A[2, 7] = complex(math.nan, 0.0)
+        got = _outcome(solve_sylv_tri, T_A, T_B, C, "binary32")
+        assert "fl_mul" in calls and got[0][0] == "breakdown"
+        assert got == _outcome(column_order_solve, T_A, T_B, C, "binary32")

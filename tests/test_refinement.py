@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -43,6 +44,11 @@ class TestConfig:
 
     def test_degenerate_equal_precisions_allowed(self):
         RefinementConfig(BINARY64, BINARY64)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-8, math.nan, math.inf])
+    def test_rejects_epsilon_not_positive_and_finite(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            RefinementConfig(BINARY32, BINARY64, epsilon=epsilon)
 
     def test_max_iter_default(self):
         assert RefinementConfig(BINARY32, BINARY64).max_iter == 20
