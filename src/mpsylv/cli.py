@@ -108,19 +108,38 @@ def _similarity(P: np.ndarray, eigs: np.ndarray) -> np.ndarray:
 
 _TRANSFORM_COND_CAP = {"normal": 6.0, "uniform": 15.0}
 _GENERATOR_ATTEMPTS = 400
+# transform candidates drawn and conditioned as one stack
+_TRANSFORM_CHUNK = 32
 
 
 def _conditioned_transform(rng, size: int, family: str) -> np.ndarray:
+    """The first of up to 400 draws whose condition number is at most the
+    family's cap, else the first draw of least condition number.
+
+    Draws are made and conditioned a stack of `_TRANSFORM_CHUNK` at a time:
+    one (k, size, size) draw is the k single draws, and ``np.linalg.cond``
+    of the stack is the condition number of each.  When a stack holds the
+    draw returned, the generator is put back to the stack's start and
+    draws again up to that draw only, so that it leaves the generator
+    where one draw at a time would.
+    """
     cap = _TRANSFORM_COND_CAP[family]
+    draw = rng.standard_normal if family == "normal" else rng.random
     best, best_cond = None, np.inf
-    for _ in range(_GENERATOR_ATTEMPTS):
-        P = rng.standard_normal((size, size)) if family == "normal" \
-            else rng.random((size, size))
+    for done in range(0, _GENERATOR_ATTEMPTS, _TRANSFORM_CHUNK):
+        k = min(_TRANSFORM_CHUNK, _GENERATOR_ATTEMPTS - done)
+        state = rng.bit_generator.state
+        P = draw((k, size, size))
         c = np.linalg.cond(P)
-        if c <= cap:
-            return P
-        if c < best_cond:
-            best, best_cond = P, c
+        hit = np.flatnonzero(c <= cap)
+        if hit.size:
+            rng.bit_generator.state = state
+            draw((hit[0] + 1, size, size))
+            return P[hit[0]]
+        # a NaN condition number never counts as the least
+        i = int(np.argmin(np.where(np.isnan(c), np.inf, c)))
+        if c[i] < best_cond:
+            best, best_cond = P[i], c[i]
     return best
 
 
@@ -137,12 +156,15 @@ def _logspace_problem(rng, m: int, n: int, t: float) -> SylvesterProblem:
             return SylvesterProblem(A, B, C)
         Mf = sylvester_kron_operator(A, B)
         sv = np.linalg.svd(Mf, compute_uv=False)
-        kappa = float(sv[0] / sv[-1])
+        # a singular operator has kappa = inf, and so an infinite distance
+        kappa = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else np.inf
         if 10.0**t <= kappa <= 10.0 ** (t + 1):
             return SylvesterProblem(A, B, C)
         dist = abs(np.log10(kappa) - (t + 0.5))
         if dist < best_dist:
             best, best_dist = SylvesterProblem(A, B, C), dist
+        elif best is None:  # the first draw stands in while no distance is finite
+            best = SylvesterProblem(A, B, C)
     return best
 
 

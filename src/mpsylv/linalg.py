@@ -159,6 +159,11 @@ def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
         if C.shape != (m, n):
             raise DimensionError(f"C has shape {C.shape}, expected {(m, n)}")
     kb = max(1, _GEMM_BLOCK // (m * n))
+    if ctx.format._is_binary32:
+        out = _gemm_binary32(alpha, A, B, beta, C, kb)
+        if out is not None:
+            ctx.count(m * n * (2 * k + (alpha != 1) + (beta != 0) + (beta not in (0, 1))))
+            return out
     acc = None
     for p in range(0, k, kb):
         prods = fl_mul(A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :], ctx)
@@ -170,6 +175,50 @@ def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     if beta != 1:
         return fl_add(acc, fl_mul(beta, C, ctx), ctx)
     return fl_add(acc, C, ctx)
+
+
+def _gemm_binary32(alpha, A, B, beta, C, kb: int):
+    """`gemm` in binary32 on complex64 copies of its operands; None unless
+    alpha, beta, A, B and (when beta != 0) C all hold binary32 values and
+    the result holds no NaN.
+
+    The steps are those of the `fl_mul`/`fl_sum` path on binary32 values:
+    products from the float32 planes (`_plane_product`), written after the
+    start value (+0, then the previous block's sum) into one buffer per
+    block and summed with one ``np.add.accumulate``; then the alpha and
+    beta products and the final sum.  Every step is the correctly rounded
+    binary32 result, so the values equal that path's; a NaN reaches the
+    result, which the caller then recomputes on that path to keep its
+    payloads.  Charges no flops.
+    """
+    m, k = A.shape
+    n = B.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = _binary32(np.array([alpha, beta], dtype=np.complex128), A, B,
+                        *([] if beta == 0 else [C]))
+        if ops is None:
+            return None
+        (a, b), A, B = ops[:3]
+        acc = np.zeros((m, n), dtype=np.complex64)
+        for p in range(0, k, kb):
+            X = np.empty((min(kb, k - p) + 1, m, n), dtype=np.complex64)
+            X[0] = acc
+            X[1:].real, X[1:].imag = _plane_product(A[:, p:p + kb].T[:, :, None],
+                                                    B[p:p + kb, None, :])
+            acc = np.add.accumulate(X, axis=0, out=X)[-1]
+        if alpha != 1:
+            acc = _complex64_product(a, acc)
+        if beta != 0:
+            acc = acc + (ops[3] if beta == 1 else _complex64_product(b, ops[3]))
+    return _widened(acc.real, acc.imag)
+
+
+def _complex64_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b from the float32 planes (`_plane_product`), as complex64."""
+    re, im = _plane_product(a, b)
+    z = np.empty(re.shape, dtype=np.complex64)
+    z.real, z.imag = re, im
+    return z
 
 
 def _norm_two(M: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
@@ -248,10 +297,10 @@ def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
     power of two, which is exact, and the norm is scaled back.
     """
     ctx.count(2 * len(x) + 1)
-    if ctx.format.is_binary64:
-        return float(np.linalg.norm(x))
-    fmt = ctx.format
     x = np.asarray(x, dtype=np.complex128)
+    if ctx.format.is_binary64:
+        return _frobenius(x)
+    fmt = ctx.format
     nrm = _norm2_steps(x, fmt)
     if nrm == math.inf and np.isfinite(x).all():
         scaled, e = _scaled_down(x)
@@ -280,7 +329,13 @@ def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
     for a in mag.tolist():
         # a ** 2 (libm pow) is the defined square; for t > 26 it can
         # differ from a * a in the last bit
-        acc = _sadd(acc, a ** 2, fmt).real
+        b = a ** 2
+        s = acc + b
+        e = 0.0
+        if math.isfinite(s):  # the 2Sum residual of `_sadd`
+            bv = s - acc
+            e = (acc - (s - bv)) + (b - bv)
+        acc = _round_real_scalar(s, fmt, e)
     return _ssqrt(acc, fmt)
 
 
@@ -313,12 +368,49 @@ def _check_rank(R: np.ndarray, A: np.ndarray, ctx: PrecisionContext):
 
 def _mgs_project(Q: np.ndarray, v: np.ndarray, ctx: PrecisionContext):
     """Project v off the columns of Q one at a time (modified Gram-Schmidt)
-    under ctx; returns the coefficients conj(q_i).v and the remainder."""
+    under ctx; returns the coefficients conj(q_i).v and the remainder.
+
+    Each coefficient is a `_dot`, and v loses fl(h_i q_i) by `fl_sub`.
+    binary32 first tries `_mgs_binary32`, which checks the operands once
+    per call, not once per step.
+    """
+    if ctx.format._is_binary32:
+        out = _mgs_binary32(Q, v)
+        if out is not None:
+            ctx.count(4 * Q.size)
+            return out
     h = np.zeros(Q.shape[1], dtype=np.complex128)
     for i in range(Q.shape[1]):
         h[i] = _dot(Q[:, i], v, ctx)
         v = fl_sub(v, fl_mul(h[i], Q[:, i], ctx), ctx)
     return h, v
+
+
+def _mgs_binary32(Q: np.ndarray, v: np.ndarray):
+    """`_mgs_project` in complex64; None unless Q and v hold binary32
+    values and neither result holds a NaN.
+
+    Each coefficient sums the plane products of conj(q_i) and v after a
+    +0 start with one ``np.add.accumulate``, as `fl_sum` does, and v then
+    loses the plane product h_i q_i: the steps of the `fl_mul`/`fl_sum`/
+    `fl_sub` path on binary32 values, so the values are that path's.  A
+    NaN in a coefficient spreads to all of v, and one in v stays there.
+    Charges no flops.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = _binary32(Q, v)
+        if ops is None:
+            return None
+        Q, v = ops
+        h = np.empty(Q.shape[1], dtype=np.complex64)
+        X = np.zeros(len(v) + 1, dtype=np.complex64)  # X[0], the start, stays +0
+        for i in range(Q.shape[1]):
+            q = Q[:, i]
+            X[1:].real, X[1:].imag = _plane_product(q.conj(), v)
+            h[i] = np.add.accumulate(X, out=X)[-1]
+            v = v - _complex64_product(h[i], q)
+    h, v = _widened(h.real, h.imag), _widened(v.real, v.imag)
+    return None if h is None or v is None else (h, v)
 
 
 def mgs_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:

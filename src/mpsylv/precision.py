@@ -37,9 +37,13 @@ implements, so results are bit-identical.  For t <= 25, the exact
 result of +, -, *, / or sqrt on values of the format, rounded first to
 binary64 and then to the format, is the correctly rounded result
 (Figueroa, "When is double rounding innocuous?", SIGNUM 1995).  A sum
-that carries a nonzero 2Sum residual still breaks its tie in the
-software kernel, which keeps it exact for operands of any width.  NaN
-inputs keep their payload.
+that carries a nonzero 2Sum residual is exact for operands of any width
+when the residual breaks a tie.  The array path hands every such sum to
+the software kernel; the scalar path (`_round_real_scalar`) casts it and
+calls the software kernel only when the double sum is exactly a midpoint
+of the format, the overflow threshold max_finite + ulp/2 included,
+since anywhere else the residual cannot change the rounding.  NaN inputs
+keep their payload.
 
 Sequential sums have one whole-array form, `fl_sum`.  In binary64 and
 binary32 it runs its sums as one ``np.add.accumulate`` in complex128 or
@@ -61,11 +65,19 @@ compares them with the originals; a value that is not binary32, or a
 NaN, fails it, and the software path runs instead.  A result that holds
 a NaN is recomputed by the software path, so NaN payloads stay the ones
 it produces.  The Givens kernel `linalg._rotate_rows` forms its products
-the same way.  Three callers run the guard once per call, not once per
+the same way.  Five callers run the guard once per call, not once per
 step: `schur` and `hermitian_eig`, on the stacked factors before the
-first rotation, and `sylvester.solve_sylv_tri`, on its stacked
+first rotation; `sylvester.solve_sylv_tri`, on its stacked
 [Y | T_A | T_B] buffer, C and the shifted diagonals before the first
-wave.  Every later operand is a rounded result of the same format.
+wave; and `linalg.gemm` and `linalg._mgs_project` (with the `_dot` in
+it), on their operands, alpha and beta included, before the first
+product.  Every later operand is a rounded result of the same format.
+`gemm` and `_mgs_project` then write the products of each sum, formed
+from the float32 planes, into a complex64 buffer that starts with the
+start value, sum it with one ``np.add.accumulate``, and widen to
+complex128 once, at exit;
+a NaN in the result reruns the whole call through `fl_mul` and `fl_sum`,
+and the flops are charged once, as that path charges them.
 
 Complex division has two references.  The scalar `_sdiv` in binary64 is
 CPython's complex division (Smith's method, dividing by the
@@ -181,7 +193,8 @@ class FpFormat:
 
     @cached_property
     def _native(self):
-        """(numpy dtype, struct packer) of the matching IEEE format, or None."""
+        """(numpy dtype, struct packer, split constant) of the matching IEEE
+        format, or None."""
         return _NATIVE.get((self.significand_bits, self.exponent_bits))
 
     @classmethod
@@ -192,10 +205,12 @@ class FpFormat:
         return cls(name, significand_bits, exponent_bits)
 
 
-# formats whose rounding the hardware conversions perform exactly
+# formats whose rounding the hardware conversions perform exactly: numpy
+# dtype, struct packer, and 2^(52 - t) + 1, Veltkamp's constant for
+# splitting a double into t + 1 significant bits (see `_round_real_scalar`)
 _NATIVE = {
-    (24, 8): (np.float32, struct.Struct("f")),
-    (11, 5): (np.float16, struct.Struct("e")),
+    (24, 8): (np.float32, struct.Struct("f"), 2.0**28 + 1.0),
+    (11, 5): (np.float16, struct.Struct("e"), 2.0**41 + 1.0),
 }
 
 # formats whose sums fl_sum accumulates in a numpy complex dtype
@@ -374,16 +389,40 @@ def _chop_scalar(x: float, fmt: FpFormat, err: float = 0.0) -> float:
 
 
 def _round_real_scalar(x: float, fmt: FpFormat, err: float = 0.0) -> float:
+    """x + err rounded into fmt, err being 0 or the 2Sum residual of the
+    double sum x.
+
+    A native format casts x and uses err only when x is exactly a midpoint
+    of the format: the residual then breaks the tie (`_chop_scalar`).
+    Elsewhere x and the exact sum x + err round alike: the midpoints are
+    doubles, and no double lies strictly between x and x + err.
+    """
     if fmt.is_binary64 or x == 0.0 or not math.isfinite(x):
         return x
     native = fmt._native
-    if native is None or (err != 0.0 and math.isfinite(err)):
+    if native is None:
         return _chop_scalar(x, fmt, err)
     packer = native[1]
     try:
-        return packer.unpack(packer.pack(x))[0]
+        y = packer.unpack(packer.pack(x))[0]
     except OverflowError:
+        # |x| reached the overflow threshold max_finite + ulp/2: a midpoint,
+        # where a residual toward zero still gives max_finite
+        if err and math.isfinite(err) \
+                and abs(x) - fmt.max_finite == 2.0 ** (fmt.emax - fmt.significand_bits):
+            return _chop_scalar(x, fmt, err)
         return math.copysign(math.inf, x)
+    if err and y != x and math.isfinite(err):
+        # A midpoint has at most t + 1 significant bits, and Veltkamp's
+        # split keeps x whole exactly when x has that few; a normal x that
+        # does and is not a value of the format is a midpoint.  Below the
+        # normal range the midpoints lie half the subnormal spacing from
+        # the values (x - y is exact).
+        c = x * native[2]
+        if c - (c - x) == x and (abs(x) >= fmt.smallest_normal
+                                 or abs(x - y) == fmt.smallest_subnormal / 2):
+            return _chop_scalar(x, fmt, err)
+    return y
 
 
 def round_to(x: float, fmt: FpFormat) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,69 @@ class TestGenerate:
 
     def test_largest_t_is_accepted(self):
         ProblemGenerator("logspace-conditioned", 3, 3, 307.0)
+
+
+def _one_draw_at_a_time(rng, size, family):
+    """`cli._conditioned_transform` as a loop of single draws, the reference
+    for its stacked draws."""
+    cap = cli._TRANSFORM_COND_CAP[family]
+    best, best_cond = None, np.inf
+    for _ in range(cli._GENERATOR_ATTEMPTS):
+        P = rng.standard_normal((size, size)) if family == "normal" \
+            else rng.random((size, size))
+        c = np.linalg.cond(P)
+        if c <= cap:
+            return P
+        if c < best_cond:
+            best, best_cond = P, c
+    return best
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0,))))
+
+
+class TestConditionedTransform:
+    @pytest.mark.parametrize("family", ["normal", "uniform"])
+    @pytest.mark.parametrize("size", [1, 3, 5, 10])
+    def test_matches_one_draw_at_a_time(self, family, size):
+        # at size 10 the normal cap is met at draw 86 for seed 6 (a later
+        # stack) and not at all for the other seeds
+        for seed in range(8):
+            got, want = _philox(seed), _philox(seed)
+            P = cli._conditioned_transform(got, size, family)
+            assert P.tobytes() == _one_draw_at_a_time(want, size, family).tobytes()
+            assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+            assert got.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
+
+    @pytest.mark.parametrize("family", ["normal", "uniform"])
+    def test_cap_no_draw_meets(self, family, monkeypatch):
+        monkeypatch.setitem(cli._TRANSFORM_COND_CAP, family, 0.5)  # cond >= 1
+        got, want = _philox(3), _philox(3)
+        P = cli._conditioned_transform(got, 4, family)
+        assert P.tobytes() == _one_draw_at_a_time(want, 4, family).tobytes()
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+
+
+class TestLogspaceProblem:
+    def test_singular_draws_raise_no_warning(self):
+        # at t = 300 some draws have a smallest singular value of 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = generate(ProblemGenerator("logspace-conditioned", 2, 2, 300.0))
+        assert np.isfinite(p.A).all() and np.isfinite(p.B).all()
+
+    def test_no_finite_distance_gives_the_first_draw(self, monkeypatch):
+        monkeypatch.setattr(cli, "_GENERATOR_ATTEMPTS", 5)
+        monkeypatch.setattr(cli, "sylvester_kron_operator", lambda A, B: np.zeros((4, 4)))
+        g = ProblemGenerator("logspace-conditioned", 2, 2, 3.0, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = generate(g)
+        rng = cli._rng(g)
+        first = cli._similarity(cli._conditioned_transform(rng, 2, "normal"),
+                                np.logspace(0.0, 3.0, 2))
+        assert p is not None and (p.A == first).all()
 
 
 class TestRunners:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,9 +11,12 @@ from mpsylv.errors import (
     RankDeficiencyError,
     SingularMatrixError,
 )
+import mpsylv.linalg as linalg
+import mpsylv.precision as precision
 from mpsylv.linalg import (
     _givens,
     _make_reflector,
+    _mgs_project,
     _rotate,
     _rotate_rows,
     _vec_norm2_ctx,
@@ -46,12 +50,14 @@ from mpsylv.precision import (
     _sabs,
     fl_add,
     fl_mul,
+    parse_format,
     round_complex,
     round_matrix,
     round_to,
 )
 
 from conftest import cmat, hermitian
+from test_precision import _soft_product, _soft_sum
 
 CTX = PrecisionContext(BINARY64)
 LOW_FORMATS = [BFLOAT16, BINARY16, TF32, B24, BINARY32]
@@ -461,3 +467,183 @@ class TestKronAndConditioning:
         A, B = cmat(rng, 4, 4), cmat(rng, 3, 3)
         ref = np.linalg.svd(sylvester_kron_operator(A, B), compute_uv=False)[-1]
         assert sep_f(A, B) == pytest.approx(ref, rel=1e-6)
+
+
+def _b32_bits(rng, shape, exponents=(-20, 20)):
+    """Complex binary32 values from random bit patterns: random sign and
+    significand in both parts, biased exponent drawn from ``exponents``
+    (unbiased bounds, upper excluded; None for every pattern but NaN)."""
+    n = 2 * int(np.prod(shape))
+    if exponents is None:
+        v = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32).view(np.float32)
+        v = np.where(np.isnan(v), np.float32(0.0), v)
+    else:
+        lo, hi = exponents
+        bits = (rng.integers(0, 2, n, dtype=np.uint32) << np.uint32(31)) \
+            | (rng.integers(127 + lo, 127 + hi, n, dtype=np.uint32) << np.uint32(23)) \
+            | rng.integers(0, 2**23, n, dtype=np.uint32)
+        v = bits.view(np.float32)
+    v = v.astype(np.float64)
+    return _compose(v[:n // 2], v[n // 2:]).reshape(shape)
+
+
+def _soft_gemm(alpha, A, B, beta, C):
+    """`gemm`'s steps in binary32, each rounded by the software kernel."""
+    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.complex128)
+    for p in range(A.shape[1]):
+        acc = _soft_sum(acc, _soft_product(A[:, p:p + 1], B[p:p + 1, :]))
+    if alpha != 1:
+        acc = _soft_product(alpha, acc)
+    if beta == 0:
+        return acc
+    return _soft_sum(acc, C if beta == 1 else _soft_product(beta, C))
+
+
+def _soft_mgs(Q, v):
+    """`_mgs_project`'s steps in binary32, each rounded by the software kernel."""
+    h = np.zeros(Q.shape[1], dtype=np.complex128)
+    for i in range(Q.shape[1]):
+        acc = np.zeros((), dtype=np.complex128)
+        for p in _soft_product(np.conj(Q[:, i]), v):
+            acc = _soft_sum(acc, p)
+        h[i] = acc
+        v = _soft_sum(v, -_soft_product(h[i], Q[:, i]))
+    return h, v
+
+
+def _counted(f, *args):
+    counter = FlopCounter()
+    out = f(*args, PrecisionContext(BINARY32, counter, "gmres"))
+    return out, counter.total()
+
+
+GEMM_CASES = ["bits", "tiny", "full-range", "overflow", "inf-times-zero", "off-format",
+              "signed-zeros"]
+
+
+def _gemm_operands(case, rng, m=5, k=7, n=6):
+    exponents = {"tiny": (-75, -60), "full-range": None}.get(case, (-20, 20))
+    A, B, C = (_b32_bits(rng, s, exponents) for s in ((m, k), (k, n), (m, n)))
+    if case == "overflow":  # positive real products past the top: inf, no NaN
+        A, B = np.abs(A.real) * 2.0**100, np.abs(B.real) * 2.0**100
+        A, B = A.astype(np.complex128), B.astype(np.complex128)
+    elif case == "inf-times-zero":
+        A[1, 2], B[2, :] = complex(np.inf, 0.0), 0.0
+    elif case == "off-format":
+        A[1, 2] = 1 + 2.0**-24
+    elif case == "signed-zeros":  # every product is (-0, +0): the +0 start shows
+        A, B = np.full((m, k), -1 + 0j), np.zeros((k, n), dtype=np.complex128)
+    return A, B, C
+
+
+def _mgs_operands(rng, exponents=(-6, -2), N=40, q=7):
+    """Q and v small enough that v stays finite through q projections."""
+    return _b32_bits(rng, (N, q), exponents), _b32_bits(rng, N, exponents)
+
+
+class TestBinary32Kernels:
+    """binary32 `gemm` and `_mgs_project` check their operands once per
+    call; their values and flops are those of the fl_mul/fl_sum path."""
+
+    @pytest.mark.parametrize("case", GEMM_CASES)
+    @pytest.mark.parametrize("alpha", [1.0, -1.0, 0.0, 0.5])
+    @pytest.mark.parametrize("beta", [1.0, -1.0, 0.0, 0.5])
+    def test_gemm_matches_software_composition(self, case, alpha, beta, rng, monkeypatch):
+        A, B, C = _gemm_operands(case, rng)
+        got, flops = _counted(lambda *a: gemm(alpha, *a[:2], beta, C, a[2]), A, B)
+        want = _soft_gemm(alpha, A, B, beta, C)
+        assert (_bits(got) == _bits(want)).all()
+        monkeypatch.setattr(linalg, "_gemm_binary32", lambda *a: None)
+        ref, ref_flops = _counted(lambda *a: gemm(alpha, *a[:2], beta, C, a[2]), A, B)
+        assert (_bits(ref) == _bits(want)).all() and flops == ref_flops
+        if case == "overflow" and alpha == 1:  # else 0 * inf in alpha * acc
+            assert np.isinf(want).any() and not np.isnan(want).any()
+        if case == "inf-times-zero":
+            assert np.isnan(want).any()
+
+    @pytest.mark.parametrize("case", ["bits", "inf-times-zero"])
+    def test_gemm_over_several_blocks(self, case, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "_GEMM_BLOCK", 3 * 4 * 4)  # 4 k-steps a block
+        A, B, C = _gemm_operands(case, rng, m=3, k=11, n=4)
+        got, flops = _counted(lambda *a: gemm(-1.0, *a[:2], 0.5, C, a[2]), A, B)
+        assert (_bits(got) == _bits(_soft_gemm(-1.0, A, B, 0.5, C))).all()
+        assert flops == 3 * 4 * (2 * 11 + 3)
+
+    @pytest.mark.parametrize("case", ["bits", "tiny", "full-range", "overflow",
+                                      "inf-times-zero", "off-format", "signed-zeros"])
+    def test_mgs_matches_software_composition(self, case, rng, monkeypatch):
+        Q, v = _mgs_operands(rng, {"tiny": (-75, -60), "full-range": None}.get(case, (-6, -2)))
+        if case == "overflow":
+            Q[:, 2] = np.abs(Q[:, 2].real) * 2.0**100
+            v = np.abs(v.real) * 2.0**100 + 0j
+        elif case == "inf-times-zero":
+            Q[3, 1], v[3] = complex(np.inf, 0.0), 0.0
+        elif case == "off-format":
+            v[3] = 1 + 2.0**-24
+        elif case == "signed-zeros":  # conj(q) v is (-0, +0) throughout
+            Q, v = np.full(Q.shape, complex(-1.0, -0.0)), np.zeros_like(v)
+        (h, w), flops = _counted(lambda *a: _mgs_project(*a), Q, v)
+        want = _soft_mgs(Q, v)
+        assert (_bits(h) == _bits(want[0])).all() and (_bits(w) == _bits(want[1])).all()
+        monkeypatch.setattr(linalg, "_mgs_binary32", lambda *a: None)
+        (h2, w2), ref_flops = _counted(lambda *a: _mgs_project(*a), Q, v)
+        assert (_bits(h2) == _bits(h)).all() and (_bits(w2) == _bits(w)).all()
+        assert flops == ref_flops == 4 * Q.size
+        assert np.isnan(want[1]).any() == (case in ("full-range", "overflow", "inf-times-zero"))
+
+
+class TestBinary32KernelPath:
+    """On binary32 values, gemm and _mgs_project make no fl_* call; an
+    operand outside the format takes fl_mul and fl_sum."""
+
+    SOFTWARE = ("fl_mul", "fl_sum", "fl_add", "fl_sub")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        for module in (precision, linalg):
+            for name in self.SOFTWARE:
+                def spy(*args, _f=getattr(module, name), _name=name, **kwargs):
+                    seen.append(_name)
+                    return _f(*args, **kwargs)
+                monkeypatch.setattr(module, name, spy)
+        return seen
+
+    def test_format_values_take_the_native_path(self, calls, rng):
+        ctx = PrecisionContext(BINARY32)
+        A, B, C = _gemm_operands("bits", rng)
+        gemm(0.5, A, B, -1.0, C, ctx)
+        _mgs_project(*_mgs_operands(rng), ctx)
+        assert calls == []
+
+    def test_off_format_operand_takes_the_software_path(self, calls, rng):
+        ctx = PrecisionContext(BINARY32)
+        A, B, C = _gemm_operands("off-format", rng)
+        gemm(1.0, A, B, 0.0, None, ctx)
+        assert {"fl_mul", "fl_sum"} <= set(calls)
+        calls.clear()
+        Q, v = _mgs_operands(rng)
+        v[0] = 1 + 2.0**-24
+        _mgs_project(Q, v, ctx)
+        assert {"fl_mul", "fl_sum"} <= set(calls)
+
+
+class TestNormAccumulation:
+    def test_residual_breaks_ties(self):
+        # in 40:11, a**2 = 2^-40 + 2^-78 (a double): 1 + a**2 and then
+        # (1 + 2^-39) + a**2 are midpoints in the double sum, and the 2Sum
+        # residual 2^-78 rounds both up, to 1 + 2^-38; ties to even would
+        # leave 1
+        a = 2.0**-20 * (1 + 2.0**-39)
+        x = np.array([1, a, a], dtype=np.complex128)
+        assert _vec_norm2_ctx(x, PrecisionContext(parse_format("40:11"))) == 1 + 2.0**-39
+
+
+class TestBinary64Norm:
+    def test_vector_norm_scales_past_overflow(self):
+        got = _vec_norm2_ctx([1e200, 1e200], CTX)
+        assert np.isfinite(got) and got == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+
+    def test_vector_norm_is_numpys_where_finite(self, rng):
+        x = cmat(rng, 1, 50).ravel()
+        assert _vec_norm2_ctx(x, CTX) == float(np.linalg.norm(x))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpsylv.precision as precision
 from mpsylv.errors import PrecisionOverflowWarning
 from mpsylv.precision import (
     B24,
@@ -396,6 +397,74 @@ class TestNativeCasts:
             soft = _chop(x, fmt)
             ok = (_bits(soft) == _bits(cast)) | (np.isnan(soft) & np.isnan(cast))
             assert ok.all(), fmt.name
+
+
+def _two_sum(a, b):
+    s = a + b
+    bv = s - a
+    return s, (a - (s - bv)) + (b - bv)
+
+
+class TestScalarTieBreak:
+    """_round_real_scalar rounds a 2Sum pair (x, err) by the native cast,
+    and by the software kernel only where x is a midpoint of the format."""
+
+    @staticmethod
+    def _pairs(fmt, dtype, rng, n=100_000):
+        top = 0x7C00 if dtype is np.float16 else 0x7F800000
+        utype = np.uint16 if dtype is np.float16 else np.uint32
+
+        def values(patterns):
+            return np.asarray(patterns).astype(utype).view(dtype).astype(np.float64)
+
+        # a value of the format (every binade, subnormals too) plus a double
+        # 2^-1 to 2^-59 of its size: the residual is nonzero for most pairs
+        a = values(rng.integers(1, top, n)) * rng.choice([-1.0, 1.0], n)
+        s, e = _two_sum(a, rng.standard_normal(n) * a * np.ldexp(1.0, -rng.integers(1, 60, n)))
+        # midpoints between a value and its successor: random patterns, the
+        # subnormal ones, and the overflow threshold max_finite + ulp/2
+        p = np.concatenate([rng.integers(1, top - 1, 2000), np.arange(1, 200)])
+        mid = (values(p) + values(p + 1)) / 2
+        mid = np.append(mid, fmt.max_finite + 2.0 ** (fmt.emax - fmt.significand_bits))
+        mid = np.concatenate([mid, -mid])
+        mid = np.concatenate([mid, mid])
+        err = mid * 2.0**-60 * np.repeat([1.0, -1.0], len(mid) // 2)
+        return np.concatenate([s, mid]), np.concatenate([e, err])
+
+    @pytest.mark.parametrize("fmt, dtype", NATIVE)
+    def test_two_sum_pairs_match_software(self, fmt, dtype, rng):
+        x, err = self._pairs(fmt, dtype, rng)
+        assert np.count_nonzero(err) > len(x) // 2
+        assert (np.abs(x[np.isfinite(x)]) < fmt.smallest_normal).any()
+        got = [_round_real_scalar(v, fmt, e) for v, e in zip(x.tolist(), err.tolist())]
+        ref = [v if v == 0.0 or not math.isfinite(v) else _chop_scalar(v, fmt, e)
+               for v, e in zip(x.tolist(), err.tolist())]
+        assert (_bits(got) == _bits(ref)).all()
+
+    @pytest.mark.parametrize("fmt, dtype", NATIVE)
+    def test_software_kernel_only_at_midpoints(self, fmt, dtype, rng, monkeypatch):
+        x, err = self._pairs(fmt, dtype, rng, 20_000)
+        with np.errstate(over="ignore"):
+            ties = _chop(x, fmt, np.ones_like(x)) != _chop(x, fmt, -np.ones_like(x))
+        calls = []
+
+        def spy(v, f, e=0.0, _chop_scalar=precision._chop_scalar):
+            calls.append(v)
+            return _chop_scalar(v, f, e)
+
+        monkeypatch.setattr(precision, "_chop_scalar", spy)
+        for v, e in zip(x.tolist(), err.tolist()):
+            _round_real_scalar(v, fmt, e)
+        assert _bits(calls).tolist() == _bits(x[ties & (err != 0)]).tolist()
+        assert len(calls) > 4000
+
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY16], ids=lambda f: f.name)
+    def test_overflow_threshold(self, fmt):
+        top = fmt.max_finite + 2.0 ** (fmt.emax - fmt.significand_bits)
+        for sign in (1.0, -1.0):
+            assert _round_real_scalar(sign * top, fmt, -sign * 2.0**-60) == sign * fmt.max_finite
+            assert _round_real_scalar(sign * top, fmt, sign * 2.0**-60) == sign * math.inf
+            assert _round_real_scalar(sign * top, fmt) == sign * math.inf
 
 
 def _binary32_values(rng, n):
