@@ -26,6 +26,7 @@ from .errors import (
 )
 from .precision import (
     BINARY64,
+    FlopCounter,
     FpFormat,
     PrecisionContext,
     fl_add,
@@ -619,7 +620,25 @@ def _hessenberg(A: np.ndarray, ctx: PrecisionContext):
 
 
 def _givens(f: complex, g: complex, fmt: FpFormat):
-    """Unitary [[c, s], [-conj(s), c]]* zeroing g against f; c real."""
+    """Unitary [[c, s], [-conj(s), c]]* zeroing g against f; c real.
+
+    binary32 and binary16 take `_givens_chain` on values of the format, and
+    `_givens_steps` wherever it returns None; other formats take
+    `_givens_steps`.  The results are those of `_givens_steps`, bit for bit.
+    """
+    r = fmt._scalar_rounding
+    if r is not None:
+        out = _givens_chain(f, g, r)
+        if out is not None:
+            return out
+    return _givens_steps(f, g, fmt)
+
+
+def _givens_steps(f: complex, g: complex, fmt: FpFormat):
+    """`_givens` composed from the rounded scalar steps `_sabs`, `_smul`,
+    `_sadd`, `_ssqrt` and `_sdiv`, in any format.  When the sum of squares
+    is 0 or inf, d comes from `_shypot`, which rescales, and in binary64
+    from ``math.hypot``."""
     if g == 0:
         return 1.0, 0j
     ag = _sabs(g, fmt)
@@ -627,13 +646,55 @@ def _givens(f: complex, g: complex, fmt: FpFormat):
         return 0.0, _sdiv(g.conjugate(), ag, fmt)
     af = _sabs(f, fmt)
     d2 = _sadd(_smul(af, af, fmt), _smul(ag, ag, fmt), fmt).real
-    if (d2 == 0.0 or d2 == math.inf) and not fmt.is_binary64:
-        d = _shypot(af, ag, fmt)  # the squares left the format's range
+    if d2 == 0.0 or d2 == math.inf:  # the squares left the format's range
+        d = math.hypot(af, ag) if fmt.is_binary64 else _shypot(af, ag, fmt)
     else:
         d = _ssqrt(d2, fmt)
     c = _sdiv(af, d, fmt).real
     s = _sdiv(_smul(_sdiv(f, af, fmt), g.conjugate(), fmt), d, fmt)
     return c, s
+
+
+# The scalar chains below run `_givens_steps` and `_shift_steps` on Python
+# floats for values f, g (or a, b, c, d) of binary32 or binary16.  Each step
+# is one double operation on values of the format, rounded by the format's
+# ``struct`` cast (r = `FpFormat._scalar_rounding`, which rounds the
+# independent steps of one stage in one cast).  The double result of +, -,
+# *, / or sqrt on such values, rounded into the format, is the correctly
+# rounded result because 53 >= 2t + 2 (Figueroa, SIGNUM 1995), which is what
+# the `_s*` steps compute with their 2Sum residuals.  The steps keep the
+# zero cross terms of the `_s*` composition, such as Im(f) * 0 in f / |f|,
+# since the signs of zeros depend on them; a step that adds or subtracts a
+# zero to a value of the format is exact and is not rounded.  Where the
+# reference branches on a zero or an infinity, or a step overflows, the
+# chains return None and the caller runs the reference.
+
+
+def _givens_chain(f: complex, g: complex, r):
+    """`_givens_steps` for binary32 or binary16 values f and g, or None
+    where a sum of squares is 0 or not finite (`_shypot` rescales there),
+    a step overflows or s is not finite."""
+    fr, fi, gr, gi = f.real, f.imag, g.real, g.imag
+    try:
+        ff, fj, gg, gj = r[4](fr * fr, fi * fi, gr * gr, gi * gi)
+        sf, sg = r[2](ff + fj, gg + gj)
+        if not (0.0 < sf < math.inf and 0.0 < sg < math.inf):
+            return None
+        af, ag = r[2](math.sqrt(sf), math.sqrt(sg))
+        # the real parts of af * af and ag * ag, and f / af
+        pf, pg, qr, qi = r[4](af * af, ag * ag, (fr + fi * 0.0) / af, (fi - fr * 0.0) / af)
+        # d^2, and the products of (f / af) * conj(g)
+        d2, rr, ii, ri, ir = r[5](pf + pg, qr * gr, qi * -gi, qr * -gi, qi * gr)
+        if not 0.0 < d2 < math.inf:
+            return None
+        d, pr, pi = r[3](math.sqrt(d2), rr - ii, ri + ir)
+        # af / d (af > 0), and ((f / af) * conj(g)) / d
+        c, sr, si = r[3](af / d, (pr + pi * 0.0) / d, (pi - pr * 0.0) / d)
+    except OverflowError:
+        return None
+    if not (math.isfinite(sr) and math.isfinite(si)):
+        return None
+    return c, complex(sr, si)
 
 
 def _rotate_rows(X: np.ndarray, c: float, s1: complex, s2: complex,
@@ -643,28 +704,49 @@ def _rotate_rows(X: np.ndarray, c: float, s1: complex, s2: complex,
     The rows are gathered once as [X0, X1, X1, X0], multiplied by
     [c, s1, c, s2] and summed in pairs: the flops of four products and two
     sums per column.  binary64 runs the complex128 product and sum of
-    `fl_mul` and `fl_add`.  In binary32 with ``native`` (the caller has
-    checked that the operands are binary32 values) the products come from
-    the float32 planes (`_plane_product`); a NaN result falls back to
-    `fl_mul` and `fl_add`, as every other format does.  Call under
-    ``np.errstate(over="ignore", invalid="ignore")``.
+    `fl_mul` and `fl_add`.  A complex64 X, which `schur` and
+    `hermitian_eig` keep in binary32, is rotated by `_plane_rotation` with
+    no check: a NaN is left for the caller to find.  A complex128 X with
+    ``native`` (the caller has checked that the operands are binary32
+    values) takes `_plane_rotation` on a complex64 copy, and a NaN result
+    falls back to `fl_mul` and `fl_add`, as every other format does.  Call
+    under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     G = X[_PAIR]
-    coef = np.array([c, s1, c, s2], dtype=np.complex128)[:, None]
     new = None
     if ctx.format.is_binary64:
-        prods = coef * G
+        prods = np.array([c, s1, c, s2], dtype=np.complex128)[:, None] * G
         new = prods[0::2] + np.array([prods[1], -prods[3]])
+    elif X.dtype == np.complex64:
+        new = _plane_rotation(G, c, s1, s2)
     elif native:
-        re, im = _plane_product(coef.astype(np.complex64), G.astype(np.complex64))
-        re[3], im[3] = -re[3], -im[3]
-        new = _widened(re[0::2] + re[1::2], im[0::2] + im[1::2])
+        new = _plane_rotation(G.astype(np.complex64), c, s1, s2)
+        new = _widened(new.real, new.imag)
     if new is None:
-        prods = fl_mul(coef, G, ctx)
+        prods = fl_mul(np.array([c, s1, c, s2], dtype=np.complex128)[:, None], G, ctx)
         new = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
     else:
         ctx.count(6 * X.shape[1])
     X[...] = new
+
+
+def _plane_rotation(G: np.ndarray, c: float, s1: complex, s2: complex) -> np.ndarray:
+    """[c G0 + s1 G1, c G2 - s2 G3] for the complex64 rows G, as complex64,
+    with the steps of `_rotate_rows` on binary32 values: the plane products
+    of `_plane_product`, the negation of the fourth and the pairwise sums.
+
+    The planes are read from G's interleaved (re, im) pairs P: the products
+    are P * [kr, kr] + swap(P) * [-ki, ki] for each coefficient k, which
+    are kr*gr - ki*gi and kr*gi + ki*gr exactly (x + (-y) is x - y in IEEE
+    arithmetic), signed zeros included.
+    """
+    k = np.array([c, c, -0.0, 0.0, s1.real, s1.real, -s1.imag, s1.imag,
+                  c, c, -0.0, 0.0, s2.real, s2.real, -s2.imag, s2.imag],
+                 dtype=np.float32).reshape(4, 1, 4)
+    P = G.view(np.float32).reshape(4, -1, 2)
+    prods = P * k[..., :2] + P[..., ::-1] * k[..., 2:]
+    np.negative(prods[3], out=prods[3])
+    return (prods[0::2] + prods[1::2]).view(np.complex64)[..., 0]
 
 
 def _rotate(P: np.ndarray, Q: np.ndarray, c: float, s1: complex, s2: complex,
@@ -679,10 +761,94 @@ def _rotate(P: np.ndarray, Q: np.ndarray, c: float, s1: complex, s2: complex,
 
 
 def _wilkinson_shift(H: np.ndarray, hi: int, fmt: FpFormat) -> complex:
-    a = complex(H[hi - 1, hi - 1])
-    b = complex(H[hi - 1, hi])
-    c = complex(H[hi, hi - 1])
-    d = complex(H[hi, hi])
+    """The eigenvalue of the trailing 2x2 block [[a, b], [c, d]] of
+    H[:hi + 1, :hi + 1] closest to d; binary32 and binary16 take
+    `_shift_chain` on values of the format, as `_givens` takes
+    `_givens_chain`, and `_shift_steps` wherever it returns None."""
+    a, b, c, d = H[hi - 1:hi + 1, hi - 1:hi + 1].ravel().tolist()
+    r = fmt._scalar_rounding
+    if r is not None:
+        shift = _shift_chain(a, b, c, d, r)
+        if shift is not None:
+            return shift
+    return _shift_steps(a, b, c, d, fmt)
+
+
+def _shift_chain(a: complex, b: complex, c: complex, d: complex, r):
+    """`_shift_steps` for binary32 or binary16 values, or None where the
+    reference branches on a zero (z, the square root or the denominator)
+    or on the unscaled magnitude |z| overflowing, a step overflows or
+    fails, or the shift is not finite."""
+    ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
+    try:
+        # a - d, and the products of b * c
+        xr, xi, p1, p2, p3, p4 = r[6](ar - dr, ai - di, br * cr, bi * ci, br * ci, bi * cr)
+        hr, hi, bcr, bci = r[4](0.5 * xr, 0.5 * xi, p1 - p2, p3 + p4)
+        er, ei = hr - 0.0 * xi, hi + 0.0 * xr  # delta = 0.5 * (a - d)
+        q1, q2, q3, q4 = r[4](er * er, ei * ei, er * ei, ei * er)
+        ddr, ddi = r[2](q1 - q2, q3 + q4)
+        zr, zi = r[2](ddr + bcr, ddi + bci)  # delta^2 + b c
+        # _csqrt(z), its magnitude unscaled
+        if zr == 0.0 and zi == 0.0:
+            return None
+        s1, s2 = r[2](zr * zr, zi * zi)
+        (s,) = r[1](s1 + s2)
+        if not s < math.inf:
+            return None
+        (mag,) = r[1](math.sqrt(s))
+        (h,) = r[1](mag + zr if zr >= 0.0 else mag - zr)
+        (h,) = r[1](h / 2.0)
+        (root,) = r[1](math.sqrt(h))
+        if zr < 0.0:
+            root = math.copysign(root, zi if zi != 0.0 else 1.0)
+        if root == 0.0:
+            return None
+        (twice,) = r[1](2.0 * root)
+        (other,) = r[1](zi / twice)
+        ur, ui = (root, other) if zr >= 0.0 else (other, root)
+        if er * ur + ei * ui < 0:  # align the root with delta
+            ur, ui = -ur, -ui
+        nr, ni = r[2](er + ur, ei + ui)
+        if nr == 0.0 and ni == 0.0:
+            return None
+        # b c / (delta + root) by Smith's method, then d minus it
+        if abs(nr) >= abs(ni):
+            (t,) = r[1](ni / nr)
+            k1, k2, k3 = r[3](ni * t, bci * t, bcr * t)
+            den, n1, n2 = r[3](nr + k1, bcr + k2, bci - k3)
+            qr, qi = r[2](n1 / den, n2 / den)
+        else:
+            (t,) = r[1](nr / ni)
+            k1, k2, k3 = r[3](nr * t, bcr * t, bci * t)
+            den, n1, n2 = r[3](ni + k1, bci + k2, bcr - k3)
+            qr, qi = r[2](n1 / den, n2 / den)
+            qi = -qi
+        sr, si = r[2](dr - qr, di - qi)
+    except (OverflowError, ZeroDivisionError, ValueError):
+        return None
+    if not (math.isfinite(sr) and math.isfinite(si)):
+        return None
+    return complex(sr, si)
+
+
+def _shifted(h: complex, shift: complex, fmt: FpFormat) -> complex:
+    """h - shift for values h and shift of fmt, as `_ssub` rounds it;
+    binary32 and binary16 round the two parts by one struct cast unless a
+    part overflows or is NaN."""
+    r = fmt._scalar_rounding
+    if r is not None:
+        try:
+            re, im = r[2](h.real - shift.real, h.imag - shift.imag)
+        except OverflowError:
+            return _ssub(h, shift, fmt)
+        if re == re and im == im:
+            return complex(re, im)
+    return _ssub(h, shift, fmt)
+
+
+def _shift_steps(a: complex, b: complex, c: complex, d: complex, fmt: FpFormat) -> complex:
+    """`_wilkinson_shift` composed from the rounded scalar steps, in any
+    format."""
     delta = _smul(0.5, _ssub(a, d, fmt), fmt)
     disc = _csqrt(_sadd(_smul(delta, delta, fmt), _smul(b, c, fmt), fmt), fmt)
     # pick the root of the 2x2 closest to d: align disc with delta
@@ -703,64 +869,107 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
     A is rounded into the context's format on entry, so callers pass it
     unrounded: an entry past the format's range raises FormatOverflowError
     before any flop is charged.  Raises IterationLimitError after 30*m
-    sweeps.
+    sweeps.  In binary32 the QR iteration keeps U and H in complex64
+    (`_complex64_resident`).
     """
     A = _enter(A, ctx, "schur input")
     m = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise DimensionError("schur requires a square matrix")
-    fmt = ctx.format
     H, U = _hessenberg(A, ctx)
     # U above H in one array: a Givens step rotates the rows of H through
     # one view and the columns of U and H together through another
-    UH = np.concatenate([U, H])
+    with np.errstate(over="ignore", invalid="ignore"):
+        UH = _complex64_resident(_qr_iteration, np.concatenate([U, H]), ctx)
+    return SchurFactors(UH[:m].copy(), np.triu(UH[m:]))
+
+
+def _complex64_resident(iterate, X: np.ndarray, ctx: PrecisionContext) -> np.ndarray:
+    """X after ``iterate(X, ctx)``, which rotates it in place and returns
+    False if a sweep left a NaN in a complex64 X.
+
+    In binary32, when every entry of X is a binary32 value, iterate runs on
+    a complex64 copy, whose rotations work on float32 planes in place
+    (`_rotate_rows`), and the flops it counts are charged when it returns
+    or raises.  On a NaN it runs again from X, uncharged so far, on the
+    complex128 path: that path's rotations hand each NaN-producing step to
+    `fl_mul` and `fl_add`, and every other value is the same, so the result
+    is that path's, NaN payloads included.  The result is complex128.  Call
+    under ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    ops = _binary32(X) if ctx.format._is_binary32 else None
+    if ops is not None:
+        tally = FlopCounter()
+        clean = None
+        try:
+            clean = iterate(ops[0], PrecisionContext(ctx.format, tally))
+        finally:
+            # a bucket is made only by a charge, as each rotation makes it
+            if clean is not False and tally.total():
+                ctx.count(tally.total())
+        if clean:
+            return ops[0].astype(np.complex128)
+    iterate(X, ctx)
+    return X
+
+
+def _qr_iteration(UH: np.ndarray, ctx: PrecisionContext) -> bool:
+    """The QR iteration of `schur` on the stacked [U; H], in place; False
+    as soon as a sweep leaves a NaN in a complex64 UH, else True.
+
+    The deflation test and the exceptional shift read H in complex128:
+    ``np.hypot`` and ``abs`` of complex64 entries return float32.
+    """
+    m = UH.shape[1]
     H = UH[m:]
+    fmt = ctx.format
+    resident = UH.dtype == np.complex64
     u = fmt.unit_roundoff
     limit = 30 * m
     sweeps = 0
     stuck = 0
     hi = m - 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        native = fmt._is_binary32 and _binary32(UH) is not None
-        while hi > 0:
-            # deflate every negligible subdiagonal in one pass, leaving exact
-            # zeros (-0.0 too) alone; np.hypot has the bits of abs() of a
-            # complex scalar, which np.abs on an array does not always have
-            d, sub = np.diagonal(H)[:hi + 1], np.diagonal(H, -1)[:hi]
-            ad = np.hypot(d.real, d.imag)
-            j = 1 + np.flatnonzero(
-                (sub != 0) & (np.hypot(sub.real, sub.imag) <= u * (ad[:-1] + ad[1:])))
-            H[j, j - 1] = 0.0
-            if H[hi, hi - 1] == 0:
-                hi -= 1
-                stuck = 0
-                continue
-            lo = hi
-            while lo > 0 and H[lo, lo - 1] != 0:
-                lo -= 1
-            if sweeps >= limit:
-                raise IterationLimitError(
-                    f"QR iteration did not converge within {limit} sweeps")
-            if stuck > 0 and stuck % 10 == 0:
-                # exceptional shift to break a stalled cycle
-                shift = complex(abs(H[hi, hi - 1]) + 0.75 * abs(H[hi, hi]))
-            else:
-                shift = _wilkinson_shift(H, hi, fmt)
+    while hi > 0:
+        # deflate every negligible subdiagonal in one pass, leaving exact
+        # zeros (-0.0 too) alone; np.hypot has the bits of abs() of a
+        # complex scalar, which np.abs on an array does not always have
+        d = np.asarray(np.diagonal(H)[:hi + 1], dtype=np.complex128)
+        sub = np.asarray(np.diagonal(H, -1)[:hi], dtype=np.complex128)
+        ad = np.hypot(d.real, d.imag)
+        j = 1 + np.flatnonzero(
+            (sub != 0) & (np.hypot(sub.real, sub.imag) <= u * (ad[:-1] + ad[1:])))
+        H[j, j - 1] = 0.0
+        if H[hi, hi - 1] == 0:
+            hi -= 1
+            stuck = 0
+            continue
+        lo = hi
+        while lo > 0 and H[lo, lo - 1] != 0:
+            lo -= 1
+        if sweeps >= limit:
+            raise IterationLimitError(
+                f"QR iteration did not converge within {limit} sweeps")
+        if stuck > 0 and stuck % 10 == 0:
+            # exceptional shift to break a stalled cycle (a binary64 value)
+            shift = complex(abs(complex(H[hi, hi - 1])) + 0.75 * abs(complex(H[hi, hi])))
             x = _ssub(complex(H[lo, lo]), shift, fmt)
-            y = complex(H[lo + 1, lo])
-            for k in range(lo, hi):
-                c, s = _givens(x, y, fmt)
-                _rotate_rows(H[k:k + 2, max(lo, k - 1):], c, s, s.conjugate(), ctx, native)
-                _rotate_rows(UH[:m + min(k + 3, hi + 1), k:k + 2].T, c, s.conjugate(), s,
-                             ctx, native)
-                if k > lo:
-                    H[k + 1, k - 1] = 0.0
-                if k < hi - 1:
-                    x = complex(H[k + 1, k])
-                    y = complex(H[k + 2, k])
-            sweeps += 1
-            stuck += 1
-    return SchurFactors(UH[:m].copy(), np.triu(H))
+        else:
+            x = _shifted(complex(H[lo, lo]), _wilkinson_shift(H, hi, fmt), fmt)
+        y = complex(H[lo + 1, lo])
+        for k in range(lo, hi):
+            c, s = _givens(x, y, fmt)
+            _rotate_rows(H[k:k + 2, max(lo, k - 1):], c, s, s.conjugate(), ctx)
+            _rotate_rows(UH[:m + min(k + 3, hi + 1), k:k + 2].T, c, s.conjugate(), s, ctx)
+            if k > lo:
+                H[k + 1, k - 1] = 0.0
+            if k < hi - 1:
+                x = complex(H[k + 1, k])
+                y = complex(H[k + 2, k])
+        sweeps += 1
+        stuck += 1
+        if resident and np.isnan(UH).any():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +981,8 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
     Cyclic Jacobi sweeps; converges when the off-diagonal Frobenius mass
     falls below n*u*||A||_F.  A is rounded into the context's format on
     entry (FormatOverflowError for an entry past its range), so callers
-    pass it unrounded.
+    pass it unrounded.  In binary32 the sweeps keep V and W in complex64
+    (`_complex64_resident`).
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -781,40 +991,52 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
     nrm = _frobenius(A)
     if _frobenius(A - A.conj().T) > 10 * ctx.format.unit_roundoff * max(nrm, 1e-300):
         raise NotHermitianError("input is not Hermitian to working accuracy")
-    fmt = ctx.format
     # V above W in one array, as U above H in `schur`
     VW = np.concatenate([np.eye(n, dtype=np.complex128), _enter(A, ctx, "eig input")])
-    W = VW[n:]
-    tol = n * fmt.unit_roundoff * max(nrm, 1e-300)
+    tol = n * ctx.format.unit_roundoff * max(nrm, 1e-300)
     with np.errstate(over="ignore", invalid="ignore"):
-        native = fmt._is_binary32 and _binary32(VW) is not None
-        for _ in range(max_sweeps):
-            if _frobenius(W - np.diag(np.diag(W))) <= tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    w = complex(W[p, q])
-                    aw = abs(w)
-                    if aw == 0.0 or aw <= 1e-3 * tol / n:
-                        continue
-                    a = complex(W[p, p]).real
-                    b = complex(W[q, q]).real
-                    awr = _sabs(w, fmt)
-                    phase = _sdiv(w, awr, fmt)
-                    tau = _sdiv(_ssub(a, b, fmt), _smul(2.0, awr, fmt), fmt).real
-                    root = _ssqrt(_sadd(1.0, _smul(tau, tau, fmt), fmt).real, fmt)
-                    if tau >= 0:
-                        t = _sdiv(1.0, _sadd(tau, root, fmt), fmt).real
-                    else:
-                        t = _sdiv(-1.0, _ssub(root, tau, fmt), fmt).real
-                    c = _sdiv(1.0, _ssqrt(_sadd(1.0, _smul(t, t, fmt), fmt).real, fmt), fmt).real
-                    s = _smul(_smul(t, c, fmt), phase, fmt)
-                    # rows p and q of W, then columns p and q of V and W
-                    _rotate_rows(W[p:q + 1:q - p], c, s, s.conjugate(), ctx, native)
-                    _rotate_rows(VW[:, p:q + 1:q - p].T, c, s.conjugate(), s, ctx, native)
-        else:
-            raise IterationLimitError(f"Jacobi did not converge in {max_sweeps} sweeps")
-    return VW[:n].copy(), np.real(np.diag(W)).copy()
+        VW = _complex64_resident(
+            lambda X, c: _jacobi_sweeps(X, c, tol, max_sweeps), VW, ctx)
+    return VW[:n].copy(), np.real(np.diag(VW[n:])).copy()
+
+
+def _jacobi_sweeps(VW: np.ndarray, ctx: PrecisionContext, tol: float,
+                   max_sweeps: int) -> bool:
+    """The Jacobi sweeps of `hermitian_eig` on the stacked [V; W], in
+    place; False as soon as a sweep leaves a NaN in a complex64 VW, else
+    True.  The stop test reads W in complex128."""
+    n = VW.shape[1]
+    W = VW[n:]
+    fmt = ctx.format
+    resident = VW.dtype == np.complex64
+    for _ in range(max_sweeps):
+        W64 = np.asarray(W, dtype=np.complex128)
+        if _frobenius(W64 - np.diag(np.diag(W64))) <= tol:
+            return True
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                w = complex(W[p, q])
+                aw = abs(w)
+                if aw == 0.0 or aw <= 1e-3 * tol / n:
+                    continue
+                a = complex(W[p, p]).real
+                b = complex(W[q, q]).real
+                awr = _sabs(w, fmt)
+                phase = _sdiv(w, awr, fmt)
+                tau = _sdiv(_ssub(a, b, fmt), _smul(2.0, awr, fmt), fmt).real
+                root = _ssqrt(_sadd(1.0, _smul(tau, tau, fmt), fmt).real, fmt)
+                if tau >= 0:
+                    t = _sdiv(1.0, _sadd(tau, root, fmt), fmt).real
+                else:
+                    t = _sdiv(-1.0, _ssub(root, tau, fmt), fmt).real
+                c = _sdiv(1.0, _ssqrt(_sadd(1.0, _smul(t, t, fmt), fmt).real, fmt), fmt).real
+                s = _smul(_smul(t, c, fmt), phase, fmt)
+                # rows p and q of W, then columns p and q of V and W
+                _rotate_rows(W[p:q + 1:q - p], c, s, s.conjugate(), ctx)
+                _rotate_rows(VW[:, p:q + 1:q - p].T, c, s.conjugate(), s, ctx)
+        if resident and np.isnan(VW).any():
+            return False
+    raise IterationLimitError(f"Jacobi did not converge in {max_sweeps} sweeps")
 
 
 # ---------------------------------------------------------------------------

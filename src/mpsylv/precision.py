@@ -72,12 +72,28 @@ first rotation; `sylvester.solve_sylv_tri`, on its stacked
 wave; and `linalg.gemm` and `linalg._mgs_project` (with the `_dot` in
 it), on their operands, alpha and beta included, before the first
 product.  Every later operand is a rounded result of the same format.
+`schur` and `hermitian_eig` then keep the factors in complex64 for the
+whole iteration, rotate them on their float32 planes in place, test for
+a NaN once per sweep and, on one, rerun the iteration from its input on
+the software path.
 `gemm` and `_mgs_project` then write the products of each sum, formed
 from the float32 planes, into a complex64 buffer that starts with the
 start value, sum it with one ``np.add.accumulate``, and widen to
 complex128 once, at exit;
 a NaN in the result reruns the whole call through `fl_mul` and `fl_sum`,
 and the flops are charged once, as that path charges them.
+
+Scalar chains follow the same rule.  Since 53 >= 2t + 2 for binary32 and
+binary16, a double +, -, *, / or sqrt of values of the format, cast once
+into the format, is the correctly rounded result, which the `_s*`
+functions compute with a 2Sum residual and a tie-break.  So the Givens
+rotation and the Wilkinson shift of `schur` (`linalg._givens_chain`,
+`linalg._shift_chain`) run in these two formats on Python floats, each
+stage of independent steps rounded by one ``struct`` cast
+(`FpFormat._scalar_rounding`).  They hand every case where the `_s*`
+composition branches on a zero or an infinity, or where a step
+overflows, to that composition, which stays the reference for every
+format.
 
 Complex division has two references.  The scalar `_sdiv` in binary64 is
 CPython's complex division (Smith's method, dividing by the
@@ -196,6 +212,19 @@ class FpFormat:
         """(numpy dtype, struct packer, split constant) of the matching IEEE
         format, or None."""
         return _NATIVE.get((self.significand_bits, self.exponent_bits))
+
+    @cached_property
+    def _scalar_rounding(self):
+        """For binary32 and binary16, the tuple r in which r[n](x_1, ..., x_n)
+        returns the n doubles each rounded into the format by one ``struct``
+        cast (raising OverflowError past its range); None for other formats.
+        """
+        native = self._native
+        if native is None:
+            return None
+        code = native[1].format
+        return tuple(lambda *xs, _p=s.pack, _u=s.unpack: _u(_p(*xs))
+                     for s in (struct.Struct(f"{n}{code}") for n in range(7)))
 
     @classmethod
     def from_bits(cls, significand_bits: int, exponent_bits: int,
