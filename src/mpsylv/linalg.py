@@ -81,6 +81,7 @@ _GEMM_BLOCK = 1 << 15
 _CTX64 = PrecisionContext(BINARY64)
 
 # the rows [X0, X1, X1, X0] that `_rotate_rows` multiplies by [c, s1, c, s2]
+# outside binary64
 _PAIR = np.array([0, 1, 1, 0])
 
 
@@ -319,13 +320,18 @@ def _scaled_down(x: np.ndarray):
 
 
 def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
-    """The rounded steps of `_vec_norm2_ctx`; charges no flops."""
-    r = _round_real_array
+    """The rounded steps of `_vec_norm2_ctx`; charges no flops.  |x_i| of
+    binary32 values takes float32 steps, which round alike (`_givens_chain`)."""
+    ops = _binary32(x) if fmt._is_binary32 else None
     with np.errstate(invalid="ignore", over="ignore"):
-        sq = r(np.array([x.real * x.real, x.imag * x.imag]), fmt)
-        s = r(sq[0] + sq[1], fmt)
-        finite = np.isfinite(s)
-        mag = np.where(finite, r(np.sqrt(np.where(finite, s, 0.0)), fmt), np.inf)
+        if ops is not None:
+            mag = np.sqrt(np.square(ops[0].real) + np.square(ops[0].imag))
+        else:
+            r = _round_real_array
+            sq = r(np.array([x.real * x.real, x.imag * x.imag]), fmt)
+            s = r(sq[0] + sq[1], fmt)
+            finite = np.isfinite(s)
+            mag = np.where(finite, r(np.sqrt(np.where(finite, s, 0.0)), fmt), np.inf)
     acc = 0.0
     for a in mag.tolist():
         # a ** 2 (libm pow) is the defined square; for t > 26 it can
@@ -452,38 +458,84 @@ def _make_reflector(x: np.ndarray, ctx: PrecisionContext):
 
 
 def _reflector_steps(x: np.ndarray, ctx: PrecisionContext):
-    """The rounded steps of `_make_reflector`."""
+    """The rounded steps of `_make_reflector`; w[0], beta and head come from
+    `_reflector_chain` where it returns them, else `_reflector_scalars`."""
     fmt = ctx.format
     nx = _vec_norm2_ctx(x, ctx)
     if nx == 0.0:
         return None, 0.0, 0j
-    x0 = complex(x[0])
-    a0 = _sabs(x0, fmt)
-    phase = _sdiv(x0, a0, fmt) if a0 != 0.0 else 1 + 0j
-    w = x.copy()
-    w[0] = _sadd(x0, _smul(phase, nx, fmt), fmt)
-    # w*w = 2 nx (nx + |x0|), real by construction
-    ww = _smul(2.0, _smul(nx, _sadd(nx, a0, fmt), fmt), fmt).real
     ctx.count(3)
-    beta = _sdiv(2.0, ww, fmt).real
-    head = _smul(-1.0, _smul(phase, nx, fmt), fmt)
+    x0 = complex(x[0])
+    r = fmt._scalar_rounding
+    w = x.copy()
+    w[0], beta, head = (r and _reflector_chain(x0, nx, r)) or _reflector_scalars(x0, nx, fmt)
     return w, beta, head
 
 
+def _reflector_scalars(x0: complex, nx: float, fmt: FpFormat):
+    """w[0], beta and head from x0 = x[0] and nx = |x| by the `_s*` steps."""
+    a0 = _sabs(x0, fmt)
+    phase = _sdiv(x0, a0, fmt) if a0 != 0.0 else 1 + 0j
+    pn = _smul(phase, nx, fmt)
+    # w*w = 2 nx (nx + |x0|), real by construction
+    ww = _smul(2.0, _smul(nx, _sadd(nx, a0, fmt), fmt), fmt).real
+    return _sadd(x0, pn, fmt), _sdiv(2.0, ww, fmt).real, _smul(-1.0, pn, fmt)
+
+
+def _reflector_chain(x0: complex, nx: float, r):
+    """`_reflector_scalars` in binary32 or binary16 as in `_givens_chain`;
+    None where x0 is not a value of the format, |x0|^2 is 0 or not finite
+    (`_shypot` rescales there), nx is not finite or a step overflows."""
+    xr, xi = x0.real, x0.imag
+    try:
+        vr, vi, xx, yy = r[4](xr, xi, xr * xr, xi * xi)
+        (s,) = r[1](xx + yy)
+        if not (vr == xr and vi == xi and 0.0 < s < math.inf and nx < math.inf):
+            return None
+        (a0,) = r[1](math.sqrt(s))
+        # x0 / |x0| (|x0| > 0), and nx + |x0|
+        pr, pi, q = r[3]((xr + xi * 0.0) / a0, (xi - xr * 0.0) / a0, nx + a0)
+        # the products of (x0 / |x0|) * nx, and nx (nx + |x0|)
+        rr, ir, p = r[3](pr * nx, pi * nx, nx * q)
+        nr, ni = rr - pi * 0.0, pr * 0.0 + ir  # phase * nx
+        wr, wi, ww = r[3](xr + nr, xi + ni, 2.0 * p)
+        (beta,) = r[1](2.0 / ww)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return complex(wr, wi), beta, complex(-nr - 0.0 * ni, -ni + 0.0 * nr)
+
+
 def _apply_reflector_left_rounded(M: np.ndarray, w: np.ndarray, beta: float,
-                                  ctx: PrecisionContext) -> np.ndarray:
-    """M <- (I - beta w w*) M, rows matching len(w)."""
+                                  ctx: PrecisionContext) -> None:
+    """M <- (I - beta w w*) M in place, rows matching len(w), charging
+    4*M.size + len(w) flops.  A complex64 M and w (binary32 in `schur`) take
+    the `fl_*` steps on float32 planes: the plane products of conj(w_i) and
+    row i summed from +0 by one ``np.add.accumulate``, as `fl_sum` sums,
+    less those of beta*w and the sums.  A NaN is left for the caller."""
+    if M.dtype == np.complex64:
+        X = np.empty((len(w) + 1, M.shape[1]), dtype=np.complex64)
+        X[0] = 0
+        X[1:].real, X[1:].imag = _plane_product(w.conj()[:, None], M)
+        t = np.add.accumulate(X, axis=0, out=X)[-1]
+        M -= _complex64_product(_complex64_product(np.complex64(beta), w)[:, None], t)
+        ctx.count(4 * M.size + len(w))
+        return
     t = fl_sum(fl_mul(np.conj(w)[:, None], M, ctx), ctx)
     bw = fl_mul(beta, w, ctx)
-    return fl_sub(M, fl_mul(bw[:, None], t[None, :], ctx), ctx)
+    M[...] = fl_sub(M, fl_mul(bw[:, None], t[None, :], ctx), ctx)
 
 
 def _apply_reflector_right_rounded(M: np.ndarray, w: np.ndarray, beta: float,
-                                   ctx: PrecisionContext) -> np.ndarray:
-    """M <- M (I - beta w w*), columns matching len(w)."""
+                                   ctx: PrecisionContext) -> None:
+    """M <- M (I - beta w w*) in place, columns matching len(w).  A complex64
+    M takes the left update of M^T by conj(w), with the `fl_*` path's bits:
+    a plane product does not depend on the order of its operands."""
+    if M.dtype == np.complex64:
+        _apply_reflector_left_rounded(M.T, w.conj(), beta, ctx)
+        return
     t = fl_sum(fl_mul(M.T, w[:, None], ctx), ctx)
     bw = fl_mul(beta, np.conj(w), ctx)
-    return fl_sub(M, fl_mul(t[:, None], bw[None, :], ctx), ctx)
+    M[...] = fl_sub(M, fl_mul(t[:, None], bw[None, :], ctx), ctx)
 
 
 def householder_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
@@ -498,13 +550,13 @@ def householder_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
         w, beta, head = _make_reflector(R[j:, j].copy(), ctx)
         if w is None:
             raise RankDeficiencyError(f"zero column at {j}")
-        R[j:, j:] = _apply_reflector_left_rounded(R[j:, j:], w, beta, ctx)
+        _apply_reflector_left_rounded(R[j:, j:], w, beta, ctx)
         R[j, j] = head
         R[j + 1:, j] = 0.0
         reflectors.append((j, w, beta))
     Q = np.eye(m, dtype=np.complex128)
     for j, w, beta in reversed(reflectors):
-        Q[j:, j:] = _apply_reflector_left_rounded(Q[j:, j:], w, beta, ctx)
+        _apply_reflector_left_rounded(Q[j:, j:], w, beta, ctx)
     Q = Q[:, :n].copy()
     R = R[:n, :].copy()
     R[np.tril_indices(R.shape[0], -1)] = 0.0
@@ -598,25 +650,33 @@ def lu_solve(F: LuFactors, B, side: str = "left", transpose: str = "no",
 # ---------------------------------------------------------------------------
 # Schur decomposition
 
-def _hessenberg(A: np.ndarray, ctx: PrecisionContext):
-    m = A.shape[0]
-    H = A.copy()
-    U = np.eye(m, dtype=np.complex128)
+def _hessenberg(UH: np.ndarray, ctx: PrecisionContext) -> bool:
+    """Householder reduction of H to Hessenberg form in the stacked [U; H],
+    U = I on entry, in place.  False if a complex64 UH meets a w that is not
+    binary32 (a rescaled x, `_make_reflector`) or ends holding a NaN."""
+    m = UH.shape[1]
+    U, H = UH[:m], UH[m:]
+    resident = UH.dtype == np.complex64
     for k in range(m - 2):
-        x = H[k + 1:, k].copy()
+        x = H[k + 1:, k].astype(np.complex128)
         if not np.any(x[1:]):
             continue
         w, beta, head = _make_reflector(x, ctx)
         if w is None:
             continue
-        H[k + 1:, k:] = _apply_reflector_left_rounded(H[k + 1:, k:], w, beta, ctx)
+        if resident:
+            w = _binary32(w)
+            if w is None:
+                return False
+            w = w[0]
+        _apply_reflector_left_rounded(H[k + 1:, k:], w, beta, ctx)
         H[k + 1:, k] = 0.0
         H[k + 1, k] = head
-        H[:, k + 1:] = _apply_reflector_right_rounded(H[:, k + 1:], w, beta, ctx)
-        U[:, k + 1:] = _apply_reflector_right_rounded(U[:, k + 1:], w, beta, ctx)
+        _apply_reflector_right_rounded(H[:, k + 1:], w, beta, ctx)
+        _apply_reflector_right_rounded(U[:, k + 1:], w, beta, ctx)
     if m > 2:
         H[np.tril_indices(m, -2)] = 0.0
-    return H, U
+    return not (resident and np.isnan(UH).any())
 
 
 def _givens(f: complex, g: complex, fmt: FpFormat):
@@ -636,23 +696,37 @@ def _givens(f: complex, g: complex, fmt: FpFormat):
 
 def _givens_steps(f: complex, g: complex, fmt: FpFormat):
     """`_givens` composed from the rounded scalar steps `_sabs`, `_smul`,
-    `_sadd`, `_ssqrt` and `_sdiv`, in any format.  When the sum of squares
-    is 0 or inf, d comes from `_shypot`, which rescales, and in binary64
-    from ``math.hypot``."""
+    `_sadd`, `_ssqrt` and `_sdiv`, in any format but binary64, which takes
+    `_givens_binary64`.  When the sum of squares is 0 or inf, d comes from
+    `_shypot`, which rescales."""
     if g == 0:
         return 1.0, 0j
+    if fmt.is_binary64:
+        return _givens_binary64(f, g)
     ag = _sabs(g, fmt)
     if f == 0:
         return 0.0, _sdiv(g.conjugate(), ag, fmt)
     af = _sabs(f, fmt)
     d2 = _sadd(_smul(af, af, fmt), _smul(ag, ag, fmt), fmt).real
     if d2 == 0.0 or d2 == math.inf:  # the squares left the format's range
-        d = math.hypot(af, ag) if fmt.is_binary64 else _shypot(af, ag, fmt)
+        d = _shypot(af, ag, fmt)
     else:
         d = _ssqrt(d2, fmt)
     c = _sdiv(af, d, fmt).real
     s = _sdiv(_smul(_sdiv(f, af, fmt), g.conjugate(), fmt), d, fmt)
     return c, s
+
+
+def _givens_binary64(f: complex, g: complex):
+    """`_givens_steps` in binary64 for g != 0, by the float and complex
+    operations its steps reduce to (``math.hypot`` past the squares' range)."""
+    ag = abs(g)
+    if f == 0:
+        return 0.0, g.conjugate() / ag
+    af = abs(f)
+    d2 = af * af + ag * ag
+    d = math.hypot(af, ag) if d2 == 0.0 or d2 == math.inf else math.sqrt(d2)
+    return af / d, f / af * g.conjugate() / d
 
 
 # The scalar chains below run `_givens_steps` and `_shift_steps` on Python
@@ -698,36 +772,25 @@ def _givens_chain(f: complex, g: complex, r):
 
 
 def _rotate_rows(X: np.ndarray, c: float, s1: complex, s2: complex,
-                 ctx: PrecisionContext, native: bool = False) -> None:
-    """X <- (c X0 + s1 X1, c X1 - s2 X0) in place, X a (2, n) view.
-
-    The rows are gathered once as [X0, X1, X1, X0], multiplied by
-    [c, s1, c, s2] and summed in pairs: the flops of four products and two
-    sums per column.  binary64 runs the complex128 product and sum of
-    `fl_mul` and `fl_add`.  A complex64 X, which `schur` and
-    `hermitian_eig` keep in binary32, is rotated by `_plane_rotation` with
-    no check: a NaN is left for the caller to find.  A complex128 X with
-    ``native`` (the caller has checked that the operands are binary32
-    values) takes `_plane_rotation` on a complex64 copy, and a NaN result
-    falls back to `fl_mul` and `fl_add`, as every other format does.  Call
-    under ``np.errstate(over="ignore", invalid="ignore")``.
-    """
-    G = X[_PAIR]
-    new = None
+                 ctx: PrecisionContext) -> None:
+    """X <- (c X0 + s1 X1, c X1 - s2 X0) in place, X a (2, n) view, with
+    the flops of four products and two sums per column: in binary64 the
+    complex128 products and sums of `fl_mul` and `fl_add`; for a complex64
+    X, which `schur` and `hermitian_eig` keep in binary32, `_plane_rotation`
+    (a NaN is left for the caller to find); else `fl_mul` and `fl_add`.
+    Call under ``np.errstate(over="ignore", invalid="ignore")``."""
     if ctx.format.is_binary64:
-        prods = np.array([c, s1, c, s2], dtype=np.complex128)[:, None] * G
-        new = prods[0::2] + np.array([prods[1], -prods[3]])
+        B = np.array([s1, s2])[:, None] * X[::-1]
+        np.negative(B[1], out=B[1])
+        X *= c
+        X += B
     elif X.dtype == np.complex64:
-        new = _plane_rotation(G, c, s1, s2)
-    elif native:
-        new = _plane_rotation(G.astype(np.complex64), c, s1, s2)
-        new = _widened(new.real, new.imag)
-    if new is None:
-        prods = fl_mul(np.array([c, s1, c, s2], dtype=np.complex128)[:, None], G, ctx)
-        new = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
+        X[...] = _plane_rotation(X[_PAIR], c, s1, s2)
     else:
-        ctx.count(6 * X.shape[1])
-    X[...] = new
+        prods = fl_mul(np.array([c, s1, c, s2], dtype=np.complex128)[:, None], X[_PAIR], ctx)
+        X[...] = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
+        return
+    ctx.count(6 * X.shape[1])
 
 
 def _plane_rotation(G: np.ndarray, c: float, s1: complex, s2: complex) -> np.ndarray:
@@ -747,17 +810,6 @@ def _plane_rotation(G: np.ndarray, c: float, s1: complex, s2: complex) -> np.nda
     prods = P * k[..., :2] + P[..., ::-1] * k[..., 2:]
     np.negative(prods[3], out=prods[3])
     return (prods[0::2] + prods[1::2]).view(np.complex64)[..., 0]
-
-
-def _rotate(P: np.ndarray, Q: np.ndarray, c: float, s1: complex, s2: complex,
-            ctx: PrecisionContext):
-    """`_rotate_rows` out of place on two equal-length vectors; binary32
-    takes the native path when every operand is a binary32 value."""
-    X = np.array([P, Q], dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        native = ctx.format._is_binary32 and _binary32(X, np.array([c, s1, s2])) is not None
-        _rotate_rows(X, c, s1, s2, ctx, native)
-    return X[0], X[1]
 
 
 def _wilkinson_shift(H: np.ndarray, hi: int, fmt: FpFormat) -> complex:
@@ -869,33 +921,33 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
     A is rounded into the context's format on entry, so callers pass it
     unrounded: an entry past the format's range raises FormatOverflowError
     before any flop is charged.  Raises IterationLimitError after 30*m
-    sweeps.  In binary32 the QR iteration keeps U and H in complex64
-    (`_complex64_resident`).
+    sweeps.  In binary32 the reduction and the QR iteration keep U and H
+    in complex64 from start to end (`_complex64_resident`).
     """
     A = _enter(A, ctx, "schur input")
     m = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise DimensionError("schur requires a square matrix")
-    H, U = _hessenberg(A, ctx)
-    # U above H in one array: a Givens step rotates the rows of H through
-    # one view and the columns of U and H together through another
+    # U above H in one array: a reflector or a Givens step updates the rows
+    # of H through one view and the columns of U and H through others
+    UH = np.concatenate([np.eye(m, dtype=np.complex128), A])
     with np.errstate(over="ignore", invalid="ignore"):
-        UH = _complex64_resident(_qr_iteration, np.concatenate([U, H]), ctx)
+        UH = _complex64_resident(
+            lambda X, c: _hessenberg(X, c) and _qr_iteration(X, c), UH, ctx)
     return SchurFactors(UH[:m].copy(), np.triu(UH[m:]))
 
 
 def _complex64_resident(iterate, X: np.ndarray, ctx: PrecisionContext) -> np.ndarray:
-    """X after ``iterate(X, ctx)``, which rotates it in place and returns
-    False if a sweep left a NaN in a complex64 X.
+    """X after ``iterate(X, ctx)``, which updates it in place and returns
+    False if a complex64 X holds a NaN or meets an operand off binary32.
 
     In binary32, when every entry of X is a binary32 value, iterate runs on
-    a complex64 copy, whose rotations work on float32 planes in place
-    (`_rotate_rows`), and the flops it counts are charged when it returns
-    or raises.  On a NaN it runs again from X, uncharged so far, on the
-    complex128 path: that path's rotations hand each NaN-producing step to
-    `fl_mul` and `fl_add`, and every other value is the same, so the result
-    is that path's, NaN payloads included.  The result is complex128.  Call
-    under ``np.errstate(over="ignore", invalid="ignore")``.
+    a complex64 copy, which its kernels update on float32 planes in place,
+    and the flops it counts are charged once, when it returns or raises.
+    On a False it runs again from X, uncharged so far, on the complex128
+    path, whose `fl_*` steps give the same values and their own NaN
+    payloads, so the result is that path's.  The result is complex128.
+    Call under ``np.errstate(over="ignore", invalid="ignore")``.
     """
     ops = _binary32(X) if ctx.format._is_binary32 else None
     if ops is not None:
@@ -904,7 +956,7 @@ def _complex64_resident(iterate, X: np.ndarray, ctx: PrecisionContext) -> np.nda
         try:
             clean = iterate(ops[0], PrecisionContext(ctx.format, tally))
         finally:
-            # a bucket is made only by a charge, as each rotation makes it
+            # a bucket is made only by a charge, as each kernel makes it
             if clean is not False and tally.total():
                 ctx.count(tally.total())
         if clean:

@@ -64,18 +64,20 @@ may fuse steps.  The guard casts the operands to complex64 once and
 compares them with the originals; a value that is not binary32, or a
 NaN, fails it, and the software path runs instead.  A result that holds
 a NaN is recomputed by the software path, so NaN payloads stay the ones
-it produces.  The Givens kernel `linalg._rotate_rows` forms its products
-the same way.  Five callers run the guard once per call, not once per
-step: `schur` and `hermitian_eig`, on the stacked factors before the
-first rotation; `sylvester.solve_sylv_tri`, on its stacked
-[Y | T_A | T_B] buffer, C and the shifted diagonals before the first
-wave; and `linalg.gemm` and `linalg._mgs_project` (with the `_dot` in
-it), on their operands, alpha and beta included, before the first
-product.  Every later operand is a rounded result of the same format.
-`schur` and `hermitian_eig` then keep the factors in complex64 for the
-whole iteration, rotate them on their float32 planes in place, test for
-a NaN once per sweep and, on one, rerun the iteration from its input on
-the software path.
+it produces.  The Givens and Householder kernels of `linalg` form their
+products the same way.  Five callers run the guard once per call, not
+once per step: `schur`, on the stacked [I; A] before its Householder
+reduction; `hermitian_eig`, on the stacked factors before the first
+rotation; `sylvester.solve_sylv_tri`, on its stacked [Y | T_A | T_B]
+buffer, C and the shifted diagonals before the first wave; and
+`linalg.gemm` and `linalg._mgs_project` (with the `_dot` in it), on
+their operands, alpha and beta included, before the first product.
+Every later operand is a rounded result of the same format (`schur` also
+checks a Householder vector formed from a column scaled past overflow).
+`schur` and `hermitian_eig` then keep the factors in complex64 from
+start to end, update them on their float32 planes in place, test for a
+NaN once per sweep (`schur` also after the reduction) and, on one, rerun
+the whole factorization from its input on the software path.
 `gemm` and `_mgs_project` then write the products of each sum, formed
 from the float32 planes, into a complex64 buffer that starts with the
 start value, sum it with one ``np.add.accumulate``, and widen to
@@ -86,14 +88,16 @@ and the flops are charged once, as that path charges them.
 Scalar chains follow the same rule.  Since 53 >= 2t + 2 for binary32 and
 binary16, a double +, -, *, / or sqrt of values of the format, cast once
 into the format, is the correctly rounded result, which the `_s*`
-functions compute with a 2Sum residual and a tie-break.  So the Givens
-rotation and the Wilkinson shift of `schur` (`linalg._givens_chain`,
+functions compute with a 2Sum residual and a tie-break.  So the
+Householder scalars, the Givens rotation and the Wilkinson shift of
+`schur` (`linalg._reflector_chain`, `linalg._givens_chain`,
 `linalg._shift_chain`) run in these two formats on Python floats, each
 stage of independent steps rounded by one ``struct`` cast
 (`FpFormat._scalar_rounding`).  They hand every case where the `_s*`
 composition branches on a zero or an infinity, or where a step
 overflows, to that composition, which stays the reference for every
-format.
+format.  For the same reason the binary32 |x_i| of `linalg._norm2_steps`
+are float32 steps.
 
 Complex division has two references.  The scalar `_sdiv` in binary64 is
 CPython's complex division (Smith's method, dividing by the

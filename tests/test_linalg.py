@@ -17,7 +17,6 @@ from mpsylv.linalg import (
     _givens,
     _make_reflector,
     _mgs_project,
-    _rotate,
     _rotate_rows,
     _vec_norm2_ctx,
     cond_inf,
@@ -280,11 +279,28 @@ def _bits(a):
 
 
 def _soft_rotate(P, Q, c, s1, s2):
-    """`_rotate`'s products and sums composed from the software path."""
+    """`_rotate_rows`' products and sums composed from the software path."""
     a = np.array([[c], [s1], [c], [s2]], dtype=np.complex128)
     a, b = np.broadcast_arrays(a, np.array([P, Q, Q, P]))
     prods = _compose(*_mul_parts(a.real, a.imag, b.real, b.imag, BINARY32))
     return _rounded_sum(prods[0::2], np.array([prods[1], -prods[3]]), BINARY32)
+
+
+def _rotated(P, Q, c, s1, s2, ctx, dtype=np.complex128):
+    """[P, Q] as one (2, n) array of dtype after `_rotate_rows`, in complex128."""
+    X = np.array([P, Q], dtype=dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _rotate_rows(X, c, s1, s2, ctx)
+    return X.astype(np.complex128)
+
+
+def _part_bits_match(got, want):
+    """Equal bits in every real and imaginary part that is not NaN in want,
+    and NaN in the same parts; a complex64 NaN's payload is its own."""
+    g, w = got.view(np.float64), want.view(np.float64)
+    nan = np.isnan(w)
+    bits_match = (g[~nan].view(np.uint64) == w[~nan].view(np.uint64)).all()
+    return (np.isnan(g) == nan).all() and bits_match
 
 
 class TestRotate:
@@ -300,44 +316,56 @@ class TestRotate:
             c, s = _givens(1 + 0j, 1 + 0j, BINARY32)
         elif case == "off-format":
             Q[4] = 0.1
-        counter = FlopCounter()
-        new_p, new_q = _rotate(P, Q, c, s, np.conj(s),
-                               PrecisionContext(BINARY32, counter, "low"))
         ref = _soft_rotate(P, Q, c, s, np.conj(s))
-        for got, want in ((new_p, ref[0]), (new_q, ref[1])):
-            assert (got.view(np.uint64) == want.view(np.uint64)).all()
-        assert counter.get("low") == 6 * len(P)
+        # complex128 takes fl_mul and fl_add, complex64 (binary32 values
+        # only) the float32 planes, as in schur and hermitian_eig
+        for dtype in [np.complex128] + ([np.complex64] if case != "off-format" else []):
+            counter = FlopCounter()
+            got = _rotated(P, Q, c, s, np.conj(s), PrecisionContext(BINARY32, counter, "low"),
+                           dtype)
+            if dtype is np.complex128:
+                assert (got.view(np.uint64) == ref.view(np.uint64)).all()
+            assert _part_bits_match(got, ref)
+            assert counter.get("low") == 6 * len(P)
         assert np.isnan(ref).any() == (case == "nan")
         assert np.isfinite(ref).all() == (case in ("binary32", "off-format"))
 
     @pytest.mark.parametrize("fmt", [BINARY64, BFLOAT16], ids=lambda f: f.name)
     def test_matches_fl_mul_fl_add(self, fmt, rng):
-        P, Q = round_matrix(cmat(rng, 2, 29, scale=1e2), fmt)
-        c, s = _givens(complex(P[0]), complex(Q[0]), fmt)
-        counter = FlopCounter()
-        new_p, new_q = _rotate(P, Q, c, s, np.conj(s), PrecisionContext(fmt, counter, "low"))
-        assert counter.get("low") == 6 * len(P)
-        ctx = PrecisionContext(fmt)
-        prods = fl_mul(np.array([[c], [s], [c], [np.conj(s)]]), np.array([P, Q, Q, P]), ctx)
-        ref = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
-        for got, want in ((new_p, ref[0]), (new_q, ref[1])):
-            assert (_bits(got) == _bits(want)).all()
+        # binary64 also where products overflow or underflow
+        for scale in [1e2, 1e300, 1e-300] * 10 if fmt == BINARY64 else [1e2] * 10:
+            P, Q = round_matrix(cmat(rng, 2, 29, scale=scale), fmt)
+            c, s = _givens(complex(P[0]), complex(Q[0]), fmt)
+            counter = FlopCounter()
+            new = _rotated(P, Q, c, s, np.conj(s), PrecisionContext(fmt, counter, "low"))
+            assert counter.get("low") == 6 * len(P)
+            ctx = PrecisionContext(fmt)
+            with np.errstate(over="ignore", invalid="ignore"):
+                prods = fl_mul(np.array([[c], [s], [c], [np.conj(s)]]),
+                               np.array([P, Q, Q, P]), ctx)
+                ref = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
+            assert (_bits(new) == _bits(ref)).all()
 
     @pytest.mark.parametrize("fmt", [BINARY32, BINARY64, BFLOAT16], ids=lambda f: f.name)
     def test_strided_view_in_place(self, fmt, rng):
-        # columns p and q of a stacked [V; W], as in hermitian_eig
+        # columns p and q of a stacked [V; W], as in hermitian_eig, which
+        # keeps it in complex64 in binary32
         n, p, q = 7, 1, 5
         VW = round_matrix(cmat(rng, 2 * n, n), fmt)
         c, s = _givens(complex(VW[0, p]), complex(VW[0, q]), fmt)
+        if fmt == BINARY32:
+            want = _soft_rotate(VW[:, p], VW[:, q], c, np.conj(s), s)
+            VW = VW.astype(np.complex64)
+        else:
+            want = _rotated(VW[:, p], VW[:, q], c, np.conj(s), s, PrecisionContext(fmt))
         before = VW.copy()
-        want = _rotate(VW[:, p], VW[:, q], c, np.conj(s), s, PrecisionContext(fmt))
         counter = FlopCounter()
         with np.errstate(over="ignore", invalid="ignore"):
             _rotate_rows(VW[:, p:q + 1:q - p].T, c, np.conj(s), s,
-                         PrecisionContext(fmt, counter, "low"), fmt == BINARY32)
+                         PrecisionContext(fmt, counter, "low"))
         assert counter.get("low") == 6 * 2 * n
         for got, ref in ((VW[:, p], want[0]), (VW[:, q], want[1])):
-            assert (_bits(got) == _bits(ref)).all()
+            assert (_bits(got.astype(np.complex128)) == _bits(ref)).all()
         others = np.ones(n, dtype=bool)
         others[[p, q]] = False
         assert (_bits(VW[:, others]) == _bits(before[:, others])).all()
