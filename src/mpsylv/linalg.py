@@ -33,10 +33,11 @@ from .precision import (
     fl_div,
     fl_mul,
     fl_sub,
-    fl_sum,
+    _accumulate,
+    _add,
     _binary32,
     _csqrt,
-    _plane_product,
+    _product,
     _round_real_array,
     _round_real_scalar,
     _round_complex_array,
@@ -48,6 +49,7 @@ from .precision import (
     _smul,
     _ssqrt,
     _ssub,
+    _sub,
     _widened,
 )
 
@@ -75,7 +77,7 @@ __all__ = [
 
 DEFAULT_KRON_CAP = 4096
 
-# products formed per fl_mul call in gemm; bounds its working memory
+# products formed per block of k indices in gemm; bounds its working memory
 _GEMM_BLOCK = 1 << 15
 
 _CTX64 = PrecisionContext(BINARY64)
@@ -141,10 +143,10 @@ def _enter(A: np.ndarray, ctx: PrecisionContext, what: str = "matrix") -> np.nda
 def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     """fl(alpha*A@B + beta*C) with a fixed ascending-k accumulation order.
 
-    Each entry sums its k rounded products in ascending order, so results
-    are deterministic and reproducible in every format.  The products are
-    formed a block of k indices at a time and summed with `fl_sum`.
-    ``C`` may be None when beta == 0.
+    Each entry sums its k rounded products in ascending order from +0, so
+    results are deterministic and reproducible in every format.  The
+    products are formed a block of k indices at a time, each block summed
+    on from the last (`_gemm_steps`).  ``C`` may be None when beta == 0.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -152,75 +154,36 @@ def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     k2, n = B.shape
     if k != k2:
         raise DimensionError(f"inner dimensions differ: {A.shape} @ {B.shape}")
-    if C is None:
-        if beta != 0:
-            raise DimensionError("C is required when beta != 0")
-        C = np.zeros((m, n), dtype=np.complex128)
-    else:
+    if C is not None:
         C = as_matrix(C)
         if C.shape != (m, n):
             raise DimensionError(f"C has shape {C.shape}, expected {(m, n)}")
-    kb = max(1, _GEMM_BLOCK // (m * n))
-    if ctx.format._is_binary32:
-        out = _gemm_binary32(alpha, A, B, beta, C, kb)
-        if out is not None:
-            ctx.count(m * n * (2 * k + (alpha != 1) + (beta != 0) + (beta not in (0, 1))))
-            return out
-    acc = None
-    for p in range(0, k, kb):
-        prods = fl_mul(A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :], ctx)
-        acc = fl_sum(prods, ctx, start=acc)
-    if alpha != 1:
-        acc = fl_mul(alpha, acc, ctx)
-    if beta == 0:
-        return acc
-    if beta != 1:
-        return fl_add(acc, fl_mul(beta, C, ctx), ctx)
-    return fl_add(acc, C, ctx)
+    elif beta != 0:
+        raise DimensionError("C is required when beta != 0")
+    ab = np.array([alpha, beta], dtype=np.complex128)
+    return _resident(_gemm_steps, ctx, ab, A, B, *([] if beta == 0 else [C]))[0]
 
 
-def _gemm_binary32(alpha, A, B, beta, C, kb: int):
-    """`gemm` in binary32 on complex64 copies of its operands; None unless
-    alpha, beta, A, B and (when beta != 0) C all hold binary32 values and
-    the result holds no NaN.
-
-    The steps are those of the `fl_mul`/`fl_sum` path on binary32 values:
-    products from the float32 planes (`_plane_product`), written after the
-    start value (+0, then the previous block's sum) into one buffer per
-    block and summed with one ``np.add.accumulate``; then the alpha and
-    beta products and the final sum.  Every step is the correctly rounded
-    binary32 result, so the values equal that path's; a NaN reaches the
-    result, which the caller then recomputes on that path to keep its
-    payloads.  Charges no flops.
-    """
+def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext):
+    """The steps of `gemm` for ab = [alpha, beta] and C (None when beta is
+    0), as a 1-tuple: each block's products summed on from the last
+    block's sums (`_accumulate`), then the alpha and beta products and the
+    sum with C.  Charges one flop per entry for each of these steps taken,
+    2k for the products and their sums."""
+    fmt = ctx.format
+    alpha, beta = ab.tolist()
     m, k = A.shape
     n = B.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        ops = _binary32(np.array([alpha, beta], dtype=np.complex128), A, B,
-                        *([] if beta == 0 else [C]))
-        if ops is None:
-            return None
-        (a, b), A, B = ops[:3]
-        acc = np.zeros((m, n), dtype=np.complex64)
-        for p in range(0, k, kb):
-            X = np.empty((min(kb, k - p) + 1, m, n), dtype=np.complex64)
-            X[0] = acc
-            X[1:].real, X[1:].imag = _plane_product(A[:, p:p + kb].T[:, :, None],
-                                                    B[p:p + kb, None, :])
-            acc = np.add.accumulate(X, axis=0, out=X)[-1]
-        if alpha != 1:
-            acc = _complex64_product(a, acc)
-        if beta != 0:
-            acc = acc + (ops[3] if beta == 1 else _complex64_product(b, ops[3]))
-    return _widened(acc.real, acc.imag)
-
-
-def _complex64_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b from the float32 planes (`_plane_product`), as complex64."""
-    re, im = _plane_product(a, b)
-    z = np.empty(re.shape, dtype=np.complex64)
-    z.real, z.imag = re, im
-    return z
+    kb = max(1, _GEMM_BLOCK // (m * n))
+    acc = None
+    for p in range(0, k, kb):
+        acc = _accumulate(A[:, p:p + kb].T[:, :, None], acc, fmt, B[p:p + kb, None, :])
+    if alpha != 1:
+        acc = _product(alpha, acc, fmt)
+    if C is not None:
+        acc = _add(acc, C if beta == 1 else _product(beta, C, fmt), fmt)
+    ctx.count(m * n * (2 * k + (alpha != 1) + (C is not None) + (beta not in (0, 1))))
+    return (acc,)
 
 
 def _norm_two(M: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
@@ -278,15 +241,14 @@ def norm(M, kind: str = "frobenius") -> float:
 
 
 def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext) -> complex:
-    """conj(x).y accumulated in ascending index order under ctx.
-
-    The rounded products are formed in one vector pass and summed with
-    `fl_sum`.  binary64 takes numpy's ``vdot``.
-    """
-    if ctx.format.is_binary64:
-        ctx.count(2 * len(x))
+    """conj(x).y accumulated in ascending index order under ctx, charging
+    2 len(x) flops: numpy's ``vdot`` in binary64, else the products of
+    `_product` summed from +0 by `_accumulate`."""
+    ctx.count(2 * len(x))
+    fmt = ctx.format
+    if fmt.is_binary64:
         return complex(np.vdot(x, y))
-    return complex(fl_sum(fl_mul(np.conj(x), y, ctx), ctx))
+    return complex(_accumulate(np.conj(x), None, fmt, y))
 
 
 def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
@@ -299,7 +261,8 @@ def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
     power of two, which is exact, and the norm is scaled back.
     """
     ctx.count(2 * len(x) + 1)
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x)
+    x = x if x.dtype == np.complex64 else x.astype(np.complex128, copy=False)
     if ctx.format.is_binary64:
         return _frobenius(x)
     fmt = ctx.format
@@ -320,12 +283,12 @@ def _scaled_down(x: np.ndarray):
 
 
 def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
-    """The rounded steps of `_vec_norm2_ctx`; charges no flops.  |x_i| of
-    binary32 values takes float32 steps, which round alike (`_givens_chain`)."""
-    ops = _binary32(x) if fmt._is_binary32 else None
+    """The rounded steps of `_vec_norm2_ctx`; charges no flops.  |x_i| of a
+    complex64 x (binary32 in `schur`) takes float32 steps, which round
+    alike (`_givens_chain`)."""
     with np.errstate(invalid="ignore", over="ignore"):
-        if ops is not None:
-            mag = np.sqrt(np.square(ops[0].real) + np.square(ops[0].imag))
+        if x.dtype == np.complex64:
+            mag = np.sqrt(np.square(x.real) + np.square(x.imag))
         else:
             r = _round_real_array
             sq = r(np.array([x.real * x.real, x.imag * x.imag]), fmt)
@@ -368,7 +331,7 @@ def _fix_r_diagonal(Q: np.ndarray, R: np.ndarray, ctx: PrecisionContext):
 def _check_rank(R: np.ndarray, A: np.ndarray, ctx: PrecisionContext):
     k = min(R.shape)
     dmin = min(abs(R[j, j]) for j in range(k))
-    if dmin <= R.shape[1] * ctx.format.unit_roundoff * float(np.linalg.norm(A)):
+    if dmin <= R.shape[1] * ctx.format.unit_roundoff * _frobenius(A):
         raise RankDeficiencyError(
             f"input is numerically rank deficient (min |R_jj| = {dmin:.3e})")
 
@@ -377,47 +340,23 @@ def _mgs_project(Q: np.ndarray, v: np.ndarray, ctx: PrecisionContext):
     """Project v off the columns of Q one at a time (modified Gram-Schmidt)
     under ctx; returns the coefficients conj(q_i).v and the remainder.
 
-    Each coefficient is a `_dot`, and v loses fl(h_i q_i) by `fl_sub`.
-    binary32 first tries `_mgs_binary32`, which checks the operands once
-    per call, not once per step.
-    """
-    if ctx.format._is_binary32:
-        out = _mgs_binary32(Q, v)
-        if out is not None:
-            ctx.count(4 * Q.size)
-            return out
-    h = np.zeros(Q.shape[1], dtype=np.complex128)
+    Each coefficient is a `_dot`, and v loses fl(h_i q_i), charging
+    4*Q.size flops (`_mgs_steps`)."""
+    return _resident(_mgs_steps, ctx, Q, v)
+
+
+def _mgs_steps(Q: np.ndarray, v: np.ndarray, *, ctx: PrecisionContext):
+    """The steps of `_mgs_project`, as (h, v); an empty Q charges nothing,
+    so it makes no flop bucket."""
+    fmt = ctx.format
+    quiet = PrecisionContext(fmt)
+    h = np.zeros(Q.shape[1], dtype=Q.dtype)
     for i in range(Q.shape[1]):
-        h[i] = _dot(Q[:, i], v, ctx)
-        v = fl_sub(v, fl_mul(h[i], Q[:, i], ctx), ctx)
+        h[i] = _dot(Q[:, i], v, quiet)
+        v = _sub(v, _product(h[i], Q[:, i], fmt), fmt)
+    if Q.size:
+        ctx.count(4 * Q.size)
     return h, v
-
-
-def _mgs_binary32(Q: np.ndarray, v: np.ndarray):
-    """`_mgs_project` in complex64; None unless Q and v hold binary32
-    values and neither result holds a NaN.
-
-    Each coefficient sums the plane products of conj(q_i) and v after a
-    +0 start with one ``np.add.accumulate``, as `fl_sum` does, and v then
-    loses the plane product h_i q_i: the steps of the `fl_mul`/`fl_sum`/
-    `fl_sub` path on binary32 values, so the values are that path's.  A
-    NaN in a coefficient spreads to all of v, and one in v stays there.
-    Charges no flops.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ops = _binary32(Q, v)
-        if ops is None:
-            return None
-        Q, v = ops
-        h = np.empty(Q.shape[1], dtype=np.complex64)
-        X = np.zeros(len(v) + 1, dtype=np.complex64)  # X[0], the start, stays +0
-        for i in range(Q.shape[1]):
-            q = Q[:, i]
-            X[1:].real, X[1:].imag = _plane_product(q.conj(), v)
-            h[i] = np.add.accumulate(X, out=X)[-1]
-            v = v - _complex64_product(h[i], q)
-    h, v = _widened(h.real, h.imag), _widened(v.real, v.imag)
-    return None if h is None or v is None else (h, v)
 
 
 def mgs_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
@@ -508,34 +447,26 @@ def _reflector_chain(x0: complex, nx: float, r):
 def _apply_reflector_left_rounded(M: np.ndarray, w: np.ndarray, beta: float,
                                   ctx: PrecisionContext) -> None:
     """M <- (I - beta w w*) M in place, rows matching len(w), charging
-    4*M.size + len(w) flops.  A complex64 M and w (binary32 in `schur`) take
-    the `fl_*` steps on float32 planes: the plane products of conj(w_i) and
-    row i summed from +0 by one ``np.add.accumulate``, as `fl_sum` sums,
-    less those of beta*w and the sums.  A NaN is left for the caller."""
-    if M.dtype == np.complex64:
-        X = np.empty((len(w) + 1, M.shape[1]), dtype=np.complex64)
-        X[0] = 0
-        X[1:].real, X[1:].imag = _plane_product(w.conj()[:, None], M)
-        t = np.add.accumulate(X, axis=0, out=X)[-1]
-        M -= _complex64_product(_complex64_product(np.complex64(beta), w)[:, None], t)
-        ctx.count(4 * M.size + len(w))
-        return
-    t = fl_sum(fl_mul(np.conj(w)[:, None], M, ctx), ctx)
-    bw = fl_mul(beta, w, ctx)
-    M[...] = fl_sub(M, fl_mul(bw[:, None], t[None, :], ctx), ctx)
+    4*M.size + len(w) flops: t = w* M summed from +0 (`_accumulate`), less
+    the products of beta w and t.  A complex64 M and w (binary32 in
+    `schur`) take the steps on float32 planes; a NaN is left for the
+    caller."""
+    fmt = ctx.format
+    t = _accumulate(np.conj(w)[:, None], None, fmt, M)
+    bw = _product(beta, w, fmt)
+    M[...] = _sub(M, _product(bw[:, None], t[None, :], fmt), fmt)
+    ctx.count(4 * M.size + len(w))
 
 
 def _apply_reflector_right_rounded(M: np.ndarray, w: np.ndarray, beta: float,
                                    ctx: PrecisionContext) -> None:
-    """M <- M (I - beta w w*) in place, columns matching len(w).  A complex64
-    M takes the left update of M^T by conj(w), with the `fl_*` path's bits:
-    a plane product does not depend on the order of its operands."""
-    if M.dtype == np.complex64:
-        _apply_reflector_left_rounded(M.T, w.conj(), beta, ctx)
-        return
-    t = fl_sum(fl_mul(M.T, w[:, None], ctx), ctx)
-    bw = fl_mul(beta, np.conj(w), ctx)
-    M[...] = fl_sub(M, fl_mul(t[:, None], bw[None, :], ctx), ctx)
+    """M <- M (I - beta w w*) in place, columns matching len(w), with the
+    steps and flops of `_apply_reflector_left_rounded` on the rows of M."""
+    fmt = ctx.format
+    t = _accumulate(M.T, None, fmt, w[:, None])
+    bw = _product(beta, np.conj(w), fmt)
+    M[...] = _sub(M, _product(t[:, None], bw[None, :], fmt), fmt)
+    ctx.count(4 * M.size + len(w))
 
 
 def householder_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
@@ -655,10 +586,10 @@ def _hessenberg(UH: np.ndarray, ctx: PrecisionContext) -> bool:
     U = I on entry, in place.  False if a complex64 UH meets a w that is not
     binary32 (a rescaled x, `_make_reflector`) or ends holding a NaN."""
     m = UH.shape[1]
-    U, H = UH[:m], UH[m:]
+    H = UH[m:]
     resident = UH.dtype == np.complex64
     for k in range(m - 2):
-        x = H[k + 1:, k].astype(np.complex128)
+        x = H[k + 1:, k]
         if not np.any(x[1:]):
             continue
         w, beta, head = _make_reflector(x, ctx)
@@ -672,8 +603,9 @@ def _hessenberg(UH: np.ndarray, ctx: PrecisionContext) -> bool:
         _apply_reflector_left_rounded(H[k + 1:, k:], w, beta, ctx)
         H[k + 1:, k] = 0.0
         H[k + 1, k] = head
-        _apply_reflector_right_rounded(H[:, k + 1:], w, beta, ctx)
-        _apply_reflector_right_rounded(U[:, k + 1:], w, beta, ctx)
+        # the columns of U and of H in one update, charged as two
+        _apply_reflector_right_rounded(UH[:, k + 1:], w, beta, ctx)
+        ctx.count(len(w))
     if m > 2:
         H[np.tril_indices(m, -2)] = 0.0
     return not (resident and np.isnan(UH).any())
@@ -796,7 +728,8 @@ def _rotate_rows(X: np.ndarray, c: float, s1: complex, s2: complex,
 def _plane_rotation(G: np.ndarray, c: float, s1: complex, s2: complex) -> np.ndarray:
     """[c G0 + s1 G1, c G2 - s2 G3] for the complex64 rows G, as complex64,
     with the steps of `_rotate_rows` on binary32 values: the plane products
-    of `_plane_product`, the negation of the fourth and the pairwise sums.
+    of `precision._plane_product`, the negation of the fourth and the
+    pairwise sums.
 
     The planes are read from G's interleaved (re, im) pairs P: the products
     are P * [kr, kr] + swap(P) * [-ki, ki] for each coefficient k, which
@@ -922,7 +855,7 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
     unrounded: an entry past the format's range raises FormatOverflowError
     before any flop is charged.  Raises IterationLimitError after 30*m
     sweeps.  In binary32 the reduction and the QR iteration keep U and H
-    in complex64 from start to end (`_complex64_resident`).
+    in complex64 from start to end (`_resident`).
     """
     A = _enter(A, ctx, "schur input")
     m = A.shape[0]
@@ -932,37 +865,43 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
     # of H through one view and the columns of U and H through others
     UH = np.concatenate([np.eye(m, dtype=np.complex128), A])
     with np.errstate(over="ignore", invalid="ignore"):
-        UH = _complex64_resident(
-            lambda X, c: _hessenberg(X, c) and _qr_iteration(X, c), UH, ctx)
+        (UH,) = _resident(lambda X, ctx: _hessenberg(X, ctx) and _qr_iteration(X, ctx)
+                          and (X,), ctx, UH)
     return SchurFactors(UH[:m].copy(), np.triu(UH[m:]))
 
 
-def _complex64_resident(iterate, X: np.ndarray, ctx: PrecisionContext) -> np.ndarray:
-    """X after ``iterate(X, ctx)``, which updates it in place and returns
-    False if a complex64 X holds a NaN or meets an operand off binary32.
+def _resident(kernel, ctx: PrecisionContext, *arrays):
+    """``kernel(*arrays, ctx=ctx)``, which returns a tuple of arrays, or
+    False when it finds a NaN or an operand off binary32 in complex64
+    arrays.
 
-    In binary32, when every entry of X is a binary32 value, iterate runs on
-    a complex64 copy, which its kernels update on float32 planes in place,
-    and the flops it counts are charged once, when it returns or raises.
-    On a False it runs again from X, uncharged so far, on the complex128
-    path, whose `fl_*` steps give the same values and their own NaN
-    payloads, so the result is that path's.  The result is complex128.
-    Call under ``np.errstate(over="ignore", invalid="ignore")``.
+    The one entry into binary32 arithmetic: in binary32, when every entry
+    of every array is a binary32 value, the kernel runs on complex64
+    copies, whose steps then run on float32 planes (`_product`, `_add`,
+    `_sub`, `_accumulate`, `_rotate_rows`), and the flops it counts are
+    charged once, when it returns or raises.  Its result is widened to
+    complex128.  A False, or a result holding a NaN, runs the kernel again
+    from the arrays, uncharged so far, in complex128, whose software steps
+    give the same values and their own NaN payloads.
     """
-    ops = _binary32(X) if ctx.format._is_binary32 else None
-    if ops is not None:
-        tally = FlopCounter()
-        clean = None
-        try:
-            clean = iterate(ops[0], PrecisionContext(ctx.format, tally))
-        finally:
-            # a bucket is made only by a charge, as each kernel makes it
-            if clean is not False and tally.total():
-                ctx.count(tally.total())
-        if clean:
-            return ops[0].astype(np.complex128)
-    iterate(X, ctx)
-    return X
+    if ctx.format._is_binary32:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ops = _binary32(*arrays)
+            if ops is not None:
+                tally = FlopCounter()
+                out = None
+                try:
+                    out = kernel(*ops, ctx=PrecisionContext(ctx.format, tally))
+                    # a result holding a NaN reruns, as a False does
+                    out = out and (_widened(*out) or False)
+                finally:
+                    if out is not False:
+                        # a bucket is made only by a charge, as each kernel makes it
+                        for n in tally.counts.values():
+                            ctx.count(n)
+                if out:
+                    return out
+    return kernel(*arrays, ctx=ctx)
 
 
 def _qr_iteration(UH: np.ndarray, ctx: PrecisionContext) -> bool:
@@ -1034,7 +973,7 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
     falls below n*u*||A||_F.  A is rounded into the context's format on
     entry (FormatOverflowError for an entry past its range), so callers
     pass it unrounded.  In binary32 the sweeps keep V and W in complex64
-    (`_complex64_resident`).
+    (`_resident`).
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -1047,8 +986,8 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
     VW = np.concatenate([np.eye(n, dtype=np.complex128), _enter(A, ctx, "eig input")])
     tol = n * ctx.format.unit_roundoff * max(nrm, 1e-300)
     with np.errstate(over="ignore", invalid="ignore"):
-        VW = _complex64_resident(
-            lambda X, c: _jacobi_sweeps(X, c, tol, max_sweeps), VW, ctx)
+        (VW,) = _resident(lambda X, ctx: _jacobi_sweeps(X, ctx, tol, max_sweeps) and (X,),
+                          ctx, VW)
     return VW[:n].copy(), np.real(np.diag(VW[n:])).copy()
 
 

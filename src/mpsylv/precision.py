@@ -45,45 +45,41 @@ of the format, the overflow threshold max_finite + ulp/2 included,
 since anywhere else the residual cannot change the rounding.  NaN inputs
 keep their payload.
 
-Sequential sums have one whole-array form, `fl_sum`.  In binary64 and
-binary32 it runs its sums as one ``np.add.accumulate`` in complex128 or
-complex64.  That is exact, not an approximation: every partial sum adds
-two values of the format, the hardware rounds that sum to nearest, ties
-to even, with gradual underflow and overflow to infinity, and so returns
-the correctly rounded result the software path computes (Higham &
-Pranesh make the same point: a format with a hardware dtype needs no
-simulated rounding).
+Sequential sums have one whole-array form, `_accumulate`, the body of
+`fl_sum`.  In binary64 and binary32 it runs its sums as one
+``np.add.accumulate`` in complex128 or complex64.  That is exact, not an
+approximation: every partial sum adds two values of the format, the
+hardware rounds that sum to nearest, ties to even, with gradual
+underflow and overflow to infinity, and so returns the correctly rounded
+result the software path computes (Higham & Pranesh make the same point:
+a format with a hardware dtype needs no simulated rounding).
 
-For the same reason `fl_add`, `fl_sub` and `fl_mul` in binary32 compute
-in complex64 when every operand is a binary32 value.  A sum or difference
-is one complex64 operation.  A product is formed from the float32 real
-and imaginary planes as (ar*br - ai*bi, ar*bi + ai*br): the four
-products, the difference and the sum the software path rounds, in the
-same order.  The complex64 ``*`` is never used, because its SIMD multiply
-may fuse steps.  The guard casts the operands to complex64 once and
-compares them with the originals; a value that is not binary32, or a
-NaN, fails it, and the software path runs instead.  A result that holds
-a NaN is recomputed by the software path, so NaN payloads stay the ones
-it produces.  The Givens and Householder kernels of `linalg` form their
-products the same way.  Five callers run the guard once per call, not
-once per step: `schur`, on the stacked [I; A] before its Householder
-reduction; `hermitian_eig`, on the stacked factors before the first
-rotation; `sylvester.solve_sylv_tri`, on its stacked [Y | T_A | T_B]
-buffer, C and the shifted diagonals before the first wave; and
-`linalg.gemm` and `linalg._mgs_project` (with the `_dot` in it), on
-their operands, alpha and beta included, before the first product.
-Every later operand is a rounded result of the same format (`schur` also
-checks a Householder vector formed from a column scaled past overflow).
-`schur` and `hermitian_eig` then keep the factors in complex64 from
-start to end, update them on their float32 planes in place, test for a
-NaN once per sweep (`schur` also after the reduction) and, on one, rerun
-the whole factorization from its input on the software path.
-`gemm` and `_mgs_project` then write the products of each sum, formed
-from the float32 planes, into a complex64 buffer that starts with the
-start value, sum it with one ``np.add.accumulate``, and widen to
-complex128 once, at exit;
-a NaN in the result reruns the whole call through `fl_mul` and `fl_sum`,
-and the flops are charged once, as that path charges them.
+For the same reason arrays of binary32 values are computed in complex64,
+by one rule.  Each kernel's steps are written once, with the uncounted
+steps `_product`, `_add`, `_sub` and `_accumulate`, which take their
+arithmetic from the operand dtype: complex128 ``*`` and ``+`` in binary64,
+float32 planes for complex64 operands, the software rounding otherwise.
+A sum or difference is one complex64 operation.  A product is formed from
+the float32 real and imaginary planes as (ar*br - ai*bi, ar*bi + ai*br):
+the four products, the difference and the sum the software path rounds,
+in the same order.  The complex64 ``*`` is never used, because its SIMD
+multiply may fuse steps.  The steps do not check complex64 operands:
+binary32 is entered once per call, by one guard that casts the complex128
+operands to complex64 and compares them with the originals.  A value
+that is not binary32, or a NaN, fails it, and the steps run in software
+on the originals.  The result is widened to complex128 at exit, and one
+that holds a NaN is recomputed in software, so NaN payloads stay the
+ones the software path produces.  `fl_add`, `fl_sub`, `fl_mul` and
+`fl_sum` enter so for complex128 callers such as GMRES (`_native`);
+`linalg.gemm`, `linalg._mgs_project`, `schur` and `hermitian_eig` enter
+once per kernel call (`linalg._resident`), which also charges the flops
+once.  `schur` and `hermitian_eig` keep their stacked factors in
+complex64 from start to end, update them in place, test for a NaN once
+per sweep (`schur` also after its Householder reduction, and on a
+Householder vector formed from a column scaled past overflow) and, on
+one, rerun the whole factorization from its input in software.
+`sylvester.solve_sylv_tri` checks its stacked [Y | T_A | T_B] buffer, C
+and the shifted diagonals once, before the first wave.
 
 Scalar chains follow the same rule.  Since 53 >= 2t + 2 for binary32 and
 binary16, a double +, -, *, / or sqrt of values of the format, cast once
@@ -244,12 +240,6 @@ class FpFormat:
 _NATIVE = {
     (24, 8): (np.float32, struct.Struct("f"), 2.0**28 + 1.0),
     (11, 5): (np.float16, struct.Struct("e"), 2.0**41 + 1.0),
-}
-
-# formats whose sums fl_sum accumulates in a numpy complex dtype
-_SUM_DTYPE = {
-    (53, 11): np.complex128,
-    (24, 8): np.complex64,
 }
 
 BFLOAT16 = FpFormat("bfloat16", 8, 8)
@@ -571,12 +561,14 @@ def _binary32(*xs):
     return out
 
 
-def _widened(re: np.ndarray, im: np.ndarray):
-    """The complex128 array with the float32 parts re and im, or None if
-    it holds a NaN: the software path then recomputes the result, so that
+def _widened(*zs):
+    """A tuple of complex128 copies of the complex64 arrays zs, or None if
+    one holds a NaN: the software path then recomputes the result, so that
     NaN payloads are the ones it produces."""
-    z = _compose(re, im)
-    return None if np.isnan(z).any() else z
+    for z in zs:
+        if np.isnan(z).any():
+            return None
+    return tuple([z.astype(np.complex128) for z in zs])
 
 
 def _plane_product(a: np.ndarray, b: np.ndarray):
@@ -605,59 +597,96 @@ def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
         return r(np.array([p[0] - p[1], p[2] + p[3]]), fmt)
 
 
-def _native_sum(a, b, op):
-    """op(a, b), op being np.add or np.subtract, as one complex64 operation
-    on binary32 operands; None where `_binary32` or `_widened` is None."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ops = _binary32(a, b)
-        if ops is None:
-            return None
-        s = op(*ops)
-    return _widened(s.real, s.imag)
+# The steps below charge no flops.  Each takes its arithmetic from its
+# operands: complex128 ``*`` and ``+`` in binary64; float32 planes when b is
+# complex64, whose entries are binary32 values by construction (`_native`
+# or `linalg._resident` checked them) and get no check here; the software
+# rounding otherwise.  b is an array; a may be a scalar.
+
+def _product(a, b: np.ndarray, fmt: FpFormat, out=None) -> np.ndarray:
+    """a * b entrywise: for a complex64 b, the `_plane_product` parts as a
+    complex64 array.  out, the array to write into, is for binary64 and a
+    complex64 b only."""
+    if fmt.is_binary64:
+        return np.multiply(a, b, out=out)
+    if b.dtype == np.complex64:
+        re, im = _plane_product(a, b)
+        z = np.empty(re.shape, dtype=np.complex64) if out is None else out
+        z.real, z.imag = re, im
+        return z
+    return _compose(*_mul_parts(a.real, a.imag, b.real, b.imag, fmt))
 
 
-def _native_product(a, b):
-    """a * b from the float32 planes of binary32 operands; None where
-    `_binary32` or `_widened` is None."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        ops = _binary32(a, b)
-        if ops is None:
-            return None
-        re, im = _plane_product(*ops)
-    return _widened(re, im)
+def _add(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
+    """a + b entrywise, as `_product` chooses the arithmetic."""
+    if fmt.is_binary64 or b.dtype == np.complex64:
+        return a + b
+    return _rounded_sum(a, b, fmt)
+
+
+def _sub(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
+    """a - b entrywise, as `_product` chooses the arithmetic."""
+    if fmt.is_binary64 or b.dtype == np.complex64:
+        return a - b
+    return _rounded_sum(a, -b, fmt)
+
+
+def _accumulate(P: np.ndarray, start, fmt: FpFormat, b=None) -> np.ndarray:
+    """fl(...fl(fl(start + Y[0]) + Y[1]) ... + Y[k-1]) along axis 0, Y being
+    P, or the products of P and b (`_product`) when b is given; start is an
+    array of shape Y.shape[1:], or None for +0.
+
+    A complex64 Y, and any Y in binary64, is formed in one buffer after
+    start and summed by one ``np.add.accumulate``; in binary64 a NaN total
+    is summed again step by step, since numpy picks the payload of a NaN
+    met by a NaN differently in its accumulate and add loops.  Other Y
+    take `_add` step by step.
+    """
+    shape = P.shape if b is None else np.broadcast(P, b).shape
+    dtype = P.dtype if b is None else b.dtype
+    if dtype == np.complex64 or fmt.is_binary64:
+        X = np.empty((shape[0] + 1,) + shape[1:], dtype=dtype)
+        X[0] = 0 if start is None else start
+        if b is None:
+            X[1:] = P
+        else:
+            _product(P, b, fmt, out=X[1:])
+        total = np.add.accumulate(X, axis=0, out=X)[-1]
+        if dtype == np.complex64 or not np.isnan(total).any():
+            return total
+    Y = P if b is None else _product(P, b, fmt)
+    acc = np.zeros(shape[1:], dtype=dtype) if start is None else start
+    for y in Y:
+        acc = _add(acc, y, fmt)
+    return np.array(acc)
+
+
+def _native(step, fmt: FpFormat, *xs):
+    """``step(*xs, fmt)`` for complex128 arrays xs, once per call: in
+    binary32, on complex64 copies when every x holds binary32 values and
+    widened unless the result holds a NaN; else on xs."""
+    if fmt._is_binary32:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ops = _binary32(*xs)
+            z = ops and _widened(step(*ops, fmt))
+        if z:
+            return z[0]
+    return step(*xs, fmt)
 
 
 def fl_add(a, b, ctx: PrecisionContext):
     a, b, scalar = _operands(a, b, ctx)
-    fmt = ctx.format
-    if fmt.is_binary64:
-        return _unwrap(a + b, scalar)
-    z = _native_sum(a, b, np.add) if fmt._is_binary32 else None
-    if z is None:
-        z = _rounded_sum(a, b, fmt)
-    return _unwrap(z, scalar)
+    return _unwrap(_native(_add, ctx.format, a, b), scalar)
 
 
 def fl_sub(a, b, ctx: PrecisionContext):
     a, b, scalar = _operands(a, b, ctx)
-    fmt = ctx.format
-    if fmt.is_binary64:
-        return _unwrap(a - b, scalar)
-    z = _native_sum(a, b, np.subtract) if fmt._is_binary32 else None
-    if z is None:
-        z = _rounded_sum(a, -b, fmt)
-    return _unwrap(z, scalar)
+    return _unwrap(_native(_sub, ctx.format, a, b), scalar)
 
 
 def fl_mul(a, b, ctx: PrecisionContext):
     a, b, scalar = _operands(a, b, ctx)
-    fmt = ctx.format
-    if fmt.is_binary64:
-        return _unwrap(a * b, scalar)
-    z = _native_product(a, b) if fmt._is_binary32 else None
-    if z is None:
-        z = _compose(*_mul_parts(a.real, a.imag, b.real, b.imag, fmt))
-    return _unwrap(z, scalar)
+    return _unwrap(_native(_product, ctx.format, a, b), scalar)
 
 
 def _exact(x):
@@ -748,42 +777,18 @@ def fl_sum(P, ctx: PrecisionContext, start=None):
     any double and defaults to +0; P holds values of the format.  An
     empty P returns ``start`` unrounded.
 
-    In binary64 and binary32 the sums run as one ``np.add.accumulate`` in
-    complex128 or complex64 (after a first sum rounded in software when
-    ``start`` is not a binary32 value).  Each step adds two values of the
-    format, and the hardware's IEEE round-to-nearest-even sum of two such
-    values is the correctly rounded sum the software path computes, with
-    the same overflow, gradual underflow and signed zeros.  A P that
-    complex64 cannot hold, or a total that is NaN, is summed step by step
-    instead: numpy picks the payload of a NaN met by a NaN differently in
-    its accumulate and add loops.
+    The sums are `_accumulate`'s.  In binary64, and in binary32 when P and
+    start hold binary32 values, they run as one ``np.add.accumulate`` in
+    complex128 or complex64.  Each step adds two values of the format, and
+    the hardware's IEEE round-to-nearest-even sum of two such values is
+    the correctly rounded sum the software path computes, with the same
+    overflow, gradual underflow and signed zeros.
     """
     P = np.asarray(P, dtype=np.complex128)
     ctx.count(P.size)
-    fmt = ctx.format
-    acc = np.zeros(P.shape[1:], dtype=np.complex128) if start is None \
+    start = np.zeros(P.shape[1:], dtype=np.complex128) if start is None \
         else np.broadcast_to(np.asarray(start, dtype=np.complex128), P.shape[1:])
-    add = (lambda a, b: a + b) if fmt.is_binary64 else \
-        (lambda a, b: _rounded_sum(a, b, fmt))
-    dtype = _SUM_DTYPE.get((fmt.significand_bits, fmt.exponent_bits))
-    if dtype is not None and len(P):
-        with np.errstate(over="ignore", invalid="ignore"):
-            # complex64 must hold P exactly (false on a NaN too)
-            ops = [P] if dtype is np.complex128 else _binary32(P)
-            if ops is not None:
-                X = np.empty((len(P) + 1,) + P.shape[1:], dtype=dtype)
-                X[0], X[1:] = acc, ops[0]
-                if dtype is np.complex64 and _binary32(acc) is None:
-                    # start is not a binary32 value: round the first sum in software
-                    X[1] = add(acc, P[0])
-                    X = X[1:]
-                total = np.add.accumulate(X, axis=0, out=X)[-1]
-                # a NaN anywhere reaches the total; the loop keeps its payload
-                if not np.isnan(total).any():
-                    return total.astype(np.complex128)
-    for p in P:
-        acc = add(acc, p)
-    return np.array(acc)
+    return _native(_accumulate, ctx.format, P, start)
 
 
 def fl_sqrt(x, ctx: PrecisionContext):

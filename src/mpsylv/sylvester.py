@@ -42,7 +42,7 @@ from .precision import (
     fl_sum,
     _binary32,
     _exact,
-    _plane_product,
+    _product,
     _round_complex_array,
     _smith_denominator,
     _smith_numerator,
@@ -191,7 +191,7 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     the accumulate of `fl_sum` on the negated products.  binary32 runs
     the waves in complex64 when [Y | T_A | T_B], C and the shifted
     diagonals all hold binary32 values (`precision._binary32`), with
-    products from the float32 planes (`precision._plane_product`): each
+    products from the float32 planes (`precision._product`): each
     step is the correctly rounded result the software path computes.  Other formats,
     and binary32 operands that fail the check (a C not rounded into the
     format, a NaN), take each wave through `fl_mul` and `fl_sum`.  Both
@@ -234,10 +234,7 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
             if native:
                 X = np.empty((len(left) + 1, stop - start), dtype=buf.dtype)
                 X[0] = c[start:stop]
-                if fmt.is_binary64:
-                    np.multiply(a, b, out=X[1:])
-                else:
-                    X[1:].real, X[1:].imag = _plane_product(a, b)
+                _product(a, b, fmt, out=X[1:])
                 # x - p is x + (-p) exactly: fl_sum(-prods, start=c)
                 s = np.subtract.accumulate(X, axis=0, out=X)[-1]
             else:

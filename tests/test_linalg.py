@@ -162,6 +162,14 @@ class TestQr:
         with pytest.raises(RankDeficiencyError):
             qr(A, CTX)
 
+    @pytest.mark.parametrize("qr", [mgs_qr, householder_qr])
+    def test_full_rank_past_the_squares_range(self, qr, recwarn):
+        # ||A||_F squares past overflow: the rank test must not read it as inf
+        f = qr(np.array([[1.0, 2.0], [3.0, 5.0]]) * 1e200, CTX)
+        assert np.diag(f.R).real == pytest.approx([math.sqrt(10) * 1e200,
+                                                   math.sqrt(10) * 1e199], rel=1e-14)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestLu:
     def test_identity_roundtrip(self, rng):
@@ -581,7 +589,7 @@ class TestBinary32Kernels:
         got, flops = _counted(lambda *a: gemm(alpha, *a[:2], beta, C, a[2]), A, B)
         want = _soft_gemm(alpha, A, B, beta, C)
         assert (_bits(got) == _bits(want)).all()
-        monkeypatch.setattr(linalg, "_gemm_binary32", lambda *a: None)
+        monkeypatch.setattr(linalg, "_binary32", lambda *xs: None)
         ref, ref_flops = _counted(lambda *a: gemm(alpha, *a[:2], beta, C, a[2]), A, B)
         assert (_bits(ref) == _bits(want)).all() and flops == ref_flops
         if case == "overflow" and alpha == 1:  # else 0 * inf in alpha * acc
@@ -613,7 +621,7 @@ class TestBinary32Kernels:
         (h, w), flops = _counted(lambda *a: _mgs_project(*a), Q, v)
         want = _soft_mgs(Q, v)
         assert (_bits(h) == _bits(want[0])).all() and (_bits(w) == _bits(want[1])).all()
-        monkeypatch.setattr(linalg, "_mgs_binary32", lambda *a: None)
+        monkeypatch.setattr(linalg, "_binary32", lambda *xs: None)
         (h2, w2), ref_flops = _counted(lambda *a: _mgs_project(*a), Q, v)
         assert (_bits(h2) == _bits(h)).all() and (_bits(w2) == _bits(w)).all()
         assert flops == ref_flops == 4 * Q.size
@@ -621,21 +629,35 @@ class TestBinary32Kernels:
 
 
 class TestBinary32KernelPath:
-    """On binary32 values, gemm and _mgs_project make no fl_* call; an
-    operand outside the format takes fl_mul and fl_sum."""
+    """On binary32 values, gemm and _mgs_project make no software rounding
+    call and check their operands once; an operand outside the format
+    takes the software products and sums."""
 
-    SOFTWARE = ("fl_mul", "fl_sum", "fl_add", "fl_sub")
+    SOFTWARE = ("_mul_parts", "_rounded_sum", "_round_real_array")
 
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = []
         for module in (precision, linalg):
             for name in self.SOFTWARE:
+                if not hasattr(module, name):
+                    continue
                 def spy(*args, _f=getattr(module, name), _name=name, **kwargs):
                     seen.append(_name)
                     return _f(*args, **kwargs)
                 monkeypatch.setattr(module, name, spy)
         return seen
+
+    def test_one_operand_check_per_call(self, rng, monkeypatch):
+        checks = []
+        binary32 = linalg._binary32
+        monkeypatch.setattr(linalg, "_binary32", lambda *xs: checks.append(1) or binary32(*xs))
+        ctx = PrecisionContext(BINARY32)
+        A, B, C = _gemm_operands("bits", rng)
+        gemm(0.5, A, B, -1.0, C, ctx)
+        assert len(checks) == 1
+        _mgs_project(*_mgs_operands(rng), ctx)
+        assert len(checks) == 2
 
     def test_format_values_take_the_native_path(self, calls, rng):
         ctx = PrecisionContext(BINARY32)
@@ -648,12 +670,12 @@ class TestBinary32KernelPath:
         ctx = PrecisionContext(BINARY32)
         A, B, C = _gemm_operands("off-format", rng)
         gemm(1.0, A, B, 0.0, None, ctx)
-        assert {"fl_mul", "fl_sum"} <= set(calls)
+        assert {"_mul_parts", "_rounded_sum"} <= set(calls)
         calls.clear()
         Q, v = _mgs_operands(rng)
         v[0] = 1 + 2.0**-24
         _mgs_project(Q, v, ctx)
-        assert {"fl_mul", "fl_sum"} <= set(calls)
+        assert {"_mul_parts", "_rounded_sum"} <= set(calls)
 
 
 class TestNormAccumulation:

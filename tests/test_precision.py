@@ -28,16 +28,17 @@ from mpsylv.precision import (
     round_complex,
     round_matrix,
     round_to,
+    _add,
     _binary32,
     _chop,
     _chop_scalar,
     _compose,
     _mul_parts,
-    _native_product,
-    _native_sum,
+    _product,
     _round_real_array,
     _round_real_scalar,
     _rounded_sum,
+    _sub,
 )
 
 ALL_FORMATS = [BFLOAT16, BINARY16, TF32, B24, BINARY32, BINARY64]
@@ -521,10 +522,14 @@ class TestBinary32Native:
         ok = ~(np.isnan(_soft_product(a, b)) | np.isnan(_soft_sum(a, b))
                | np.isnan(_soft_sum(a, -b)))
         a, b = a[ok], b[ok]
+        a32, b32 = _binary32(a, b)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert (_cbits(_native_product(a, b)) == _cbits(_soft_product(a, b))).all()
-            assert (_cbits(_native_sum(a, b, np.add)) == _cbits(_soft_sum(a, b))).all()
-            assert (_cbits(_native_sum(a, b, np.subtract)) == _cbits(_soft_sum(a, -b))).all()
+            # the steps fl_mul, fl_add and fl_sub take on complex64 copies
+            for step, ref in ((_product, _soft_product(a, b)), (_add, _soft_sum(a, b)),
+                              (_sub, _soft_sum(a, -b))):
+                got = step(a32, b32, BINARY32)
+                assert got.dtype == np.complex64
+                assert (_cbits(got.astype(np.complex128)) == _cbits(ref)).all()
         assert np.isinf(_soft_product(a, b)).any()  # products that overflow
         assert (np.abs(_soft_product(a, b)) < BINARY32.smallest_normal).any()
 
