@@ -121,8 +121,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
         j = 0
         while j < p:
             w = np.asarray(matvec(V[:, j])).ravel()
-            H[:j + 1, j], w = _mgs_project(V[:, :j + 1], w, ctx)
-            hq = _vec_norm2_ctx(w, ctx)
+            H[:j + 1, j], w, hq = _mgs_project(V[:, :j + 1], w, ctx)
             H[j + 1, j] = hq
             total_inner += 1
             if not np.isfinite(hq):

@@ -26,18 +26,16 @@ from .errors import (
 )
 from .precision import (
     BINARY64,
-    FlopCounter,
     FpFormat,
     PrecisionContext,
     fl_add,
     fl_div,
     fl_mul,
     fl_sub,
-    _accumulate,
-    _add,
+    fl_sum,
     _binary32,
     _csqrt,
-    _product,
+    _resident,
     _round_real_array,
     _round_real_scalar,
     _round_complex_array,
@@ -49,8 +47,6 @@ from .precision import (
     _smul,
     _ssqrt,
     _ssub,
-    _sub,
-    _widened,
 )
 
 __all__ = [
@@ -166,23 +162,21 @@ def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
 
 def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext):
     """The steps of `gemm` for ab = [alpha, beta] and C (None when beta is
-    0), as a 1-tuple: each block's products summed on from the last
-    block's sums (`_accumulate`), then the alpha and beta products and the
-    sum with C.  Charges one flop per entry for each of these steps taken,
-    2k for the products and their sums."""
-    fmt = ctx.format
+    0), as a 1-tuple: each block's products (`fl_mul`) summed on from the
+    last block's sums (`fl_sum`), then the alpha and beta products and the
+    sum with C."""
     alpha, beta = ab.tolist()
     m, k = A.shape
     n = B.shape[1]
     kb = max(1, _GEMM_BLOCK // (m * n))
     acc = None
     for p in range(0, k, kb):
-        acc = _accumulate(A[:, p:p + kb].T[:, :, None], acc, fmt, B[p:p + kb, None, :])
+        acc = fl_sum(fl_mul(A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :], ctx),
+                     ctx, start=acc)
     if alpha != 1:
-        acc = _product(alpha, acc, fmt)
+        acc = fl_mul(ab[0], acc, ctx)
     if C is not None:
-        acc = _add(acc, C if beta == 1 else _product(beta, C, fmt), fmt)
-    ctx.count(m * n * (2 * k + (alpha != 1) + (C is not None) + (beta not in (0, 1))))
+        acc = fl_add(acc, C if beta == 1 else fl_mul(ab[1], C, ctx), ctx)
     return (acc,)
 
 
@@ -243,12 +237,11 @@ def norm(M, kind: str = "frobenius") -> float:
 def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext) -> complex:
     """conj(x).y accumulated in ascending index order under ctx, charging
     2 len(x) flops: numpy's ``vdot`` in binary64, else the products of
-    `_product` summed from +0 by `_accumulate`."""
-    ctx.count(2 * len(x))
-    fmt = ctx.format
-    if fmt.is_binary64:
+    `fl_mul` summed from +0 by `fl_sum`."""
+    if ctx.format.is_binary64:
+        ctx.count(2 * len(x))
         return complex(np.vdot(x, y))
-    return complex(_accumulate(np.conj(x), None, fmt, y))
+    return complex(fl_sum(fl_mul(np.conj(x), y, ctx), ctx))
 
 
 def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
@@ -338,25 +331,22 @@ def _check_rank(R: np.ndarray, A: np.ndarray, ctx: PrecisionContext):
 
 def _mgs_project(Q: np.ndarray, v: np.ndarray, ctx: PrecisionContext):
     """Project v off the columns of Q one at a time (modified Gram-Schmidt)
-    under ctx; returns the coefficients conj(q_i).v and the remainder.
+    under ctx; returns the coefficients conj(q_i).v, the remainder and its
+    `_vec_norm2_ctx`.
 
-    Each coefficient is a `_dot`, and v loses fl(h_i q_i), charging
-    4*Q.size flops (`_mgs_steps`)."""
-    return _resident(_mgs_steps, ctx, Q, v)
+    Each coefficient is a `_dot`, and v loses fl(h_i q_i) (`fl_mul`,
+    `fl_sub`); binary32 takes the steps in complex64 (`_resident`)."""
+    h, v, nrm = _resident(_mgs_steps, ctx, Q, v)
+    return h, v, float(nrm.real)
 
 
 def _mgs_steps(Q: np.ndarray, v: np.ndarray, *, ctx: PrecisionContext):
-    """The steps of `_mgs_project`, as (h, v); an empty Q charges nothing,
-    so it makes no flop bucket."""
-    fmt = ctx.format
-    quiet = PrecisionContext(fmt)
+    """The steps of `_mgs_project`, as (h, v, |v| as a 0-d array)."""
     h = np.zeros(Q.shape[1], dtype=Q.dtype)
     for i in range(Q.shape[1]):
-        h[i] = _dot(Q[:, i], v, quiet)
-        v = _sub(v, _product(h[i], Q[:, i], fmt), fmt)
-    if Q.size:
-        ctx.count(4 * Q.size)
-    return h, v
+        h[i] = _dot(Q[:, i], v, ctx)
+        v = fl_sub(v, fl_mul(h[i], Q[:, i], ctx), ctx)
+    return h, v, np.array(_vec_norm2_ctx(v, ctx))
 
 
 def mgs_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
@@ -368,8 +358,7 @@ def mgs_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
     Q = A.copy()
     R = np.zeros((n, n), dtype=np.complex128)
     for j in range(n):
-        R[:j, j], v = _mgs_project(Q[:, :j], Q[:, j], ctx)
-        nv = _vec_norm2_ctx(v, ctx)
+        R[:j, j], v, nv = _mgs_project(Q[:, :j], Q[:, j], ctx)
         R[j, j] = nv
         if nv == 0.0:
             raise RankDeficiencyError(f"zero column norm at column {j}")
@@ -385,7 +374,9 @@ def _make_reflector(x: np.ndarray, ctx: PrecisionContext):
     When a step overflows although x is finite, the reflector is formed
     from x * 2^-e instead (see `_scaled_down`).  That is the same
     transformation, with w scaled by 2^-e and beta by 4^e; only head is
-    scaled back.  The flops charged are those of one formation.
+    scaled back.  The flops charged are those of one formation.  w is None
+    for a zero x, and False for a complex64 x (binary32 in a `_resident`
+    kernel) whose rescaled w, formed in binary64, is not binary32.
     """
     w, beta, head = _reflector_steps(x, ctx)
     if w is not None and not (0.0 < beta < math.inf and np.isfinite([w[0], head]).all()) \
@@ -393,6 +384,8 @@ def _make_reflector(x: np.ndarray, ctx: PrecisionContext):
         scaled, e = _scaled_down(x)
         w, beta, head = _reflector_steps(scaled, PrecisionContext(ctx.format))
         head = _scaled_up(head, e, ctx.format)
+        if x.dtype == np.complex64:
+            w = (_binary32(w) or [False])[0]
     return w, beta, head
 
 
@@ -446,54 +439,57 @@ def _reflector_chain(x0: complex, nx: float, r):
 
 def _apply_reflector_left_rounded(M: np.ndarray, w: np.ndarray, beta: float,
                                   ctx: PrecisionContext) -> None:
-    """M <- (I - beta w w*) M in place, rows matching len(w), charging
-    4*M.size + len(w) flops: t = w* M summed from +0 (`_accumulate`), less
-    the products of beta w and t.  A complex64 M and w (binary32 in
-    `schur`) take the steps on float32 planes; a NaN is left for the
-    caller."""
-    fmt = ctx.format
-    t = _accumulate(np.conj(w)[:, None], None, fmt, M)
-    bw = _product(beta, w, fmt)
-    M[...] = _sub(M, _product(bw[:, None], t[None, :], fmt), fmt)
-    ctx.count(4 * M.size + len(w))
+    """M <- (I - beta w w*) M in place, rows matching len(w): t = w* M
+    summed from +0 (`fl_sum`), less the products of beta w and t.  A
+    complex64 M and w (binary32 in a `_resident` kernel) take the steps on
+    float32 planes; a NaN is left for the caller."""
+    t = fl_sum(fl_mul(np.conj(w)[:, None], M, ctx), ctx)
+    bw = fl_mul(w.dtype.type(beta), w, ctx)
+    M[...] = fl_sub(M, fl_mul(bw[:, None], t[None, :], ctx), ctx)
 
 
 def _apply_reflector_right_rounded(M: np.ndarray, w: np.ndarray, beta: float,
                                    ctx: PrecisionContext) -> None:
     """M <- M (I - beta w w*) in place, columns matching len(w), with the
-    steps and flops of `_apply_reflector_left_rounded` on the rows of M."""
-    fmt = ctx.format
-    t = _accumulate(M.T, None, fmt, w[:, None])
-    bw = _product(beta, np.conj(w), fmt)
-    M[...] = _sub(M, _product(t[:, None], bw[None, :], fmt), fmt)
-    ctx.count(4 * M.size + len(w))
+    steps of `_apply_reflector_left_rounded` on the rows of M."""
+    t = fl_sum(fl_mul(M.T, w[:, None], ctx), ctx)
+    bw = fl_mul(w.dtype.type(beta), np.conj(w), ctx)
+    M[...] = fl_sub(M, fl_mul(t[:, None], bw[None, :], ctx), ctx)
 
 
 def householder_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
-    """Householder QR with a positive real diagonal of R."""
+    """Householder QR with a positive real diagonal of R.  In binary32 the
+    reflections keep Q and R in complex64 (`_resident`)."""
     A = _enter(A, ctx, "qr input")
     m, n = A.shape
     if m < n:
         raise DimensionError("householder_qr requires rows >= cols")
-    R = A.copy()
-    reflectors = []
-    for j in range(min(m, n)):
-        w, beta, head = _make_reflector(R[j:, j].copy(), ctx)
-        if w is None:
-            raise RankDeficiencyError(f"zero column at {j}")
-        _apply_reflector_left_rounded(R[j:, j:], w, beta, ctx)
-        R[j, j] = head
-        R[j + 1:, j] = 0.0
-        reflectors.append((j, w, beta))
-    Q = np.eye(m, dtype=np.complex128)
-    for j, w, beta in reversed(reflectors):
-        _apply_reflector_left_rounded(Q[j:, j:], w, beta, ctx)
+    Q, R = _resident(_householder_steps, ctx, np.eye(m, dtype=np.complex128), A.copy())
     Q = Q[:, :n].copy()
     R = R[:n, :].copy()
     R[np.tril_indices(R.shape[0], -1)] = 0.0
     Q, R = _fix_r_diagonal(Q, R, ctx)
     _check_rank(R, A, ctx)
     return QrFactors(Q, R)
+
+
+def _householder_steps(Q: np.ndarray, R: np.ndarray, *, ctx: PrecisionContext):
+    """The reflections of `householder_qr` on Q = I and R = A, in place, as
+    (Q, R); False where `_make_reflector` returns a w off binary32."""
+    reflectors = []
+    for j in range(R.shape[1]):
+        w, beta, head = _make_reflector(R[j:, j].copy(), ctx)
+        if w is False:
+            return False
+        if w is None:
+            raise RankDeficiencyError(f"zero column at {j}")
+        _apply_reflector_left_rounded(R[j:, j:], w, beta, ctx)
+        R[j, j] = head
+        R[j + 1:, j] = 0.0
+        reflectors.append((j, w, beta))
+    for j, w, beta in reversed(reflectors):
+        _apply_reflector_left_rounded(Q[j:, j:], w, beta, ctx)
+    return Q, R
 
 
 # ---------------------------------------------------------------------------
@@ -587,19 +583,15 @@ def _hessenberg(UH: np.ndarray, ctx: PrecisionContext) -> bool:
     binary32 (a rescaled x, `_make_reflector`) or ends holding a NaN."""
     m = UH.shape[1]
     H = UH[m:]
-    resident = UH.dtype == np.complex64
     for k in range(m - 2):
         x = H[k + 1:, k]
         if not np.any(x[1:]):
             continue
         w, beta, head = _make_reflector(x, ctx)
+        if w is False:
+            return False
         if w is None:
             continue
-        if resident:
-            w = _binary32(w)
-            if w is None:
-                return False
-            w = w[0]
         _apply_reflector_left_rounded(H[k + 1:, k:], w, beta, ctx)
         H[k + 1:, k] = 0.0
         H[k + 1, k] = head
@@ -608,7 +600,7 @@ def _hessenberg(UH: np.ndarray, ctx: PrecisionContext) -> bool:
         ctx.count(len(w))
     if m > 2:
         H[np.tril_indices(m, -2)] = 0.0
-    return not (resident and np.isnan(UH).any())
+    return not (UH.dtype == np.complex64 and np.isnan(UH).any())
 
 
 def _givens(f: complex, g: complex, fmt: FpFormat):
@@ -868,40 +860,6 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
         (UH,) = _resident(lambda X, ctx: _hessenberg(X, ctx) and _qr_iteration(X, ctx)
                           and (X,), ctx, UH)
     return SchurFactors(UH[:m].copy(), np.triu(UH[m:]))
-
-
-def _resident(kernel, ctx: PrecisionContext, *arrays):
-    """``kernel(*arrays, ctx=ctx)``, which returns a tuple of arrays, or
-    False when it finds a NaN or an operand off binary32 in complex64
-    arrays.
-
-    The one entry into binary32 arithmetic: in binary32, when every entry
-    of every array is a binary32 value, the kernel runs on complex64
-    copies, whose steps then run on float32 planes (`_product`, `_add`,
-    `_sub`, `_accumulate`, `_rotate_rows`), and the flops it counts are
-    charged once, when it returns or raises.  Its result is widened to
-    complex128.  A False, or a result holding a NaN, runs the kernel again
-    from the arrays, uncharged so far, in complex128, whose software steps
-    give the same values and their own NaN payloads.
-    """
-    if ctx.format._is_binary32:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ops = _binary32(*arrays)
-            if ops is not None:
-                tally = FlopCounter()
-                out = None
-                try:
-                    out = kernel(*ops, ctx=PrecisionContext(ctx.format, tally))
-                    # a result holding a NaN reruns, as a False does
-                    out = out and (_widened(*out) or False)
-                finally:
-                    if out is not False:
-                        # a bucket is made only by a charge, as each kernel makes it
-                        for n in tally.counts.values():
-                            ctx.count(n)
-                if out:
-                    return out
-    return kernel(*arrays, ctx=ctx)
 
 
 def _qr_iteration(UH: np.ndarray, ctx: PrecisionContext) -> bool:

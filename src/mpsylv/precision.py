@@ -55,29 +55,33 @@ result the software path computes (Higham & Pranesh make the same point:
 a format with a hardware dtype needs no simulated rounding).
 
 For the same reason arrays of binary32 values are computed in complex64,
-by one rule.  Each kernel's steps are written once, with the uncounted
-steps `_product`, `_add`, `_sub` and `_accumulate`, which take their
-arithmetic from the operand dtype: complex128 ``*`` and ``+`` in binary64,
-float32 planes for complex64 operands, the software rounding otherwise.
-A sum or difference is one complex64 operation.  A product is formed from
-the float32 real and imaginary planes as (ar*br - ai*bi, ar*bi + ai*br):
-the four products, the difference and the sum the software path rounds,
-in the same order.  The complex64 ``*`` is never used, because its SIMD
-multiply may fuse steps.  The steps do not check complex64 operands:
-binary32 is entered once per call, by one guard that casts the complex128
-operands to complex64 and compares them with the originals.  A value
-that is not binary32, or a NaN, fails it, and the steps run in software
-on the originals.  The result is widened to complex128 at exit, and one
-that holds a NaN is recomputed in software, so NaN payloads stay the
-ones the software path produces.  `fl_add`, `fl_sub`, `fl_mul` and
-`fl_sum` enter so for complex128 callers such as GMRES (`_native`);
-`linalg.gemm`, `linalg._mgs_project`, `schur` and `hermitian_eig` enter
-once per kernel call (`linalg._resident`), which also charges the flops
-once.  `schur` and `hermitian_eig` keep their stacked factors in
-complex64 from start to end, update them in place, test for a NaN once
-per sweep (`schur` also after its Householder reduction, and on a
-Householder vector formed from a column scaled past overflow) and, on
-one, rerun the whole factorization from its input in software.
+by one rule.  Each kernel's steps are written once, with `fl_mul`,
+`fl_add`, `fl_sub` and `fl_sum`, whose uncounted bodies `_product`,
+`_add`, `_sub` and `_accumulate` take their arithmetic from the operand
+dtype: complex128 ``*`` and ``+`` in binary64, float32 planes for
+complex64 operands, the software rounding otherwise.  A sum or
+difference is one complex64 operation.  A product is formed from the
+float32 real and imaginary planes as (ar*br - ai*bi, ar*bi + ai*br): the
+four products, the difference and the sum the software path rounds, in
+the same order.  The complex64 ``*`` is never used, because its SIMD
+multiply may fuse steps.  binary32 is entered through one guard,
+`_resident`, which casts the complex128 operands to complex64 and
+compares them with the originals.  A value that is not binary32, or a
+NaN, fails it, and the steps run in software on the originals.  The
+result is widened to complex128 at exit, and one that holds a NaN is
+recomputed in software, so NaN payloads stay the ones the software path
+produces.  An `fl_*` call on complex128 operands, as from GMRES, enters
+it once per call; one on complex64 operands is a step of a kernel that
+entered it already and runs on the planes unchecked.  `linalg.gemm`,
+`linalg._mgs_project` (with the remainder's norm), `householder_qr`,
+`schur` and `hermitian_eig` enter it once per kernel call, which also
+charges the flops once.  `householder_qr`, `schur` and `hermitian_eig`
+keep their factors in complex64 from start to end and update them in
+place.  They test for a NaN once per sweep (`schur` also after its
+Householder reduction, `householder_qr` once, at exit) and for a
+Householder vector formed from a column scaled past overflow that is not
+binary32; on either they rerun the whole factorization from its input in
+software.
 `sylvester.solve_sylv_tri` checks its stacked [Y | T_A | T_B] buffer, C
 and the shifted diagonals once, before the first wave.
 
@@ -214,6 +218,11 @@ class FpFormat:
         return _NATIVE.get((self.significand_bits, self.exponent_bits))
 
     @cached_property
+    def _uncounted(self) -> "PrecisionContext":
+        """A context of this format with no counter."""
+        return PrecisionContext(self)
+
+    @cached_property
     def _scalar_rounding(self):
         """For binary32 and binary16, the tuple r in which r[n](x_1, ..., x_n)
         returns the n doubles each rounded into the format by one ``struct``
@@ -320,8 +329,9 @@ class PrecisionContext:
         return self.format.unit_roundoff
 
     def count(self, n: int) -> None:
-        if self.counter is not None:
-            self.counter.add(self.bucket, n)
+        counter = self.counter
+        if counter is not None:  # FlopCounter.add, inline: it runs once per step
+            counter.counts[self.bucket] = counter.counts.get(self.bucket, 0) + n
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +521,9 @@ def round_matrix(M: np.ndarray, fmt: FpFormat) -> np.ndarray:
 # The array functions below accept scalars or ndarrays (anything numpy can
 # broadcast) and return complex128 results.  Inputs are assumed to be
 # already representable in the context's format; callers round operands on
-# entry to a low-precision region.
+# entry to a low-precision region.  In binary32, complex64 operands are the
+# steps of a `_resident` kernel: `fl_add`, `fl_sub`, `fl_mul` and `fl_sum`
+# take them on the float32 planes unchecked and return complex64.
 
 def _unwrap(z: np.ndarray, scalar: bool):
     return complex(z) if scalar else z
@@ -599,9 +611,9 @@ def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
 
 # The steps below charge no flops.  Each takes its arithmetic from its
 # operands: complex128 ``*`` and ``+`` in binary64; float32 planes when b is
-# complex64, whose entries are binary32 values by construction (`_native`
-# or `linalg._resident` checked them) and get no check here; the software
-# rounding otherwise.  b is an array; a may be a scalar.
+# complex64, whose entries are binary32 values by construction (`_resident`
+# checked them) and get no check here; the software rounding otherwise.  b
+# is an array; a may be a scalar.
 
 def _product(a, b: np.ndarray, fmt: FpFormat, out=None) -> np.ndarray:
     """a * b entrywise: for a complex64 b, the `_plane_product` parts as a
@@ -631,62 +643,115 @@ def _sub(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
     return _rounded_sum(a, -b, fmt)
 
 
-def _accumulate(P: np.ndarray, start, fmt: FpFormat, b=None) -> np.ndarray:
-    """fl(...fl(fl(start + Y[0]) + Y[1]) ... + Y[k-1]) along axis 0, Y being
-    P, or the products of P and b (`_product`) when b is given; start is an
-    array of shape Y.shape[1:], or None for +0.
+def _accumulate(P: np.ndarray, start, fmt: FpFormat) -> np.ndarray:
+    """fl(...fl(fl(start + P[0]) + P[1]) ... + P[k-1]) along axis 0; start is
+    an array of shape P.shape[1:], or None for +0.
 
-    A complex64 Y, and any Y in binary64, is formed in one buffer after
-    start and summed by one ``np.add.accumulate``; in binary64 a NaN total
-    is summed again step by step, since numpy picks the payload of a NaN
-    met by a NaN differently in its accumulate and add loops.  Other Y
-    take `_add` step by step.
+    A complex64 P, a step of a `_resident` kernel and so run under its
+    ``np.errstate``, and any P in binary64 are summed by `_buffer_sum`; in
+    binary64 a NaN total is summed again step by step, since numpy picks
+    the payload of a NaN met by a NaN differently in its accumulate and
+    add loops.  Other P take `_add` step by step.
     """
-    shape = P.shape if b is None else np.broadcast(P, b).shape
-    dtype = P.dtype if b is None else b.dtype
-    if dtype == np.complex64 or fmt.is_binary64:
-        X = np.empty((shape[0] + 1,) + shape[1:], dtype=dtype)
-        X[0] = 0 if start is None else start
-        if b is None:
-            X[1:] = P
-        else:
-            _product(P, b, fmt, out=X[1:])
-        total = np.add.accumulate(X, axis=0, out=X)[-1]
-        if dtype == np.complex64 or not np.isnan(total).any():
-            return total
-    Y = P if b is None else _product(P, b, fmt)
-    acc = np.zeros(shape[1:], dtype=dtype) if start is None else start
-    for y in Y:
-        acc = _add(acc, y, fmt)
-    return np.array(acc)
+    if P.dtype == np.complex64:
+        return _buffer_sum(P, start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fmt.is_binary64:
+            total = _buffer_sum(P, start)
+            if not np.isnan(total).any():
+                return total
+        acc = np.zeros(P.shape[1:], dtype=P.dtype) if start is None else start
+        for p in P:
+            acc = _add(acc, p, fmt)
+        return np.array(acc)
 
 
-def _native(step, fmt: FpFormat, *xs):
-    """``step(*xs, fmt)`` for complex128 arrays xs, once per call: in
-    binary32, on complex64 copies when every x holds binary32 values and
-    widened unless the result holds a NaN; else on xs."""
-    if fmt._is_binary32:
+def _buffer_sum(P: np.ndarray, start) -> np.ndarray:
+    """The sums of `_accumulate` as one ``np.add.accumulate`` over P written
+    after start (+0 for None) into one buffer, in P's dtype."""
+    X = np.empty((len(P) + 1,) + P.shape[1:], dtype=P.dtype)
+    X[0] = 0 if start is None else start
+    X[1:] = P
+    return np.add.accumulate(X, axis=0, out=X)[-1]
+
+
+def _resident(kernel, ctx: PrecisionContext, *arrays):
+    """``kernel(*arrays, ctx=ctx)``, which returns a tuple of arrays, or
+    False when it finds a NaN or an operand off binary32 in complex64
+    arrays.
+
+    The one entry into binary32 arithmetic: in binary32, when every entry
+    of every array is a binary32 value, the kernel runs on complex64
+    copies, whose steps then run on float32 planes (the `fl_*` operations
+    on complex64 operands, `_product`, `_add`, `_sub`, `_accumulate` and
+    `linalg._rotate_rows`), and the flops it counts are charged once, when
+    it returns or raises.  Its result is widened to complex128.  A False, or a result
+    holding a NaN, runs the kernel again from the arrays, uncharged so
+    far, in complex128, whose software steps give the same values and
+    their own NaN payloads.
+    """
+    if ctx.format._is_binary32:
         with np.errstate(over="ignore", invalid="ignore"):
-            ops = _binary32(*xs)
-            z = ops and _widened(step(*ops, fmt))
-        if z:
-            return z[0]
-    return step(*xs, fmt)
+            ops = _binary32(*arrays)
+            if ops is not None:
+                tally = ctx if ctx.counter is None else PrecisionContext(ctx.format, FlopCounter())
+                out = None
+                try:
+                    out = kernel(*ops, ctx=tally)
+                    # a result holding a NaN reruns, as a False does
+                    out = out and (_widened(*out) or False)
+                finally:
+                    if out is not False and tally is not ctx:
+                        # a bucket is made only by a charge, as each kernel makes it
+                        for n in tally.counter.counts.values():
+                            ctx.count(n)
+                if out:
+                    return out
+    return kernel(*arrays, ctx=ctx)
+
+
+_COMPLEX64 = np.dtype(np.complex64)
+
+
+def _in_binary32(ctx: PrecisionContext, *xs) -> bool:
+    """True in binary32 when every x is a complex64 array or scalar: the
+    operands of a step inside a `_resident` kernel, which hold binary32
+    values by construction and run under its ``np.errstate``."""
+    if not ctx.format._is_binary32:
+        return False
+    for x in xs:
+        if getattr(x, "dtype", None) is not _COMPLEX64:
+            return False
+    return True
+
+
+def _entrywise(step, a, b, ctx: PrecisionContext):
+    """``step(a, b, fmt)`` for `fl_add`, `fl_sub` and `fl_mul`, charging one
+    flop per element of the broadcast result: directly on complex64
+    operands in binary32, else on complex128 arrays through `_resident`."""
+    if _in_binary32(ctx, a, b):
+        z = step(a, b, ctx.format)
+        ctx.count(z.size)
+        return z
+    a, b, scalar = _operands(a, b, ctx)
+    fmt = ctx.format
+    if fmt._is_binary32:
+        (z,) = _resident(lambda a, b, ctx: (step(a, b, fmt),), fmt._uncounted, a, b)
+    else:
+        z = step(a, b, fmt)
+    return _unwrap(z, scalar)
 
 
 def fl_add(a, b, ctx: PrecisionContext):
-    a, b, scalar = _operands(a, b, ctx)
-    return _unwrap(_native(_add, ctx.format, a, b), scalar)
+    return _entrywise(_add, a, b, ctx)
 
 
 def fl_sub(a, b, ctx: PrecisionContext):
-    a, b, scalar = _operands(a, b, ctx)
-    return _unwrap(_native(_sub, ctx.format, a, b), scalar)
+    return _entrywise(_sub, a, b, ctx)
 
 
 def fl_mul(a, b, ctx: PrecisionContext):
-    a, b, scalar = _operands(a, b, ctx)
-    return _unwrap(_native(_product, ctx.format, a, b), scalar)
+    return _entrywise(_product, a, b, ctx)
 
 
 def _exact(x):
@@ -784,11 +849,16 @@ def fl_sum(P, ctx: PrecisionContext, start=None):
     the correctly rounded sum the software path computes, with the same
     overflow, gradual underflow and signed zeros.
     """
+    if _in_binary32(ctx, P, P if start is None else start):
+        ctx.count(P.size)
+        return _buffer_sum(P, start)
     P = np.asarray(P, dtype=np.complex128)
     ctx.count(P.size)
     start = np.zeros(P.shape[1:], dtype=np.complex128) if start is None \
         else np.broadcast_to(np.asarray(start, dtype=np.complex128), P.shape[1:])
-    return _native(_accumulate, ctx.format, P, start)
+    (total,) = _resident(lambda P, start, ctx: (_accumulate(P, start, ctx.format),),
+                         ctx.format._uncounted, P, start)
+    return total
 
 
 def fl_sqrt(x, ctx: PrecisionContext):
@@ -857,8 +927,8 @@ def _sdiv(a: complex, b: complex, fmt: FpFormat) -> complex:
         return complex(r(r(ai + r(ar * t, fmt), fmt) / d, fmt),
                        -r(r(ar - r(ai * t, fmt), fmt) / d, fmt))
     except ZeroDivisionError:
-        c = np.complex128(a) / np.complex128(b)
-        return complex(c)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return complex(np.complex128(a) / np.complex128(b))
 
 
 def _ssqrt(x: float, fmt: FpFormat) -> float:

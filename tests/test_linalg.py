@@ -589,7 +589,7 @@ class TestBinary32Kernels:
         got, flops = _counted(lambda *a: gemm(alpha, *a[:2], beta, C, a[2]), A, B)
         want = _soft_gemm(alpha, A, B, beta, C)
         assert (_bits(got) == _bits(want)).all()
-        monkeypatch.setattr(linalg, "_binary32", lambda *xs: None)
+        monkeypatch.setattr(precision, "_binary32", lambda *xs: None)
         ref, ref_flops = _counted(lambda *a: gemm(alpha, *a[:2], beta, C, a[2]), A, B)
         assert (_bits(ref) == _bits(want)).all() and flops == ref_flops
         if case == "overflow" and alpha == 1:  # else 0 * inf in alpha * acc
@@ -618,13 +618,16 @@ class TestBinary32Kernels:
             v[3] = 1 + 2.0**-24
         elif case == "signed-zeros":  # conj(q) v is (-0, +0) throughout
             Q, v = np.full(Q.shape, complex(-1.0, -0.0)), np.zeros_like(v)
-        (h, w), flops = _counted(lambda *a: _mgs_project(*a), Q, v)
+        (h, w, nrm), flops = _counted(lambda *a: _mgs_project(*a), Q, v)
         want = _soft_mgs(Q, v)
         assert (_bits(h) == _bits(want[0])).all() and (_bits(w) == _bits(want[1])).all()
-        monkeypatch.setattr(linalg, "_binary32", lambda *xs: None)
-        (h2, w2), ref_flops = _counted(lambda *a: _mgs_project(*a), Q, v)
+        monkeypatch.setattr(precision, "_binary32", lambda *xs: None)
+        (h2, w2, nrm2), ref_flops = _counted(lambda *a: _mgs_project(*a), Q, v)
         assert (_bits(h2) == _bits(h)).all() and (_bits(w2) == _bits(w)).all()
-        assert flops == ref_flops == 4 * Q.size
+        # the remainder's norm: its software steps on the software remainder
+        nrm3 = _vec_norm2_ctx(want[1], PrecisionContext(BINARY32))
+        assert _bits(np.array([nrm, nrm2])).tolist() == _bits(np.array([nrm3, nrm3])).tolist()
+        assert flops == ref_flops == 4 * Q.size + 2 * len(v) + 1
         assert np.isnan(want[1]).any() == (case in ("full-range", "overflow", "inf-times-zero"))
 
 
@@ -650,8 +653,8 @@ class TestBinary32KernelPath:
 
     def test_one_operand_check_per_call(self, rng, monkeypatch):
         checks = []
-        binary32 = linalg._binary32
-        monkeypatch.setattr(linalg, "_binary32", lambda *xs: checks.append(1) or binary32(*xs))
+        binary32 = precision._binary32
+        monkeypatch.setattr(precision, "_binary32", lambda *xs: checks.append(1) or binary32(*xs))
         ctx = PrecisionContext(BINARY32)
         A, B, C = _gemm_operands("bits", rng)
         gemm(0.5, A, B, -1.0, C, ctx)
@@ -670,12 +673,106 @@ class TestBinary32KernelPath:
         ctx = PrecisionContext(BINARY32)
         A, B, C = _gemm_operands("off-format", rng)
         gemm(1.0, A, B, 0.0, None, ctx)
-        assert {"_mul_parts", "_rounded_sum"} <= set(calls)
+        # the software products are binary32 values, which fl_sum adds natively
+        assert "_mul_parts" in calls
         calls.clear()
         Q, v = _mgs_operands(rng)
         v[0] = 1 + 2.0**-24
         _mgs_project(Q, v, ctx)
         assert {"_mul_parts", "_rounded_sum"} <= set(calls)
+
+
+class TestBinary64Sums:
+    def test_gemm_sum_past_overflow_is_silent(self):
+        # the products are 1e308, their sum overflows: inf, and no numpy
+        # RuntimeWarning (pytest turns one into an error)
+        got = gemm(1.0, [[1e200, 1e200]], [[1e108], [1e108]], 0.0, None)
+        assert got[0, 0] == complex(np.inf, 0.0)
+
+    def test_sum_of_opposite_infinities_is_silent(self):
+        got = precision.fl_sum(np.array([np.inf, -np.inf]), CTX)
+        assert np.isnan(got.real)
+
+
+def _householder_runs(A, monkeypatch, software=False):
+    """binary32 householder_qr of A as (factors or the exception raised,
+    flops, dtypes of R in each run of its reflections); ``software``
+    switches the complex64 arrays off."""
+    counter, runs = FlopCounter(), []
+    steps = linalg._householder_steps
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_householder_steps",
+                   lambda Q, R, ctx: runs.append(R.dtype) or steps(Q, R, ctx=ctx))
+        if software:
+            mp.setattr(precision, "_binary32", lambda *xs: None)
+        try:
+            out = householder_qr(A, PrecisionContext(BINARY32, counter, "low"))
+        except RankDeficiencyError as exc:
+            out = exc
+    return out, counter.counts, runs
+
+
+class TestBinary32HouseholderQr:
+    """binary32 householder_qr keeps Q and R in complex64 (`_resident`),
+    with the Q, R and flops of the software path; a w formed from a
+    rescaled column off binary32, or a NaN, reruns in complex128."""
+
+    @staticmethod
+    def _peaked(tail):
+        """A column with one entry near 3e20 over entries near tail: the
+        reflector is formed from the column scaled by 2^-69."""
+        A = cmat(np.random.default_rng(0), 7, 4)
+        A[2:, 0] = tail * cmat(np.random.default_rng(9), 5, 1).ravel()
+        A[1, 0] = 3e20
+        return A
+
+    @pytest.mark.parametrize("case, runs", [
+        ("normal", [np.complex64]),
+        ("real", [np.complex64]),
+        ("peaked-1e-3", [np.complex64]),
+        # the rescaled tail leaves binary32's range: w fails the check
+        ("peaked-1e-30", [np.complex64, np.complex128]),
+        # entries near 3e38: the updates meet inf - inf
+        ("nan", [np.complex64, np.complex128]),
+    ])
+    def test_matches_the_software_path(self, case, runs, monkeypatch):
+        rng = np.random.default_rng(3)
+        if case.startswith("peaked"):
+            A = self._peaked(float(case.split("-", 1)[1]))
+        elif case == "nan":
+            A = 3e38 * np.sign(rng.standard_normal((4, 3))) + 0j
+        else:
+            A = cmat(rng, 8, 5) if case == "normal" else rng.standard_normal((8, 5)) + 0j
+        got, flops, got_runs = _householder_runs(A, monkeypatch)
+        want, want_flops, want_runs = _householder_runs(A, monkeypatch, software=True)
+        assert got_runs == runs and want_runs == [np.complex128]
+        assert flops == want_flops and flops["low"] > 0
+        if isinstance(want, Exception):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert (_bits(got.Q) == _bits(want.Q)).all() and (_bits(got.R) == _bits(want.R)).all()
+            assert got.Q.dtype == np.complex128
+
+    def test_format_values_take_no_software_step(self, rng, monkeypatch):
+        # the reflections only: `_fix_r_diagonal`'s phases are not binary32
+        seen, inside = [], [False]
+        for name in ("_mul_parts", "_rounded_sum"):
+            def spy(*args, _f=getattr(precision, name), _name=name):
+                if inside[0]:
+                    seen.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(precision, name, spy)
+        steps = linalg._householder_steps
+
+        def reflections(Q, R, ctx):
+            inside[0] = True
+            try:
+                return steps(Q, R, ctx=ctx)
+            finally:
+                inside[0] = False
+        monkeypatch.setattr(linalg, "_householder_steps", reflections)
+        householder_qr(cmat(rng, 8, 5), PrecisionContext(BINARY32))
+        assert seen == []
 
 
 class TestNormAccumulation:

@@ -385,7 +385,7 @@ class TestBinary32SchurPath:
         """schur with the complex64 working arrays switched off."""
         counter = FlopCounter()
         with monkeypatch.context() as mp:
-            mp.setattr(linalg, "_binary32", lambda *xs: None)
+            mp.setattr(precision, "_binary32", lambda *xs: None)
             sf = schur(A, PrecisionContext(BINARY32, counter, "low"))
         return sf, counter.counts
 
@@ -468,7 +468,7 @@ class TestBinary32SchurPath:
 
         UH, flops = reduction()
         assert nan == [True, False]
-        monkeypatch.setattr(linalg, "_binary32", lambda *xs: None)
+        monkeypatch.setattr(precision, "_binary32", lambda *xs: None)
         ref, ref_flops = reduction()
         assert len(nan) == 2  # the software path updates complex128 arrays
         assert (_bits(UH) == _bits(ref)).all() and flops == ref_flops
@@ -486,7 +486,7 @@ class TestBinary32SchurPath:
             counter = FlopCounter()
             with monkeypatch.context() as mp:
                 if software:
-                    mp.setattr(linalg, "_binary32", lambda *xs: None)
+                    mp.setattr(precision, "_binary32", lambda *xs: None)
                 # NaN entries never deflate
                 with pytest.raises(IterationLimitError):
                     schur(A, PrecisionContext(BINARY32, counter, "low"))
@@ -520,7 +520,7 @@ class TestBinary32SchurPath:
             counter = FlopCounter()
             with monkeypatch.context() as mp:
                 if software:
-                    mp.setattr(linalg, "_binary32", lambda *xs: None)
+                    mp.setattr(precision, "_binary32", lambda *xs: None)
                 mp.setattr(linalg, "_wilkinson_shift", lambda H, hi, fmt: 0j)
                 mp.setattr(linalg, "_shifted", lambda h, shift, fmt: h)
                 with pytest.raises(IterationLimitError):
@@ -535,7 +535,7 @@ class TestBinary32HermitianPath:
         counter = FlopCounter()
         V, d = hermitian_eig(A, PrecisionContext(BINARY32, counter, "low"))
         ref_counter = FlopCounter()
-        monkeypatch.setattr(linalg, "_binary32", lambda *xs: None)
+        monkeypatch.setattr(precision, "_binary32", lambda *xs: None)
         V2, d2 = hermitian_eig(A, PrecisionContext(BINARY32, ref_counter, "low"))
         assert (_bits(V) == _bits(V2)).all()
         assert (np.ascontiguousarray(d).view(np.uint64) == d2.view(np.uint64)).all()
