@@ -56,10 +56,9 @@ a format with a hardware dtype needs no simulated rounding).
 
 For the same reason arrays of binary32 values are computed in complex64,
 by one rule.  Each kernel's steps are written once, with `fl_mul`,
-`fl_add`, `fl_sub` and `fl_sum`, whose uncounted bodies `_product`,
-`_add`, `_sub` and `_accumulate` take their arithmetic from the operand
-dtype: complex128 ``*`` and ``+`` in binary64, float32 planes for
-complex64 operands, the software rounding otherwise.  A sum or
+`fl_add`, `fl_sub`, `fl_div` and `fl_sum`, whose uncounted bodies take
+their arithmetic from the operand dtype: complex128 in binary64, float32
+planes for complex64 operands, the software rounding otherwise.  A sum or
 difference is one complex64 operation.  A product is formed from the
 float32 real and imaginary planes as (ar*br - ai*bi, ar*bi + ai*br): the
 four products, the difference and the sum the software path rounds, in
@@ -81,9 +80,8 @@ place.  They test for a NaN once per sweep (`schur` also after its
 Householder reduction, `householder_qr` once, at exit) and for a
 Householder vector formed from a column scaled past overflow that is not
 binary32; on either they rerun the whole factorization from its input in
-software.
-`sylvester.solve_sylv_tri` checks its stacked [Y | T_A | T_B] buffer, C
-and the shifted diagonals once, before the first wave.
+software.  `sylvester.solve_sylv_tri` enters it once per solve, with its
+stacked [Y | T_A | T_B] buffer and C.
 
 Scalar chains follow the same rule.  Since 53 >= 2t + 2 for binary32 and
 binary16, a double +, -, *, / or sqrt of values of the format, cast once
@@ -103,12 +101,13 @@ Complex division has two references.  The scalar `_sdiv` in binary64 is
 CPython's complex division (Smith's method, dividing by the
 denominator), while `fl_div` in binary64 is numpy's, which multiplies by
 a reciprocal and differs in the last bit for many quotients.  In the
-other formats both are Smith's method with every step rounded.
-`_quotient` is the vector form of `_sdiv`, bit for bit.  It is composed
-of two halves: `_smith_denominator`, the steps that depend on the
-divisor only, and `_smith_numerator`.  `solve_sylv_tri` divides by the
-same shifted diagonals in every wave, so it forms the denominator half
-once per solve and the numerator half per wave.
+other formats both are Smith's method with every step rounded, and a
+zero divisor takes numpy's division.  `_quotient` is the vector form of
+`_sdiv`, bit for bit.  It is composed of two halves:
+`_smith_denominator`, the steps that depend on the divisor only, and
+`_smith_numerator`.  `solve_sylv_tri` divides by the same shifted
+diagonals in every wave, so it forms the denominator half once per solve
+and the numerator half per wave.
 """
 
 from __future__ import annotations
@@ -616,17 +615,17 @@ def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
 # is an array; a may be a scalar.
 
 def _product(a, b: np.ndarray, fmt: FpFormat, out=None) -> np.ndarray:
-    """a * b entrywise: for a complex64 b, the `_plane_product` parts as a
-    complex64 array.  out, the array to write into, is for binary64 and a
-    complex64 b only."""
+    """a * b entrywise, in b's dtype or written into out: for a complex64
+    b, the `_plane_product` parts."""
     if fmt.is_binary64:
         return np.multiply(a, b, out=out)
     if b.dtype == np.complex64:
         re, im = _plane_product(a, b)
-        z = np.empty(re.shape, dtype=np.complex64) if out is None else out
-        z.real, z.imag = re, im
-        return z
-    return _compose(*_mul_parts(a.real, a.imag, b.real, b.imag, fmt))
+    else:
+        re, im = _mul_parts(a.real, a.imag, b.real, b.imag, fmt)
+    z = np.empty(re.shape, dtype=b.dtype) if out is None else out
+    z.real, z.imag = re, im
+    return z
 
 
 def _add(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
@@ -683,12 +682,12 @@ def _resident(kernel, ctx: PrecisionContext, *arrays):
     The one entry into binary32 arithmetic: in binary32, when every entry
     of every array is a binary32 value, the kernel runs on complex64
     copies, whose steps then run on float32 planes (the `fl_*` operations
-    on complex64 operands, `_product`, `_add`, `_sub`, `_accumulate` and
-    `linalg._rotate_rows`), and the flops it counts are charged once, when
-    it returns or raises.  Its result is widened to complex128.  A False, or a result
-    holding a NaN, runs the kernel again from the arrays, uncharged so
-    far, in complex128, whose software steps give the same values and
-    their own NaN payloads.
+    on complex64 operands, `_product`, `_add`, `_sub`, `_quotient`,
+    `_accumulate` and `linalg._rotate_rows`), and the flops it counts are
+    charged once, when it returns or raises.  Its result is widened to
+    complex128.  A False, or a result holding a NaN, runs the kernel again
+    from the arrays, uncharged so far, in complex128, whose software steps
+    give the same values and their own NaN payloads.
     """
     if ctx.format._is_binary32:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -711,6 +710,7 @@ def _resident(kernel, ctx: PrecisionContext, *arrays):
 
 
 _COMPLEX64 = np.dtype(np.complex64)
+_FLOAT32 = np.dtype(np.float32)
 
 
 def _in_binary32(ctx: PrecisionContext, *xs) -> bool:
@@ -726,9 +726,10 @@ def _in_binary32(ctx: PrecisionContext, *xs) -> bool:
 
 
 def _entrywise(step, a, b, ctx: PrecisionContext):
-    """``step(a, b, fmt)`` for `fl_add`, `fl_sub` and `fl_mul`, charging one
-    flop per element of the broadcast result: directly on complex64
-    operands in binary32, else on complex128 arrays through `_resident`."""
+    """``step(a, b, fmt)`` for `fl_add`, `fl_sub`, `fl_mul` and `fl_div`,
+    charging one flop per element of the broadcast result: directly on
+    complex64 operands in binary32, else on complex128 arrays through
+    `_resident`."""
     if _in_binary32(ctx, a, b):
         z = step(a, b, ctx.format)
         ctx.count(z.size)
@@ -754,84 +755,89 @@ def fl_mul(a, b, ctx: PrecisionContext):
     return _entrywise(_product, a, b, ctx)
 
 
-def _exact(x):
-    """The rounding of a step that needs none: binary64, or a native dtype."""
-    return x
+def _smith_step(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
+    """A step of Smith's method rounded into fmt: a step on float32 planes,
+    or in binary64, is its own rounding."""
+    if x.dtype is _FLOAT32 or fmt.is_binary64:
+        return x
+    return _round_real_array(x, fmt)
 
 
-def _step_rounding(fmt: FpFormat):
-    """The rounding `_smith_denominator` and `_smith_numerator` apply to each
-    step computed in float64: none in binary64, `_round_real_array` else."""
-    return _exact if fmt.is_binary64 else (lambda x: _round_real_array(x, fmt))
-
-
-def _smith_denominator(b: np.ndarray, r):
-    """The half of Smith's method that depends on the divisor b only:
-    (swap, t, d), swap choosing the branch entrywise on |Re b| < |Im b|,
-    t the ratio of b's smaller part to its larger and d the scaled
-    denominator, each step rounded by r.  Call under
+def _smith_denominator(b: np.ndarray, fmt: FpFormat):
+    """The half of Smith's method that depends on the divisor b only, each
+    step rounded by `_smith_step`.  Call under
     ``np.errstate(divide="ignore", invalid="ignore", over="ignore")``.
+
+    Returns (swap, t, d), and a sign in binary64: swap picks the branch on
+    |Re b| < |Im b|; the ratio t of b's smaller part to its larger and the
+    scaled denominator d come as one column per part of the quotient,
+    (t, -t) and (d, d).  The swapped branch negates the imaginary part,
+    so its d is (d, -d), since -(x / d) is x / -d bit for bit.  binary64
+    forms that part as CPython does, (Re a * t - Im a) / d, which differs
+    in the sign of a zero: the sign (1, -1) negates Im a and t instead.
     """
+    r = _smith_step
     br, bi = b.real, b.imag
     swap = np.abs(br) < np.abs(bi)
     den_big = np.where(swap, bi, br)
     den_small = np.where(swap, br, bi)
-    t = r(den_small / den_big)
-    return swap, t, r(den_big + r(den_small * t))
+    t = r(den_small / den_big, fmt)
+    d = r(den_big + r(den_small * t, fmt), fmt)
+    t, d = np.stack([t, -t], axis=-1), np.stack([d, d], axis=-1)
+    if fmt.is_binary64:
+        sign = np.where(swap, -1.0, 1.0)[..., None]
+        return swap[..., None], t * sign, d, np.concatenate([np.ones_like(sign), sign], axis=-1)
+    np.negative(d[..., 1], out=d[..., 1], where=swap)
+    return swap[..., None], t, d
 
 
-def _smith_numerator(a: np.ndarray, den, r, binary64: bool):
-    """The real and imaginary parts of a / b from a and the
-    `_smith_denominator` of b, each step rounded by r.  In binary64 the
-    imaginary part follows CPython's complex division (see `_quotient`).
-    Call under the same ``np.errstate`` as `_smith_denominator`.
+def _smith_numerator(a: np.ndarray, den, fmt: FpFormat) -> np.ndarray:
+    """a / b from a and the `_smith_denominator` of b, in a's dtype.
+
+    Both parts run at once on a's stacked planes (x, y), which swap orders
+    as (Im a, Re a): (x + y t) / d and (y - x t) / d, each step rounded by
+    `_smith_step`.  Call under the same ``np.errstate`` as
+    `_smith_denominator`.
     """
-    swap, t, d = den
-    ar, ai = a.real, a.imag
-    num_r = np.where(swap, ai, ar)
-    num_i = np.where(swap, ar, ai)
-    re = r(r(num_r + r(num_i * t)) / d)
-    if binary64:
-        rt = num_r * t
-        return re, np.where(swap, rt - num_i, num_i - rt) / d
-    im = r(r(num_i - r(num_r * t)) / d)
-    return re, np.where(swap, -im, im)
+    r = _smith_step
+    swap, t, d = den[:3]
+    planes = a[..., None].view(a.real.dtype)
+    num = np.where(swap, planes[..., ::-1], planes)
+    if fmt.is_binary64:
+        num *= den[3]
+    q = r(r(num + r(num[..., ::-1] * t, fmt), fmt) / d, fmt)
+    return q.view(a.dtype)[..., 0]
 
 
-def _quotient(a, b, fmt: FpFormat) -> np.ndarray:
+def _quotient(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
     """a / b entrywise by Smith's method, bit-identical to `_sdiv`:
-    `_smith_numerator` of `_smith_denominator`.
-
-    Every step is rounded into fmt.  In binary32, operands that are
-    binary32 values (and not NaN) take the steps as float32 operations,
-    whose correctly rounded results are the rounded steps (the double
-    rounding of +, *, / is innocuous for t <= 25).  In binary64 nothing
-    is rounded and the steps follow CPython's complex division, which
-    `_sdiv` uses: its swapped branch forms the imaginary part as
-    (Re a * t - Im a) / d where the rounded steps form
-    -((Im a - Re a * t) / d), which differs in the sign of a zero.
-    Charges no flops.
+    `_smith_numerator` of `_smith_denominator`, in b's dtype, and numpy's
+    complex128 division for a zero divisor.  Every step is rounded into
+    fmt, except in binary64, where the steps follow CPython's complex
+    division as `_sdiv` does, and on complex64 operands, whose float32
+    steps are the correctly rounded ones.  Charges no flops.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
-    r = _step_rounding(fmt)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if fmt._is_binary32:
-            # every step is one IEEE binary32 operation on binary32 values
-            ops = _binary32(a, b)
-            if ops is not None:
-                (a, b), r = ops, _exact
-        return _compose(*_smith_numerator(a, _smith_denominator(b, r), r,
-                                          fmt.is_binary64))
+        z = _smith_numerator(a, _smith_denominator(b, fmt), fmt)
+        zero = b == 0
+        if zero.any():
+            z[zero] = a[zero].astype(np.complex128) / b[zero].astype(np.complex128)
+    return z
+
+
+def _divide(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
+    """a / b entrywise: numpy's complex division in binary64, `_quotient`
+    otherwise."""
+    if fmt.is_binary64:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return a / b
+    return _quotient(a, b, fmt)
 
 
 def fl_div(a, b, ctx: PrecisionContext):
-    a, b, scalar = _operands(a, b, ctx)
-    if ctx.format.is_binary64:
-        return _unwrap(a / b, scalar)
-    return _unwrap(_quotient(a, b, ctx.format), scalar)
+    return _entrywise(_divide, a, b, ctx)
 
 
 def fl_sum(P, ctx: PrecisionContext, start=None):

@@ -3,10 +3,10 @@
 The triangular recurrence solves the transformed equation one
 anti-diagonal wave of entries at a time, in the operation order of
 column-by-column substitution.  What does not change from wave to wave
-is done once per solve: the check that the operands are values of the
-format, which lets binary32 and binary64 run every wave in their
-hardware dtype, and the denominator half of Smith's complex division by
-the shifted diagonals.
+is done once per solve: the entry into binary32 (`precision._resident`),
+which lets binary32 run every wave in complex64 as binary64 does in
+complex128, and the denominator half of Smith's complex division by the
+shifted diagonals.
 
 Every Schur-based solver in the package has the Bartels-Stewart shape,
 written once here: a Schur pair of the coefficients (`_schur_pair`),
@@ -36,17 +36,14 @@ from .linalg import SchurFactors, _frobenius, as_matrix, gemm, hermitian_eig, sc
 from .precision import (
     BINARY64,
     PrecisionContext,
-    fl_add,
     fl_div,
-    fl_mul,
-    fl_sum,
-    _binary32,
-    _exact,
+    _accumulate,
+    _add,
     _product,
+    _resident,
     _round_complex_array,
     _smith_denominator,
     _smith_numerator,
-    _step_rounding,
 )
 
 __all__ = [
@@ -183,21 +180,19 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     order of the column-by-column recurrence, so results and flop counts
     are those of that recurrence.
 
-    Once per solve, not per wave: ``np.errstate`` is entered, the
-    denominator half of Smith's method (`precision._smith_denominator`)
-    is formed for all m n shifted diagonals, and the operands are checked.
-    binary64 then runs every wave in complex128: the product of `fl_mul`
-    and, for the chain, one ``np.subtract.accumulate`` from C, which is
-    the accumulate of `fl_sum` on the negated products.  binary32 runs
-    the waves in complex64 when [Y | T_A | T_B], C and the shifted
-    diagonals all hold binary32 values (`precision._binary32`), with
-    products from the float32 planes (`precision._product`): each
-    step is the correctly rounded result the software path computes.  Other formats,
-    and binary32 operands that fail the check (a C not rounded into the
-    format, a NaN), take each wave through `fl_mul` and `fl_sum`.  Both
-    finish with `precision._smith_numerator`.  The two binary32 paths
-    differ at most in NaN payloads, which never leave the solve: a NaN in
-    Y raises below.
+    The waves are one kernel, entered once per solve through
+    `precision._resident`: in binary32 it runs on complex64 copies when
+    [Y | T_A | T_B] and C hold binary32 values, and on the complex128
+    originals otherwise (a C not rounded into the format, a NaN).  It
+    enters ``np.errstate`` and forms the m n shifted diagonals and their
+    half of Smith's method (`precision._smith_denominator`) once.  Each
+    wave then takes its products from `precision._product`, which
+    chooses the arithmetic from the dtype, and its chain from C: where no
+    step rounds (binary64, complex64), one ``np.subtract.accumulate``,
+    the accumulate of `fl_sum` on the negated products; otherwise
+    `precision._accumulate` on them.  The numerator half of the division
+    (`precision._smith_numerator`) ends the wave.  NaN payloads never
+    leave the solve: a NaN in Y raises below.
 
     Raises SingularEquationError when a shifted diagonal entry is exactly
     zero, and NumericBreakdownError when a NaN or infinity appears in the
@@ -215,35 +210,29 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     if T_A.shape != (m, m) or T_B.shape != (n, n):
         raise DimensionError("inconsistent dimensions")
     fmt = ctx.format
-    quiet = PrecisionContext(fmt)
     cols, order, waves = _wave_plan(m, n, b_form == "lower")
-    # the shifted diagonals T_A[i, i] + T_B[k, k]
-    D = fl_add(np.diag(T_A)[:, None], np.diag(T_B)[None, :], quiet).ravel()
-    buf = np.concatenate([np.zeros(m * n, dtype=np.complex128), T_A.ravel(), T_B.ravel()])
-    c, d = C.ravel()[order], D[order]
-    r = _step_rounding(fmt)
-    native = fmt.is_binary64
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if fmt._is_binary32:
-            ops = _binary32(buf, c, d)
-            if ops is not None:
-                (buf, c, d), r, native = ops, _exact, True
-        den = _smith_denominator(d, r)
-        for start, stop, left, right in waves:
-            a, b = buf[left], buf[right]
-            if native:
+
+    def steps(buf, c, ctx):
+        exact = fmt.is_binary64 or buf.dtype == np.complex64  # no step rounds
+        off_b = m * n + m * m
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the shifted diagonals T_A[i, i] + T_B[k, k], row-major
+            D = _add(buf[m * n:off_b:m + 1, None], buf[off_b::n + 1], fmt).ravel()
+            den = _smith_denominator(D[order], fmt)
+            for start, stop, left, right in waves:
                 X = np.empty((len(left) + 1, stop - start), dtype=buf.dtype)
                 X[0] = c[start:stop]
-                _product(a, b, fmt, out=X[1:])
-                # x - p is x + (-p) exactly: fl_sum(-prods, start=c)
-                s = np.subtract.accumulate(X, axis=0, out=X)[-1]
-            else:
-                s = fl_sum(-fl_mul(a, b, quiet), quiet, start=c[start:stop])
-            y = buf[start:stop]
-            y.real, y.imag = _smith_numerator(s, [x[start:stop] for x in den], r,
-                                              fmt.is_binary64)
+                _product(buf[left], buf[right], fmt, out=X[1:])
+                # x - p is x + (-p) exactly: the sums of fl_sum(-products, start=c)
+                s = np.subtract.accumulate(X, axis=0, out=X)[-1] if exact \
+                    else _accumulate(-X[1:], X[0], fmt)
+                buf[start:stop] = _smith_numerator(s, [x[start:stop] for x in den], fmt)
+        return buf[:m * n], D
+
+    buf = np.concatenate([np.zeros(m * n, dtype=np.complex128), T_A.ravel(), T_B.ravel()])
+    y, D = _resident(steps, fmt._uncounted, buf, C.ravel()[order])
     Y = np.empty(m * n, dtype=np.complex128)
-    Y[order] = buf[:m * n]
+    Y[order] = y
     Y = Y.reshape(m, n)
     singular = D.reshape(m, n) == 0
     failed = (singular.any(axis=0) | ~np.isfinite(Y).all(axis=0))[cols]

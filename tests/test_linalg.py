@@ -13,6 +13,7 @@ from mpsylv.errors import (
 )
 import mpsylv.linalg as linalg
 import mpsylv.precision as precision
+import mpsylv.sylvester as sylvester
 from mpsylv.linalg import (
     _givens,
     _make_reflector,
@@ -577,6 +578,15 @@ def _mgs_operands(rng, exponents=(-6, -2), N=40, q=7):
     return _b32_bits(rng, (N, q), exponents), _b32_bits(rng, N, exponents)
 
 
+def _triangular_operands(rng, m=5, n=4):
+    """T_A, T_B and C of a nonsingular triangular Sylvester equation in
+    binary32 values."""
+    T_A, T_B = (np.triu(_b32_bits(rng, (k, k), (-2, 2))) for k in (m, n))
+    np.fill_diagonal(T_A, 3.0)
+    np.fill_diagonal(T_B, 1.5)
+    return T_A, T_B, _b32_bits(rng, (m, n), (-2, 2))
+
+
 class TestBinary32Kernels:
     """binary32 `gemm` and `_mgs_project` check their operands once per
     call; their values and flops are those of the fl_mul/fl_sum path."""
@@ -654,19 +664,28 @@ class TestBinary32KernelPath:
     def test_one_operand_check_per_call(self, rng, monkeypatch):
         checks = []
         binary32 = precision._binary32
-        monkeypatch.setattr(precision, "_binary32", lambda *xs: checks.append(1) or binary32(*xs))
+        for module in (precision, linalg, sylvester):  # wherever the name is bound
+            if hasattr(module, "_binary32"):
+                monkeypatch.setattr(module, "_binary32",
+                                    lambda *xs: checks.append(1) or binary32(*xs))
         ctx = PrecisionContext(BINARY32)
         A, B, C = _gemm_operands("bits", rng)
         gemm(0.5, A, B, -1.0, C, ctx)
         assert len(checks) == 1
         _mgs_project(*_mgs_operands(rng), ctx)
         assert len(checks) == 2
+        sylvester.solve_sylv_tri(*_triangular_operands(rng), ctx)
+        assert len(checks) == 3
+        precision.fl_div(A, A[::-1], ctx)
+        assert len(checks) == 4
 
     def test_format_values_take_the_native_path(self, calls, rng):
         ctx = PrecisionContext(BINARY32)
         A, B, C = _gemm_operands("bits", rng)
         gemm(0.5, A, B, -1.0, C, ctx)
         _mgs_project(*_mgs_operands(rng), ctx)
+        sylvester.solve_sylv_tri(*_triangular_operands(rng), ctx)
+        precision.fl_div(A, A[::-1], ctx)
         assert calls == []
 
     def test_off_format_operand_takes_the_software_path(self, calls, rng):

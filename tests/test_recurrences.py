@@ -20,6 +20,7 @@ from mpsylv.precision import (
     FlopCounter,
     PrecisionContext,
     fl_add,
+    fl_div,
     fl_mul,
     fl_sub,
     fl_sum,
@@ -155,10 +156,17 @@ def division_cases(draw):
             bi = draw(st.sampled_from((0.0, -0.0)))
         elif kind == "imag":
             br = draw(st.sampled_from((0.0, -0.0)))
-        if br == 0 and bi == 0:
-            br = 1.0
         b.append(complex(br, bi))
     return fmt, np.array(a), np.array(b)
+
+
+def _cpython_div(x, y):
+    """x / y, and numpy's complex128 division where CPython's raises on a
+    zero divisor, as `_sdiv` falls back to."""
+    try:
+        return x / y
+    except ZeroDivisionError:
+        return complex(np.complex128(x) / np.complex128(y))
 
 
 class TestQuotient:
@@ -171,7 +179,7 @@ class TestQuotient:
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             if f.is_binary64:  # CPython's complex division
-                ref = [complex(x) / complex(y) for x, y in zip(a, b)]
+                ref = [_cpython_div(complex(x), complex(y)) for x, y in zip(a, b)]
             else:
                 ref = [_sdiv(complex(x), complex(y), f) for x, y in zip(a, b)]
         # NaNs only end a recurrence, so only where they appear is pinned
@@ -187,6 +195,16 @@ class TestQuotient:
         f = parse_format("bfloat16")
         got = _quotient(a, b, f)[0]
         assert same(got, _sdiv(1 + 2j, 1 + 2j, f)) and same(got, complex(1.0, -0.0))
+
+    @pytest.mark.parametrize("fmt", ["binary64", "binary32", "binary16", "bfloat16"])
+    def test_zero_divisor_agrees_across_formats(self, fmt):
+        # numpy's complex128 division in every format, silently
+        ctx = PrecisionContext(parse_format(fmt))
+        assert same(fl_div(1 + 1j, 0, ctx), complex(math.inf, math.inf))
+        a, b = np.array([1 + 1j, -2.0, 0j, 2.0]), np.array([0j, complex(0.0, -0.0), 0j, 1 + 1j])
+        with np.errstate(all="ignore"):
+            want = a / b
+        assert same(fl_div(a, b, ctx), want, nan_payload=False)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +357,10 @@ class TestWavefrontShapes:
 
 class TestSolvePath:
     """binary32 and binary64 solves on values of the format run natively,
-    with no call into the software rounding; others take fl_mul/fl_sum."""
+    with no call into the software rounding; others take the software
+    products and sums."""
 
-    SOFTWARE = ("_round_real_array", "fl_mul", "fl_sum", "_quotient")
+    SOFTWARE = ("_mul_parts", "_rounded_sum", "_round_real_array", "_quotient")
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -367,12 +386,12 @@ class TestSolvePath:
     def test_raw_c_takes_the_software_path(self, calls):
         T_A, T_B, C = benchmark_case(10, True, "binary32", False)
         got = _outcome(solve_sylv_tri, T_A, T_B, C, "binary32")
-        assert {"fl_mul", "fl_sum"} <= set(calls)
+        assert {"_mul_parts", "_rounded_sum"} <= set(calls)
         assert got == _outcome(column_order_solve, T_A, T_B, C, "binary32")
 
     def test_nan_operand_takes_the_software_path(self, calls):
         T_A, T_B, C = benchmark_case(10, False, "binary32", True)
         T_A[2, 7] = complex(math.nan, 0.0)
         got = _outcome(solve_sylv_tri, T_A, T_B, C, "binary32")
-        assert "fl_mul" in calls and got[0][0] == "breakdown"
+        assert "_mul_parts" in calls and got[0][0] == "breakdown"
         assert got == _outcome(column_order_solve, T_A, T_B, C, "binary32")
