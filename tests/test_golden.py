@@ -92,9 +92,9 @@ def _stat(C, dT_A):
     return run
 
 
-def _gmres(p):
+def _gmres(p, cfg=CFG32, restart=20):
     def run(counter):
-        rep = gmres_ir_sylv(p, GmresConfig(BINARY32), CFG32, counter)
+        rep = gmres_ir_sylv(p, GmresConfig(cfg.u_l, restart=restart), cfg, counter)
         res = rep.residual_history[-1] if rep.residual_history else float("nan")
         return rep.X, rep.outer_iterations, rep.failure, res, rep.inner_iterations
     return run
@@ -119,6 +119,12 @@ def _cases():
     cases["stat-nan-rhs"] = _stat(np.full((1, 1), np.nan), np.zeros((1, 1)))
     cases["gmres-ul"] = _gmres(dense)
     cases["gmres-preconditioner"] = _gmres(_singular_problem())
+    cases["gmres-ul-binary16"] = _gmres(dense, CFG16)
+    cases["gmres-ul-overflow-binary16"] = _gmres(_overflow_problem(), CFG16)
+    # restarts of 3 inner steps that fail to shrink the residual below 0.9
+    # of its value at the cycle start
+    cases["gmres-ul-stagnates"] = _gmres(
+        generate(ProblemGenerator("logspace-conditioned", 10, 10, 10.0, seed=3)), restart=3)
     return cases
 
 
@@ -143,6 +149,24 @@ GOLDEN = {
         "flops": {"low": 4902, "high": 1380, "precond": 2700, "gmres": 9279},
         "x_sha": "48659f5127a9f8ece1be5f3c615e306f80b77847b69e01500b7a2907995a0d68",
         "residual": "2.3825275647541112e-17",
+    },
+    "gmres-ul-binary16": {
+        "iterations": 3, "slug": "ok", "inner": [2, 2, 0],
+        "flops": {"low": 3582, "high": 1380, "precond": 2700, "gmres": 6227},
+        "x_sha": "da2f9f29dbd8afbd181d33d11fab6aa2377961702ec3d313ab16e7a18a5abad2",
+        "residual": "4.4478445471591336e-07",
+    },
+    "gmres-ul-overflow-binary16": {
+        "iterations": 0, "slug": "preconditioner", "inner": [],
+        "flops": {"low": 1731, "high": 216, "precond": 188},
+        "x_sha": "5d89f056865052bcb89c910d2d62872e029fb273c3db03f8968a52a41593c1b5",
+        "residual": "nan",
+    },
+    "gmres-ul-stagnates": {
+        "iterations": 1, "slug": "gmres_stagnation", "inner": [6],
+        "flops": {"low": 29920, "high": 4500, "precond": 10000, "gmres": 107444},
+        "x_sha": "d0266a8c7e13b1826999c962ef1fbbf479bdc999fe40c7c0e0abaa842f8858ac",
+        "residual": "5.261451215083735e-08",
     },
     "inv-hermitian": {
         "iterations": 2, "slug": "ok", "inner": None,
