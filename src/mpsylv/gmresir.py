@@ -9,16 +9,31 @@ factors, solve the triangular equation, transform back.  These are the
 steps of `bartels_stewart` (`sylvester._schur_solve`, exported here as
 `apply_preconditioner`).  Both the operator and the preconditioner act on
 matrices, never on an explicitly formed Kronecker matrix.
+
+Each correction is one `precision._resident` kernel over the
+preconditioned right-hand side, the coefficients in u_g and the Schur
+factors (`_resident_correction`), and builds its operator and
+preconditioner from the kernel's own copies.  In binary32 it enters and
+checks once and runs every step in complex64: the `gemm`,
+`solve_sylv_tri` and `_mgs_project` calls inside are steps on complex64
+operands, which `_resident` passes straight on.  The scalar steps that
+apply the stored Hessenberg rotations and the rows of the back
+substitution run, in binary32 and binary16, as chains on Python floats
+with one ``struct`` cast per stage (`_rotation_chain`, `_backsub_chain`),
+bit-identical to their `_s*` composition, which every other format and
+every overflow takes.  Only widened scalars are compared: the abs of a
+complex64 value is a float32.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import Failure, NumericBreakdownError, SingularEquationError
-from .linalg import _frobenius, _mgs_project, _vec_norm2_ctx, gemm, unvec, vec
+from .linalg import SchurFactors, _frobenius, _mgs_project, _vec_norm2_ctx, gemm, unvec, vec
 from .precision import (
     BINARY64,
     FlopCounter,
@@ -29,6 +44,7 @@ from .precision import (
     fl_mul,
     fl_sub,
     fl_sum,
+    _resident,
     _round_complex_array,
     _sabs,
     _sadd,
@@ -86,16 +102,18 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
 
     Returns (E, inner_iterations, stagnated).  Stagnation means a full
     restart cycle failed to shrink the relative residual below 0.9 of its
-    value at the cycle start.
+    value at the cycle start.  V, H, the rotations and g take the dtype of
+    the flattened right-hand side: complex64 when the correction runs as a
+    `_resident` kernel in binary32, whose steps then stay in complex64.
     """
     fmt = ctx.format
     m, n = rhs_mat.shape
     N = m * n
-    b = vec(np.asarray(rhs_mat))
-    x = np.zeros(N, dtype=np.complex128)
-    beta0 = _frobenius(b)
+    b = vec(rhs_mat, ctx)
+    x = np.zeros(N, dtype=b.dtype)
+    beta0 = _frobenius(b.astype(np.complex128))  # numpy's norm of complex64 is float32
     if beta0 == 0.0:
-        return unvec(x, m, n), 0, False
+        return unvec(x, m, n, ctx), 0, False
     tol = max(gcfg.inner_tol, 4.0 * fmt.unit_roundoff)
     total_inner = 0
     stagnated = False
@@ -107,16 +125,16 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
             r = b.copy()
         beta = _vec_norm2_ctx(r, ctx)
         if not np.isfinite(beta):
-            return unvec(x, m, n), total_inner, True
+            return unvec(x, m, n, ctx), total_inner, True
         if beta <= tol * beta0:
             break
         cycle_start = beta
-        V = np.zeros((N, p + 1), dtype=np.complex128)
-        H = np.zeros((p + 1, p), dtype=np.complex128)
-        cs = np.zeros(p, dtype=np.complex128)
-        sn = np.zeros(p, dtype=np.complex128)
-        g = np.zeros(p + 1, dtype=np.complex128)
-        V[:, 0] = np.asarray(fl_div(r, beta, ctx)).ravel()
+        V = np.zeros((N, p + 1), dtype=b.dtype)
+        H = np.zeros((p + 1, p), dtype=b.dtype)
+        cs = np.zeros(p, dtype=b.dtype)
+        sn = np.zeros(p, dtype=b.dtype)
+        g = np.zeros(p + 1, dtype=b.dtype)
+        V[:, 0] = np.asarray(fl_div(r, r.dtype.type(beta), ctx)).ravel()
         g[0] = beta
         j = 0
         while j < p:
@@ -125,16 +143,12 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
             H[j + 1, j] = hq
             total_inner += 1
             if not np.isfinite(hq):
-                return unvec(x, m, n), total_inner, True
+                return unvec(x, m, n, ctx), total_inner, True
             if hq != 0.0:
-                V[:, j + 1] = np.asarray(fl_div(w, hq, ctx)).ravel()
+                V[:, j + 1] = np.asarray(fl_div(w, w.dtype.type(hq), ctx)).ravel()
             # apply accumulated rotations, then a new one zeroing H[j+1, j]
-            for i in range(j):
-                t = _sadd(_smul(complex(cs[i]).conjugate(), complex(H[i, j]), fmt),
-                          _smul(complex(sn[i]).conjugate(), complex(H[i + 1, j]), fmt), fmt)
-                H[i + 1, j] = _ssub(_smul(complex(cs[i]), complex(H[i + 1, j]), fmt),
-                                    _smul(complex(sn[i]), complex(H[i, j]), fmt), fmt)
-                H[i, j] = t
+            H[:j + 1, j] = _apply_rotations(cs[:j].tolist(), sn[:j].tolist(),
+                                            H[:j + 1, j].tolist(), fmt)
             hjj, hj1 = complex(H[j, j]), complex(H[j + 1, j])
             d = _ssqrt(_sadd(_sabs(hjj, fmt) ** 2, _sabs(hj1, fmt) ** 2, fmt).real, fmt)
             ctx.count(2)
@@ -148,16 +162,15 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
             g[j + 1] = _smul(-complex(sn[j]), complex(g[j]), fmt)
             g[j] = _smul(complex(cs[j]).conjugate(), complex(g[j]), fmt)
             j += 1
-            if abs(g[j]) <= tol * beta0:
+            if abs(complex(g[j])) <= tol * beta0:
                 break
         # back substitution on the rotated Hessenberg
-        y = np.zeros(j, dtype=np.complex128)
+        y = [0j] * j
         for i in range(j - 1, -1, -1):
-            acc = complex(g[i])
-            for l in range(i + 1, j):
-                acc = _ssub(acc, _smul(complex(H[i, l]), complex(y[l]), fmt), fmt)
+            acc = _backsub(complex(g[i]), H[i, i + 1:j].tolist(), y[i + 1:j], fmt)
             ctx.count(2 * (j - i))
             y[i] = _sdiv(acc, complex(H[i, i]), fmt)
+        y = np.array(y, dtype=b.dtype)
         upd = fl_sum(fl_mul(y[:, None], V[:, :j].T, ctx), ctx)
         x = np.asarray(fl_add(x, upd, ctx)).ravel()
         final = abs(complex(g[j]))
@@ -168,7 +181,112 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
             break
     else:
         stagnated = True
-    return unvec(x, m, n), total_inner, stagnated
+    return unvec(x, m, n, ctx), total_inner, stagnated
+
+
+def _apply_rotations(cs: list, sn: list, h: list, fmt: FpFormat) -> list:
+    """The stored rotations applied in turn to the Hessenberg column h:
+    rotation i takes (h[i], h[i+1]) to (conj(c) h[i] + conj(s) h[i+1],
+    c h[i+1] - s h[i]).  binary32 and binary16 take `_rotation_chain`, and
+    `_rotation_steps` wherever it returns None; other formats take
+    `_rotation_steps`."""
+    r = fmt._scalar_rounding
+    for i, (c, s) in enumerate(zip(cs, sn)):
+        h[i:i + 2] = (r and _rotation_chain(c, s, h[i], h[i + 1], r)) \
+            or _rotation_steps(c, s, h[i], h[i + 1], fmt)
+    return h
+
+
+def _rotation_steps(c: complex, s: complex, h0: complex, h1: complex, fmt: FpFormat):
+    """One stored rotation composed from the rounded `_s*` steps."""
+    return (_sadd(_smul(c.conjugate(), h0, fmt), _smul(s.conjugate(), h1, fmt), fmt),
+            _ssub(_smul(c, h1, fmt), _smul(s, h0, fmt), fmt))
+
+
+# The chains below run `_rotation_steps` and `_backsub_steps` on Python floats
+# for values of binary32 or binary16, by the recipe of `linalg._givens_chain`:
+# each stage of independent steps is rounded by one ``struct`` cast
+# (r = `FpFormat._scalar_rounding`), which gives the correctly rounded result
+# of each step as the `_s*` steps do.  Where a step overflows or a result is
+# not finite they return None and the caller runs the `_s*` steps.
+
+
+def _rotation_chain(c: complex, s: complex, h0: complex, h1: complex, r):
+    """`_rotation_steps` for values of the format, or None."""
+    cr, ci, sr, si = c.real, c.imag, s.real, s.imag
+    ar, ai, br, bi = h0.real, h0.imag, h1.real, h1.imag
+    try:
+        # the four real products of conj(c) h0, conj(s) h1, c h1 and s h0
+        p = r[16](cr * ar, -ci * ai, cr * ai, -ci * ar, sr * br, -si * bi, sr * bi, -si * br,
+                  cr * br, ci * bi, cr * bi, ci * br, sr * ar, si * ai, sr * ai, si * ar)
+        q = r[8](p[0] - p[1], p[2] + p[3], p[4] - p[5], p[6] + p[7],
+                 p[8] - p[9], p[10] + p[11], p[12] - p[13], p[14] + p[15])
+        tr, ti, ur, ui = r[4](q[0] + q[2], q[1] + q[3], q[4] - q[6], q[5] - q[7])
+    except OverflowError:
+        return None
+    if not all(map(math.isfinite, (tr, ti, ur, ui))):
+        return None
+    return complex(tr, ti), complex(ur, ui)
+
+
+def _backsub(acc: complex, hs: list, ys: list, fmt: FpFormat) -> complex:
+    """acc less each product h y in turn, a row of the back substitution
+    before its division: binary32 and binary16 take `_backsub_chain`, and
+    `_backsub_steps` wherever it returns None; other formats take
+    `_backsub_steps`."""
+    r = fmt._scalar_rounding
+    if r is not None:
+        out = _backsub_chain(acc, hs, ys, r)
+        if out is not None:
+            return out
+    return _backsub_steps(acc, hs, ys, fmt)
+
+
+def _backsub_steps(acc: complex, hs: list, ys: list, fmt: FpFormat) -> complex:
+    """`_backsub` composed from the rounded `_s*` steps."""
+    for h, y in zip(hs, ys):
+        acc = _ssub(acc, _smul(h, y, fmt), fmt)
+    return acc
+
+
+def _backsub_chain(acc: complex, hs: list, ys: list, r):
+    """`_backsub_steps` for values of the format, or None."""
+    ar, ai = acc.real, acc.imag
+    try:
+        for h, y in zip(hs, ys):
+            hr, hi, yr, yi = h.real, h.imag, y.real, y.imag
+            rr, ii, ri, ir = r[4](hr * yr, hi * yi, hr * yi, hi * yr)
+            pr, pi = r[2](rr - ii, ri + ir)
+            ar, ai = r[2](ar - pr, ai - pi)
+    except OverflowError:
+        return None
+    if not (math.isfinite(ar) and math.isfinite(ai)):
+        return None
+    return complex(ar, ai)
+
+
+def _resident_correction(b, A_g, B_g, sf_A: SchurFactors, sf_B: SchurFactors,
+                         gcfg: GmresConfig, ctx: PrecisionContext):
+    """`_gmres_correction` on b with the operator of A_g and B_g and the
+    preconditioner of the Schur factors, as one `_resident` kernel that
+    builds both from its own copies of the arrays: in binary32 the whole
+    correction runs in complex64, entered and checked once.  Returns
+    (E, inner iterations, stagnated)."""
+    m, n = b.shape
+
+    def steps(b, A_g, B_g, U_A, T_A, U_B, T_B, ctx):
+        pre_A, pre_B = SchurFactors(U_A, T_A), SchurFactors(U_B, T_B)
+
+        def matvec(xflat):
+            W = unvec(xflat, m, n, ctx)
+            W = gemm(1.0, A_g, W, 1.0, gemm(1.0, W, B_g, 0.0, None, ctx), ctx)
+            return vec(apply_preconditioner(W, pre_A, pre_B, ctx), ctx)
+
+        E, inner, stagnated = _gmres_correction(matvec, b, gcfg, ctx)
+        return E, np.array(inner), np.array(stagnated)
+
+    E, inner, stagnated = _resident(steps, ctx, b, A_g, B_g, sf_A.U, sf_A.T, sf_B.U, sf_B.T)
+    return E, int(inner.real), bool(stagnated.real)
 
 
 def gmres_ir_sylv(p: SylvesterProblem, gcfg: GmresConfig, rcfg: RefinementConfig,
@@ -202,11 +320,6 @@ def gmres_ir_sylv(p: SylvesterProblem, gcfg: GmresConfig, rcfg: RefinementConfig
     m, n = p.m, p.n
     eps = rcfg.resolve_epsilon(m, n)
 
-    def matvec(xflat):
-        W = unvec(xflat, m, n)
-        W = gemm(1.0, A_g, W, 1.0, gemm(1.0, W, B_g, 0.0, None, ctx_g), ctx_g)
-        return vec(apply_preconditioner(W, sf_A, sf_B, ctx_g))
-
     stable = 10.0 * max(m, n) * rcfg.u_h.unit_roundoff
     inner_counts, stalls, history = [], [], []
 
@@ -214,7 +327,7 @@ def gmres_ir_sylv(p: SylvesterProblem, gcfg: GmresConfig, rcfg: RefinementConfig
         R = gemm(-1.0, A, X, 1.0, C, ctx_h)
         R = gemm(-1.0, X, B, 1.0, R, ctx_h)
         Rt = apply_preconditioner(_round_complex_array(R, gcfg.u_g), sf_A, sf_B, ctx_pre)
-        E, li, stagnated = _gmres_correction(matvec, Rt, gcfg, ctx_g)
+        E, li, stagnated = _resident_correction(Rt, A_g, B_g, sf_A, sf_B, gcfg, ctx_g)
         inner_counts.append(li)
         stalls.append(stagnated)
         return E

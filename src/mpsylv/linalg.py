@@ -105,20 +105,31 @@ class QrFactors:
     R: np.ndarray
 
 
-def as_matrix(A) -> np.ndarray:
-    M = np.asarray(A, dtype=np.complex128)
+def _working_dtype(x, ctx: PrecisionContext | None):
+    """complex64 for a complex64 x under a binary32 ctx, the operand of a
+    step of a `_resident` kernel; complex128 otherwise."""
+    if ctx is not None and getattr(x, "dtype", None) == np.complex64 and ctx.format._is_binary32:
+        return np.complex64
+    return np.complex128
+
+
+def as_matrix(A, ctx: PrecisionContext | None = None) -> np.ndarray:
+    """A as a nonempty 2-d complex128 array, or complex64 as `_working_dtype`
+    keeps it."""
+    M = np.asarray(A, dtype=_working_dtype(A, ctx))
     if M.ndim != 2 or M.size == 0:
         raise DimensionError(f"expected a nonempty 2-d matrix, got shape {M.shape}")
     return M
 
 
-def vec(X: np.ndarray) -> np.ndarray:
-    """Stack the columns of X into one vector."""
-    return as_matrix(X).flatten(order="F")
+def vec(X: np.ndarray, ctx: PrecisionContext | None = None) -> np.ndarray:
+    """Stack the columns of X into one vector, in `as_matrix`'s dtype."""
+    return as_matrix(X, ctx).flatten(order="F")
 
 
-def unvec(x: np.ndarray, m: int, n: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128).ravel()
+def unvec(x: np.ndarray, m: int, n: int, ctx: PrecisionContext | None = None) -> np.ndarray:
+    """The m x n matrix whose stacked columns are x, in `as_matrix`'s dtype."""
+    x = np.asarray(x, dtype=_working_dtype(x, ctx)).ravel()
     if x.size != m * n:
         raise DimensionError(f"cannot reshape length {x.size} into {m}x{n}")
     return x.reshape((m, n), order="F")
@@ -144,19 +155,22 @@ def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     products are formed a block of k indices at a time, each block summed
     on from the last (`_gemm_steps`).  ``C`` may be None when beta == 0.
     """
-    A = as_matrix(A)
-    B = as_matrix(B)
+    A = as_matrix(A, ctx)
+    B = as_matrix(B, ctx)
     m, k = A.shape
     k2, n = B.shape
     if k != k2:
         raise DimensionError(f"inner dimensions differ: {A.shape} @ {B.shape}")
     if C is not None:
-        C = as_matrix(C)
+        C = as_matrix(C, ctx)
         if C.shape != (m, n):
             raise DimensionError(f"C has shape {C.shape}, expected {(m, n)}")
     elif beta != 0:
         raise DimensionError("C is required when beta != 0")
-    ab = np.array([alpha, beta], dtype=np.complex128)
+    # complex64 beside a complex64 A only when alpha and beta are binary32 values
+    ab = np.array([alpha, beta], dtype=A.dtype)
+    if ab.dtype != np.complex128 and ab.tolist() != [alpha, beta]:
+        ab = np.array([alpha, beta], dtype=np.complex128)
     return _resident(_gemm_steps, ctx, ab, A, B, *([] if beta == 0 else [C]))[0]
 
 

@@ -69,19 +69,22 @@ compares them with the originals.  A value that is not binary32, or a
 NaN, fails it, and the steps run in software on the originals.  The
 result is widened to complex128 at exit, and one that holds a NaN is
 recomputed in software, so NaN payloads stay the ones the software path
-produces.  An `fl_*` call on complex128 operands, as from GMRES, enters
-it once per call; one on complex64 operands is a step of a kernel that
-entered it already and runs on the planes unchecked.  `linalg.gemm`,
+produces.  An `fl_*` call on complex128 operands enters it once per
+call.  A call on operands that are all complex64 is a step of a kernel
+that entered it already: the `fl_*` run it on the planes unchecked, and
+`_resident` passes it straight to its kernel.  `linalg.gemm`,
 `linalg._mgs_project` (with the remainder's norm), `householder_qr`,
 `schur` and `hermitian_eig` enter it once per kernel call, which also
-charges the flops once.  `householder_qr`, `schur` and `hermitian_eig`
-keep their factors in complex64 from start to end and update them in
-place.  They test for a NaN once per sweep (`schur` also after its
+charges the flops once, and a binary32 GMRES correction
+(`gmresir._resident_correction`) enters it once, its `gemm`,
+`solve_sylv_tri` and `_mgs_project` calls being such steps.
+`householder_qr`, `schur` and `hermitian_eig` keep their factors in
+complex64 from start to end and update them in place.  They test for a NaN once per sweep (`schur` also after its
 Householder reduction, `householder_qr` once, at exit) and for a
 Householder vector formed from a column scaled past overflow that is not
 binary32; on either they rerun the whole factorization from its input in
 software.  `sylvester.solve_sylv_tri` enters it once per solve, with its
-stacked [Y | T_A | T_B] buffer and C.
+stacked [Y | T_A | T_B] buffer and C, and raises a breakdown from inside.
 
 Scalar chains follow the same rule.  Since 53 >= 2t + 2 for binary32 and
 binary16, a double +, -, *, / or sqrt of values of the format, cast once
@@ -89,8 +92,10 @@ into the format, is the correctly rounded result, which the `_s*`
 functions compute with a 2Sum residual and a tie-break.  So the
 Householder scalars, the Givens rotation and the Wilkinson shift of
 `schur` (`linalg._reflector_chain`, `linalg._givens_chain`,
-`linalg._shift_chain`) run in these two formats on Python floats, each
-stage of independent steps rounded by one ``struct`` cast
+`linalg._shift_chain`), and the stored Hessenberg rotations and the back
+substitution of GMRES (`gmresir._rotation_chain`, `gmresir._backsub_chain`)
+run in these two formats on Python floats, each stage of independent
+steps rounded by one ``struct`` cast
 (`FpFormat._scalar_rounding`).  They hand every case where the `_s*`
 composition branches on a zero or an infinity, or where a step
 overflows, to that composition, which stays the reference for every
@@ -223,16 +228,17 @@ class FpFormat:
 
     @cached_property
     def _scalar_rounding(self):
-        """For binary32 and binary16, the tuple r in which r[n](x_1, ..., x_n)
-        returns the n doubles each rounded into the format by one ``struct``
-        cast (raising OverflowError past its range); None for other formats.
+        """For binary32 and binary16, the tuple r in which r[n](x_1, ..., x_n),
+        n up to 16, returns the n doubles each rounded into the format by
+        one ``struct`` cast (raising OverflowError past its range); None for
+        other formats.
         """
         native = self._native
         if native is None:
             return None
         code = native[1].format
         return tuple(lambda *xs, _p=s.pack, _u=s.unpack: _u(_p(*xs))
-                     for s in (struct.Struct(f"{n}{code}") for n in range(7)))
+                     for s in (struct.Struct(f"{n}{code}") for n in range(17)))
 
     @classmethod
     def from_bits(cls, significand_bits: int, exponent_bits: int,
@@ -688,8 +694,18 @@ def _resident(kernel, ctx: PrecisionContext, *arrays):
     complex128.  A False, or a result holding a NaN, runs the kernel again
     from the arrays, uncharged so far, in complex128, whose software steps
     give the same values and their own NaN payloads.
+
+    Arrays that are all complex64 in binary32 are the operands of a step
+    of a kernel that entered already (the `gemm`, `solve_sylv_tri` and
+    `_mgs_project` calls of a GMRES correction): the kernel runs on them
+    as they are, under the outer kernel's ``np.errstate``, with no check,
+    widening or rerun, and returns complex64.  Every other call runs the
+    kernel in complex128, widening complex64 operands, so a binary64 call
+    on them computes in complex128.
     """
     if ctx.format._is_binary32:
+        if _in_binary32(ctx, *arrays):
+            return kernel(*arrays, ctx=ctx)
         with np.errstate(over="ignore", invalid="ignore"):
             ops = _binary32(*arrays)
             if ops is not None:
@@ -706,7 +722,7 @@ def _resident(kernel, ctx: PrecisionContext, *arrays):
                             ctx.count(n)
                 if out:
                     return out
-    return kernel(*arrays, ctx=ctx)
+    return kernel(*[a.astype(np.complex128, copy=False) for a in arrays], ctx=ctx)
 
 
 _COMPLEX64 = np.dtype(np.complex64)

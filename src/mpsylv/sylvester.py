@@ -182,7 +182,8 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
 
     The waves are one kernel, entered once per solve through
     `precision._resident`: in binary32 it runs on complex64 copies when
-    [Y | T_A | T_B] and C hold binary32 values, and on the complex128
+    [Y | T_A | T_B] and C hold binary32 values, on complex64 operands as
+    they are (a step of a GMRES correction), and on the complex128
     originals otherwise (a C not rounded into the format, a NaN).  It
     enters ``np.errstate`` and forms the m n shifted diagonals and their
     half of Smith's method (`precision._smith_denominator`) once.  Each
@@ -191,8 +192,11 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     step rounds (binary64, complex64), one ``np.subtract.accumulate``,
     the accumulate of `fl_sum` on the negated products; otherwise
     `precision._accumulate` on them.  The numerator half of the division
-    (`precision._smith_numerator`) ends the wave.  NaN payloads never
-    leave the solve: a NaN in Y raises below.
+    (`precision._smith_numerator`) ends the wave.  The kernel then checks
+    the shifted diagonals and Y and charges the flops, so a breakdown
+    found in complex64 raises from there, once: a zero and a non-finite
+    entry fall alike in complex64 and complex128.  NaN payloads never
+    leave the solve.
 
     Raises SingularEquationError when a shifted diagonal entry is exactly
     zero, and NumericBreakdownError when a NaN or infinity appears in the
@@ -200,12 +204,12 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     column-by-column recurrence would have raised, having charged the
     flops it would have charged by then.
     """
-    T_A = as_matrix(T_A)
-    T_B = as_matrix(T_B)
+    T_A = as_matrix(T_A, ctx)
+    T_B = as_matrix(T_B, ctx)
     if _triangular_form(T_A) != "upper":
         raise DimensionError("T_A must be upper triangular")
     b_form = _triangular_form(T_B)
-    C = as_matrix(C)
+    C = as_matrix(C, ctx)
     m, n = C.shape
     if T_A.shape != (m, m) or T_B.shape != (n, n):
         raise DimensionError("inconsistent dimensions")
@@ -227,29 +231,29 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
                 s = np.subtract.accumulate(X, axis=0, out=X)[-1] if exact \
                     else _accumulate(-X[1:], X[0], fmt)
                 buf[start:stop] = _smith_numerator(s, [x[start:stop] for x in den], fmt)
-        return buf[:m * n], D
+        Y = np.empty(m * n, dtype=buf.dtype)
+        Y[order] = buf[:m * n]
+        Y = Y.reshape(m, n)
+        # D and the finite entries of Y are alike in complex64 and complex128
+        singular = D.reshape(m, n) == 0
+        failed = (singular.any(axis=0) | ~np.isfinite(Y).all(axis=0))[cols]
+        if not failed.any():
+            ctx.count(m * n * (m + n))
+            return (Y,)
+        # flops of the p columns solved before the failing one
+        p = int(np.argmax(failed))
+        j = int(cols[p])
+        done = p * m * (m + 1) + m * p * (2 * n - p - 1)
+        if singular[:, j].any():
+            i = int(np.flatnonzero(singular[:, j])[-1])
+            # rows m-1 .. i+1 charged 2 + 2r each, row i its shifted diagonal
+            ctx.count(done + 2 * (m - 1 - i) + m * (m - 1) - i * (i + 1) + 2)
+            raise SingularEquationError(i, j)
+        ctx.count(done + m * (m + 1))
+        raise NumericBreakdownError(f"non-finite values while solving column {j}")
 
-    buf = np.concatenate([np.zeros(m * n, dtype=np.complex128), T_A.ravel(), T_B.ravel()])
-    y, D = _resident(steps, fmt._uncounted, buf, C.ravel()[order])
-    Y = np.empty(m * n, dtype=np.complex128)
-    Y[order] = y
-    Y = Y.reshape(m, n)
-    singular = D.reshape(m, n) == 0
-    failed = (singular.any(axis=0) | ~np.isfinite(Y).all(axis=0))[cols]
-    if not failed.any():
-        ctx.count(m * n * (m + n))
-        return Y
-    # flops of the p columns solved before the failing one
-    p = int(np.argmax(failed))
-    j = int(cols[p])
-    done = p * m * (m + 1) + m * p * (2 * n - p - 1)
-    if singular[:, j].any():
-        i = int(np.flatnonzero(singular[:, j])[-1])
-        # rows m-1 .. i+1 charged 2 + 2r each, row i its shifted diagonal
-        ctx.count(done + 2 * (m - 1 - i) + m * (m - 1) - i * (i + 1) + 2)
-        raise SingularEquationError(i, j)
-    ctx.count(done + m * (m + 1))
-    raise NumericBreakdownError(f"non-finite values while solving column {j}")
+    buf = np.concatenate([np.zeros(m * n, dtype=C.dtype), T_A.ravel(), T_B.ravel()])
+    return _resident(steps, ctx, buf, C.ravel()[order])[0]
 
 
 def _sandwich(L, M, R, ctx: PrecisionContext) -> np.ndarray:

@@ -1,11 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import mpsylv.gmresir as gmresir
+import mpsylv.linalg as linalg
+import mpsylv.precision as precision
+import mpsylv.sylvester as sylvester
+from mpsylv.cli import ProblemGenerator, generate
 from mpsylv.gmresir import GmresConfig, GmresIrReport, apply_preconditioner, gmres_ir_sylv
 from mpsylv.linalg import schur, sylvester_kron_operator, unvec, vec
-from mpsylv.precision import BINARY32, BINARY64, FlopCounter, PrecisionContext
+from mpsylv.precision import (BINARY32, BINARY64, FlopCounter, PrecisionContext,
+                              _round_complex_array)
 from mpsylv.refinement import RefinementConfig
-from mpsylv.sylvester import SylvesterProblem
+from mpsylv.sylvester import SylvesterProblem, _schur_pair
 
 from conftest import cmat
 
@@ -135,3 +143,74 @@ class TestGmresIr:
         assert isinstance(rep, GmresIrReport)
         assert len(rep.inner_iterations) == rep.outer_iterations
         assert len(rep.residual_history) == rep.outer_iterations
+
+
+def _sweep_correction(t, idx):
+    """The operands of the first binary32 GMRES correction of the 10x10
+    criterion-4 sweep problem at t: the preconditioned right-hand side, the
+    rounded coefficients and the Schur factors."""
+    p = generate(ProblemGenerator("logspace-conditioned", 10, 10, float(t), 1, stream=idx))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sf_A, sf_B = _schur_pair(p, PrecisionContext(BINARY32))
+    Rt = apply_preconditioner(_round_complex_array(p.C, BINARY32), sf_A, sf_B,
+                              PrecisionContext(BINARY32))
+    A_g, B_g = (_round_complex_array(M, BINARY32) for M in (p.A, p.B))
+    return Rt, A_g, B_g, sf_A, sf_B
+
+
+class TestResidentCorrection:
+    """A binary32 GMRES correction runs as one `_resident` kernel in
+    complex64, with the results and flops of the complex128 software path."""
+
+    # short restarts keep the software path quick; t = 10 and 14 stagnate
+    GCFG = GmresConfig(BINARY32, restart=4, max_restarts=3)
+
+    @staticmethod
+    def _run(operands, gcfg):
+        counter = FlopCounter()
+        E, inner, stagnated = gmresir._resident_correction(
+            *operands, gcfg, PrecisionContext(BINARY32, counter, "gmres"))
+        return np.ascontiguousarray(E).view(np.uint64).tobytes(), inner, stagnated, counter.counts
+
+    @pytest.mark.parametrize("idx, t", enumerate((2, 6, 10, 14)))
+    def test_matches_the_software_path(self, idx, t, monkeypatch):
+        operands = _sweep_correction(t, idx)
+        got = self._run(operands, self.GCFG)
+        monkeypatch.setattr(precision, "_binary32", lambda *xs: None)
+        want = self._run(operands, self.GCFG)
+        assert got == want
+        assert got[2] == (t >= 10)
+
+    def test_one_operand_check_per_correction(self, monkeypatch):
+        operands = _sweep_correction(10, 2)
+        checks, dtypes = [], []
+        binary32 = precision._binary32
+        for module in (precision, linalg, sylvester, gmresir):  # wherever the name is bound
+            if hasattr(module, "_binary32"):
+                monkeypatch.setattr(module, "_binary32",
+                                    lambda *xs: checks.append(1) or binary32(*xs))
+        correction = gmresir._gmres_correction
+        monkeypatch.setattr(gmresir, "_gmres_correction",
+                            lambda matvec, b, *a: dtypes.append(b.dtype) or correction(matvec, b, *a))
+        _, inner, _, _ = self._run(operands, self.GCFG)
+        assert inner == 12
+        assert len(checks) == 1
+        assert dtypes == [np.complex64]
+
+    def test_binary64_widens_complex64_operands(self, rng):
+        """A binary64 gemm, triangular solve or projection on complex64
+        arrays computes in complex128: the result of the widened operands."""
+        A, B, C = (cmat(rng, 5, 5).astype(np.complex64) for _ in range(3))
+        T_A, T_B = np.triu(A) + 3 * np.eye(5, dtype=np.complex64), np.triu(B) + np.eye(5, dtype=np.complex64)
+        wide = [M.astype(np.complex128) for M in (A, B, C, T_A, T_B)]
+        got = linalg.gemm(0.5, A, B, -1.0, C, CTX)
+        want = linalg.gemm(0.5, wide[0], wide[1], -1.0, wide[2], CTX)
+        assert got.dtype == np.complex128 and (got == want).all()
+        got = sylvester.solve_sylv_tri(T_A, T_B, C, CTX)
+        want = sylvester.solve_sylv_tri(wide[3], wide[4], wide[2], CTX)
+        assert got.dtype == np.complex128 and (got == want).all()
+        got = linalg._mgs_project(A, C[:, 0], CTX)
+        want = linalg._mgs_project(wide[0], wide[2][:, 0], CTX)
+        assert got[0].dtype == got[1].dtype == np.complex128
+        assert all(np.all(g == w) for g, w in zip(got, want))

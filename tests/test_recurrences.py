@@ -31,6 +31,7 @@ from mpsylv.precision import (
     _sadd,
     _sdiv,
 )
+import mpsylv.sylvester as sylvester
 from mpsylv.sylvester import solve_sylv_tri
 
 FORMATS = ("bfloat16", "binary16", "tf32", "b24", "binary32", "40:11", "binary64")
@@ -346,12 +347,24 @@ class TestWavefrontShapes:
 
     @pytest.mark.parametrize("fmt", ["binary32", "binary64", "bfloat16"])
     @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
-    def test_overflow_breaks_down_where_column_order_does(self, lower, fmt):
+    def test_overflow_breaks_down_where_column_order_does(self, lower, fmt, monkeypatch):
         # C near the top of the range: a product overflows within the first columns
         T_A, T_B, C = benchmark_case(12, lower, fmt, True,
                                      scale=parse_format(fmt).max_finite / 4)
+        runs = []  # the dtype of each run of the wave kernel
+        resident = sylvester._resident
+
+        def spy(kernel, ctx, *arrays):
+            def recorded(buf, c, ctx):
+                runs.append(buf.dtype)
+                return kernel(buf, c, ctx=ctx)
+            return resident(recorded, ctx, *arrays)
+
+        monkeypatch.setattr(sylvester, "_resident", spy)
         got = _outcome(solve_sylv_tri, T_A, T_B, C, fmt)
         assert got[0][0] == "breakdown"
+        # binary32 raises from its complex64 run, with no software rerun
+        assert runs == [np.complex64 if fmt == "binary32" else np.complex128]
         assert got == _outcome(column_order_solve, T_A, T_B, C, fmt)
 
 

@@ -1,6 +1,7 @@
 """The native scalar chains of the binary32/binary16 Schur factorization
-against the `_s*` reference, and the complex64 working arrays of `schur`
-and `hermitian_eig` against the complex128 software path."""
+and GMRES Hessenberg rotations against the `_s*` reference, and the
+complex64 working arrays of `schur` and `hermitian_eig` against the
+complex128 software path."""
 
 import math
 import warnings
@@ -11,6 +12,13 @@ import pytest
 import mpsylv.linalg as linalg
 import mpsylv.precision as precision
 from mpsylv.errors import IterationLimitError
+from mpsylv.gmresir import (
+    _apply_rotations,
+    _backsub_chain,
+    _backsub_steps,
+    _rotation_chain,
+    _rotation_steps,
+)
 from mpsylv.linalg import (
     _givens,
     _givens_binary64,
@@ -256,6 +264,82 @@ def test_norm2_steps_float32_matches_software(rng):
     assert len(native) > N_ORACLE // 2
     assert np.isinf(ref).sum() > 1000 and (ref == 0.0).sum() > 100
     assert np.isinf(want).sum() > np.isinf(ref).sum()  # the NaN vectors
+
+
+@pytest.mark.parametrize("spec", NATIVE, ids=lambda s: s[0].name)
+def test_rotation_chain_matches_reference(spec, rng):
+    """The stored-rotation chain of GMRES against its `_s*` composition:
+    half of the operand sets from the mixture of `_givens` (signed zeros,
+    subnormals, overflowing products, inf and NaN), half moderate."""
+    fmt = spec[0]
+    r = fmt._scalar_rounding
+    n = N_ORACLE // 2
+    sets = np.concatenate([_complex(rng, 4 * n, spec),
+                           _complex(rng, 4 * n, spec, MODERATE)]).reshape(2 * n, 4)
+    got, want = [], []
+    fallback_finite = 0
+    for c, s, h0, h1 in sets.tolist():
+        out = _rotation_chain(c, s, h0, h1, r)
+        if out is None:
+            fallback_finite += bool(np.isfinite([c, s, h0, h1]).all())
+            continue
+        assert np.isfinite([c, s, h0, h1]).all()  # inf and NaN take the fallback
+        got.append(out)
+        want.append(_rotation_steps(c, s, h0, h1, fmt))
+    got, want = np.array(got), np.array(want)
+    assert (_bits(got) == _bits(want)).all()
+    assert len(got) > n
+    assert fallback_finite > 0  # products or sums past the range
+    parts = np.concatenate([got.real.ravel(), got.imag.ravel()])
+    zeros = parts[parts == 0.0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()  # -0 and +0 results
+
+
+@pytest.mark.parametrize("spec", NATIVE, ids=lambda s: s[0].name)
+def test_rotations_fall_back_past_overflow(spec):
+    fmt = spec[0]
+    big = fmt.max_finite
+    # conj(c) h0 overflows, and a sum of two products in range does too
+    for c, s, h0, h1 in [(2 + 0j, 0j, complex(big, 0.0), 1 + 0j),
+                         (1 + 0j, 1 + 0j, complex(big, -big), complex(big, big))]:
+        assert _rotation_chain(c, s, h0, h1, fmt._scalar_rounding) is None
+        want = _rotation_steps(c, s, h0, h1, fmt)
+        assert not np.isfinite(want).all()
+        h = _apply_rotations([c], [s], [h0, h1], fmt)
+        assert (_bits(np.array(h)) == _bits(np.array(want))).all()
+
+
+@pytest.mark.parametrize("spec", NATIVE, ids=lambda s: s[0].name)
+def test_backsub_chain_matches_reference(spec, rng):
+    """Rows of 0 to 4 products of the back substitution against the `_s*`
+    steps; rows past the range fall back."""
+    fmt = spec[0]
+    r = fmt._scalar_rounding
+    n = N_ORACLE // 4
+    lengths = rng.integers(0, 5, n)
+    total = int(lengths.sum())
+    acc = np.concatenate([_complex(rng, n // 2, spec), _complex(rng, n - n // 2, spec, MODERATE)])
+    pairs = np.concatenate([_complex(rng, 2 * (total // 2), spec),
+                            _complex(rng, 2 * (total - total // 2), spec, MODERATE)])
+    pairs = pairs.reshape(total, 2)
+    stops = np.cumsum(lengths)
+    got, want = [], []
+    fallback_finite = 0
+    for a, stop, k in zip(acc.tolist(), stops.tolist(), lengths.tolist()):
+        hs, ys = pairs[stop - k:stop, 0].tolist(), pairs[stop - k:stop, 1].tolist()
+        out = _backsub_chain(a, hs, ys, r)
+        if out is None:
+            fallback_finite += bool(np.isfinite([a, *hs, *ys]).all())
+            continue
+        assert np.isfinite([a, *hs, *ys]).all()
+        got.append(out)
+        want.append(_backsub_steps(a, hs, ys, fmt))
+    got, want = np.array(got), np.array(want)
+    assert (_bits(got) == _bits(want)).all()
+    assert len(got) > n // 3
+    assert fallback_finite > 0
+    big = complex(fmt.max_finite, 0.0)
+    assert _backsub_chain(-big, [big], [1 + 0j], r) is None  # -max - max overflows
 
 
 class TestBinary64GivensPastTheSquares:
