@@ -79,11 +79,11 @@ charges the flops once, and a binary32 GMRES correction
 (`gmresir._resident_correction`) enters it once, its `gemm`,
 `solve_sylv_tri` and `_mgs_project` calls being such steps.
 `householder_qr`, `schur` and `hermitian_eig` keep their factors in
-complex64 from start to end and update them in place.  They test for a NaN once per sweep (`schur` also after its
-Householder reduction, `householder_qr` once, at exit) and for a
-Householder vector formed from a column scaled past overflow that is not
-binary32; on either they rerun the whole factorization from its input in
-software.  `sylvester.solve_sylv_tri` enters it once per solve, with its
+complex64 from start to end and update them in place.  They test for a
+NaN once per sweep (`schur` also after its Householder reduction,
+`householder_qr` once, at exit) and for a Householder vector formed from
+a column scaled past overflow that is not binary32; on either they rerun
+the whole factorization from its input in software.  `sylvester.solve_sylv_tri` enters it once per solve, with its
 stacked [Y | T_A | T_B] buffer and C, and raises a breakdown from inside.
 
 Scalar chains follow the same rule.  Since 53 >= 2t + 2 for binary32 and

@@ -192,7 +192,7 @@ class TestResidentCorrection:
                                     lambda *xs: checks.append(1) or binary32(*xs))
         correction = gmresir._gmres_correction
         monkeypatch.setattr(gmresir, "_gmres_correction",
-                            lambda matvec, b, *a: dtypes.append(b.dtype) or correction(matvec, b, *a))
+                            lambda mv, b, *a: dtypes.append(b.dtype) or correction(mv, b, *a))
         _, inner, _, _ = self._run(operands, self.GCFG)
         assert inner == 12
         assert len(checks) == 1
@@ -202,7 +202,7 @@ class TestResidentCorrection:
         """A binary64 gemm, triangular solve or projection on complex64
         arrays computes in complex128: the result of the widened operands."""
         A, B, C = (cmat(rng, 5, 5).astype(np.complex64) for _ in range(3))
-        T_A, T_B = np.triu(A) + 3 * np.eye(5, dtype=np.complex64), np.triu(B) + np.eye(5, dtype=np.complex64)
+        T_A, T_B = (np.triu(M) + 3 * np.eye(5, dtype=np.complex64) for M in (A, B))
         wide = [M.astype(np.complex128) for M in (A, B, C, T_A, T_B)]
         got = linalg.gemm(0.5, A, B, -1.0, C, CTX)
         want = linalg.gemm(0.5, wide[0], wide[1], -1.0, wide[2], CTX)
