@@ -1,0 +1,123 @@
+"""Pinned conditioning sweeps: the CSV bytes and every solve's flop buckets.
+
+`cli.run_sweep_cond` runs five solvers on each generated problem.  Each
+case here pins the sha256 of the ``reproducible=True`` CSV and, row by
+row, the FlopCounter buckets of each solver, counted by wrapping the
+solver names in the ``cli`` namespace as the benchmark's SweepRecorder
+does.  A change to how the sweep runs its solvers has to leave each
+solver's results and charges as they are when it runs alone.
+
+(a) is a binary32 sweep with a non-converging and a stagnating row; (b)
+is a binary16 sweep whose rows t = 3 and 4 end in IterationLimitError in
+all four mixed solvers.
+"""
+
+import hashlib
+
+import pytest
+
+from mpsylv import cli
+from mpsylv.precision import BINARY16, BINARY32, BINARY64, FlopCounter, PrecisionContext
+from mpsylv.refinement import RefinementConfig
+
+SWEEPS = {
+    "binary32-6x6": dict(
+        m=6, t_values=[0, 5, 10, 15], seed=1, u_l=BINARY32,
+        sha="49f771b1ac834e1c98dceb92b0c068a2044800ab7ddc9aa80ed91cd9557dc4bb",
+        flops=[
+            {"or": {"high": 7500, "low": 2411},
+             "in": {"high": 6658, "low": 2411},
+             "gmres-ul": {"gmres": 21207, "high": 3132, "low": 1979, "precond": 6480},
+             "gmres-uh": {"gmres": 14138, "high": 2088, "low": 1979, "precond": 4320},
+             "bs": {"high": 4948}},
+            {"or": {"high": 10452, "low": 7976},
+             "in": {"high": 9610, "low": 7976},
+             "gmres-ul": {"gmres": 31957, "high": 4176, "low": 7544, "precond": 8640},
+             "gmres-uh": {"gmres": 21500, "high": 2088, "low": 7544, "precond": 4320},
+             "bs": {"high": 11096}},
+            {"or": {"high": 34068, "low": 6848},
+             "in": {"high": 33226, "low": 6848},
+             "gmres-ul": {"gmres": 732556, "high": 20880, "low": 6416, "precond": 43200},
+             "gmres-uh": {"gmres": 76507, "high": 2088, "low": 6416, "precond": 4320},
+             "bs": {"high": 10172}},
+            {"or": {"high": 34068, "low": 7664},
+             "in": {"high": 33226, "low": 7664},
+             "gmres-ul": {"gmres": 646083, "high": 3132, "low": 7232, "precond": 6480},
+             "gmres-uh": {"gmres": 194426, "high": 1044, "low": 7232, "precond": 2160},
+             "bs": {"high": 9812}},
+        ]),
+    "binary16-5x5": dict(
+        m=5, t_values=[0, 1, 2, 3, 4], seed=2, u_l=BINARY16,
+        sha="48a6f0333c8be0c4feffb40bf0e4b89fcec3ff86ca62067d79a03cd13a5e0ef8",
+        flops=[
+            # A and B round to exact identities in binary16 and the Schur
+            # step charges nothing, so gmres-ul and gmres-uh have no low bucket
+            {"or": {"high": 4410, "low": 250},
+             "in": {"high": 3890, "low": 250},
+             "gmres-ul": {"gmres": 18435, "high": 1875, "precond": 3750},
+             "gmres-uh": {"gmres": 2106, "high": 625, "precond": 1250},
+             "bs": {"high": 2532}},
+            {"or": {"high": 7035, "low": 4256},
+             "in": {"high": 6515, "low": 4256},
+             "gmres-ul": {"gmres": 17925, "high": 1875, "low": 4006, "precond": 3750},
+             "gmres-uh": {"gmres": 17466, "high": 1250, "low": 4006, "precond": 2500},
+             "bs": {"high": 7188}},
+            {"or": {"high": 9660, "low": 4592},
+             "in": {"high": 9140, "low": 4592},
+             "gmres-ul": {"gmres": 88276, "high": 3125, "low": 4342, "precond": 6250},
+             "gmres-uh": {"gmres": 19879, "high": 1250, "low": 4342, "precond": 2500},
+             "bs": {"high": 7356}},
+            {"or": {"low": 49169},
+             "in": {"low": 49169},
+             "gmres-ul": {"low": 49169},
+             "gmres-uh": {"low": 49169},
+             "bs": {"high": 7032}},
+            {"or": {"low": 50938},
+             "in": {"low": 50938},
+             "gmres-ul": {"low": 50938},
+             "gmres-uh": {"low": 50938},
+             "bs": {"high": 6720}},
+        ]),
+}
+
+
+def _recorded_sweep(monkeypatch, out, m, t_values, seed, u_l):
+    """Run the sweep with each solver charging a fresh FlopCounter; returns
+    the CSV bytes and, per row, {solver: buckets}."""
+    rows = []
+    generate, orth, inv = cli.generate, cli.mp_orth, cli.mp_inv
+    gmres, bs = cli.gmres_ir_sylv, cli.bartels_stewart
+
+    def record(name, call):
+        counter = FlopCounter()
+        try:
+            return call(counter)
+        finally:
+            rows[-1][name] = dict(counter.counts)
+
+    def gen(g):
+        rows.append({})
+        return generate(g)
+
+    monkeypatch.setattr(cli, "generate", gen)
+    monkeypatch.setattr(cli, "mp_orth", lambda p, rcfg, counter=None, y0_zero=False: record(
+        "or", lambda c: orth(p, rcfg, c, y0_zero=y0_zero)))
+    monkeypatch.setattr(cli, "mp_inv", lambda p, rcfg, counter=None, y0_zero=False: record(
+        "in", lambda c: inv(p, rcfg, c, y0_zero=y0_zero)))
+    monkeypatch.setattr(cli, "gmres_ir_sylv", lambda p, gcfg, rcfg, counter=None: record(
+        "gmres-ul" if gcfg.u_g == rcfg.u_l else "gmres-uh",
+        lambda c: gmres(p, gcfg, rcfg, c)))
+    monkeypatch.setattr(cli, "bartels_stewart", lambda p, ctx: record(
+        "bs", lambda c: bs(p, PrecisionContext(ctx.format, c, ctx.bucket))))
+    cli.run_sweep_cond(m, m, t_values, seed, RefinementConfig(u_l, BINARY64), out,
+                       reproducible=True)
+    return out.read_bytes(), rows
+
+
+@pytest.mark.parametrize("case", sorted(SWEEPS))
+def test_sweep_is_pinned(case, tmp_path, monkeypatch):
+    want = SWEEPS[case]
+    data, rows = _recorded_sweep(monkeypatch, tmp_path / "sweep.csv", want["m"],
+                                 want["t_values"], want["seed"], want["u_l"])
+    assert rows == want["flops"]
+    assert hashlib.sha256(data).hexdigest() == want["sha"]
