@@ -39,7 +39,7 @@ from .precision import (
     parse_format,
 )
 from .refinement import RefinementConfig, mp_inv, mp_orth
-from .sylvester import SylvesterProblem, bartels_stewart
+from .sylvester import SylvesterProblem, _shared_schur_pairs, bartels_stewart
 
 __all__ = [
     "ProblemGenerator",
@@ -262,8 +262,14 @@ def _run_one(name: str, p: SylvesterProblem, rcfg: RefinementConfig,
 def run_solve(p: SylvesterProblem, rcfg: RefinementConfig, out,
               solvers=ALL_SOLVERS, restart: int = 20, seed="external",
               y0_zero: bool = False, reproducible: bool = False) -> list:
-    """Solve one problem with each selected solver; returns the rows."""
-    rows = [[name, *_run_one(name, p, rcfg, restart, y0_zero)] for name in solvers]
+    """Solve one problem with each selected solver; returns the rows.
+
+    The solvers share one Schur pair per format (`sylvester._schur_pair`):
+    the four mixed solvers the u_l pair, and ``bs`` too when u_l = u_h.
+    Each row, flop counts included, is that of its solver run alone.
+    """
+    with _shared_schur_pairs():
+        rows = [[name, *_run_one(name, p, rcfg, restart, y0_zero)] for name in solvers]
     md = _metadata(rcfg, restart, seed, {"m": p.m, "n": p.n, "kind": p.kind})
     _write_csv(out, md, ["solver", "residual", "iterations", "converged", "status"],
                rows, reproducible)
@@ -282,7 +288,12 @@ def _condu(p: SylvesterProblem, u_h: FpFormat) -> float | None:
 def run_sweep_cond(m: int, n: int, t_values, seed: int, rcfg: RefinementConfig,
                    out, solvers=ALL_SOLVERS, restart: int = 20,
                    reproducible: bool = False) -> list:
-    """Conditioning sweep: one generated problem per t, all solvers on it."""
+    """Conditioning sweep: one generated problem per t, all solvers on it.
+
+    As in `run_solve`, the solvers of a row share its Schur pair per format
+    (`sylvester._schur_pair`), and no factors outlive the row; each
+    solver's results and flop counts are those of that solver run alone.
+    """
     columns = ["t", "condu", "res_sylv", "r_or", "r_in",
                "r_gmres_ul", "r_gmres_uh", "i_or", "i_in", "status"]
     rows = []
@@ -290,7 +301,8 @@ def run_sweep_cond(m: int, n: int, t_values, seed: int, rcfg: RefinementConfig,
         p = generate(ProblemGenerator("logspace-conditioned", m, n, float(t), seed,
                                       stream=idx))
         condu = _condu(p, rcfg.u_h)
-        runs = [(name, _run_one(name, p, rcfg, restart)) for name in solvers]
+        with _shared_schur_pairs():
+            runs = [(name, _run_one(name, p, rcfg, restart)) for name in solvers]
         got, blank = dict(runs), (None,) * 4
         failures = [f"{name}:{r[3]}" for name, r in runs if r[3] != "ok"]
         rows.append([float(t), condu,

@@ -111,7 +111,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
     N = m * n
     b = vec(rhs_mat, ctx)
     x = np.zeros(N, dtype=b.dtype)
-    beta0 = _frobenius(b.astype(np.complex128))  # numpy's norm of complex64 is float32
+    beta0 = _frobenius(b)
     if beta0 == 0.0:
         return unvec(x, m, n, ctx), 0, False
     tol = max(gcfg.inner_tol, 4.0 * fmt.unit_roundoff)

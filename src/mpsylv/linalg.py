@@ -220,7 +220,12 @@ def _frobenius(v) -> float:
     """Frobenius norm of an array in binary64: ``np.linalg.norm`` where that
     is finite, else (finite entries above ~1e154 overflow its unscaled
     squares) the norm of v scaled by its largest magnitude.  Finite exactly
-    when every entry is finite and the norm is below the largest double."""
+    when every entry is finite and the norm is below the largest double.
+    complex64 and float32 input is widened first: ``np.linalg.norm`` keeps
+    the dtype."""
+    v = np.asarray(v)
+    if v.dtype in (np.complex64, np.float32):
+        v = v.astype(np.result_type(v.dtype, np.float64))
     with np.errstate(over="ignore"):
         nrm = float(np.linalg.norm(v))
     if math.isinf(nrm) and np.isfinite(v).all():

@@ -14,7 +14,9 @@ then a transform, a triangular solve and a back-transform
 (`_schur_solve`, which GMRES-IR applies as its preconditioner).
 `bartels_stewart` runs both in one precision; `solve_hermitian`
 replaces the Schur step with an eigendecomposition when both
-coefficients are Hermitian.
+coefficients are Hermitian.  Inside a `_shared_schur_pairs` scope, which
+the CLI opens for each problem, the solvers run on one problem share its
+Schur pair in each format.
 
 The quality measure used throughout the package is the relative residual
 
@@ -25,6 +27,8 @@ always evaluated in binary64 no matter which precisions the solver used.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 from dataclasses import dataclass
 
@@ -35,6 +39,7 @@ from .errors import (DimensionError, NonFiniteInputError, NumericBreakdownError,
 from .linalg import SchurFactors, _frobenius, as_matrix, gemm, hermitian_eig, schur, sep_f
 from .precision import (
     BINARY64,
+    FlopCounter,
     PrecisionContext,
     fl_div,
     _accumulate,
@@ -261,14 +266,67 @@ def _sandwich(L, M, R, ctx: PrecisionContext) -> np.ndarray:
     return gemm(1.0, gemm(1.0, L, M, 0.0, None, ctx), R, 0.0, None, ctx)
 
 
-def _schur_pair(p: SylvesterProblem, ctx: PrecisionContext):
-    """Schur factors of A and B under ctx (B's are A's adjoint for a Lyapunov
-    equation).  `schur` rounds the coefficients on entry and raises
-    FormatOverflowError past the format's range, so they go in unrounded."""
+# (problem id, format) -> (problem, Schur pair, charges) inside a
+# `_shared_schur_pairs` scope; None outside one
+_SHARED_PAIRS: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "shared_schur_pairs", default=None)
+
+
+@contextlib.contextmanager
+def _shared_schur_pairs():
+    """A scope in which `_schur_pair` factors each (problem, format) once.
+
+    The CLI opens one per problem, so that the solvers it runs on the
+    problem share the low-precision pair.  On leaving it, even by an
+    exception, no factors are kept and sharing is off again.
+    """
+    token = _SHARED_PAIRS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_PAIRS.reset(token)
+
+
+def _factor_pair(p: SylvesterProblem, ctx: PrecisionContext):
     sf_A = schur(p.A, ctx)
     if p.kind == "lyapunov":
         return sf_A, SchurFactors(sf_A.U, sf_A.T.conj().T)
     return sf_A, schur(p.B, ctx)
+
+
+def _schur_pair(p: SylvesterProblem, ctx: PrecisionContext):
+    """Schur factors of A and B under ctx (B's are A's adjoint for a Lyapunov
+    equation).  `schur` rounds the coefficients on entry and raises
+    FormatOverflowError past the format's range, so they go in unrounded.
+
+    Inside a `_shared_schur_pairs` scope the pair of each (problem object,
+    format) is factored once, with its U and T made read-only; every later
+    call returns the same factors and charges ctx the flops the first call
+    charged, so each caller's counter reads as if it had factored alone.
+    A factorization that raises is not kept: the next caller runs it again.
+    """
+    shared = _SHARED_PAIRS.get()
+    if shared is None:
+        return _factor_pair(p, ctx)
+    key = (id(p), ctx.format)
+    hit = shared.get(key)
+    if hit is None:
+        tally = PrecisionContext(ctx.format, FlopCounter())
+        try:
+            pair = _factor_pair(p, tally)
+        finally:
+            # a bucket is made only by a charge, as `schur` makes it
+            charges = tuple(tally.counter.counts.values())
+            for n in charges:
+                ctx.count(n)
+        for sf in pair:
+            sf.U.flags.writeable = sf.T.flags.writeable = False
+        # p is held so that its id is not reused while the scope lasts
+        hit = shared[key] = (p, pair, charges)
+    else:
+        for n in hit[2]:
+            ctx.count(n)
+    return hit[1]
 
 
 def _schur_solve(W, sf_A: SchurFactors, sf_B: SchurFactors,

@@ -105,6 +105,12 @@ class TestNorm:
     def test_frobenius_identity(self):
         assert norm(np.eye(3), "frobenius") == pytest.approx(np.sqrt(3), rel=1e-15)
 
+    def test_frobenius_of_complex64_is_binary64(self):
+        g = np.random.default_rng(1)
+        v = (g.standard_normal(100) + 1j * g.standard_normal(100)).astype(np.complex64)
+        assert linalg._frobenius(v) == np.linalg.norm(v.astype(np.complex128))
+        assert linalg._frobenius(v.real) == np.linalg.norm(v.real.astype(np.float64))
+
     def test_inf_row_sums(self):
         assert norm(np.array([[1, -2], [3, -4]]), "inf") == 7.0
 

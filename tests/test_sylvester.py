@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+import mpsylv.sylvester as sylvester
+from mpsylv import cli
 from mpsylv.errors import (
     DimensionError,
     FormatOverflowError,
+    IterationLimitError,
     MpsylvError,
     NonFiniteInputError,
     SingularEquationError,
 )
 from mpsylv.gmresir import GmresConfig, gmres_ir_sylv
-from mpsylv.linalg import cond_inf, sylvester_kron_operator, unvec, vec
+from mpsylv.linalg import cond_inf, schur, sylvester_kron_operator, unvec, vec
 from mpsylv.precision import (
     BFLOAT16,
     BINARY16,
@@ -23,6 +26,8 @@ from mpsylv.precision import (
 from mpsylv.refinement import RefinementConfig, mp_inv, mp_orth
 from mpsylv.sylvester import (
     SylvesterProblem,
+    _schur_pair,
+    _shared_schur_pairs,
     bartels_stewart,
     residual,
     solution_norm_bound,
@@ -266,3 +271,132 @@ class TestResidual:
                              cmat(rng, 3, 3) + 3 * np.eye(3), cmat(rng, 4, 3))
         X = kron_solve(p)
         assert np.linalg.norm(X) <= solution_norm_bound(p) * (1 + 1e-6)
+
+
+class TestSharedSchurPairs:
+    """`_schur_pair` inside and outside a `_shared_schur_pairs` scope."""
+
+    @pytest.fixture
+    def schur_calls(self, monkeypatch):
+        calls = []
+
+        def counted(A, ctx):
+            calls.append(ctx.format)
+            return schur(A, ctx)
+
+        monkeypatch.setattr(sylvester, "schur", counted)
+        return calls
+
+    @staticmethod
+    def _problem(rng, kind="general"):
+        A = cmat(rng, 4, 4) + 4 * np.eye(4)
+        B = A.conj().T if kind == "lyapunov" else cmat(rng, 3, 3) + 4 * np.eye(3)
+        return SylvesterProblem(A, B, cmat(rng, 4, B.shape[0]), kind=kind)
+
+    @pytest.mark.parametrize("kind", ["general", "lyapunov"])
+    def test_second_call_shares_and_charges_alike(self, rng, schur_calls, kind):
+        p = self._problem(rng, kind)
+        first, second = FlopCounter(), FlopCounter()
+        with _shared_schur_pairs():
+            one = _schur_pair(p, PrecisionContext(BINARY32, first, "low"))
+            n_calls = len(schur_calls)
+            two = _schur_pair(p, PrecisionContext(BINARY32, second, "precond"))
+        assert len(schur_calls) == n_calls == (1 if kind == "lyapunov" else 2)
+        for a, b in zip(one, two):
+            assert a.U is b.U and a.T is b.T
+            assert not (a.U.flags.writeable or a.T.flags.writeable)
+        assert first.counts["low"] > 0
+        assert second.counts == {"precond": first.counts["low"]}
+        # and the same charges as a factorization outside any scope
+        alone = FlopCounter()
+        _schur_pair(p, PrecisionContext(BINARY32, alone, "low"))
+        assert alone.counts == first.counts
+
+    def test_other_problem_or_format_misses(self, rng, schur_calls):
+        p = self._problem(rng)
+        twin = SylvesterProblem(p.A, p.B, p.C)
+        with _shared_schur_pairs():
+            pair = _schur_pair(p, PrecisionContext(BINARY32))
+            other = _schur_pair(twin, PrecisionContext(BINARY32))
+            wide = _schur_pair(p, PrecisionContext(BINARY64))
+        assert len(schur_calls) == 6
+        assert other[0].U is not pair[0].U and wide[0].U is not pair[0].U
+        assert (other[0].U == pair[0].U).all()
+
+    def test_raising_factorization_is_not_kept(self, rng, monkeypatch):
+        p = self._problem(rng)
+        calls = []
+
+        def fails_once(A, ctx):
+            calls.append(ctx.format)
+            if len(calls) == 1:
+                ctx.count(7)
+                raise IterationLimitError("no convergence")
+            return schur(A, ctx)
+
+        monkeypatch.setattr(sylvester, "schur", fails_once)
+        counter = FlopCounter()
+        with _shared_schur_pairs():
+            with pytest.raises(IterationLimitError):
+                _schur_pair(p, PrecisionContext(BINARY32, counter, "low"))
+            assert counter.counts == {"low": 7}
+            pair = _schur_pair(p, PrecisionContext(BINARY32))
+            assert len(calls) == 3
+            assert _schur_pair(p, PrecisionContext(BINARY32))[0].U is pair[0].U
+        assert len(calls) == 3
+
+    def test_scope_ends_even_when_a_solver_raises(self, rng, schur_calls):
+        p = self._problem(rng)
+        with pytest.raises(SingularEquationError):
+            with _shared_schur_pairs():
+                _schur_pair(p, PrecisionContext(BINARY32))
+                raise SingularEquationError(0, 0)
+        assert sylvester._SHARED_PAIRS.get() is None
+        one = _schur_pair(p, PrecisionContext(BINARY32))
+        two = _schur_pair(p, PrecisionContext(BINARY32))
+        assert len(schur_calls) == 6
+        assert one[0].U is not two[0].U and one[0].U.flags.writeable
+
+    @pytest.mark.parametrize("u_l", [BINARY32, BINARY64])
+    def test_run_solve_rows_and_flops_are_each_solver_alone(self, tmp_path, monkeypatch,
+                                                            schur_calls, u_l):
+        # with u_l = u_h, bs shares the mixed solvers' pair too
+        p = cli.generate(cli.ProblemGenerator("lyapunov", 5, 5, 0.0, 3))
+        rcfg = RefinementConfig(u_l, BINARY64)
+        solvers = {
+            "or": lambda c: mp_orth(p, rcfg, c),
+            "in": lambda c: mp_inv(p, rcfg, c),
+            "gmres-ul": lambda c: gmres_ir_sylv(p, GmresConfig(u_l, restart=20), rcfg, c),
+            "gmres-uh": lambda c: gmres_ir_sylv(p, GmresConfig(BINARY64, restart=20), rcfg, c),
+            "bs": lambda c: bartels_stewart(p, PrecisionContext(BINARY64, c, "high")),
+        }
+        alone_rows = [[s, *cli._run_one(s, p, rcfg, 20)] for s in solvers]
+        alone_flops = []
+        for call in solvers.values():
+            c = FlopCounter()
+            call(c)
+            alone_flops.append(c.counts)
+        n_alone = len(schur_calls)
+
+        shared_flops = []
+
+        def recorded(fn):
+            def call(*args, counter=None, **kw):
+                c = FlopCounter()
+                if fn is bartels_stewart:
+                    args = (args[0], PrecisionContext(args[1].format, c, args[1].bucket))
+                else:
+                    kw["counter"] = c
+                try:
+                    return fn(*args, **kw)
+                finally:
+                    shared_flops.append(c.counts)
+            return call
+
+        for name in ("mp_orth", "mp_inv", "gmres_ir_sylv", "bartels_stewart"):
+            monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+        rows = cli.run_solve(p, rcfg, tmp_path / "x.csv", solvers=tuple(solvers),
+                             reproducible=True)
+        assert repr(rows) == repr(alone_rows)
+        assert shared_flops == alone_flops
+        assert len(schur_calls) - n_alone == (1 if u_l == BINARY64 else 2)
