@@ -9,7 +9,10 @@ solver's results and charges as they are when it runs alone.
 
 (a) is a binary32 sweep with a non-converging and a stagnating row; (b)
 is a binary16 sweep whose rows t = 3 and 4 end in IterationLimitError in
-all four mixed solvers.
+all four mixed solvers.  (c) and (d) run the same 4x4 sweep with u_l =
+bfloat16, whose rows t = 2 and 3 end in non_convergence, and with the
+custom format 40:11, whose sums are wide enough (t >= 26) that a double
+sum rounded once more into the format can be double-rounded.
 """
 
 import hashlib
@@ -17,7 +20,8 @@ import hashlib
 import pytest
 
 from mpsylv import cli
-from mpsylv.precision import BINARY16, BINARY32, BINARY64, FlopCounter, PrecisionContext
+from mpsylv.precision import (BFLOAT16, BINARY16, BINARY32, BINARY64, FlopCounter,
+                              PrecisionContext, parse_format)
 from mpsylv.refinement import RefinementConfig
 
 SWEEPS = {
@@ -77,6 +81,56 @@ SWEEPS = {
              "gmres-ul": {"low": 50938},
              "gmres-uh": {"low": 50938},
              "bs": {"high": 6720}},
+        ]),
+    "bfloat16-4x4": dict(
+        m=4, t_values=[0, 1, 2, 3], seed=1, u_l=BFLOAT16,
+        sha="87aec4ab9fe325e3d9ce83973ea2fcf053b2232fddc0a37118e30024780a66ec",
+        flops=[
+            {"or": {"low": 393, "high": 3704},
+             "in": {"low": 393, "high": 3412},
+             "gmres-ul": {"low": 265, "high": 2352, "precond": 4480, "gmres": 7882},
+             "gmres-uh": {"low": 265, "high": 336, "precond": 640, "gmres": 3446},
+             "bs": {"high": 965}},
+            {"or": {"low": 2398, "high": 5096},
+             "in": {"low": 2398, "high": 5268},
+             "gmres-ul": {"low": 2270, "high": 2688, "precond": 5120, "gmres": 18024},
+             "gmres-uh": {"low": 2270, "high": 672, "precond": 1280, "gmres": 12060},
+             "bs": {"high": 4254}},
+            {"or": {"low": 1990, "high": 10664},
+             "in": {"low": 1990, "high": 10372},
+             "gmres-ul": {"low": 1862, "high": 6720, "precond": 12800, "gmres": 53411},
+             "gmres-uh": {"low": 1862, "high": 672, "precond": 1280, "gmres": 19279},
+             "bs": {"high": 3858}},
+            {"or": {"low": 1798, "high": 10664},
+             "in": {"low": 1798, "high": 10372},
+             "gmres-ul": {"low": 1670, "high": 6720, "precond": 12800, "gmres": 80713},
+             "gmres-uh": {"low": 1670, "high": 672, "precond": 1280, "gmres": 22391},
+             "bs": {"high": 3654}},
+        ]),
+    "40:11-4x4": dict(
+        m=4, t_values=[0, 1, 2, 3], seed=1, u_l=parse_format("40:11"),
+        sha="1edfa2668aeb32f5773393628d4aa85dc4ebcd98366389220e8ed58e06d07058",
+        flops=[
+            {"or": {"low": 393, "high": 1848},
+             "in": {"low": 393, "high": 1556},
+             "gmres-ul": {"low": 265, "high": 672, "precond": 1280, "gmres": 2252},
+             "gmres-uh": {"low": 265, "high": 672, "precond": 1280, "gmres": 2252},
+             "bs": {"high": 965}},
+            {"or": {"low": 3610, "high": 2312},
+             "in": {"low": 3610, "high": 2020},
+             "gmres-ul": {"low": 3482, "high": 672, "precond": 1280, "gmres": 2252},
+             "gmres-uh": {"low": 3482, "high": 672, "precond": 1280, "gmres": 2252},
+             "bs": {"high": 4254}},
+            {"or": {"low": 2938, "high": 2312},
+             "in": {"low": 2938, "high": 2020},
+             "gmres-ul": {"low": 2810, "high": 672, "precond": 1280, "gmres": 2252},
+             "gmres-uh": {"low": 2810, "high": 672, "precond": 1280, "gmres": 2252},
+             "bs": {"high": 3858}},
+            {"or": {"low": 2806, "high": 2312},
+             "in": {"low": 2806, "high": 2020},
+             "gmres-ul": {"low": 2678, "high": 672, "precond": 1280, "gmres": 2252},
+             "gmres-uh": {"low": 2678, "high": 672, "precond": 1280, "gmres": 2252},
+             "bs": {"high": 3654}},
         ]),
 }
 
