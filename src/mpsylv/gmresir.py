@@ -18,16 +18,15 @@ checks once and runs every step in complex64: the `gemm`,
 `solve_sylv_tri` and `_mgs_project` calls inside are steps on complex64
 operands, which `_resident` passes straight on.  The scalar steps that
 apply the stored Hessenberg rotations and the rows of the back
-substitution run, in binary32 and binary16, as chains on Python floats
-with one ``struct`` cast per stage (`_rotation_chain`, `_backsub_chain`),
-bit-identical to their `_s*` composition, which every other format and
-every overflow takes.  Only widened scalars are compared: the abs of a
+substitution run, in every format but binary64, as chains on Python
+floats with one stage rounding per group of independent steps
+(`_rotation_chain`, `_backsub_chain`), bit-identical to their rounded
+`_s*` composition.  Only widened scalars are compared: the abs of a
 complex64 value is a float32.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +50,6 @@ from .precision import (
     _sdiv,
     _smul,
     _ssqrt,
-    _ssub,
 )
 from .refinement import RefinementConfig, _refine
 from .sylvester import SylvesterProblem, _schur_pair, residual
@@ -187,81 +185,58 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
 def _apply_rotations(cs: list, sn: list, h: list, fmt: FpFormat) -> list:
     """The stored rotations applied in turn to the Hessenberg column h:
     rotation i takes (h[i], h[i+1]) to (conj(c) h[i] + conj(s) h[i+1],
-    c h[i+1] - s h[i]).  binary32 and binary16 take `_rotation_chain`, and
-    `_rotation_steps` wherever it returns None; other formats take
-    `_rotation_steps`."""
-    r = fmt._scalar_rounding
+    c h[i+1] - s h[i]), by complex operations in binary64 and by
+    `_rotation_chain` in every other format."""
     for i, (c, s) in enumerate(zip(cs, sn)):
-        h[i:i + 2] = (r and _rotation_chain(c, s, h[i], h[i + 1], r)) \
-            or _rotation_steps(c, s, h[i], h[i + 1], fmt)
+        h0, h1 = h[i], h[i + 1]
+        if fmt.is_binary64:
+            h[i:i + 2] = c.conjugate() * h0 + s.conjugate() * h1, c * h1 - s * h0
+        else:
+            h[i:i + 2] = _rotation_chain(c, s, h0, h1, fmt)
     return h
 
 
-def _rotation_steps(c: complex, s: complex, h0: complex, h1: complex, fmt: FpFormat):
-    """One stored rotation composed from the rounded `_s*` steps."""
-    return (_sadd(_smul(c.conjugate(), h0, fmt), _smul(s.conjugate(), h1, fmt), fmt),
-            _ssub(_smul(c, h1, fmt), _smul(s, h0, fmt), fmt))
+# The chains below are the one body of a stored rotation and of a row of the
+# back substitution in every format but binary64, by the recipe of
+# `linalg._givens_chain`: the four real products of each complex product
+# and their difference and sum are stages of r, and each complex sum or
+# difference is a stage of add (r, add = `FpFormat._scalar_rounding`).
 
 
-# The chains below run `_rotation_steps` and `_backsub_steps` on Python floats
-# for values of binary32 or binary16, by the recipe of `linalg._givens_chain`:
-# each stage of independent steps is rounded by one ``struct`` cast
-# (r = `FpFormat._scalar_rounding`), which gives the correctly rounded result
-# of each step as the `_s*` steps do.  Where a step overflows or a result is
-# not finite they return None and the caller runs the `_s*` steps.
-
-
-def _rotation_chain(c: complex, s: complex, h0: complex, h1: complex, r):
-    """`_rotation_steps` for values of the format, or None."""
+def _rotation_chain(c: complex, s: complex, h0: complex, h1: complex, fmt: FpFormat):
+    """One stored rotation of `_apply_rotations` for values of fmt."""
+    r, add = fmt._scalar_rounding
     cr, ci, sr, si = c.real, c.imag, s.real, s.imag
     ar, ai, br, bi = h0.real, h0.imag, h1.real, h1.imag
-    try:
-        # the four real products of conj(c) h0, conj(s) h1, c h1 and s h0
-        p = r[16](cr * ar, -ci * ai, cr * ai, -ci * ar, sr * br, -si * bi, sr * bi, -si * br,
-                  cr * br, ci * bi, cr * bi, ci * br, sr * ar, si * ai, sr * ai, si * ar)
-        q = r[8](p[0] - p[1], p[2] + p[3], p[4] - p[5], p[6] + p[7],
-                 p[8] - p[9], p[10] + p[11], p[12] - p[13], p[14] + p[15])
-        tr, ti, ur, ui = r[4](q[0] + q[2], q[1] + q[3], q[4] - q[6], q[5] - q[7])
-    except OverflowError:
-        return None
-    if not all(map(math.isfinite, (tr, ti, ur, ui))):
-        return None
+    # the four real products of conj(c) h0, conj(s) h1, c h1 and s h0
+    p = r[16](cr * ar, -ci * ai, cr * ai, -ci * ar, sr * br, -si * bi, sr * bi, -si * br,
+              cr * br, ci * bi, cr * bi, ci * br, sr * ar, si * ai, sr * ai, si * ar)
+    q = r[8](p[0] - p[1], p[2] + p[3], p[4] - p[5], p[6] + p[7],
+             p[8] - p[9], p[10] + p[11], p[12] - p[13], p[14] + p[15])
+    tr, ti, ur, ui = add[4](q[0], q[2], q[1], q[3], q[4], -q[6], q[5], -q[7])
     return complex(tr, ti), complex(ur, ui)
 
 
 def _backsub(acc: complex, hs: list, ys: list, fmt: FpFormat) -> complex:
     """acc less each product h y in turn, a row of the back substitution
-    before its division: binary32 and binary16 take `_backsub_chain`, and
-    `_backsub_steps` wherever it returns None; other formats take
-    `_backsub_steps`."""
-    r = fmt._scalar_rounding
-    if r is not None:
-        out = _backsub_chain(acc, hs, ys, r)
-        if out is not None:
-            return out
-    return _backsub_steps(acc, hs, ys, fmt)
-
-
-def _backsub_steps(acc: complex, hs: list, ys: list, fmt: FpFormat) -> complex:
-    """`_backsub` composed from the rounded `_s*` steps."""
-    for h, y in zip(hs, ys):
-        acc = _ssub(acc, _smul(h, y, fmt), fmt)
-    return acc
-
-
-def _backsub_chain(acc: complex, hs: list, ys: list, r):
-    """`_backsub_steps` for values of the format, or None."""
-    ar, ai = acc.real, acc.imag
-    try:
+    before its division: by complex operations in binary64 and by
+    `_backsub_chain` in every other format."""
+    if fmt.is_binary64:
         for h, y in zip(hs, ys):
-            hr, hi, yr, yi = h.real, h.imag, y.real, y.imag
-            rr, ii, ri, ir = r[4](hr * yr, hi * yi, hr * yi, hi * yr)
-            pr, pi = r[2](rr - ii, ri + ir)
-            ar, ai = r[2](ar - pr, ai - pi)
-    except OverflowError:
-        return None
-    if not (math.isfinite(ar) and math.isfinite(ai)):
-        return None
+            acc = acc - h * y
+        return acc
+    return _backsub_chain(acc, hs, ys, fmt)
+
+
+def _backsub_chain(acc: complex, hs: list, ys: list, fmt: FpFormat) -> complex:
+    """`_backsub` for values of fmt."""
+    r, add = fmt._scalar_rounding
+    ar, ai = acc.real, acc.imag
+    for h, y in zip(hs, ys):
+        hr, hi, yr, yi = h.real, h.imag, y.real, y.imag
+        rr, ii, ri, ir = r[4](hr * yr, hi * yi, hr * yi, hi * yr)
+        pr, pi = r[2](rr - ii, ri + ir)
+        ar, ai = add[2](ar, -pr, ai, -pi)
     return complex(ar, ai)
 
 

@@ -34,7 +34,6 @@ from .precision import (
     fl_sub,
     fl_sum,
     _binary32,
-    _csqrt,
     _resident,
     _round_real_array,
     _round_real_scalar,
@@ -47,6 +46,7 @@ from .precision import (
     _smul,
     _ssqrt,
     _ssub,
+    _sums,
 )
 
 __all__ = [
@@ -410,49 +410,55 @@ def _make_reflector(x: np.ndarray, ctx: PrecisionContext):
 
 def _reflector_steps(x: np.ndarray, ctx: PrecisionContext):
     """The rounded steps of `_make_reflector`; w[0], beta and head come from
-    `_reflector_chain` where it returns them, else `_reflector_scalars`."""
+    `_reflector_binary64` in binary64 and `_reflector_chain` otherwise."""
     fmt = ctx.format
     nx = _vec_norm2_ctx(x, ctx)
     if nx == 0.0:
         return None, 0.0, 0j
     ctx.count(3)
     x0 = complex(x[0])
-    r = fmt._scalar_rounding
     w = x.copy()
-    w[0], beta, head = (r and _reflector_chain(x0, nx, r)) or _reflector_scalars(x0, nx, fmt)
+    if fmt.is_binary64:
+        w[0], beta, head = _reflector_binary64(x0, nx)
+    else:
+        w[0], beta, head = _reflector_chain(x0, nx, fmt)
     return w, beta, head
 
 
-def _reflector_scalars(x0: complex, nx: float, fmt: FpFormat):
-    """w[0], beta and head from x0 = x[0] and nx = |x| by the `_s*` steps."""
-    a0 = _sabs(x0, fmt)
-    phase = _sdiv(x0, a0, fmt) if a0 != 0.0 else 1 + 0j
-    pn = _smul(phase, nx, fmt)
-    # w*w = 2 nx (nx + |x0|), real by construction
-    ww = _smul(2.0, _smul(nx, _sadd(nx, a0, fmt), fmt), fmt).real
-    return _sadd(x0, pn, fmt), _sdiv(2.0, ww, fmt).real, _smul(-1.0, pn, fmt)
+def _reflector_binary64(x0: complex, nx: float):
+    """w[0], beta and head from x0 = x[0] and nx = |x| > 0 in binary64, by
+    float and complex operations: w[0] = x0 + phase nx, beta = 2 / w*w
+    with w*w = 2 nx (nx + |x0|), real by construction, and head = -phase nx."""
+    a0 = abs(x0)
+    pn = (x0 / a0 if a0 != 0.0 else 1 + 0j) * nx
+    return x0 + pn, 2.0 / (2.0 * (nx * (nx + a0))), -1.0 * pn
 
 
-def _reflector_chain(x0: complex, nx: float, r):
-    """`_reflector_scalars` in binary32 or binary16 as in `_givens_chain`;
-    None where x0 is not a value of the format, |x0|^2 is 0 or not finite
-    (`_shypot` rescales there), nx is not finite or a step overflows."""
+def _reflector_chain(x0: complex, nx: float, fmt: FpFormat):
+    """`_reflector_binary64` in any other format fmt, for nx > 0 a value of
+    fmt.  x0 may lie off the format (the first entry of a rescaled
+    column): the quotient x0 / |x0| rounds it first, and w[0] is its
+    correctly rounded sum with phase nx."""
+    r, add = fmt._scalar_rounding
     xr, xi = x0.real, x0.imag
-    try:
-        vr, vi, xx, yy = r[4](xr, xi, xr * xr, xi * xi)
-        (s,) = r[1](xx + yy)
-        if not (vr == xr and vi == xi and 0.0 < s < math.inf and nx < math.inf):
-            return None
+    vr, vi, xx, yy = r[4](xr + xi * 0.0, xi - xr * 0.0, xr * xr, xi * xi)
+    (s,) = r[1](xx + yy)
+    if 0.0 < s < math.inf:
         (a0,) = r[1](math.sqrt(s))
-        # x0 / |x0| (|x0| > 0), and nx + |x0|
-        pr, pi, q = r[3]((xr + xi * 0.0) / a0, (xi - xr * 0.0) / a0, nx + a0)
-        # the products of (x0 / |x0|) * nx, and nx (nx + |x0|)
-        rr, ir, p = r[3](pr * nx, pi * nx, nx * q)
-        nr, ni = rr - pi * 0.0, pr * 0.0 + ir  # phase * nx
-        wr, wi, ww = r[3](xr + nr, xi + ni, 2.0 * p)
-        (beta,) = r[1](2.0 / ww)
-    except (OverflowError, ZeroDivisionError):
-        return None
+    else:  # |x0|^2 is 0, inf or NaN: `_shypot` rescales
+        a0 = _shypot(xr, xi, fmt)
+    pr, pi = r[2](vr / a0, vi / a0) if a0 != 0.0 else (1.0, 0.0)  # the phase x0 / |x0|
+    (q,) = add[1](nx, a0)
+    # the products of phase * nx, and nx (nx + |x0|)
+    rr, ir, p = r[3](pr * nx, pi * nx, nx * q)
+    nr, ni = rr - pi * 0.0, pr * 0.0 + ir  # phase * nx
+    # w*w = 2 p, whose zero imaginary part is NaN once nx or q is inf
+    (ww,) = r[1](2.0 * p - 0.0 * (nx * 0.0 + 0.0 * q))
+    (beta,) = r[1](2.0 / ww) if ww != 0.0 else (math.inf,)  # `_sdiv`'s 2 / 0
+    if vr == xr and vi == xi:
+        wr, wi = add[2](xr, nr, xi, ni)
+    else:  # x0 off the format: the sum needs its 2Sum residual
+        wr, wi = _sums(fmt, xr, nr, xi, ni)
     return complex(wr, wi), beta, complex(-nr - 0.0 * ni, -ni + 0.0 * nr)
 
 
@@ -623,46 +629,19 @@ def _hessenberg(UH: np.ndarray, ctx: PrecisionContext) -> bool:
 
 
 def _givens(f: complex, g: complex, fmt: FpFormat):
-    """Unitary [[c, s], [-conj(s), c]]* zeroing g against f; c real.
-
-    binary32 and binary16 take `_givens_chain` on values of the format, and
-    `_givens_steps` wherever it returns None; other formats take
-    `_givens_steps`.  The results are those of `_givens_steps`, bit for bit.
-    """
-    r = fmt._scalar_rounding
-    if r is not None:
-        out = _givens_chain(f, g, r)
-        if out is not None:
-            return out
-    return _givens_steps(f, g, fmt)
-
-
-def _givens_steps(f: complex, g: complex, fmt: FpFormat):
-    """`_givens` composed from the rounded scalar steps `_sabs`, `_smul`,
-    `_sadd`, `_ssqrt` and `_sdiv`, in any format but binary64, which takes
-    `_givens_binary64`.  When the sum of squares is 0 or inf, d comes from
-    `_shypot`, which rescales."""
-    if g == 0:
-        return 1.0, 0j
+    """Unitary [[c, s], [-conj(s), c]]* zeroing g against f; c real:
+    `_givens_binary64` in binary64, `_givens_chain` in every other format."""
     if fmt.is_binary64:
         return _givens_binary64(f, g)
-    ag = _sabs(g, fmt)
-    if f == 0:
-        return 0.0, _sdiv(g.conjugate(), ag, fmt)
-    af = _sabs(f, fmt)
-    d2 = _sadd(_smul(af, af, fmt), _smul(ag, ag, fmt), fmt).real
-    if d2 == 0.0 or d2 == math.inf:  # the squares left the format's range
-        d = _shypot(af, ag, fmt)
-    else:
-        d = _ssqrt(d2, fmt)
-    c = _sdiv(af, d, fmt).real
-    s = _sdiv(_smul(_sdiv(f, af, fmt), g.conjugate(), fmt), d, fmt)
-    return c, s
+    return _givens_chain(f, g, fmt)
 
 
 def _givens_binary64(f: complex, g: complex):
-    """`_givens_steps` in binary64 for g != 0, by the float and complex
-    operations its steps reduce to (``math.hypot`` past the squares' range)."""
+    """`_givens` in binary64 by float and complex operations: c = |f| / d
+    and s = (f / |f|) conj(g) / d, d = sqrt(|f|^2 + |g|^2) (``math.hypot``
+    past the squares' range)."""
+    if g == 0:
+        return 1.0, 0j
     ag = abs(g)
     if f == 0:
         return 0.0, g.conjugate() / ag
@@ -672,45 +651,49 @@ def _givens_binary64(f: complex, g: complex):
     return af / d, f / af * g.conjugate() / d
 
 
-# The scalar chains below run `_givens_steps` and `_shift_steps` on Python
-# floats for values f, g (or a, b, c, d) of binary32 or binary16.  Each step
-# is one double operation on values of the format, rounded by the format's
-# ``struct`` cast (r = `FpFormat._scalar_rounding`, which rounds the
-# independent steps of one stage in one cast).  The double result of +, -,
-# *, / or sqrt on such values, rounded into the format, is the correctly
-# rounded result because 53 >= 2t + 2 (Figueroa, SIGNUM 1995), which is what
-# the `_s*` steps compute with their 2Sum residuals.  The steps keep the
-# zero cross terms of the `_s*` composition, such as Im(f) * 0 in f / |f|,
-# since the signs of zeros depend on them; a step that adds or subtracts a
-# zero to a value of the format is exact and is not rounded.  Where the
-# reference branches on a zero or an infinity, or a step overflows, the
-# chains return None and the caller runs the reference.
+# The scalar chains below are the one body of the Givens rotation, the
+# Wilkinson shift and the Householder scalars in every format but binary64
+# (and `gmresir` has two more).  They run on Python floats for values of
+# the format.  Each step is one double operation on values of the format,
+# rounded as the rounded composition of `_sadd`, `_ssub`, `_smul`, `_sdiv`
+# and `_ssqrt` rounds it: r[n] of `FpFormat._scalar_rounding` rounds the n
+# independent steps of a stage, and add[n] rounds the sums that the
+# composition takes with a 2Sum residual.  The steps keep the zero cross
+# terms of the complex steps, such as Im(f) * 0 in f / |f|, since the signs
+# of zeros and NaN depend on them; a step that adds or subtracts such a
+# zero to a value of the format is exact and is not rounded.  The
+# composition's branches on zeros, on sums of squares out of range and on
+# a zero divisor are the chains' own, so zeros, infinities, NaN and
+# overflow run through the same body.
 
 
-def _givens_chain(f: complex, g: complex, r):
-    """`_givens_steps` for binary32 or binary16 values f and g, or None
-    where a sum of squares is 0 or not finite (`_shypot` rescales there),
-    a step overflows or s is not finite."""
+def _givens_chain(f: complex, g: complex, fmt: FpFormat):
+    """`_givens` for values f and g of fmt: c = |f| / d and
+    s = (f / |f|) conj(g) / d, d = sqrt(|f|^2 + |g|^2).  A magnitude or d
+    whose sum of squares is 0 or inf comes from `_shypot`, which rescales."""
+    if g == 0:
+        return 1.0, 0j
+    r, add = fmt._scalar_rounding
     fr, fi, gr, gi = f.real, f.imag, g.real, g.imag
-    try:
-        ff, fj, gg, gj = r[4](fr * fr, fi * fi, gr * gr, gi * gi)
-        sf, sg = r[2](ff + fj, gg + gj)
-        if not (0.0 < sf < math.inf and 0.0 < sg < math.inf):
-            return None
+    ff, fj, gg, gj = r[4](fr * fr, fi * fi, gr * gr, gi * gi)
+    sf, sg = r[2](ff + fj, gg + gj)
+    if 0.0 < sf < math.inf and 0.0 < sg < math.inf:
         af, ag = r[2](math.sqrt(sf), math.sqrt(sg))
-        # the real parts of af * af and ag * ag, and f / af
-        pf, pg, qr, qi = r[4](af * af, ag * ag, (fr + fi * 0.0) / af, (fi - fr * 0.0) / af)
-        # d^2, and the products of (f / af) * conj(g)
-        d2, rr, ii, ri, ir = r[5](pf + pg, qr * gr, qi * -gi, qr * -gi, qi * gr)
-        if not 0.0 < d2 < math.inf:
-            return None
-        d, pr, pi = r[3](math.sqrt(d2), rr - ii, ri + ir)
-        # af / d (af > 0), and ((f / af) * conj(g)) / d
-        c, sr, si = r[3](af / d, (pr + pi * 0.0) / d, (pi - pr * 0.0) / d)
-    except OverflowError:
-        return None
-    if not (math.isfinite(sr) and math.isfinite(si)):
-        return None
+    else:  # |f| or |g| is 0, or its squares leave the range, or a part is NaN
+        af, ag = _shypot(fr, fi, fmt), _shypot(gr, gi, fmt)
+    if f == 0:  # conj(g) / |g|
+        sr, si = r[2]((gr + -gi * 0.0) / ag, (-gi - gr * 0.0) / ag)
+        return 0.0, complex(sr, si)
+    # the real parts of af * af and ag * ag, and f / af
+    pf, pg, qr, qi = r[4](af * af, ag * ag, (fr + fi * 0.0) / af, (fi - fr * 0.0) / af)
+    (d2,) = add[1](pf, pg)
+    # the products of (f / af) * conj(g)
+    rr, ii, ri, ir = r[4](qr * gr, qi * -gi, qr * -gi, qi * gr)
+    d, pr, pi = r[3](math.sqrt(d2), rr - ii, ri + ir)
+    if d2 == 0.0 or d2 == math.inf:  # the squares left the format's range
+        d = _shypot(af, ag, fmt)
+    # af / d, and ((f / af) * conj(g)) / d
+    c, sr, si = r[3](af / d, (pr + pi * 0.0) / d, (pi - pr * 0.0) / d)
     return c, complex(sr, si)
 
 
@@ -758,102 +741,93 @@ def _plane_rotation(G: np.ndarray, c: float, s1: complex, s2: complex) -> np.nda
 
 def _wilkinson_shift(H: np.ndarray, hi: int, fmt: FpFormat) -> complex:
     """The eigenvalue of the trailing 2x2 block [[a, b], [c, d]] of
-    H[:hi + 1, :hi + 1] closest to d; binary32 and binary16 take
-    `_shift_chain` on values of the format, as `_givens` takes
-    `_givens_chain`, and `_shift_steps` wherever it returns None."""
+    H[:hi + 1, :hi + 1] closest to d: `_shift_binary64` in binary64,
+    `_shift_chain` in every other format."""
     a, b, c, d = H[hi - 1:hi + 1, hi - 1:hi + 1].ravel().tolist()
-    r = fmt._scalar_rounding
-    if r is not None:
-        shift = _shift_chain(a, b, c, d, r)
-        if shift is not None:
-            return shift
-    return _shift_steps(a, b, c, d, fmt)
+    if fmt.is_binary64:
+        return _shift_binary64(a, b, c, d)
+    return _shift_chain(a, b, c, d, fmt)
 
 
-def _shift_chain(a: complex, b: complex, c: complex, d: complex, r):
-    """`_shift_steps` for binary32 or binary16 values, or None where the
-    reference branches on a zero (z, the square root or the denominator)
-    or on the unscaled magnitude |z| overflowing, a step overflows or
-    fails, or the shift is not finite."""
+def _shift_binary64(a: complex, b: complex, c: complex, d: complex) -> complex:
+    """The shift in binary64 by complex operations: delta = (a - d) / 2,
+    the square root of delta^2 + b c aligned with delta, and
+    d - b c / (delta + root), or d when that denominator is 0."""
+    delta = 0.5 * (a - d)
+    bc = b * c
+    disc = complex(np.sqrt(np.complex128(delta * delta + bc)))
+    if (delta.real * disc.real + delta.imag * disc.imag) < 0:
+        disc = -disc
+    denom = delta + disc
+    if denom == 0:
+        return d
+    return d - bc / denom
+
+
+def _shift_chain(a: complex, b: complex, c: complex, d: complex, fmt: FpFormat) -> complex:
+    """`_shift_binary64` for values of any other format fmt: the principal
+    square root from the unscaled magnitude of its argument (inf past the
+    squares' range), and the quotient by Smith's method."""
+    r, add = fmt._scalar_rounding
     ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
-    try:
-        # a - d, and the products of b * c
-        xr, xi, p1, p2, p3, p4 = r[6](ar - dr, ai - di, br * cr, bi * ci, br * ci, bi * cr)
-        hr, hi, bcr, bci = r[4](0.5 * xr, 0.5 * xi, p1 - p2, p3 + p4)
-        er, ei = hr - 0.0 * xi, hi + 0.0 * xr  # delta = 0.5 * (a - d)
-        q1, q2, q3, q4 = r[4](er * er, ei * ei, er * ei, ei * er)
-        ddr, ddi = r[2](q1 - q2, q3 + q4)
-        zr, zi = r[2](ddr + bcr, ddi + bci)  # delta^2 + b c
-        # _csqrt(z), its magnitude unscaled
-        if zr == 0.0 and zi == 0.0:
-            return None
+    xr, xi = add[2](ar, -dr, ai, -di)  # a - d
+    # 0.5 * (a - d), and the products of b * c
+    hr, hi, p1, p2, p3, p4 = r[6](0.5 * xr, 0.5 * xi, br * cr, bi * ci, br * ci, bi * cr)
+    er, ei = hr - 0.0 * xi, hi + 0.0 * xr  # delta
+    bcr, bci, q1, q2, q3, q4 = r[6](p1 - p2, p3 + p4, er * er, ei * ei, er * ei, ei * er)
+    ddr, ddi = r[2](q1 - q2, q3 + q4)
+    zr, zi = add[2](ddr, bcr, ddi, bci)  # delta^2 + b c
+    # its square root (u, v)
+    if zr == 0.0 and zi == 0.0:
+        ur, ui = 0.0, 0.0
+    else:
         s1, s2 = r[2](zr * zr, zi * zi)
         (s,) = r[1](s1 + s2)
-        if not s < math.inf:
-            return None
-        (mag,) = r[1](math.sqrt(s))
-        (h,) = r[1](mag + zr if zr >= 0.0 else mag - zr)
+        # unscaled, inf past the squares' range: scaling it would change the
+        # shifts, and so the results, of binary32 Schur forms whose
+        # discriminant passes ~1.8e19
+        (mag,) = r[1](math.sqrt(s)) if s < math.inf else (math.inf,)
+        pos = zr >= 0.0
+        (h,) = r[1](mag + zr if pos else mag - zr)
         (h,) = r[1](h / 2.0)
         (root,) = r[1](math.sqrt(h))
-        if zr < 0.0:
+        if not pos:
             root = math.copysign(root, zi if zi != 0.0 else 1.0)
         if root == 0.0:
-            return None
-        (twice,) = r[1](2.0 * root)
-        (other,) = r[1](zi / twice)
-        ur, ui = (root, other) if zr >= 0.0 else (other, root)
-        if er * ur + ei * ui < 0:  # align the root with delta
-            ur, ui = -ur, -ui
-        nr, ni = r[2](er + ur, ei + ui)
-        if nr == 0.0 and ni == 0.0:
-            return None
-        # b c / (delta + root) by Smith's method, then d minus it
-        if abs(nr) >= abs(ni):
-            (t,) = r[1](ni / nr)
-            k1, k2, k3 = r[3](ni * t, bci * t, bcr * t)
-            den, n1, n2 = r[3](nr + k1, bcr + k2, bci - k3)
-            qr, qi = r[2](n1 / den, n2 / den)
+            ur, ui = 0.0, (zi if pos else 0.0)
         else:
-            (t,) = r[1](nr / ni)
-            k1, k2, k3 = r[3](nr * t, bcr * t, bci * t)
-            den, n1, n2 = r[3](ni + k1, bci + k2, bcr - k3)
-            qr, qi = r[2](n1 / den, n2 / den)
-            qi = -qi
-        sr, si = r[2](dr - qr, di - qi)
-    except (OverflowError, ZeroDivisionError, ValueError):
-        return None
-    if not (math.isfinite(sr) and math.isfinite(si)):
-        return None
+            (twice,) = r[1](2.0 * root)
+            (other,) = r[1](zi / twice)
+            ur, ui = (root, other) if pos else (other, root)
+    if er * ur + ei * ui < 0:  # align the root with delta
+        ur, ui = -ur, -ui
+    nr, ni = add[2](er, ur, ei, ui)
+    if nr == 0.0 and ni == 0.0:
+        return d
+    # b c / (delta + root) by Smith's method.  No divisor is 0: |den| is at
+    # least the larger part of the sum, whose real part is NaN only where
+    # its imaginary part is NaN or infinite
+    if abs(nr) >= abs(ni):
+        (t,) = r[1](ni / nr)
+        k1, k2, k3 = r[3](ni * t, bci * t, bcr * t)
+        den, n1, n2 = r[3](nr + k1, bcr + k2, bci - k3)
+        qr, qi = r[2](n1 / den, n2 / den)
+    else:
+        (t,) = r[1](nr / ni)
+        k1, k2, k3 = r[3](nr * t, bcr * t, bci * t)
+        den, n1, n2 = r[3](ni + k1, bci + k2, bcr - k3)
+        qr, qi = r[2](n1 / den, n2 / den)
+        qi = -qi
+    sr, si = add[2](dr, -qr, di, -qi)
     return complex(sr, si)
 
 
 def _shifted(h: complex, shift: complex, fmt: FpFormat) -> complex:
-    """h - shift for values h and shift of fmt, as `_ssub` rounds it;
-    binary32 and binary16 round the two parts by one struct cast unless a
-    part overflows or is NaN."""
-    r = fmt._scalar_rounding
-    if r is not None:
-        try:
-            re, im = r[2](h.real - shift.real, h.imag - shift.imag)
-        except OverflowError:
-            return _ssub(h, shift, fmt)
-        if re == re and im == im:
-            return complex(re, im)
-    return _ssub(h, shift, fmt)
-
-
-def _shift_steps(a: complex, b: complex, c: complex, d: complex, fmt: FpFormat) -> complex:
-    """`_wilkinson_shift` composed from the rounded scalar steps, in any
-    format."""
-    delta = _smul(0.5, _ssub(a, d, fmt), fmt)
-    disc = _csqrt(_sadd(_smul(delta, delta, fmt), _smul(b, c, fmt), fmt), fmt)
-    # pick the root of the 2x2 closest to d: align disc with delta
-    if (delta.real * disc.real + delta.imag * disc.imag) < 0:
-        disc = -disc
-    denom = _sadd(delta, disc, fmt)
-    if denom == 0:
-        return d
-    return _ssub(d, _sdiv(_smul(b, c, fmt), denom, fmt), fmt)
+    """h - shift for values h and shift of fmt, as `_ssub` rounds it."""
+    if fmt.is_binary64:
+        return h - shift
+    re, im = fmt._scalar_rounding[1][2](h.real, -shift.real, h.imag, -shift.imag)
+    return complex(re, im)
 
 
 def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:

@@ -86,21 +86,22 @@ a column scaled past overflow that is not binary32; on either they rerun
 the whole factorization from its input in software.  `sylvester.solve_sylv_tri` enters it once per solve, with its
 stacked [Y | T_A | T_B] buffer and C, and raises a breakdown from inside.
 
-Scalar chains follow the same rule.  Since 53 >= 2t + 2 for binary32 and
-binary16, a double +, -, *, / or sqrt of values of the format, cast once
-into the format, is the correctly rounded result, which the `_s*`
-functions compute with a 2Sum residual and a tie-break.  So the
-Householder scalars, the Givens rotation and the Wilkinson shift of
-`schur` (`linalg._reflector_chain`, `linalg._givens_chain`,
-`linalg._shift_chain`), and the stored Hessenberg rotations and the back
-substitution of GMRES (`gmresir._rotation_chain`, `gmresir._backsub_chain`)
-run in these two formats on Python floats, each stage of independent
-steps rounded by one ``struct`` cast
-(`FpFormat._scalar_rounding`).  They hand every case where the `_s*`
-composition branches on a zero or an infinity, or where a step
-overflows, to that composition, which stays the reference for every
-format.  For the same reason the binary32 |x_i| of `linalg._norm2_steps`
-are float32 steps.
+The scalar steps of `schur` and of GMRES have one body each in every
+format but binary64: the Householder scalars, the Givens rotation and the
+Wilkinson shift (`linalg._reflector_chain`, `linalg._givens_chain`,
+`linalg._shift_chain`), and the stored Hessenberg rotations and the rows
+of the back substitution (`gmresir._rotation_chain`,
+`gmresir._backsub_chain`).  They run on Python floats, each stage of
+independent steps rounded by `FpFormat._scalar_rounding`: one ``struct``
+cast in binary32 and binary16, whose double +, -, *, / or sqrt of values
+of the format, cast once, is correctly rounded since 53 >= 2t + 2;
+`_round_real_scalar` per value elsewhere, with the 2Sum residual in the
+sums, which double rounding needs when t >= 26.  Each chain holds the
+branches of the rounded `_s*` composition on zeros, infinities and
+squares out of range, so every operand runs through the one body and
+gets the bits that composition gives.  binary64 takes plain float and
+complex bodies.  For the same reason the binary32 |x_i| of
+`linalg._norm2_steps` are float32 steps.
 
 Complex division has two references.  The scalar `_sdiv` in binary64 is
 CPython's complex division (Smith's method, dividing by the
@@ -228,17 +229,29 @@ class FpFormat:
 
     @cached_property
     def _scalar_rounding(self):
-        """For binary32 and binary16, the tuple r in which r[n](x_1, ..., x_n),
-        n up to 16, returns the n doubles each rounded into the format by
-        one ``struct`` cast (raising OverflowError past its range); None for
-        other formats.
+        """(r, add), the stage roundings of the scalar chains, for every format
+        but binary64, which has none (None).
+
+        r[n](x_1, ..., x_n), n up to 16, returns the n doubles each rounded
+        into the format as `_round_real_scalar` rounds them, ±inf past its
+        range.  add[n](a_1, b_1, ..., a_n, b_n), n = 1, 2 or 4, returns the n
+        sums a_i + b_i each correctly rounded, as `_sadd` rounds them.
+        binary32 and binary16 round a stage by one ``struct`` cast, and a
+        sum of two values of the format by casting its double: since
+        53 >= 2t + 2, that is the correctly rounded sum.  Other formats
+        round each value by `_round_real_scalar`, and each sum with its 2Sum
+        residual (`_sums`), which double rounding needs when t >= 26.
         """
+        if self.is_binary64:
+            return None
         native = self._native
         if native is None:
-            return None
-        code = native[1].format
-        return tuple(lambda *xs, _p=s.pack, _u=s.unpack: _u(_p(*xs))
-                     for s in (struct.Struct(f"{n}{code}") for n in range(17)))
+            def stage(*xs):
+                return [_round_real_scalar(x, self) for x in xs]
+            return (stage,) * 17, (lambda *xs: _sums(self, *xs),) * 5
+        r = tuple(_cast_stage(struct.Struct(f"{n}{native[1].format}"), self) for n in range(17))
+        return r, (None, lambda a, b: r[1](a + b), lambda a, b, c, d: r[2](a + b, c + d), None,
+                   lambda a, b, c, d, e, f, g, h: r[4](a + b, c + d, e + f, g + h))
 
     @classmethod
     def from_bits(cls, significand_bits: int, exponent_bits: int,
@@ -745,7 +758,9 @@ def _entrywise(step, a, b, ctx: PrecisionContext):
     """``step(a, b, fmt)`` for `fl_add`, `fl_sub`, `fl_mul` and `fl_div`,
     charging one flop per element of the broadcast result: directly on
     complex64 operands in binary32, else on complex128 arrays through
-    `_resident`."""
+    `_resident`.  Other formats run the step under ``np.errstate``, so that
+    binary64's complex128 steps overflow to inf silently, as the software
+    rounding does."""
     if _in_binary32(ctx, a, b):
         z = step(a, b, ctx.format)
         ctx.count(z.size)
@@ -755,7 +770,8 @@ def _entrywise(step, a, b, ctx: PrecisionContext):
     if fmt._is_binary32:
         (z,) = _resident(lambda a, b, ctx: (step(a, b, fmt),), fmt._uncounted, a, b)
     else:
-        z = step(a, b, fmt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = step(a, b, fmt)
     return _unwrap(z, scalar)
 
 
@@ -904,6 +920,30 @@ def _two_sum_scalar(a: float, b: float):
     return s, (a - (s - bv)) + (b - bv)
 
 
+def _sums(fmt: FpFormat, *xs: float) -> list:
+    """The sums x_0 + x_1, x_2 + x_3, ... each correctly rounded into fmt
+    from its double and its 2Sum residual, for doubles of any width."""
+    out = []
+    for i in range(0, len(xs), 2):
+        s, e = _two_sum_scalar(xs[i], xs[i + 1])
+        out.append(_round_real_scalar(s, fmt, e))
+    return out
+
+
+def _cast_stage(s: struct.Struct, fmt: FpFormat):
+    """The stage rounding of binary32 or binary16 for n = s's count: one
+    ``struct`` cast, or `_round_real_scalar` per value when a value rounds
+    past the format's range, where the cast raises."""
+    pack, unpack = s.pack, s.unpack
+
+    def stage(*xs):
+        try:
+            return unpack(pack(*xs))
+        except OverflowError:
+            return [_round_real_scalar(x, fmt) for x in xs]
+    return stage
+
+
 def _sadd(a: complex, b: complex, fmt: FpFormat) -> complex:
     if fmt.is_binary64:
         return a + b
@@ -969,17 +1009,16 @@ def _scaled_up(z: complex, e: int, fmt: FpFormat) -> complex:
     return complex(up(z.real), up(z.imag))
 
 
-def _shypot(a: float, b: float, fmt: FpFormat, rescale: bool = True) -> float:
+def _shypot(a: float, b: float, fmt: FpFormat) -> float:
     """sqrt(a*a + b*b) composed from rounded square, add, sqrt steps.
 
-    With ``rescale``, when the sum of squares rounds to 0 or inf although
-    a and b are finite and not both 0, the steps run again on a and b
-    scaled by a power of two, which is exact, and the root is scaled back.
+    When the sum of squares rounds to 0 or inf although a and b are finite
+    and not both 0, the steps run again on a and b scaled by a power of
+    two, which is exact, and the root is scaled back.
     """
     r = _round_real_scalar
     s = r(r(a * a, fmt) + r(b * b, fmt), fmt)
-    if rescale and (s == 0.0 or s == math.inf) and (a or b) \
-            and math.isfinite(a) and math.isfinite(b):
+    if (s == 0.0 or s == math.inf) and (a or b) and math.isfinite(a) and math.isfinite(b):
         _, e = math.frexp(max(abs(a), abs(b)))
         return _scaled_up(_shypot(math.ldexp(a, -e), math.ldexp(b, -e), fmt), e, fmt).real
     return _ssqrt(s, fmt) if math.isfinite(s) else math.inf
@@ -990,30 +1029,3 @@ def _sabs(z: complex, fmt: FpFormat) -> float:
     if fmt.is_binary64:
         return abs(z)
     return _shypot(z.real, z.imag, fmt)
-
-
-def _csqrt(z: complex, fmt: FpFormat) -> complex:
-    """Principal complex square root composed from rounded real steps."""
-    if fmt.is_binary64:
-        c = np.sqrt(np.complex128(z))
-        return complex(c)
-    if z == 0:
-        return 0j
-    r = _round_real_scalar
-    a, b = z.real, z.imag
-    # unscaled: past the squares' range mag is inf and a Wilkinson shift
-    # falls back to d; scaling it would change the shifts, and so the
-    # results, of binary32 Schur forms whose discriminant passes ~1.8e19
-    mag = _shypot(a, b, fmt, rescale=False)
-    if a >= 0.0:
-        u = _ssqrt(r(r(mag + a, fmt) / 2.0, fmt), fmt)
-        if u == 0.0:
-            return complex(0.0, b)
-        v = r(b / r(2.0 * u, fmt), fmt)
-        return complex(u, v)
-    v = _ssqrt(r(r(mag - a, fmt) / 2.0, fmt), fmt)
-    v = math.copysign(v, b if b != 0.0 else 1.0)
-    if v == 0.0:
-        return complex(0.0, 0.0)
-    u = r(b / r(2.0 * v, fmt), fmt)
-    return complex(u, v)

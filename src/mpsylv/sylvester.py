@@ -303,7 +303,8 @@ def _schur_pair(p: SylvesterProblem, ctx: PrecisionContext):
     format) is factored once, with its U and T made read-only; every later
     call returns the same factors and charges ctx the flops the first call
     charged, so each caller's counter reads as if it had factored alone.
-    A factorization that raises is not kept: the next caller runs it again.
+    A factorization that raises is kept too: every later call charges the
+    flops it charged and raises the same exception again.
     """
     shared = _SHARED_PAIRS.get()
     if shared is None:
@@ -314,18 +315,17 @@ def _schur_pair(p: SylvesterProblem, ctx: PrecisionContext):
         tally = PrecisionContext(ctx.format, FlopCounter())
         try:
             pair = _factor_pair(p, tally)
-        finally:
-            # a bucket is made only by a charge, as `schur` makes it
-            charges = tuple(tally.counter.counts.values())
-            for n in charges:
-                ctx.count(n)
-        for sf in pair:
-            sf.U.flags.writeable = sf.T.flags.writeable = False
-        # p is held so that its id is not reused while the scope lasts
-        hit = shared[key] = (p, pair, charges)
-    else:
-        for n in hit[2]:
-            ctx.count(n)
+            for sf in pair:
+                sf.U.flags.writeable = sf.T.flags.writeable = False
+        except Exception as exc:
+            pair = exc
+        # a bucket is made only by a charge, as `schur` makes it; p is held
+        # so that its id is not reused while the scope lasts
+        hit = shared[key] = (p, pair, tuple(tally.counter.counts.values()))
+    for n in hit[2]:
+        ctx.count(n)
+    if isinstance(hit[1], Exception):
+        raise hit[1].with_traceback(None)
     return hit[1]
 
 

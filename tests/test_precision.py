@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -233,6 +234,21 @@ class TestFlOps:
                 got = np.asarray(op(a, b, ctx))
                 mask = ref != 0
                 assert (np.abs(got - ref)[mask] <= u * np.abs(ref)[mask]).all()
+
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32, BINARY16, BFLOAT16, parse_format("40:11")],
+                             ids=lambda f: f.name)
+    def test_overflow_is_silent(self, fmt):
+        """Products, sums and differences past the range are inf in every
+        format, with no numpy RuntimeWarning."""
+        big = np.array([fmt.max_finite])
+        ctx = PrecisionContext(fmt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [fl_mul(big, big, ctx), fl_add(big, big, ctx), fl_sub(-big, big, ctx),
+                   fl_mul(np.array([1e300]), np.array([1e300]), PrecisionContext(BINARY64)),
+                   fl_mul(1j * big, big + 1j * big, ctx)]
+        assert [complex(z[0]) for z in got[:4]] == [math.inf, math.inf, -math.inf, math.inf]
+        assert np.isinf(got[4]).all()
 
     def test_complex_parts_round_independently(self):
         z = complex(1 + 2.0**-12, 1 + 2.0**-10)

@@ -1,7 +1,7 @@
-"""The native scalar chains of the binary32/binary16 Schur factorization
-and GMRES Hessenberg rotations against the `_s*` reference, and the
-complex64 working arrays of `schur` and `hermitian_eig` against the
-complex128 software path."""
+"""The scalar chains of the Schur factorization and of the GMRES
+Hessenberg rotations against their `_s*` composition (`scalar_oracle`) in
+every format but binary64, and the complex64 working arrays of `schur` and
+`hermitian_eig` against the complex128 software path."""
 
 import math
 import warnings
@@ -11,32 +11,26 @@ import pytest
 
 import mpsylv.linalg as linalg
 import mpsylv.precision as precision
-from mpsylv.errors import IterationLimitError
-from mpsylv.gmresir import (
-    _apply_rotations,
-    _backsub_chain,
-    _backsub_steps,
-    _rotation_chain,
-    _rotation_steps,
-)
+from mpsylv.errors import IterationLimitError, PrecisionOverflowWarning
+from mpsylv.gmresir import _backsub_chain, _rotation_chain
 from mpsylv.linalg import (
     _givens,
     _givens_binary64,
     _givens_chain,
-    _givens_steps,
     _norm2_steps,
     _reflector_chain,
-    _reflector_scalars,
     _shift_chain,
-    _shift_steps,
     _wilkinson_shift,
     hermitian_eig,
     schur,
 )
 from mpsylv.precision import (
+    B24,
+    BFLOAT16,
     BINARY16,
     BINARY32,
     BINARY64,
+    TF32,
     FlopCounter,
     PrecisionContext,
     _sabs,
@@ -44,40 +38,64 @@ from mpsylv.precision import (
     _sdiv,
     _smul,
     _ssqrt,
+    parse_format,
+    round_matrix,
 )
 
 from conftest import cmat, hermitian
+from scalar_oracle import (
+    _backsub_steps,
+    _givens_steps,
+    _reflector_scalars,
+    _rotation_steps,
+    _shift_steps,
+)
 
-N_ORACLE = 100_000
+# operand sets per format: binary32 and binary16 run their chains by a
+# struct cast per stage, the software formats by `_round_real_scalar` per
+# value, which costs about ten times as much; 40:11 (t >= 26) needs the
+# 2Sum residual in its sums, where a probe found 1 Givens rotation and 1
+# shift in 5,000 double-rounded without it
+P40 = parse_format("40:11")
+SETS = {BINARY32: 100_000, BINARY16: 100_000, BFLOAT16: 5000, TF32: 5000, B24: 5000,
+        P40: 10_000}
+FORMATS = list(SETS)
 
-# (format, numpy dtype, unsigned type of the same width)
-NATIVE = [(BINARY32, np.float32, np.uint32), (BINARY16, np.float16, np.uint16)]
+
+def _ids(fmt):
+    return fmt.name
 
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.complex128).view(np.uint64)
 
 
+def _same(got, want):
+    """Equal bits wherever want is not NaN, and NaN wherever it is."""
+    g = np.ascontiguousarray(got, dtype=np.complex128).view(np.float64)
+    w = np.ascontiguousarray(want, dtype=np.complex128).view(np.float64)
+    nan = np.isnan(w)
+    return bool((np.isnan(g) == nan).all()
+                and (g[~nan].view(np.uint64) == w[~nan].view(np.uint64)).all())
+
+
 # the kinds of value `_parts` draws from, and their weights
-MIXED = {"bits": 0.15, "moderate": 0.4, "zero": 0.08, "subnormal": 0.07, "big": 0.08,
+MIXED = {"any": 0.15, "moderate": 0.4, "zero": 0.08, "subnormal": 0.07, "big": 0.08,
          "tiny": 0.08, "special": 0.04, "small-exact": 0.1}
 MODERATE = {"moderate": 0.8, "zero": 0.05, "small-exact": 0.15}
 
 
-def _parts(rng, n, spec, weights, large=(0, 1)):
-    """n values of a format as doubles, each drawn from one kind of value:
-    random bit patterns of the format (NaN and inf included), moderate
-    values, signed zeros, subnormals, values whose squares overflow (big)
-    or underflow (tiny), inf and NaN, small integers times powers of two,
-    or 2^[large)."""
-    fmt, dtype, utype = spec
-    width = np.dtype(utype).itemsize * 8
+def _parts(rng, n, fmt, weights, large=(0, 1)):
+    """n values of fmt as doubles, each drawn from one kind of value and
+    rounded into fmt by `round_matrix`: values of any binade (subnormals
+    and overflow to inf included), moderate values, signed zeros,
+    subnormals, values whose squares overflow (big) or underflow (tiny),
+    inf and NaN, small integers times powers of two, or 2^[large)."""
     t, emax = fmt.significand_bits, fmt.emax
     span = (emax + 1) / 16  # moderate values: their products stay well in range
     sign = rng.choice([-1.0, 1.0], n)
-    raw = rng.integers(0, 2**width, n, dtype=np.uint64).astype(utype).view(dtype)
     kinds = {
-        "bits": raw.astype(np.float64),
+        "any": sign * 2.0 ** rng.uniform(fmt.emin - t + 1, emax + 0.999, n),
         "moderate": sign * 2.0 ** rng.uniform(-span, span, n),
         "zero": sign * 0.0,
         "subnormal": sign * rng.integers(1, 2**(t - 1), n) * fmt.smallest_subnormal,
@@ -92,14 +110,15 @@ def _parts(rng, n, spec, weights, large=(0, 1)):
     names = list(weights)
     kind = rng.choice(len(names), n, p=[weights[k] for k in names])
     x = np.choose(kind, [kinds[k] for k in names])
-    with np.errstate(over="ignore"):
-        return x.astype(dtype).astype(np.float64)  # round into the format
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PrecisionOverflowWarning)
+        return round_matrix(x, fmt).real
 
 
-def _complex(rng, n, spec, weights=MIXED, large=(0, 1)):
+def _complex(rng, n, fmt, weights=MIXED, large=(0, 1)):
     out = np.empty(n, dtype=np.complex128)
-    out.real = _parts(rng, n, spec, weights, large)
-    out.imag = _parts(rng, n, spec, weights, large)
+    out.real = _parts(rng, n, fmt, weights, large)
+    out.imag = _parts(rng, n, fmt, weights, large)
     return out
 
 
@@ -110,78 +129,102 @@ def _quiet():
         yield
 
 
-@pytest.mark.parametrize("spec", NATIVE, ids=lambda s: s[0].name)
-def test_givens_chain_matches_reference(spec, rng):
-    fmt = spec[0]
-    r = fmt._scalar_rounding
-    F, G = _complex(rng, N_ORACLE, spec), _complex(rng, N_ORACLE, spec)
-    got, want = [], []
-    native = fallback_nonfinite = 0
-    for f, g in zip(F.tolist(), G.tolist()):
-        out = _givens_chain(f, g, r)
-        if out is None:
-            fallback_nonfinite += not (np.isfinite(f) and np.isfinite(g))
-            continue
-        assert np.isfinite(f) and np.isfinite(g)  # inf and NaN take the fallback
-        native += 1
-        got.append(out)
-        want.append(_givens_steps(f, g, fmt))
-    got, want = np.array(got, dtype=np.complex128), np.array(want, dtype=np.complex128)
-    assert (_bits(got) == _bits(want)).all()
-    assert native > N_ORACLE // 4
-    nonfinite = (~np.isfinite(F) | ~np.isfinite(G)).sum()
-    assert fallback_nonfinite == nonfinite > 0
+def _compare(chain, oracle, operand_sets):
+    """chain and oracle on each operand set; returns the stacked results
+    after checking them with `_same`."""
+    got = np.array([chain(*ops) for ops in operand_sets], dtype=np.complex128)
+    want = np.array([oracle(*ops) for ops in operand_sets], dtype=np.complex128)
+    assert _same(got, want)
+    return got, want
 
 
-@pytest.mark.parametrize("spec", NATIVE, ids=lambda s: s[0].name)
-def test_givens_dispatch_matches_reference(spec, rng):
-    fmt = spec[0]
-    F, G = _complex(rng, 5000, spec), _complex(rng, 5000, spec)
-    for f, g in zip(F.tolist(), G.tolist()):
-        got, want = _givens(f, g, fmt), _givens_steps(f, g, fmt)
-        assert (_bits(got) == _bits(want)).all()
+@pytest.mark.parametrize("fmt", FORMATS, ids=_ids)
+def test_givens_chain_matches_reference(fmt, rng):
+    n = SETS[fmt]
+    F, G = _complex(rng, n, fmt), _complex(rng, n, fmt)
+    got, want = _compare(lambda f, g: _givens_chain(f, g, fmt), lambda f, g: _givens_steps(f, g, fmt),
+                         list(zip(F.tolist(), G.tolist())))
+    finite = np.isfinite(want).all(axis=1)
+    assert finite.sum() > n // 2
+    # inf and NaN operands run through the chain too, and some results
+    # of them are not NaN
+    nonfinite = ~(np.isfinite(F) & np.isfinite(G))
+    assert nonfinite.any() and not np.isnan(want[nonfinite]).all()
 
 
-# unbiased exponents of entries whose products b c pass the range of
-# |z|^2 in the square root of the discriminant (|z| > ~1.8e19 in binary32,
-# > 256 in binary16)
-LARGE = {BINARY32: (33, 60), BINARY16: (4.5, 7.5)}
+def test_sum_stage_breaks_double_rounding_ties():
+    """1 + (2^-40 + 2^-79) in 40:11: the double sum 1 + 2^-40 is a midpoint
+    of the format, so it rounds to 1 by ties to even, while the exact sum
+    lies above it.  The sum stage carries the 2Sum residual and rounds up,
+    as `_sadd` does."""
+    b = 2.0**-40 + 2.0**-79
+    (s,) = P40._scalar_rounding[1][1](1.0, b)
+    assert s == _sadd(1.0, b, P40).real == 1.0 + 2.0**-39
+    # binary32 sums of its values cast the double sum: 53 >= 2 * 24 + 2
+    (s32,) = BINARY32._scalar_rounding[1][1](1.0, 2.0**-24 + 2.0**-47)
+    assert s32 == _sadd(1.0, 2.0**-24 + 2.0**-47, BINARY32).real == 1.0 + 2.0**-23
 
 
-@pytest.mark.parametrize("spec", NATIVE, ids=lambda s: s[0].name)
-def test_shift_chain_matches_reference(spec, rng):
-    fmt = spec[0]
-    r = fmt._scalar_rounding
+def test_chains_round_sums_once():
+    """Sums of the chains whose double is a midpoint of 40:11 while the
+    exact sum lies above it (see above): each rounds up, as the oracle's
+    `_sadd` and `_ssub` do."""
+    b = complex(2.0**-40 + 2.0**-79, 0.0)
+    up = 1.0 + 2.0**-39
+    assert _backsub_chain(1 + 0j, [b], [-1 + 0j], P40) == _backsub_steps(1 + 0j, [b], [-1 + 0j], P40) == up
+    h = _rotation_chain(1 + 0j, 1 + 0j, 1 + 0j, b, P40)
+    assert h == _rotation_steps(1 + 0j, 1 + 0j, 1 + 0j, b, P40) and h[0] == up
+    # a - d in the shift, and w[0] = x0 + phase |x|
+    e = complex(2.0**-20, 0.0)  # b c small, so the shift is about -b c / (a - d)
+    assert _shift_chain(1 + 0j, e, e, -b, P40) == _shift_steps(1 + 0j, e, e, -b, P40)
+    assert _reflector_chain(b, 1.0, P40)[0] == _reflector_scalars(b, 1.0, P40)[0] == up
+
+
+def test_stage_rounds_past_the_range_to_inf():
+    """A stage of binary32 or binary16 whose struct cast raises rounds each
+    value as `_round_real_scalar` does: ±inf past the range."""
+    for fmt in (BINARY32, BINARY16):
+        r = fmt._scalar_rounding[0]
+        big = 2.0 * fmt.max_finite
+        assert list(r[3](big, -big, 1.0)) == [math.inf, -math.inf, 1.0]
+
+
+def _large(fmt):
+    """Unbiased exponents of entries whose products b c pass the range of
+    |z|^2 in the square root of the discriminant (|z| > ~1.8e19 in
+    binary32, > 256 in binary16)."""
+    return (fmt.emax + 1) / 4 + 0.5, fmt.emax / 2
+
+
+@pytest.mark.parametrize("fmt", FORMATS, ids=_ids)
+def test_shift_chain_matches_reference(fmt, rng):
     # a third of the blocks from the mixture of `_givens`; the rest
-    # moderate, a quarter of those with entries past LARGE
-    n = N_ORACLE // 3
+    # moderate, a quarter of those with entries past `_large`; and blocks
+    # with a = d and b c = 0, whose shift is d itself
+    N = SETS[fmt]
+    n = N // 3
     blocks = np.concatenate([
-        _complex(rng, 4 * n, spec),
-        _complex(rng, 4 * (N_ORACLE - 2 * n), spec, MODERATE),
-        _complex(rng, 4 * n, spec, {**MODERATE, "moderate": 0.55, "large": 0.25},
-                 LARGE[fmt]),
-    ]).reshape(N_ORACLE, 4)
-    got, want = [], []
+        _complex(rng, 4 * n, fmt),
+        _complex(rng, 4 * (N - 2 * n), fmt, MODERATE),
+        _complex(rng, 4 * n, fmt, {**MODERATE, "moderate": 0.55, "large": 0.25}, _large(fmt)),
+    ]).reshape(N, 4)
+    triangular = _complex(rng, 400, fmt, {"small-exact": 0.5, "zero": 0.5}).reshape(100, 4)
+    triangular[:, 3] = triangular[:, 0]
+    triangular[::2, 1] = triangular[1::2, 2] = 0.0
+    triangular[::4, 1] = complex(-0.0, -0.0)
+    blocks = np.concatenate([blocks, triangular])
+    got, want = _compare(lambda a, b, c, d: _shift_chain(a, b, c, d, fmt),
+                         lambda a, b, c, d: _shift_steps(a, b, c, d, fmt), blocks.tolist())
+    assert np.isfinite(want).sum() > N // 2
+    assert (_bits(got[N:]) == _bits(triangular[:, 3])).all()
+    # discriminants whose unscaled magnitude overflows run through the chain
     big_disc = 0
-    for a, b, c, d in blocks.tolist():
-        shift = _shift_chain(a, b, c, d, r)
-        if shift is None:
-            continue
-        got.append(shift)
-        want.append(_shift_steps(a, b, c, d, fmt))
-    got, want = np.array(got), np.array(want)
-    assert (_bits(got) == _bits(want)).all()
-    assert len(got) > N_ORACLE // 3
-    # discriminants whose unscaled magnitude overflows take the fallback
-    for a, b, c, d in blocks[-3000:].tolist():
+    for a, b, c, d in blocks[-n:].tolist():
         z = (0.5 * (a - d)) ** 2 + b * c
-        if np.isfinite(z) and abs(z) > 2.0 * math.sqrt(fmt.max_finite) \
-                and abs(z) < fmt.max_finite / 2:
+        if np.isfinite(z) and 2.0 * math.sqrt(fmt.max_finite) < abs(z) < fmt.max_finite / 2:
             big_disc += 1
-            assert _shift_chain(a, b, c, d, r) is None
-            want = _shift_steps(a, b, c, d, fmt)
             H = np.array([[a, b], [c, d]])
-            assert (_bits(_wilkinson_shift(H, 1, fmt)) == _bits(want)).all()
+            assert _same(_wilkinson_shift(H, 1, fmt), _shift_steps(a, b, c, d, fmt))
     assert big_disc > 0
 
 
@@ -195,7 +238,7 @@ def test_shift_reads_the_trailing_block(rng):
 
 
 def _soft_givens64(f, g):
-    """`_givens_steps`' composition of `_s*` steps in binary64."""
+    """The `_s*` composition of the Givens rotation in binary64."""
     fmt = BINARY64
     if g == 0:
         return 1.0, 0j
@@ -216,35 +259,34 @@ def test_givens_binary64_matches_the_s_steps(rng):
     for f, g in zip(F.tolist(), G.tolist()):
         want = _soft_givens64(f, g)
         assert (_bits(_givens(f, g, BINARY64)) == _bits(want)).all()
-        if g != 0:
-            assert (_bits(_givens_binary64(f, g)) == _bits(want)).all()
+        assert (_bits(_givens_binary64(f, g)) == _bits(want)).all()
 
 
-@pytest.mark.parametrize("spec", NATIVE, ids=lambda s: s[0].name)
-def test_reflector_chain_matches_reference(spec, rng):
-    fmt = spec[0]
-    r = fmt._scalar_rounding
-    n = N_ORACLE // 5
-    X0 = _complex(rng, n, spec)
-    # a norm of the format, at least |x0| for half of the draws
-    nx = np.abs(_parts(rng, n, spec, MIXED))
-    nx[::2] = np.maximum(nx[::2], np.abs(X0[::2]).astype(spec[1]).astype(np.float64))
-    nx[nx == 0.0] = 1.0
-    got, want = [], []
-    for x0, a in zip(X0.tolist(), nx.tolist()):
-        out = _reflector_chain(x0, a, r)
-        if out is None:
-            continue
-        assert np.isfinite(x0) and a < math.inf and x0 != 0
-        got.append(out)
-        want.append(_reflector_scalars(x0, a, fmt))
-    got, want = np.array(got, dtype=np.complex128), np.array(want, dtype=np.complex128)
-    assert (_bits(got) == _bits(want)).all()
-    assert len(got) > n // 4
-    # a value off the format, a zero and an infinite norm take the fallback
-    assert _reflector_chain(0.1 + 0j, 1.0, r) is None
-    assert _reflector_chain(complex(0.0, -0.0), 1.0, r) is None
-    assert _reflector_chain(1 + 1j, math.inf, r) is None
+@pytest.mark.parametrize("fmt", FORMATS, ids=_ids)
+def test_reflector_chain_matches_reference(fmt, rng):
+    """w[0], beta and head on x0 = x[0] and a norm nx > 0 of the format (at
+    least |x0| for half of the draws, inf among them), and on x0 off the
+    format: values of the format scaled by 2^-e, as `_make_reflector`
+    scales a column, parts of which fall below the subnormal range or into
+    it with more bits than it holds."""
+    n = SETS[fmt] // 5
+    X0 = _complex(rng, n, fmt)
+    nx = np.abs(_parts(rng, n, fmt, MIXED))
+    nx[::2] = np.maximum(nx[::2], np.abs(round_matrix(np.abs(X0[::2]), fmt)))
+    nx[(nx == 0.0) | np.isnan(nx)] = 1.0
+    t = fmt.significand_bits
+    off = _complex(rng, n, fmt, {"large": 0.9, "zero": 0.1}, (-1, 1)) \
+        * 2.0 ** (fmt.emin - rng.integers(-t, 2 * t, n))
+    off_nx = np.abs(_parts(rng, n, fmt, MODERATE))
+    off_nx[off_nx == 0.0] = 1.0
+    sets = list(zip(X0.tolist(), nx.tolist())) + list(zip(off.tolist(), off_nx.tolist()))
+    got, want = _compare(lambda x0, a: _reflector_chain(x0, a, fmt),
+                         lambda x0, a: _reflector_scalars(x0, a, fmt), sets)
+    assert np.isfinite(want).all(axis=1).sum() > n // 2
+    # the off-format parts and sums the draws reached
+    parts = np.concatenate([off.real, off.imag])
+    assert (0 < np.abs(parts)).any() and (np.abs(parts) < fmt.smallest_subnormal / 2).any()
+    assert (round_matrix(parts, fmt).real != parts).sum() > n // 4
 
 
 def test_norm2_steps_float32_matches_software(rng):
@@ -252,94 +294,69 @@ def test_norm2_steps_float32_matches_software(rng):
     its software steps on 10^5 vectors of binary32 values, subnormals,
     squares that overflow or underflow and inf among them; a vector with a
     NaN, which fails the binary32 check, takes the software steps."""
-    spec = NATIVE[0]
-    lengths = rng.integers(1, 5, N_ORACLE)
-    vectors = np.split(_complex(rng, lengths.sum(), spec), np.cumsum(lengths)[:-1])
+    lengths = rng.integers(1, 5, SETS[BINARY32])
+    vectors = np.split(_complex(rng, lengths.sum(), BINARY32), np.cumsum(lengths)[:-1])
     want = np.array([_norm2_steps(v, BINARY32) for v in vectors])
     # the vectors a binary32 schur keeps in complex64: no NaN
     native = [v for v in vectors if linalg._binary32(v) is not None]
     got = np.array([_norm2_steps(v.astype(np.complex64), BINARY32) for v in native])
     ref = np.array([_norm2_steps(v, BINARY32) for v in native])
     assert (got.view(np.uint64) == ref.view(np.uint64)).all()
-    assert len(native) > N_ORACLE // 2
+    assert len(native) > SETS[BINARY32] // 2
     assert np.isinf(ref).sum() > 1000 and (ref == 0.0).sum() > 100
     assert np.isinf(want).sum() > np.isinf(ref).sum()  # the NaN vectors
 
 
-@pytest.mark.parametrize("spec", NATIVE, ids=lambda s: s[0].name)
-def test_rotation_chain_matches_reference(spec, rng):
+@pytest.mark.parametrize("fmt", FORMATS, ids=_ids)
+def test_rotation_chain_matches_reference(fmt, rng):
     """The stored-rotation chain of GMRES against its `_s*` composition:
     half of the operand sets from the mixture of `_givens` (signed zeros,
     subnormals, overflowing products, inf and NaN), half moderate."""
-    fmt = spec[0]
-    r = fmt._scalar_rounding
-    n = N_ORACLE // 2
-    sets = np.concatenate([_complex(rng, 4 * n, spec),
-                           _complex(rng, 4 * n, spec, MODERATE)]).reshape(2 * n, 4)
-    got, want = [], []
-    fallback_finite = 0
-    for c, s, h0, h1 in sets.tolist():
-        out = _rotation_chain(c, s, h0, h1, r)
-        if out is None:
-            fallback_finite += bool(np.isfinite([c, s, h0, h1]).all())
-            continue
-        assert np.isfinite([c, s, h0, h1]).all()  # inf and NaN take the fallback
-        got.append(out)
-        want.append(_rotation_steps(c, s, h0, h1, fmt))
-    got, want = np.array(got), np.array(want)
-    assert (_bits(got) == _bits(want)).all()
-    assert len(got) > n
-    assert fallback_finite > 0  # products or sums past the range
+    n = SETS[fmt] // 2
+    sets = np.concatenate([_complex(rng, 4 * n, fmt),
+                           _complex(rng, 4 * n, fmt, MODERATE)]).reshape(2 * n, 4)
+    got, want = _compare(lambda c, s, h0, h1: _rotation_chain(c, s, h0, h1, fmt),
+                         lambda c, s, h0, h1: _rotation_steps(c, s, h0, h1, fmt), sets.tolist())
+    finite = np.isfinite(sets).all(axis=1)
+    assert np.isfinite(want).all(axis=1).sum() > n
+    assert not np.isfinite(want[finite]).all()  # products or sums past the range
     parts = np.concatenate([got.real.ravel(), got.imag.ravel()])
     zeros = parts[parts == 0.0]
     assert np.signbit(zeros).any() and not np.signbit(zeros).all()  # -0 and +0 results
 
 
-@pytest.mark.parametrize("spec", NATIVE, ids=lambda s: s[0].name)
-def test_rotations_fall_back_past_overflow(spec):
-    fmt = spec[0]
+@pytest.mark.parametrize("fmt", FORMATS, ids=_ids)
+def test_rotations_past_overflow(fmt):
     big = fmt.max_finite
     # conj(c) h0 overflows, and a sum of two products in range does too
     for c, s, h0, h1 in [(2 + 0j, 0j, complex(big, 0.0), 1 + 0j),
                          (1 + 0j, 1 + 0j, complex(big, -big), complex(big, big))]:
-        assert _rotation_chain(c, s, h0, h1, fmt._scalar_rounding) is None
         want = _rotation_steps(c, s, h0, h1, fmt)
         assert not np.isfinite(want).all()
-        h = _apply_rotations([c], [s], [h0, h1], fmt)
-        assert (_bits(np.array(h)) == _bits(np.array(want))).all()
+        assert _same(_rotation_chain(c, s, h0, h1, fmt), want)
 
 
-@pytest.mark.parametrize("spec", NATIVE, ids=lambda s: s[0].name)
-def test_backsub_chain_matches_reference(spec, rng):
+@pytest.mark.parametrize("fmt", FORMATS, ids=_ids)
+def test_backsub_chain_matches_reference(fmt, rng):
     """Rows of 0 to 4 products of the back substitution against the `_s*`
-    steps; rows past the range fall back."""
-    fmt = spec[0]
-    r = fmt._scalar_rounding
-    n = N_ORACLE // 4
+    steps, rows past the range among them."""
+    n = SETS[fmt] // 4
     lengths = rng.integers(0, 5, n)
     total = int(lengths.sum())
-    acc = np.concatenate([_complex(rng, n // 2, spec), _complex(rng, n - n // 2, spec, MODERATE)])
-    pairs = np.concatenate([_complex(rng, 2 * (total // 2), spec),
-                            _complex(rng, 2 * (total - total // 2), spec, MODERATE)])
+    acc = np.concatenate([_complex(rng, n // 2, fmt), _complex(rng, n - n // 2, fmt, MODERATE)])
+    pairs = np.concatenate([_complex(rng, 2 * (total // 2), fmt),
+                            _complex(rng, 2 * (total - total // 2), fmt, MODERATE)])
     pairs = pairs.reshape(total, 2)
     stops = np.cumsum(lengths)
-    got, want = [], []
-    fallback_finite = 0
-    for a, stop, k in zip(acc.tolist(), stops.tolist(), lengths.tolist()):
-        hs, ys = pairs[stop - k:stop, 0].tolist(), pairs[stop - k:stop, 1].tolist()
-        out = _backsub_chain(a, hs, ys, r)
-        if out is None:
-            fallback_finite += bool(np.isfinite([a, *hs, *ys]).all())
-            continue
-        assert np.isfinite([a, *hs, *ys]).all()
-        got.append(out)
-        want.append(_backsub_steps(a, hs, ys, fmt))
-    got, want = np.array(got), np.array(want)
-    assert (_bits(got) == _bits(want)).all()
-    assert len(got) > n // 3
-    assert fallback_finite > 0
+    rows = [(a, pairs[stop - k:stop, 0].tolist(), pairs[stop - k:stop, 1].tolist())
+            for a, stop, k in zip(acc.tolist(), stops.tolist(), lengths.tolist())]
+    got, want = _compare(lambda a, hs, ys: _backsub_chain(a, hs, ys, fmt),
+                         lambda a, hs, ys: _backsub_steps(a, hs, ys, fmt), rows)
+    finite = np.array([np.isfinite([a, *hs, *ys]).all() for a, hs, ys in rows])
+    assert np.isfinite(want).sum() > n // 3
+    assert not np.isfinite(want[finite]).all()
     big = complex(fmt.max_finite, 0.0)
-    assert _backsub_chain(-big, [big], [1 + 0j], r) is None  # -max - max overflows
+    assert _backsub_chain(-big, [big], [1 + 0j], fmt) == -math.inf  # -max - max overflows
 
 
 class TestBinary64GivensPastTheSquares:

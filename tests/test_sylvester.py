@@ -323,27 +323,29 @@ class TestSharedSchurPairs:
         assert other[0].U is not pair[0].U and wide[0].U is not pair[0].U
         assert (other[0].U == pair[0].U).all()
 
-    def test_raising_factorization_is_not_kept(self, rng, monkeypatch):
+    def test_raising_factorization_is_kept(self, rng, monkeypatch):
+        """A factorization that raises runs once in a scope: every caller
+        gets the charges of that run and the same error type and message."""
         p = self._problem(rng)
         calls = []
 
-        def fails_once(A, ctx):
+        def fails(A, ctx):
             calls.append(ctx.format)
-            if len(calls) == 1:
-                ctx.count(7)
-                raise IterationLimitError("no convergence")
-            return schur(A, ctx)
+            ctx.count(7)
+            raise IterationLimitError("no convergence")
 
-        monkeypatch.setattr(sylvester, "schur", fails_once)
-        counter = FlopCounter()
+        monkeypatch.setattr(sylvester, "schur", fails)
+        counters = [FlopCounter() for _ in range(3)]
         with _shared_schur_pairs():
-            with pytest.raises(IterationLimitError):
-                _schur_pair(p, PrecisionContext(BINARY32, counter, "low"))
-            assert counter.counts == {"low": 7}
-            pair = _schur_pair(p, PrecisionContext(BINARY32))
-            assert len(calls) == 3
-            assert _schur_pair(p, PrecisionContext(BINARY32))[0].U is pair[0].U
-        assert len(calls) == 3
+            for counter, bucket in zip(counters, ("low", "precond", "low")):
+                with pytest.raises(IterationLimitError, match="^no convergence$"):
+                    _schur_pair(p, PrecisionContext(BINARY32, counter, bucket))
+        assert len(calls) == 1
+        assert [c.counts for c in counters] == [{"low": 7}, {"precond": 7}, {"low": 7}]
+        # outside the scope nothing is kept
+        with pytest.raises(IterationLimitError):
+            _schur_pair(p, PrecisionContext(BINARY32))
+        assert len(calls) == 2
 
     def test_scope_ends_even_when_a_solver_raises(self, rng, schur_calls):
         p = self._problem(rng)
