@@ -547,16 +547,6 @@ def _unwrap(z: np.ndarray, scalar: bool):
     return complex(z) if scalar else z
 
 
-def _operands(a, b, ctx: PrecisionContext):
-    """Operands as complex128 arrays plus whether both were scalars;
-    charges one flop per element of the broadcast result."""
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    ctx.count(np.broadcast(a, b).size)
-    return a, b, scalar
-
-
 def _two_sum(a: np.ndarray, b: np.ndarray):
     """Knuth 2Sum: s + e == a + b exactly, s == fl64(a + b)."""
     with np.errstate(invalid="ignore"):
@@ -757,22 +747,31 @@ def _in_binary32(ctx: PrecisionContext, *xs) -> bool:
 def _entrywise(step, a, b, ctx: PrecisionContext):
     """``step(a, b, fmt)`` for `fl_add`, `fl_sub`, `fl_mul` and `fl_div`,
     charging one flop per element of the broadcast result: directly on
-    complex64 operands in binary32, else on complex128 arrays through
-    `_resident`.  Other formats run the step under ``np.errstate``, so that
-    binary64's complex128 steps overflow to inf silently, as the software
-    rounding does."""
+    complex64 operands in binary32, else on complex128 arrays, through
+    `_resident` in binary32 and `_quiet` in every other format."""
     if _in_binary32(ctx, a, b):
         z = step(a, b, ctx.format)
         ctx.count(z.size)
         return z
-    a, b, scalar = _operands(a, b, ctx)
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
     fmt = ctx.format
     if fmt._is_binary32:
         (z,) = _resident(lambda a, b, ctx: (step(a, b, fmt),), fmt._uncounted, a, b)
     else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = step(a, b, fmt)
+        z = _quiet(step, a, b, fmt)
+    ctx.count(z.size)
     return _unwrap(z, scalar)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _quiet(step, a, b, fmt: FpFormat):
+    """``step(a, b, fmt)`` with numpy's floating-point warnings off, so
+    that binary64's complex128 steps give inf and NaN silently, as the
+    software rounding does.  (The decorator costs about half of a
+    ``with np.errstate`` block per call.)"""
+    return step(a, b, fmt)
 
 
 def fl_add(a, b, ctx: PrecisionContext):
@@ -860,11 +859,10 @@ def _quotient(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
 
 
 def _divide(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """a / b entrywise: numpy's complex division in binary64, `_quotient`
-    otherwise."""
+    """a / b entrywise: numpy's complex division in binary64 (run under
+    `_quiet`), `_quotient` otherwise."""
     if fmt.is_binary64:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return a / b
+        return a / b
     return _quotient(a, b, fmt)
 
 
