@@ -229,8 +229,8 @@ class FpFormat:
 
     @cached_property
     def _scalar_rounding(self):
-        """(r, add), the stage roundings of the scalar chains, for every format
-        but binary64, which has none (None).
+        """(r, add), the stage roundings of the scalar chains, which run in
+        every format but binary64.
 
         r[n](x_1, ..., x_n), n up to 16, returns the n doubles each rounded
         into the format as `_round_real_scalar` rounds them, ±inf past its
@@ -242,8 +242,6 @@ class FpFormat:
         round each value by `_round_real_scalar`, and each sum with its 2Sum
         residual (`_sums`), which double rounding needs when t >= 26.
         """
-        if self.is_binary64:
-            return None
         native = self._native
         if native is None:
             def stage(*xs):
