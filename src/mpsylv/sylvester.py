@@ -2,11 +2,11 @@
 
 The triangular recurrence solves the transformed equation one
 anti-diagonal wave of entries at a time, in the operation order of
-column-by-column substitution.  What does not change from wave to wave
-is done once per solve: the entry into binary32 (`precision._resident`),
-which lets binary32 run every wave in complex64 as binary64 does in
-complex128, and the denominator half of Smith's complex division by the
-shifted diagonals.
+column-by-column substitution.  What depends on the triangular pair only
+is done once per prepared pair, which GMRES-IR keeps for a correction
+and the stationary refinement for a call; each solve enters binary32
+once (`precision._resident`), which lets binary32 run every wave in
+complex64 as binary64 does in complex128.
 
 Every Schur-based solver in the package has the Bartels-Stewart shape,
 written once here: a Schur pair of the coefficients (`_schur_pair`),
@@ -129,7 +129,7 @@ def _triangular_form(T: np.ndarray) -> str:
     raise DimensionError("coefficient is not triangular")
 
 
-@functools.lru_cache(maxsize=8)  # a plan holds about m n (m + n) indices
+@functools.lru_cache(maxsize=8)  # a plan holds about 2 m n (m + n) indices
 def _wave_plan(m: int, n: int, lower: bool):
     """Gather indices of the anti-diagonal wavefront of an m x n solve.
 
@@ -142,16 +142,17 @@ def _wave_plan(m: int, n: int, lower: bool):
     for r = m-1 down to i+1.
 
     Y is stored in wave order, wave w in ascending q, so that each wave
-    fills one slice.  Returns (cols, order, waves): order[p] is the
-    row-major index i * n + k of the entry at wave-order position p, and
-    each wave is (start, stop, left, right), the slice it fills and, one
-    chain step per row, the indices of its factors in the buffer
-    [Y in wave order | T_A | T_B] (T_A and T_B row-major).
+    fills one slice.  Returns (cols, order, first, waves, t): order[p] is
+    the row-major index i * n + k of the entry at wave-order position p,
+    first[p] the start of its wave, and each wave is (start, stop, left, right, y, offset), the slice it fills
+    and, one chain step per row, the indices of its factors left * right
+    in the buffer [Y in wave order | T_A | T_B] (T_A and T_B row-major),
+    y the one in Y; t[offset:] holds the other, wave after wave.
     """
     cols = np.arange(n)[::-1] if lower else np.arange(n)
     off_a, off_b = m * n, m * n + m * m
     order = np.empty(m * n, dtype=np.intp)
-    waves = []
+    waves, t = [], []
     start = 0
     for w in range(m + n - 1):
         q = np.arange(max(0, w - m + 1), min(n, w + 1))
@@ -163,14 +164,17 @@ def _wave_plan(m: int, n: int, lower: bool):
         left = np.where(in_b, i * n + c, off_a + i * m + r)
         right = np.where(in_b, off_b + c * n + k, r * n + k)
         order[start:start + len(q)] = i * n + k
-        waves.append((start, start + len(q), left, right))
+        waves.append((start, start + len(q), left, right, np.where(in_b, left, right)))
+        t.append(np.where(in_b, right, left).ravel())
         start += len(q)
     # row-major indices of Y entries to wave-order positions, replaced
     # one wave at a time so that the plan is held only once
     remap = np.concatenate([np.argsort(order), np.arange(off_a, off_b + n * n)])
-    for w, (a, b, left, right) in enumerate(waves):
-        waves[w] = (a, b, remap[left], remap[right])
-    return cols, order, waves
+    first, offset = np.empty(m * n, dtype=np.intp), 0
+    for w, (a, b, left, right, y) in enumerate(waves):
+        waves[w] = (a, b, remap[left], remap[right], remap[y], offset)
+        first[a:b], offset = a, offset + y.size
+    return cols, order, first, waves, np.concatenate(t)
 
 
 def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
@@ -185,23 +189,10 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     order of the column-by-column recurrence, so results and flop counts
     are those of that recurrence.
 
-    The waves are one kernel, entered once per solve through
-    `precision._resident`: in binary32 it runs on complex64 copies when
-    [Y | T_A | T_B] and C hold binary32 values, on complex64 operands as
-    they are (a step of a GMRES correction), and on the complex128
-    originals otherwise (a C not rounded into the format, a NaN).  It
-    enters ``np.errstate`` and forms the m n shifted diagonals and their
-    half of Smith's method (`precision._smith_denominator`) once.  Each
-    wave then takes its products from `precision._product`, which
-    chooses the arithmetic from the dtype, and its chain from C: where no
-    step rounds (binary64, complex64), one ``np.subtract.accumulate``,
-    the accumulate of `fl_sum` on the negated products; otherwise
-    `precision._accumulate` on them.  The numerator half of the division
-    (`precision._smith_numerator`) ends the wave.  The kernel then checks
-    the shifted diagonals and Y and charges the flops, so a breakdown
-    found in complex64 raises from there, once: a zero and a non-finite
-    entry fall alike in complex64 and complex128.  NaN payloads never
-    leave the solve.
+    It is `_prepare_sylv_tri`, then one solve of C: a `precision._resident`
+    kernel that runs the waves, then checks the shifted diagonals and Y
+    and charges the flops, so a breakdown found in complex64 raises from
+    there, once.  NaN payloads never leave the solve.
 
     Raises SingularEquationError when a shifted diagonal entry is exactly
     zero, and NumericBreakdownError when a NaN or infinity appears in the
@@ -209,39 +200,77 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     column-by-column recurrence would have raised, having charged the
     flops it would have charged by then.
     """
+    return _prepare_sylv_tri(T_A, T_B, ctx)(C)
+
+
+def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
+    """`solve_sylv_tri` with T_A, T_B and ctx fixed: returns solve(C).
+
+    Once per pair: the checks and the wave plan; once per dtype the waves
+    run in (as `_resident` chooses): the shifted diagonals D, their zeros,
+    the Smith denominators per wave and, in complex64, each product's T
+    factor k as planes (kr, kr) and (ki, -ki): y's planes times the first
+    plus, swapped, times the second are `_plane_product`'s steps.  None
+    of it depends on C, so a solve that raises leaves no state.  A wave's
+    chain is one ``np.subtract.accumulate`` where no step rounds
+    (binary64, complex64), else `_accumulate`.
+    """
     T_A = as_matrix(T_A, ctx)
     T_B = as_matrix(T_B, ctx)
     if _triangular_form(T_A) != "upper":
         raise DimensionError("T_A must be upper triangular")
     b_form = _triangular_form(T_B)
-    C = as_matrix(C, ctx)
-    m, n = C.shape
+    m, n = T_A.shape[0], T_B.shape[0]
     if T_A.shape != (m, m) or T_B.shape != (n, n):
         raise DimensionError("inconsistent dimensions")
     fmt = ctx.format
-    cols, order, waves = _wave_plan(m, n, b_form == "lower")
+    cols, order, first, waves, t = _wave_plan(m, n, b_form == "lower")
+    off_b = m * n + m * m
+    prepared = {}
+
+    def prepare(buf):
+        # the shifted diagonals T_A[i, i] + T_B[k, k], row-major
+        D = _add(buf[m * n:off_b:m + 1, None], buf[off_b::n + 1], fmt)
+        den = list(_smith_denominator(D.ravel()[order], fmt))
+        den[0] -= 2 * first[:, None]  # plane indices within each wave
+        native = buf.dtype == np.complex64
+        if native:
+            kt = buf[t]
+            k1, k2 = np.stack([kt.real, kt.real], -1), np.stack([kt.imag, -kt.imag], -1)
+        ops = []
+        for a, b, left, right, y, o in waves:
+            shape = y.shape + (2,)
+            f1, f2 = (y, (k1[o:o + y.size].reshape(shape), k2[o:o + y.size].reshape(shape))) \
+                if native else (left, right)
+            ops.append((a, b, f1, f2, [x[a:b] for x in den]))
+        singular = D == 0
+        prepared[buf.dtype] = plan = (singular, singular.any(axis=0)[cols], ops)
+        return plan
 
     def steps(buf, c, ctx):
-        exact = fmt.is_binary64 or buf.dtype == np.complex64  # no step rounds
-        off_b = m * n + m * m
+        native = buf.dtype == np.complex64
+        exact = fmt.is_binary64 or native  # no step rounds
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # the shifted diagonals T_A[i, i] + T_B[k, k], row-major
-            D = _add(buf[m * n:off_b:m + 1, None], buf[off_b::n + 1], fmt).ravel()
-            den = _smith_denominator(D[order], fmt)
-            for start, stop, left, right in waves:
-                X = np.empty((len(left) + 1, stop - start), dtype=buf.dtype)
+            singular, failing, ops = prepared.get(buf.dtype) or prepare(buf)
+            for start, stop, f1, f2, den in ops:
+                X = np.empty((len(f1) + 1, stop - start), dtype=buf.dtype)
                 X[0] = c[start:stop]
-                _product(buf[left], buf[right], fmt, out=X[1:])
+                if native:  # see `_prepare_sylv_tri`
+                    P = buf[f1].view(np.float32).reshape(f2[0].shape)
+                    out = X[1:].view(np.float32).reshape(P.shape)
+                    np.multiply(P, f2[0], out=out)
+                    out += (P * f2[1])[..., ::-1]
+                else:
+                    _product(buf[f1], buf[f2], fmt, out=X[1:])
                 # x - p is x + (-p) exactly: the sums of fl_sum(-products, start=c)
                 s = np.subtract.accumulate(X, axis=0, out=X)[-1] if exact \
                     else _accumulate(-X[1:], X[0], fmt)
-                buf[start:stop] = _smith_numerator(s, [x[start:stop] for x in den], fmt)
+                buf[start:stop] = _smith_numerator(s, den, fmt)
         Y = np.empty(m * n, dtype=buf.dtype)
         Y[order] = buf[:m * n]
         Y = Y.reshape(m, n)
         # D and the finite entries of Y are alike in complex64 and complex128
-        singular = D.reshape(m, n) == 0
-        failed = (singular.any(axis=0) | ~np.isfinite(Y).all(axis=0))[cols]
+        failed = failing | ~np.isfinite(Y).all(axis=0)[cols]
         if not failed.any():
             ctx.count(m * n * (m + n))
             return (Y,)
@@ -257,8 +286,14 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
         ctx.count(done + m * (m + 1))
         raise NumericBreakdownError(f"non-finite values while solving column {j}")
 
-    buf = np.concatenate([np.zeros(m * n, dtype=C.dtype), T_A.ravel(), T_B.ravel()])
-    return _resident(steps, ctx, buf, C.ravel()[order])[0]
+    def solve(C) -> np.ndarray:
+        C = as_matrix(C, ctx)
+        if C.shape != (m, n):
+            raise DimensionError("inconsistent dimensions")
+        buf = np.concatenate([np.zeros(m * n, dtype=C.dtype), T_A.ravel(), T_B.ravel()])
+        return _resident(steps, ctx, buf, C.ravel()[order])[0]
+
+    return solve
 
 
 def _sandwich(L, M, R, ctx: PrecisionContext) -> np.ndarray:
@@ -330,12 +365,13 @@ def _schur_pair(p: SylvesterProblem, ctx: PrecisionContext):
 
 
 def _schur_solve(W, sf_A: SchurFactors, sf_B: SchurFactors,
-                 ctx: PrecisionContext) -> np.ndarray:
+                 ctx: PrecisionContext, prepared=None) -> np.ndarray:
     """Apply the inverse Sylvester operator of the Schur factors to W:
-    transform, solve the triangular equation, transform back, all under ctx."""
-    V = _sandwich(sf_A.U.conj().T, W, sf_B.U, ctx)
-    V = solve_sylv_tri(sf_A.T, sf_B.T, V, ctx)
-    return _sandwich(sf_A.U, V, sf_B.U.conj().T, ctx)
+    transform, solve the triangular equation, transform back, all under ctx;
+    ``prepared`` is (U_A^*, U_B^*, `_prepare_sylv_tri` of T_A, T_B, ctx)."""
+    U_AH, U_BH, solve = prepared or (sf_A.U.conj().T, sf_B.U.conj().T,
+                                     lambda V: solve_sylv_tri(sf_A.T, sf_B.T, V, ctx))
+    return _sandwich(sf_A.U, solve(_sandwich(U_AH, W, sf_B.U, ctx)), U_BH, ctx)
 
 
 def bartels_stewart(p: SylvesterProblem, ctx: PrecisionContext = _CTX64):

@@ -31,6 +31,7 @@ from mpsylv.precision import (
     _sadd,
     _sdiv,
 )
+import mpsylv.refinement as refinement
 import mpsylv.sylvester as sylvester
 from mpsylv.sylvester import solve_sylv_tri
 
@@ -241,17 +242,22 @@ def column_order_solve(T_A, T_B, C, ctx):
     return Y
 
 
+def _result(solve, *args):
+    """The bits of solve(*args), or its error class and position."""
+    try:
+        return bits(solve(*args)).tobytes()
+    except SingularEquationError as exc:
+        return ("singular", exc.row, exc.col)
+    except NumericBreakdownError as exc:
+        return ("breakdown", str(exc))
+
+
 def _outcome(solve, T_A, T_B, C, fmt):
     counter = FlopCounter()
     ctx = PrecisionContext(parse_format(fmt), counter, "low")
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        try:
-            out = bits(solve(T_A, T_B, C, ctx)).tobytes()
-        except SingularEquationError as exc:
-            out = ("singular", exc.row, exc.col)
-        except NumericBreakdownError as exc:
-            out = ("breakdown", str(exc))
+        out = _result(solve, T_A, T_B, C, ctx)
     return out, counter.get("low")
 
 
@@ -408,3 +414,126 @@ class TestSolvePath:
         got = _outcome(solve_sylv_tri, T_A, T_B, C, "binary32")
         assert "_mul_parts" in calls and got[0][0] == "breakdown"
         assert got == _outcome(column_order_solve, T_A, T_B, C, "binary32")
+
+
+# ---------------------------------------------------------------------------
+# one prepared pair over many right-hand sides
+
+
+def _reused_outcomes(T_A, T_B, Cs, fmt):
+    """`_outcome` of each C in turn, all solved by one `_prepare_sylv_tri`
+    pair, with the flops each solve charged."""
+    counter = FlopCounter()
+    ctx = PrecisionContext(parse_format(fmt), counter, "low")
+    outs = []
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        solve = sylvester._prepare_sylv_tri(T_A, T_B, ctx)
+        for C in Cs:
+            before = counter.get("low")
+            outs.append((_result(solve, C), counter.get("low") - before))
+    return outs
+
+
+def _sequence(fmt, lower, singular, seed=7, m=4, n=3):
+    """A triangular pair and 52 right-hand sides: C[20] overflows within the
+    solve, C[33] holds an infinity and C[40] is not rounded into fmt (the
+    software path in binary32); the rest are ordinary."""
+    f = parse_format(fmt)
+    rng = np.random.default_rng(seed)
+    cm = lambda r, c: rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+    T_A = np.triu(cm(m, m)) + 2 * np.eye(m)
+    T_B = np.triu(cm(n, n)) + 2 * np.eye(n)
+    if singular:
+        T_A[1, 1], T_B[2, 2] = 1.25, -1.25
+    if lower:
+        T_B = T_B.T.copy()
+    Cs = [cm(m, n) for _ in range(52)]
+    Cs[33][1, 0] = math.inf
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        Cs[20] *= f.max_finite / 2
+        warnings.simplefilter("ignore")
+        Cs = [C if k == 40 else round_matrix(C, f) for k, C in enumerate(Cs)]
+        return round_matrix(T_A, f), round_matrix(T_B, f), Cs
+
+
+class TestPreparedPair:
+    """A pair prepared once gives every solve the bits, the flops and the
+    error of a one-shot `solve_sylv_tri` and of the column-by-column
+    recurrence, whatever solves came before it (a breakdown included)."""
+
+    def _check(self, T_A, T_B, Cs, fmt, singular):
+        reused = _reused_outcomes(T_A, T_B, Cs, fmt)
+        for C, got in zip(Cs, reused):
+            assert got == _outcome(solve_sylv_tri, T_A, T_B, C, fmt)
+            wide = [np.asarray(M, dtype=np.complex128) for M in (T_A, T_B, C)]
+            assert got == _outcome(column_order_solve, *wide, fmt)
+        kinds = [out if isinstance(out, bytes) else out[0] for out, _ in reused]
+        if singular:  # an overflow may break down before the singular column
+            assert set(kinds) <= {"singular", "breakdown"} and kinds[0] == "singular"
+        else:
+            assert kinds[20] == kinds[33] == "breakdown"
+            assert all(isinstance(k, bytes) for k in kinds[21:33] + kinds[34:])
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+    @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_matches_one_shot_and_column_order(self, fmt, lower, singular):
+        self._check(*_sequence(fmt, lower, singular), fmt, singular)
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+    @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+    def test_complex64_in_kernel(self, lower, singular):
+        # complex64 operands in binary32: the steps of a GMRES correction
+        T_A, T_B, Cs = _sequence("binary32", lower, singular)
+        with np.errstate(over="ignore"):
+            T_A, T_B, *Cs = (M.astype(np.complex64) for M in [T_A, T_B] + Cs)
+        self._check(T_A, T_B, Cs, "binary32", singular)
+
+
+class TestPreparedPairCallers:
+    """GMRES-IR prepares one pair per correction and the stationary
+    refinement one per call; with a pair prepared afresh for every solve,
+    as one-shot solves do, both give the same results and charge the same
+    buckets."""
+
+    @staticmethod
+    def _run(solver, p, fmt):
+        from mpsylv.gmresir import GmresConfig, gmres_ir_sylv
+        from mpsylv.refinement import RefinementConfig, mp_inv, mp_orth
+        u_l = parse_format(fmt)
+        cfg = RefinementConfig(u_l, parse_format("binary64"), max_iter=6)
+        counter = FlopCounter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if solver == "gmres":
+                rep = gmres_ir_sylv(p, GmresConfig(u_g=u_l, restart=4), cfg, counter)
+                iters = (rep.outer_iterations, rep.inner_iterations)
+            else:
+                rep = (mp_orth if solver == "orth" else mp_inv)(p, cfg, counter)
+                iters = rep.iterations
+        return bits(rep.X).tobytes(), iters, rep.failure, dict(counter.counts)
+
+    @staticmethod
+    def _problem(singular):
+        from mpsylv.sylvester import SylvesterProblem
+        rng = np.random.default_rng(11)
+        cm = lambda r, c: rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+        A, B = cm(5, 5) + 3 * np.eye(5), cm(4, 4) + 3 * np.eye(4)
+        if singular:  # lambda(A) meets -lambda(B): every triangular solve raises
+            A, B = np.triu(A), np.triu(B)
+            A[0, 0], B[0, 0] = 1.0, -1.0
+        return SylvesterProblem(A, B, cm(5, 4))
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+    @pytest.mark.parametrize("fmt", ["binary32", "binary16", "binary64"])
+    @pytest.mark.parametrize("solver", ["gmres", "orth", "inv"])
+    def test_same_results_and_buckets(self, solver, fmt, singular, monkeypatch):
+        p = self._problem(singular)
+        kept = self._run(solver, p, fmt)
+        prepare = sylvester._prepare_sylv_tri
+        fresh = lambda T_A, T_B, ctx: lambda C: prepare(T_A, T_B, ctx)(C)
+        monkeypatch.setattr(sylvester, "_prepare_sylv_tri", fresh)
+        monkeypatch.setattr(refinement, "_prepare_sylv_tri", fresh)
+        assert kept == self._run(solver, p, fmt)
+        assert singular == (kept[2] is not None)
