@@ -93,6 +93,8 @@ class ProblemGenerator:
         # a NaN fails both comparisons
         if not 0 <= self.t <= _T_MAX:
             raise ValueError(f"t must lie in [0, {_T_MAX}], got {self.t}")
+        if self.seed < 0 or self.stream < 0:
+            raise ValueError(f"seed and stream must be nonnegative, got {self.seed}, {self.stream}")
 
 
 def _rng(g: ProblemGenerator) -> np.random.Generator:
@@ -461,9 +463,10 @@ def main(argv=None) -> int:
         rcfg = RefinementConfig(args.ul, args.uh, args.epsilon, args.max_iter)
         if args.command == "sweep-cond":
             GmresConfig(restart=args.restart)
-            ProblemGenerator("logspace-conditioned", args.m, args.n, float(args.t_range[-1]))
+            ProblemGenerator("logspace-conditioned", args.m, args.n, float(args.t_range[-1]),
+                             args.seed)
         elif args.command == "bench":
-            ProblemGenerator("random-dense", args.m, args.n)
+            ProblemGenerator("random-dense", args.m, args.n, 0.0, args.seed)
         elif args.matrix_market is None:
             g = ProblemGenerator(args.kind, args.m, args.n, args.t, args.seed)
     except ValueError as exc:

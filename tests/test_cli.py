@@ -65,6 +65,10 @@ class TestGenerate:
             ProblemGenerator("weird", 3, 3)
         with pytest.raises(ValueError):
             ProblemGenerator("lyapunov", 3, 4)
+        # numpy's SeedSequence would raise its own ValueError only at generate()
+        for seed, stream in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ProblemGenerator("random-dense", 3, 3, 0.0, seed, stream=stream)
 
     @pytest.mark.parametrize("m, n, t", [
         (0, 3, 0.0), (3, 0, 0.0), (-2, 3, 0.0),
@@ -329,6 +333,9 @@ class TestMainEntry:
         ["solve", "--t", "309"],
         ["sweep-cond", "--restart", "0"],
         ["sweep-cond", "--t-range", "0:400"],
+        ["solve", "--seed", "-1"],
+        ["sweep-cond", "--seed", "-1"],
+        ["bench", "--seed", "-1"],
     ])
     def test_bad_flag_is_a_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "bad.csv"
