@@ -178,7 +178,7 @@ def main(argv=None) -> int:
                     docs[side]["runs"][w].append({"seed": n, "result": result})
                     print(f"{w} seed {n} {side}: solves_per_s "
                           f"{result['metrics']['solves_per_s']['value']:.3f}", flush=True)
-                # written after every pair, so an interrupted session keeps its runs
+                # written after every pair, so an interrupted run keeps the pairs done so far
                 change_file.write_text(json.dumps(docs["change"], indent=1) + "\n")
                 parent_file.write_text(json.dumps(docs["parent"], indent=1) + "\n")
     change = json.loads(change_file.read_text())
