@@ -31,6 +31,7 @@ from mpsylv.precision import (
     _sadd,
     _sdiv,
 )
+import mpsylv.gmresir as gmresir
 import mpsylv.refinement as refinement
 import mpsylv.sylvester as sylvester
 from mpsylv.sylvester import solve_sylv_tri
@@ -531,9 +532,17 @@ class TestPreparedPairCallers:
     def test_same_results_and_buckets(self, solver, fmt, singular, monkeypatch):
         p = self._problem(singular)
         kept = self._run(solver, p, fmt)
-        prepare = sylvester._prepare_sylv_tri
-        fresh = lambda T_A, T_B, ctx: lambda C: prepare(T_A, T_B, ctx)(C)
-        monkeypatch.setattr(sylvester, "_prepare_sylv_tri", fresh)
-        monkeypatch.setattr(refinement, "_prepare_sylv_tri", fresh)
+        prepare, calls = sylvester._prepare_sylv_tri, []
+
+        def fresh(module):
+            def prepare_afresh(T_A, T_B, ctx):
+                calls.append(module)
+                return lambda C: prepare(T_A, T_B, ctx)(C)
+            return prepare_afresh
+
+        for module in (sylvester, refinement, gmresir):
+            monkeypatch.setattr(module, "_prepare_sylv_tri", fresh(module))
         assert kept == self._run(solver, p, fmt)
         assert singular == (kept[2] is not None)
+        # the kept pair of the correction (GMRES) or the call (stationary) was replaced
+        assert singular or (gmresir if solver == "gmres" else refinement) in calls
