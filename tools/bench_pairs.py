@@ -1,22 +1,19 @@
 """Run the benchmark in alternating pairs on two source trees and compare them.
 
     python3 tools/bench_pairs.py --parent PATH --label NAME [--change PATH]
-        [--pairs 10] [--first-seed 1] [--seconds 20] [--workloads W ...] [--out DIR]
+        [--first-seed 1] [--workloads W ...] [--out DIR]
 
-For every workload (all of ``BENCHMARK.json`` by default) it runs pair
-N = first-seed, first-seed + 1, ... of ``python3 bench/run.py --workload W
---seed N --seconds S --trace 0`` in both trees, the parent tree first when
-N is odd, and removes every ``__pycache__`` under both trees before each
-run, so that each run compiles the package as a fresh checkout would.  The
-results go to ``BENCH_<label>.json`` (the change) and
+For every workload (all of ``BENCHMARK.json`` by default) it runs the ten
+pairs N = first-seed, ..., first-seed + 9 of ``python3 bench/run.py
+--workload W --seed N --seconds S --trace 0``, S being the change's
+``BENCHMARK.json`` ``run_seconds``, in both trees, the parent tree first
+when N is odd, and removes every ``__pycache__`` under both trees before
+each run, so that each run compiles the package as a fresh checkout
+would.  The results go to ``BENCH_<label>.json`` (the change) and
 ``BENCH_<label>_parent.json`` in DIR, and a table is printed: for each
 workload and end-to-end metric, each side's median and quartiles, the
 change in the median, the parent's interquartile range and the pairs the
 change won, ties counting for neither side.
-
-    python3 tools/bench_pairs.py --label NAME --summarize [--out DIR]
-
-prints the table of files written before.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # a claimed gain must win 9 of 10 pairs
 COMMAND = "python3 bench/run.py --workload W --seed N --seconds {seconds} --trace 0"
 
 
@@ -133,58 +131,48 @@ def _host() -> dict:
             "numpy": numpy_version}
 
 
-def end_to_end(tree: Path) -> list[tuple[str, str]]:
-    spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return [(m["name"], m["better"]) for m in spec["end_to_end"]]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>[_parent].json")
-    ap.add_argument("--parent", type=Path, help="the parent commit's tree")
+    ap.add_argument("--parent", type=Path, required=True, help="the parent commit's tree")
     ap.add_argument("--change", type=Path, default=ROOT, help="the change's tree")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--workloads", nargs="+", default=None)
     ap.add_argument("--out", type=Path, default=ROOT)
-    ap.add_argument("--summarize", action="store_true",
-                    help="only print the table of the files written before")
     args = ap.parse_args(argv)
-    change_file = args.out / f"BENCH_{args.label}.json"
-    parent_file = args.out / f"BENCH_{args.label}_parent.json"
-    metrics = end_to_end(args.change)
-    if not args.summarize:
-        if args.parent is None or args.pairs < 1 or args.first_seed < 0:
-            ap.error("a run needs --parent, --pairs >= 1 and --first-seed >= 0")
-        workloads = args.workloads or [w["name"] for w in json.loads(
-            (args.change / "BENCHMARK.json").read_text())["workloads"]]
-        protocol = (f"{args.pairs} pairs per workload, seed N = pair number "
-                    f"({args.first_seed} to {args.first_seed + args.pairs - 1}), parent and "
-                    "change run back to back, the parent first on odd N, every __pycache__ "
-                    "removed on both sides before each run")
-        docs = {}
-        for side, tree in (("change", args.change), ("parent", args.parent)):
-            docs[side] = {"commit": _commit(tree),
-                          "command": COMMAND.format(seconds=args.seconds),
-                          "host": _host(), "protocol": protocol,
-                          "runs": {w: [] for w in workloads}}
-        for w in workloads:
-            for n in range(args.first_seed, args.first_seed + args.pairs):
-                order = ("parent", "change") if n % 2 else ("change", "parent")
-                for side in order:
-                    tree = args.parent if side == "parent" else args.change
-                    result = run_once(tree, w, n, args.seconds)
-                    docs[side]["runs"][w].append({"seed": n, "result": result})
-                    print(f"{w} seed {n} {side}: solves_per_s "
-                          f"{result['metrics']['solves_per_s']['value']:.3f}", flush=True)
-                # written after every pair, so an interrupted run keeps the pairs done so far
-                change_file.write_text(json.dumps(docs["change"], indent=1) + "\n")
-                parent_file.write_text(json.dumps(docs["parent"], indent=1) + "\n")
-    change = json.loads(change_file.read_text())
-    parent = json.loads(parent_file.read_text())
-    for w, runs in change["runs"].items():
-        print(format_rows(w, summarize(parent["runs"][w], runs, metrics)))
+    if args.first_seed < 0:
+        ap.error("--first-seed must be >= 0")
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    seeds = range(args.first_seed, args.first_seed + PAIRS)
+    protocol = (f"{PAIRS} pairs per workload, seed N = pair number ({seeds[0]} to "
+                f"{seeds[-1]}), parent and change run back to back, the parent first on "
+                "odd N, every __pycache__ removed on both sides before each run")
+    docs = {}
+    for side, tree in (("change", args.change), ("parent", args.parent)):
+        docs[side] = {"commit": _commit(tree), "command": COMMAND.format(seconds=seconds),
+                      "host": _host(), "protocol": protocol,
+                      "runs": {w: [] for w in workloads}}
+    files = {side: args.out / f"BENCH_{args.label}{suffix}.json"
+             for side, suffix in (("change", ""), ("parent", "_parent"))}
+    for w in workloads:
+        for n in seeds:
+            order = ("parent", "change") if n % 2 else ("change", "parent")
+            for side in order:
+                tree = args.parent if side == "parent" else args.change
+                result = run_once(tree, w, n, seconds)
+                docs[side]["runs"][w].append({"seed": n, "result": result})
+                print(f"{w} seed {n} {side}: solves_per_s "
+                      f"{result['metrics']['solves_per_s']['value']:.3f}", flush=True)
+            # written after every pair, so an interrupted run keeps the pairs done so far
+            for side, path in files.items():
+                path.write_text(json.dumps(docs[side], indent=1) + "\n")
+        print(format_rows(w, summarize(docs["parent"]["runs"][w], docs["change"]["runs"][w],
+                                       metrics)), flush=True)
     return 0
 
 
