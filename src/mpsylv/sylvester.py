@@ -142,17 +142,17 @@ def _wave_plan(m: int, n: int, lower: bool):
     for r = m-1 down to i+1.
 
     Y is stored in wave order, wave w in ascending q, so that each wave
-    fills one slice.  Returns (cols, order, first, waves, t): order[p] is
-    the row-major index i * n + k of the entry at wave-order position p,
-    first[p] the start of its wave, and each wave is (start, stop, left, right, y, offset), the slice it fills
-    and, one chain step per row, the indices of its factors left * right
-    in the buffer [Y in wave order | T_A | T_B] (T_A and T_B row-major),
-    y the one in Y; t[offset:] holds the other, wave after wave.
+    fills one slice.  Returns (cols, order, first, waves): order[p] is the
+    row-major index i * n + k of the entry at wave-order position p,
+    first[p] the start of its wave, and each wave is (start, stop, left,
+    right), the slice it fills and, one chain step per row, the indices of
+    its factors in the buffer [Y in wave order | T_A | T_B] (T_A and T_B
+    row-major).
     """
     cols = np.arange(n)[::-1] if lower else np.arange(n)
     off_a, off_b = m * n, m * n + m * m
     order = np.empty(m * n, dtype=np.intp)
-    waves, t = [], []
+    waves = []
     start = 0
     for w in range(m + n - 1):
         q = np.arange(max(0, w - m + 1), min(n, w + 1))
@@ -164,17 +164,16 @@ def _wave_plan(m: int, n: int, lower: bool):
         left = np.where(in_b, i * n + c, off_a + i * m + r)
         right = np.where(in_b, off_b + c * n + k, r * n + k)
         order[start:start + len(q)] = i * n + k
-        waves.append((start, start + len(q), left, right, np.where(in_b, left, right)))
-        t.append(np.where(in_b, right, left).ravel())
+        waves.append((start, start + len(q), left, right))
         start += len(q)
     # row-major indices of Y entries to wave-order positions, replaced
     # one wave at a time so that the plan is held only once
     remap = np.concatenate([np.argsort(order), np.arange(off_a, off_b + n * n)])
-    first, offset = np.empty(m * n, dtype=np.intp), 0
-    for w, (a, b, left, right, y) in enumerate(waves):
-        waves[w] = (a, b, remap[left], remap[right], remap[y], offset)
-        first[a:b], offset = a, offset + y.size
-    return cols, order, first, waves, np.concatenate(t)
+    first = np.empty(m * n, dtype=np.intp)
+    for w, (a, b, left, right) in enumerate(waves):
+        waves[w] = (a, b, remap[left], remap[right])
+        first[a:b] = a
+    return cols, order, first, waves
 
 
 def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
@@ -207,13 +206,11 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     """`solve_sylv_tri` with T_A, T_B and ctx fixed: returns solve(C).
 
     Once per pair: the checks and the wave plan; once per dtype the waves
-    run in (as `_resident` chooses): the shifted diagonals D, their zeros,
-    the Smith denominators per wave and, in complex64, each product's T
-    factor k as planes (kr, kr) and (ki, -ki): y's planes times the first
-    plus, swapped, times the second are `_plane_product`'s steps.  None
-    of it depends on C, so a solve that raises leaves no state.  A wave's
-    chain is one ``np.subtract.accumulate`` where no step rounds
-    (binary64, complex64), else `_accumulate`.
+    run in (as `_resident` chooses): the shifted diagonals D, their zeros
+    and the Smith denominators per wave.  None of it depends on C, so a
+    solve that raises leaves no state.  A wave's chain is one
+    ``np.subtract.accumulate`` where no step rounds (binary64, complex64),
+    else `_accumulate`.
     """
     T_A = as_matrix(T_A, ctx)
     T_B = as_matrix(T_B, ctx)
@@ -224,7 +221,7 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     if T_A.shape != (m, m) or T_B.shape != (n, n):
         raise DimensionError("inconsistent dimensions")
     fmt = ctx.format
-    cols, order, first, waves, t = _wave_plan(m, n, b_form == "lower")
+    cols, order, first, waves = _wave_plan(m, n, b_form == "lower")
     off_b = m * n + m * m
     prepared = {}
 
@@ -233,35 +230,19 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
         D = _add(buf[m * n:off_b:m + 1, None], buf[off_b::n + 1], fmt)
         den = list(_smith_denominator(D.ravel()[order], fmt))
         den[0] -= 2 * first[:, None]  # plane indices within each wave
-        native = buf.dtype == np.complex64
-        if native:
-            kt = buf[t]
-            k1, k2 = np.stack([kt.real, kt.real], -1), np.stack([kt.imag, -kt.imag], -1)
-        ops = []
-        for a, b, left, right, y, o in waves:
-            shape = y.shape + (2,)
-            f1, f2 = (y, (k1[o:o + y.size].reshape(shape), k2[o:o + y.size].reshape(shape))) \
-                if native else (left, right)
-            ops.append((a, b, f1, f2, [x[a:b] for x in den]))
+        ops = [(a, b, left, right, [x[a:b] for x in den]) for a, b, left, right in waves]
         singular = D == 0
         prepared[buf.dtype] = plan = (singular, singular.any(axis=0)[cols], ops)
         return plan
 
     def steps(buf, c, ctx):
-        native = buf.dtype == np.complex64
-        exact = fmt.is_binary64 or native  # no step rounds
+        exact = fmt.is_binary64 or buf.dtype == np.complex64  # no step rounds
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             singular, failing, ops = prepared.get(buf.dtype) or prepare(buf)
-            for start, stop, f1, f2, den in ops:
-                X = np.empty((len(f1) + 1, stop - start), dtype=buf.dtype)
+            for start, stop, left, right, den in ops:
+                X = np.empty((len(left) + 1, stop - start), dtype=buf.dtype)
                 X[0] = c[start:stop]
-                if native:  # see `_prepare_sylv_tri`
-                    P = buf[f1].view(np.float32).reshape(f2[0].shape)
-                    out = X[1:].view(np.float32).reshape(P.shape)
-                    np.multiply(P, f2[0], out=out)
-                    out += (P * f2[1])[..., ::-1]
-                else:
-                    _product(buf[f1], buf[f2], fmt, out=X[1:])
+                _product(buf[left], buf[right], fmt, out=X[1:])
                 # x - p is x + (-p) exactly: the sums of fl_sum(-products, start=c)
                 s = np.subtract.accumulate(X, axis=0, out=X)[-1] if exact \
                     else _accumulate(-X[1:], X[0], fmt)
