@@ -12,7 +12,10 @@ is a binary16 sweep whose rows t = 3 and 4 end in IterationLimitError in
 all four mixed solvers.  (c) and (d) run the same 4x4 sweep with u_l =
 bfloat16, whose rows t = 2 and 3 end in non_convergence, and with the
 custom format 40:11, whose sums are wide enough (t >= 26) that a double
-sum rounded once more into the format can be double-rounded.
+sum rounded once more into the format can be double-rounded.  (e) is an
+8x8 sweep with u_l = u_h = binary64, which runs every solver's kernels on
+their binary64 paths.  Both GMRES-IR solvers have u_g = u_l there, so the
+recorder files both under gmres-ul and keeps the second one's buckets.
 """
 
 import hashlib
@@ -131,6 +134,75 @@ SWEEPS = {
              "gmres-ul": {"low": 2678, "high": 672, "precond": 1280, "gmres": 2252},
              "gmres-uh": {"low": 2678, "high": 672, "precond": 1280, "gmres": 2252},
              "bs": {"high": 3654}},
+        ]),
+    "binary64-8x8": dict(
+        m=8, t_values=list(range(16)), seed=1, u_l=BINARY64,
+        sha="b4247f96b93f6aa148642e38ed83fce8f4e87e60151226a83ef1b8edef69f035",
+        flops=[
+            {"or": {"low": 7590, "high": 14032},
+             "in": {"low": 7590, "high": 12200},
+             "gmres-ul": {"low": 6566, "high": 2368, "precond": 5120, "gmres": 8070},
+             "bs": {"high": 11686}},
+            {"or": {"low": 27162, "high": 14032},
+             "in": {"low": 27162, "high": 12200},
+             "gmres-ul": {"low": 26138, "high": 2368, "precond": 5120, "gmres": 8070},
+             "bs": {"high": 31258}},
+            {"or": {"low": 25038, "high": 14032},
+             "in": {"low": 25038, "high": 12200},
+             "gmres-ul": {"low": 24014, "high": 2368, "precond": 5120, "gmres": 8070},
+             "bs": {"high": 29134}},
+            {"or": {"low": 23514, "high": 14032},
+             "in": {"low": 23514, "high": 12200},
+             "gmres-ul": {"low": 22490, "high": 2368, "precond": 5120, "gmres": 8070},
+             "bs": {"high": 27610}},
+            {"or": {"low": 22362, "high": 14032},
+             "in": {"low": 22362, "high": 12200},
+             "gmres-ul": {"low": 21338, "high": 2368, "precond": 5120, "gmres": 8070},
+             "bs": {"high": 26458}},
+            {"or": {"low": 21894, "high": 14032},
+             "in": {"low": 21894, "high": 12200},
+             "gmres-ul": {"low": 20870, "high": 2368, "precond": 5120, "gmres": 8070},
+             "bs": {"high": 25990}},
+            {"or": {"low": 20478, "high": 17424},
+             "in": {"low": 20478, "high": 15592},
+             "gmres-ul": {"low": 19454, "high": 2368, "precond": 5120, "gmres": 8070},
+             "bs": {"high": 24574}},
+            {"or": {"low": 19890, "high": 17424},
+             "in": {"low": 19890, "high": 15592},
+             "gmres-ul": {"low": 18866, "high": 2368, "precond": 5120, "gmres": 8070},
+             "bs": {"high": 23986}},
+            {"or": {"low": 19302, "high": 17424},
+             "in": {"low": 19302, "high": 15592},
+             "gmres-ul": {"low": 18278, "high": 2368, "precond": 5120, "gmres": 8070},
+             "bs": {"high": 23398}},
+            {"or": {"low": 19062, "high": 17424},
+             "in": {"low": 19062, "high": 15592},
+             "gmres-ul": {"low": 18038, "high": 2368, "precond": 5120, "gmres": 16141},
+             "bs": {"high": 23158}},
+            {"or": {"low": 19182, "high": 17424},
+             "in": {"low": 19182, "high": 15592},
+             "gmres-ul": {"low": 18158, "high": 2368, "precond": 5120, "gmres": 16141},
+             "bs": {"high": 23278}},
+            {"or": {"low": 18846, "high": 20816},
+             "in": {"low": 18846, "high": 15592},
+             "gmres-ul": {"low": 17822, "high": 2368, "precond": 5120, "gmres": 16141},
+             "bs": {"high": 22942}},
+            {"or": {"low": 19326, "high": 20816},
+             "in": {"low": 19326, "high": 15592},
+             "gmres-ul": {"low": 18302, "high": 2368, "precond": 5120, "gmres": 16141},
+             "bs": {"high": 23422}},
+            {"or": {"low": 19338, "high": 24208},
+             "in": {"low": 19338, "high": 22376},
+             "gmres-ul": {"low": 18314, "high": 2368, "precond": 5120, "gmres": 16141},
+             "bs": {"high": 23434}},
+            {"or": {"low": 18858, "high": 27600},
+             "in": {"low": 18858, "high": 25768},
+             "gmres-ul": {"low": 17834, "high": 2368, "precond": 5120, "gmres": 16141},
+             "bs": {"high": 22954}},
+            {"or": {"low": 18630, "high": 30992},
+             "in": {"low": 18630, "high": 35944},
+             "gmres-ul": {"low": 17606, "high": 2368, "precond": 5120, "gmres": 24470},
+             "bs": {"high": 22726}},
         ]),
 }
 
