@@ -4,6 +4,10 @@ All matrices are dense ``complex128`` ndarrays.  Every factorization and
 product here can run under a :class:`~mpsylv.precision.PrecisionContext`,
 in which case each scalar operation is rounded into the context's format;
 under a binary64 context the kernels reduce to ordinary double arithmetic.
+A kernel calls `precision`'s steps under the one ``np.errstate`` that
+`precision._resident` enters per call and charges its flops once, so a
+step pays no format dispatch, errstate or charge of its own; the `fl_*`
+functions are the entry points for code outside a kernel.
 
 Explicit Kronecker forms (`sylvester_kron_operator`, `kron_matrix`) are
 intended for oracles and diagnostics only and are capped in size.
@@ -28,13 +32,12 @@ from .precision import (
     BINARY64,
     FpFormat,
     PrecisionContext,
-    fl_add,
     fl_div,
     fl_mul,
-    fl_sub,
-    fl_sum,
     _accumulate,
+    _add,
     _binary32,
+    _divide,
     _product,
     _resident,
     _round_real_array,
@@ -81,8 +84,8 @@ _GEMM_BLOCK = 1 << 15
 
 _CTX64 = PrecisionContext(BINARY64)
 
-# the rows [X0, X1, X1, X0] that `_rotate_rows` multiplies by [c, s1, c, s2]
-# outside binary64
+# the rows [X0, X1, X1, X0] that a `_rotation` body multiplies by
+# [c, s1, c, s2] outside binary64
 _PAIR = np.array([0, 1, 1, 0])
 
 
@@ -179,21 +182,23 @@ def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
 
 def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext):
     """The steps of `gemm` for ab = [alpha, beta] and C (None when beta is
-    0), as a 1-tuple: each block's products (`fl_mul`) summed on from the
-    last block's sums (`fl_sum`), then the alpha and beta products and the
+    0), as a 1-tuple: each block's products summed on from the last
+    block's sums (`_accumulate`), then the alpha and beta products and the
     sum with C."""
+    fmt = ctx.format
     alpha, beta = ab.tolist()
     m, k = A.shape
     n = B.shape[1]
     kb = max(1, _GEMM_BLOCK // (m * n))
     acc = None
     for p in range(0, k, kb):
-        acc = fl_sum(fl_mul(A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :], ctx),
-                     ctx, start=acc)
+        acc = _accumulate(_product(A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :], fmt),
+                          acc, fmt)
     if alpha != 1:
-        acc = fl_mul(ab[0], acc, ctx)
+        acc = _product(ab[0], acc, fmt)
     if C is not None:
-        acc = fl_add(acc, C if beta == 1 else fl_mul(ab[1], C, ctx), ctx)
+        acc = _add(acc, C if beta == 1 else _product(ab[1], C, fmt), fmt)
+    ctx.count(m * n * (2 * k + (alpha != 1) + (C is not None) * (1 + (beta != 1))))
     return (acc,)
 
 
@@ -259,7 +264,7 @@ def norm(M, kind: str = "frobenius") -> float:
 def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext, X=None) -> complex:
     """conj(x).y accumulated in ascending index order under ctx, charging
     2 len(x) flops: numpy's ``vdot`` in binary64, else the products of
-    `fl_mul` summed from +0 as `fl_sum` sums them, in the buffer X."""
+    `_product` summed from +0 as `_accumulate` sums them, in the buffer X."""
     ctx.count(2 * len(x))
     if ctx.format.is_binary64:
         return complex(np.vdot(x, y))
@@ -313,18 +318,28 @@ def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
             s = r(sq[0] + sq[1], fmt)
             finite = np.isfinite(s)
             mag = np.where(finite, r(np.sqrt(np.where(finite, s, 0.0)), fmt), np.inf)
+    return _ssqrt(_sum_squares(mag.tolist(), fmt), fmt)
+
+
+def _sum_squares(mags: list, fmt: FpFormat) -> float:
+    """The sum of squares of `_norm2_steps`, each sum rounded as `_sadd` does:
+    by the ``struct`` cast (binary32, binary16) if its 2Sum residual is 0
+    and it is below the overflow threshold, else by `_round_real_scalar`."""
+    packer = fmt._native and fmt._native[1]
+    limit = fmt.max_finite + 2.0 ** (fmt.emax - fmt.significand_bits) if packer else 0.0
     acc = 0.0
-    for a in mag.tolist():
+    for a in mags:
         # a ** 2 (libm pow) is the defined square; for t > 26 it can
         # differ from a * a in the last bit
         b = a ** 2
         s = acc + b
-        e = 0.0
-        if math.isfinite(s):  # the 2Sum residual of `_sadd`
-            bv = s - acc
-            e = (acc - (s - bv)) + (b - bv)
-        acc = _round_real_scalar(s, fmt, e)
-    return _ssqrt(acc, fmt)
+        bv = s - acc
+        e = (acc - (s - bv)) + (b - bv)  # NaN when s is inf or NaN
+        if e == 0.0 and abs(s) < limit:
+            (acc,) = packer.unpack(packer.pack(s))
+        else:
+            acc = _round_real_scalar(s, fmt, e)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +374,8 @@ def _mgs_project(Q: np.ndarray, v: np.ndarray, ctx: PrecisionContext):
     under ctx; returns the coefficients conj(q_i).v, the remainder and its
     `_vec_norm2_ctx`.
 
-    Each coefficient is a `_dot`, and v loses fl(h_i q_i) (`fl_mul`,
-    `fl_sub`); binary32 takes the steps in complex64 (`_resident`)."""
+    Each coefficient is a `_dot`, and v loses fl(h_i q_i) (`_product`,
+    `_sub`); binary32 takes the steps in complex64 (`_resident`)."""
     h, v, nrm = _resident(_mgs_steps, ctx, Q, v)
     return h, v, float(nrm.real)
 
@@ -370,10 +385,9 @@ def _mgs_steps(Q: np.ndarray, v: np.ndarray, *, ctx: PrecisionContext):
     fmt = ctx.format
     h = np.zeros(Q.shape[1], dtype=Q.dtype)
     X = np.zeros(len(v) + 1, dtype=v.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(Q.shape[1]):
-            h[i] = _dot(Q[:, i], v, fmt._uncounted, X)
-            v = _sub(v, _product(h[i], Q[:, i], fmt), fmt)
+    for i in range(Q.shape[1]):
+        h[i] = _dot(Q[:, i], v, fmt._uncounted, X)
+        v = _sub(v, _product(h[i], Q[:, i], fmt), fmt)
     ctx.count(4 * Q.size)
     return h, v, np.array(_vec_norm2_ctx(v, ctx))
 
@@ -475,21 +489,25 @@ def _reflector_chain(x0: complex, nx: float, fmt: FpFormat):
 def _apply_reflector_left_rounded(M: np.ndarray, w: np.ndarray, beta: float,
                                   ctx: PrecisionContext) -> None:
     """M <- (I - beta w w*) M in place, rows matching len(w): t = w* M
-    summed from +0 (`fl_sum`), less the products of beta w and t.  A
-    complex64 M and w (binary32 in a `_resident` kernel) take the steps on
-    float32 planes; a NaN is left for the caller."""
-    t = fl_sum(fl_mul(np.conj(w)[:, None], M, ctx), ctx)
-    bw = fl_mul(w.dtype.type(beta), w, ctx)
-    M[...] = fl_sub(M, fl_mul(bw[:, None], t[None, :], ctx), ctx)
+    summed from +0 (`_accumulate`), less the products of beta w and t, as
+    steps of the calling kernel, charged once: on float32 planes for a
+    complex64 M and w (binary32); a NaN is left for the caller."""
+    fmt = ctx.format
+    t = _accumulate(_product(np.conj(w)[:, None], M, fmt), None, fmt)
+    bw = _product(w.dtype.type(beta), w, fmt)
+    M[...] = _sub(M, _product(bw[:, None], t[None, :], fmt), fmt)
+    ctx.count(4 * M.size + len(w))
 
 
 def _apply_reflector_right_rounded(M: np.ndarray, w: np.ndarray, beta: float,
                                    ctx: PrecisionContext) -> None:
     """M <- M (I - beta w w*) in place, columns matching len(w), with the
     steps of `_apply_reflector_left_rounded` on the rows of M."""
-    t = fl_sum(fl_mul(M.T, w[:, None], ctx), ctx)
-    bw = fl_mul(w.dtype.type(beta), np.conj(w), ctx)
-    M[...] = fl_sub(M, fl_mul(t[:, None], bw[None, :], ctx), ctx)
+    fmt = ctx.format
+    t = _accumulate(_product(M.T, w[:, None], fmt), None, fmt)
+    bw = _product(w.dtype.type(beta), np.conj(w), fmt)
+    M[...] = _sub(M, _product(t[:, None], bw[None, :], fmt), fmt)
+    ctx.count(4 * M.size + len(w))
 
 
 def householder_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
@@ -531,26 +549,33 @@ def _householder_steps(Q: np.ndarray, R: np.ndarray, *, ctx: PrecisionContext):
 # LU
 
 def lu(A, ctx: PrecisionContext = _CTX64) -> LuFactors:
-    """LU with partial pivoting; L unit lower and U packed together."""
+    """LU with partial pivoting, L unit lower and U packed; binary32 runs in complex64."""
     A = _enter(A, ctx, "lu input")
     m, n = A.shape
     if m != n:
         raise DimensionError("lu requires a square matrix")
-    W = A.copy()
     piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(W[k:, k])))
-        if W[p, k] == 0:
-            raise SingularMatrixError(f"exactly zero pivot at step {k}")
-        piv[k] = p
-        if p != k:
-            W[[k, p], :] = W[[p, k], :]
-        W[k + 1:, k] = fl_div(W[k + 1:, k], W[k, k], ctx)
-        if k + 1 < n:
-            W[k + 1:, k + 1:] = fl_sub(
-                W[k + 1:, k + 1:],
-                fl_mul(W[k + 1:, k:k + 1], W[k:k + 1, k + 1:], ctx), ctx)
-    return LuFactors(W, piv)
+
+    def steps(W, ctx):
+        fmt, flops = ctx.format, 0
+        for k in range(n):
+            # on complex128 magnitudes: np.abs of complex64 entries rounds them
+            p = k + int(np.argmax(np.abs(W[k:, k].astype(np.complex128, copy=False))))
+            if W[p, k] == 0:
+                if flops:
+                    ctx.count(flops)
+                raise SingularMatrixError(f"exactly zero pivot at step {k}")
+            piv[k] = p
+            if p != k:
+                W[[k, p], :] = W[[p, k], :]
+            if k + 1 < n:
+                W[k + 1:, k] = _divide(W[k + 1:, k], W[k, k], fmt)
+                W[k + 1:, k + 1:] = _sub(
+                    W[k + 1:, k + 1:], _product(W[k + 1:, k:k + 1], W[k:k + 1, k + 1:], fmt), fmt)
+                flops += (n - k - 1) * (2 * n - 2 * k - 1)
+        ctx.count(flops)
+        return (W,)
+    return LuFactors(_resident(steps, ctx, A.copy())[0], piv)
 
 
 def _apply_pivots(B: np.ndarray, piv: np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -566,20 +591,30 @@ def _apply_pivots(B: np.ndarray, piv: np.ndarray, inverse: bool = False) -> np.n
 def _substitute(T: np.ndarray, B: np.ndarray, ctx, lower: bool, unit: bool,
                 conj: bool) -> np.ndarray:
     """Columnwise substitution for T X = B (or T* X = B when conj), with T
-    read as lower triangular (forward) or upper triangular (backward)."""
+    read as lower triangular (forward) or upper triangular (backward).  In
+    binary32 it runs in complex64 (`_resident`)."""
     n = T.shape[0]
-    X = B.copy()
-    for i in range(n) if lower else range(n - 1, -1, -1):
-        rest = slice(i + 1, n) if lower else slice(0, i)
-        if not unit:
-            diag = np.conj(T[i, i]) if conj else T[i, i]
-            if diag == 0:
-                raise SingularMatrixError("zero diagonal in triangular solve")
-            X[i, :] = fl_div(X[i, :], diag, ctx)
-        col = np.conj(T[i, rest]) if conj else T[rest, i]
-        if col.size:
-            X[rest, :] = fl_sub(X[rest, :], fl_mul(col[:, None], X[i:i + 1, :], ctx), ctx)
-    return X
+
+    def steps(T, X, ctx):
+        fmt, flops = ctx.format, 0
+        for i in range(n) if lower else range(n - 1, -1, -1):
+            rest = slice(i + 1, n) if lower else slice(0, i)
+            if not unit:
+                diag = np.conj(T[i, i]) if conj else T[i, i]
+                if diag == 0:
+                    if flops:
+                        ctx.count(flops)
+                    raise SingularMatrixError("zero diagonal in triangular solve")
+                X[i, :] = _divide(X[i, :], diag, fmt)
+                flops += X.shape[1]
+            col = np.conj(T[i, rest]) if conj else T[rest, i]
+            if col.size:
+                X[rest, :] = _sub(X[rest, :], _product(col[:, None], X[i:i + 1, :], fmt), fmt)
+                flops += 2 * col.size * X.shape[1]
+        if flops:
+            ctx.count(flops)
+        return (X,)
+    return _resident(steps, ctx, T, B.copy())[0]
 
 
 def lu_solve(F: LuFactors, B, side: str = "left", transpose: str = "no",
@@ -707,46 +742,43 @@ def _givens_chain(f: complex, g: complex, fmt: FpFormat):
     return c, complex(sr, si)
 
 
-def _rotate_rows(X: np.ndarray, c: float, s1: complex, s2: complex,
-                 ctx: PrecisionContext) -> None:
-    """X <- (c X0 + s1 X1, c X1 - s2 X0) in place, X a (2, n) view, with
-    the flops of four products and two sums per column: in binary64 the
-    complex128 products and sums of `fl_mul` and `fl_add`; for a complex64
-    X, which `schur` and `hermitian_eig` keep in binary32, `_plane_rotation`
-    (a NaN is left for the caller to find); else `fl_mul` and `fl_add`.
-    Call under ``np.errstate(over="ignore", invalid="ignore")``."""
-    if ctx.format.is_binary64:
-        B = np.array([s1, s2])[:, None] * X[::-1]
-        np.negative(B[1], out=B[1])
-        X *= c
-        X += B
-    elif X.dtype == np.complex64:
-        X[...] = _plane_rotation(X[_PAIR], c, s1, s2)
+def _rotation(dtype, fmt: FpFormat):
+    """The Givens rotation body of `schur` and `hermitian_eig`, chosen once
+    per call: K = coefficients(c, s) holds [c, s, c, conj(s), c, s], and
+    rotate(X, c, k) sets X <- (c X0 + s1 X1, c X1 - s2 X0) in place for a
+    (2, n) view X and k = [c, s1, c, s2]: K[0:4] for a step's rows, K[2:6]
+    for its columns.  The caller charges six flops per column and holds
+    the errstate.  binary64 keeps `_product`'s operand order and shapes; a
+    complex64 X takes `_plane_product`'s steps on the planes P of
+    [X0, X1, X1, X0]: P * [kr, kr] + swap(P) * [-ki, ki] is exactly
+    kr*gr - ki*gi and kr*gi + ki*gr.  Other formats take `_product`, `_add`."""
+    if dtype == np.complex64:
+        def coefficients(c, s):
+            sr, si = s.real, s.imag
+            return np.array([c, c, -0.0, 0.0, sr, sr, -si, si, c, c, -0.0, 0.0, sr, sr, si, -si,
+                             c, c, -0.0, 0.0, sr, sr, -si, si], dtype=np.float32).reshape(6, 1, 4)
+
+        def rotate(X, c, k):
+            P = X[_PAIR].view(np.float32).reshape(4, -1, 2)
+            prods = P * k[..., :2] + P[..., ::-1] * k[..., 2:]
+            np.negative(prods[3], out=prods[3])
+            X[...] = (prods[0::2] + prods[1::2]).view(np.complex64)[..., 0]
+        return coefficients, rotate
+
+    def coefficients(c, s):
+        return np.array([c, s, c, s.conjugate(), c, s], dtype=np.complex128)
+
+    if fmt.is_binary64:
+        def rotate(X, c, k):
+            B = k[1::2, None] * X[::-1]
+            np.negative(B[1], out=B[1])
+            X *= c
+            X += B
     else:
-        prods = fl_mul(np.array([c, s1, c, s2], dtype=np.complex128)[:, None], X[_PAIR], ctx)
-        X[...] = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
-        return
-    ctx.count(6 * X.shape[1])
-
-
-def _plane_rotation(G: np.ndarray, c: float, s1: complex, s2: complex) -> np.ndarray:
-    """[c G0 + s1 G1, c G2 - s2 G3] for the complex64 rows G, as complex64,
-    with the steps of `_rotate_rows` on binary32 values: the plane products
-    of `precision._plane_product`, the negation of the fourth and the
-    pairwise sums.
-
-    The planes are read from G's interleaved (re, im) pairs P: the products
-    are P * [kr, kr] + swap(P) * [-ki, ki] for each coefficient k, which
-    are kr*gr - ki*gi and kr*gi + ki*gr exactly (x + (-y) is x - y in IEEE
-    arithmetic), signed zeros included.
-    """
-    k = np.array([c, c, -0.0, 0.0, s1.real, s1.real, -s1.imag, s1.imag,
-                  c, c, -0.0, 0.0, s2.real, s2.real, -s2.imag, s2.imag],
-                 dtype=np.float32).reshape(4, 1, 4)
-    P = G.view(np.float32).reshape(4, -1, 2)
-    prods = P * k[..., :2] + P[..., ::-1] * k[..., 2:]
-    np.negative(prods[3], out=prods[3])
-    return (prods[0::2] + prods[1::2]).view(np.complex64)[..., 0]
+        def rotate(X, c, k):
+            prods = _product(k[:, None], X[_PAIR], fmt)
+            X[...] = _add(prods[0::2], np.array([prods[1], -prods[3]]), fmt)
+    return coefficients, rotate
 
 
 def _wilkinson_shift(H: np.ndarray, hi: int, fmt: FpFormat) -> complex:
@@ -859,15 +891,15 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
     # U above H in one array: a reflector or a Givens step updates the rows
     # of H through one view and the columns of U and H through others
     UH = np.concatenate([np.eye(m, dtype=np.complex128), A])
-    with np.errstate(over="ignore", invalid="ignore"):
-        (UH,) = _resident(lambda X, ctx: _hessenberg(X, ctx) and _qr_iteration(X, ctx)
-                          and (X,), ctx, UH)
+    (UH,) = _resident(lambda X, ctx: _hessenberg(X, ctx) and _qr_iteration(X, ctx) and (X,),
+                      ctx, UH)
     return SchurFactors(UH[:m].copy(), np.triu(UH[m:]))
 
 
 def _qr_iteration(UH: np.ndarray, ctx: PrecisionContext) -> bool:
     """The QR iteration of `schur` on the stacked [U; H], in place; False
-    as soon as a sweep leaves a NaN in a complex64 UH, else True.
+    as soon as a sweep leaves a NaN in a complex64 UH, else True.  A
+    sweep charges its rotations' flops at its end.
 
     The deflation test and the exceptional shift read H in complex128:
     ``np.hypot`` and ``abs`` of complex64 entries return float32.
@@ -876,6 +908,7 @@ def _qr_iteration(UH: np.ndarray, ctx: PrecisionContext) -> bool:
     H = UH[m:]
     fmt = ctx.format
     resident = UH.dtype == np.complex64
+    coefficients, rotate = _rotation(UH.dtype, fmt)
     u = fmt.unit_roundoff
     limit = 30 * m
     sweeps = 0
@@ -901,22 +934,25 @@ def _qr_iteration(UH: np.ndarray, ctx: PrecisionContext) -> bool:
         if sweeps >= limit:
             raise IterationLimitError(
                 f"QR iteration did not converge within {limit} sweeps")
+        h, y = H[lo:lo + 2, lo].tolist()
         if stuck > 0 and stuck % 10 == 0:
             # exceptional shift to break a stalled cycle (a binary64 value)
             shift = complex(abs(complex(H[hi, hi - 1])) + 0.75 * abs(complex(H[hi, hi])))
-            x = _ssub(complex(H[lo, lo]), shift, fmt)
+            x = _ssub(h, shift, fmt)
         else:
-            x = _shifted(complex(H[lo, lo]), _wilkinson_shift(H, hi, fmt), fmt)
-        y = complex(H[lo + 1, lo])
+            x = _shifted(h, _wilkinson_shift(H, hi, fmt), fmt)
+        columns = 0
         for k in range(lo, hi):
             c, s = _givens(x, y, fmt)
-            _rotate_rows(H[k:k + 2, max(lo, k - 1):], c, s, s.conjugate(), ctx)
-            _rotate_rows(UH[:m + min(k + 3, hi + 1), k:k + 2].T, c, s.conjugate(), s, ctx)
+            first, rows = max(lo, k - 1), m + min(k + 3, hi + 1)
+            rotate(H[k:k + 2, first:], c, (K := coefficients(c, s))[0:4])
+            rotate(UH[:rows, k:k + 2].T, c, K[2:6])
+            columns += m - first + rows
             if k > lo:
                 H[k + 1, k - 1] = 0.0
             if k < hi - 1:
-                x = complex(H[k + 1, k])
-                y = complex(H[k + 2, k])
+                x, y = H[k + 1:k + 3, k].tolist()
+        ctx.count(6 * columns)
         sweeps += 1
         stuck += 1
         if resident and np.isnan(UH).any():
@@ -946,9 +982,7 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
     # V above W in one array, as U above H in `schur`
     VW = np.concatenate([np.eye(n, dtype=np.complex128), _enter(A, ctx, "eig input")])
     tol = n * ctx.format.unit_roundoff * max(nrm, 1e-300)
-    with np.errstate(over="ignore", invalid="ignore"):
-        (VW,) = _resident(lambda X, ctx: _jacobi_sweeps(X, ctx, tol, max_sweeps) and (X,),
-                          ctx, VW)
+    (VW,) = _resident(lambda X, ctx: _jacobi_sweeps(X, ctx, tol, max_sweeps) and (X,), ctx, VW)
     return VW[:n].copy(), np.real(np.diag(VW[n:])).copy()
 
 
@@ -956,15 +990,18 @@ def _jacobi_sweeps(VW: np.ndarray, ctx: PrecisionContext, tol: float,
                    max_sweeps: int) -> bool:
     """The Jacobi sweeps of `hermitian_eig` on the stacked [V; W], in
     place; False as soon as a sweep leaves a NaN in a complex64 VW, else
-    True.  The stop test reads W in complex128."""
+    True.  The stop test reads W in complex128.  A sweep charges its
+    rotations' flops at its end."""
     n = VW.shape[1]
     W = VW[n:]
     fmt = ctx.format
     resident = VW.dtype == np.complex64
+    coefficients, rotate = _rotation(VW.dtype, fmt)
     for _ in range(max_sweeps):
         W64 = np.asarray(W, dtype=np.complex128)
         if _frobenius(W64 - np.diag(np.diag(W64))) <= tol:
             return True
+        rotations = 0
         for p in range(n - 1):
             for q in range(p + 1, n):
                 w = complex(W[p, q])
@@ -984,8 +1021,11 @@ def _jacobi_sweeps(VW: np.ndarray, ctx: PrecisionContext, tol: float,
                 c = _sdiv(1.0, _ssqrt(_sadd(1.0, _smul(t, t, fmt), fmt).real, fmt), fmt).real
                 s = _smul(_smul(t, c, fmt), phase, fmt)
                 # rows p and q of W, then columns p and q of V and W
-                _rotate_rows(W[p:q + 1:q - p], c, s, s.conjugate(), ctx)
-                _rotate_rows(VW[:, p:q + 1:q - p].T, c, s.conjugate(), s, ctx)
+                rotate(W[p:q + 1:q - p], c, (K := coefficients(c, s))[0:4])
+                rotate(VW[:, p:q + 1:q - p].T, c, K[2:6])
+                rotations += 1
+        if rotations:
+            ctx.count(18 * n * rotations)
         if resident and np.isnan(VW).any():
             return False
     raise IterationLimitError(f"Jacobi did not converge in {max_sweeps} sweeps")

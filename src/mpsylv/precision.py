@@ -55,36 +55,34 @@ result the software path computes (Higham & Pranesh make the same point:
 a format with a hardware dtype needs no simulated rounding).
 
 For the same reason arrays of binary32 values are computed in complex64,
-by one rule.  Each kernel's steps are written once, with `fl_mul`,
-`fl_add`, `fl_sub`, `fl_div` and `fl_sum`, whose uncounted bodies take
-their arithmetic from the operand dtype: complex128 in binary64, float32
-planes for complex64 operands, the software rounding otherwise.  A sum or
-difference is one complex64 operation.  A product is formed from the
-float32 real and imaginary planes as (ar*br - ai*bi, ar*bi + ai*br): the
-four products, the difference and the sum the software path rounds, in
+by one rule.  A kernel's steps are written once, with `_product`, `_add`,
+`_sub`, `_accumulate` and `_divide`, which charge no flops and take their
+arithmetic from the operand dtype: complex128 in binary64, float32 planes
+for complex64 operands, the software rounding otherwise.  A kernel runs
+its steps under the one ``np.errstate`` that `_resident` enters per call
+and charges its flops once (the QR and Jacobi sweeps once per sweep).
+The `fl_*` functions, each a step with its own errstate and charge, are
+the entry points for code outside a kernel.  A sum or difference is one
+complex64 operation.  A product is formed from the float32 planes as
+(ar*br - ai*bi, ar*bi + ai*br): the steps the software path rounds, in
 the same order.  The complex64 ``*`` is never used, because its SIMD
-multiply may fuse steps.  binary32 is entered through one guard,
-`_resident`, which casts the complex128 operands to complex64 and
-compares them with the originals.  A value that is not binary32, or a
-NaN, fails it, and the steps run in software on the originals.  The
-result is widened to complex128 at exit, and one that holds a NaN is
-recomputed in software, so NaN payloads stay the ones the software path
-produces.  An `fl_*` call on complex128 operands enters it once per
-call.  A call on operands that are all complex64 is a step of a kernel
-that entered it already: the `fl_*` run it on the planes unchecked, and
-`_resident` passes it straight to its kernel.  `linalg.gemm`,
-`linalg._mgs_project` (with the remainder's norm), `householder_qr`,
-`schur` and `hermitian_eig` enter it once per kernel call, which also
-charges the flops once, and a binary32 GMRES correction
-(`gmresir._resident_correction`) enters it once, its `gemm`,
-`solve_sylv_tri` and `_mgs_project` calls being such steps.
+multiply may fuse steps.  binary32 is entered through `_resident`, which
+casts the complex128 operands to complex64 and compares them with the
+originals.  A value that is not binary32, or a NaN, fails it, and the
+steps run in software on the originals.  The result is widened to
+complex128 at exit, and one that holds a NaN is recomputed in software,
+so NaN payloads stay the ones the software path produces.  Operands that
+are all complex64 are a step of a kernel that entered already, run on
+the planes unchecked.  `linalg.gemm`, `lu`, the triangular substitution,
+`_mgs_project` (with the remainder's norm), `householder_qr`, `schur`,
+`hermitian_eig` and `sylvester.solve_sylv_tri` are kernels, and a
+binary32 GMRES correction (`gmresir._resident_correction`) is one whose
+`gemm`, `solve_sylv_tri` and `_mgs_project` calls are steps.
 `householder_qr`, `schur` and `hermitian_eig` keep their factors in
-complex64 from start to end and update them in place.  They test for a
-NaN once per sweep (`schur` also after its Householder reduction,
-`householder_qr` once, at exit) and for a Householder vector formed from
-a column scaled past overflow that is not binary32; on either they rerun
-the whole factorization from its input in software.  `sylvester.solve_sylv_tri` enters it once per solve, with its
-stacked [Y | T_A | T_B] buffer and C, and raises a breakdown from inside.
+complex64 and test for a NaN once per sweep (`schur` also after its
+Householder reduction, `householder_qr` at exit) and for a Householder
+vector, formed from a column scaled past overflow, that is not binary32;
+on either they rerun the whole factorization from its input in software.
 
 The scalar steps of `schur` and of GMRES have one body each in every
 format but binary64: the Householder scalars, the Givens rotation and the
@@ -541,10 +539,6 @@ def round_matrix(M: np.ndarray, fmt: FpFormat) -> np.ndarray:
 # steps of a `_resident` kernel: `fl_add`, `fl_sub`, `fl_mul` and `fl_sum`
 # take them on the float32 planes unchecked and return complex64.
 
-def _unwrap(z: np.ndarray, scalar: bool):
-    return complex(z) if scalar else z
-
-
 def _two_sum(a: np.ndarray, b: np.ndarray):
     """Knuth 2Sum: s + e == a + b exactly, s == fl64(a + b)."""
     with np.errstate(invalid="ignore"):
@@ -658,23 +652,21 @@ def _accumulate(P: np.ndarray, start, fmt: FpFormat) -> np.ndarray:
     """fl(...fl(fl(start + P[0]) + P[1]) ... + P[k-1]) along axis 0; start is
     an array of shape P.shape[1:], or None for +0.
 
-    A complex64 P, a step of a `_resident` kernel and so run under its
-    ``np.errstate``, and any P in binary64 are summed by `_buffer_sum`; in
+    A complex64 P and any P in binary64 are summed by `_buffer_sum`; in
     binary64 a NaN total is summed again step by step, since numpy picks
     the payload of a NaN met by a NaN differently in its accumulate and
     add loops.  Other P take `_add` step by step.
     """
     if P.dtype == np.complex64:
         return _buffer_sum(P, start)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if fmt.is_binary64:
-            total = _buffer_sum(P, start)
-            if not np.isnan(total).any():
-                return total
-        acc = np.zeros(P.shape[1:], dtype=P.dtype) if start is None else start
-        for p in P:
-            acc = _add(acc, p, fmt)
-        return np.array(acc)
+    if fmt.is_binary64:
+        total = _buffer_sum(P, start)
+        if not np.isnan(total).any():
+            return total
+    acc = np.zeros(P.shape[1:], dtype=P.dtype) if start is None else start
+    for p in P:
+        acc = _add(acc, p, fmt)
+    return np.array(acc)
 
 
 def _buffer_sum(P: np.ndarray, start) -> np.ndarray:
@@ -691,11 +683,11 @@ def _resident(kernel, ctx: PrecisionContext, *arrays):
     False when it finds a NaN or an operand off binary32 in complex64
     arrays.
 
-    The one entry into binary32 arithmetic: in binary32, when every entry
-    of every array is a binary32 value, the kernel runs on complex64
-    copies, whose steps then run on float32 planes (the `fl_*` operations
-    on complex64 operands, `_product`, `_add`, `_sub`, `_quotient`,
-    `_accumulate` and `linalg._rotate_rows`), and the flops it counts are
+    The one entry into a kernel, which runs under one ``np.errstate``
+    (`_quiet`).  In binary32, when every entry of every array is a
+    binary32 value, the kernel runs on complex64 copies, whose steps then
+    run on float32 planes (`_product`, `_add`, `_sub`, `_quotient`,
+    `_accumulate`, `linalg._rotation`), and the flops it counts are
     charged once, when it returns or raises.  Its result is widened to
     complex128.  A False, or a result holding a NaN, runs the kernel again
     from the arrays, uncharged so far, in complex128, whose software steps
@@ -709,25 +701,29 @@ def _resident(kernel, ctx: PrecisionContext, *arrays):
     kernel in complex128, widening complex64 operands, so a binary64 call
     on them computes in complex128.
     """
+    if _in_binary32(ctx, *arrays):
+        return kernel(*arrays, ctx=ctx)
+    return _quiet(_entered, kernel, ctx, arrays)
+
+
+def _entered(kernel, ctx: PrecisionContext, arrays):
+    """The body of `_resident` for operands that are not a step's."""
     if ctx.format._is_binary32:
-        if _in_binary32(ctx, *arrays):
-            return kernel(*arrays, ctx=ctx)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ops = _binary32(*arrays)
-            if ops is not None:
-                tally = ctx if ctx.counter is None else PrecisionContext(ctx.format, FlopCounter())
-                out = None
-                try:
-                    out = kernel(*ops, ctx=tally)
-                    # a result holding a NaN reruns, as a False does
-                    out = out and (_widened(*out) or False)
-                finally:
-                    if out is not False and tally is not ctx:
-                        # a bucket is made only by a charge, as each kernel makes it
-                        for n in tally.counter.counts.values():
-                            ctx.count(n)
-                if out:
-                    return out
+        ops = _binary32(*arrays)
+        if ops is not None:
+            tally = ctx if ctx.counter is None else PrecisionContext(ctx.format, FlopCounter())
+            out = None
+            try:
+                out = kernel(*ops, ctx=tally)
+                # a result holding a NaN reruns, as a False does
+                out = out and (_widened(*out) or False)
+            finally:
+                if out is not False and tally is not ctx:
+                    # a bucket is made only by a charge, as each kernel makes it
+                    for n in tally.counter.counts.values():
+                        ctx.count(n)
+            if out:
+                return out
     return kernel(*[a.astype(np.complex128, copy=False) for a in arrays], ctx=ctx)
 
 
@@ -765,16 +761,15 @@ def _entrywise(step, a, b, ctx: PrecisionContext):
     else:
         z = _quiet(step, a, b, fmt)
     ctx.count(z.size)
-    return _unwrap(z, scalar)
+    return complex(z) if scalar else z
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _quiet(step, a, b, fmt: FpFormat):
-    """``step(a, b, fmt)`` with numpy's floating-point warnings off, so
-    that binary64's complex128 steps give inf and NaN silently, as the
-    software rounding does.  (The decorator costs about half of a
-    ``with np.errstate`` block per call.)"""
-    return step(a, b, fmt)
+def _quiet(f, *args):
+    """``f(*args)`` with numpy's warnings off, so that binary64's steps give
+    inf and NaN silently, as the software rounding does: the errstate of a
+    kernel or an `fl_*` call (half the cost of a ``with`` block)."""
+    return f(*args)
 
 
 def fl_add(a, b, ctx: PrecisionContext):
@@ -829,19 +824,24 @@ def _smith_denominator(b: np.ndarray, fmt: FpFormat):
     return perm, t, d
 
 
-def _smith_numerator(a: np.ndarray, den, fmt: FpFormat) -> np.ndarray:
+def _smith_numerator(a: np.ndarray, den, fmt: FpFormat, planes=None) -> np.ndarray:
     """a / b from a and the `_smith_denominator` of b, in a's dtype.
 
-    Both parts run at once on a's planes (x, y) taken by perm: (x + y t) / d
-    and (y - x t) / d, each step rounded by `_smith_step`.  Call under the
-    same ``np.errstate`` as `_smith_denominator`.
+    Both parts run at once on a's planes (x, y), or the view planes of
+    them, taken by perm: (x + y t) / d and (y - x t) / d, each step rounded
+    by `_smith_step` but on float32 planes or in binary64.
     """
-    r = _smith_step
     perm, t, d = den[:3]
-    num = np.ascontiguousarray(a).reshape(-1).view(a.real.dtype).take(perm)
+    if planes is None:
+        planes = np.ascontiguousarray(a).reshape(-1).view(a.real.dtype)
+    num = planes.take(perm)
     if fmt.is_binary64:
         num *= den[3]
-    q = r(r(num + r(num[..., ::-1] * t, fmt), fmt) / d, fmt)
+    if num.dtype is _FLOAT32 or fmt.is_binary64:
+        q = (num + num[..., ::-1] * t) / d
+    else:
+        r = _smith_step
+        q = r(r(num + r(num[..., ::-1] * t, fmt), fmt) / d, fmt)
     return q.view(a.dtype)[..., 0]
 
 
@@ -851,12 +851,16 @@ def _quotient(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
     complex128 division for a zero divisor.  Every step is rounded into
     fmt, except in binary64, where the steps follow CPython's complex
     division as `_sdiv` does, and on complex64 operands, whose float32
-    steps are the correctly rounded ones.  Charges no flops.
+    steps are the correctly rounded ones.  A 0-d b's denominator half is
+    formed once.  Charges no flops.
     """
-    if a.shape != b.shape:
+    if np.ndim(b) and a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = _smith_numerator(a, _smith_denominator(b, fmt), fmt)
+        den = _smith_denominator(np.asarray(b), fmt)
+        if np.ndim(b) == 0:  # the planes of every entry of a
+            den = (den[0] + 2 * np.arange(a.size).reshape(a.shape + (1,)),) + den[1:]
+        z = _smith_numerator(a, den, fmt)
         zero = b == 0
         if zero.any():
             z[zero] = a[zero].astype(np.complex128) / b[zero].astype(np.complex128)

@@ -18,7 +18,7 @@ from mpsylv.linalg import (
     _givens,
     _make_reflector,
     _mgs_project,
-    _rotate_rows,
+    _rotation,
     _vec_norm2_ctx,
     cond_inf,
     gemm,
@@ -294,18 +294,21 @@ def _bits(a):
 
 
 def _soft_rotate(P, Q, c, s1, s2):
-    """`_rotate_rows`' products and sums composed from the software path."""
+    """The rotation's products and sums composed from the software path."""
     a = np.array([[c], [s1], [c], [s2]], dtype=np.complex128)
     a, b = np.broadcast_arrays(a, np.array([P, Q, Q, P]))
     prods = _compose(*_mul_parts(a.real, a.imag, b.real, b.imag, BINARY32))
     return _rounded_sum(prods[0::2], np.array([prods[1], -prods[3]]), BINARY32)
 
 
-def _rotated(P, Q, c, s1, s2, ctx, dtype=np.complex128):
-    """[P, Q] as one (2, n) array of dtype after `_rotate_rows`, in complex128."""
+def _rotated(P, Q, c, s, i, fmt, dtype=np.complex128):
+    """[P, Q] as one (2, n) array of dtype after fmt's `_rotation` body by c
+    and s, in complex128: (s1, s2) = (s, conj(s)) for i = 0 (the rows of a
+    step) and (conj(s), s) for i = 1 (its columns)."""
     X = np.array([P, Q], dtype=dtype)
+    coefficients, rotate = _rotation(X.dtype, fmt)
     with np.errstate(over="ignore", invalid="ignore"):
-        _rotate_rows(X, c, s1, s2, ctx)
+        rotate(X, c, coefficients(c, s)[2 * i:2 * i + 4])
     return X.astype(np.complex128)
 
 
@@ -332,16 +335,13 @@ class TestRotate:
         elif case == "off-format":
             Q[4] = 0.1
         ref = _soft_rotate(P, Q, c, s, np.conj(s))
-        # complex128 takes fl_mul and fl_add, complex64 (binary32 values
+        # complex128 takes the software steps, complex64 (binary32 values
         # only) the float32 planes, as in schur and hermitian_eig
         for dtype in [np.complex128] + ([np.complex64] if case != "off-format" else []):
-            counter = FlopCounter()
-            got = _rotated(P, Q, c, s, np.conj(s), PrecisionContext(BINARY32, counter, "low"),
-                           dtype)
+            got = _rotated(P, Q, c, s, 0, BINARY32, dtype)
             if dtype is np.complex128:
                 assert (got.view(np.uint64) == ref.view(np.uint64)).all()
             assert _part_bits_match(got, ref)
-            assert counter.get("low") == 6 * len(P)
         assert np.isnan(ref).any() == (case == "nan")
         assert np.isfinite(ref).all() == (case in ("binary32", "off-format"))
 
@@ -351,15 +351,13 @@ class TestRotate:
         for scale in [1e2, 1e300, 1e-300] * 10 if fmt == BINARY64 else [1e2] * 10:
             P, Q = round_matrix(cmat(rng, 2, 29, scale=scale), fmt)
             c, s = _givens(complex(P[0]), complex(Q[0]), fmt)
-            counter = FlopCounter()
-            new = _rotated(P, Q, c, s, np.conj(s), PrecisionContext(fmt, counter, "low"))
-            assert counter.get("low") == 6 * len(P)
             ctx = PrecisionContext(fmt)
-            with np.errstate(over="ignore", invalid="ignore"):
-                prods = fl_mul(np.array([[c], [s], [c], [np.conj(s)]]),
-                               np.array([P, Q, Q, P]), ctx)
-                ref = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
-            assert (_bits(new) == _bits(ref)).all()
+            for i, (s1, s2) in enumerate([(s, np.conj(s)), (np.conj(s), s)]):
+                new = _rotated(P, Q, c, s, i, fmt)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    prods = fl_mul(np.array([[c], [s1], [c], [s2]]), np.array([P, Q, Q, P]), ctx)
+                    ref = fl_add(prods[0::2], np.array([prods[1], -prods[3]]), ctx)
+                assert (_bits(new) == _bits(ref)).all()
 
     @pytest.mark.parametrize("fmt", [BINARY32, BINARY64, BFLOAT16], ids=lambda f: f.name)
     def test_strided_view_in_place(self, fmt, rng):
@@ -372,13 +370,11 @@ class TestRotate:
             want = _soft_rotate(VW[:, p], VW[:, q], c, np.conj(s), s)
             VW = VW.astype(np.complex64)
         else:
-            want = _rotated(VW[:, p], VW[:, q], c, np.conj(s), s, PrecisionContext(fmt))
+            want = _rotated(VW[:, p], VW[:, q], c, s, 1, fmt)
         before = VW.copy()
-        counter = FlopCounter()
+        coefficients, rotate = _rotation(VW.dtype, fmt)
         with np.errstate(over="ignore", invalid="ignore"):
-            _rotate_rows(VW[:, p:q + 1:q - p].T, c, np.conj(s), s,
-                         PrecisionContext(fmt, counter, "low"))
-        assert counter.get("low") == 6 * 2 * n
+            rotate(VW[:, p:q + 1:q - p].T, c, coefficients(c, s)[2:6])
         for got, ref in ((VW[:, p], want[0]), (VW[:, q], want[1])):
             assert (_bits(got.astype(np.complex128)) == _bits(ref)).all()
         others = np.ones(n, dtype=bool)

@@ -33,6 +33,7 @@ from mpsylv.precision import (
     TF32,
     FlopCounter,
     PrecisionContext,
+    _round_real_scalar,
     _sabs,
     _sadd,
     _sdiv,
@@ -40,6 +41,7 @@ from mpsylv.precision import (
     _ssqrt,
     parse_format,
     round_matrix,
+    round_to,
 )
 
 from conftest import cmat, hermitian
@@ -307,6 +309,56 @@ def test_norm2_steps_float32_matches_software(rng):
     assert np.isinf(want).sum() > np.isinf(ref).sum()  # the NaN vectors
 
 
+def _sum_squares_loop(mags, fmt, ties=None):
+    """`linalg._sum_squares` with every partial sum rounded by
+    `_round_real_scalar` from its 2Sum residual; a partial sum that is a
+    midpoint of fmt appends to ties whether it has a residual."""
+    acc = 0.0
+    for a in mags:
+        b = a ** 2
+        s = acc + b
+        e = 0.0
+        if math.isfinite(s):
+            bv = s - acc
+            e = (acc - (s - bv)) + (b - bv)
+        r = _round_real_scalar(s, fmt)
+        # a residual pointing away from r moves only a midpoint
+        if ties is not None and r != s and _round_real_scalar(s, fmt, s - r) != r:
+            ties.append(e != 0.0)
+        acc = _round_real_scalar(s, fmt, e)
+    return acc
+
+
+@pytest.mark.parametrize("fmt", [BINARY32, BINARY16], ids=_ids)
+def test_sum_squares_matches_the_residual_loop(fmt, rng):
+    """The ``struct`` cast of `_sum_squares` for sums with no 2Sum residual
+    against `_round_real_scalar` for every sum, on sets of magnitudes of
+    the format drawn across its range, 0, inf and NaN among them, and on
+    sets whose sums land on a midpoint: exactly, or, from an off-format
+    magnitude, with a residual that breaks the tie.  The partial sums
+    reach subnormals and overflow to inf."""
+    t, emin, emax = fmt.significand_bits, fmt.emin, fmt.emax
+    sets = []
+    for _ in range(3000):
+        k = int(rng.integers(1, 12))
+        mags = 2.0 ** (rng.uniform((emin - t) / 2 - 1, emax / 2 + 1) + rng.normal(0, 2, k))
+        mags = precision._round_real_array(np.minimum(mags, fmt.max_finite), fmt)
+        mags[rng.random(k) < 0.02] = rng.choice([0.0, math.inf, math.nan])
+        sets.append(mags.tolist())
+    sets += {BINARY32: [[1.0, 2.0 ** -12], [2.0 ** 12, 1.0 + 2.0 ** -40]],
+             BINARY16: [[1.0, 1.0, 2.0 ** -5], [2.0 ** 6, math.sqrt(2.0)]]}[fmt]
+    ties, subnormal, overflow = [], 0, 0
+    for mags in sets:
+        got, want = linalg._sum_squares(mags, fmt), _sum_squares_loop(mags, fmt, ties)
+        assert np.array(got).view(np.uint64) == np.array(want).view(np.uint64), mags
+        subnormal += 0.0 < want < fmt.smallest_normal
+        overflow += want == math.inf and all(map(math.isfinite, mags))
+    assert subnormal and overflow and False in ties and True in ties
+    # the residual moved the sum off the cast's tie to even
+    pair = sets[-1]
+    assert linalg._sum_squares(pair, fmt) != round_to(pair[0] ** 2 + pair[1] ** 2, fmt)
+
+
 @pytest.mark.parametrize("fmt", FORMATS, ids=_ids)
 def test_rotation_chain_matches_reference(fmt, rng):
     """The stored-rotation chain of GMRES against its `_s*` composition:
@@ -380,23 +432,21 @@ SIGNED = [0.0, -0.0, 1.0, -1.5, 2.0**-149, -(2.0**-149), 3.0e38]
                                   (1.0, complex(-0.0, 0.0)), (0.0, complex(0.0, -1.0)),
                                   (0.28, complex(-0.96, -0.0))])
 def test_complex64_rotation_signed_zeros(c, s, rng):
-    """`_rotate_rows` on a complex64 X (in place, no NaN check) against the
-    software path of fl_mul and fl_add, on entries with signed zero,
-    subnormal and large parts."""
+    """The complex64 `_rotation` body (in place, no NaN check) against the
+    software steps of the complex128 body in binary32, on entries with
+    signed zero, subnormal and large parts, in both passes."""
     c, s = float(np.float32(c)), complex(np.complex64(s))  # binary32 coefficients
     n = 400
     X = np.empty((2, n), dtype=np.complex128)
     X.real = rng.choice(SIGNED, (2, n))
     X.imag = rng.choice(SIGNED, (2, n))
-    want = X.copy()
-    X32 = X.astype(np.complex64)
-    counter, ref_counter = FlopCounter(), FlopCounter()
-    linalg._rotate_rows(X32, c, s, np.conj(s), PrecisionContext(BINARY32, counter))
-    linalg._rotate_rows(want, c, s, np.conj(s), PrecisionContext(BINARY32, ref_counter))
-    got = X32.astype(np.complex128)
-    assert not np.isnan(want).any()
-    assert (_bits(got) == _bits(want)).all()
-    assert counter.counts == ref_counter.counts
+    for i in (0, 1):
+        want, X32 = X.copy(), X.astype(np.complex64)
+        for Z in (X32, want):
+            coefficients, rotate = linalg._rotation(Z.dtype, BINARY32)
+            rotate(Z, c, coefficients(c, s)[2 * i:2 * i + 4])
+        assert not np.isnan(want).any()
+        assert (_bits(X32.astype(np.complex128)) == _bits(want)).all()
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -458,7 +508,7 @@ class TestBinary32SchurPath:
     its QR sweep on float32 planes and native chains; a NaN reruns the
     whole factorization on the software path."""
 
-    SOFTWARE = ("_round_real_scalar", "_smul", "_sdiv", "fl_mul", "fl_add")
+    SOFTWARE = ("_round_real_scalar", "_smul", "_sdiv", "_mul_parts", "_rounded_sum")
     REDUCTION_SOFTWARE = ("_mul_parts", "_rounded_sum", "_round_real_array")
 
     @pytest.fixture
@@ -609,7 +659,7 @@ class TestBinary32SchurPath:
         counter = FlopCounter()
         sf = schur(A, PrecisionContext(BINARY32, counter, "low"))
         assert runs == [(np.complex64, False), (np.complex128, True)]
-        assert np.isnan(sf.T).any() and "fl_mul" in seen
+        assert np.isnan(sf.T).any() and "_mul_parts" in seen
         ref, ref_flops = self._software(A, monkeypatch)
         assert (_bits(sf.T) == _bits(ref.T)).all() and (_bits(sf.U) == _bits(ref.U)).all()
         assert counter.counts == ref_flops

@@ -14,6 +14,11 @@ would.  The results go to ``BENCH_<label>.json`` (the change) and
 workload and end-to-end metric, each side's median and quartiles, the
 change in the median, the parent's interquartile range and the pairs the
 change won, ties counting for neither side.
+
+Make the parent tree a git checkout of the parent commit, for example
+with ``git worktree add --detach <dir> <commit>``, so that each result
+file records the commit it ran; a ``git archive`` export has no git
+metadata and is recorded as "unknown (not a git checkout)".
 """
 
 from __future__ import annotations
