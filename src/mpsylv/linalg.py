@@ -944,8 +944,9 @@ def _qr_iteration(UH: np.ndarray, ctx: PrecisionContext) -> bool:
         columns = 0
         for k in range(lo, hi):
             c, s = _givens(x, y, fmt)
+            K = coefficients(c, s)
             first, rows = max(lo, k - 1), m + min(k + 3, hi + 1)
-            rotate(H[k:k + 2, first:], c, (K := coefficients(c, s))[0:4])
+            rotate(H[k:k + 2, first:], c, K[0:4])
             rotate(UH[:rows, k:k + 2].T, c, K[2:6])
             columns += m - first + rows
             if k > lo:
@@ -1021,7 +1022,8 @@ def _jacobi_sweeps(VW: np.ndarray, ctx: PrecisionContext, tol: float,
                 c = _sdiv(1.0, _ssqrt(_sadd(1.0, _smul(t, t, fmt), fmt).real, fmt), fmt).real
                 s = _smul(_smul(t, c, fmt), phase, fmt)
                 # rows p and q of W, then columns p and q of V and W
-                rotate(W[p:q + 1:q - p], c, (K := coefficients(c, s))[0:4])
+                K = coefficients(c, s)
+                rotate(W[p:q + 1:q - p], c, K[0:4])
                 rotate(VW[:, p:q + 1:q - p].T, c, K[2:6])
                 rotations += 1
         if rotations:

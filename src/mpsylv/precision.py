@@ -61,7 +61,7 @@ arithmetic from the operand dtype: complex128 in binary64, float32 planes
 for complex64 operands, the software rounding otherwise.  A kernel runs
 its steps under the one ``np.errstate`` that `_resident` enters per call
 and charges its flops once (the QR and Jacobi sweeps once per sweep).
-The `fl_*` functions, each a step with its own errstate and charge, are
+The `fl_*` functions, each a one-step kernel with its own charge, are
 the entry points for code outside a kernel.  A sum or difference is one
 complex64 operation.  A product is formed from the float32 planes as
 (ar*br - ai*bi, ar*bi + ai*br): the steps the software path rounds, in
@@ -684,7 +684,7 @@ def _resident(kernel, ctx: PrecisionContext, *arrays):
     arrays.
 
     The one entry into a kernel, which runs under one ``np.errstate``
-    (`_quiet`).  In binary32, when every entry of every array is a
+    (`_entered`).  In binary32, when every entry of every array is a
     binary32 value, the kernel runs on complex64 copies, whose steps then
     run on float32 planes (`_product`, `_add`, `_sub`, `_quotient`,
     `_accumulate`, `linalg._rotation`), and the flops it counts are
@@ -703,11 +703,15 @@ def _resident(kernel, ctx: PrecisionContext, *arrays):
     """
     if _in_binary32(ctx, *arrays):
         return kernel(*arrays, ctx=ctx)
-    return _quiet(_entered, kernel, ctx, arrays)
+    return _entered(kernel, ctx, arrays)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _entered(kernel, ctx: PrecisionContext, arrays):
-    """The body of `_resident` for operands that are not a step's."""
+    """The body of `_resident` for operands that are not a step's, with
+    numpy's warnings off, so that binary64's steps give inf and NaN
+    silently, as the software rounding does.  (The decorator costs about
+    half of a ``with np.errstate`` block.)"""
     if ctx.format._is_binary32:
         ops = _binary32(*arrays)
         if ops is not None:
@@ -746,30 +750,17 @@ def _in_binary32(ctx: PrecisionContext, *xs) -> bool:
 def _entrywise(step, a, b, ctx: PrecisionContext):
     """``step(a, b, fmt)`` for `fl_add`, `fl_sub`, `fl_mul` and `fl_div`,
     charging one flop per element of the broadcast result: directly on
-    complex64 operands in binary32, else on complex128 arrays, through
-    `_resident` in binary32 and `_quiet` in every other format."""
+    complex64 operands in binary32, the step of a kernel, else as a
+    one-step `_resident` kernel on complex128 arrays."""
     if _in_binary32(ctx, a, b):
         z = step(a, b, ctx.format)
         ctx.count(z.size)
         return z
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    fmt = ctx.format
-    if fmt._is_binary32:
-        (z,) = _resident(lambda a, b, ctx: (step(a, b, fmt),), fmt._uncounted, a, b)
-    else:
-        z = _quiet(step, a, b, fmt)
+    (z,) = _resident(lambda a, b, ctx: (step(a, b, ctx.format),), ctx.format._uncounted,
+                     np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
     ctx.count(z.size)
     return complex(z) if scalar else z
-
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _quiet(f, *args):
-    """``f(*args)`` with numpy's warnings off, so that binary64's steps give
-    inf and NaN silently, as the software rounding does: the errstate of a
-    kernel or an `fl_*` call (half the cost of a ``with`` block)."""
-    return f(*args)
 
 
 def fl_add(a, b, ctx: PrecisionContext):
@@ -868,8 +859,8 @@ def _quotient(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
 
 
 def _divide(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """a / b entrywise: numpy's complex division in binary64 (run under
-    `_quiet`), `_quotient` otherwise."""
+    """a / b entrywise: numpy's complex division in binary64 (run under a
+    kernel's errstate), `_quotient` otherwise."""
     if fmt.is_binary64:
         return a / b
     return _quotient(a, b, fmt)
