@@ -184,7 +184,8 @@ def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext):
     """The steps of `gemm` for ab = [alpha, beta] and C (None when beta is
     0), as a 1-tuple: each block's products summed on from the last
     block's sums (`_accumulate`), then the alpha and beta products and the
-    sum with C."""
+    sum with C.  A block's products are one `fl_mul` entry, uncharged, so
+    its preamble runs once per block of up to `_GEMM_BLOCK` products."""
     fmt = ctx.format
     alpha, beta = ab.tolist()
     m, k = A.shape
@@ -192,8 +193,8 @@ def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext):
     kb = max(1, _GEMM_BLOCK // (m * n))
     acc = None
     for p in range(0, k, kb):
-        acc = _accumulate(_product(A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :], fmt),
-                          acc, fmt)
+        acc = _accumulate(fl_mul(A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :],
+                                 fmt._uncounted), acc, fmt)
     if alpha != 1:
         acc = _product(ab[0], acc, fmt)
     if C is not None:
