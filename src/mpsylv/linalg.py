@@ -319,28 +319,18 @@ def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
             s = r(sq[0] + sq[1], fmt)
             finite = np.isfinite(s)
             mag = np.where(finite, r(np.sqrt(np.where(finite, s, 0.0)), fmt), np.inf)
-    return _ssqrt(_sum_squares(mag.tolist(), fmt), fmt)
-
-
-def _sum_squares(mags: list, fmt: FpFormat) -> float:
-    """The sum of squares of `_norm2_steps`, each sum rounded as `_sadd` does:
-    by the ``struct`` cast (binary32, binary16) if its 2Sum residual is 0
-    and it is below the overflow threshold, else by `_round_real_scalar`."""
-    packer = fmt._native and fmt._native[1]
-    limit = fmt.max_finite + 2.0 ** (fmt.emax - fmt.significand_bits) if packer else 0.0
     acc = 0.0
-    for a in mags:
+    for a in mag.tolist():
         # a ** 2 (libm pow) is the defined square; for t > 26 it can
         # differ from a * a in the last bit
         b = a ** 2
         s = acc + b
-        bv = s - acc
-        e = (acc - (s - bv)) + (b - bv)  # NaN when s is inf or NaN
-        if e == 0.0 and abs(s) < limit:
-            (acc,) = packer.unpack(packer.pack(s))
-        else:
-            acc = _round_real_scalar(s, fmt, e)
-    return acc
+        e = 0.0
+        if math.isfinite(s):  # the 2Sum residual of `_sadd`
+            bv = s - acc
+            e = (acc - (s - bv)) + (b - bv)
+        acc = _round_real_scalar(s, fmt, e)
+    return _ssqrt(acc, fmt)
 
 
 # ---------------------------------------------------------------------------

@@ -815,24 +815,19 @@ def _smith_denominator(b: np.ndarray, fmt: FpFormat):
     return perm, t, d
 
 
-def _smith_numerator(a: np.ndarray, den, fmt: FpFormat, planes=None) -> np.ndarray:
+def _smith_numerator(a: np.ndarray, den, fmt: FpFormat) -> np.ndarray:
     """a / b from a and the `_smith_denominator` of b, in a's dtype.
 
-    Both parts run at once on a's planes (x, y), or the view planes of
-    them, taken by perm: (x + y t) / d and (y - x t) / d, each step rounded
-    by `_smith_step` but on float32 planes or in binary64.
+    Both parts run at once on a's planes (x, y) taken by perm: (x + y t) / d
+    and (y - x t) / d, each step rounded by `_smith_step`.  Call under the
+    same ``np.errstate`` as `_smith_denominator`.
     """
+    r = _smith_step
     perm, t, d = den[:3]
-    if planes is None:
-        planes = np.ascontiguousarray(a).reshape(-1).view(a.real.dtype)
-    num = planes.take(perm)
+    num = np.ascontiguousarray(a).reshape(-1).view(a.real.dtype).take(perm)
     if fmt.is_binary64:
         num *= den[3]
-    if num.dtype is _FLOAT32 or fmt.is_binary64:
-        q = (num + num[..., ::-1] * t) / d
-    else:
-        r = _smith_step
-        q = r(r(num + r(num[..., ::-1] * t, fmt), fmt) / d, fmt)
+    q = r(r(num + r(num[..., ::-1] * t, fmt), fmt) / d, fmt)
     return q.view(a.dtype)[..., 0]
 
 
@@ -842,16 +837,12 @@ def _quotient(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
     complex128 division for a zero divisor.  Every step is rounded into
     fmt, except in binary64, where the steps follow CPython's complex
     division as `_sdiv` does, and on complex64 operands, whose float32
-    steps are the correctly rounded ones.  A 0-d b's denominator half is
-    formed once.  Charges no flops.
+    steps are the correctly rounded ones.  Charges no flops.
     """
-    if np.ndim(b) and a.shape != b.shape:
+    if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        den = _smith_denominator(np.asarray(b), fmt)
-        if np.ndim(b) == 0:  # the planes of every entry of a
-            den = (den[0] + 2 * np.arange(a.size).reshape(a.shape + (1,)),) + den[1:]
-        z = _smith_numerator(a, den, fmt)
+        z = _smith_numerator(a, _smith_denominator(b, fmt), fmt)
         zero = b == 0
         if zero.any():
             z[zero] = a[zero].astype(np.complex128) / b[zero].astype(np.complex128)

@@ -206,10 +206,9 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     """`solve_sylv_tri` with T_A, T_B and ctx fixed: returns solve(C).
 
     Once per pair: the checks and the wave plan; once per dtype the waves
-    run in (as `_resident` chooses): the shifted diagonals D, their zeros,
-    and per wave the Smith denominators and a chain buffer, with the planes
-    of its last row.  Every solve overwrites the buffers, so a solve that
-    raises leaves no state.  A wave's chain is one
+    run in (as `_resident` chooses): the shifted diagonals D, their zeros
+    and the Smith denominators per wave.  None of it depends on C, so a
+    solve that raises leaves no state.  A wave's chain is one
     ``np.subtract.accumulate`` where no step rounds (binary64, complex64),
     else `_accumulate`.
     """
@@ -231,9 +230,7 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
         D = _add(buf[m * n:off_b:m + 1, None], buf[off_b::n + 1], fmt)
         den = list(_smith_denominator(D.ravel()[order], fmt))
         den[0] -= 2 * first[:, None]  # plane indices within each wave
-        chains = [np.empty((len(w[2]) + 1, w[1] - w[0]), dtype=buf.dtype) for w in waves]
-        ops = [(a, b, left, right, [x[a:b] for x in den], X, X[-1].view(buf.real.dtype))
-               for (a, b, left, right), X in zip(waves, chains)]
+        ops = [(a, b, left, right, [x[a:b] for x in den]) for a, b, left, right in waves]
         singular = D == 0
         prepared[buf.dtype] = plan = (singular, singular.any(axis=0)[cols], ops)
         return plan
@@ -241,13 +238,14 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     def steps(buf, c, ctx):
         exact = fmt.is_binary64 or buf.dtype == np.complex64  # no step rounds
         singular, failing, ops = prepared.get(buf.dtype) or prepare(buf)
-        for start, stop, left, right, den, X, planes in ops:
+        for start, stop, left, right, den in ops:
+            X = np.empty((len(left) + 1, stop - start), dtype=buf.dtype)
             X[0] = c[start:stop]
             _product(buf[left], buf[right], fmt, out=X[1:])
             # x - p is x + (-p) exactly: the sums of fl_sum(-products, start=c)
             s = np.subtract.accumulate(X, axis=0, out=X)[-1] if exact \
                 else _accumulate(-X[1:], X[0], fmt)
-            buf[start:stop] = _smith_numerator(s, den, fmt, planes if exact else None)
+            buf[start:stop] = _smith_numerator(s, den, fmt)
         Y = np.empty(m * n, dtype=buf.dtype)
         Y[order] = buf[:m * n]
         Y = Y.reshape(m, n)

@@ -33,7 +33,6 @@ from mpsylv.precision import (
     TF32,
     FlopCounter,
     PrecisionContext,
-    _round_real_scalar,
     _sabs,
     _sadd,
     _sdiv,
@@ -41,7 +40,6 @@ from mpsylv.precision import (
     _ssqrt,
     parse_format,
     round_matrix,
-    round_to,
 )
 
 from conftest import cmat, hermitian
@@ -307,56 +305,6 @@ def test_norm2_steps_float32_matches_software(rng):
     assert len(native) > SETS[BINARY32] // 2
     assert np.isinf(ref).sum() > 1000 and (ref == 0.0).sum() > 100
     assert np.isinf(want).sum() > np.isinf(ref).sum()  # the NaN vectors
-
-
-def _sum_squares_loop(mags, fmt, ties=None):
-    """`linalg._sum_squares` with every partial sum rounded by
-    `_round_real_scalar` from its 2Sum residual; a partial sum that is a
-    midpoint of fmt appends to ties whether it has a residual."""
-    acc = 0.0
-    for a in mags:
-        b = a ** 2
-        s = acc + b
-        e = 0.0
-        if math.isfinite(s):
-            bv = s - acc
-            e = (acc - (s - bv)) + (b - bv)
-        r = _round_real_scalar(s, fmt)
-        # a residual pointing away from r moves only a midpoint
-        if ties is not None and r != s and _round_real_scalar(s, fmt, s - r) != r:
-            ties.append(e != 0.0)
-        acc = _round_real_scalar(s, fmt, e)
-    return acc
-
-
-@pytest.mark.parametrize("fmt", [BINARY32, BINARY16], ids=_ids)
-def test_sum_squares_matches_the_residual_loop(fmt, rng):
-    """The ``struct`` cast of `_sum_squares` for sums with no 2Sum residual
-    against `_round_real_scalar` for every sum, on sets of magnitudes of
-    the format drawn across its range, 0, inf and NaN among them, and on
-    sets whose sums land on a midpoint: exactly, or, from an off-format
-    magnitude, with a residual that breaks the tie.  The partial sums
-    reach subnormals and overflow to inf."""
-    t, emin, emax = fmt.significand_bits, fmt.emin, fmt.emax
-    sets = []
-    for _ in range(3000):
-        k = int(rng.integers(1, 12))
-        mags = 2.0 ** (rng.uniform((emin - t) / 2 - 1, emax / 2 + 1) + rng.normal(0, 2, k))
-        mags = precision._round_real_array(np.minimum(mags, fmt.max_finite), fmt)
-        mags[rng.random(k) < 0.02] = rng.choice([0.0, math.inf, math.nan])
-        sets.append(mags.tolist())
-    sets += {BINARY32: [[1.0, 2.0 ** -12], [2.0 ** 12, 1.0 + 2.0 ** -40]],
-             BINARY16: [[1.0, 1.0, 2.0 ** -5], [2.0 ** 6, math.sqrt(2.0)]]}[fmt]
-    ties, subnormal, overflow = [], 0, 0
-    for mags in sets:
-        got, want = linalg._sum_squares(mags, fmt), _sum_squares_loop(mags, fmt, ties)
-        assert np.array(got).view(np.uint64) == np.array(want).view(np.uint64), mags
-        subnormal += 0.0 < want < fmt.smallest_normal
-        overflow += want == math.inf and all(map(math.isfinite, mags))
-    assert subnormal and overflow and False in ties and True in ties
-    # the residual moved the sum off the cast's tie to even
-    pair = sets[-1]
-    assert linalg._sum_squares(pair, fmt) != round_to(pair[0] ** 2 + pair[1] ** 2, fmt)
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=_ids)
