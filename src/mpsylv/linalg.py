@@ -9,12 +9,21 @@ A kernel calls `precision`'s steps under the one ``np.errstate`` that
 step pays no format dispatch, errstate or charge of its own; the `fl_*`
 functions are the entry points for code outside a kernel.
 
+`schur` takes a stack of matrices, as numpy's linalg does, and runs their
+QR iterations in lockstep: each matrix's iteration is a generator of
+Givens steps, and one driver rotates two matrices' rows, then columns,
+through one strided view per pass.  The view pads with exact zeros below
+the subdiagonal, which a finite rotation keeps zero; a sweep that leaves
+a matrix not all finite runs again alone and unpadded.  Results, flops
+and errors are those of factoring the matrices one after another.
+
 Explicit Kronecker forms (`sylvester_kron_operator`, `kron_matrix`) are
 intended for oracles and diagnostics only and are capped in size.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,12 +33,14 @@ from .errors import (
     DimensionError,
     FormatOverflowError,
     IterationLimitError,
+    MpsylvError,
     NotHermitianError,
     RankDeficiencyError,
     SingularMatrixError,
 )
 from .precision import (
     BINARY64,
+    FlopCounter,
     FpFormat,
     PrecisionContext,
     fl_div,
@@ -81,6 +92,9 @@ DEFAULT_KRON_CAP = 4096
 
 # products formed per block of k indices in gemm; bounds its working memory
 _GEMM_BLOCK = 1 << 15
+
+# below this, the squares of a binary64 norm's entries may be subnormal
+_TINY_NORM = 2.0 ** -511
 
 _CTX64 = PrecisionContext(BINARY64)
 
@@ -227,11 +241,13 @@ def _norm_two(M: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
 
 def _frobenius(v) -> float:
     """Frobenius norm of an array in binary64: ``np.linalg.norm`` where that
-    is finite, else (finite entries above ~1e154 overflow its unscaled
-    squares) the norm of v scaled by its largest magnitude.  Finite exactly
-    when every entry is finite and the norm is below the largest double.
-    complex64 and float32 input is widened first: ``np.linalg.norm`` keeps
-    the dtype."""
+    is finite and at least 2^-511, else (finite entries above ~1e154
+    overflow its unscaled squares, and entries below ~1e-154 underflow
+    them) the norm of v scaled by its largest magnitude, or by a power of
+    two (`_scaled_down`) and scaled back exactly when small.  Finite
+    exactly when every entry is finite and the norm is below the largest
+    double.  complex64 and float32 input is widened first:
+    ``np.linalg.norm`` keeps the dtype."""
     v = np.asarray(v)
     if v.dtype in (np.complex64, np.float32):
         v = v.astype(np.result_type(v.dtype, np.float64))
@@ -240,6 +256,9 @@ def _frobenius(v) -> float:
     if math.isinf(nrm) and np.isfinite(v).all():
         s = float(np.abs(v).max())
         nrm = s * float(np.linalg.norm(v / s))
+    elif nrm < _TINY_NORM and v.any():
+        scaled, e = _scaled_down(v.ravel())
+        nrm = math.ldexp(float(np.linalg.norm(scaled)), e)
     return nrm
 
 
@@ -300,10 +319,12 @@ def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
 def _scaled_down(x: np.ndarray):
     """(x * 2^-e, e), e the binary exponent of the largest real or imaginary
     part of the finite nonzero vector x: every scaled part is below 1 in
-    magnitude, and the scaling is exact in binary64."""
+    magnitude, and the scaling is exact in binary64.  A factor past 2^1023
+    (x subnormal) is applied in two steps."""
     parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
     _, e = math.frexp(float(np.abs(parts).max()))
-    return (parts * math.ldexp(1.0, -e)).view(np.complex128), e
+    half = -e // 2 if e < -1023 else 0
+    return (parts * math.ldexp(1.0, half) * math.ldexp(1.0, -e - half)).view(np.complex128), e
 
 
 def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
@@ -446,7 +467,8 @@ def _reflector_binary64(x0: complex, nx: float):
     with w*w = 2 nx (nx + |x0|), real by construction, and head = -phase nx."""
     a0 = abs(x0)
     pn = (x0 / a0 if a0 != 0.0 else 1 + 0j) * nx
-    return x0 + pn, 2.0 / (2.0 * (nx * (nx + a0))), -1.0 * pn
+    ww = 2.0 * (nx * (nx + a0))  # 0 once it underflows: `_make_reflector` rescales
+    return x0 + pn, 2.0 / ww if ww != 0.0 else math.inf, -1.0 * pn
 
 
 def _reflector_chain(x0: complex, nx: float, fmt: FpFormat):
@@ -735,40 +757,54 @@ def _givens_chain(f: complex, g: complex, fmt: FpFormat):
 
 def _rotation(dtype, fmt: FpFormat):
     """The Givens rotation body of `schur` and `hermitian_eig`, chosen once
-    per call: K = coefficients(c, s) holds [c, s, c, conj(s), c, s], and
-    rotate(X, c, k) sets X <- (c X0 + s1 X1, c X1 - s2 X0) in place for a
-    (2, n) view X and k = [c, s1, c, s2]: K[0:4] for a step's rows, K[2:6]
-    for its columns.  The caller charges six flops per column and holds
-    the errstate.  binary64 keeps `_product`'s operand order and shapes; a
-    complex64 X takes `_plane_product`'s steps on the planes P of
-    [X0, X1, X1, X0]: P * [kr, kr] + swap(P) * [-ki, ki] is exactly
-    kr*gr - ki*gi and kr*gi + ki*gr.  Other formats take `_product`, `_add`."""
+    per call: K = coefficients(c, s) holds [c, s, c, conj(s), c, s] along
+    its first axis, and rotate(X, c, k) sets X <- (c X0 + s1 X1,
+    c X1 - s2 X0) in place for a (2, n) view X and k = [c, s1, c, s2]:
+    K[0:4] for a step's rows, K[2:6] for its columns.  For tuples c and s
+    of q steps, X is a (2, q, n) view, row or column pair j of which step
+    j rotates; the middle axis costs no ``...`` index, about 2.5 us a
+    complex64 call.  Every body reads c from k.  The caller charges six
+    flops per column and holds the errstate.  binary64 keeps `_product`'s
+    operand order; a complex64 X takes `_plane_product`'s steps on the
+    planes P of [X0, X1, X1, X0]: P * [kr, kr] + swap(P) * [-ki, ki] is
+    exactly kr*gr - ki*gi and kr*gi + ki*gr.  Other formats take
+    `_product`, `_add`."""
     if dtype == np.complex64:
-        def coefficients(c, s):
+        def row(c, s):  # [kr, kr] then [-ki, ki] for each of [c, s, c, conj(s), c, s]
             sr, si = s.real, s.imag
-            return np.array([c, c, -0.0, 0.0, sr, sr, -si, si, c, c, -0.0, 0.0, sr, sr, si, -si,
-                             c, c, -0.0, 0.0, sr, sr, -si, si], dtype=np.float32).reshape(6, 1, 4)
+            return [c, c, -0.0, 0.0, sr, sr, -si, si, c, c, -0.0, 0.0, sr, sr, si, -si,
+                    c, c, -0.0, 0.0, sr, sr, -si, si]
+
+        def coefficients(c, s):
+            if isinstance(c, tuple):
+                K = np.array([row(x, y) for x, y in zip(c, s)], dtype=np.float32)
+                return K.reshape(-1, 6, 2, 1, 2).transpose(1, 2, 0, 3, 4)
+            return np.array(row(c, s), dtype=np.float32).reshape(6, 2, 1, 2)
 
         def rotate(X, c, k):
-            P = X[_PAIR].view(np.float32).reshape(4, -1, 2)
-            prods = P * k[..., :2] + P[..., ::-1] * k[..., 2:]
+            P = X[_PAIR][..., None].view(np.float32)
+            prods = P * k[:, 0] + P[..., ::-1] * k[:, 1]
             np.negative(prods[3], out=prods[3])
             X[...] = (prods[0::2] + prods[1::2]).view(np.complex64)[..., 0]
         return coefficients, rotate
 
     def coefficients(c, s):
-        return np.array([c, s, c, s.conjugate(), c, s], dtype=np.complex128)
+        if isinstance(c, tuple):
+            return np.array([c, s, c, [y.conjugate() for y in s], c, s],
+                            dtype=np.complex128).reshape(6, -1, 1)
+        return np.array([c, s, c, s.conjugate(), c, s], dtype=np.complex128).reshape(6, 1)
 
     if fmt.is_binary64:
         def rotate(X, c, k):
-            B = k[1::2, None] * X[::-1]
+            B = k[1::2] * X[::-1]
             np.negative(B[1], out=B[1])
-            X *= c
+            X *= k[:1]
             X += B
     else:
         def rotate(X, c, k):
-            prods = _product(k[:, None], X[_PAIR], fmt)
-            X[...] = _add(prods[0::2], np.array([prods[1], -prods[3]]), fmt)
+            prods = _product(k, X[_PAIR], fmt)
+            np.negative(prods[3], out=prods[3])
+            X[...] = _add(prods[0::2], prods[1::2], fmt)
     return coefficients, rotate
 
 
@@ -874,32 +910,169 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
     before any flop is charged.  Raises IterationLimitError after 30*m
     sweeps.  In binary32 the reduction and the QR iteration keep U and H
     in complex64 from start to end (`_resident`).
+
+    A may be a stack (p, m, m), as numpy's linalg takes it; U and T are
+    then stacks too, and U, T, flops and errors are those of factoring the
+    matrices one after another: each matrix's flops are charged once the
+    ones before it have finished, a matrix after one that raises is not
+    charged, and an entry check fails only once the matrices before it are
+    factored.  Their QR iterations run in lockstep (`_qr_iteration`), two
+    matrices' Givens steps through one view per pass, padded with exact
+    zeros that a finite rotation keeps zero; a sweep that leaves a matrix
+    not all finite (as a non-finite c or s does) runs again alone and
+    unpadded.
     """
-    A = _enter(A, ctx, "schur input")
-    m = A.shape[0]
-    if A.shape[0] != A.shape[1]:
+    stacked = np.ndim(A) == 3
+    if stacked and len(A) == 0:
+        raise DimensionError(f"expected a nonempty stack, got shape {np.shape(A)}")
+    entered, error = [], None
+    for M in A if stacked else [A]:
+        try:
+            entered.append(_enter(M, ctx, "schur input"))
+        except FormatOverflowError as exc:
+            if not entered:
+                raise
+            error = exc
+            break
+    m = entered[0].shape[0]
+    if entered[0].shape[1] != m:
         raise DimensionError("schur requires a square matrix")
-    # U above H in one array: a reflector or a Givens step updates the rows
-    # of H through one view and the columns of U and H through others
-    UH = np.concatenate([np.eye(m, dtype=np.complex128), A])
-    (UH,) = _resident(lambda X, ctx: _hessenberg(X, ctx) and _qr_iteration(X, ctx) and (X,),
-                      ctx, UH)
-    return SchurFactors(UH[:m].copy(), np.triu(UH[m:]))
+    # U above H in one C-contiguous array per matrix: a reflector or a
+    # Givens step updates the rows of H through one view and the columns
+    # of U and H through others
+    UH = np.concatenate([np.broadcast_to(np.eye(m, dtype=np.complex128), (len(entered), m, m)),
+                         entered], axis=1)
+    (UH,) = _resident(_schur_steps, ctx, UH)
+    if error is not None:
+        raise error
+    U, T = UH[:, :m].copy(), np.triu(UH[:, m:])
+    return SchurFactors(U, T) if stacked else SchurFactors(U[0], T[0])
 
 
-def _qr_iteration(UH: np.ndarray, ctx: PrecisionContext) -> bool:
-    """The QR iteration of `schur` on the stacked [U; H], in place; False
-    as soon as a sweep leaves a NaN in a complex64 UH, else True.  A
+def _schur_steps(UH: np.ndarray, *, ctx: PrecisionContext):
+    """The steps of `schur` on the stack UH of [U; H], U = I on entry, in
+    place, as a 1-tuple; False as `_hessenberg` or `_qr_iteration` returns
+    it.  Past one matrix each is charged to a tally of its own, and the
+    tallies go to ctx in stack order."""
+    ctxs = [ctx] if len(UH) == 1 else [PrecisionContext(ctx.format, FlopCounter()) for _ in UH]
+    try:
+        return (all(_hessenberg(X, c) for X, c in zip(UH, ctxs))
+                and _qr_iteration(UH, ctxs) and (UH,))
+    finally:
+        for c in ctxs:
+            if c is not ctx:
+                for n in c.counter.counts.values():
+                    ctx.count(n)
+
+
+def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
+    """The QR iterations of `schur` on the stack UH of Hessenberg [U; H],
+    in place, each charged to its own context in ctxs; False as soon as a
+    matrix's run (`_qr_steps`) returns False, else True, or the error of
+    the first matrix that raises, with the charges of the matrices after
+    it dropped.
+
+    The runs go in lockstep: each round applies the pending Givens step of
+    every running matrix, two at a time, through one strided view per
+    pass.  The row pass of a pair starts at the smaller first column and
+    its column pass runs to the larger row count; the entries this pads
+    with are exact zeros strictly below H's subdiagonal or a deflated
+    subdiagonal, which a rotation by finite c and s keeps zero, and T
+    drops.  A step whose c or s is not finite leaves the matrix not all
+    finite, so its sweep runs again alone and unpadded (`_qr_steps`).
+    UH is C-contiguous: the views are built on its buffer.
+    """
+    p, m, dtype = UH.shape[0], UH.shape[2], UH.dtype
+    coefficients, rotate = _rotation(dtype, ctxs[0].format)
+    s0, s1, s2 = UH.strides
+
+    def alone(i, step):
+        k, first, rows, c, s, _ = step
+        K = coefficients(c, s)
+        rotate(UH[i, m + k:m + k + 2, first:], None, K[0:4])
+        rotate(UH[i, :rows, k:k + 2].T, None, K[2:6])
+
+    def paired(i, a, j, b):
+        (k, first, rows, c, s, _), (kb, fb, rb, cb, sb, _) = a, b
+        K = coefficients((c, cb), (s, sb))
+        f = first if first < fb else fb
+        r = rows if rows > rb else rb
+        rotate(np.ndarray((2, 2, m - f), dtype, UH, i * s0 + (m + k) * s1 + f * s2,
+                          (s1, (j - i) * s0 + (kb - k) * s1, s2)), None, K[0:4])
+        rotate(np.ndarray((2, 2, r), dtype, UH, i * s0 + k * s2,
+                          (s2, (j - i) * s0 + (kb - k) * s2, s1)), None, K[2:6])
+
+    runs = [_qr_steps(X, c, pairable=p > 1) for X, c in zip(UH, ctxs)]
+    ends, steps = [None] * p, [None] * p
+
+    def advance(i):
+        """True when run i holds its next step, False once it has ended."""
+        try:
+            steps[i] = next(runs[i])
+            return True
+        except StopIteration as stop:
+            ends[i] = stop.value
+        except MpsylvError as exc:  # raised in its turn, in stack order
+            ends[i] = exc
+        return False
+
+    def undecided():
+        """The first matrix that has not ended True is still running."""
+        return next((e for e in ends if e is not True), True) is None
+
+    live = [i for i in range(p) if advance(i)]
+    going = undecided()
+    while len(live) > 1 and going:
+        for n in range(0, len(live) - 1, 2):
+            i, j = live[n], live[n + 1]
+            a, b = steps[i], steps[j]
+            if a[5] and b[5]:
+                paired(i, a, j, b)
+            else:
+                alone(i, a)
+                alone(j, b)
+        if len(live) % 2:
+            alone(live[-1], steps[live[-1]])
+        running = [i for i in live if advance(i)]
+        if len(running) < len(live):
+            going = undecided()
+        live = running
+    if live and going:
+        (i,) = live
+        alone(i, steps[i])
+        while advance(i):
+            alone(i, steps[i])
+    for i, end in enumerate(ends):
+        if end is not True:
+            for c in ctxs[i + 1:]:
+                c.counter.reset()
+            if end is False:
+                return False
+            raise end
+    return True
+
+
+def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
+    """The QR iteration of `schur` on one Hessenberg [U; H], as a generator
+    for `_qr_iteration`: it yields each Givens step (k, first, rows, c, s,
+    pairable) and resumes once the step is applied to rows k, k+1 of H
+    from column first and to columns k, k+1 of UH's first rows rows, in
+    the same views as another matrix's step only when pairable is True.  It returns
+    False as soon as a sweep leaves a NaN in a complex64 UH, else True.  A
     sweep charges its rotations' flops at its end.
 
-    The deflation test and the exceptional shift read H in complex128:
-    ``np.hypot`` and ``abs`` of complex64 entries return float32.
+    numpy keeps the NaN of either operand of a commutative complex128 step
+    depending on where its loop meets them, so a paired sweep that leaves
+    a complex128 UH not all finite runs again alone from its start, and
+    every later step runs alone.  (A complex64 NaN reruns the kernel.)
+    The deflation test and the exceptional shift
+    read H in complex128: ``np.hypot`` and ``abs`` of complex64 entries
+    return float32.
     """
     m = UH.shape[1]
     H = UH[m:]
     fmt = ctx.format
     resident = UH.dtype == np.complex64
-    coefficients, rotate = _rotation(UH.dtype, fmt)
     u = fmt.unit_roundoff
     limit = 30 * m
     sweeps = 0
@@ -915,35 +1088,42 @@ def _qr_iteration(UH: np.ndarray, ctx: PrecisionContext) -> bool:
         j = 1 + np.flatnonzero(
             (sub != 0) & (np.hypot(sub.real, sub.imag) <= u * (ad[:-1] + ad[1:])))
         H[j, j - 1] = 0.0
-        if H[hi, hi - 1] == 0:
+        # nothing moves until the next sweep, so a second pass would
+        # deflate nothing more
+        while hi > 0 and H[hi, hi - 1] == 0:
             hi -= 1
             stuck = 0
-            continue
+        if hi == 0:
+            break
         lo = hi
         while lo > 0 and H[lo, lo - 1] != 0:
             lo -= 1
         if sweeps >= limit:
             raise IterationLimitError(
                 f"QR iteration did not converge within {limit} sweeps")
-        h, y = H[lo:lo + 2, lo].tolist()
-        if stuck > 0 and stuck % 10 == 0:
-            # exceptional shift to break a stalled cycle (a binary64 value)
-            shift = complex(abs(complex(H[hi, hi - 1])) + 0.75 * abs(complex(H[hi, hi])))
-            x = _ssub(h, shift, fmt)
-        else:
-            x = _shifted(h, _wilkinson_shift(H, hi, fmt), fmt)
-        columns = 0
-        for k in range(lo, hi):
-            c, s = _givens(x, y, fmt)
-            K = coefficients(c, s)
-            first, rows = max(lo, k - 1), m + min(k + 3, hi + 1)
-            rotate(H[k:k + 2, first:], c, K[0:4])
-            rotate(UH[:rows, k:k + 2].T, c, K[2:6])
-            columns += m - first + rows
-            if k > lo:
-                H[k + 1, k - 1] = 0.0
-            if k < hi - 1:
-                x, y = H[k + 1:k + 3, k].tolist()
+        start = UH.copy() if pairable and not resident else None
+        while True:
+            h, y = H[lo:lo + 2, lo].tolist()
+            if stuck > 0 and stuck % 10 == 0:
+                # exceptional shift to break a stalled cycle (a binary64 value)
+                shift = complex(abs(complex(H[hi, hi - 1])) + 0.75 * abs(complex(H[hi, hi])))
+                x = _ssub(h, shift, fmt)
+            else:
+                x = _shifted(h, _wilkinson_shift(H, hi, fmt), fmt)
+            columns = 0
+            for k in range(lo, hi):
+                c, s = _givens(x, y, fmt)
+                first, rows = max(lo, k - 1), m + min(k + 3, hi + 1)
+                yield k, first, rows, c, s, pairable
+                columns += m - first + rows
+                if k > lo:
+                    H[k + 1, k - 1] = 0.0
+                if k < hi - 1:
+                    x, y = H[k + 1:k + 3, k].tolist()
+            if start is None or np.isfinite(UH).all():
+                break
+            UH[...] = start
+            start, pairable = None, False
         ctx.count(6 * columns)
         sweeps += 1
         stuck += 1

@@ -303,10 +303,15 @@ def _shared_schur_pairs():
 
 
 def _factor_pair(p: SylvesterProblem, ctx: PrecisionContext):
-    sf_A = schur(p.A, ctx)
+    """`schur` of A, then of B, or of the stack [A; B] when the shapes
+    agree, which factors both in lockstep with the same result."""
     if p.kind == "lyapunov":
+        sf_A = schur(p.A, ctx)
         return sf_A, SchurFactors(sf_A.U, sf_A.T.conj().T)
-    return sf_A, schur(p.B, ctx)
+    if p.A.shape != p.B.shape:
+        return schur(p.A, ctx), schur(p.B, ctx)
+    sf = schur(np.stack([p.A, p.B]), ctx)
+    return SchurFactors(sf.U[0], sf.T[0]), SchurFactors(sf.U[1], sf.T[1])
 
 
 def _schur_pair(p: SylvesterProblem, ctx: PrecisionContext):

@@ -6,7 +6,9 @@ import pytest
 
 from mpsylv.errors import (
     DimensionError,
+    FormatOverflowError,
     IterationLimitError,
+    MpsylvError,
     NotHermitianError,
     RankDeficiencyError,
     SingularMatrixError,
@@ -129,6 +131,15 @@ class TestNorm:
         assert norm(np.zeros((3, 3)), "two") == 0.0
         assert norm(np.zeros((3, 3)), "frobenius") == 0.0
 
+    def test_frobenius_below_the_squares_range(self):
+        # squares below 2^-1022 lose bits, and below 2^-1074 vanish
+        x = np.random.default_rng(0).standard_normal((4, 4))[:, 0]
+        assert linalg._frobenius(x * 1e-165) == pytest.approx(2.4907e-165, rel=1e-4)
+        assert linalg._frobenius(x * 1e-165) == pytest.approx(
+            linalg._frobenius(x) * 1e-165, rel=1e-15)
+        assert linalg._frobenius(x * 2.0 ** -1060) == math.ldexp(linalg._frobenius(x), -1060)
+        assert linalg._frobenius(np.array([5e-324, 0.0])) == 5e-324
+
 
 class TestQr:
     @pytest.mark.parametrize("qr", [mgs_qr, householder_qr])
@@ -168,6 +179,14 @@ class TestQr:
         A = np.hstack([A, A[:, :1]])  # exactly dependent column
         with pytest.raises(RankDeficiencyError):
             qr(A, CTX)
+
+    @pytest.mark.parametrize("k", [548, 1000])
+    def test_householder_below_the_squares_range(self, k):
+        # w*w underflows: the reflector is formed from the column scaled up
+        A = np.random.default_rng(0).standard_normal((4, 4))
+        ref, f = householder_qr(A, CTX), householder_qr(A * 2.0 ** -k, CTX)
+        assert (_bits(f.Q) == _bits(ref.Q)).all()
+        assert (f.R == ref.R * 2.0 ** -k).all()
 
     @pytest.mark.parametrize("qr", [mgs_qr, householder_qr])
     def test_full_rank_past_the_squares_range(self, qr, recwarn):
@@ -380,6 +399,125 @@ class TestRotate:
         others = np.ones(n, dtype=bool)
         others[[p, q]] = False
         assert (_bits(VW[:, others]) == _bits(before[:, others])).all()
+
+
+GOLDEN_FORMATS = ("bfloat16", "binary16", "tf32", "b24", "binary32", "40:11", "binary64")
+CYCLIC = np.eye(6, k=-1) + np.eye(6, k=5)  # stalls under the unshifted QR iteration
+
+
+def _factored(factor, fmt):
+    """The U and T bytes of each factorization that ``factor(ctx)`` returns,
+    or the type and message of the error it raises, and the flop buckets."""
+    counter = FlopCounter()
+    try:
+        out = [(_bits(sf.U).tobytes(), _bits(sf.T).tobytes())
+               for sf in factor(PrecisionContext(fmt, counter, "low"))]
+    except MpsylvError as exc:
+        out = (type(exc), str(exc))
+    return out, counter.counts
+
+
+def _one_by_one(*As):
+    return lambda ctx: [schur(A, ctx) for A in As]
+
+
+def _stacked(*As):
+    def factor(ctx):
+        sf = schur(np.stack(As), ctx)
+        assert sf.U.shape == sf.T.shape == (len(As),) + As[0].shape
+        return [linalg.SchurFactors(U, T) for U, T in zip(sf.U, sf.T)]
+    return factor
+
+
+class TestSchurStack:
+    """schur of a stack against one schur call per matrix: U and T bytes,
+    flop buckets, and error type and message."""
+
+    @staticmethod
+    def _same(fmt, *As):
+        got = _factored(_stacked(*As), fmt)
+        assert got == _factored(_one_by_one(*As), fmt)
+        return got
+
+    @pytest.fixture
+    def unshifted(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_wilkinson_shift", lambda H, hi, fmt: 0j)
+        monkeypatch.setattr(linalg, "_shifted", lambda h, shift, fmt: h)
+
+    @staticmethod
+    def _converging(rng):
+        """A 6x6 matrix that the unshifted iteration still factors."""
+        return np.diag(2.0 ** np.arange(6)) + 0.05 * cmat(rng, 6, 6)
+
+    @pytest.mark.parametrize("fmt", GOLDEN_FORMATS)
+    def test_dense(self, fmt, rng):
+        for m in (1, 2, 8):
+            self._same(parse_format(fmt), cmat(rng, m, m), cmat(rng, m, m))
+        self._same(parse_format(fmt), *(rng.standard_normal((5, 5)) + 0j for _ in range(3)))
+
+    @pytest.mark.parametrize("fmt", GOLDEN_FORMATS)
+    def test_hessenberg_with_exact_and_signed_zeros(self, fmt, rng):
+        A, B = np.triu(cmat(rng, 8, 8), -1), np.triu(cmat(rng, 8, 8), -1)
+        A[4, 3] = 0.0
+        A[2, 1] = complex(0.0, -0.0)
+        B[1, 0] = -0.0
+        B[7, 6] = complex(-0.0, 0.0)
+        for pair in ((A, B), (B, A)):
+            self._same(parse_format(fmt), *pair)
+
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=lambda f: f.name)
+    @pytest.mark.parametrize("stalls", [0, 1])
+    def test_stall_in_one_factor(self, fmt, stalls, unshifted, rng):
+        pair = [self._converging(rng)]
+        pair.insert(stalls, CYCLIC)
+        (error, _), flops = self._same(fmt, *pair)
+        assert error is IterationLimitError and flops["low"] > 0
+
+    @pytest.mark.parametrize("first_ok", [False, True])
+    def test_overflow_in_b_after_a(self, first_ok, unshifted, rng):
+        B = self._converging(rng)
+        B[0, 1] = 1e39  # past binary32
+        A = self._converging(rng) if first_ok else CYCLIC
+        (error, _), flops = self._same(BINARY32, A, B)
+        assert error is (FormatOverflowError if first_ok else IterationLimitError)
+        assert flops["low"] > 0
+        (error, _), flops = self._same(BINARY32, B, A)
+        assert error is FormatOverflowError and flops == {}
+
+    @pytest.mark.parametrize("fmt, big", [(BINARY32, 3e38), (BINARY64, 1.7e308)],
+                             ids=["binary32", "binary64"])
+    def test_nan_in_one_factor(self, fmt, big, rng):
+        """The input of the binary32 software rerun (`test_scalar_chains`):
+        a last column past a deflated row overflows and meets inf - inf, and
+        T ends with NaN.  binary32 reruns the stack on the software path;
+        there, and in binary64, the sweep that leaves the NaN runs again
+        alone, so the NaN bits are those of one matrix at a time."""
+        A = np.zeros((5, 5), dtype=np.complex128)
+        g = np.random.default_rng(0)
+        A[:4, :4] = np.triu(cmat(g, 4, 4), -1)
+        A[:4, 4] = big * np.sign(g.standard_normal(4))
+        A[4, 4] = 1.0
+        other = cmat(rng, 5, 5)
+        for pair in ((A, other), (other, A)):
+            self._same(fmt, *pair)
+        assert np.isnan(schur(np.stack([other, A]), PrecisionContext(fmt)).T[1]).any()
+
+    def test_shared_pairs_replay_a_same_shape_pair(self, rng, monkeypatch, unshifted):
+        """`_schur_pair` factors a same-shape pair as one stack, and a
+        `_shared_schur_pairs` scope replays its charges and its error."""
+        calls = []
+        monkeypatch.setattr(sylvester, "schur",
+                            lambda A, ctx: calls.append(np.ndim(A)) or schur(A, ctx))
+        for B in (self._converging(rng), CYCLIC):
+            p = sylvester.SylvesterProblem(self._converging(rng), B, cmat(rng, 6, 6))
+            want = _factored(_one_by_one(p.A, p.B), BINARY32)
+            with sylvester._shared_schur_pairs():
+                got = [_factored(lambda ctx: sylvester._schur_pair(p, ctx), BINARY32)
+                       for _ in range(2)]
+            assert got == [want, want]
+            assert calls == [3]
+            calls.clear()
+        assert want[0][0] is IterationLimitError
 
 
 class TestHouseholderScaling:
