@@ -9,13 +9,10 @@ A kernel calls `precision`'s steps under the one ``np.errstate`` that
 step pays no format dispatch, errstate or charge of its own; the `fl_*`
 functions are the entry points for code outside a kernel.
 
-`schur` takes a stack of matrices, as numpy's linalg does, and runs their
-QR iterations in lockstep: each matrix's iteration is a generator of
-Givens steps, and one driver rotates two matrices' rows, then columns,
-through one strided view per pass.  The view pads with exact zeros below
-the subdiagonal, which a finite rotation keeps zero; a sweep that leaves
-a matrix not all finite runs again alone and unpadded.  Results, flops
-and errors are those of factoring the matrices one after another.
+`schur` also takes a stack of matrices, as numpy's linalg does: one driver
+rotates two matrices' rows, then columns, in lockstep through one strided
+view per pass, padded with exact zeros that a finite rotation keeps zero;
+a sweep that leaves a matrix not all finite runs again alone, unpadded.
 
 Explicit Kronecker forms (`sylvester_kron_operator`, `kron_matrix`) are
 intended for oracles and diagnostics only and are capped in size.
@@ -23,7 +20,6 @@ intended for oracles and diagnostics only and are capped in size.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -92,9 +88,6 @@ DEFAULT_KRON_CAP = 4096
 
 # products formed per block of k indices in gemm; bounds its working memory
 _GEMM_BLOCK = 1 << 15
-
-# below this, the squares of a binary64 norm's entries may be subnormal
-_TINY_NORM = 2.0 ** -511
 
 _CTX64 = PrecisionContext(BINARY64)
 
@@ -241,10 +234,9 @@ def _norm_two(M: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
 
 def _frobenius(v) -> float:
     """Frobenius norm of an array in binary64: ``np.linalg.norm`` where that
-    is finite and at least 2^-511, else (finite entries above ~1e154
-    overflow its unscaled squares, and entries below ~1e-154 underflow
-    them) the norm of v scaled by its largest magnitude, or by a power of
-    two (`_scaled_down`) and scaled back exactly when small.  Finite
+    is finite and at least 2^-511, else (its unscaled squares overflow past
+    ~1e154 and lose bits below ~1e-154) the norm of v scaled by its largest
+    magnitude, or by a power of two (`_scaled_down`) when small.  Finite
     exactly when every entry is finite and the norm is below the largest
     double.  complex64 and float32 input is widened first:
     ``np.linalg.norm`` keeps the dtype."""
@@ -256,7 +248,7 @@ def _frobenius(v) -> float:
     if math.isinf(nrm) and np.isfinite(v).all():
         s = float(np.abs(v).max())
         nrm = s * float(np.linalg.norm(v / s))
-    elif nrm < _TINY_NORM and v.any():
+    elif nrm < 2.0 ** -511 and v.any():
         scaled, e = _scaled_down(v.ravel())
         nrm = math.ldexp(float(np.linalg.norm(scaled)), e)
     return nrm
@@ -757,13 +749,12 @@ def _givens_chain(f: complex, g: complex, fmt: FpFormat):
 
 def _rotation(dtype, fmt: FpFormat):
     """The Givens rotation body of `schur` and `hermitian_eig`, chosen once
-    per call: K = coefficients(c, s) holds [c, s, c, conj(s), c, s] along
-    its first axis, and rotate(X, c, k) sets X <- (c X0 + s1 X1,
-    c X1 - s2 X0) in place for a (2, n) view X and k = [c, s1, c, s2]:
-    K[0:4] for a step's rows, K[2:6] for its columns.  For tuples c and s
-    of q steps, X is a (2, q, n) view, row or column pair j of which step
-    j rotates; the middle axis costs no ``...`` index, about 2.5 us a
-    complex64 call.  Every body reads c from k.  The caller charges six
+    per call: K = coefficients(c, s) holds [c, s, c, conj(s), c, s] on its
+    first axis, and rotate(X, c, k) sets X <- (c X0 + s1 X1, c X1 - s2 X0)
+    in place for a (2, n) view X and k = [c, s1, c, s2]: K[0:4] for a
+    step's rows, K[2:6] for its columns.  Tuples c and s of q steps rotate
+    a (2, q, n) view, the middle axis needing no ``...`` index (2.5 us of
+    a complex64 call).  The bodies read c from k; the caller charges six
     flops per column and holds the errstate.  binary64 keeps `_product`'s
     operand order; a complex64 X takes `_plane_product`'s steps on the
     planes P of [X0, X1, X1, X0]: P * [kr, kr] + swap(P) * [-ki, ki] is
@@ -912,15 +903,11 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
     in complex64 from start to end (`_resident`).
 
     A may be a stack (p, m, m), as numpy's linalg takes it; U and T are
-    then stacks too, and U, T, flops and errors are those of factoring the
-    matrices one after another: each matrix's flops are charged once the
-    ones before it have finished, a matrix after one that raises is not
-    charged, and an entry check fails only once the matrices before it are
-    factored.  Their QR iterations run in lockstep (`_qr_iteration`), two
-    matrices' Givens steps through one view per pass, padded with exact
-    zeros that a finite rotation keeps zero; a sweep that leaves a matrix
-    not all finite (as a non-finite c or s does) runs again alone and
-    unpadded.
+    then stacks, and U, T, flops and errors are those of one call per
+    matrix in turn.  The QR iterations run in lockstep (`_qr_iteration`):
+    two matrices' steps share views padded with exact zeros, which a
+    finite rotation keeps zero, and a sweep that leaves a matrix not all
+    finite (as a non-finite c or s does) runs again alone and unpadded.
     """
     stacked = np.ndim(A) == 3
     if stacked and len(A) == 0:
@@ -952,36 +939,29 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
 def _schur_steps(UH: np.ndarray, *, ctx: PrecisionContext):
     """The steps of `schur` on the stack UH of [U; H], U = I on entry, in
     place, as a 1-tuple; False as `_hessenberg` or `_qr_iteration` returns
-    it.  Past one matrix each is charged to a tally of its own, and the
-    tallies go to ctx in stack order."""
-    ctxs = [ctx] if len(UH) == 1 else [PrecisionContext(ctx.format, FlopCounter()) for _ in UH]
+    it.  Each matrix is charged to a tally of its own, and the tallies go
+    to ctx in stack order."""
+    ctxs = [PrecisionContext(ctx.format, FlopCounter()) for _ in UH]
     try:
         return (all(_hessenberg(X, c) for X, c in zip(UH, ctxs))
                 and _qr_iteration(UH, ctxs) and (UH,))
     finally:
         for c in ctxs:
-            if c is not ctx:
-                for n in c.counter.counts.values():
-                    ctx.count(n)
+            for n in c.counter.counts.values():
+                ctx.count(n)
 
 
 def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
-    """The QR iterations of `schur` on the stack UH of Hessenberg [U; H],
-    in place, each charged to its own context in ctxs; False as soon as a
-    matrix's run (`_qr_steps`) returns False, else True, or the error of
-    the first matrix that raises, with the charges of the matrices after
-    it dropped.
-
-    The runs go in lockstep: each round applies the pending Givens step of
-    every running matrix, two at a time, through one strided view per
-    pass.  The row pass of a pair starts at the smaller first column and
-    its column pass runs to the larger row count; the entries this pads
-    with are exact zeros strictly below H's subdiagonal or a deflated
-    subdiagonal, which a rotation by finite c and s keeps zero, and T
-    drops.  A step whose c or s is not finite leaves the matrix not all
-    finite, so its sweep runs again alone and unpadded (`_qr_steps`).
-    UH is C-contiguous: the views are built on its buffer.
-    """
+    """The QR iterations of `schur` on the C-contiguous stack UH of
+    Hessenberg [U; H], in place, each charged to its own context in ctxs:
+    False if a run (`_qr_steps`) returns False, else True, or the error of
+    the first matrix that raises, with the charges of those after it
+    dropped.  Each round applies the pending steps of two running
+    matrices through one view per pass, built on UH's buffer: the rows
+    from the smaller first column, the columns to the larger row count.
+    The entries this pads with are exact zeros strictly below H's
+    subdiagonal or a deflated subdiagonal, which a rotation by finite c
+    and s keeps zero and T drops."""
     p, m, dtype = UH.shape[0], UH.shape[2], UH.dtype
     coefficients, rotate = _rotation(dtype, ctxs[0].format)
     s0, s1, s2 = UH.strides
@@ -1016,13 +996,8 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
             ends[i] = exc
         return False
 
-    def undecided():
-        """The first matrix that has not ended True is still running."""
-        return next((e for e in ends if e is not True), True) is None
-
     live = [i for i in range(p) if advance(i)]
-    going = undecided()
-    while len(live) > 1 and going:
+    while len(live) > 1:
         for n in range(0, len(live) - 1, 2):
             i, j = live[n], live[n + 1]
             a, b = steps[i], steps[j]
@@ -1033,12 +1008,8 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
                 alone(j, b)
         if len(live) % 2:
             alone(live[-1], steps[live[-1]])
-        running = [i for i in live if advance(i)]
-        if len(running) < len(live):
-            going = undecided()
-        live = running
-    if live and going:
-        (i,) = live
+        live = [i for i in live if advance(i)]
+    for i in live:  # the last one, alone to its end
         alone(i, steps[i])
         while advance(i):
             alone(i, steps[i])
@@ -1053,21 +1024,17 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
 
 
 def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
-    """The QR iteration of `schur` on one Hessenberg [U; H], as a generator
+    """The QR iteration of `schur` on one Hessenberg [U; H], a generator
     for `_qr_iteration`: it yields each Givens step (k, first, rows, c, s,
-    pairable) and resumes once the step is applied to rows k, k+1 of H
-    from column first and to columns k, k+1 of UH's first rows rows, in
-    the same views as another matrix's step only when pairable is True.  It returns
-    False as soon as a sweep leaves a NaN in a complex64 UH, else True.  A
-    sweep charges its rotations' flops at its end.
-
-    numpy keeps the NaN of either operand of a commutative complex128 step
-    depending on where its loop meets them, so a paired sweep that leaves
-    a complex128 UH not all finite runs again alone from its start, and
-    every later step runs alone.  (A complex64 NaN reruns the kernel.)
-    The deflation test and the exceptional shift
-    read H in complex128: ``np.hypot`` and ``abs`` of complex64 entries
-    return float32.
+    pairable), resuming once the step is applied to rows k, k+1 of H from
+    column first and to columns k, k+1 of UH[:rows], and returns False as
+    soon as a sweep leaves a NaN in a complex64 UH, else True.  A sweep
+    charges its rotations' flops at its end.  numpy keeps the NaN of
+    either operand of a commutative complex128 step depending on where
+    its loop meets them, so a paired sweep that leaves a complex128 UH not
+    all finite runs again from its start, and on, alone.  The deflation
+    test and the exceptional shift read H in complex128: ``np.hypot`` and
+    ``abs`` of complex64 entries return float32.
     """
     m = UH.shape[1]
     H = UH[m:]
