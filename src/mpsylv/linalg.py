@@ -13,6 +13,8 @@ functions are the entry points for code outside a kernel.
 rotates two matrices' rows, then columns, in lockstep through one strided
 view per pass, padded with exact zeros that a finite rotation keeps zero;
 a sweep that leaves a matrix not all finite runs again alone, unpadded.
+Its QR iteration is the one eigenvalue iteration here: `hermitian_eig`
+reads a Hermitian matrix's eigendecomposition off its Schur form.
 
 Explicit Kronecker forms (`sylvester_kron_operator`, `kron_matrix`) are
 intended for oracles and diagnostics only and are capped in size.
@@ -50,12 +52,8 @@ from .precision import (
     _round_real_array,
     _round_real_scalar,
     _round_complex_array,
-    _sabs,
-    _sadd,
     _scaled_up,
-    _sdiv,
     _shypot,
-    _smul,
     _ssqrt,
     _ssub,
     _sub,
@@ -748,14 +746,14 @@ def _givens_chain(f: complex, g: complex, fmt: FpFormat):
 
 
 def _rotation(dtype, fmt: FpFormat):
-    """The Givens rotation body of `schur` and `hermitian_eig`, chosen once
-    per call: K = coefficients(c, s) holds [c, s, c, conj(s), c, s] on its
-    first axis, and rotate(X, c, k) sets X <- (c X0 + s1 X1, c X1 - s2 X0)
+    """The Givens rotation body of `schur`, chosen once per call:
+    K = coefficients(c, s) holds [c, s, c, conj(s), c, s] on its first
+    axis, and rotate(X, k) sets X <- (c X0 + s1 X1, c X1 - s2 X0)
     in place for a (2, n) view X and k = [c, s1, c, s2]: K[0:4] for a
     step's rows, K[2:6] for its columns.  Tuples c and s of q steps rotate
     a (2, q, n) view, the middle axis needing no ``...`` index (2.5 us of
-    a complex64 call).  The bodies read c from k; the caller charges six
-    flops per column and holds the errstate.  binary64 keeps `_product`'s
+    a complex64 call).  The caller charges six flops per column and holds
+    the errstate.  binary64 keeps `_product`'s
     operand order; a complex64 X takes `_plane_product`'s steps on the
     planes P of [X0, X1, X1, X0]: P * [kr, kr] + swap(P) * [-ki, ki] is
     exactly kr*gr - ki*gi and kr*gi + ki*gr.  Other formats take
@@ -772,7 +770,7 @@ def _rotation(dtype, fmt: FpFormat):
                 return K.reshape(-1, 6, 2, 1, 2).transpose(1, 2, 0, 3, 4)
             return np.array(row(c, s), dtype=np.float32).reshape(6, 2, 1, 2)
 
-        def rotate(X, c, k):
+        def rotate(X, k):
             P = X[_PAIR][..., None].view(np.float32)
             prods = P * k[:, 0] + P[..., ::-1] * k[:, 1]
             np.negative(prods[3], out=prods[3])
@@ -786,13 +784,13 @@ def _rotation(dtype, fmt: FpFormat):
         return np.array([c, s, c, s.conjugate(), c, s], dtype=np.complex128).reshape(6, 1)
 
     if fmt.is_binary64:
-        def rotate(X, c, k):
+        def rotate(X, k):
             B = k[1::2] * X[::-1]
             np.negative(B[1], out=B[1])
             X *= k[:1]
             X += B
     else:
-        def rotate(X, c, k):
+        def rotate(X, k):
             prods = _product(k, X[_PAIR], fmt)
             np.negative(prods[3], out=prods[3])
             X[...] = _add(prods[0::2], prods[1::2], fmt)
@@ -969,8 +967,8 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
     def alone(i, step):
         k, first, rows, c, s, _ = step
         K = coefficients(c, s)
-        rotate(UH[i, m + k:m + k + 2, first:], None, K[0:4])
-        rotate(UH[i, :rows, k:k + 2].T, None, K[2:6])
+        rotate(UH[i, m + k:m + k + 2, first:], K[0:4])
+        rotate(UH[i, :rows, k:k + 2].T, K[2:6])
 
     def paired(i, a, j, b):
         (k, first, rows, c, s, _), (kb, fb, rb, cb, sb, _) = a, b
@@ -978,9 +976,9 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
         f = first if first < fb else fb
         r = rows if rows > rb else rb
         rotate(np.ndarray((2, 2, m - f), dtype, UH, i * s0 + (m + k) * s1 + f * s2,
-                          (s1, (j - i) * s0 + (kb - k) * s1, s2)), None, K[0:4])
+                          (s1, (j - i) * s0 + (kb - k) * s1, s2)), K[0:4])
         rotate(np.ndarray((2, 2, r), dtype, UH, i * s0 + k * s2,
-                          (s2, (j - i) * s0 + (kb - k) * s2, s1)), None, K[2:6])
+                          (s2, (j - i) * s0 + (kb - k) * s2, s1)), K[2:6])
 
     runs = [_qr_steps(X, c, pairable=p > 1) for X, c in zip(UH, ctxs)]
     ends, steps = [None] * p, [None] * p
@@ -1100,75 +1098,38 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigendecomposition (cyclic complex Jacobi)
+# Hermitian eigendecomposition (read off the complex Schur form)
 
-def hermitian_eig(A, ctx: PrecisionContext = _CTX64, max_sweeps: int = 30):
+def hermitian_eig(A, ctx: PrecisionContext = _CTX64):
     """Eigendecomposition A = U diag(d) U* of a Hermitian matrix.
 
-    Cyclic Jacobi sweeps; converges when the off-diagonal Frobenius mass
-    falls below n*u*||A||_F.  A is rounded into the context's format on
-    entry (FormatOverflowError for an entry past its range), so callers
-    pass it unrounded.  In binary32 the sweeps keep V and W in complex64
-    (`_resident`).
+    The complex Schur form of a Hermitian matrix is its unitary
+    diagonalization (Golub & Van Loan, sect. 7.1), so U is `schur`'s and d
+    the real parts of T's diagonal.  A is rounded into the context's format
+    on entry (FormatOverflowError for an entry past its range), so callers
+    pass it unrounded.  When max|a|^2 of the entered matrix leaves the
+    format's normal range, `schur` factors A 2^-e (`_scaled_down`, exact and
+    uncharged), whose Wilkinson shifts then stay in range, and d is scaled
+    back by 2^e and rounded into the format: an eigenvalue past its range
+    becomes +-inf.
     """
     A = as_matrix(A)
-    n = A.shape[0]
     if A.shape[0] != A.shape[1]:
         raise DimensionError("hermitian_eig requires a square matrix")
     nrm = _frobenius(A)
     if _frobenius(A - A.conj().T) > 10 * ctx.format.unit_roundoff * max(nrm, 1e-300):
         raise NotHermitianError("input is not Hermitian to working accuracy")
-    # V above W in one array, as U above H in `schur`
-    VW = np.concatenate([np.eye(n, dtype=np.complex128), _enter(A, ctx, "eig input")])
-    tol = n * ctx.format.unit_roundoff * max(nrm, 1e-300)
-    (VW,) = _resident(lambda X, ctx: _jacobi_sweeps(X, ctx, tol, max_sweeps) and (X,), ctx, VW)
-    return VW[:n].copy(), np.real(np.diag(VW[n:])).copy()
-
-
-def _jacobi_sweeps(VW: np.ndarray, ctx: PrecisionContext, tol: float,
-                   max_sweeps: int) -> bool:
-    """The Jacobi sweeps of `hermitian_eig` on the stacked [V; W], in
-    place; False as soon as a sweep leaves a NaN in a complex64 VW, else
-    True.  The stop test reads W in complex128.  A sweep charges its
-    rotations' flops at its end."""
-    n = VW.shape[1]
-    W = VW[n:]
     fmt = ctx.format
-    resident = VW.dtype == np.complex64
-    coefficients, rotate = _rotation(VW.dtype, fmt)
-    for _ in range(max_sweeps):
-        W64 = np.asarray(W, dtype=np.complex128)
-        if _frobenius(W64 - np.diag(np.diag(W64))) <= tol:
-            return True
-        rotations = 0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                w = complex(W[p, q])
-                aw = abs(w)
-                if aw == 0.0 or aw <= 1e-3 * tol / n:
-                    continue
-                a = complex(W[p, p]).real
-                b = complex(W[q, q]).real
-                awr = _sabs(w, fmt)
-                phase = _sdiv(w, awr, fmt)
-                tau = _sdiv(_ssub(a, b, fmt), _smul(2.0, awr, fmt), fmt).real
-                root = _ssqrt(_sadd(1.0, _smul(tau, tau, fmt), fmt).real, fmt)
-                if tau >= 0:
-                    t = _sdiv(1.0, _sadd(tau, root, fmt), fmt).real
-                else:
-                    t = _sdiv(-1.0, _ssub(root, tau, fmt), fmt).real
-                c = _sdiv(1.0, _ssqrt(_sadd(1.0, _smul(t, t, fmt), fmt).real, fmt), fmt).real
-                s = _smul(_smul(t, c, fmt), phase, fmt)
-                # rows p and q of W, then columns p and q of V and W
-                K = coefficients(c, s)
-                rotate(W[p:q + 1:q - p], c, K[0:4])
-                rotate(VW[:, p:q + 1:q - p].T, c, K[2:6])
-                rotations += 1
-        if rotations:
-            ctx.count(18 * n * rotations)
-        if resident and np.isnan(VW).any():
-            return False
-    raise IterationLimitError(f"Jacobi did not converge in {max_sweeps} sweeps")
+    A = _enter(A, ctx, "eig input")
+    big = float(np.abs(A).max())
+    e = 0
+    if not fmt.smallest_normal <= big * big <= fmt.max_finite / 4:
+        A, e = _scaled_down(A)
+    F = schur(A, ctx)
+    d = np.diag(F.T).real.copy()
+    if e:
+        d = np.array([_scaled_up(x, e, fmt).real for x in d.tolist()])
+    return F.U, d
 
 
 # ---------------------------------------------------------------------------

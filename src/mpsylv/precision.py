@@ -60,7 +60,7 @@ by one rule.  A kernel's steps are written once, with `_product`, `_add`,
 arithmetic from the operand dtype: complex128 in binary64, float32 planes
 for complex64 operands, the software rounding otherwise.  A kernel runs
 its steps under the one ``np.errstate`` that `_resident` enters per call
-and charges its flops once (the QR and Jacobi sweeps once per sweep).
+and charges its flops once (the QR iteration once per sweep).
 The `fl_*` functions, each a one-step kernel with its own charge, are
 the entry points for code outside a kernel.  A sum or difference is one
 complex64 operation.  A product is formed from the float32 planes as
@@ -74,12 +74,12 @@ complex128 at exit, and one that holds a NaN is recomputed in software,
 so NaN payloads stay the ones the software path produces.  Operands that
 are all complex64 are a step of a kernel that entered already, run on
 the planes unchecked.  `linalg.gemm`, `lu`, the triangular substitution,
-`_mgs_project` (with the remainder's norm), `householder_qr`, `schur`,
-`hermitian_eig` and `sylvester.solve_sylv_tri` are kernels, and a
-binary32 GMRES correction (`gmresir._resident_correction`) is one whose
-`gemm`, `solve_sylv_tri` and `_mgs_project` calls are steps.
-`householder_qr`, `schur` and `hermitian_eig` keep their factors in
-complex64 and test for a NaN once per sweep (`schur` also after its
+`_mgs_project` (with the remainder's norm), `householder_qr`, `schur`
+and `sylvester.solve_sylv_tri` are kernels, and a binary32 GMRES
+correction (`gmresir._resident_correction`) is one whose `gemm`,
+`solve_sylv_tri` and `_mgs_project` calls are steps.  `householder_qr`
+and `schur` (and so `hermitian_eig`) keep their factors in complex64
+and test for a NaN once per sweep (`schur` also after its
 Householder reduction, `householder_qr` at exit) and for a Householder
 vector, formed from a column scaled past overflow, that is not binary32;
 on either they rerun the whole factorization from its input in software.

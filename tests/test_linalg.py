@@ -327,7 +327,7 @@ def _rotated(P, Q, c, s, i, fmt, dtype=np.complex128):
     X = np.array([P, Q], dtype=dtype)
     coefficients, rotate = _rotation(X.dtype, fmt)
     with np.errstate(over="ignore", invalid="ignore"):
-        rotate(X, c, coefficients(c, s)[2 * i:2 * i + 4])
+        rotate(X, coefficients(c, s)[2 * i:2 * i + 4])
     return X.astype(np.complex128)
 
 
@@ -355,7 +355,7 @@ class TestRotate:
             Q[4] = 0.1
         ref = _soft_rotate(P, Q, c, s, np.conj(s))
         # complex128 takes the software steps, complex64 (binary32 values
-        # only) the float32 planes, as in schur and hermitian_eig
+        # only) the float32 planes, as in schur
         for dtype in [np.complex128] + ([np.complex64] if case != "off-format" else []):
             got = _rotated(P, Q, c, s, 0, BINARY32, dtype)
             if dtype is np.complex128:
@@ -380,8 +380,8 @@ class TestRotate:
 
     @pytest.mark.parametrize("fmt", [BINARY32, BINARY64, BFLOAT16], ids=lambda f: f.name)
     def test_strided_view_in_place(self, fmt, rng):
-        # columns p and q of a stacked [V; W], as in hermitian_eig, which
-        # keeps it in complex64 in binary32
+        # two strided columns of a stacked [U; H], as in schur, which keeps
+        # it in complex64 in binary32
         n, p, q = 7, 1, 5
         VW = round_matrix(cmat(rng, 2 * n, n), fmt)
         c, s = _givens(complex(VW[0, p]), complex(VW[0, q]), fmt)
@@ -393,7 +393,7 @@ class TestRotate:
         before = VW.copy()
         coefficients, rotate = _rotation(VW.dtype, fmt)
         with np.errstate(over="ignore", invalid="ignore"):
-            rotate(VW[:, p:q + 1:q - p].T, c, coefficients(c, s)[2:6])
+            rotate(VW[:, p:q + 1:q - p].T, coefficients(c, s)[2:6])
         for got, ref in ((VW[:, p], want[0]), (VW[:, q], want[1])):
             assert (_bits(got.astype(np.complex128)) == _bits(ref)).all()
         others = np.ones(n, dtype=bool)
@@ -597,6 +597,37 @@ class TestHermitianEig:
     def test_large_hermitian_entries(self):
         U, d = hermitian_eig(np.array([[1e200, 1e199], [1e199, 1e200]]), CTX)
         assert np.allclose(sorted(d), [0.9e200, 1.1e200], rtol=1e-12, atol=0.0)
+
+    def test_binary16_converges_where_jacobi_stalled(self, rng):
+        # cyclic Jacobi's stop test n*u*||A||_F sat at binary16's rounding
+        # floor for this matrix and ended in IterationLimitError
+        H = hermitian(rng, 5)
+        U, d = hermitian_eig(H, PrecisionContext(BINARY16))
+        u = BINARY16.unit_roundoff
+        assert np.linalg.norm(H - U @ np.diag(d) @ U.conj().T) <= 100 * 5 * u * np.linalg.norm(H)
+
+    def test_binary16_random_set_converges(self):
+        for seed in range(40):
+            n = 4 + seed % 9
+            G = cmat(np.random.default_rng(seed), n, n)
+            U, d = hermitian_eig((G + G.conj().T) / 2, PrecisionContext(BINARY16))
+            assert np.isfinite(U).all() and np.isfinite(d).all(), seed
+
+    def test_entry_past_range_raises_before_scaling(self):
+        with pytest.raises(FormatOverflowError):
+            hermitian_eig(np.array([[1e5, 1.0], [1.0, 2.0]]), PrecisionContext(BINARY16))
+
+    def test_eigenvalue_past_range_is_inf(self):
+        # the eigenvalues are 0 (three times) and 2.4e5, past binary16's 65504
+        U, d = hermitian_eig(np.full((4, 4), 6e4), PrecisionContext(BINARY16))
+        assert np.isfinite(U).all()
+        assert np.isfinite(np.sort(d)[:3]).all() and np.sort(d)[3] == np.inf
+
+    def test_tiny_entries_scaled(self, rng):
+        H = 1e-300 * hermitian(rng, 4)
+        U, d = hermitian_eig(H, CTX)
+        want = np.linalg.eigvalsh(H)
+        assert np.abs(np.sort(d) - want).max() / np.abs(want).max() < 1e-15
 
 
 class TestKronAndConditioning:
