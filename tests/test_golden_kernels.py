@@ -163,52 +163,52 @@ GOLDEN = {
         ],
     },
     "hermitian_eig/40:11": {
-        "flops": 4140,
+        "flops": 3053,
         "out": [
-            "447cb1b0b94d8ded87887a429b81aaf7e9d4a9962a215912a15fbab45167d87f",
-            "44de31ac8402c57c45024e5f6f42ebf0ba1d0e0e21359bcc44c8efa1613375b8",
+            "21f7649d829787ed9fcb01a6f80c08fea4d3c6e970ce914e058f3cb23982675f",
+            "8b47bfac954f0be27938646afb621159f844d012319d5d856eea39e07d43a861",
         ],
     },
     "hermitian_eig/b24": {
-        "flops": 3510,
+        "flops": 2729,
         "out": [
-            "650d6f16f4aa0a7be3f412f8ce1f1689434029e3e166529eea7a57363204e114",
-            "f8cc14ce8d36cf12110a123978225da19e1ac4ee3d57cc2821891b518334c236",
+            "f008591a7aef65257ac1f4365cdcf77688ebd1d1a6dbee279a88c4c9604e9def",
+            "e06d7370a5396b25a484d843f2b14938ac295000e689dfb5cc8a95c40004794e",
         ],
     },
     "hermitian_eig/bfloat16": {
-        "flops": 2700,
+        "flops": 2009,
         "out": [
-            "449fca50bbc672bbba14263d953c5349bfaca275282336fb03b4397ebddd0c33",
-            "80739a51adbb94f49449c37b1deb12b65e57a6cb8e193a8f371239539d17e3cc",
+            "55239268422f9eafa13039f3f667af5a6fbed27ea78d5811bfa0d9ff0bda0cff",
+            "84dc79e8baef2f808b5e7ca906c5cb74d70bc0dad7f11f6818c718a628d2efd7",
         ],
     },
     "hermitian_eig/binary16": {
-        "flops": 3600,
+        "flops": 2249,
         "out": [
-            "d82c3be4fa430c8e5f84c76dc5f596f75c4c307f7f3c27bd61df101a1b5411b0",
-            "09a2acb744692340acb9f8245a9acc65a381c2a3a471cb2cc4125ba0cfa24ad3",
+            "26abc75c152fd1e9ea19d3e60a52c6da826ff16e5aa78e78c172ddd11f8928ce",
+            "8ee4ad9d6faaf9e9e325dadc7cf9359825078d3a52a4e87e5cf61c4047dfe0a3",
         ],
     },
     "hermitian_eig/binary32": {
-        "flops": 3600,
+        "flops": 2729,
         "out": [
-            "0aef23e95f18310fcea20b08f0b637df567ff4e100b2746f53d7c31bcb12ae36",
-            "7ddfddfcbfe732eff01cd0eff3fec1aca7903a23c7b2ba7e40b3cba043c9ce3a",
+            "54a07afeb99d6bbbdc782d54c2a109b298693ccdac59587700dabb34aaa57a19",
+            "0b9f05e9eac759215c8d5723c1a2176fca65852fbcb8a32bc7a0459d2e38d9cc",
         ],
     },
     "hermitian_eig/binary64": {
-        "flops": 4230,
+        "flops": 3293,
         "out": [
-            "bf46a188c94e850ba53011d00a4490b118ecdd6c077d88f04029fc03bb7018ce",
-            "d351a50ae5134d99ec88b664aba4f84cc57f2fa65b67aef2708236d252233362",
+            "e56c30d69b4da8118f7852f4d88a0fb2e01dd2bae4c41ef0299767460e85b0eb",
+            "629f5ccf92d1f39ecdeaff48ecf50bb00b421c2e199aaecb946187582533549a",
         ],
     },
     "hermitian_eig/tf32": {
-        "flops": 3420,
+        "flops": 2249,
         "out": [
-            "6c15632fbc415f2417fe4cedc0045a7ec8fd53b7809338fd7d7b43b792d3520d",
-            "09a2acb744692340acb9f8245a9acc65a381c2a3a471cb2cc4125ba0cfa24ad3",
+            "26abc75c152fd1e9ea19d3e60a52c6da826ff16e5aa78e78c172ddd11f8928ce",
+            "8ee4ad9d6faaf9e9e325dadc7cf9359825078d3a52a4e87e5cf61c4047dfe0a3",
         ],
     },
     "householder_qr/40:11": {
