@@ -41,6 +41,7 @@ from .precision import (
     BINARY64,
     FlopCounter,
     PrecisionContext,
+    fl_add,
     fl_div,
     _accumulate,
     _add,
@@ -377,11 +378,10 @@ def solve_hermitian(p: SylvesterProblem, ctx: PrecisionContext = _CTX64) -> np.n
     U_A, d_A = hermitian_eig(p.A, ctx)
     U_B, d_B = hermitian_eig(p.B, ctx)
     Ct = _sandwich(U_A.conj().T, _round_complex_array(p.C, ctx.format), U_B, ctx)
-    denom = d_A[:, None] + d_B[None, :]
+    denom = fl_add(d_A[:, None], d_B[None, :], ctx)
     if (denom == 0).any():
         i, j = np.argwhere(denom == 0)[0]
         raise SingularEquationError(int(i), int(j))
-    ctx.count(denom.size)
     Y = fl_div(Ct, denom, ctx)
     return _sandwich(U_A, Y, U_B.conj().T, ctx)
 

@@ -22,6 +22,8 @@ from mpsylv.precision import (
     B24,
     FlopCounter,
     PrecisionContext,
+    fl_div,
+    round_matrix,
 )
 from mpsylv.refinement import RefinementConfig, mp_inv, mp_orth
 from mpsylv.sylvester import (
@@ -240,6 +242,21 @@ class TestSolveHermitian:
                              np.array([[1.0]]), kind="hermitian")
         with pytest.raises(SingularEquationError):
             solve_hermitian(p, CTX)
+
+    @pytest.mark.parametrize("fmt", [BFLOAT16, BINARY32], ids=lambda f: f.name)
+    def test_eigenvalue_sums_are_rounded(self, fmt, monkeypatch):
+        p = cli.generate(cli.ProblemGenerator("hermitian", 6, 5, 0.0, seed=3))
+        divisors = []
+
+        def spy(a, b, ctx):
+            divisors.append(np.asarray(b, dtype=np.complex128))
+            return fl_div(a, b, ctx)
+
+        monkeypatch.setattr(sylvester, "fl_div", spy)
+        solve_hermitian(p, PrecisionContext(fmt))
+        (denom,) = divisors
+        assert denom.shape == (6, 5)
+        assert (round_matrix(denom, fmt) == denom).all()
 
 
 class TestResidual:
