@@ -1122,14 +1122,9 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64):
     fmt = ctx.format
     A = _enter(A, ctx, "eig input")
     big = float(np.abs(A).max())
-    e = 0
-    if not fmt.smallest_normal <= big * big <= fmt.max_finite / 4:
-        A, e = _scaled_down(A)
+    A, e = (A, 0) if fmt.smallest_normal <= big * big <= fmt.max_finite / 4 else _scaled_down(A)
     F = schur(A, ctx)
-    d = np.diag(F.T).real.copy()
-    if e:
-        d = np.array([_scaled_up(x, e, fmt).real for x in d.tolist()])
-    return F.U, d
+    return F.U, np.array([_scaled_up(t, e, fmt).real for t in np.diag(F.T).tolist()])
 
 
 # ---------------------------------------------------------------------------
