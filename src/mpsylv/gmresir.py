@@ -27,12 +27,14 @@ are compared: the abs of a complex64 value is a float32.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import Failure, NumericBreakdownError, SingularEquationError
-from .linalg import SchurFactors, _frobenius, _mgs_project, _vec_norm2_ctx, gemm, unvec, vec
+from .linalg import (SchurFactors, _frobenius, _mgs_project, _scaled_down, _vec_norm2_ctx, gemm,
+                     unvec, vec)
 from .precision import (
     BINARY64,
     FlopCounter,
@@ -302,11 +304,17 @@ def gmres_ir_sylv(p: SylvesterProblem, gcfg: GmresConfig, rcfg: RefinementConfig
     def correction(X):
         R = gemm(-1.0, A, X, 1.0, C, ctx_h)
         R = gemm(-1.0, X, B, 1.0, R, ctx_h)
+        # R 2^-e, its largest part below 1, rounds into u_g clear of u_g's
+        # underflow and overflow; the scalings are exact in binary64 and
+        # charge no flops
+        R, e = _scaled_down(R) if R.any() else (R, 0)
         Rt = apply_preconditioner(_round_complex_array(R, gcfg.u_g), sf_A, sf_B, ctx_pre)
         E, li, stagnated = _resident_correction(Rt, A_g, B_g, sf_A, sf_B, gcfg, ctx_g)
         inner_counts.append(li)
         stalls.append(stagnated)
-        return E
+        half = e // 2 if e > 1023 else 0  # 2^e past the largest double
+        with np.errstate(over="ignore"):
+            return E * math.ldexp(1.0, half) * math.ldexp(1.0, e - half)
 
     def accept(X):
         history.append(residual(p, X))

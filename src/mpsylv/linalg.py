@@ -290,8 +290,10 @@ def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
     Each |x_i| is formed from two rounded squares, a rounded add and a
     rounded sqrt in one vector pass; its square is added unrounded into a
     rounded ascending accumulation.  When the squares overflow although
-    every entry is finite, the steps run again on the entries scaled by a
-    power of two, which is exact, and the norm is scaled back.
+    every entry is finite, or underflow (the norm below the square root of
+    the smallest normal) although an entry is nonzero, the steps run again
+    on the entries scaled by a power of two, which is exact, and the norm
+    is scaled back.
     """
     ctx.count(2 * len(x) + 1)
     x = np.asarray(x)
@@ -300,7 +302,8 @@ def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
         return _frobenius(x)
     fmt = ctx.format
     nrm = _norm2_steps(x, fmt)
-    if nrm == math.inf and np.isfinite(x).all():
+    if (nrm == math.inf and np.isfinite(x).all()
+            or nrm < math.sqrt(fmt.smallest_normal) and x.any()):
         scaled, e = _scaled_down(x)
         nrm = _scaled_up(_norm2_steps(scaled, fmt), e, fmt).real
     return nrm

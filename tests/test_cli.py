@@ -200,6 +200,16 @@ class TestRunners:
         assert rows[0][-1] == ("or:FormatOverflowError;in:FormatOverflowError;"
                                "gmres-ul:FormatOverflowError;gmres-uh:FormatOverflowError")
 
+    def test_binary16_sweep_ok_cells_are_converged(self, tmp_path):
+        # the sweep of CI's binary16 step: a cell its row reports ok must
+        # lie below the benchmark's converged bound 100 max(m, n) 2^-53
+        rows = run_sweep_cond(5, 5, [0, 1, 2], 2, RefinementConfig(BINARY16, BINARY64),
+                              tmp_path / "c.csv", reproducible=True)
+        for row in rows:
+            failed = {f.split(":")[0] for f in row[-1].split(";")}
+            for name, res in zip(("bs", "or", "in", "gmres-ul", "gmres-uh"), row[2:7]):
+                assert name in failed or res < 100 * 5 * 2.0 ** -53, (row[0], name, res)
+
     def test_sweep_costmodel_values(self, tmp_path):
         rows = run_sweep_costmodel(10, 10, tmp_path / "m.csv", reproducible=True)
         first = {(r[0], r[1]): (r[2], r[3]) for r in rows}

@@ -528,6 +528,22 @@ class TestHouseholderScaling:
         assert counter.get("low") == 5
         assert _vec_norm2_ctx(np.array([60000.0, 60000.0]), ctx) == np.inf
 
+    @pytest.mark.parametrize("fmt, value", [(BINARY16, 1e-4), (BINARY16, 3e-4),
+                                            (BINARY32, 1e-21)],
+                             ids=["binary16-1e-4", "binary16-3e-4", "binary32-1e-21"])
+    def test_norm_below_the_squares_range(self, fmt, value):
+        # the squares underflow: unscaled, binary16 gives 0.0 for 1e-4 and is
+        # 15% high for 3e-4, and binary32 is 2.6e-4 high for 1e-21
+        x = round_matrix(np.full((1, 100), value, dtype=np.complex128), fmt).ravel()
+        ctx = PrecisionContext(fmt)
+        got = _vec_norm2_ctx(x, ctx)
+        # the steps on x scaled into range, its largest part in [1/2, 1)
+        e = math.frexp(value)[1]
+        assert got == math.ldexp(_vec_norm2_ctx(math.ldexp(1.0, -e) * x, ctx), e)
+        # and the error bound of 100 rounded squares summed in turn
+        want = float(np.linalg.norm(x))
+        assert abs(got - want) <= (len(x) / 2 + 2) * fmt.unit_roundoff * want
+
     def test_reflector_past_the_squares_range(self):
         x = np.array([300.0, 1.0 + 0j])
         counter = FlopCounter()
