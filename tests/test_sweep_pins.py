@@ -55,23 +55,23 @@ SWEEPS = {
         ]),
     "binary16-5x5": dict(
         m=5, t_values=[0, 1, 2, 3, 4], seed=2, u_l=BINARY16,
-        sha="48a6f0333c8be0c4feffb40bf0e4b89fcec3ff86ca62067d79a03cd13a5e0ef8",
+        sha="b93fa513738b1384cd6dea2ec57e2ee82f6450b0440faf3daeefa58babe66218",
         flops=[
             # A and B round to exact identities in binary16 and the Schur
             # step charges nothing, so gmres-ul and gmres-uh have no low bucket
             {"or": {"high": 4410, "low": 250},
              "in": {"high": 3890, "low": 250},
-             "gmres-ul": {"gmres": 18435, "high": 1875, "precond": 3750},
+             "gmres-ul": {"gmres": 10505, "high": 3125, "precond": 6250},
              "gmres-uh": {"gmres": 2106, "high": 625, "precond": 1250},
              "bs": {"high": 2532}},
             {"or": {"high": 7035, "low": 4256},
              "in": {"high": 6515, "low": 4256},
-             "gmres-ul": {"gmres": 17925, "high": 1875, "low": 4006, "precond": 3750},
+             "gmres-ul": {"gmres": 25278, "high": 3750, "low": 4006, "precond": 7500},
              "gmres-uh": {"gmres": 17466, "high": 1250, "low": 4006, "precond": 2500},
              "bs": {"high": 7188}},
             {"or": {"high": 9660, "low": 4592},
              "in": {"high": 9140, "low": 4592},
-             "gmres-ul": {"gmres": 88276, "high": 3125, "low": 4342, "precond": 6250},
+             "gmres-ul": {"gmres": 29491, "high": 4375, "low": 4342, "precond": 8750},
              "gmres-uh": {"gmres": 19879, "high": 1250, "low": 4342, "precond": 2500},
              "bs": {"high": 7356}},
             {"or": {"low": 49169},
