@@ -756,11 +756,10 @@ def _rotation(dtype, fmt: FpFormat):
     step's rows, K[2:6] for its columns.  Tuples c and s of q steps rotate
     a (2, q, n) view, the middle axis needing no ``...`` index (2.5 us of
     a complex64 call).  The caller charges six flops per column and holds
-    the errstate.  binary64 keeps `_product`'s
-    operand order; a complex64 X takes `_plane_product`'s steps on the
-    planes P of [X0, X1, X1, X0]: P * [kr, kr] + swap(P) * [-ki, ki] is
-    exactly kr*gr - ki*gi and kr*gi + ki*gr.  Other formats take
-    `_product`, `_add`."""
+    the errstate.  binary64 keeps `_product`'s operand order; a complex64
+    X takes `_plane_product`'s steps on the planes P of [X0, X1, X1, X0]:
+    P * [kr, kr] + swap(P) * [-ki, ki] is exactly kr*gr - ki*gi and
+    kr*gi + ki*gr.  Other formats take `_product`, `_add`."""
     if dtype == np.complex64:
         def row(c, s):  # [kr, kr] then [-ki, ki] for each of [c, s, c, conj(s), c, s]
             sr, si = s.real, s.imag
