@@ -755,11 +755,14 @@ def _rotation(dtype, fmt: FpFormat):
     in place for a (2, n) view X and k = [c, s1, c, s2]: K[0:4] for a
     step's rows, K[2:6] for its columns.  Tuples c and s of q steps rotate
     a (2, q, n) view, the middle axis needing no ``...`` index (2.5 us of
-    a complex64 call).  The caller charges six flops per column and holds
-    the errstate.  binary64 keeps `_product`'s operand order; a complex64
-    X takes `_plane_product`'s steps on the planes P of [X0, X1, X1, X0]:
-    P * [kr, kr] + swap(P) * [-ki, ki] is exactly kr*gr - ki*gi and
-    kr*gi + ki*gr.  Other formats take `_product`, `_add`."""
+    a complex64 call); in complex128 q = 2, built from one flat tuple.
+    The caller charges six flops per column and holds the errstate.
+    binary64 keeps `_product`'s operand order, X first, and forms c X out
+    of place, which numpy runs faster than an in-place broadcast product
+    on a strided view.  A complex64 X takes `_plane_product`'s steps on
+    the planes P of [X0, X1, X1, X0]: P * [kr, kr] + swap(P) * [-ki, ki]
+    is exactly kr*gr - ki*gi and kr*gi + ki*gr.  Other formats take
+    `_product`, `_add`."""
     if dtype == np.complex64:
         def row(c, s):  # [kr, kr] then [-ki, ki] for each of [c, s, c, conj(s), c, s]
             sr, si = s.real, s.imag
@@ -781,16 +784,23 @@ def _rotation(dtype, fmt: FpFormat):
 
     def coefficients(c, s):
         if isinstance(c, tuple):
-            return np.array([c, s, c, [y.conjugate() for y in s], c, s],
-                            dtype=np.complex128).reshape(6, -1, 1)
-        return np.array([c, s, c, s.conjugate(), c, s], dtype=np.complex128).reshape(6, 1)
+            (c0, c1), (s0, s1) = c, s
+            return np.array((c0, c1, s0, s1, c0, c1, s0.conjugate(), s1.conjugate(),
+                             c0, c1, s0, s1), dtype=np.complex128).reshape(6, 2, 1)
+        return np.array((c, s, c, s.conjugate(), c, s), dtype=np.complex128).reshape(6, 1)
 
     if fmt.is_binary64:
         def rotate(X, k):
             B = k[1::2] * X[::-1]
             np.negative(B[1], out=B[1])
-            X *= k[:1]
-            X += B
+            if X.ndim == 2 and X.strides[1] == X.itemsize:
+                # one matrix's two rows: numpy would run the out-of-place
+                # sum as one loop over both rows, not one per row, and so
+                # keep other NaN payloads (`_qr_steps`); these stay
+                X *= k[:1]
+                X += B
+            else:
+                np.add(X * k[:1], B, out=X)
     else:
         def rotate(X, k):
             prods = _product(k, X[_PAIR], fmt)
@@ -1032,9 +1042,10 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
     charges its rotations' flops at its end.  numpy keeps the NaN of
     either operand of a commutative complex128 step depending on where
     its loop meets them, so a paired sweep that leaves a complex128 UH not
-    all finite runs again from its start, and on, alone.  The deflation
-    test and the exceptional shift read H in complex128: ``np.hypot`` and
-    ``abs`` of complex64 entries return float32.
+    all finite runs again from its start, and on, alone.  Each sweep
+    starts with a `_deflate` pass.  The deflation test and the
+    exceptional shift read H in complex128: ``np.hypot`` and ``abs`` of
+    complex64 entries return float32.
     """
     m = UH.shape[1]
     H = UH[m:]
@@ -1044,27 +1055,18 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
     limit = 30 * m
     sweeps = 0
     stuck = 0
+    # H's diagonal and subdiagonal interleaved, h_00, h_10, h_11, h_21, ...,
+    # as flat indices into H
+    at = np.arange(2 * m - 1) // 2 * (m + 1) + np.arange(2 * m - 1) % 2 * m
     hi = m - 1
     while hi > 0:
-        # deflate every negligible subdiagonal in one pass, leaving exact
-        # zeros (-0.0 too) alone; np.hypot has the bits of abs() of a
-        # complex scalar, which np.abs on an array does not always have
-        d = np.asarray(np.diagonal(H)[:hi + 1], dtype=np.complex128)
-        sub = np.asarray(np.diagonal(H, -1)[:hi], dtype=np.complex128)
-        ad = np.hypot(d.real, d.imag)
-        j = 1 + np.flatnonzero(
-            (sub != 0) & (np.hypot(sub.real, sub.imag) <= u * (ad[:-1] + ad[1:])))
-        H[j, j - 1] = 0.0
         # nothing moves until the next sweep, so a second pass would
         # deflate nothing more
-        while hi > 0 and H[hi, hi - 1] == 0:
-            hi -= 1
-            stuck = 0
+        top, lo = _deflate(H, at, hi, u)
+        if top < hi:
+            hi, stuck = top, 0
         if hi == 0:
             break
-        lo = hi
-        while lo > 0 and H[lo, lo - 1] != 0:
-            lo -= 1
         if sweeps >= limit:
             raise IterationLimitError(
                 f"QR iteration did not converge within {limit} sweeps")
@@ -1097,6 +1099,29 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
         if resident and np.isnan(UH).any():
             return False
     return True
+
+
+def _deflate(H: np.ndarray, at: np.ndarray, hi: int, u: float):
+    """Set every negligible subdiagonal entry of H[:hi + 1, :hi + 1] to
+    exact zero in one pass and return (hi, lo) of the trailing unreduced
+    block, hi = 0 once nothing is left; `at` holds the flat indices of
+    H's diagonal and subdiagonal, interleaved.  Exact zeros (-0.0 too) are
+    left alone.  The entries are read in complex128: np.hypot has the bits
+    of abs() of a complex scalar, which np.abs on an array does not always
+    have, and returns float32 for complex64 parts."""
+    v = np.asarray(H.take(at[:2 * hi + 1]), dtype=np.complex128)
+    a = np.hypot(v.real, v.imag)
+    sub = v[1::2]
+    small = (a[1::2] <= u * (a[:-1:2] + a[2::2])) & (sub != 0)
+    if small.any():
+        H.put(at[1:2 * hi:2][small], 0.0)
+    zero = (small | (sub == 0)).tolist()
+    while hi > 0 and zero[hi - 1]:
+        hi -= 1
+    lo = hi
+    while lo > 0 and not zero[lo - 1]:
+        lo -= 1
+    return hi, lo
 
 
 # ---------------------------------------------------------------------------

@@ -401,6 +401,131 @@ class TestRotate:
         assert (_bits(VW[:, others]) == _bits(before[:, others])).all()
 
 
+def _in_place_rotate(X, k):
+    """The binary64 rotation body as four in-place steps, the oracle of
+    `_rotation`'s."""
+    B = k[1::2] * X[::-1]
+    np.negative(B[1], out=B[1])
+    X *= k[:1]
+    X += B
+
+
+def _nested_coefficients(c, s):
+    """The binary64 coefficients from nested lists, the oracle of `_rotation`'s."""
+    if isinstance(c, tuple):
+        return np.array([c, s, c, [y.conjugate() for y in s], c, s],
+                        dtype=np.complex128).reshape(6, -1, 1)
+    return np.array([c, s, c, s.conjugate(), c, s], dtype=np.complex128).reshape(6, 1)
+
+
+def _with_specials(rng, X, share=0.15):
+    """X with about share of its real and imaginary parts replaced by +-0,
+    +-inf, +-1e308 or a NaN of random sign and payload, in place."""
+    parts = X.view(np.float64).reshape(-1)
+    for i in np.flatnonzero(rng.random(parts.size) < share):
+        kind = rng.integers(7)
+        if kind == 6:
+            nan = np.uint64(0x7FF0000000000000 | int(rng.integers(1, 2**52)) | (1 << 63) * int(rng.integers(2)))
+            parts[i] = np.array([nan]).view(np.float64)[0]
+        else:
+            parts[i] = (0.0, -0.0, np.inf, -np.inf, 1e308, -1e308)[kind]
+    return X
+
+
+def _schur_views(UH, kind, rng):
+    """A view of the stack UH of [U; H] as `_qr_iteration` rotates it and the
+    coefficient rows it takes, by kind: the rows or the columns of a step of
+    matrix 0, or of steps of matrices 0 and 1 paired."""
+    m = UH.shape[2]
+    k, kb, first = rng.integers(m - 1), rng.integers(m - 1), rng.integers(m)
+    rows = m + min(k + 3, m)
+    s0, s1, s2 = UH.strides
+    if kind == "row":
+        return UH[0, m + k:m + k + 2, first:], slice(0, 4)
+    if kind == "column":
+        return UH[0, :rows, k:k + 2].T, slice(2, 6)
+    if kind == "paired rows":
+        return np.ndarray((2, 2, m - first), UH.dtype, UH, (m + k) * s1 + first * s2,
+                          (s1, s0 + (kb - k) * s1, s2)), slice(0, 4)
+    return np.ndarray((2, 2, rows), UH.dtype, UH, k * s2, (s2, s0 + (kb - k) * s2, s1)), slice(2, 6)
+
+
+class TestBinary64RotationOracle:
+    """The binary64 body of `_rotation` against the in-place composition, on
+    views of a stack as `_qr_iteration` takes them, with +-0, +-inf, NaN
+    with payloads and 1e308 among the entries and in c and s."""
+
+    @pytest.mark.parametrize("kind", ["row", "column", "paired rows", "paired columns"])
+    def test_bits_match_the_in_place_composition(self, kind, rng):
+        coefficients, rotate = _rotation(np.complex128, BINARY64)
+        with_nan = 0
+        for m in list(range(2, 27)) * 4:
+            UH = _with_specials(rng, np.stack([cmat(rng, 2 * m, m), cmat(rng, 2 * m, m)]))
+            f, g = _with_specials(rng, cmat(rng, 2, 2), share=0.1).tolist()
+            with np.errstate(all="ignore"):
+                c, s = zip(_givens(f[0], g[0], BINARY64), _givens(f[1], g[1], BINARY64))
+                if not kind.startswith("paired"):
+                    c, s = c[0], s[0]
+                K = coefficients(c, s)
+                assert (_bits(K) == _bits(_nested_coefficients(c, s))).all()
+                want, got = UH.copy(), UH.copy()
+                seed = rng.integers(2**32)
+                X, rows = _schur_views(want, kind, np.random.default_rng(seed))
+                _in_place_rotate(X, K[rows])
+                X, rows = _schur_views(got, kind, np.random.default_rng(seed))
+                rotate(X, K[rows])
+            with_nan += np.isnan(want).any()
+            if kind.startswith("paired") and np.isnan(want).any():
+                # a paired sweep that leaves a NaN runs again alone, so only
+                # the NaN's places and the other bits have to match there
+                assert _part_bits_match(got, want)
+            else:
+                assert (_bits(got) == _bits(want)).all()
+        assert with_nan > 10
+
+
+
+def _entrywise_deflate(H, hi, u):
+    """The deflation pass read entry by entry, the oracle of `_deflate`."""
+    d = np.asarray(np.diagonal(H)[:hi + 1], dtype=np.complex128)
+    sub = np.asarray(np.diagonal(H, -1)[:hi], dtype=np.complex128)
+    ad = np.hypot(d.real, d.imag)
+    j = 1 + np.flatnonzero(
+        (sub != 0) & (np.hypot(sub.real, sub.imag) <= u * (ad[:-1] + ad[1:])))
+    H[j, j - 1] = 0.0
+    while hi > 0 and H[hi, hi - 1] == 0:
+        hi -= 1
+    lo = hi
+    while lo > 0 and H[lo, lo - 1] != 0:
+        lo -= 1
+    return hi, lo
+
+
+class TestDeflateOracle:
+    @pytest.mark.parametrize("dtype, fmt", [(np.complex128, BINARY64), (np.complex128, BFLOAT16),
+                                            (np.complex64, BINARY32)],
+                             ids=["complex128-binary64", "complex128-bfloat16", "complex64"])
+    def test_matches_the_entrywise_pass(self, dtype, fmt, rng):
+        """Hessenberg H with exact +-0 subdiagonal entries, NaN and inf, and
+        entries exactly on and one step above u (|h_kk| + |h_k+1,k+1|)."""
+        u = fmt.unit_roundoff
+        for m in list(range(1, 13)) * 8:
+            H = np.triu(cmat(rng, m, m), -1).astype(dtype)
+            H[np.diag_indices(m)] = 2.0 ** rng.integers(-3, 4, m)  # |h_kk| + |h_k+1,k+1| exact
+            for k in range(m - 1):
+                t = u * (abs(complex(H[k, k])) + abs(complex(H[k + 1, k + 1])))
+                H[k + 1, k] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), t, 1j * t,
+                               -t * (1 + 2 * u), np.nan, complex(np.inf, 1.0), H[k + 1, k],
+                               H[k + 1, k]][rng.integers(11)]
+            if m > 1 and rng.random() < 0.2:
+                H[rng.integers(m), rng.integers(m)] = [np.nan, np.inf][rng.integers(2)]
+            at = np.arange(2 * m - 1) // 2 * (m + 1) + np.arange(2 * m - 1) % 2 * m
+            for hi in range(1, m):
+                want, got = H.copy(), H.copy()
+                assert linalg._deflate(got, at, hi, u) == _entrywise_deflate(want, hi, u)
+                assert got.tobytes() == want.tobytes()
+
+
 GOLDEN_FORMATS = ("bfloat16", "binary16", "tf32", "b24", "binary32", "40:11", "binary64")
 CYCLIC = np.eye(6, k=-1) + np.eye(6, k=5)  # stalls under the unshifted QR iteration
 
