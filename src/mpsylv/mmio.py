@@ -32,9 +32,11 @@ def read_matrix(path) -> np.ndarray:
     a bad header or size line, a coordinate index outside the declared
     size (indices are 1-based), a line with too few numbers, or an entry
     count other than the declared nnz (coordinate) or the number the
-    size and symmetry imply (array).  Symmetric, Hermitian and
-    skew-symmetric files store the lower triangle, the skew-symmetric
-    one without its zero diagonal.
+    size and symmetry imply (array), a coordinate position listed twice
+    (in a non-general file, also as the mirror of an earlier entry), a
+    Hermitian diagonal entry that is not real, or a listed skew-symmetric
+    diagonal entry.  Symmetric, Hermitian and skew-symmetric files store
+    the lower triangle, the skew-symmetric one without its zero diagonal.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -92,6 +94,7 @@ def _read(fh, path) -> np.ndarray:
         values = _compose(values[0::2], values[1::2])
     M = np.zeros((rows, cols), dtype=np.complex128)
     if coordinate:
+        listed = {}  # the line that set each position
         for (n, toks), v in zip(entries, values.tolist()):
             try:
                 i, j = int(toks[0]) - 1, int(toks[1]) - 1
@@ -100,14 +103,22 @@ def _read(fh, path) -> np.ndarray:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise MatrixMarketError(
                     f"{path}:{n}: index ({i + 1}, {j + 1}) outside {rows} x {cols}")
-            M[i, j] = v
+            if (i, j) in listed:
+                raise MatrixMarketError(f"{path}:{n}: entry ({i + 1}, {j + 1}) "
+                                        f"already set by line {listed[i, j]}")
+            if i == j:
+                _check_diagonal(v, symmetry, f"{path}:{n}")
+            M[i, j], listed[i, j] = v, n
             if i != j and symmetry != "general":
-                M[j, i] = _mirror(v, symmetry)
+                M[j, i], listed[j, i] = _mirror(v, symmetry), n
     elif symmetry == "general":
         M[:] = values.reshape(cols, rows).T
     else:
         # the lower triangle in column order
         J, I = np.triu_indices(cols, 1 if symmetry == "skew-symmetric" else 0)
+        bad = np.flatnonzero((I == J) & (values.imag != 0))
+        if len(bad):
+            _check_diagonal(values[bad[0]], symmetry, f"{path}:{entries[bad[0]][0]}")
         M[I, J] = values
         off = I != J
         M[J[off], I[off]] = _mirror(values[off], symmetry)
@@ -126,6 +137,14 @@ def _numbers(entries, first, stop, path) -> np.ndarray:
             except ValueError as exc:
                 raise MatrixMarketError(f"{path}:{n}: {exc}") from None
         raise
+
+
+def _check_diagonal(v, symmetry, where):
+    """Raise unless v may stand on the diagonal of a matrix of this symmetry."""
+    if symmetry == "skew-symmetric":
+        raise MatrixMarketError(f"{where}: a skew-symmetric file lists no diagonal entry")
+    if symmetry == "hermitian" and v.imag != 0:
+        raise MatrixMarketError(f"{where}: hermitian diagonal entry {v} is not real")
 
 
 def _mirror(v, symmetry):

@@ -112,6 +112,13 @@ REAL_COORD = "%%MatrixMarket matrix coordinate real general\n"
     ("%%MatrixMarket matrix array real general\n-1 2\n", "bad size line"),
     ("%%MatrixMarket matrix array pattern general\n1 1\n", "unsupported field"),
     ("%%MatrixMarket vector array real general\n1 1\n", "not a Matrix Market matrix"),
+    ("%%MatrixMarket matrix array complex hermitian\n2 2\n1 5\n2 0\n3 0\n",
+     "bad.mtx:3: hermitian diagonal entry (1+5j) is not real"),
+    ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n1 1 4\n",
+     "bad.mtx:3: a skew-symmetric file lists no diagonal entry"),
+    (REAL_COORD + "2 2 2\n1 2 1.0\n1 2 3.0\n", "bad.mtx:4: entry (1, 2) already set by line 3"),
+    ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 1.0\n1 2 3.0\n",
+     "bad.mtx:4: entry (1, 2) already set by line 3"),
 ])
 def test_malformed_files_raise_a_typed_error(tmp_path, text, message):
     path = tmp_path / "bad.mtx"
