@@ -2,6 +2,7 @@
 by seed, and pairs won with ties counting for neither side."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,26 @@ def test_table_lists_every_metric():
     assert text.splitlines()[0] == "sweep-cond-10"
     assert "solves_per_s" in text and "solve_s_p50" in text and "won 1/1" in text
     assert "correct runs: parent 1, change 0" in text
+
+
+def test_a_run_not_correct_fails_after_the_files_are_written(tmp_path, monkeypatch, capsys):
+    spec = {"run_seconds": 1, "workloads": [{"name": "w1"}, {"name": "w2"}],
+            "end_to_end": [{"name": m, "better": b} for m, b in METRICS]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run_once(tree, workload, seed, seconds):
+        side = "parent" if tree == tmp_path / "parent" else "change"
+        (result,) = _runs({seed: 10.0}, correct=(workload, seed, side) != ("w2", 3, "change"))
+        return result["result"]
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--label", "t", "--parent", str(tmp_path / "parent"), "--change", str(tmp_path),
+            "--out", str(tmp_path)]
+    assert bench_pairs.main(argv) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if "false" in line] == ['w2 seed 3 change: "correct": false']
+    for suffix in ("", "_parent"):
+        doc = json.loads((tmp_path / f"BENCH_t{suffix}.json").read_text())
+        assert [len(doc["runs"][w]) for w in ("w1", "w2")] == [10, 10]
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: _runs({a[2]: 10.0})[0]["result"])
+    assert bench_pairs.main(argv) == 0

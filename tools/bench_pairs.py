@@ -13,7 +13,9 @@ would.  The results go to ``BENCH_<label>.json`` (the change) and
 ``BENCH_<label>_parent.json`` in DIR, and a table is printed: for each
 workload and end-to-end metric, each side's median and quartiles, the
 change in the median, the parent's interquartile range and the pairs the
-change won, ties counting for neither side.
+change won, ties counting for neither side.  Once the files are written,
+each run that printed ``"correct": false`` is listed by workload, seed
+and side, and the exit status is 1.
 
 Make the parent tree a git checkout of the parent commit, for example
 with ``git worktree add --detach <dir> <commit>``, so that each result
@@ -136,8 +138,6 @@ def _host() -> dict:
             "numpy": numpy_version}
 
 
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True, help="writes BENCH_<label>[_parent].json")
@@ -178,7 +178,11 @@ def main(argv=None) -> int:
                 path.write_text(json.dumps(docs[side], indent=1) + "\n")
         print(format_rows(w, summarize(docs["parent"]["runs"][w], docs["change"]["runs"][w],
                                        metrics)), flush=True)
-    return 0
+    failed = [(w, r["seed"], side) for w in workloads for side in ("change", "parent")
+              for r in docs[side]["runs"][w] if not r["result"]["correct"]]
+    for w, n, side in failed:
+        print(f'{w} seed {n} {side}: "correct": false', flush=True)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
