@@ -794,9 +794,9 @@ def _rotation(dtype, fmt: FpFormat):
             B = k[1::2] * X[::-1]
             np.negative(B[1], out=B[1])
             if X.ndim == 2 and X.strides[1] == X.itemsize:
-                # one matrix's two rows: numpy would run the out-of-place
-                # sum as one loop over both rows, not one per row, and so
-                # keep other NaN payloads (`_qr_steps`); these stay
+                # one matrix's two rows keep the in-place steps: numpy
+                # would run the out-of-place sum as one loop over both
+                # rows, not one per row, and so keep other NaN payloads
                 X *= k[:1]
                 X += B
             else:
