@@ -17,7 +17,9 @@ Its QR iteration is the one eigenvalue iteration here: `hermitian_eig`
 reads a Hermitian matrix's eigendecomposition off its Schur form.
 
 Explicit Kronecker forms (`sylvester_kron_operator`, `kron_matrix`) are
-intended for oracles and diagnostics only and are capped in size.
+intended for oracles and diagnostics only and are capped in size; the
+diagnostics `norm(M, "two")`, `sep_f` and `cond_inf` use LAPACK's SVD and
+inverse, with no iteration tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     FormatOverflowError,
     IterationLimitError,
     MpsylvError,
+    NonFiniteInputError,
     NotHermitianError,
     RankDeficiencyError,
     SingularMatrixError,
@@ -208,28 +211,6 @@ def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext):
     return (acc,)
 
 
-def _norm_two(M: np.ndarray, tol: float = 1e-10, max_iter: int = 1000) -> float:
-    """Largest singular value by power iteration on M*M."""
-    if not np.any(M):
-        return 0.0
-    n = M.shape[1]
-    v = np.linspace(1.0, 2.0, n).astype(np.complex128)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = M.conj().T @ (M @ v)
-        lam_new = float(np.real(np.vdot(v, w)))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(np.sqrt(max(lam, 0.0)))
-
-
 def _frobenius(v) -> float:
     """Frobenius norm of an array in binary64: ``np.linalg.norm`` where that
     is finite and at least 2^-511, else (its unscaled squares overflow past
@@ -256,8 +237,8 @@ def norm(M, kind: str = "frobenius") -> float:
     """Matrix norm, always evaluated in binary64.
 
     ``kind`` is one of ``frobenius``, ``inf``, ``one``, ``two``.  The
-    Frobenius norm scales past overflow (`_frobenius`); the two-norm runs
-    a power iteration on M*M (tolerance 1e-10, at most 1000 iterations).
+    Frobenius norm scales past overflow (`_frobenius`); the two-norm is
+    the largest singular value from LAPACK's SVD (`_singular_values`).
     """
     M = as_matrix(M)
     if kind == "frobenius":
@@ -267,7 +248,7 @@ def norm(M, kind: str = "frobenius") -> float:
     if kind == "one":
         return float(np.abs(M).sum(axis=0).max())
     if kind == "two":
-        return _norm_two(M)
+        return float(_singular_values(M)[0])
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
@@ -1155,7 +1136,7 @@ def hermitian_eig(A, ctx: PrecisionContext = _CTX64):
 
 
 # ---------------------------------------------------------------------------
-# Kronecker utilities and conditioning diagnostics (binary64 only)
+# Kronecker utilities and conditioning diagnostics (binary64, LAPACK)
 
 def kron_matrix(A, B, cap: int = DEFAULT_KRON_CAP) -> np.ndarray:
     A = as_matrix(A)
@@ -1181,41 +1162,28 @@ def sylvester_kron_operator(A, B, cap: int = DEFAULT_KRON_CAP) -> np.ndarray:
     return np.kron(np.eye(n), A) + np.kron(B.T, np.eye(m))
 
 
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    """M's singular values, descending, from LAPACK's SVD (finite M only)."""
+    if not np.isfinite(M).all():
+        raise NonFiniteInputError("matrix has a NaN or infinite entry")
+    return np.linalg.svd(M, compute_uv=False)
+
+
 def cond_inf(M) -> float:
-    """Infinity-norm condition number via an explicit LU-based inverse."""
+    """||M||_inf ||M^-1||_inf with LAPACK's inverse (``np.linalg.inv``);
+    SingularMatrixError when its LU meets an exactly zero pivot."""
     M = as_matrix(M)
-    F = lu(M)
-    inv = lu_solve(F, np.eye(M.shape[0], dtype=np.complex128))
+    if M.shape[0] != M.shape[1]:
+        raise DimensionError("cond_inf requires a square matrix")
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from None
     return norm(M, "inf") * norm(inv, "inf")
 
 
-def sep_f(A, B, cap: int = DEFAULT_KRON_CAP, tol: float = 1e-8,
-          max_iter: int = 2000) -> float:
-    """Smallest singular value of the Sylvester operator for (A, B).
-
-    Zero iff the spectra of A and -B intersect (within the iteration
-    tolerance).  Computed by inverse power iteration on M*M where M is the
-    explicit Kronecker operator, so the product mn must sit under the cap.
-    """
-    M = sylvester_kron_operator(A, B, cap=cap)
-    try:
-        F = lu(M)
-    except SingularMatrixError:
-        return 0.0
-    s = M.shape[0]
-    v = np.linspace(1.0, 2.0, s).astype(np.complex128)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = lu_solve(F, v[:, None], transpose="conj")
-        w = lu_solve(F, w)
-        w = w.ravel()
-        lam_new = float(np.linalg.norm(w))
-        if lam_new == 0.0 or not np.isfinite(lam_new):
-            return 0.0
-        v = w / lam_new
-        if abs(lam_new - lam) <= tol * lam_new:
-            lam = lam_new
-            break
-        lam = lam_new
-    return float(1.0 / np.sqrt(lam))
+def sep_f(A, B, cap: int = DEFAULT_KRON_CAP) -> float:
+    """sep_F(A, -B), the smallest singular value of the Kronecker operator M
+    (mn under the cap), from LAPACK's SVD: no iteration tolerance; zero up
+    to an error of order u ||M||_2 when the spectra of A and -B intersect."""
+    return float(_singular_values(sylvester_kron_operator(A, B, cap=cap))[-1])

@@ -34,6 +34,7 @@ def read_matrix(path) -> np.ndarray:
     count other than the declared nnz (coordinate) or the number the
     size and symmetry imply (array), a coordinate position listed twice
     (in a non-general file, also as the mirror of an earlier entry), a
+    coordinate entry above the diagonal of a non-general file, a
     Hermitian diagonal entry that is not real, or a listed skew-symmetric
     diagonal entry.  Symmetric, Hermitian and skew-symmetric files store
     the lower triangle, the skew-symmetric one without its zero diagonal.
@@ -108,6 +109,9 @@ def _read(fh, path) -> np.ndarray:
                                         f"already set by line {listed[i, j]}")
             if i == j:
                 _check_diagonal(v, symmetry, f"{path}:{n}")
+            if i < j and symmetry != "general":
+                raise MatrixMarketError(f"{path}:{n}: entry ({i + 1}, {j + 1}) lies above the "
+                                        f"diagonal; a {symmetry} file lists the lower triangle")
             M[i, j], listed[i, j] = v, n
             if i != j and symmetry != "general":
                 M[j, i], listed[j, i] = _mirror(v, symmetry), n

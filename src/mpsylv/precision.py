@@ -163,7 +163,6 @@ class FpFormat:
     name: str = field(compare=False)
     significand_bits: int  # t, including the implicit leading bit
     exponent_bits: int
-    supports_subnormals: bool = True
 
     def __post_init__(self):
         if self.significand_bits < 2:
@@ -178,8 +177,6 @@ class FpFormat:
             raise ValueError(
                 f"exponent of {self.exponent_bits} bits is wider than "
                 "binary64's 11, in which values are stored")
-        if not self.supports_subnormals:
-            raise ValueError("flush-to-zero semantics are not supported")
 
     @cached_property
     def unit_roundoff(self) -> float:

@@ -403,7 +403,7 @@ def residual(p: SylvesterProblem, X) -> float:
 
 
 def solution_norm_bound(p: SylvesterProblem) -> float:
-    """Diagnostic upper bound ||X||_F <= ||C||_F / sep_F(A, -B)."""
+    """Diagnostic bound ||X||_F <= ||C||_F / sep_F(A, -B), sep_F by LAPACK's SVD."""
     s = sep_f(p.A, p.B)
     if s == 0.0:
         return float("inf")

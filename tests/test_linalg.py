@@ -9,6 +9,7 @@ from mpsylv.errors import (
     FormatOverflowError,
     IterationLimitError,
     MpsylvError,
+    NonFiniteInputError,
     NotHermitianError,
     RankDeficiencyError,
     SingularMatrixError,
@@ -126,6 +127,19 @@ class TestNorm:
         M = cmat(rng, 7, 5)
         assert norm(M, "two") == pytest.approx(np.linalg.svd(M, compute_uv=False)[0],
                                                rel=1e-8)
+
+    def test_two_clustered_largest_values(self, rng):
+        # a power iteration on M*M stops short of ||M||_2 when the two
+        # largest singular values nearly coincide
+        Q = np.linalg.qr(cmat(rng, 6, 6))[0]
+        for M in (np.diag([2.0, 2.0 - 2e-7, 1.0]),
+                  Q @ np.diag([5.0, 5.0 * (1 - 1e-6), 3.0, 2.0, 1.0, 0.5]) @ Q.conj().T):
+            assert norm(M, "two") == pytest.approx(np.linalg.svd(M, compute_uv=False)[0],
+                                                   rel=1e-12)
+
+    def test_two_rejects_non_finite(self):
+        with pytest.raises(NonFiniteInputError):
+            norm(np.array([[1.0, np.nan], [0.0, 1.0]]), "two")
 
     def test_zero_iff_zero(self):
         assert norm(np.zeros((3, 3)), "two") == 0.0
@@ -807,6 +821,20 @@ class TestKronAndConditioning:
 
     def test_sep_common_eigenvalue_is_zero(self):
         assert sep_f(np.array([[1.0]]), np.array([[-1.0]])) == 0.0
+
+    def test_cond_inf_singular(self):
+        with pytest.raises(SingularMatrixError):
+            cond_inf(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+    def test_cond_inf_non_square(self):
+        with pytest.raises(DimensionError):
+            cond_inf(np.ones((2, 3)))
+
+    def test_sep_clustered_smallest_singular_values(self):
+        # an inverse power iteration stops short of sep_F on a near-double
+        # smallest value
+        assert sep_f(np.diag([1.0, 1.0 + 1e-7, 3.0]), np.array([[0.0]])) == pytest.approx(
+            1.0, rel=1e-12)
 
     def test_sep_diagonal(self):
         got = sep_f(np.diag([1.0, 2.0]), np.array([[3.0]]))

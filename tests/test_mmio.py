@@ -119,6 +119,13 @@ REAL_COORD = "%%MatrixMarket matrix coordinate real general\n"
     (REAL_COORD + "2 2 2\n1 2 1.0\n1 2 3.0\n", "bad.mtx:4: entry (1, 2) already set by line 3"),
     ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n2 1 1.0\n1 2 3.0\n",
      "bad.mtx:4: entry (1, 2) already set by line 3"),
+    # non-general files list the lower triangle only
+    ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 3.0\n",
+     "bad.mtx:3: entry (1, 2) lies above the diagonal; a symmetric file"),
+    ("%%MatrixMarket matrix coordinate complex hermitian\n3 3 2\n1 1 1 0\n2 3 1 1\n",
+     "bad.mtx:4: entry (2, 3) lies above the diagonal; a hermitian file"),
+    ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n1 2 3.0\n",
+     "bad.mtx:3: entry (1, 2) lies above the diagonal; a skew-symmetric file"),
 ])
 def test_malformed_files_raise_a_typed_error(tmp_path, text, message):
     path = tmp_path / "bad.mtx"

@@ -119,7 +119,7 @@ class TestFormats:
         assert parse_format("8:11").emax == 1023
 
     def test_flush_to_zero_not_offered(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             FpFormat("ftz", 8, 8, supports_subnormals=False)
 
 

@@ -289,6 +289,13 @@ class TestResidual:
         X = kron_solve(p)
         assert np.linalg.norm(X) <= solution_norm_bound(p) * (1 + 1e-6)
 
+    def test_norm_bound_holds_on_clustered_sep(self):
+        # X = e1 exactly, and sep_F = 1 sits on a near-double singular value
+        C = np.zeros((3, 1))
+        C[0, 0] = 1.0
+        p = SylvesterProblem(np.diag([1.0, 1.0 + 1e-7, 3.0]), np.array([[0.0]]), C)
+        assert solution_norm_bound(p) >= np.linalg.norm(kron_solve(p)) == 1.0
+
 
 class TestSharedSchurPairs:
     """`_schur_pair` inside and outside a `_shared_schur_pairs` scope."""
