@@ -9,10 +9,12 @@ A kernel calls `precision`'s steps under the one ``np.errstate`` that
 step pays no format dispatch, errstate or charge of its own; the `fl_*`
 functions are the entry points for code outside a kernel.
 
-`schur` also takes a stack of matrices, as numpy's linalg does: one driver
-rotates two matrices' rows, then columns, in lockstep through one strided
-view per pass, padded with exact zeros that a finite rotation keeps zero;
-a sweep that leaves a matrix not all finite runs again alone, unpadded.
+`schur` also takes a stack of matrices, as numpy's linalg does: the
+Householder reduction updates the whole stack in lockstep, and one driver
+runs the QR iterations a pair at a time, rotating both matrices' rows,
+then columns, through one strided view per pass, padded with exact zeros
+that a finite rotation keeps zero; a complex128 reduction or a sweep that
+leaves a matrix not all finite runs again alone, unpadded.
 Its QR iteration is the one eigenvalue iteration here: `hermitian_eig`
 reads a Hermitian matrix's eigendecomposition off its Schur form.
 
@@ -473,28 +475,30 @@ def _reflector_chain(x0: complex, nx: float, fmt: FpFormat):
     return complex(wr, wi), beta, complex(-nr - 0.0 * ni, -ni + 0.0 * nr)
 
 
-def _apply_reflector_left_rounded(M: np.ndarray, w: np.ndarray, beta: float,
+def _apply_reflector_left_rounded(M: np.ndarray, w: np.ndarray, beta,
                                   ctx: PrecisionContext) -> None:
-    """M <- (I - beta w w*) M in place, rows matching len(w): t = w* M
+    """M <- (I - beta w w*) M in place, rows matching w's last axis: t = w* M
     summed from +0 (`_accumulate`), less the products of beta w and t, as
     steps of the calling kernel, charged once: on float32 planes for a
-    complex64 M and w (binary32); a NaN is left for the caller."""
+    complex64 M and w (binary32); a NaN is left for the caller.  A stack
+    M (p, r, c) takes w (p, r) and p betas, each matrix its own."""
     fmt = ctx.format
-    t = _accumulate(_product(np.conj(w)[:, None], M, fmt), None, fmt)
-    bw = _product(w.dtype.type(beta), w, fmt)
-    M[...] = _sub(M, _product(bw[:, None], t[None, :], fmt), fmt)
-    ctx.count(4 * M.size + len(w))
+    t = _accumulate(np.moveaxis(_product(np.conj(w)[..., None], M, fmt), -2, 0), None, fmt)
+    bw = _product(np.asarray(beta, w.dtype)[..., None], w, fmt)
+    M[...] = _sub(M, _product(bw[..., None], t[..., None, :], fmt), fmt)
+    ctx.count(4 * M.size + w.size)
 
 
-def _apply_reflector_right_rounded(M: np.ndarray, w: np.ndarray, beta: float,
+def _apply_reflector_right_rounded(M: np.ndarray, w: np.ndarray, beta,
                                    ctx: PrecisionContext) -> None:
-    """M <- M (I - beta w w*) in place, columns matching len(w), with the
-    steps of `_apply_reflector_left_rounded` on the rows of M."""
+    """M <- M (I - beta w w*) in place, columns matching w's last axis, with
+    the steps of `_apply_reflector_left_rounded` on the rows of M."""
     fmt = ctx.format
-    t = _accumulate(_product(M.T, w[:, None], fmt), None, fmt)
-    bw = _product(w.dtype.type(beta), np.conj(w), fmt)
-    M[...] = _sub(M, _product(t[:, None], bw[None, :], fmt), fmt)
-    ctx.count(4 * M.size + len(w))
+    t = _accumulate(_product(np.moveaxis(M, -1, 0), np.moveaxis(w, -1, 0)[..., None], fmt),
+                    None, fmt)
+    bw = _product(np.asarray(beta, w.dtype)[..., None], np.conj(w), fmt)
+    M[...] = _sub(M, _product(t[..., None], bw[..., None, :], fmt), fmt)
+    ctx.count(4 * M.size + w.size)
 
 
 def householder_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
@@ -634,29 +638,48 @@ def lu_solve(F: LuFactors, B, side: str = "left", transpose: str = "no",
 # ---------------------------------------------------------------------------
 # Schur decomposition
 
-def _hessenberg(UH: np.ndarray, ctx: PrecisionContext) -> bool:
-    """Householder reduction of H to Hessenberg form in the stacked [U; H],
-    U = I on entry, in place.  False if a complex64 UH meets a w that is not
-    binary32 (a rescaled x, `_make_reflector`) or ends holding a NaN."""
-    m = UH.shape[1]
-    H = UH[m:]
+def _hessenberg(UH: np.ndarray, ctxs) -> bool:
+    """Householder reduction of each H to Hessenberg form in the stack UH
+    of [U; H], U = I on entry, in place, each matrix charged to its own
+    context in ctxs.  A column's reflectors are formed in stack order and,
+    when every matrix has one, applied in one call per side, else one
+    matrix at a time.  numpy's NaN payloads follow its loop layout, so a
+    complex128 stack left not all finite is reduced again one at a time.
+    False if a complex64 UH meets a w that is not binary32 (a rescaled x,
+    `_make_reflector`) or ends holding a NaN."""
+    p, m = UH.shape[0], UH.shape[2]
+    H, fmt = UH[:, m:], ctxs[0].format
+    start = UH.copy() if p > 1 and UH.dtype == np.complex128 else None
     for k in range(m - 2):
-        x = H[k + 1:, k]
-        if not np.any(x[1:]):
-            continue
-        w, beta, head = _make_reflector(x, ctx)
-        if w is False:
-            return False
-        if w is None:
-            continue
-        _apply_reflector_left_rounded(H[k + 1:, k:], w, beta, ctx)
-        H[k + 1:, k] = 0.0
-        H[k + 1, k] = head
-        # the columns of U and of H in one update, charged as two
-        _apply_reflector_right_rounded(UH[:, k + 1:], w, beta, ctx)
-        ctx.count(len(w))
+        r = m - k - 1
+        formed = []
+        for i, c in enumerate(ctxs):
+            x = H[i, k + 1:, k]
+            if np.any(x[1:]):
+                w, beta, head = _make_reflector(x, c)
+                if w is False:
+                    return False
+                if w is not None:
+                    formed.append((i, w, beta, head))
+        groups = [formed] if len(formed) == p else [[f] for f in formed]
+        for group in groups:
+            at = slice(group[0][0], group[-1][0] + 1)
+            _, w, beta, head = zip(*group)
+            w = np.array(w)
+            _apply_reflector_left_rounded(H[at, k + 1:, k:], w, beta, fmt._uncounted)
+            H[at, k + 1:, k] = 0.0
+            H[at, k + 1, k] = head
+            # the columns of U and of H in one update
+            _apply_reflector_right_rounded(UH[at, :, k + 1:], w, beta, fmt._uncounted)
+            for i, *_ in group:  # the left update, and the right one as two
+                ctxs[i].count(r * (12 * m - 4 * k + 3))
     if m > 2:
-        H[np.tril_indices(m, -2)] = 0.0
+        H[(slice(None), *np.tril_indices(m, -2))] = 0.0
+    if start is not None and not np.isfinite(UH).all():
+        UH[...] = start
+        for i, c in enumerate(ctxs):
+            c.counter.reset()
+            _hessenberg(UH[i:i + 1], [c])
     return not (UH.dtype == np.complex64 and np.isnan(UH).any())
 
 
@@ -895,10 +918,12 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
 
     A may be a stack (p, m, m), as numpy's linalg takes it; U and T are
     then stacks, and U, T, flops and errors are those of one call per
-    matrix in turn.  The QR iterations run in lockstep (`_qr_iteration`):
-    two matrices' steps share views padded with exact zeros, which a
-    finite rotation keeps zero, and a sweep that leaves a matrix not all
-    finite (as a non-finite c or s does) runs again alone and unpadded.
+    matrix in turn.  The reduction runs the stack in lockstep
+    (`_hessenberg`), and the QR iterations a pair at a time
+    (`_qr_iteration`): two matrices' steps share views padded with exact
+    zeros, which a finite rotation keeps zero.  A complex128 reduction
+    or a sweep that leaves a matrix not all finite (as a non-finite c or
+    s does) runs again alone and unpadded.
     """
     stacked = np.ndim(A) == 3
     if stacked and len(A) == 0:
@@ -930,12 +955,12 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
 def _schur_steps(UH: np.ndarray, *, ctx: PrecisionContext):
     """The steps of `schur` on the stack UH of [U; H], U = I on entry, in
     place, as a 1-tuple; False as `_hessenberg` or `_qr_iteration` returns
-    it.  Each matrix is charged to a tally of its own, and the tallies go
-    to ctx in stack order."""
+    it.  The reduction runs the stack in lockstep (`_hessenberg`), the QR
+    iterations a pair at a time (`_qr_iteration`).  Each matrix is charged
+    to a tally of its own, and the tallies go to ctx in stack order."""
     ctxs = [PrecisionContext(ctx.format, FlopCounter()) for _ in UH]
     try:
-        return (all(_hessenberg(X, c) for X, c in zip(UH, ctxs))
-                and _qr_iteration(UH, ctxs) and (UH,))
+        return _hessenberg(UH, ctxs) and _qr_iteration(UH, ctxs) and (UH,)
     finally:
         for c in ctxs:
             for n in c.counter.counts.values():
@@ -946,71 +971,76 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
     """The QR iterations of `schur` on the C-contiguous stack UH of
     Hessenberg [U; H], in place, each charged to its own context in ctxs:
     False if a run (`_qr_steps`) returns False, else True, or the error of
-    the first matrix that raises, with the charges of those after it
-    dropped.  Each round applies the pending steps of two running
-    matrices through one view per pass, built on UH's buffer: the rows
-    from the smaller first column, the columns to the larger row count.
-    The entries this pads with are exact zeros strictly below H's
-    subdiagonal or a deflated subdiagonal, which a rotation by finite c
-    and s keeps zero and T drops."""
+    the first matrix that raises; the charges of those after it are
+    dropped, and its partner in a pair is run no further.  Matrices 0 and
+    1 run to their ends, then 2 and 3, and an odd last one alone.  A
+    pair's pending steps are applied through one view per pass on UH's
+    buffer: the rows from the smaller first column, the columns to the
+    larger row count.  The entries this pads with are exact zeros below
+    H's subdiagonal or a deflated subdiagonal, which a rotation by finite
+    c and s keeps zero and T drops."""
     p, m, dtype = UH.shape[0], UH.shape[2], UH.dtype
     coefficients, rotate = _rotation(dtype, ctxs[0].format)
     s0, s1, s2 = UH.strides
 
-    def alone(i, step):
+    def alone(X, step):
         k, first, rows, c, s, _ = step
         K = coefficients(c, s)
-        rotate(UH[i, m + k:m + k + 2, first:], K[0:4])
-        rotate(UH[i, :rows, k:k + 2].T, K[2:6])
+        rotate(X[m + k:m + k + 2, first:], K[0:4])
+        rotate(X[:rows, k:k + 2].T, K[2:6])
 
-    def paired(i, a, j, b):
-        (k, first, rows, c, s, _), (kb, fb, rb, cb, sb, _) = a, b
-        K = coefficients((c, cb), (s, sb))
-        f = first if first < fb else fb
-        r = rows if rows > rb else rb
-        rotate(np.ndarray((2, 2, m - f), dtype, UH, i * s0 + (m + k) * s1 + f * s2,
-                          (s1, (j - i) * s0 + (kb - k) * s1, s2)), K[0:4])
-        rotate(np.ndarray((2, 2, r), dtype, UH, i * s0 + k * s2,
-                          (s2, (j - i) * s0 + (kb - k) * s2, s1)), K[2:6])
+    def ended(stop):  # a run's return value, or its error
+        return stop.value if isinstance(stop, StopIteration) else stop
 
-    runs = [_qr_steps(X, c, pairable=p > 1) for X, c in zip(UH, ctxs)]
-    ends, steps = [None] * p, [None] * p
-
-    def advance(i):
-        """True when run i holds its next step, False once it has ended."""
+    def to_end(run, X, step=None):
+        """The end of a run, run alone from its pending step on."""
         try:
-            steps[i] = next(runs[i])
-            return True
-        except StopIteration as stop:
-            ends[i] = stop.value
-        except MpsylvError as exc:  # raised in its turn, in stack order
-            ends[i] = exc
-        return False
+            if step is not None:
+                alone(X, step)
+            while True:
+                alone(X, next(run))
+        except (StopIteration, MpsylvError) as stop:
+            return ended(stop)
 
-    live = [i for i in range(p) if advance(i)]
-    while len(live) > 1:
-        for n in range(0, len(live) - 1, 2):
-            i, j = live[n], live[n + 1]
-            a, b = steps[i], steps[j]
-            if a[5] and b[5]:
-                paired(i, a, j, b)
-            else:
-                alone(i, a)
-                alone(j, b)
-        if len(live) % 2:
-            alone(live[-1], steps[live[-1]])
-        live = [i for i in live if advance(i)]
-    for i in live:  # the last one, alone to its end
-        alone(i, steps[i])
-        while advance(i):
-            alone(i, steps[i])
-    for i, end in enumerate(ends):
-        if end is not True:
-            for c in ctxs[i + 1:]:
-                c.counter.reset()
-            if end is False:
-                return False
-            raise end
+    for i in range(0, p, 2):
+        X = UH[i]
+        a = _qr_steps(X, ctxs[i], pairable=i + 1 < p)
+        if i + 1 == p:
+            ends = [to_end(a, X)]
+        else:
+            Y, b = UH[i + 1], _qr_steps(UH[i + 1], ctxs[i + 1], pairable=True)
+            rows0, cols0 = i * s0 + m * s1, i * s0  # the offsets of the pair's views
+            while True:
+                try:
+                    step = next(a)
+                except (StopIteration, MpsylvError) as stop:
+                    end = ended(stop)
+                    ends = [end, end is True and to_end(b, Y)]
+                    break
+                try:
+                    other = next(b)
+                except (StopIteration, MpsylvError) as stop:
+                    ends = [to_end(a, X, step), ended(stop)]
+                    break
+                k, f, r, c, s, pa = step
+                kb, fb, rb, cb, sb, pb = other
+                if pa and pb:
+                    K = coefficients((c, cb), (s, sb))
+                    f, r = f if f < fb else fb, r if r > rb else rb
+                    rotate(np.ndarray((2, 2, m - f), dtype, UH, rows0 + k * s1 + f * s2,
+                                      (s1, s0 + (kb - k) * s1, s2)), K[0:4])
+                    rotate(np.ndarray((2, 2, r), dtype, UH, cols0 + k * s2,
+                                      (s2, s0 + (kb - k) * s2, s1)), K[2:6])
+                else:
+                    alone(X, step)
+                    alone(Y, other)
+        for j, end in enumerate(ends, i):
+            if end is not True:
+                for c in ctxs[j + 1:]:
+                    c.counter.reset()
+                if end is False:
+                    return False
+                raise end
     return True
 
 
@@ -1053,7 +1083,7 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
                 f"QR iteration did not converge within {limit} sweeps")
         start = UH.copy() if pairable and not resident else None
         while True:
-            h, y = H[lo:lo + 2, lo].tolist()
+            h, y = H.item(lo, lo), H.item(lo + 1, lo)
             if stuck > 0 and stuck % 10 == 0:
                 # exceptional shift to break a stalled cycle (a binary64 value)
                 shift = complex(abs(complex(H[hi, hi - 1])) + 0.75 * abs(complex(H[hi, hi])))
@@ -1063,13 +1093,16 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
             columns = 0
             for k in range(lo, hi):
                 c, s = _givens(x, y, fmt)
-                first, rows = max(lo, k - 1), m + min(k + 3, hi + 1)
+                # rows k, k+1 from column max(lo, k - 1), and columns k, k+1
+                # of U and of H's rows to min(k + 2, hi)
+                first = k - 1 if k > lo else lo
+                rows = m + k + 3 if k < hi - 1 else m + hi + 1
                 yield k, first, rows, c, s, pairable
                 columns += m - first + rows
                 if k > lo:
                     H[k + 1, k - 1] = 0.0
                 if k < hi - 1:
-                    x, y = H[k + 1:k + 3, k].tolist()
+                    x, y = H.item(k + 1, k), H.item(k + 2, k)
             if start is None or np.isfinite(UH).all():
                 break
             UH[...] = start
@@ -1162,21 +1195,27 @@ def sylvester_kron_operator(A, B, cap: int = DEFAULT_KRON_CAP) -> np.ndarray:
     return np.kron(np.eye(n), A) + np.kron(B.T, np.eye(m))
 
 
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    """M's singular values, descending, from LAPACK's SVD (finite M only)."""
+def _finite(M: np.ndarray) -> np.ndarray:
+    """M, or NonFiniteInputError if it has a NaN or infinite entry."""
     if not np.isfinite(M).all():
         raise NonFiniteInputError("matrix has a NaN or infinite entry")
-    return np.linalg.svd(M, compute_uv=False)
+    return M
+
+
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    """M's singular values, descending, from LAPACK's SVD (finite M only)."""
+    return np.linalg.svd(_finite(M), compute_uv=False)
 
 
 def cond_inf(M) -> float:
-    """||M||_inf ||M^-1||_inf with LAPACK's inverse (``np.linalg.inv``);
-    SingularMatrixError when its LU meets an exactly zero pivot."""
+    """||M||_inf ||M^-1||_inf with LAPACK's inverse (``np.linalg.inv``) of
+    a finite M; SingularMatrixError when its LU meets an exactly zero
+    pivot."""
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise DimensionError("cond_inf requires a square matrix")
     try:
-        inv = np.linalg.inv(M)
+        inv = np.linalg.inv(_finite(M))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from None
     return norm(M, "inf") * norm(inv, "inf")

@@ -605,11 +605,15 @@ class TestSchurStack:
             self._same(parse_format(fmt), *pair)
 
     @pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=lambda f: f.name)
-    @pytest.mark.parametrize("stalls", [0, 1])
-    def test_stall_in_one_factor(self, fmt, stalls, unshifted, rng):
-        pair = [self._converging(rng)]
-        pair.insert(stalls, CYCLIC)
-        (error, _), flops = self._same(fmt, *pair)
+    @pytest.mark.parametrize("p, stalls", [
+        pytest.param(2, 0, id="0"), pytest.param(2, 1, id="1"),
+        # the second pair raises
+        pytest.param(3, 2, id="3-at-2"), pytest.param(4, 2, id="4-at-2"),
+        pytest.param(4, 3, id="4-at-3")])
+    def test_stall_in_one_factor(self, fmt, p, stalls, unshifted, rng):
+        stack = [self._converging(rng) for _ in range(p - 1)]
+        stack.insert(stalls, CYCLIC)
+        (error, _), flops = self._same(fmt, *stack)
         assert error is IterationLimitError and flops["low"] > 0
 
     @pytest.mark.parametrize("first_ok", [False, True])
@@ -657,6 +661,89 @@ class TestSchurStack:
             assert calls == [3]
             calls.clear()
         assert want[0][0] is IterationLimitError
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        """The leading (stack) axis length of each call to ``linalg.<name>``."""
+        sizes, run = [], getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda X, *args: sizes.append(len(X)) or run(X, *args))
+        return sizes
+
+    @pytest.mark.parametrize("fmt", GOLDEN_FORMATS)
+    def test_reduced_column_beside_a_dense_one(self, fmt, rng, monkeypatch):
+        """Columns 0 to 2 of A are in Hessenberg form already, so they get no
+        reflector in A and are reduced one matrix at a time; the others run
+        in lockstep."""
+        A = np.triu(cmat(rng, 7, 7), -1)
+        A[:, 3:] = cmat(rng, 7, 4)
+        sizes = self._spy(monkeypatch, "_apply_reflector_left_rounded")
+        for pair in ((A, cmat(rng, 7, 7)), (cmat(rng, 7, 7), A)):
+            sizes.clear()
+            self._same(parse_format(fmt), *pair)
+            assert 1 in sizes and 2 in sizes
+
+    @pytest.mark.parametrize("tail", [1e-3, 1e-30])
+    def test_rescaled_reflector_in_one_factor(self, tail, monkeypatch):
+        """A first column with an entry near 3e20, whose squares overflow
+        binary32: its reflector is formed from the column scaled down
+        (`_make_reflector`).  With a tail near 1e-30 the scaled w leaves
+        binary32 and the stack reruns on the software path."""
+        A = cmat(np.random.default_rng(0), 6, 6)
+        A[2:, 0] = tail * cmat(np.random.default_rng(9), 4, 1).ravel()
+        A[1, 0] = 3e20
+        rescaled = []
+        scaled_down = linalg._scaled_down
+        monkeypatch.setattr(linalg, "_scaled_down", lambda x: rescaled.append(1) or scaled_down(x))
+        other = cmat(np.random.default_rng(1), 6, 6)
+        for pair in ((A, other), (other, A)):
+            rescaled.clear()
+            factors, _ = self._same(BINARY32, *pair)
+            assert rescaled
+            assert all(np.isfinite(np.frombuffer(T, np.float64)).all() for _, T in factors)
+
+    def test_overflow_in_one_reduction_reruns_alone(self, rng, monkeypatch):
+        """Entries near 1e308: the binary64 reflector updates meet inf - inf,
+        so the lockstep reduction is run again one matrix at a time, and T
+        holds NaN, which never deflates."""
+        g = np.random.default_rng(0)
+        A = 1e308 * np.sign(g.standard_normal((4, 4))) + 0j
+        A[0] = g.standard_normal(4)
+        sizes = self._spy(monkeypatch, "_hessenberg")
+        for pair in ((A, cmat(rng, 4, 4)), (cmat(rng, 4, 4), A)):
+            sizes.clear()
+            (error, _), flops = self._same(BINARY64, *pair)
+            assert error is IterationLimitError and flops["low"] > 0
+            # the stack, then one matrix at a time, before the calls one by one
+            assert sizes[:3] == [2, 1, 1]
+
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64], ids=lambda f: f.name)
+    def test_dense_pair_reduces_in_lockstep(self, fmt, rng, monkeypatch):
+        sizes = self._spy(monkeypatch, "_apply_reflector_left_rounded")
+        schur(np.stack([cmat(rng, 8, 8), cmat(rng, 8, 8)]), PrecisionContext(fmt))
+        assert sizes == [2] * (8 - 2)
+
+    @pytest.mark.parametrize("first_stalls", [False, True])
+    def test_partner_of_a_failed_run_stops(self, first_stalls, unshifted, rng, monkeypatch):
+        """Once matrix 0 of a pair raises, its partner, whose charges are
+        dropped, is run no further: CYCLIC beside CYCLIC would raise in the
+        same sweep.  Once matrix 1 raises, matrix 0 runs on to its end."""
+        ended, run = [], linalg._qr_steps
+
+        def steps(UH, ctx, pairable):
+            i = len(ended)
+            ended.append(False)
+            try:
+                out = yield from run(UH, ctx, pairable)
+            except MpsylvError:
+                ended[i] = True
+                raise
+            ended[i] = True
+            return out
+        monkeypatch.setattr(linalg, "_qr_steps", steps)
+        first = CYCLIC if first_stalls else self._converging(rng)
+        with pytest.raises(IterationLimitError):
+            schur(np.stack([first, CYCLIC]), PrecisionContext(BINARY64))
+        assert ended == [True, not first_stalls]
 
 
 class TestHouseholderScaling:
@@ -829,6 +916,13 @@ class TestKronAndConditioning:
     def test_cond_inf_non_square(self):
         with pytest.raises(DimensionError):
             cond_inf(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_cond_inf_rejects_non_finite(self, entry):
+        # unchecked, LAPACK's inverse carries the NaN through to a nan
+        # result, and an infinite entry gives an infinite norm
+        with pytest.raises(NonFiniteInputError):
+            cond_inf(np.array([[entry, 1.0], [0.0, 1.0]]))
 
     def test_sep_clustered_smallest_singular_values(self):
         # an inverse power iteration stops short of sep_F on a near-double

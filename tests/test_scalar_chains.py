@@ -562,7 +562,7 @@ class TestBinary32SchurPath:
             UH = np.concatenate([np.eye(3, dtype=np.complex128), linalg._enter(A, ctx)])
             with np.errstate(over="ignore", invalid="ignore"):
                 (UH,) = linalg._resident(
-                    lambda X, ctx: linalg._hessenberg(X, ctx) and (X,), ctx, UH)
+                    lambda X, ctx: linalg._hessenberg(X[None], [ctx]) and (X,), ctx, UH)
             return UH, counter.counts
 
         UH, flops = reduction()
