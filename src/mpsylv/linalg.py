@@ -663,15 +663,14 @@ def _hessenberg(UH: np.ndarray, ctxs) -> bool:
                     formed.append((i, w, beta, head))
         groups = [formed] if len(formed) == p else [[f] for f in formed]
         for group in groups:
-            at = slice(group[0][0], group[-1][0] + 1)
-            _, w, beta, head = zip(*group)
-            w = np.array(w)
+            idx, w, beta, head = zip(*group)
+            at, w = slice(idx[0], idx[-1] + 1), np.array(w)
             _apply_reflector_left_rounded(H[at, k + 1:, k:], w, beta, fmt._uncounted)
             H[at, k + 1:, k] = 0.0
             H[at, k + 1, k] = head
             # the columns of U and of H in one update
             _apply_reflector_right_rounded(UH[at, :, k + 1:], w, beta, fmt._uncounted)
-            for i, *_ in group:  # the left update, and the right one as two
+            for i in idx:  # the left update, and the right one as two
                 ctxs[i].count(r * (12 * m - 4 * k + 3))
     if m > 2:
         H[(slice(None), *np.tril_indices(m, -2))] = 0.0
