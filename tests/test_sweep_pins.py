@@ -16,6 +16,11 @@ sum rounded once more into the format can be double-rounded.  (e) is an
 8x8 sweep with u_l = u_h = binary64, which runs every solver's kernels on
 their binary64 paths.  Both GMRES-IR solvers have u_g = u_l there, so the
 recorder files both under gmres-ul and keeps the second one's buckets.
+(f) is a binary32 sweep with a 9x9 A and a 6x6 B (factored one at a time)
+and GMRES restarted every 3 inner iterations, so each correction's
+operator runs on unequal shapes across several restart cycles; rows t = 7
+and 8 stagnate in gmres-ul and row 8 ends in non_convergence in the
+stationary solvers.
 """
 
 import hashlib
@@ -204,12 +209,43 @@ SWEEPS = {
              "gmres-ul": {"low": 17606, "high": 2368, "precond": 5120, "gmres": 24470},
              "bs": {"high": 22726}},
         ]),
+    "binary32-9x6-restart3": dict(
+        m=9, n=6, t_values=[4, 5, 6, 7, 8], seed=2, u_l=BINARY32, restart=3,
+        sha="95d9ee94074277d31601f2a85492bc063026d024cda08366ec26b7a95cf7034e",
+        flops=[
+            {"or": {"low": 16999, "high": 17376},
+             "in": {"low": 16999, "high": 15698},
+             "gmres-ul": {"low": 16189, "high": 5670, "precond": 12150, "gmres": 38595},
+             "gmres-uh": {"low": 16189, "high": 1890, "precond": 4050, "gmres": 19516},
+             "bs": {"high": 23551}},
+            {"or": {"low": 16879, "high": 25476},
+             "in": {"low": 16879, "high": 23798},
+             "gmres-ul": {"low": 16069, "high": 7560, "precond": 16200, "gmres": 71413},
+             "gmres-uh": {"low": 16069, "high": 3780, "precond": 8100, "gmres": 39032},
+             "bs": {"high": 22903}},
+            {"or": {"low": 16579, "high": 25476},
+             "in": {"low": 16579, "high": 23798},
+             "gmres-ul": {"low": 15769, "high": 9450, "precond": 20250, "gmres": 141517},
+             "gmres-uh": {"low": 15769, "high": 3780, "precond": 8100, "gmres": 63452},
+             "bs": {"high": 21967}},
+            {"or": {"low": 15895, "high": 55176},
+             "in": {"low": 15895, "high": 53498},
+             "gmres-ul": {"low": 15085, "high": 1890, "precond": 4050, "gmres": 120692},
+             "gmres-uh": {"low": 15085, "high": 1890, "precond": 4050, "gmres": 57020},
+             "bs": {"high": 20251}},
+            {"or": {"low": 15463, "high": 63276},
+             "in": {"low": 15463, "high": 61598},
+             "gmres-ul": {"low": 14653, "high": 1890, "precond": 4050, "gmres": 120692},
+             "gmres-uh": {"low": 14653, "high": 3780, "precond": 8100, "gmres": 241384},
+             "bs": {"high": 20239}},
+        ]),
 }
 
 
-def _recorded_sweep(monkeypatch, out, m, t_values, seed, u_l):
-    """Run the sweep with each solver charging a fresh FlopCounter; returns
-    the CSV bytes and, per row, {solver: buckets}."""
+def _recorded_sweep(monkeypatch, out, m, t_values, seed, u_l, n=None, restart=20):
+    """Run the m x n (n defaults to m) sweep with GMRES restart length
+    ``restart``, each solver charging a fresh FlopCounter; returns the CSV
+    bytes and, per row, {solver: buckets}."""
     rows = []
     generate, orth, inv = cli.generate, cli.mp_orth, cli.mp_inv
     gmres, bs = cli.gmres_ir_sylv, cli.bartels_stewart
@@ -235,8 +271,8 @@ def _recorded_sweep(monkeypatch, out, m, t_values, seed, u_l):
         lambda c: gmres(p, gcfg, rcfg, c)))
     monkeypatch.setattr(cli, "bartels_stewart", lambda p, ctx: record(
         "bs", lambda c: bs(p, PrecisionContext(ctx.format, c, ctx.bucket))))
-    cli.run_sweep_cond(m, m, t_values, seed, RefinementConfig(u_l, BINARY64), out,
-                       reproducible=True)
+    cli.run_sweep_cond(m, m if n is None else n, t_values, seed,
+                       RefinementConfig(u_l, BINARY64), out, restart=restart, reproducible=True)
     return out.read_bytes(), rows
 
 
@@ -244,6 +280,7 @@ def _recorded_sweep(monkeypatch, out, m, t_values, seed, u_l):
 def test_sweep_is_pinned(case, tmp_path, monkeypatch):
     want = SWEEPS[case]
     data, rows = _recorded_sweep(monkeypatch, tmp_path / "sweep.csv", want["m"],
-                                 want["t_values"], want["seed"], want["u_l"])
+                                 want["t_values"], want["seed"], want["u_l"],
+                                 want.get("n"), want.get("restart", 20))
     assert rows == want["flops"]
     assert hashlib.sha256(data).hexdigest() == want["sha"]
