@@ -12,12 +12,12 @@ matrices, never on an explicitly formed Kronecker matrix.
 
 Each correction is one `precision._resident` kernel over the
 preconditioned right-hand side, the coefficients in u_g and the Schur
-factors (`_resident_correction`), and builds its operator and
-preconditioner from the kernel's own copies, preparing U_A^*, U_B^* and
-the triangular pair once for all matvecs.  In binary32 it enters and
-checks once and runs every step in complex64: its `gemm`, triangular
-solves and `_mgs_project` are steps on complex64 operands, which
-`_resident` passes straight on.  The scalar steps that apply the stored
+factors (`_resident_correction`), and plans its matvec once from the
+kernel's own copies (`_correction_plan`): the fixed factors of its six
+products are laid out once and the triangular pair prepared once.  In
+binary32 it enters and checks once and runs every step in complex64: its
+products, triangular solves and `_mgs_project` are steps on complex64
+operands, which `_resident` passes straight on.  The scalar steps that apply the stored
 Hessenberg rotations and the rows of the back substitution run, in every
 format but binary64, as chains on Python floats with one stage rounding
 per group of independent steps (`_rotation_chain`, `_backsub_chain`),
@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Failure, NumericBreakdownError, SingularEquationError
-from .linalg import (SchurFactors, _frobenius, _mgs_project, _scaled_down, _vec_norm2_ctx, gemm,
-                     unvec, vec)
+from .linalg import (SchurFactors, _frobenius, _gemm_plan, _mgs_project, _scaled_down,
+                     _vec_norm2_ctx, gemm, unvec, vec)
 from .precision import (
     BINARY64,
     FlopCounter,
@@ -249,22 +249,29 @@ def _resident_correction(b, A_g, B_g, sf_A: SchurFactors, sf_B: SchurFactors,
     builds both from its own copies of the arrays: in binary32 the whole
     correction runs in complex64, entered and checked once.  Returns
     (E, inner iterations, stagnated)."""
-    m, n = b.shape
-
-    def steps(b, A_g, B_g, U_A, T_A, U_B, T_B, ctx):
-        pre_A, pre_B = SchurFactors(U_A, T_A), SchurFactors(U_B, T_B)
-        prepared = (U_A.conj().T, U_B.conj().T, _prepare_sylv_tri(T_A, T_B, ctx))
-
-        def matvec(xflat):
-            W = unvec(xflat, m, n, ctx)
-            W = gemm(1.0, A_g, W, 1.0, gemm(1.0, W, B_g, 0.0, None, ctx), ctx)
-            return vec(apply_preconditioner(W, pre_A, pre_B, ctx, prepared), ctx)
-
-        E, inner, stagnated = _gmres_correction(matvec, b, gcfg, ctx)
+    def steps(b, *operands, ctx):
+        E, inner, stagnated = _gmres_correction(_correction_plan(*operands, ctx), b, gcfg, ctx)
         return E, np.array(inner), np.array(stagnated)
 
     E, inner, stagnated = _resident(steps, ctx, b, A_g, B_g, sf_A.U, sf_A.T, sf_B.U, sf_B.T)
     return E, int(inner.real), bool(stagnated.real)
+
+
+def _correction_plan(A_g, B_g, U_A, T_A, U_B, T_B, ctx: PrecisionContext):
+    """x -> vec(apply_preconditioner(gemm(1, A_g, W, 1, gemm(1, W, B_g, 0,
+    None)))) for W = unvec(x), with its results, charges and errors: the
+    fixed factors A_g, B_g, U_A^*, U_B, U_A, U_B^* of its products are laid
+    out once (`_gemm_plan`), the triangular pair prepared once."""
+    m, n = A_g.shape[0], B_g.shape[0]
+    op_B, op_A = _gemm_plan(B_g, False, m, ctx), _gemm_plan(A_g, True, n, ctx)
+    to_A, to_B = _gemm_plan(U_A.conj().T, True, n, ctx), _gemm_plan(U_B, False, m, ctx)
+    from_A, from_B = _gemm_plan(U_A, True, n, ctx), _gemm_plan(U_B.conj().T, False, m, ctx)
+    solve = _prepare_sylv_tri(T_A, T_B, ctx)
+
+    def matvec(xflat):
+        W = unvec(xflat, m, n, ctx)
+        return vec(from_B(from_A(solve(to_B(to_A(op_A(W, op_B(W))))))), ctx)
+    return matvec
 
 
 def gmres_ir_sylv(p: SylvesterProblem, gcfg: GmresConfig, rcfg: RefinementConfig,

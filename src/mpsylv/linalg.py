@@ -192,25 +192,47 @@ def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
 
 def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext):
     """The steps of `gemm` for ab = [alpha, beta] and C (None when beta is
-    0), as a 1-tuple: each block's products summed on from the last
-    block's sums (`_accumulate`), then the alpha and beta products and the
-    sum with C.  A block's products are one `fl_mul` entry, uncharged, so
-    its preamble runs once per block of up to `_GEMM_BLOCK` products."""
+    0), as a 1-tuple: the block sums of A B (`_gemm_plan`'s, uncharged),
+    then the alpha and beta products and the sum with C.  A block's
+    products are one `fl_mul` entry, uncharged, so its preamble runs once
+    per block of up to `_GEMM_BLOCK` products."""
     fmt = ctx.format
     alpha, beta = ab.tolist()
     m, k = A.shape
     n = B.shape[1]
-    kb = max(1, _GEMM_BLOCK // (m * n))
-    acc = None
-    for p in range(0, k, kb):
-        acc = _accumulate(fl_mul(A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :],
-                                 fmt._uncounted), acc, fmt)
+    acc = _gemm_plan(A, True, n, fmt._uncounted, lambda a, b: fl_mul(a, b, fmt._uncounted))(B)
     if alpha != 1:
         acc = _product(ab[0], acc, fmt)
     if C is not None:
         acc = _add(acc, C if beta == 1 else _product(ab[1], C, fmt), fmt)
     ctx.count(m * n * (2 * k + (alpha != 1) + (C is not None) * (1 + (beta != 1))))
     return (acc,)
+
+
+def _gemm_plan(F, left: bool, other: int, ctx: PrecisionContext, mul=None):
+    """W -> `gemm(1, F, W, 1, C, ctx)` (left) or `gemm(1, W, F, 1, C, ctx)`
+    for a W with ``other`` columns (left) or rows, F's blocks laid out once:
+    `gemm`'s one block body, each block's products (`_product`, or ``mul``)
+    summed on from the last block's by `_accumulate`, then + C, with
+    `gemm`'s charge.  For the steps of a kernel: it enters and checks none."""
+    fmt = ctx.format
+    size = F.shape[0] * other if left else other * F.shape[1]
+    kb = max(1, _GEMM_BLOCK // size)
+
+    def blocks(M, left):  # A[:, ks].T[:, :, None] for a left A, B[ks, None, :] for a right B
+        return [M[:, p:p + kb].T[:, :, None] if left else M[p:p + kb, None, :]
+                for p in range(0, M.shape[left], kb)]
+    fixed = blocks(F, left)
+
+    def product(W, C=None):
+        acc = None
+        for a, b in zip(*((fixed, blocks(W, False)) if left else (blocks(W, True), fixed))):
+            acc = _accumulate(_product(a, b, fmt) if mul is None else mul(a, b), acc, fmt)
+        if C is not None:
+            acc = _add(acc, C, fmt)
+        ctx.count(2 * F.size * other + (C is not None) * size)
+        return acc
+    return product
 
 
 def _frobenius(v) -> float:
@@ -254,15 +276,16 @@ def norm(M, kind: str = "frobenius") -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext, X=None) -> complex:
-    """conj(x).y accumulated in ascending index order under ctx, charging
-    2 len(x) flops: numpy's ``vdot`` in binary64, else the products of
-    `_product` summed from +0 as `_accumulate` sums them, in the buffer X."""
+def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext, X=None, xh=None) -> complex:
+    """conj(x).y under ctx, charging 2 len(x) flops: numpy's ``vdot`` in
+    binary64, a BLAS call whose summation order depends on the strides, else
+    the products of `_product` (of conj(x), or ``xh`` if the caller formed
+    it) summed in ascending order from +0 as `_accumulate` sums, in X."""
     ctx.count(2 * len(x))
     if ctx.format.is_binary64:
         return complex(np.vdot(x, y))
     X = np.zeros(len(x) + 1, dtype=y.dtype) if X is None else X
-    _product(np.conj(x), y, ctx.format, out=X[1:])
+    _product(np.conj(x) if xh is None else xh, y, ctx.format, out=X[1:])
     return complex(np.add.accumulate(X, out=X)[-1] if X.dtype == np.complex64
                    else _accumulate(X[1:], X[0], ctx.format))
 
@@ -373,8 +396,10 @@ def _mgs_steps(Q: np.ndarray, v: np.ndarray, *, ctx: PrecisionContext):
     fmt = ctx.format
     h = np.zeros(Q.shape[1], dtype=Q.dtype)
     X = np.zeros(len(v) + 1, dtype=v.dtype)
+    # the conjugated basis, row-major, once per call; binary64's vdot takes Q's columns
+    QH = None if fmt.is_binary64 else np.conjugate(Q.T, order="C")
     for i in range(Q.shape[1]):
-        h[i] = _dot(Q[:, i], v, fmt._uncounted, X)
+        h[i] = _dot(Q[:, i], v, fmt._uncounted, X, None if QH is None else QH[i])
         v = _sub(v, _product(h[i], Q[:, i], fmt), fmt)
     ctx.count(4 * Q.size)
     return h, v, np.array(_vec_norm2_ctx(v, ctx))

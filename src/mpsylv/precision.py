@@ -828,6 +828,17 @@ def _smith_numerator(a: np.ndarray, den, fmt: FpFormat) -> np.ndarray:
     return q.view(a.dtype)[..., 0]
 
 
+def _smith_planes(a: np.ndarray, den, out: np.ndarray) -> None:
+    """`_smith_numerator` of a contiguous 1-d a where no step rounds
+    (binary64, complex64 planes): its steps on a's planes, into out's."""
+    perm, t, d = den[:3]
+    num = a.view(t.dtype).take(perm)
+    if len(den) > 3:
+        num *= den[3]
+    num += num[..., ::-1] * t
+    np.divide(num, d, out=out.view(t.dtype).reshape(d.shape))
+
+
 def _quotient(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
     """a / b entrywise by Smith's method, bit-identical to `_sdiv`:
     `_smith_numerator` of `_smith_denominator`, in b's dtype, and numpy's

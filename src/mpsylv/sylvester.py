@@ -50,6 +50,7 @@ from .precision import (
     _round_complex_array,
     _smith_denominator,
     _smith_numerator,
+    _smith_planes,
 )
 
 __all__ = [
@@ -145,10 +146,10 @@ def _wave_plan(m: int, n: int, lower: bool):
     Y is stored in wave order, wave w in ascending q, so that each wave
     fills one slice.  Returns (cols, order, first, waves): order[p] is the
     row-major index i * n + k of the entry at wave-order position p,
-    first[p] the start of its wave, and each wave is (start, stop, left,
-    right), the slice it fills and, one chain step per row, the indices of
-    its factors in the buffer [Y in wave order | T_A | T_B] (T_A and T_B
-    row-major).
+    first[p] the start of its wave, and wave w is (start, stop, factors):
+    the slice it fills and the indices of the left and right factors of its
+    w chain steps, in turn, in the buffer [Y in wave order | T_A | T_B]
+    (T_A and T_B row-major), of shape (2, w (stop - start)).
     """
     cols = np.arange(n)[::-1] if lower else np.arange(n)
     off_a, off_b = m * n, m * n + m * m
@@ -172,7 +173,7 @@ def _wave_plan(m: int, n: int, lower: bool):
     remap = np.concatenate([np.argsort(order), np.arange(off_a, off_b + n * n)])
     first = np.empty(m * n, dtype=np.intp)
     for w, (a, b, left, right) in enumerate(waves):
-        waves[w] = (a, b, remap[left], remap[right])
+        waves[w] = (a, b, remap[np.stack([left, right]).reshape(2, -1)])
         first[a:b] = a
     return cols, order, first, waves
 
@@ -209,9 +210,10 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     Once per pair: the checks and the wave plan; once per dtype the waves
     run in (as `_resident` chooses): the shifted diagonals D, their zeros
     and the Smith denominators per wave.  None of it depends on C, so a
-    solve that raises leaves no state.  A wave's chain is one
-    ``np.subtract.accumulate`` where no step rounds (binary64, complex64),
-    else `_accumulate`.
+    solve that raises leaves no state.  A wave is one ``take``, one
+    `_product`, then where no step rounds (binary64, complex64) one
+    ``np.subtract.accumulate`` and Smith's numerator on the planes of its
+    last row (`_smith_planes`), else `_accumulate` and `_smith_numerator`.
     """
     T_A = as_matrix(T_A, ctx)
     T_B = as_matrix(T_B, ctx)
@@ -231,7 +233,7 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
         D = _add(buf[m * n:off_b:m + 1, None], buf[off_b::n + 1], fmt)
         den = list(_smith_denominator(D.ravel()[order], fmt))
         den[0] -= 2 * first[:, None]  # plane indices within each wave
-        ops = [(a, b, left, right, [x[a:b] for x in den]) for a, b, left, right in waves]
+        ops = [(a, b, w, lr, [x[a:b] for x in den]) for w, (a, b, lr) in enumerate(waves)]
         singular = D == 0
         prepared[buf.dtype] = plan = (singular, singular.any(axis=0)[cols], ops)
         return plan
@@ -239,14 +241,14 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     def steps(buf, c, ctx):
         exact = fmt.is_binary64 or buf.dtype == np.complex64  # no step rounds
         singular, failing, ops = prepared.get(buf.dtype) or prepare(buf)
-        for start, stop, left, right, den in ops:
-            X = np.empty((len(left) + 1, stop - start), dtype=buf.dtype)
+        for start, stop, w, lr, den in ops:
+            X = np.empty((w + 1, stop - start), dtype=buf.dtype)
             X[0] = c[start:stop]
-            _product(buf[left], buf[right], fmt, out=X[1:])
-            # x - p is x + (-p) exactly: the sums of fl_sum(-products, start=c)
-            s = np.subtract.accumulate(X, axis=0, out=X)[-1] if exact \
-                else _accumulate(-X[1:], X[0], fmt)
-            buf[start:stop] = _smith_numerator(s, den, fmt)
+            _product(*buf.take(lr), fmt, out=X[1:].reshape(-1))
+            if exact:  # x - p is x + (-p) exactly: the sums of fl_sum(-products, start=c)
+                _smith_planes(np.subtract.accumulate(X, axis=0, out=X)[-1], den, buf[start:stop])
+            else:
+                buf[start:stop] = _smith_numerator(_accumulate(-X[1:], X[0], fmt), den, fmt)
         Y = np.empty(m * n, dtype=buf.dtype)
         Y[order] = buf[:m * n]
         Y = Y.reshape(m, n)
@@ -351,13 +353,11 @@ def _schur_pair(p: SylvesterProblem, ctx: PrecisionContext):
 
 
 def _schur_solve(W, sf_A: SchurFactors, sf_B: SchurFactors,
-                 ctx: PrecisionContext, prepared=None) -> np.ndarray:
+                 ctx: PrecisionContext) -> np.ndarray:
     """Apply the inverse Sylvester operator of the Schur factors to W:
-    transform, solve the triangular equation, transform back, all under ctx;
-    ``prepared`` is (U_A^*, U_B^*, `_prepare_sylv_tri` of T_A, T_B, ctx)."""
-    U_AH, U_BH, solve = prepared or (sf_A.U.conj().T, sf_B.U.conj().T,
-                                     lambda V: solve_sylv_tri(sf_A.T, sf_B.T, V, ctx))
-    return _sandwich(sf_A.U, solve(_sandwich(U_AH, W, sf_B.U, ctx)), U_BH, ctx)
+    transform, solve the triangular equation, transform back, all under ctx."""
+    V = solve_sylv_tri(sf_A.T, sf_B.T, _sandwich(sf_A.U.conj().T, W, sf_B.U, ctx), ctx)
+    return _sandwich(sf_A.U, V, sf_B.U.conj().T, ctx)
 
 
 def bartels_stewart(p: SylvesterProblem, ctx: PrecisionContext = _CTX64):

@@ -10,8 +10,10 @@ import mpsylv.sylvester as sylvester
 from mpsylv.cli import ProblemGenerator, generate
 from mpsylv.gmresir import GmresConfig, GmresIrReport, apply_preconditioner, gmres_ir_sylv
 from mpsylv.linalg import schur, sylvester_kron_operator, unvec, vec
-from mpsylv.precision import (BINARY32, BINARY64, FlopCounter, PrecisionContext,
-                              _round_complex_array)
+from mpsylv.errors import SingularEquationError
+from mpsylv.linalg import SchurFactors
+from mpsylv.precision import (BFLOAT16, BINARY16, BINARY32, BINARY64, FlopCounter,
+                              PrecisionContext, _round_complex_array)
 from mpsylv.refinement import RefinementConfig
 from mpsylv.sylvester import SylvesterProblem, _schur_pair
 
@@ -214,3 +216,75 @@ class TestResidentCorrection:
         want = linalg._mgs_project(wide[0], wide[2][:, 0], CTX)
         assert got[0].dtype == got[1].dtype == np.complex128
         assert all(np.all(g == w) for g, w in zip(got, want))
+
+
+class TestCorrectionPlan:
+    """`_correction_plan`, the matvec of a correction with its six products'
+    fixed factors laid out once, is the unprepared composition
+    vec(apply_preconditioner(gemm(1, A_g, W, 1, gemm(1, W, B_g, 0, None))))
+    bit for bit and in flop buckets, in every format a correction runs in;
+    binary32 runs both inside one complex64 kernel, as a correction does."""
+
+    @staticmethod
+    def _operands(shape, fmt, rng):
+        """(x, A_g, B_g, U_A, T_A, U_B, T_B) in fmt: the pair is square, 7x5
+        or Lyapunov (B_g = A_g^*, U_B = U_A and a lower T_B = T_A^*)."""
+        m, n = {"square": (6, 6), "7x5": (7, 5), "lyapunov": (6, 6)}[shape]
+        A, U_A, T_A = cmat(rng, m, m), cmat(rng, m, m), np.triu(cmat(rng, m, m))
+        if shape == "lyapunov":
+            B, U_B, T_B = A.conj().T, U_A, T_A.conj().T
+        else:
+            B, U_B, T_B = cmat(rng, n, n), cmat(rng, n, n), np.triu(cmat(rng, n, n))
+        return [_round_complex_array(M, fmt) for M in
+                (cmat(rng, m * n, 1)[:, 0], A, B, U_A, T_A, U_B, T_B)]
+
+    @staticmethod
+    def _composition(A_g, B_g, U_A, T_A, U_B, T_B, ctx):
+        m, n = A_g.shape[0], B_g.shape[0]
+
+        def matvec(x):
+            W = linalg.unvec(x, m, n, ctx)
+            W = linalg.gemm(1.0, A_g, W, 1.0, linalg.gemm(1.0, W, B_g, 0.0, None, ctx), ctx)
+            return vec(apply_preconditioner(W, SchurFactors(U_A, T_A), SchurFactors(U_B, T_B),
+                                            ctx), ctx)
+        return matvec
+
+    @staticmethod
+    def _outcomes(fmt, operands):
+        """(dtype, bits or error, flop buckets) of the plan's and the
+        composition's matvec of x, each charging its own counter, both in
+        one `_resident` kernel."""
+        got = []
+
+        def kernel(x, *ops, ctx):
+            for make in (gmresir._correction_plan, TestCorrectionPlan._composition):
+                counter = FlopCounter()
+                try:
+                    z = make(*ops, PrecisionContext(ctx.format, counter, "gmres"))(x)
+                    out = (z.dtype, z.view(np.uint8).tobytes())
+                except SingularEquationError as exc:
+                    out = (type(exc), str(exc), exc.args)
+                got.append((out, dict(counter.counts)))
+            return (x,)
+
+        precision._resident(kernel, PrecisionContext(fmt), *operands)
+        return got
+
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32, BFLOAT16, BINARY16],
+                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("shape", ["square", "7x5", "lyapunov"])
+    def test_matches_the_composition(self, shape, fmt, rng):
+        plan, composition = self._outcomes(fmt, self._operands(shape, fmt, rng))
+        assert plan == composition
+        assert plan[0][0] == (np.complex64 if fmt is BINARY32 else np.complex128)
+        assert plan[1] == {"gmres": composition[1]["gmres"]} and plan[1]["gmres"] > 0
+
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32, BFLOAT16, BINARY16],
+                             ids=lambda f: f.name)
+    def test_zero_shifted_diagonal_raises_alike(self, fmt, rng):
+        operands = self._operands("7x5", fmt, rng)
+        T_A, T_B = operands[4], operands[6]
+        T_A[3, 3] = -T_B[2, 2]  # the shifted diagonal of entry (3, 2) is zero
+        plan, composition = self._outcomes(fmt, operands)
+        assert plan == composition
+        assert plan[0][:2] == (SingularEquationError, str(SingularEquationError(3, 2)))

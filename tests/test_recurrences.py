@@ -30,6 +30,8 @@ from mpsylv.precision import (
     _quotient,
     _sadd,
     _sdiv,
+    _smith_denominator,
+    _smith_planes,
 )
 import mpsylv.gmresir as gmresir
 import mpsylv.refinement as refinement
@@ -208,6 +210,49 @@ class TestQuotient:
         with np.errstate(all="ignore"):
             want = a / b
         assert same(fl_div(a, b, ctx), want, nan_payload=False)
+
+
+class TestSmithPlanes:
+    """`_smith_planes`, the Smith step of a triangular wave where no step
+    rounds, on the planes of a contiguous numerator: `_quotient`'s bits,
+    NaN payloads included, for complex128 divisors in binary64 and
+    complex64 divisors in binary32 (a wave never divides by zero)."""
+
+    CASES = (("binary64", np.complex128, np.uint64), ("binary32", np.complex64, np.uint32))
+
+    @staticmethod
+    def _both(a, b, fmt):
+        out = np.full_like(a, complex(math.nan, math.nan))
+        with np.errstate(all="ignore"):
+            _smith_planes(a, _smith_denominator(b, fmt), out)
+            return out, _quotient(a, b, fmt)
+
+    @pytest.mark.parametrize("fmt, dtype, uint", CASES)
+    def test_swap_branch_signed_zeros_and_specials(self, fmt, dtype, uint):
+        inf, nan = math.inf, math.nan
+        payload = np.array([0x7FF0000000000123], dtype=np.uint64).view(np.float64)[0]
+        a = np.array([1 + 2j, 1 + 2j, complex(-0.0, 0.0), complex(0.0, -0.0),
+                      complex(-0.0, -0.0), complex(inf, 1.0), complex(1.0, -inf),
+                      complex(nan, 2.0), complex(3.0, -nan), complex(payload, 1.0),
+                      complex(inf, nan), 5 - 1j], dtype=dtype)
+        b = np.array([3 + 1j, 1 + 2j, 1 + 3j, complex(-0.0, 2.0), complex(2.0, -0.0),
+                      1 + 2j, 4 + 1j, complex(0.5, -3.0), 2 - 1j, 1 + 1j, 3 + 3j,
+                      complex(-1.0, -4.0)], dtype=dtype)
+        assert (np.abs(b.real) < np.abs(b.imag)).sum() == 6  # the swapped branch
+        got, want = self._both(a, b, parse_format(fmt))
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got.view(uint), want.view(uint)), (got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(division_cases())
+    def test_matches_the_quotient(self, case):
+        fmt, a, b = case
+        for name, dtype, uint in self.CASES:
+            with np.errstate(over="ignore"):
+                a_, b_ = a.astype(dtype), b.astype(dtype)
+            b_[b_ == 0] = 1
+            got, want = self._both(a_, b_, parse_format(name))
+            assert np.array_equal(got.view(uint), want.view(uint)), (name, a_, b_, got, want)
 
 
 # ---------------------------------------------------------------------------
