@@ -13,14 +13,15 @@ matrices, never on an explicitly formed Kronecker matrix.
 Each correction is one `precision._resident` kernel over the
 preconditioned right-hand side, the coefficients in u_g and the Schur
 factors (`_resident_correction`), and plans its matvec once from the
-kernel's own copies (`_correction_plan`): the fixed factors of its six
-products are laid out once and the triangular pair prepared once.  In
-binary32 it enters and checks once and runs every step in complex64: its
-products, triangular solves and `_mgs_project` are steps on complex64
-operands, which `_resident` passes straight on.  The scalar steps that apply the stored
-Hessenberg rotations and the rows of the back substitution run, in every
-format but binary64, as chains on Python floats with one stage rounding
-per group of independent steps (`_rotation_chain`, `_backsub_chain`),
+kernel's own copies (`_correction_plan`): U_A^* and U_B^* are formed and
+the triangular pair prepared once, and its six products run `gemm`'s
+steps with no entry or check.  In binary32 it enters and checks once and
+runs every step in complex64: its products, triangular solves and
+`_mgs_project` are steps on complex64 operands, which `_resident` passes
+straight on.  The scalar steps that apply the stored Hessenberg rotations
+and the rows of the back substitution run, in every format but binary64,
+as chains on Python floats with one stage rounding per group of
+independent steps (`_rotation_chain`, `_backsub_chain`),
 bit-identical to their rounded `_s*` composition.  Only widened scalars
 are compared: the abs of a complex64 value is a float32.
 """
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Failure, NumericBreakdownError, SingularEquationError
-from .linalg import (SchurFactors, _frobenius, _gemm_plan, _mgs_project, _scaled_down,
+from .linalg import (SchurFactors, _frobenius, _gemm_steps, _mgs_project, _scaled_down,
                      _vec_norm2_ctx, gemm, unvec, vec)
 from .precision import (
     BINARY64,
@@ -45,6 +46,7 @@ from .precision import (
     fl_mul,
     fl_sub,
     fl_sum,
+    _product,
     _resident,
     _round_complex_array,
     _sabs,
@@ -60,6 +62,8 @@ from .sylvester import _schur_solve as apply_preconditioner
 from .sylvester import solve_sylv_tri  # noqa: F401
 
 __all__ = ["GmresConfig", "GmresIrReport", "apply_preconditioner", "gmres_ir_sylv"]
+
+_ONES = np.ones(2)  # [alpha, beta] of `_correction_plan`'s products
 
 
 @dataclass(frozen=True)
@@ -259,18 +263,20 @@ def _resident_correction(b, A_g, B_g, sf_A: SchurFactors, sf_B: SchurFactors,
 
 def _correction_plan(A_g, B_g, U_A, T_A, U_B, T_B, ctx: PrecisionContext):
     """x -> vec(apply_preconditioner(gemm(1, A_g, W, 1, gemm(1, W, B_g, 0,
-    None)))) for W = unvec(x), with its results, charges and errors: the
-    fixed factors A_g, B_g, U_A^*, U_B, U_A, U_B^* of its products are laid
-    out once (`_gemm_plan`), the triangular pair prepared once."""
+    None)))) for W = unvec(x), with its results, charges and errors: U_A^*
+    and U_B^* are formed and the triangular pair prepared once, and each
+    of the six products runs `gemm`'s steps with `_product`, unentered."""
     m, n = A_g.shape[0], B_g.shape[0]
-    op_B, op_A = _gemm_plan(B_g, False, m, ctx), _gemm_plan(A_g, True, n, ctx)
-    to_A, to_B = _gemm_plan(U_A.conj().T, True, n, ctx), _gemm_plan(U_B, False, m, ctx)
-    from_A, from_B = _gemm_plan(U_A, True, n, ctx), _gemm_plan(U_B.conj().T, False, m, ctx)
+    U_AH, U_BH = U_A.conj().T, U_B.conj().T
     solve = _prepare_sylv_tri(T_A, T_B, ctx)
+
+    def mm(A, B, C=None):  # gemm(1, A, B, 1, C, ctx), C None for beta = 0
+        return _gemm_steps(_ONES, A, B, C, ctx=ctx, mul=_product)[0]
 
     def matvec(xflat):
         W = unvec(xflat, m, n, ctx)
-        return vec(from_B(from_A(solve(to_B(to_A(op_A(W, op_B(W))))))), ctx)
+        V = solve(mm(mm(U_AH, mm(A_g, W, mm(W, B_g))), U_B))
+        return vec(mm(mm(U_A, V), U_BH), ctx)
     return matvec
 
 

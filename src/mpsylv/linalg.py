@@ -190,49 +190,29 @@ def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     return _resident(_gemm_steps, ctx, ab, A, B, *([] if beta == 0 else [C]))[0]
 
 
-def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext):
+def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext, mul=None):
     """The steps of `gemm` for ab = [alpha, beta] and C (None when beta is
-    0), as a 1-tuple: the block sums of A B (`_gemm_plan`'s, uncharged),
-    then the alpha and beta products and the sum with C.  A block's
-    products are one `fl_mul` entry, uncharged, so its preamble runs once
-    per block of up to `_GEMM_BLOCK` products."""
+    0), as a 1-tuple: each block's products summed on from the last
+    block's sums (`_accumulate`), then the alpha and beta products and the
+    sum with C.  A block's products are one `fl_mul` entry, uncharged, so
+    its preamble runs once per block of up to `_GEMM_BLOCK` products; the
+    steps of a kernel that call this body directly pass ``mul=_product``."""
     fmt = ctx.format
     alpha, beta = ab.tolist()
     m, k = A.shape
     n = B.shape[1]
-    acc = _gemm_plan(A, True, n, fmt._uncounted, lambda a, b: fl_mul(a, b, fmt._uncounted))(B)
+    kb = max(1, _GEMM_BLOCK // (m * n))
+    acc = None
+    for p in range(0, k, kb):
+        a, b = A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :]
+        acc = _accumulate(fl_mul(a, b, fmt._uncounted) if mul is None else mul(a, b, fmt),
+                          acc, fmt)
     if alpha != 1:
         acc = _product(ab[0], acc, fmt)
     if C is not None:
         acc = _add(acc, C if beta == 1 else _product(ab[1], C, fmt), fmt)
     ctx.count(m * n * (2 * k + (alpha != 1) + (C is not None) * (1 + (beta != 1))))
     return (acc,)
-
-
-def _gemm_plan(F, left: bool, other: int, ctx: PrecisionContext, mul=None):
-    """W -> `gemm(1, F, W, 1, C, ctx)` (left) or `gemm(1, W, F, 1, C, ctx)`
-    for a W with ``other`` columns (left) or rows, F's blocks laid out once:
-    `gemm`'s one block body, each block's products (`_product`, or ``mul``)
-    summed on from the last block's by `_accumulate`, then + C, with
-    `gemm`'s charge.  For the steps of a kernel: it enters and checks none."""
-    fmt = ctx.format
-    size = F.shape[0] * other if left else other * F.shape[1]
-    kb = max(1, _GEMM_BLOCK // size)
-
-    def blocks(M, left):  # A[:, ks].T[:, :, None] for a left A, B[ks, None, :] for a right B
-        return [M[:, p:p + kb].T[:, :, None] if left else M[p:p + kb, None, :]
-                for p in range(0, M.shape[left], kb)]
-    fixed = blocks(F, left)
-
-    def product(W, C=None):
-        acc = None
-        for a, b in zip(*((fixed, blocks(W, False)) if left else (blocks(W, True), fixed))):
-            acc = _accumulate(_product(a, b, fmt) if mul is None else mul(a, b), acc, fmt)
-        if C is not None:
-            acc = _add(acc, C, fmt)
-        ctx.count(2 * F.size * other + (C is not None) * size)
-        return acc
-    return product
 
 
 def _frobenius(v) -> float:

@@ -831,12 +831,12 @@ def _smith_numerator(a: np.ndarray, den, fmt: FpFormat) -> np.ndarray:
 def _smith_planes(a: np.ndarray, den, out: np.ndarray) -> None:
     """`_smith_numerator` of a contiguous 1-d a where no step rounds
     (binary64, complex64 planes): its steps on a's planes, into out's."""
-    perm, t, d = den[:3]
+    perm, t, d = den[0], den[1], den[2]
     num = a.view(t.dtype).take(perm)
     if len(den) > 3:
         num *= den[3]
-    num += num[..., ::-1] * t
-    np.divide(num, d, out=out.view(t.dtype).reshape(d.shape))
+    num += num[:, ::-1] * t
+    np.divide(num, d, out.view(t.dtype).reshape(d.shape))
 
 
 def _quotient(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:

@@ -210,7 +210,7 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     Once per pair: the checks and the wave plan; once per dtype the waves
     run in (as `_resident` chooses): the shifted diagonals D, their zeros
     and the Smith denominators per wave.  None of it depends on C, so a
-    solve that raises leaves no state.  A wave is one ``take``, one
+    solve that raises leaves no state.  A wave is one gather, one
     `_product`, then where no step rounds (binary64, complex64) one
     ``np.subtract.accumulate`` and Smith's numerator on the planes of its
     last row (`_smith_planes`), else `_accumulate` and `_smith_numerator`.
@@ -244,7 +244,8 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
         for start, stop, w, lr, den in ops:
             X = np.empty((w + 1, stop - start), dtype=buf.dtype)
             X[0] = c[start:stop]
-            _product(*buf.take(lr), fmt, out=X[1:].reshape(-1))
+            P = buf[lr]
+            _product(P[0], P[1], fmt, out=X[1:].reshape(-1))
             if exact:  # x - p is x + (-p) exactly: the sums of fl_sum(-products, start=c)
                 _smith_planes(np.subtract.accumulate(X, axis=0, out=X)[-1], den, buf[start:stop])
             else:

@@ -219,8 +219,8 @@ class TestResidentCorrection:
 
 
 class TestCorrectionPlan:
-    """`_correction_plan`, the matvec of a correction with its six products'
-    fixed factors laid out once, is the unprepared composition
+    """`_correction_plan`, the matvec of a correction planned once, is the
+    unprepared composition
     vec(apply_preconditioner(gemm(1, A_g, W, 1, gemm(1, W, B_g, 0, None))))
     bit for bit and in flop buckets, in every format a correction runs in;
     binary32 runs both inside one complex64 kernel, as a correction does."""
