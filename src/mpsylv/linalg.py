@@ -13,8 +13,8 @@ functions are the entry points for code outside a kernel.
 Householder reduction updates the whole stack in lockstep, and one driver
 runs the QR iterations a pair at a time, rotating both matrices' rows,
 then columns, through one strided view per pass, padded with exact zeros
-that a finite rotation keeps zero; a complex128 reduction or a sweep that
-leaves a matrix not all finite runs again alone, unpadded.
+that a finite rotation keeps zero; a complex128 reduction or paired run
+that leaves a matrix not all finite runs again alone, unpadded.
 Its QR iteration is the one eigenvalue iteration here: `hermitian_eig`
 reads a Hermitian matrix's eigendecomposition off its Schur form.
 
@@ -27,7 +27,9 @@ inverse, with no iteration tolerance.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -93,10 +95,6 @@ DEFAULT_KRON_CAP = 4096
 _GEMM_BLOCK = 1 << 15
 
 _CTX64 = PrecisionContext(BINARY64)
-
-# the rows [X0, X1, X1, X0] that a `_rotation` body multiplies by
-# [c, s1, c, s2] outside binary64
-_PAIR = np.array([0, 1, 1, 0])
 
 
 @dataclass(frozen=True)
@@ -756,48 +754,63 @@ def _givens_chain(f: complex, g: complex, fmt: FpFormat):
     return c, complex(sr, si)
 
 
+# the rows [X0, X1, X1, X0] that the software `_rotation` body multiplies
+# by [c, s1, c, s2]
+_PAIR = np.array([0, 1, 1, 0])
+
+
+def _coefficient_layout(code, entries, shape):
+    """How `_rotation` packs the coefficients of one step and of two:
+    (struct, index table, array shape) for each."""
+    def packing(q):
+        table = [j if j < 2 else j + 4 * i for pair in entries for i in range(q) for j in pair]
+        axes = shape + ((q,) if q > 1 else ()) + ((1, 2) if code == "f" else (1,))
+        return struct.Struct(f"{len(table)}{code}"), itemgetter(*table), axes
+    return packing(1), packing(2)
+
+
+# Each entry of a layout is a pair of indices into the values (0.0, -0.0,
+# c, Re s, Im s, -Im s) of one step; for two steps each pair is stored for
+# step 0, then for step 1, whose c, Re s, Im s and -Im s are at 6 to 9.
+# The pairs of c, s and conj(s) are (re, im) in complex128, and the
+# float32 planes [kr, kr] and [-ki, ki] in complex64.  complex128 stores
+# [c, s, c, conj(s), c, s]: a step's rows take [c, s1, c, s2] from 0 and
+# its columns from 2.  complex64 stores the planes of the rows' and then
+# the columns' [[c, s1], [s2, c]] (out, in).
+_RE_IM = {"c": (2, 0), "s": (3, 4), "s*": (3, 5)}
+_PLANES = ({"c": (2, 2), "s": (3, 3), "s*": (3, 3)}, {"c": (1, 0), "s": (5, 4), "s*": (4, 5)})
+_COMPLEX128 = _coefficient_layout("d", [_RE_IM[x] for x in ("c", "s", "c", "s*", "c", "s")], (6,))
+_COMPLEX64 = _coefficient_layout(
+    "f", [plane[x] for rows in (("c", "s", "s*", "c"), ("c", "s*", "s", "c"))
+          for plane in _PLANES for x in rows], (2, 2, 2, 2))
+
+
 def _rotation(dtype, fmt: FpFormat):
     """The Givens rotation body of `schur`, chosen once per call:
-    K = coefficients(c, s) holds [c, s, c, conj(s), c, s] on its first
-    axis, and rotate(X, k) sets X <- (c X0 + s1 X1, c X1 - s2 X0)
-    in place for a (2, n) view X and k = [c, s1, c, s2]: K[0:4] for a
-    step's rows, K[2:6] for its columns.  Tuples c and s of q steps rotate
-    a (2, q, n) view, the middle axis needing no ``...`` index (2.5 us of
-    a complex64 call); in complex128 q = 2, built from one flat tuple.
-    The caller charges six flops per column and holds the errstate.
-    binary64 keeps `_product`'s operand order, X first, and forms c X out
-    of place, which numpy runs faster than an in-place broadcast product
-    on a strided view.  A complex64 X takes `_plane_product`'s steps on
-    the planes P of [X0, X1, X1, X0]: P * [kr, kr] + swap(P) * [-ki, ki]
-    is exactly kr*gr - ki*gi and kr*gi + ki*gr.  Other formats take
-    `_product`, `_add`."""
+    coefficients(c, s) returns the coefficients (K, L) of a step's rows
+    and columns, views of one buffer that the next call overwrites, and
+    rotate(X, K) sets X <- (c X0 + s1 X1, c X1 - s2 X0) in place for a
+    (2, n) view X: (s1, s2) = (s, conj(s)) in K, (conj(s), s) in L.
+    Tuples c and s of two steps rotate a (2, 2, n) view.  The caller
+    charges six flops per column and holds the errstate.  binary64 keeps
+    `_product`'s operand order, X first, and forms c X out of place, which
+    numpy runs faster than an in-place broadcast product on a strided
+    view.  A complex64 X takes `_plane_product`'s steps on its own float32
+    planes V: V * [kr, kr] + swap(V) * [-ki, ki] is exactly kr*gr - ki*gi
+    and kr*gi + ki*gr, each step correctly rounded in any layout.  Other
+    formats take `_product` and `_add` on [X0, X1, X1, X0]: which NaN
+    numpy's add loop keeps where two meet depends on their place."""
+    layout, kind, cut = _COMPLEX128, np.complex128, lambda K: (K[0:4], K[2:6])
     if dtype == np.complex64:
-        def row(c, s):  # [kr, kr] then [-ki, ki] for each of [c, s, c, conj(s), c, s]
-            sr, si = s.real, s.imag
-            return [c, c, -0.0, 0.0, sr, sr, -si, si, c, c, -0.0, 0.0, sr, sr, si, -si,
-                    c, c, -0.0, 0.0, sr, sr, -si, si]
-
-        def coefficients(c, s):
-            if isinstance(c, tuple):
-                K = np.array([row(x, y) for x, y in zip(c, s)], dtype=np.float32)
-                return K.reshape(-1, 6, 2, 1, 2).transpose(1, 2, 0, 3, 4)
-            return np.array(row(c, s), dtype=np.float32).reshape(6, 2, 1, 2)
+        layout, kind, cut = _COMPLEX64, np.float32, lambda K: (tuple(K[0]), tuple(K[1]))
 
         def rotate(X, k):
-            P = X[_PAIR][..., None].view(np.float32)
-            prods = P * k[:, 0] + P[..., ::-1] * k[:, 1]
-            np.negative(prods[3], out=prods[3])
-            X[...] = (prods[0::2] + prods[1::2]).view(np.complex64)[..., 0]
-        return coefficients, rotate
-
-    def coefficients(c, s):
-        if isinstance(c, tuple):
-            (c0, c1), (s0, s1) = c, s
-            return np.array((c0, c1, s0, s1, c0, c1, s0.conjugate(), s1.conjugate(),
-                             c0, c1, s0, s1), dtype=np.complex128).reshape(6, 2, 1)
-        return np.array((c, s, c, s.conjugate(), c, s), dtype=np.complex128).reshape(6, 1)
-
-    if fmt.is_binary64:
+            V = X[..., None].view(np.float32)
+            kr, ki = k
+            P = V * kr + V[..., ::-1] * ki  # k[o, i] X[i]
+            np.negative(P[1, 0], out=P[1, 0])
+            np.add(P[:, 0], P[:, 1], out=V)
+    elif fmt.is_binary64:
         def rotate(X, k):
             B = k[1::2] * X[::-1]
             np.negative(B[1], out=B[1])
@@ -814,6 +827,18 @@ def _rotation(dtype, fmt: FpFormat):
             prods = _product(k, X[_PAIR], fmt)
             np.negative(prods[3], out=prods[3])
             X[...] = _add(prods[0::2], prods[1::2], fmt)
+    (pack1, take1, K1), (pack2, take2, K2) = [
+        (S.pack_into, take, np.empty(shape, kind)) for S, take, shape in layout]
+    one, two = cut(K1), cut(K2)
+
+    def coefficients(c, s):
+        if isinstance(c, tuple):
+            (c0, c1), (s0, s1) = c, s
+            pack2(K2, 0, *take2((0.0, -0.0, c0, s0.real, s0.imag, -s0.imag,
+                                 c1, s1.real, s1.imag, -s1.imag)))
+            return two
+        pack1(K1, 0, *take1((0.0, -0.0, c, s.real, s.imag, -s.imag)))
+        return one
     return coefficients, rotate
 
 
@@ -821,7 +846,7 @@ def _wilkinson_shift(H: np.ndarray, hi: int, fmt: FpFormat) -> complex:
     """The eigenvalue of the trailing 2x2 block [[a, b], [c, d]] of
     H[:hi + 1, :hi + 1] closest to d: `_shift_binary64` in binary64,
     `_shift_chain` in every other format."""
-    a, b, c, d = H[hi - 1:hi + 1, hi - 1:hi + 1].ravel().tolist()
+    a, b, c, d = H.item(hi - 1, hi - 1), H.item(hi - 1, hi), H.item(hi, hi - 1), H.item(hi, hi)
     if fmt.is_binary64:
         return _shift_binary64(a, b, c, d)
     return _shift_chain(a, b, c, d, fmt)
@@ -926,8 +951,8 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
     (`_hessenberg`), and the QR iterations a pair at a time
     (`_qr_iteration`): two matrices' steps share views padded with exact
     zeros, which a finite rotation keeps zero.  A complex128 reduction
-    or a sweep that leaves a matrix not all finite (as a non-finite c or
-    s does) runs again alone and unpadded.
+    or paired run that leaves a matrix not all finite (as a non-finite c
+    or s does) runs again alone and unpadded.
     """
     stacked = np.ndim(A) == 3
     if stacked and len(A) == 0:
@@ -982,16 +1007,22 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
     buffer: the rows from the smaller first column, the columns to the
     larger row count.  The entries this pads with are exact zeros below
     H's subdiagonal or a deflated subdiagonal, which a rotation by finite
-    c and s keeps zero and T drops."""
+    c and s keeps zero and T drops.  Where two NaN meet in a commutative
+    complex128 step, numpy keeps either, by where its loop meets them: a
+    paired complex128 matrix that ends not all finite, however it ends,
+    runs again alone from its reduced [U; H] and tally (`start`); one that
+    ends finite has the bits of a run alone."""
     p, m, dtype = UH.shape[0], UH.shape[2], UH.dtype
     coefficients, rotate = _rotation(dtype, ctxs[0].format)
     s0, s1, s2 = UH.strides
+    start = ((UH.copy(), [dict(c.counter.counts) for c in ctxs])
+             if p > 1 and dtype == np.complex128 else None)
 
     def alone(X, step):
-        k, first, rows, c, s, _ = step
-        K = coefficients(c, s)
-        rotate(X[m + k:m + k + 2, first:], K[0:4])
-        rotate(X[:rows, k:k + 2].T, K[2:6])
+        k, first, rows, c, s = step
+        K, L = coefficients(c, s)
+        rotate(X[m + k:m + k + 2, first:], K)
+        rotate(X[:rows, k:k + 2].T, L)
 
     def ended(stop):  # a run's return value, or its error
         return stop.value if isinstance(stop, StopIteration) else stop
@@ -1008,11 +1039,11 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
 
     for i in range(0, p, 2):
         X = UH[i]
-        a = _qr_steps(X, ctxs[i], pairable=i + 1 < p)
+        a = _qr_steps(X, ctxs[i])
         if i + 1 == p:
             ends = [to_end(a, X)]
         else:
-            Y, b = UH[i + 1], _qr_steps(UH[i + 1], ctxs[i + 1], pairable=True)
+            Y, b = UH[i + 1], _qr_steps(UH[i + 1], ctxs[i + 1])
             rows0, cols0 = i * s0 + m * s1, i * s0  # the offsets of the pair's views
             while True:
                 try:
@@ -1026,19 +1057,18 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
                 except (StopIteration, MpsylvError) as stop:
                     ends = [to_end(a, X, step), ended(stop)]
                     break
-                k, f, r, c, s, pa = step
-                kb, fb, rb, cb, sb, pb = other
-                if pa and pb:
-                    K = coefficients((c, cb), (s, sb))
-                    f, r = f if f < fb else fb, r if r > rb else rb
-                    rotate(np.ndarray((2, 2, m - f), dtype, UH, rows0 + k * s1 + f * s2,
-                                      (s1, s0 + (kb - k) * s1, s2)), K[0:4])
-                    rotate(np.ndarray((2, 2, r), dtype, UH, cols0 + k * s2,
-                                      (s2, s0 + (kb - k) * s2, s1)), K[2:6])
-                else:
-                    alone(X, step)
-                    alone(Y, other)
+                k, f, r, c, s = step
+                kb, fb, rb, cb, sb = other
+                K, L = coefficients((c, cb), (s, sb))
+                f, r = f if f < fb else fb, r if r > rb else rb
+                rotate(np.ndarray((2, 2, m - f), dtype, UH, rows0 + k * s1 + f * s2,
+                                  (s1, s0 + (kb - k) * s1, s2)), K)
+                rotate(np.ndarray((2, 2, r), dtype, UH, cols0 + k * s2,
+                                  (s2, s0 + (kb - k) * s2, s1)), L)
         for j, end in enumerate(ends, i):
+            if start and i + 1 < p and not np.isfinite(UH[j]).all():  # paired, not finite
+                UH[j], ctxs[j].counter.counts = start[0][j], start[1][j]
+                end = to_end(_qr_steps(UH[j], ctxs[j]), UH[j])
             if end is not True:
                 for c in ctxs[j + 1:]:
                     c.counter.reset()
@@ -1048,20 +1078,15 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
     return True
 
 
-def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
+def _qr_steps(UH: np.ndarray, ctx: PrecisionContext):
     """The QR iteration of `schur` on one Hessenberg [U; H], a generator
-    for `_qr_iteration`: it yields each Givens step (k, first, rows, c, s,
-    pairable), resuming once the step is applied to rows k, k+1 of H from
-    column first and to columns k, k+1 of UH[:rows], and returns False as
-    soon as a sweep leaves a NaN in a complex64 UH, else True.  A sweep
-    charges its rotations' flops at its end.  numpy keeps the NaN of
-    either operand of a commutative complex128 step depending on where
-    its loop meets them, so a paired sweep that leaves a complex128 UH not
-    all finite runs again from its start, and on, alone.  Each sweep
-    starts with a `_deflate` pass.  The deflation test and the
-    exceptional shift read H in complex128: ``np.hypot`` and ``abs`` of
-    complex64 entries return float32.
-    """
+    for `_qr_iteration`: it yields each Givens step (k, first, rows, c, s),
+    resuming once the step is applied to rows k, k+1 of H from column
+    first and to columns k, k+1 of UH[:rows], and returns False as soon
+    as a sweep leaves a NaN in a complex64 UH, else True.  A sweep charges
+    its rotations' flops at its end and runs on the block [lo, hi] that
+    `_deflate` finds.  H's entries are read as Python complex numbers
+    (``abs`` of a complex64 numpy scalar returns float32)."""
     m = UH.shape[1]
     H = UH[m:]
     fmt = ctx.format
@@ -1070,14 +1095,9 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
     limit = 30 * m
     sweeps = 0
     stuck = 0
-    # H's diagonal and subdiagonal interleaved, h_00, h_10, h_11, h_21, ...,
-    # as flat indices into H
-    at = np.arange(2 * m - 1) // 2 * (m + 1) + np.arange(2 * m - 1) % 2 * m
     hi = m - 1
     while hi > 0:
-        # nothing moves until the next sweep, so a second pass would
-        # deflate nothing more
-        top, lo = _deflate(H, at, hi, u)
+        top, lo = _deflate(H, hi, u)
         if top < hi:
             hi, stuck = top, 0
         if hi == 0:
@@ -1085,32 +1105,26 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
         if sweeps >= limit:
             raise IterationLimitError(
                 f"QR iteration did not converge within {limit} sweeps")
-        start = UH.copy() if pairable and not resident else None
-        while True:
-            h, y = H.item(lo, lo), H.item(lo + 1, lo)
-            if stuck > 0 and stuck % 10 == 0:
-                # exceptional shift to break a stalled cycle (a binary64 value)
-                shift = complex(abs(complex(H[hi, hi - 1])) + 0.75 * abs(complex(H[hi, hi])))
-                x = _ssub(h, shift, fmt)
-            else:
-                x = _shifted(h, _wilkinson_shift(H, hi, fmt), fmt)
-            columns = 0
-            for k in range(lo, hi):
-                c, s = _givens(x, y, fmt)
-                # rows k, k+1 from column max(lo, k - 1), and columns k, k+1
-                # of U and of H's rows to min(k + 2, hi)
-                first = k - 1 if k > lo else lo
-                rows = m + k + 3 if k < hi - 1 else m + hi + 1
-                yield k, first, rows, c, s, pairable
-                columns += m - first + rows
-                if k > lo:
-                    H[k + 1, k - 1] = 0.0
-                if k < hi - 1:
-                    x, y = H.item(k + 1, k), H.item(k + 2, k)
-            if start is None or np.isfinite(UH).all():
-                break
-            UH[...] = start
-            start, pairable = None, False
+        h, y = H.item(lo, lo), H.item(lo + 1, lo)
+        if stuck > 0 and stuck % 10 == 0:
+            # exceptional shift to break a stalled cycle (a binary64 value)
+            shift = complex(abs(H.item(hi, hi - 1)) + 0.75 * abs(H.item(hi, hi)))
+            x = _ssub(h, shift, fmt)
+        else:
+            x = _shifted(h, _wilkinson_shift(H, hi, fmt), fmt)
+        columns = 0
+        for k in range(lo, hi):
+            c, s = _givens(x, y, fmt)
+            # rows k, k+1 from column max(lo, k - 1), and columns k, k+1
+            # of U and of H's rows to min(k + 2, hi)
+            first = k - 1 if k > lo else lo
+            rows = m + k + 3 if k < hi - 1 else m + hi + 1
+            yield k, first, rows, c, s
+            columns += m - first + rows
+            if k > lo:
+                H[k + 1, k - 1] = 0.0
+            if k < hi - 1:
+                x, y = H.item(k + 1, k), H.item(k + 2, k)
         ctx.count(6 * columns)
         sweeps += 1
         stuck += 1
@@ -1119,27 +1133,35 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext, pairable: bool):
     return True
 
 
-def _deflate(H: np.ndarray, at: np.ndarray, hi: int, u: float):
-    """Set every negligible subdiagonal entry of H[:hi + 1, :hi + 1] to
-    exact zero in one pass and return (hi, lo) of the trailing unreduced
-    block, hi = 0 once nothing is left; `at` holds the flat indices of
-    H's diagonal and subdiagonal, interleaved.  Exact zeros (-0.0 too) are
-    left alone.  The entries are read in complex128: np.hypot has the bits
-    of abs() of a complex scalar, which np.abs on an array does not always
-    have, and returns float32 for complex64 parts."""
-    v = np.asarray(H.take(at[:2 * hi + 1]), dtype=np.complex128)
-    a = np.hypot(v.real, v.imag)
-    sub = v[1::2]
-    small = (a[1::2] <= u * (a[:-1:2] + a[2::2])) & (sub != 0)
-    if small.any():
-        H.put(at[1:2 * hi:2][small], 0.0)
-    zero = (small | (sub == 0)).tolist()
-    while hi > 0 and zero[hi - 1]:
-        hi -= 1
-    lo = hi
-    while lo > 0 and not zero[lo - 1]:
-        lo -= 1
+def _deflate(H: np.ndarray, hi: int, u: float):
+    """The active block (hi, lo) of H[:hi + 1, :hi + 1], hi = 0 once
+    nothing is left, scanned from the bottom: hi steps down past each
+    subdiagonal entry h_k+1,k that is zero or negligible, at most
+    u (|h_kk| + |h_k+1,k+1|) by `_magnitude`, and lo down to the first
+    such entry.  Each negligible entry met is set to exact zero; exact
+    zeros (-0.0 too) are left alone.  An entry above lo is tested once its
+    block is active: a sweep on [lo, hi] never writes H left of column lo,
+    so it and its diagonals keep their values until then."""
+    lo, d = hi, _magnitude(H.item(hi, hi))  # d = |h_lo,lo|
+    while lo > 0:
+        h, e = H.item(lo, lo - 1), _magnitude(H.item(lo - 1, lo - 1))
+        if h == 0 or _magnitude(h) <= u * (e + d):
+            if h != 0:
+                H[lo, lo - 1] = 0.0
+            if lo < hi:
+                break
+            hi -= 1
+        lo, d = lo - 1, e
     return hi, lo
+
+
+def _magnitude(z: complex) -> float:
+    """abs(z), which has the bits of ``np.hypot`` (``np.abs`` on an array
+    does not always), or inf past the double range, where abs raises."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

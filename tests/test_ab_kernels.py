@@ -1,0 +1,42 @@
+"""`tools/ab_kernels.py` on one tree against itself, at small sizes."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_PATH = ROOT / "tools" / "ab_kernels.py"
+_spec = importlib.util.spec_from_file_location("ab_kernels", _PATH)
+ab_kernels = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_kernels)
+
+KERNELS = ["schur-b32-m4", "schur-pair-b32-m4", "sylv-tri-b32-m4",
+           "schur-b64-m5", "schur-pair-b64-m5", "sylv-tri-b64-m5"]
+
+
+def test_one_tree_against_itself():
+    proc = subprocess.run(
+        [sys.executable, str(_PATH), "--parent", str(ROOT), "--change", str(ROOT),
+         "--rounds", "2", "--b32", "4", "2", "--b64", "5", "2"],
+        capture_output=True, text=True, check=False, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert [r.split()[0] for r in rows] == KERNELS
+    assert all(r.endswith("/2") for r in rows)
+
+
+def test_a_differing_output_stops_the_comparison(monkeypatch):
+    kernels = ab_kernels.kernels
+
+    def changed(lib, made):
+        table = kernels(lib, made)
+        if lib.__name__ == "mpsylv_change":
+            run = table["sylv-tri-b64-m5"]
+            table["sylv-tri-b64-m5"] = lambda: run()[1:]
+        return table
+    monkeypatch.setattr(ab_kernels, "kernels", changed)
+    with pytest.raises(AssertionError, match="sylv-tri-b64-m5: outputs differ in round 0"):
+        ab_kernels.compare(ROOT, ROOT, 1, (4, 2), (5, 2))

@@ -341,7 +341,7 @@ def _rotated(P, Q, c, s, i, fmt, dtype=np.complex128):
     X = np.array([P, Q], dtype=dtype)
     coefficients, rotate = _rotation(X.dtype, fmt)
     with np.errstate(over="ignore", invalid="ignore"):
-        rotate(X, coefficients(c, s)[2 * i:2 * i + 4])
+        rotate(X, coefficients(c, s)[i])
     return X.astype(np.complex128)
 
 
@@ -407,7 +407,7 @@ class TestRotate:
         before = VW.copy()
         coefficients, rotate = _rotation(VW.dtype, fmt)
         with np.errstate(over="ignore", invalid="ignore"):
-            rotate(VW[:, p:q + 1:q - p].T, coefficients(c, s)[2:6])
+            rotate(VW[:, p:q + 1:q - p].T, coefficients(c, s)[1])
         for got, ref in ((VW[:, p], want[0]), (VW[:, q], want[1])):
             assert (_bits(got.astype(np.complex128)) == _bits(ref)).all()
         others = np.ones(n, dtype=bool)
@@ -447,21 +447,22 @@ def _with_specials(rng, X, share=0.15):
 
 
 def _schur_views(UH, kind, rng):
-    """A view of the stack UH of [U; H] as `_qr_iteration` rotates it and the
-    coefficient rows it takes, by kind: the rows or the columns of a step of
-    matrix 0, or of steps of matrices 0 and 1 paired."""
+    """A view of the stack UH of [U; H] as `_qr_iteration` rotates it and
+    which of a step's coefficients it takes (0 for the rows, 1 for the
+    columns), by kind: the rows or the columns of a step of matrix 0, or of
+    steps of matrices 0 and 1 paired."""
     m = UH.shape[2]
     k, kb, first = rng.integers(m - 1), rng.integers(m - 1), rng.integers(m)
     rows = m + min(k + 3, m)
     s0, s1, s2 = UH.strides
     if kind == "row":
-        return UH[0, m + k:m + k + 2, first:], slice(0, 4)
+        return UH[0, m + k:m + k + 2, first:], 0
     if kind == "column":
-        return UH[0, :rows, k:k + 2].T, slice(2, 6)
+        return UH[0, :rows, k:k + 2].T, 1
     if kind == "paired rows":
         return np.ndarray((2, 2, m - first), UH.dtype, UH, (m + k) * s1 + first * s2,
-                          (s1, s0 + (kb - k) * s1, s2)), slice(0, 4)
-    return np.ndarray((2, 2, rows), UH.dtype, UH, k * s2, (s2, s0 + (kb - k) * s2, s1)), slice(2, 6)
+                          (s1, s0 + (kb - k) * s1, s2)), 0
+    return np.ndarray((2, 2, rows), UH.dtype, UH, k * s2, (s2, s0 + (kb - k) * s2, s1)), 1
 
 
 class TestBinary64RotationOracle:
@@ -481,13 +482,15 @@ class TestBinary64RotationOracle:
                 if not kind.startswith("paired"):
                     c, s = c[0], s[0]
                 K = coefficients(c, s)
-                assert (_bits(K) == _bits(_nested_coefficients(c, s))).all()
+                nested = _nested_coefficients(c, s)
+                assert (_bits(K[0]) == _bits(nested[0:4])).all()
+                assert (_bits(K[1]) == _bits(nested[2:6])).all()
                 want, got = UH.copy(), UH.copy()
                 seed = rng.integers(2**32)
-                X, rows = _schur_views(want, kind, np.random.default_rng(seed))
-                _in_place_rotate(X, K[rows])
-                X, rows = _schur_views(got, kind, np.random.default_rng(seed))
-                rotate(X, K[rows])
+                X, i = _schur_views(want, kind, np.random.default_rng(seed))
+                _in_place_rotate(X, K[i])
+                X, i = _schur_views(got, kind, np.random.default_rng(seed))
+                rotate(X, K[i])
             nan = np.isnan(want).any()
             with_nan += nan
             if kind.startswith("paired") and nan:
@@ -513,31 +516,6 @@ def _entrywise_deflate(H, hi, u):
     while lo > 0 and H[lo, lo - 1] != 0:
         lo -= 1
     return hi, lo
-
-
-class TestDeflateOracle:
-    @pytest.mark.parametrize("dtype, fmt", [(np.complex128, BINARY64), (np.complex128, BFLOAT16),
-                                            (np.complex64, BINARY32)],
-                             ids=["complex128-binary64", "complex128-bfloat16", "complex64"])
-    def test_matches_the_entrywise_pass(self, dtype, fmt, rng):
-        """Hessenberg H with exact +-0 subdiagonal entries, NaN and inf, and
-        entries exactly on and just above u (|h_kk| + |h_k+1,k+1|)."""
-        u = fmt.unit_roundoff
-        for m in list(range(2, 13)) * 8:
-            H = np.triu(cmat(rng, m, m), -1).astype(dtype)
-            H[np.diag_indices(m)] = 2.0 ** rng.integers(-3, 4, m)  # |h_kk| + |h_k+1,k+1| exact
-            for k in range(m - 1):
-                t = u * (abs(complex(H[k, k])) + abs(complex(H[k + 1, k + 1])))
-                H[k + 1, k] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), t, 1j * t,
-                               -t * (1 + 2 * u), np.nan, complex(np.inf, 1.0), H[k + 1, k],
-                               H[k + 1, k]][rng.integers(11)]
-            if m > 1 and rng.random() < 0.2:
-                H[rng.integers(m), rng.integers(m)] = [np.nan, np.inf][rng.integers(2)]
-            at = np.arange(2 * m - 1) // 2 * (m + 1) + np.arange(2 * m - 1) % 2 * m
-            for hi in range(1, m):
-                want, got = H.copy(), H.copy()
-                assert linalg._deflate(got, at, hi, u) == _entrywise_deflate(want, hi, u)
-                assert got.tobytes() == want.tobytes()
 
 
 GOLDEN_FORMATS = ("bfloat16", "binary16", "tf32", "b24", "binary32", "40:11", "binary64")
@@ -566,6 +544,138 @@ def _stacked(*As):
         assert sf.U.shape == sf.T.shape == (len(As),) + As[0].shape
         return [linalg.SchurFactors(U, T) for U, T in zip(sf.U, sf.T)]
     return factor
+
+
+def _one_pass_deflate(H, hi, u):
+    """The deflation pass that `_deflate` replaced, the oracle of `schur`
+    with it: every negligible subdiagonal entry of H[:hi + 1, :hi + 1] set
+    to zero at once, read through one gather of H's diagonal and
+    subdiagonal."""
+    m = H.shape[0]
+    at = np.arange(2 * m - 1) // 2 * (m + 1) + np.arange(2 * m - 1) % 2 * m
+    v = np.asarray(H.take(at[:2 * hi + 1]), dtype=np.complex128)
+    a = np.hypot(v.real, v.imag)
+    sub = v[1::2]
+    small = (a[1::2] <= u * (a[:-1:2] + a[2::2])) & (sub != 0)
+    if small.any():
+        H.put(at[1:2 * hi:2][small], 0.0)
+    zero = (small | (sub == 0)).tolist()
+    while hi > 0 and zero[hi - 1]:
+        hi -= 1
+    lo = hi
+    while lo > 0 and not zero[lo - 1]:
+        lo -= 1
+    return hi, lo
+
+
+class TestDeflateOracle:
+    @pytest.mark.parametrize("dtype, fmt", [(np.complex128, BINARY64), (np.complex128, BFLOAT16),
+                                            (np.complex64, BINARY32)],
+                             ids=["complex128-binary64", "complex128-bfloat16", "complex64"])
+    def test_matches_the_entrywise_pass(self, dtype, fmt, rng):
+        """Hessenberg H with exact +-0 subdiagonal entries, NaN and inf, and
+        entries exactly on and just above u (|h_kk| + |h_k+1,k+1|).
+        `_deflate` finds the entrywise pass's (hi, lo) and writes its zeros,
+        except that it leaves the negligible entries above lo for later; the
+        one-pass oracle writes all of them."""
+        u = fmt.unit_roundoff
+        for m in list(range(2, 13)) * 8:
+            H = np.triu(cmat(rng, m, m), -1).astype(dtype)
+            H[np.diag_indices(m)] = 2.0 ** rng.integers(-3, 4, m)  # |h_kk| + |h_k+1,k+1| exact
+            for k in range(m - 1):
+                t = u * (abs(complex(H[k, k])) + abs(complex(H[k + 1, k + 1])))
+                H[k + 1, k] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), t, 1j * t,
+                               -t * (1 + 2 * u), np.nan, complex(np.inf, 1.0), H[k + 1, k],
+                               H[k + 1, k]][rng.integers(11)]
+            if m > 1 and rng.random() < 0.2:
+                H[rng.integers(m), rng.integers(m)] = [np.nan, np.inf][rng.integers(2)]
+            for hi in range(1, m):
+                want, got, one = H.copy(), H.copy(), H.copy()
+                ends = _entrywise_deflate(want, hi, u)
+                assert _one_pass_deflate(one, hi, u) == ends
+                assert one.tobytes() == want.tobytes()
+                assert linalg._deflate(got, hi, u) == ends
+                lo = ends[1]
+                above = (np.arange(1, lo), np.arange(lo - 1))  # H[k, k - 1] for k < lo
+                want[above] = H[above]
+                assert got.tobytes() == want.tobytes()
+
+    def test_magnitudes_past_the_double_range(self):
+        """abs of a complex whose magnitude passes the double range raises,
+        where np.hypot gives inf: a finite entry beside it is negligible."""
+        big, u = complex(1.5e308, 1.5e308), BINARY64.unit_roundoff
+        for d, sub in ((big, 1.0), (1.0, big), (big, big)):
+            want = np.array([[d, 0.0], [sub, 1.0]])
+            got = want.copy()
+            with np.errstate(over="ignore"):
+                assert linalg._deflate(got, 1, u) == _entrywise_deflate(want, 1, u)
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _hessenberg(rng, fmt, special):
+        """A 6x6 Hessenberg matrix whose subdiagonal holds a signed zero at
+        (1, 0), a negligible entry at (2, 1), which stays above the first
+        active block, and special at (4, 3)."""
+        H = np.triu(cmat(rng, 6, 6), -1)
+        u = parse_format(fmt).unit_roundoff
+        H[1, 0] = complex(0.0, -0.0)
+        for k, t in ((2, "small"), (4, special)):
+            H[k, k - 1] = 0.25 * u * (abs(H[k - 1, k - 1]) + abs(H[k, k])) if t == "small" else t
+        return H
+
+    @pytest.mark.parametrize("fmt", GOLDEN_FORMATS)
+    def test_schur_matches_the_one_pass(self, fmt, monkeypatch):
+        """schur of single matrices and pairs with exact +-0, negligible,
+        NaN and inf subdiagonal entries: U and T bytes, flop buckets and
+        errors as with the one-pass deflation."""
+        rng = np.random.default_rng(3)
+        A, B, N, I = (self._hessenberg(rng, fmt, x) for x in
+                      (-0.0, "small", np.nan, complex(np.inf, 1.0)))
+        runs = [_one_by_one(A, B, N, I, cmat(rng, 6, 6))]
+        runs += [_stacked(*pair) for pair in ((A, B), (B, A), (A, N), (I, B), (N, I))]
+        got = [_factored(run, parse_format(fmt)) for run in runs]
+        monkeypatch.setattr(linalg, "_deflate", _one_pass_deflate)
+        assert got == [_factored(run, parse_format(fmt)) for run in runs]
+        assert any(out[0] is IterationLimitError for out, _ in got)
+
+
+def _listed_planes(c, s):
+    """The complex64 coefficients from Python lists: the planes [kr, kr]
+    and [-ki, ki] of [c, s, c, conj(s), c, s] on the first axis, the
+    oracle of `_rotation`'s packed ones."""
+    def row(c, s):
+        sr, si = s.real, s.imag
+        return [c, c, -0.0, 0.0, sr, sr, -si, si, c, c, -0.0, 0.0, sr, sr, si, -si,
+                c, c, -0.0, 0.0, sr, sr, -si, si]
+    if isinstance(c, tuple):
+        K = np.array([row(x, y) for x, y in zip(c, s)], dtype=np.float32)
+        return K.reshape(-1, 6, 2, 1, 2).transpose(1, 2, 0, 3, 4)
+    return np.array(row(c, s), dtype=np.float32).reshape(6, 2, 1, 2)
+
+
+class TestPackedCoefficients:
+    PARTS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 0.75)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_bytes_match_the_listed_coefficients(self, dtype):
+        """c = 0 and s parts of +-0, +-inf and NaN of either sign, one step
+        and two.  complex128 takes [c, s, c, conj(s), c, s] from 0 and
+        from 2; complex64 the planes of [[c, s1], [s2, c]] of each pass."""
+        coefficients, _ = _rotation(dtype, BINARY32 if dtype == np.complex64 else BINARY64)
+        values = [complex(a, b) for a in self.PARTS for b in self.PARTS]
+        for c in (0.0, -0.0, 0.6, 1.0, np.nan):
+            for s, t in zip(values, values[::-1]):
+                for cs in ((c, s), ((c, 0.8), (s, t)), ((0.8, c), (t, s))):
+                    K = coefficients(*cs)
+                    if dtype == np.complex128:
+                        want = _nested_coefficients(*cs)
+                        got, want = np.array(K), np.array([want[0:4], want[2:6]])
+                    else:
+                        # the rows take [c, s, c, conj(s)] as [[0, 1], [3, 2]],
+                        # the columns [c, conj(s), c, s] as [[2, 3], [5, 4]]
+                        want = _listed_planes(*cs)[[[[0, 1], [3, 2]], [[2, 3], [5, 4]]]]
+                        got, want = np.array(K), np.moveaxis(want, 3, 1)
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestSchurStack:
@@ -635,15 +745,52 @@ class TestSchurStack:
         T ends with NaN.  binary32 reruns the stack on the software path;
         there, and in binary64, the sweep that leaves the NaN runs again
         alone, so the NaN bits are those of one matrix at a time."""
+        A = self._nan_input(big)
+        other = cmat(rng, 5, 5)
+        for pair in ((A, other), (other, A)):
+            self._same(fmt, *pair)
+        assert np.isnan(schur(np.stack([other, A]), PrecisionContext(fmt)).T[1]).any()
+
+    @staticmethod
+    def _nan_input(big):
+        """A last column past a deflated row that overflows and meets inf - inf."""
         A = np.zeros((5, 5), dtype=np.complex128)
         g = np.random.default_rng(0)
         A[:4, :4] = np.triu(cmat(g, 4, 4), -1)
         A[:4, 4] = big * np.sign(g.standard_normal(4))
         A[4, 4] = 1.0
-        other = cmat(rng, 5, 5)
-        for pair in ((A, other), (other, A)):
-            self._same(fmt, *pair)
-        assert np.isnan(schur(np.stack([other, A]), PrecisionContext(fmt)).T[1]).any()
+        return A
+
+    @staticmethod
+    def _huge_input():
+        """Entries near 1e308, whose binary64 reduction meets inf - inf."""
+        g = np.random.default_rng(0)
+        A = 1e308 * np.sign(g.standard_normal((4, 4))) + 0j
+        A[0] = g.standard_normal(4)
+        return A
+
+    @pytest.mark.parametrize("ends", ["converges", "raises"])
+    def test_non_finite_lane_reruns_alone(self, ends, rng, monkeypatch):
+        """A binary64 pair in which one matrix ends holding inf or NaN, in
+        both orders: that matrix runs again alone from its reduced [U; H]
+        once the pair has ended, and only that one.  Its NaN payloads, and
+        its flops, are then those of a run alone (`_same`).  The second
+        input's reduction meets inf - inf, so it never deflates and raises
+        after 30 m sweeps."""
+        A = self._nan_input(1.7e308) if ends == "converges" else self._huge_input()
+        runs, steps = [], linalg._qr_steps
+
+        def spy(UH, ctx):
+            runs.append((UH.__array_interface__["data"][0], UH.tobytes()))
+            return steps(UH, ctx)
+        monkeypatch.setattr(linalg, "_qr_steps", spy)
+        for i, pair in enumerate(((A, cmat(rng, *A.shape)), (cmat(rng, *A.shape), A))):
+            runs.clear()
+            self._same(BINARY64, *pair)
+            # the pair, then matrix i alone, from its reduced [U; H], then
+            # one call per matrix up to the first that raises
+            assert runs[2] == runs[i]
+            assert len(runs) == 3 + (1 if ends == "raises" and i == 0 else 2)
 
     def test_shared_pairs_replay_a_same_shape_pair(self, rng, monkeypatch, unshifted):
         """`_schur_pair` factors a same-shape pair as one stack, and a
@@ -705,9 +852,7 @@ class TestSchurStack:
         """Entries near 1e308: the binary64 reflector updates meet inf - inf,
         so the lockstep reduction is run again one matrix at a time, and T
         holds NaN, which never deflates."""
-        g = np.random.default_rng(0)
-        A = 1e308 * np.sign(g.standard_normal((4, 4))) + 0j
-        A[0] = g.standard_normal(4)
+        A = self._huge_input()
         sizes = self._spy(monkeypatch, "_hessenberg")
         for pair in ((A, cmat(rng, 4, 4)), (cmat(rng, 4, 4), A)):
             sizes.clear()
@@ -729,11 +874,11 @@ class TestSchurStack:
         same sweep.  Once matrix 1 raises, matrix 0 runs on to its end."""
         ended, run = [], linalg._qr_steps
 
-        def steps(UH, ctx, pairable):
+        def steps(UH, ctx):
             i = len(ended)
             ended.append(False)
             try:
-                out = yield from run(UH, ctx, pairable)
+                out = yield from run(UH, ctx)
             except MpsylvError:
                 ended[i] = True
                 raise
