@@ -11,13 +11,14 @@ and K = 8 in binary32 (as sylv-b32-m12 solves them) and m = 24 and K = 5
 in binary64 (as f64-mm-m24 does) by default.  The kernels, per format:
 
 - ``schur`` of each A alone, and of each pair [A; B] as one stack;
-- ``solve_sylv_tri`` of T_A Y + Y T_B = C, with T_A and T_B the binary64
-  Schur factors of A and B.
+- ``solve_sylv_tri`` of T_A Y + Y T_B = C, with T_A and T_B the Schur
+  factors of A and B in the format and C rounded into it, so that binary32
+  runs on complex64 as in the solvers.
 
 Each round times one pass of each kernel over all problems with
 ``time.process_time``, once per tree, the parent first in even rounds.
 Whole-workload pairs (``tools/bench_pairs.py``) are swamped by the host's
-drift at this level; alternating rounds in one process are not.  The
+drift at this level; alternating rounds in one process much less.  The
 table gives, per kernel, each tree's median and minimum in ms per pass,
 the change in the median, and the rounds the change won.  Every output
 (U, T and Y bytes, flop buckets, error type and message) must be the same
@@ -79,12 +80,15 @@ def _outcome(lib, fmt, run):
 
 def inputs(lib, b32, b64):
     """{format: (m, problems, triangular operands)}, made by one tree and
-    passed to both."""
+    passed to both.  The operands are values of the format, as a solver
+    passes them: T_A and T_B from its Schur factors, and C rounded."""
     out = {}
     for fmt, (m, count) in (("binary32", b32), ("binary64", b64)):
         ps = problems(lib, m, count)
-        tri = [(lib.linalg.schur(p.A).T, lib.linalg.schur(p.B).T,
-                np.asarray(p.C, dtype=np.complex128)) for p in ps]
+        ctx = lib.precision.PrecisionContext(lib.precision.parse_format(fmt))
+        tri = [(lib.linalg.schur(p.A, ctx).T, lib.linalg.schur(p.B, ctx).T,
+                lib.precision.round_matrix(np.asarray(p.C, dtype=np.complex128), ctx.format))
+               for p in ps]
         out[fmt] = m, ps, tri
     return out
 
@@ -133,7 +137,8 @@ def compare(parent: Path, change: Path, rounds: int, b32, b64):
                 t0 = time.process_time()
                 outs[side] = sides[side][label]()
                 times[label][side].append(time.process_time() - t0)
-            assert outs["parent"] == outs["change"], f"{label}: outputs differ in round {r}"
+            if outs["parent"] != outs["change"]:  # a check that survives python -O
+                raise AssertionError(f"{label}: outputs differ in round {r}")
     return times
 
 
