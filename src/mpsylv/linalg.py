@@ -760,8 +760,8 @@ _PAIR = np.array([0, 1, 1, 0])
 
 
 def _coefficient_layout(code, entries, shape):
-    """How `_rotation` packs the coefficients of one step and of two:
-    (struct, index table, array shape) for each."""
+    """A table packing of coefficients of one step and of two: (struct,
+    index table, array shape) for each."""
     def packing(q):
         table = [j if j < 2 else j + 4 * i for pair in entries for i in range(q) for j in pair]
         axes = shape + ((q,) if q > 1 else ()) + ((1, 2) if code == "f" else (1,))
@@ -769,17 +769,16 @@ def _coefficient_layout(code, entries, shape):
     return packing(1), packing(2)
 
 
-# Each entry of a layout is a pair of indices into the values (0.0, -0.0,
-# c, Re s, Im s, -Im s) of one step; for two steps each pair is stored for
-# step 0, then for step 1, whose c, Re s, Im s and -Im s are at 6 to 9.
-# The pairs of c, s and conj(s) are (re, im) in complex128, and the
-# float32 planes [kr, kr] and [-ki, ki] in complex64.  complex128 stores
-# [c, s, c, conj(s), c, s]: a step's rows take [c, s1, c, s2] from 0 and
-# its columns from 2.  complex64 stores the planes of the rows' and then
-# the columns' [[c, s1], [s2, c]] (out, in).
-_RE_IM = {"c": (2, 0), "s": (3, 4), "s*": (3, 5)}
+# Each entry of the complex64 layout is a pair of indices into the values
+# (0.0, -0.0, c, Re s, Im s, -Im s) of one step; for two steps each pair
+# is stored for step 0, then for step 1, whose c, Re s, Im s and -Im s are
+# at 6 to 9.  The pairs of c, s and conj(s) are the float32 planes
+# [kr, kr] and [-ki, ki], and the layout stores the planes of the rows'
+# and then the columns' [[c, s1], [s2, c]] (out, in).  complex128 packs
+# [c, s, c, conj(s), c, s] as (re, im) doubles straight, step 0 then
+# step 1 for each entry: a step's rows take [c, s1, c, s2] from 0 and its
+# columns from 2.
 _PLANES = ({"c": (2, 2), "s": (3, 3), "s*": (3, 3)}, {"c": (1, 0), "s": (5, 4), "s*": (4, 5)})
-_COMPLEX128 = _coefficient_layout("d", [_RE_IM[x] for x in ("c", "s", "c", "s*", "c", "s")], (6,))
 _COMPLEX64 = _coefficient_layout(
     "f", [plane[x] for rows in (("c", "s", "s*", "c"), ("c", "s*", "s", "c"))
           for plane in _PLANES for x in rows], (2, 2, 2, 2))
@@ -788,21 +787,33 @@ _COMPLEX64 = _coefficient_layout(
 def _rotation(dtype, fmt: FpFormat):
     """The Givens rotation body of `schur`, chosen once per call:
     coefficients(c, s) returns the coefficients (K, L) of a step's rows
-    and columns, views of one buffer that the next call overwrites, and
+    and columns, and coefficients(c, s, cb, sb) those of two steps, fixed
+    views of one buffer per step count that the next call overwrites;
     rotate(X, K) sets X <- (c X0 + s1 X1, c X1 - s2 X0) in place for a
-    (2, n) view X: (s1, s2) = (s, conj(s)) in K, (conj(s), s) in L.
-    Tuples c and s of two steps rotate a (2, 2, n) view.  The caller
-    charges six flops per column and holds the errstate.  binary64 keeps
-    `_product`'s operand order, X first, and forms c X out of place, which
-    numpy runs faster than an in-place broadcast product on a strided
-    view.  A complex64 X takes `_plane_product`'s steps on its own float32
-    planes V: V * [kr, kr] + swap(V) * [-ki, ki] is exactly kr*gr - ki*gi
-    and kr*gi + ki*gr, each step correctly rounded in any layout.  Other
-    formats take `_product` and `_add` on [X0, X1, X1, X0]: which NaN
-    numpy's add loop keeps where two meet depends on their place."""
-    layout, kind, cut = _COMPLEX128, np.complex128, lambda K: (K[0:4], K[2:6])
+    (2, n) view X, or a (2, 2, n) view for two steps: (s1, s2) =
+    (s, conj(s)) in K, (conj(s), s) in L.  The caller charges six flops
+    per column and holds the errstate.  binary64's K and L are pre-cut
+    views (c, [s1, s2]); it keeps `_product`'s operand order, X first,
+    and forms c X out of place, which numpy runs faster than an in-place
+    broadcast product on a strided view.  A complex64 X takes
+    `_plane_product`'s steps on its own float32 planes V:
+    V * [kr, kr] + swap(V) * [-ki, ki] is exactly kr*gr - ki*gi and
+    kr*gi + ki*gr, each step correctly rounded in any layout.  Other
+    formats take `_product` and `_add` on [X0, X1, X1, X0] with K and L
+    the arrays [c, s1, c, s2]: which NaN numpy's add loop keeps where two
+    meet depends on their place."""
     if dtype == np.complex64:
-        layout, kind, cut = _COMPLEX64, np.float32, lambda K: (tuple(K[0]), tuple(K[1]))
+        (pack1, take1, K1), (pack2, take2, K2) = [
+            (S.pack_into, take, np.empty(shape, np.float32)) for S, take, shape in _COMPLEX64]
+        one, two = (tuple(K1[0]), tuple(K1[1])), (tuple(K2[0]), tuple(K2[1]))
+
+        def coefficients(c, s, cb=None, sb=None):
+            if cb is None:
+                pack1(K1, 0, *take1((0.0, -0.0, c, s.real, s.imag, -s.imag)))
+                return one
+            pack2(K2, 0, *take2((0.0, -0.0, c, s.real, s.imag, -s.imag,
+                                 cb, sb.real, sb.imag, -sb.imag)))
+            return two
 
         def rotate(X, k):
             V = X[..., None].view(np.float32)
@@ -810,35 +821,45 @@ def _rotation(dtype, fmt: FpFormat):
             P = V * kr + V[..., ::-1] * ki  # k[o, i] X[i]
             np.negative(P[1, 0], out=P[1, 0])
             np.add(P[:, 0], P[:, 1], out=V)
-    elif fmt.is_binary64:
+        return coefficients, rotate
+    if fmt.is_binary64:
+        def cut(K):
+            return (K[0:1], K[1:4:2]), (K[2:3], K[3:6:2])
+
         def rotate(X, k):
-            B = k[1::2] * X[::-1]
-            np.negative(B[1], out=B[1])
+            c, s = k
+            B = s * X[::-1]
+            B1 = B[1]
+            np.negative(B1, out=B1)
             if X.ndim == 2 and X.strides[1] == X.itemsize:
                 # one matrix's two rows keep the in-place steps: numpy
                 # would run the out-of-place sum as one loop over both
                 # rows, not one per row, and so keep other NaN payloads
-                X *= k[:1]
+                X *= c
                 X += B
             else:
-                np.add(X * k[:1], B, out=X)
+                np.add(X * c, B, out=X)
     else:
+        def cut(K):
+            return K[0:4], K[2:6]
+
         def rotate(X, k):
             prods = _product(k, X[_PAIR], fmt)
             np.negative(prods[3], out=prods[3])
             X[...] = _add(prods[0::2], prods[1::2], fmt)
-    (pack1, take1, K1), (pack2, take2, K2) = [
-        (S.pack_into, take, np.empty(shape, kind)) for S, take, shape in layout]
+    K1, K2 = np.empty((6, 1), np.complex128), np.empty((6, 2, 1), np.complex128)
+    pack1, pack2 = struct.Struct("12d").pack_into, struct.Struct("24d").pack_into
     one, two = cut(K1), cut(K2)
 
-    def coefficients(c, s):
-        if isinstance(c, tuple):
-            (c0, c1), (s0, s1) = c, s
-            pack2(K2, 0, *take2((0.0, -0.0, c0, s0.real, s0.imag, -s0.imag,
-                                 c1, s1.real, s1.imag, -s1.imag)))
-            return two
-        pack1(K1, 0, *take1((0.0, -0.0, c, s.real, s.imag, -s.imag)))
-        return one
+    def coefficients(c, s, cb=None, sb=None):
+        sr, si = s.real, s.imag
+        if cb is None:
+            pack1(K1, 0, c, 0.0, sr, si, c, 0.0, sr, -si, c, 0.0, sr, si)
+            return one
+        tr, ti = sb.real, sb.imag
+        pack2(K2, 0, c, 0.0, cb, 0.0, sr, si, tr, ti, c, 0.0, cb, 0.0, sr, -si, tr, -ti,
+              c, 0.0, cb, 0.0, sr, si, tr, ti)
+        return two
     return coefficients, rotate
 
 
@@ -1059,7 +1080,7 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
                     break
                 k, f, r, c, s = step
                 kb, fb, rb, cb, sb = other
-                K, L = coefficients((c, cb), (s, sb))
+                K, L = coefficients(c, s, cb, sb)
                 f, r = f if f < fb else fb, r if r > rb else rb
                 rotate(np.ndarray((2, 2, m - f), dtype, UH, rows0 + k * s1 + f * s2,
                                   (s1, s0 + (kb - k) * s1, s2)), K)
@@ -1090,6 +1111,7 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext):
     m = UH.shape[1]
     H = UH[m:]
     fmt = ctx.format
+    givens = _givens_binary64 if fmt.is_binary64 else lambda f, g: _givens_chain(f, g, fmt)
     resident = UH.dtype == np.complex64
     u = fmt.unit_roundoff
     limit = 30 * m
@@ -1114,7 +1136,7 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext):
             x = _shifted(h, _wilkinson_shift(H, hi, fmt), fmt)
         columns = 0
         for k in range(lo, hi):
-            c, s = _givens(x, y, fmt)
+            c, s = givens(x, y)
             # rows k, k+1 from column max(lo, k - 1), and columns k, k+1
             # of U and of H's rows to min(k + 2, hi)
             first = k - 1 if k > lo else lo

@@ -425,11 +425,23 @@ def _in_place_rotate(X, k):
 
 
 def _nested_coefficients(c, s):
-    """The binary64 coefficients from nested lists, the oracle of `_rotation`'s."""
+    """The complex128 coefficients [c, s, c, conj(s), c, s] from nested
+    lists, of one step or, for tuples c and s, of two: the oracle of
+    `_rotation`'s."""
     if isinstance(c, tuple):
         return np.array([c, s, c, [y.conjugate() for y in s], c, s],
                         dtype=np.complex128).reshape(6, -1, 1)
     return np.array([c, s, c, s.conjugate(), c, s], dtype=np.complex128).reshape(6, 1)
+
+
+def _same_cut(K, nested):
+    """Whether the binary64 coefficients K are the views (c, [s1, s2]) of
+    the rows and the columns, [c, s, c, conj(s)] from 0 and from 2 of the
+    nested ones, in bytes, all four on one buffer."""
+    views = [v for rows_or_columns in K for v in rows_or_columns]
+    want = [nested[0:1], nested[1:4:2], nested[2:3], nested[3:6:2]]
+    return (all(v.base is views[0].base for v in views)
+            and all(v.tobytes() == w.tobytes() for v, w in zip(views, want)))
 
 
 def _with_specials(rng, X, share=0.15):
@@ -479,16 +491,18 @@ class TestBinary64RotationOracle:
             f, g = _with_specials(rng, cmat(rng, 2, 2), share=0.1).tolist()
             with np.errstate(all="ignore"):
                 c, s = zip(_givens(f[0], g[0], BINARY64), _givens(f[1], g[1], BINARY64))
-                if not kind.startswith("paired"):
+                if kind.startswith("paired"):
+                    K = coefficients(c[0], s[0], c[1], s[1])
+                else:
                     c, s = c[0], s[0]
-                K = coefficients(c, s)
+                    K = coefficients(c, s)
                 nested = _nested_coefficients(c, s)
-                assert (_bits(K[0]) == _bits(nested[0:4])).all()
-                assert (_bits(K[1]) == _bits(nested[2:6])).all()
+                # the pre-cut views (c, [s1, s2]) of the rows and the columns
+                assert _same_cut(K, nested)
                 want, got = UH.copy(), UH.copy()
                 seed = rng.integers(2**32)
                 X, i = _schur_views(want, kind, np.random.default_rng(seed))
-                _in_place_rotate(X, K[i])
+                _in_place_rotate(X, nested[2 * i:2 * i + 4])
                 X, i = _schur_views(got, kind, np.random.default_rng(seed))
                 rotate(X, K[i])
             nan = np.isnan(want).any()
@@ -656,26 +670,63 @@ def _listed_planes(c, s):
 class TestPackedCoefficients:
     PARTS = (0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 0.75)
 
-    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
-    def test_bytes_match_the_listed_coefficients(self, dtype):
-        """c = 0 and s parts of +-0, +-inf and NaN of either sign, one step
-        and two.  complex128 takes [c, s, c, conj(s), c, s] from 0 and
-        from 2; complex64 the planes of [[c, s1], [s2, c]] of each pass."""
-        coefficients, _ = _rotation(dtype, BINARY32 if dtype == np.complex64 else BINARY64)
-        values = [complex(a, b) for a in self.PARTS for b in self.PARTS]
+    @classmethod
+    def _cases(cls):
+        """The arguments of one step (c, s) and of two (c, s, cb, sb), for
+        c = +-0, 0.6, 1, NaN and s parts of +-0, +-inf, NaN of either sign
+        and 0.75, with the oracles' (c, s) of each."""
+        values = [complex(a, b) for a in cls.PARTS for b in cls.PARTS]
         for c in (0.0, -0.0, 0.6, 1.0, np.nan):
             for s, t in zip(values, values[::-1]):
-                for cs in ((c, s), ((c, 0.8), (s, t)), ((0.8, c), (t, s))):
-                    K = coefficients(*cs)
-                    if dtype == np.complex128:
-                        want = _nested_coefficients(*cs)
-                        got, want = np.array(K), np.array([want[0:4], want[2:6]])
-                    else:
-                        # the rows take [c, s, c, conj(s)] as [[0, 1], [3, 2]],
-                        # the columns [c, conj(s), c, s] as [[2, 3], [5, 4]]
-                        want = _listed_planes(*cs)[[[[0, 1], [3, 2]], [[2, 3], [5, 4]]]]
-                        got, want = np.array(K), np.moveaxis(want, 3, 1)
-                    assert got.tobytes() == want.tobytes()
+                yield (c, s), (c, s)
+                yield (c, s, 0.8, t), ((c, 0.8), (s, t))
+                yield (0.8, t, c, s), ((0.8, c), (t, s))
+
+    @pytest.mark.parametrize("dtype, fmt", [(np.complex64, BINARY32), (np.complex128, BINARY64),
+                                            (np.complex128, BINARY32), (np.complex128, BINARY16),
+                                            (np.complex128, BFLOAT16)],
+                             ids=["complex64", "complex128", "complex128-binary32",
+                                  "complex128-binary16", "complex128-bfloat16"])
+    def test_bytes_match_the_listed_coefficients(self, dtype, fmt):
+        """complex128 takes [c, s, c, conj(s), c, s] from 0 and from 2, as
+        pre-cut views (c, [s1, s2]) in binary64 and as arrays [c, s1, c, s2]
+        in the software formats; complex64 the planes of [[c, s1], [s2, c]]
+        of each pass."""
+        coefficients, _ = _rotation(dtype, fmt)
+        for args, cs in self._cases():
+            K = coefficients(*args)
+            if fmt == BINARY64:
+                assert _same_cut(K, _nested_coefficients(*cs))
+                continue
+            if dtype == np.complex128:
+                want = _nested_coefficients(*cs)
+                want = np.array([want[0:4], want[2:6]])
+            else:
+                # the rows take [c, s, c, conj(s)] as [[0, 1], [3, 2]],
+                # the columns [c, conj(s), c, s] as [[2, 3], [5, 4]]
+                want = np.moveaxis(_listed_planes(*cs)[[[[0, 1], [3, 2]], [[2, 3], [5, 4]]]], 3, 1)
+            assert np.array(K).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32, BINARY16, BFLOAT16, TF32, B24],
+                             ids=lambda f: f.name)
+    def test_direct_packing_matches_the_table(self, fmt):
+        """The complex128 buffer packed straight, one step and two, against
+        the index-table packing of [c, s, c, conj(s), c, s] by
+        `_coefficient_layout` over the values (0.0, -0.0, c, Re s, Im s,
+        -Im s) of each step, byte for byte."""
+        coefficients, _ = _rotation(np.complex128, fmt)
+        entries = [{"c": (2, 0), "s": (3, 4), "s*": (3, 5)}[x] for x in ("c", "s", "c", "s*", "c", "s")]
+        tables = linalg._coefficient_layout("d", entries, (6,))
+        for args, _ in self._cases():
+            K = coefficients(*args)
+            buffer = (K[0][0] if fmt == BINARY64 else K[0]).base
+            pack, take, shape = tables[len(args) // 2 - 1]
+            values = [0.0, -0.0]
+            for c, s in zip(args[0::2], args[1::2]):
+                values += [c, s.real, s.imag, -s.imag]
+            want = np.empty(shape, np.complex128)
+            pack.pack_into(want, 0, *take(values))
+            assert buffer.shape == want.shape and buffer.tobytes() == want.tobytes()
 
 
 class TestSchurStack:
