@@ -9,8 +9,10 @@ Subcommands::
 
 Every run writes CSV (UTF-8, LF) whose header is a block of '#'-prefixed
 metadata lines recording the seed, precisions, tolerances and generator
-identifier, so a sweep can be reproduced byte for byte.  A timestamp line
-is included unless --reproducible is given.
+identifier.  --reproducible omits the timestamp line, so that a rerun repeats
+its bytes for a fixed numpy/BLAS build and BLAS thread count, such as
+OPENBLAS_NUM_THREADS=1: ``condu`` comes from LAPACK's SVD, whose last
+digits change with the thread count (ROADMAP item 1(c)).
 
 Randomness comes from the counter-based Philox generator (philox4x64-10,
 numpy BitGenerator "Philox") keyed by SeedSequence(entropy=seed,
@@ -365,6 +367,9 @@ def run_bench(m: int, n: int, seed: int, rcfg: RefinementConfig, out,
 # ---------------------------------------------------------------------------
 # argument parsing
 
+REPRODUCIBLE_HELP = "omit the timestamp (bytes repeat for one numpy/BLAS build and thread count)"
+
+
 def _add_common(sp):
     sp.add_argument("--m", type=int, default=10)
     sp.add_argument("--n", type=int, default=10)
@@ -376,8 +381,7 @@ def _add_common(sp):
     sp.add_argument("--max-iter", type=int, default=20)
     sp.add_argument("--epsilon", type=float, default=None)
     sp.add_argument("--out", type=str, required=True)
-    sp.add_argument("--reproducible", action="store_true",
-                    help="omit the timestamp line so output is byte reproducible")
+    sp.add_argument("--reproducible", action="store_true", help=REPRODUCIBLE_HELP)
 
 
 def _parse_t_range(spec: str):
@@ -433,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, default=10)
     sp.add_argument("--n", type=int, default=10)
     sp.add_argument("--out", type=str, required=True)
-    sp.add_argument("--reproducible", action="store_true")
+    sp.add_argument("--reproducible", action="store_true", help=REPRODUCIBLE_HELP)
 
     sp = sub.add_parser("bench", help="instrumented flops vs model")
     _add_common(sp)

@@ -786,22 +786,19 @@ _COMPLEX64 = _coefficient_layout(
 
 def _rotation(dtype, fmt: FpFormat):
     """The Givens rotation body of `schur`, chosen once per call:
-    coefficients(c, s) returns the coefficients (K, L) of a step's rows
-    and columns, and coefficients(c, s, cb, sb) those of two steps, fixed
-    views of one buffer per step count that the next call overwrites;
-    rotate(X, K) sets X <- (c X0 + s1 X1, c X1 - s2 X0) in place for a
-    (2, n) view X, or a (2, 2, n) view for two steps: (s1, s2) =
-    (s, conj(s)) in K, (conj(s), s) in L.  The caller charges six flops
-    per column and holds the errstate.  binary64's K and L are pre-cut
-    views (c, [s1, s2]); it keeps `_product`'s operand order, X first,
-    and forms c X out of place, which numpy runs faster than an in-place
-    broadcast product on a strided view.  A complex64 X takes
-    `_plane_product`'s steps on its own float32 planes V:
+    coefficients(c, s), or (c, s, cb, sb) for two steps, returns the (K, L)
+    of the rows and columns, fixed views of one buffer that the next call
+    overwrites, and rotate(X, K) sets X <- (c X0 + s1 X1, c X1 - s2 X0) in
+    place for a (2, n) view X, (2, 2, n) for two steps: (s1, s2) =
+    (s, conj(s)) in K, (conj(s), s) in L.  The caller charges six flops per
+    column and holds the errstate.  binary64 takes K as views (c, [s1, s2]),
+    keeps `_product`'s operand order, X first, and forms c X out of place,
+    which numpy runs faster than an in-place product on a strided view.  A
+    complex64 X takes `_plane_product`'s steps on its float32 planes V:
     V * [kr, kr] + swap(V) * [-ki, ki] is exactly kr*gr - ki*gi and
-    kr*gi + ki*gr, each step correctly rounded in any layout.  Other
-    formats take `_product` and `_add` on [X0, X1, X1, X0] with K and L
-    the arrays [c, s1, c, s2]: which NaN numpy's add loop keeps where two
-    meet depends on their place."""
+    kr*gi + ki*gr, each step correctly rounded in any layout.  Others take
+    `_product` and `_add` of K = [c, s1, c, s2] and [X0, X1, X1, X0]: which
+    NaN numpy's add loop keeps where two meet depends on their place."""
     if dtype == np.complex64:
         (pack1, take1, K1), (pack2, take2, K2) = [
             (S.pack_into, take, np.empty(shape, np.float32)) for S, take, shape in _COMPLEX64]
@@ -823,14 +820,10 @@ def _rotation(dtype, fmt: FpFormat):
             np.add(P[:, 0], P[:, 1], out=V)
         return coefficients, rotate
     if fmt.is_binary64:
-        def cut(K):
-            return (K[0:1], K[1:4:2]), (K[2:3], K[3:6:2])
-
         def rotate(X, k):
             c, s = k
             B = s * X[::-1]
-            B1 = B[1]
-            np.negative(B1, out=B1)
+            np.negative(b := B[1], out=b)
             if X.ndim == 2 and X.strides[1] == X.itemsize:
                 # one matrix's two rows keep the in-place steps: numpy
                 # would run the out-of-place sum as one loop over both
@@ -840,16 +833,14 @@ def _rotation(dtype, fmt: FpFormat):
             else:
                 np.add(X * c, B, out=X)
     else:
-        def cut(K):
-            return K[0:4], K[2:6]
-
         def rotate(X, k):
             prods = _product(k, X[_PAIR], fmt)
             np.negative(prods[3], out=prods[3])
             X[...] = _add(prods[0::2], prods[1::2], fmt)
     K1, K2 = np.empty((6, 1), np.complex128), np.empty((6, 2, 1), np.complex128)
     pack1, pack2 = struct.Struct("12d").pack_into, struct.Struct("24d").pack_into
-    one, two = cut(K1), cut(K2)
+    one, two = [((K[0:1], K[1:4:2]), (K[2:3], K[3:6:2])) if fmt.is_binary64 else (K[0:4], K[2:6])
+                for K in (K1, K2)]
 
     def coefficients(c, s, cb=None, sb=None):
         sr, si = s.real, s.imag
@@ -1026,13 +1017,14 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
     1 run to their ends, then 2 and 3, and an odd last one alone.  A
     pair's pending steps are applied through one view per pass on UH's
     buffer: the rows from the smaller first column, the columns to the
-    larger row count.  The entries this pads with are exact zeros below
-    H's subdiagonal or a deflated subdiagonal, which a rotation by finite
-    c and s keeps zero and T drops.  Where two NaN meet in a commutative
-    complex128 step, numpy keeps either, by where its loop meets them: a
-    paired complex128 matrix that ends not all finite, however it ends,
-    runs again alone from its reduced [U; H] and tally (`start`); one that
-    ends finite has the bits of a run alone."""
+    larger row count, with coefficients(c, s, cb, sb) of both steps.  The
+    entries this pads with are exact zeros below H's subdiagonal or a
+    deflated subdiagonal, which a rotation by finite c and s keeps zero
+    and T drops.  Where two NaN meet in a commutative complex128 step,
+    numpy keeps either, by where its loop meets them: a paired complex128
+    matrix that ends not all finite, however it ends, runs again alone
+    from its reduced [U; H] and tally (`start`); one that ends finite has
+    the bits of a run alone."""
     p, m, dtype = UH.shape[0], UH.shape[2], UH.dtype
     coefficients, rotate = _rotation(dtype, ctxs[0].format)
     s0, s1, s2 = UH.strides
@@ -1106,8 +1098,9 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext):
     first and to columns k, k+1 of UH[:rows], and returns False as soon
     as a sweep leaves a NaN in a complex64 UH, else True.  A sweep charges
     its rotations' flops at its end and runs on the block [lo, hi] that
-    `_deflate` finds.  H's entries are read as Python complex numbers
-    (``abs`` of a complex64 numpy scalar returns float32)."""
+    `_deflate` finds, with `_givens`'s body bound once per run.  H's
+    entries are read as Python complex numbers (``abs`` of a complex64
+    numpy scalar returns float32)."""
     m = UH.shape[1]
     H = UH[m:]
     fmt = ctx.format

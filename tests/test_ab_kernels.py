@@ -1,4 +1,5 @@
-"""`tools/ab_kernels.py` on one tree against itself, at small sizes."""
+"""`tools/ab_kernels.py` on one tree against itself, at small sizes, and
+its fingerprint mode on a prefix of its cases."""
 
 import importlib.util
 import subprocess
@@ -13,6 +14,7 @@ _spec = importlib.util.spec_from_file_location("ab_kernels", _PATH)
 ab_kernels = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_kernels)
 
+FINGERPRINT_CASES = 18  # each format at least twice
 KERNELS = ["schur-b32-m4", "schur-pair-b32-m4", "sylv-tri-b32-m4",
            "schur-b64-m5", "schur-pair-b64-m5", "sylv-tri-b64-m5"]
 
@@ -40,3 +42,32 @@ def test_a_differing_output_stops_the_comparison(monkeypatch):
     monkeypatch.setattr(ab_kernels, "kernels", changed)
     with pytest.raises(AssertionError, match="sylv-tri-b64-m5: outputs differ in round 0"):
         ab_kernels.compare(ROOT, ROOT, 1, (4, 2), (5, 2))
+
+
+def test_fingerprint_of_one_tree_against_itself():
+    proc = subprocess.run(
+        [sys.executable, str(_PATH), "--parent", str(ROOT), "--change", str(ROOT),
+         "--fingerprint", str(FINGERPRINT_CASES)],
+        capture_output=True, text=True, check=False, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith(f"{FINGERPRINT_CASES} schur cases byte-identical: ")
+
+
+def test_fingerprint_names_the_first_differing_case(monkeypatch):
+    """A Givens body changed in the last bit of s in one tree: the first
+    binary64 case with a QR step differs."""
+    load_tree = ab_kernels.load_tree
+
+    def changed(tree, name):
+        lib = load_tree(tree, name)
+        if name == "mpsylv_change":
+            givens = lib.linalg._givens_binary64
+
+            def off_by_an_ulp(f, g):
+                c, s = givens(f, g)
+                return c, s * (1 + 2.0**-52)
+            monkeypatch.setattr(lib.linalg, "_givens_binary64", off_by_an_ulp)
+        return lib
+    monkeypatch.setattr(ab_kernels, "load_tree", changed)
+    with pytest.raises(AssertionError, match=r"^case \d+ binary64 m=\d+ .*: outputs differ$"):
+        ab_kernels.fingerprint(ROOT, ROOT, FINGERPRINT_CASES)

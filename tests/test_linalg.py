@@ -321,6 +321,20 @@ class TestSchur:
         ref = np.sort_complex(np.exp(2j * np.pi * np.arange(3) / 3))
         assert np.abs(got - ref).max() < 1e-10
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4 (scale-safe Schur): binary64 "
+                       "schur of 1.5e308 times the cyclic permutation returns a "
+                       "non-unitary U and T = 0 without an error")
+    def test_cyclic_permutation_near_the_top_of_the_range(self):
+        """The eigenvalues 1.5e308 exp(2 pi i k / 3) are representable.  The
+        backward error is taken on A and T scaled by 2^-1023, exactly, so
+        that nothing in the check overflows."""
+        m, u = 3, BINARY64.unit_roundoff
+        A = 1.5e308 * (np.eye(m, k=-1) + np.eye(m, k=m - 1))
+        sf = schur(A, CTX)
+        assert np.linalg.norm(sf.U.conj().T @ sf.U - np.eye(m)) <= 100 * m * u
+        As, Ts = A * 2.0**-1023, sf.T * 2.0**-1023
+        assert np.linalg.norm(sf.U @ Ts @ sf.U.conj().T - As) <= 100 * m * u * np.linalg.norm(As)
+
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)

@@ -2,6 +2,7 @@
 
     python3 tools/ab_kernels.py --parent PATH [--change PATH] [--rounds 40]
         [--b32 M K] [--b64 M K]
+    python3 tools/ab_kernels.py --parent PATH [--change PATH] --fingerprint [N]
 
 Each tree's ``src/mpsylv`` is loaded under a name of its own
 (``mpsylv_parent``, ``mpsylv_change``), so both run in this process on
@@ -24,6 +25,17 @@ the change in the median, and the rounds the change won.  Every output
 (U, T and Y bytes, flop buckets, error type and message) must be the same
 byte for byte in both trees, or the script stops with exit status 1.
 BLAS runs on one thread.
+
+``--fingerprint`` times nothing: it runs ``schur`` on the first N (810
+by default) of a seeded set of cases in both trees and compares U, T,
+the flop buckets, and the error type and message byte for byte, naming
+the first case that differs (exit status 1).  The formats cycle through
+binary32 and binary64 twice, at m 1-24, then bfloat16, binary16, tf32,
+b24 and 40:11, at m 1-14, on stacks of 1-3 matrices.  Each matrix is
+dense, real, Hessenberg with +-0 and negligible subdiagonal entries,
+Hessenberg with a NaN or inf in its deflated last column, near the top
+of the format's range (1e308 in binary64, sometimes past it), a scaled
+cyclic permutation, triangular, diagonal, the identity or graded.
 """
 
 from __future__ import annotations
@@ -47,7 +59,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def load_tree(tree: Path, name: str):
     """The package under ``tree/src/mpsylv``, imported as ``name``, with its
-    submodules loaded."""
+    submodules loaded afresh (a package loaded before under ``name`` is
+    dropped, so that each submodule is an attribute of the new one)."""
+    for loaded in [k for k in sys.modules if k == name or k.startswith(f"{name}.")]:
+        del sys.modules[loaded]
     pkg_dir = tree / "src" / "mpsylv"
     spec = importlib.util.spec_from_file_location(
         name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)])
@@ -59,6 +74,11 @@ def load_tree(tree: Path, name: str):
     return pkg
 
 
+def _factors(lib, A, ctx):
+    sf = lib.linalg.schur(A, ctx)
+    return sf.U, sf.T
+
+
 def problems(lib, m: int, count: int):
     """The ``random-dense`` problems of seed 0, streams 0..count-1."""
     cli = lib.cli
@@ -68,12 +88,13 @@ def problems(lib, m: int, count: int):
 
 def _outcome(lib, fmt, run):
     """The bytes of ``run(ctx)``'s arrays and the flop buckets, or the type
-    and message of the MpsylvError it raises."""
+    and message of the exception it raises: an MpsylvError, or any other
+    (binary64 ``schur`` raises OverflowError on some inputs near 1e308)."""
     counter = lib.precision.FlopCounter()
     ctx = lib.precision.PrecisionContext(lib.precision.parse_format(fmt), counter, "low")
     try:
         out = [np.ascontiguousarray(a).tobytes() for a in run(ctx)]
-    except lib.errors.MpsylvError as exc:
+    except Exception as exc:  # compared between the trees, not handled
         out = (type(exc).__name__, str(exc))
     return out, dict(counter.counts)
 
@@ -96,20 +117,16 @@ def inputs(lib, b32, b64):
 def kernels(lib, made):
     """{label: pass()} for one tree on the inputs ``made``; pass() returns
     the outcomes of one pass of the kernel over its problems."""
-    linalg, sylvester = lib.linalg, lib.sylvester
+    sylvester = lib.sylvester
     table = {}
     for fmt, (m, ps, tri) in made.items():
         tag = f"b{fmt[-2:]}-m{m}"
 
-        def factors(A, ctx):
-            sf = linalg.schur(A, ctx)
-            return sf.U, sf.T
-
         def single(ps=ps, fmt=fmt):
-            return [_outcome(lib, fmt, lambda ctx, A=p.A: factors(A, ctx)) for p in ps]
+            return [_outcome(lib, fmt, lambda ctx, A=p.A: _factors(lib, A, ctx)) for p in ps]
 
         def pair(ps=ps, fmt=fmt):
-            return [_outcome(lib, fmt, lambda ctx, p=p: factors(np.stack([p.A, p.B]), ctx))
+            return [_outcome(lib, fmt, lambda ctx, p=p: _factors(lib, np.stack([p.A, p.B]), ctx))
                     for p in ps]
 
         def solve(tri=tri, fmt=fmt):
@@ -142,6 +159,76 @@ def compare(parent: Path, change: Path, rounds: int, b32, b64):
     return times
 
 
+FORMATS = ("binary32", "binary64") * 2 + ("bfloat16", "binary16", "tf32", "b24", "40:11")
+KINDS = ("dense", "real", "hessenberg", "nan-ending", "near-max", "cyclic",
+         "triangular", "diagonal", "identity", "graded")
+
+
+def _matrix(rng, kind: str, m: int, top: float) -> np.ndarray:
+    """One m x m case matrix of ``kind``; ``top`` is the format's largest
+    finite value."""
+    A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    if kind == "real":
+        return A.real.astype(np.complex128)
+    if kind in ("hessenberg", "nan-ending"):
+        A = np.triu(A, -1)
+        sub = np.arange(m - 1)
+        special = rng.random(m - 1) < 0.4
+        A[sub[special] + 1, sub[special]] = rng.choice([0.0, -0.0, 1e-30, -3e-17j], special.sum())
+        if kind == "nan-ending":  # deflated at once, so that the iteration can finish
+            A[m - 1, m - 2:m - 1] = rng.choice([0.0, -0.0])
+            A[int(rng.integers(m)), m - 1] = rng.choice([np.nan, complex(np.nan, 1.0), np.inf])
+        return A
+    if kind == "near-max":
+        return A * (top * rng.choice([0.01, 0.1, 0.4]))
+    if kind == "cyclic":
+        return (np.eye(m, k=-1) + np.eye(m, k=m - 1)) * rng.choice([1.0, 2.0**-10, 0.5 * top])
+    if kind == "triangular":
+        return np.triu(A)
+    if kind == "diagonal":
+        return np.diag(np.diag(A))
+    if kind == "identity":
+        return np.eye(m, dtype=np.complex128)
+    if kind == "graded":
+        d = 2.0 ** (-4.0 * np.arange(m))
+        return d[:, None] * A * d
+    return A
+
+
+def fingerprint_cases(lib, count: int):
+    """The first ``count`` cases (label, format, A) of the seeded set; A is
+    a stack of 1-3 matrices of one size, case i drawn from seed i."""
+    cases = []
+    for i in range(count):
+        rng = np.random.default_rng(i)
+        fmt = FORMATS[i % len(FORMATS)]
+        m = int(rng.integers(1, 25 if fmt in ("binary32", "binary64") else 15))
+        kinds = [KINDS[int(k)] for k in rng.integers(len(KINDS), size=rng.integers(1, 4))]
+        top = lib.precision.parse_format(fmt).max_finite
+        with np.errstate(over="ignore"):  # a near-max binary64 entry may pass 1.8e308
+            A = np.stack([_matrix(rng, kind, m, top) for kind in kinds])
+        cases.append((f"case {i} {fmt} m={m} {'+'.join(kinds)}", fmt, A))
+    return cases
+
+
+def fingerprint(parent: Path, change: Path, count: int) -> str:
+    """A summary of the first ``count`` fingerprint cases, whose outputs are
+    the same byte for byte in both trees.  Raises AssertionError naming
+    the first case whose outputs differ."""
+    libs = [load_tree(parent, "mpsylv_parent"), load_tree(change, "mpsylv_change")]
+    ends = {}
+    for label, fmt, A in fingerprint_cases(libs[0], count):
+        outs = [_outcome(lib, fmt, lambda ctx, lib=lib: _factors(lib, A, ctx)) for lib in libs]
+        if outs[0] != outs[1]:
+            raise AssertionError(f"{label}: outputs differ")
+        out = outs[0][0]
+        end = out[0] if isinstance(out, tuple) else (
+            "NaN in T" if np.isnan(np.frombuffer(out[1], np.complex128)).any() else "finite")
+        ends[end] = ends.get(end, 0) + 1
+    return f"{count} schur cases byte-identical: " + ", ".join(
+        f"{n} {end}" for end, n in sorted(ends.items()))
+
+
 def format_table(times) -> str:
     rows = [f"{'kernel':20s} {'parent ms':>20s} {'change ms':>20s} {'median':>8s}  wins",
             f"{'':20s} {'median / min':>20s} {'median / min':>20s}"]
@@ -164,10 +251,18 @@ def main(argv=None) -> int:
                     help="binary32 problem size and count")
     ap.add_argument("--b64", type=int, nargs=2, default=(24, 5), metavar=("M", "K"),
                     help="binary64 problem size and count")
+    ap.add_argument("--fingerprint", type=int, nargs="?", const=810, default=None, metavar="N",
+                    help="compare schur outputs on the first N fingerprint cases (810 if N "
+                         "is not given) instead of timing")
     args = ap.parse_args(argv)
-    if args.rounds < 1 or min(args.b32 + args.b64) < 1:
+    if args.rounds < 1 or min(*args.b32, *args.b64) < 1:
         ap.error("--rounds, M and K must be >= 1")
+    if args.fingerprint is not None and args.fingerprint < 1:
+        ap.error("--fingerprint N must be >= 1")
     try:
+        if args.fingerprint is not None:
+            print(fingerprint(args.parent, args.change, args.fingerprint), flush=True)
+            return 0
         times = compare(args.parent, args.change, args.rounds, args.b32, args.b64)
     except AssertionError as exc:
         print(f"not byte-identical: {exc}", flush=True)
