@@ -22,6 +22,8 @@ spawn_key=(stream,)); the row index of a sweep is the stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import contextvars
 import os
 import sys
 import time
@@ -147,6 +149,22 @@ def _conditioned_transform(rng, size: int, family: str) -> np.ndarray:
     return best
 
 
+# id(problem) -> (problem, singular values of its Kronecker operator) in a
+# `_row_singular_values` scope; unset outside one, where get({}) gives a
+# dict that nothing keeps
+_ROW_SV: contextvars.ContextVar[dict] = contextvars.ContextVar("row_singular_values")
+
+
+@contextlib.contextmanager
+def _row_singular_values():
+    """One sweep row, in which `_condu` reuses `_logspace_problem`'s SVD."""
+    token = _ROW_SV.set({})
+    try:
+        yield
+    finally:
+        _ROW_SV.reset(token)
+
+
 def _logspace_problem(rng, m: int, n: int, t: float) -> SylvesterProblem:
     check_kappa = t >= 1.0 and m * n <= DEFAULT_KRON_CAP
     best, best_dist = None, np.inf
@@ -163,13 +181,16 @@ def _logspace_problem(rng, m: int, n: int, t: float) -> SylvesterProblem:
         # a singular operator has kappa = inf, and so an infinite distance
         kappa = float(sv[0]) / float(sv[-1]) if sv[-1] > 0.0 else np.inf
         if 10.0**t <= kappa <= 10.0 ** (t + 1):
-            return SylvesterProblem(A, B, C)
+            best = SylvesterProblem(A, B, C), sv
+            break
         dist = abs(np.log10(kappa) - (t + 0.5))
         if dist < best_dist:
-            best, best_dist = SylvesterProblem(A, B, C), dist
+            best, best_dist = (SylvesterProblem(A, B, C), sv), dist
         elif best is None:  # the first draw stands in while no distance is finite
-            best = SylvesterProblem(A, B, C)
-    return best
+            best = SylvesterProblem(A, B, C), sv
+    # kept for `_condu` in a row scope, with the problem, so that its id is not reused
+    _ROW_SV.get({})[id(best[0])] = best
+    return best[0]
 
 
 def generate(g: ProblemGenerator) -> SylvesterProblem:
@@ -283,7 +304,8 @@ def run_solve(p: SylvesterProblem, rcfg: RefinementConfig, out,
 def _condu(p: SylvesterProblem, u_h: FpFormat) -> float | None:
     if p.m * p.n > DEFAULT_KRON_CAP:
         return None
-    sv = np.linalg.svd(sylvester_kron_operator(p.A, p.B), compute_uv=False)
+    kept = _ROW_SV.get({}).get(id(p))
+    sv = kept[1] if kept else np.linalg.svd(sylvester_kron_operator(p.A, p.B), compute_uv=False)
     if sv[-1] == 0.0:
         return float("inf")
     return float(sv[0] / sv[-1]) * u_h.unit_roundoff
@@ -297,15 +319,16 @@ def run_sweep_cond(m: int, n: int, t_values, seed: int, rcfg: RefinementConfig,
     As in `run_solve`, the solvers of a row share its Schur pair per format
     (`sylvester._schur_pair`), and no factors outlive the row; each
     solver's results and flop counts are those of that solver run alone.
+    ``condu`` reuses the row's generator's SVD (`_row_singular_values`).
     """
     columns = ["t", "condu", "res_sylv", "r_or", "r_in",
                "r_gmres_ul", "r_gmres_uh", "i_or", "i_in", "status"]
     rows = []
     for idx, t in enumerate(t_values):
-        p = generate(ProblemGenerator("logspace-conditioned", m, n, float(t), seed,
-                                      stream=idx))
-        condu = _condu(p, rcfg.u_h)
-        with _shared_schur_pairs():
+        with _row_singular_values(), _shared_schur_pairs():
+            p = generate(ProblemGenerator("logspace-conditioned", m, n, float(t), seed,
+                                          stream=idx))
+            condu = _condu(p, rcfg.u_h)
             runs = [(name, _run_one(name, p, rcfg, restart)) for name in solvers]
         got, blank = dict(runs), (None,) * 4
         failures = [f"{name}:{r[3]}" for name, r in runs if r[3] != "ok"]

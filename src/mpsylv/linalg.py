@@ -40,6 +40,7 @@ from .errors import (
     MpsylvError,
     NonFiniteInputError,
     NotHermitianError,
+    NumericBreakdownError,
     RankDeficiencyError,
     SingularMatrixError,
 )
@@ -57,13 +58,13 @@ from .precision import (
     _product,
     _resident,
     _round_real_array,
-    _round_real_scalar,
     _round_complex_array,
     _scaled_up,
     _shypot,
     _ssqrt,
     _ssub,
     _sub,
+    _summed_products,
     _sums,
 )
 
@@ -194,7 +195,8 @@ def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext, mul=None):
     block's sums (`_accumulate`), then the alpha and beta products and the
     sum with C.  A block's products are one `fl_mul` entry, uncharged, so
     its preamble runs once per block of up to `_GEMM_BLOCK` products; the
-    steps of a kernel that call this body directly pass ``mul=_product``."""
+    steps of a kernel that call this body directly pass ``mul=_product``,
+    whose products `_summed_products` forms in its accumulation buffer."""
     fmt = ctx.format
     alpha, beta = ab.tolist()
     m, k = A.shape
@@ -203,8 +205,8 @@ def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext, mul=None):
     acc = None
     for p in range(0, k, kb):
         a, b = A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :]
-        acc = _accumulate(fl_mul(a, b, fmt._uncounted) if mul is None else mul(a, b, fmt),
-                          acc, fmt)
+        acc = (_accumulate(fl_mul(a, b, fmt._uncounted), acc, fmt) if mul is None
+               else _summed_products(mul, a, b, acc, fmt, (len(a), m, n)))
     if alpha != 1:
         acc = _product(ab[0], acc, fmt)
     if C is not None:
@@ -307,7 +309,10 @@ def _scaled_down(x: np.ndarray):
 def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
     """The rounded steps of `_vec_norm2_ctx`; charges no flops.  |x_i| of a
     complex64 x (binary32 in `schur`) takes float32 steps, which round
-    alike (`_givens_chain`)."""
+    alike (`_givens_chain`).  Each partial sum acc + |x_i|^2 is `_sums`'
+    rounding, which in binary32 and binary16 is a ``struct`` cast of the
+    double sum s unless that raises OverflowError, s is NaN or Veltkamp's
+    split says s may be a midpoint (see `_round_real_scalar`)."""
     with np.errstate(invalid="ignore", over="ignore"):
         if x.dtype == np.complex64:
             mag = np.sqrt(np.square(x.real) + np.square(x.imag))
@@ -317,17 +322,19 @@ def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
             s = r(sq[0] + sq[1], fmt)
             finite = np.isfinite(s)
             mag = np.where(finite, r(np.sqrt(np.where(finite, s, 0.0)), fmt), np.inf)
+    packer, split = fmt._native[1:] if fmt._native else (None, 0.0)
     acc = 0.0
     for a in mag.tolist():
         # a ** 2 (libm pow) is the defined square; for t > 26 it can
         # differ from a * a in the last bit
         b = a ** 2
         s = acc + b
-        e = 0.0
-        if math.isfinite(s):  # the 2Sum residual of `_sadd`
-            bv = s - acc
-            e = (acc - (s - bv)) + (b - bv)
-        acc = _round_real_scalar(s, fmt, e)
+        try:
+            y = packer and packer.unpack(packer.pack(s))[0]
+        except OverflowError:
+            y = None
+        cast = y == s or y is not None and s == s and (c := s * split) - (c - s) != s
+        acc = y if cast else _sums(fmt, acc, b)[0]
     return _ssqrt(acc, fmt)
 
 
@@ -696,13 +703,15 @@ def _givens(f: complex, g: complex, fmt: FpFormat):
 def _givens_binary64(f: complex, g: complex):
     """`_givens` in binary64 by float and complex operations: c = |f| / d
     and s = (f / |f|) conj(g) / d, d = sqrt(|f|^2 + |g|^2) (``math.hypot``
-    past the squares' range)."""
+    past the squares' range); NumericBreakdownError if an abs overflows."""
     if g == 0:
         return 1.0, 0j
-    ag = abs(g)
+    try:
+        af, ag = abs(f), abs(g)
+    except OverflowError:
+        raise NumericBreakdownError("Givens operand magnitude past the double range") from None
     if f == 0:
         return 0.0, g.conjugate() / ag
-    af = abs(f)
     d2 = af * af + ag * ag
     d = math.hypot(af, ag) if d2 == 0.0 or d2 == math.inf else math.sqrt(d2)
     return af / d, f / af * g.conjugate() / d

@@ -580,10 +580,10 @@ def _widened(*zs):
     return tuple([z.astype(np.complex128) for z in zs])
 
 
-def _plane_product(a: np.ndarray, b: np.ndarray):
+def _plane_product(a: np.ndarray, b: np.ndarray, out=None):
     """The real and imaginary parts of a * b for complex64 arrays, formed
     as ar*br - ai*bi and ar*bi + ai*br from float32 planes; the shapes
-    broadcast.
+    broadcast; with a complex64 ``out``, written into its planes.
 
     On binary32 values each step is the correctly rounded binary32 result,
     so the parts equal `_mul_parts`: the same four products, difference
@@ -591,7 +591,11 @@ def _plane_product(a: np.ndarray, b: np.ndarray):
     loop may fuse steps.
     """
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    return ar * br - ai * bi, ar * bi + ai * br
+    if out is None:
+        return ar * br - ai * bi, ar * bi + ai * br
+    np.subtract(ar * br, ai * bi, out=out.real)
+    np.add(ar * bi, ai * br, out=out.imag)
+    return out
 
 
 def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
@@ -614,7 +618,7 @@ def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
 
 def _product(a, b: np.ndarray, fmt: FpFormat, out=None) -> np.ndarray:
     """a * b entrywise, in b's dtype or written into out: for a complex64
-    b, the `_plane_product` parts.
+    b, the `_plane_product` parts (in out's planes; out overlaps no operand).
 
     binary64's numpy array multiply fuses steps on an AVX-512 x86-64 host
     (numpy 2.4): a * b and b * a differed for 32,884 of 100,000 complex
@@ -623,6 +627,8 @@ def _product(a, b: np.ndarray, fmt: FpFormat, out=None) -> np.ndarray:
     if fmt.is_binary64:
         return np.multiply(a, b, out=out)
     if b.dtype == np.complex64:
+        if out is not None:
+            return _plane_product(a, b, out)
         re, im = _plane_product(a, b)
     else:
         re, im = _mul_parts(a.real, a.imag, b.real, b.imag, fmt)
@@ -664,6 +670,19 @@ def _accumulate(P: np.ndarray, start, fmt: FpFormat) -> np.ndarray:
     for p in P:
         acc = _add(acc, p, fmt)
     return np.array(acc)
+
+
+def _summed_products(mul, a, b: np.ndarray, start, fmt: FpFormat, shape) -> np.ndarray:
+    """``_accumulate(mul(a, b, fmt), start, fmt)``, mul being `_product`, with
+    products of ``shape`` formed in `_buffer_sum`'s buffer where it sums."""
+    if b.dtype == np.complex64 or fmt.is_binary64:
+        X = np.empty((shape[0] + 1,) + shape[1:], dtype=b.dtype)
+        X[0] = 0 if start is None else start
+        mul(a, b, fmt, out=X[1:])
+        total = np.add.accumulate(X, axis=0, out=X)[-1]
+        if b.dtype == np.complex64 or not np.isnan(total).any():
+            return total
+    return _accumulate(mul(a, b, fmt), start, fmt)
 
 
 def _buffer_sum(P: np.ndarray, start) -> np.ndarray:

@@ -207,13 +207,15 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
 def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     """`solve_sylv_tri` with T_A, T_B and ctx fixed: returns solve(C).
 
-    Once per pair: the checks and the wave plan; once per dtype the waves
-    run in (as `_resident` chooses): the shifted diagonals D, their zeros
-    and the Smith denominators per wave.  None of it depends on C, so a
-    solve that raises leaves no state.  A wave is one gather, one
-    `_product`, then where no step rounds (binary64, complex64) one
-    ``np.subtract.accumulate`` and Smith's numerator on the planes of its
-    last row (`_smith_planes`), else `_accumulate` and `_smith_numerator`.
+    Once per pair: the checks, the wave plan and, per dtype of C, the
+    working buffer [Y | T_A | T_B]; once per dtype the waves run in (as
+    `_resident` chooses): D, the shifted diagonals, their zeros, the Smith
+    denominators and each wave's views of one scratch buffer.  A solve
+    writes Y and the scratch before it reads them, so pairs may be solved
+    in any interleaving.  A wave is one gather, one `_product`, then where no
+    step rounds (binary64, complex64) one ``np.subtract.accumulate`` and
+    Smith's numerator on the planes of its last row (`_smith_planes`),
+    else `_accumulate` and `_smith_numerator`.
     """
     T_A = as_matrix(T_A, ctx)
     T_B = as_matrix(T_B, ctx)
@@ -226,30 +228,35 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     fmt = ctx.format
     cols, order, first, waves = _wave_plan(m, n, b_form == "lower")
     off_b = m * n + m * m
-    prepared = {}
+    prepared, working = {}, {}
 
     def prepare(buf):
         # the shifted diagonals T_A[i, i] + T_B[k, k], row-major
         D = _add(buf[m * n:off_b:m + 1, None], buf[off_b::n + 1], fmt)
         den = list(_smith_denominator(D.ravel()[order], fmt))
         den[0] -= 2 * first[:, None]  # plane indices within each wave
-        ops = [(a, b, w, lr, [x[a:b] for x in den]) for w, (a, b, lr) in enumerate(waves)]
+        # each wave's X = [c; products] is a view of one buffer for the largest
+        xs = np.empty(max((w + 1) * (b - a) for w, (a, b, _) in enumerate(waves)), buf.dtype)
+        ops = []
+        for w, (a, b, lr) in enumerate(waves):
+            k = b - a
+            ops.append((a, b, lr, [x[a:b] for x in den], xs[:(w + 1) * k].reshape(w + 1, k),
+                        xs[:k], xs[k:(w + 1) * k]))
         singular = D == 0
-        prepared[buf.dtype] = plan = (singular, singular.any(axis=0)[cols], ops)
+        exact = fmt.is_binary64 or buf.dtype == np.complex64  # no step rounds
+        prepared[buf.dtype] = plan = (singular, singular.any(axis=0)[cols], exact, ops)
         return plan
 
     def steps(buf, c, ctx):
-        exact = fmt.is_binary64 or buf.dtype == np.complex64  # no step rounds
-        singular, failing, ops = prepared.get(buf.dtype) or prepare(buf)
-        for start, stop, w, lr, den in ops:
-            X = np.empty((w + 1, stop - start), dtype=buf.dtype)
-            X[0] = c[start:stop]
-            P = buf[lr]
-            _product(P[0], P[1], fmt, out=X[1:].reshape(-1))
+        singular, failing, exact, ops = prepared.get(buf.dtype) or prepare(buf)
+        for start, stop, lr, den, X, x0, prods in ops:
+            x0[...] = c[start:stop]
+            P = buf[lr]  # a fancy-index gather beats a take into a kept buffer
+            _product(P[0], P[1], fmt, out=prods)
             if exact:  # x - p is x + (-p) exactly: the sums of fl_sum(-products, start=c)
                 _smith_planes(np.subtract.accumulate(X, axis=0, out=X)[-1], den, buf[start:stop])
             else:
-                buf[start:stop] = _smith_numerator(_accumulate(-X[1:], X[0], fmt), den, fmt)
+                buf[start:stop] = _smith_numerator(_accumulate(-X[1:], x0, fmt), den, fmt)
         Y = np.empty(m * n, dtype=buf.dtype)
         Y[order] = buf[:m * n]
         Y = Y.reshape(m, n)
@@ -274,8 +281,9 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
         C = as_matrix(C, ctx)
         if C.shape != (m, n):
             raise DimensionError("inconsistent dimensions")
-        buf = np.concatenate([np.zeros(m * n, dtype=C.dtype), T_A.ravel(), T_B.ravel()])
-        return _resident(steps, ctx, buf, C.ravel()[order])[0]
+        if C.dtype not in working:
+            working[C.dtype] = np.concatenate([np.zeros(m * n, C.dtype), T_A.ravel(), T_B.ravel()])
+        return _resident(steps, ctx, working[C.dtype], C.ravel()[order])[0]
 
     return solve
 

@@ -1,5 +1,6 @@
 """The scalar steps of `schur` and of the GMRES rotations composed from the
-rounded `_s*` steps of `mpsylv.precision`.
+rounded `_s*` steps of `mpsylv.precision`, and the per-entry sum of the
+binary32 and binary16 vector norm.
 
 They are the oracle of the scalar chains (`linalg._givens_chain`,
 `_shift_chain`, `_reflector_chain`, `gmresir._rotation_chain` and
@@ -10,8 +11,11 @@ the composition takes them.  Every format but binary64.
 
 import math
 
+import numpy as np
+
 from mpsylv.precision import (
     FpFormat,
+    _round_real_array,
     _round_real_scalar,
     _sabs,
     _sadd,
@@ -100,3 +104,28 @@ def _backsub_steps(acc: complex, hs: list, ys: list, fmt: FpFormat) -> complex:
     for h, y in zip(hs, ys):
         acc = _ssub(acc, _smul(h, y, fmt), fmt)
     return acc
+
+
+def _norm2_per_entry(x: np.ndarray, fmt: FpFormat) -> float:
+    """`linalg._norm2_steps` as each partial sum was rounded before its
+    cast-first loop: the double sum and its 2Sum residual, one
+    `_round_real_scalar` per entry, in every format."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if x.dtype == np.complex64:
+            mag = np.sqrt(np.square(x.real) + np.square(x.imag))
+        else:
+            r = _round_real_array
+            sq = r(np.array([x.real * x.real, x.imag * x.imag]), fmt)
+            s = r(sq[0] + sq[1], fmt)
+            finite = np.isfinite(s)
+            mag = np.where(finite, r(np.sqrt(np.where(finite, s, 0.0)), fmt), np.inf)
+    acc = 0.0
+    for a in mag.tolist():
+        b = a ** 2
+        s = acc + b
+        e = 0.0
+        if math.isfinite(s):
+            bv = s - acc
+            e = (acc - (s - bv)) + (b - bv)
+        acc = _round_real_scalar(s, fmt, e)
+    return _ssqrt(acc, fmt)

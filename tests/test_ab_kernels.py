@@ -1,5 +1,5 @@
 """`tools/ab_kernels.py` on one tree against itself, at small sizes, and
-its fingerprint mode on a prefix of its cases."""
+its fingerprint mode on a prefix of the cases of both families."""
 
 import importlib.util
 import subprocess
@@ -14,7 +14,7 @@ _spec = importlib.util.spec_from_file_location("ab_kernels", _PATH)
 ab_kernels = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_kernels)
 
-FINGERPRINT_CASES = 18  # each format at least twice
+FINGERPRINT_CASES = 18  # each format at least twice; GMRES-IR in four formats
 KERNELS = ["schur-b32-m4", "schur-pair-b32-m4", "sylv-tri-b32-m4",
            "schur-b64-m5", "schur-pair-b64-m5", "sylv-tri-b64-m5"]
 
@@ -50,7 +50,20 @@ def test_fingerprint_of_one_tree_against_itself():
          "--fingerprint", str(FINGERPRINT_CASES)],
         capture_output=True, text=True, check=False, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.startswith(f"{FINGERPRINT_CASES} schur cases byte-identical: ")
+    schur_line, solve_line = proc.stdout.splitlines()
+    assert schur_line.startswith(f"{FINGERPRINT_CASES} schur cases byte-identical: ")
+    assert solve_line.startswith(f"{FINGERPRINT_CASES} solve cases byte-identical: ")
+    for end in ("solved", "NumericBreakdownError", "SingularEquationError"):
+        assert end in solve_line
+
+
+def test_solve_cases_cover_the_family():
+    lib = ab_kernels.load_tree(ROOT, "mpsylv_cases")
+    labels = [case[0] for case in ab_kernels.solve_cases(lib, FINGERPRINT_CASES)]
+    for tag in ("lower", "singular", "complex64", "gmres-4x4", "gmres-5x3"):
+        assert any(tag in label.split()[-1].split("+") for label in labels), tag
+    gmres = {label.split()[3] for label in labels if "gmres" in label}
+    assert {"binary32", "binary64"} <= gmres
 
 
 def test_fingerprint_names_the_first_differing_case(monkeypatch):
@@ -70,4 +83,25 @@ def test_fingerprint_names_the_first_differing_case(monkeypatch):
         return lib
     monkeypatch.setattr(ab_kernels, "load_tree", changed)
     with pytest.raises(AssertionError, match=r"^case \d+ binary64 m=\d+ .*: outputs differ$"):
+        ab_kernels.fingerprint(ROOT, ROOT, FINGERPRINT_CASES)
+
+
+def test_fingerprint_names_the_first_differing_solve_case(monkeypatch):
+    """A prepared solve changed in the last bit of Y in one tree: the first
+    solve case with a regular pair differs."""
+    load_tree = ab_kernels.load_tree
+
+    def changed(tree, name):
+        lib = load_tree(tree, name)
+        if name == "mpsylv_change":
+            prepare = lib.sylvester._prepare_sylv_tri
+
+            def off_by_an_ulp(T_A, T_B, ctx):
+                solve = prepare(T_A, T_B, ctx)
+                return lambda C: solve(C) * (1 + 2.0**-52)
+            monkeypatch.setattr(lib.sylvester, "_prepare_sylv_tri", off_by_an_ulp)
+        return lib
+    monkeypatch.setattr(ab_kernels, "load_tree", changed)
+    monkeypatch.setattr(ab_kernels, "_schur_family", lambda libs, count: "")
+    with pytest.raises(AssertionError, match=r"^solve case \d+ .*: outputs differ$"):
         ab_kernels.fingerprint(ROOT, ROOT, FINGERPRINT_CASES)

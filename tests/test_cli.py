@@ -22,6 +22,39 @@ from mpsylv.refinement import RefinementConfig
 RCFG = RefinementConfig(BINARY32, BINARY64)
 
 
+class TestRowSingularValues:
+    """``condu`` of a sweep row reuses the singular values that generating
+    the row's problem computed: the value of a fresh SVD, no second
+    Kronecker SVD, and nothing kept once the row is done."""
+
+    def test_condu_matches_a_fresh_svd(self):
+        for t in (0.5, 3.0, 9.0):  # t < 1 draws once and computes no SVD
+            with cli._row_singular_values():
+                p = generate(ProblemGenerator("logspace-conditioned", 6, 5, t, 1))
+                kept = cli._condu(p, BINARY64)
+                assert (id(p) in cli._ROW_SV.get()) == (t >= 1)
+            assert cli._ROW_SV.get(None) is None
+            assert kept == cli._condu(p, BINARY64)
+
+    def test_one_kronecker_svd_per_draw(self, tmp_path, monkeypatch):
+        svd, calls = np.linalg.svd, []
+
+        def spy(M, *args, **kwargs):
+            calls.append(np.shape(M))
+            return svd(M, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        t_values = [2, 3, 0.5]
+        for idx, t in enumerate(t_values):
+            generate(ProblemGenerator("logspace-conditioned", 5, 6, float(t), 4, stream=idx))
+        drawn = calls.count((30, 30))
+        calls.clear()
+        rows = run_sweep_cond(5, 6, t_values, 4, RCFG, tmp_path / "c.csv", reproducible=True,
+                              solvers=("bs",))
+        # the t = 0.5 row's condu takes an SVD of its own
+        assert calls.count((30, 30)) == drawn + 1
+        assert all(r[1] > 0 for r in rows)
+
+
 class TestGenerate:
     def test_scalar_logspace_is_exact(self):
         p = generate(ProblemGenerator("logspace-conditioned", 1, 1, 0.0, 9))

@@ -11,6 +11,7 @@ from mpsylv.errors import (
     MpsylvError,
     NonFiniteInputError,
     NotHermitianError,
+    NumericBreakdownError,
     RankDeficiencyError,
     SingularMatrixError,
 )
@@ -801,6 +802,19 @@ class TestSchurStack:
         assert flops["low"] > 0
         (error, _), flops = self._same(BINARY32, B, A)
         assert error is FormatOverflowError and flops == {}
+
+    def test_givens_operand_past_the_double_range(self, rng):
+        """|g| of a finite binary64 Givens operand passes the largest
+        double: NumericBreakdownError alone, and in a pair with an ordinary
+        matrix on either side, where it stops the pair driver."""
+        big = np.array([[1, 1], [1.5e308 + 1.5e308j, 1]])
+        with pytest.raises(NumericBreakdownError, match="double range"):
+            schur(big, CTX)
+        A = cmat(rng, 2, 2)
+        (error, _), flops = self._same(BINARY64, A, big)
+        assert error is NumericBreakdownError and flops["low"] > 0
+        (error, _), flops = self._same(BINARY64, big, A)
+        assert error is NumericBreakdownError
 
     @pytest.mark.parametrize("fmt, big", [(BINARY32, 3e38), (BINARY64, 1.7e308)],
                              ids=["binary32", "binary64"])

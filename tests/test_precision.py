@@ -29,6 +29,7 @@ from mpsylv.precision import (
     round_complex,
     round_matrix,
     round_to,
+    _accumulate,
     _add,
     _binary32,
     _chop,
@@ -40,6 +41,7 @@ from mpsylv.precision import (
     _round_real_scalar,
     _rounded_sum,
     _sub,
+    _summed_products,
 )
 
 ALL_FORMATS = [BFLOAT16, BINARY16, TF32, B24, BINARY32, BINARY64]
@@ -578,6 +580,77 @@ class TestBinary32Native:
                          (fl_mul(a, 3.0, self.CTX), _soft_product(a, 3.0))):
             assert (_cbits(got) == _cbits(ref)).all()
         assert _bits(fl_add(a, 1.0, self.CTX).real)[0] == 0x7FF8000000000123
+
+
+class TestProductInto:
+    """`_product` of complex64 operands formed straight in the planes of a
+    caller's out has the bytes of `_mul_parts` and of `_product` without
+    out, for broadcast shapes, signed zeros and infinities; and the block
+    sums of `gemm`'s steps formed in their accumulation buffer
+    (`_summed_products`) have the bytes of `_accumulate` of the products."""
+
+    SHAPES = [((7, 5, 1), (7, 1, 3)), ((4,), (4,)), ((), (6,)), ((3, 1), (1, 4)),
+              ((2, 1, 5), (5,))]
+
+    @staticmethod
+    def _operands(rng, shape):
+        """complex64 values of the shape, a quarter of the parts taken from
+        +-0, +-inf, the largest value and the smallest subnormal."""
+        special = np.array([0.0, -0.0, np.inf, -np.inf, BINARY32.max_finite,
+                            -BINARY32.smallest_subnormal], dtype=np.float32)
+        parts = rng.standard_normal((2,) + shape).astype(np.float32)
+        pick = rng.random(parts.shape) < 0.25
+        parts[pick] = rng.choice(special, int(pick.sum()))
+        return _compose(parts[0], parts[1]).astype(np.complex64)
+
+    def test_matches_mul_parts_and_the_product_without_out(self, rng):
+        seen = np.zeros(3, dtype=bool)  # a NaN, an inf, a -0 among the parts
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(20):
+                for sa, sb in self.SHAPES:
+                    a, b = self._operands(rng, sa), self._operands(rng, sb)
+                    out = np.empty(np.broadcast_shapes(sa, sb), dtype=np.complex64)
+                    assert _product(a, b, BINARY32, out=out) is out
+                    assert out.tobytes() == _product(a, b, BINARY32).tobytes()
+                    a, b = a.astype(np.complex128), b.astype(np.complex128)
+                    want = _mul_parts(a.real, a.imag, b.real, b.imag, BINARY32)
+                    got = np.array([out.real, out.imag], dtype=np.float64)
+                    assert (_bits(got) == _bits(want)).all()
+                    seen |= [np.isnan(got).any(), np.isinf(got).any(),
+                             (_bits(got) == _bits(-0.0)).any()]
+        assert seen.all()
+
+    @pytest.mark.parametrize("fmt", [BINARY32, BINARY64, BFLOAT16], ids=lambda f: f.name)
+    def test_summed_products_match_accumulate(self, fmt, rng):
+        """complex64 operands in binary32; binary64 with NaNs of distinct
+        payloads, which the one accumulate and the step-by-step sums keep
+        differently where two meet, so a NaN total sums again; bfloat16,
+        which sums step by step."""
+        dtype = np.complex64 if fmt is BINARY32 else np.complex128
+        resummed = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(40):
+                kb, m, n = (int(k) for k in rng.integers(2, 8, 3))
+                A = self._operands(rng, (m, kb)).astype(dtype)
+                B = self._operands(rng, (kb, n)).astype(dtype)
+                start = self._operands(rng, (m, n)).astype(dtype)
+                if fmt is BINARY64:
+                    pay = rng.integers(1, 2**50, 6).astype(np.uint64) | np.uint64(0x7FF8 << 48)
+                    pay[::2] |= np.uint64(1 << 63)
+                    nan = pay.view(np.float64)
+                    for x in range(3):
+                        A[rng.integers(m), rng.integers(kb)] = complex(1.0, nan[x])
+                        B[rng.integers(kb), rng.integers(n)] = complex(nan[3 + x], 0.5)
+                a, b = A.T[:, :, None], B[:, None, :]
+                for s in (None, start):
+                    P = _product(a, b, fmt)
+                    want = _accumulate(P, s, fmt)
+                    got = _summed_products(_product, a, b, s, fmt, (kb, m, n))
+                    assert got.dtype == want.dtype == dtype
+                    assert got.tobytes() == want.tobytes()
+                    if fmt is BINARY64:
+                        resummed += want.tobytes() != precision._buffer_sum(P, s).tobytes()
+        assert resummed or fmt is not BINARY64
 
 
 class TestRoundMatrix:

@@ -537,6 +537,35 @@ class TestPreparedPair:
         self._check(T_A, T_B, Cs, "binary32", singular)
 
 
+class TestInterleavedPairs:
+    """Two pairs of one shape and dtype, prepared at once and solved in
+    turn: every solve has the bytes of a one-shot `solve_sylv_tri` and of
+    the column-by-column recurrence, so no working or wave buffer is
+    shared through `_wave_plan`'s cache (a buffer shared by shape would
+    give the one-shot solves the same wrong bytes)."""
+
+    @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+    @pytest.mark.parametrize("fmt", ["binary32-in-kernel", "binary64"])
+    def test_each_solve_matches_one_shot(self, fmt, lower):
+        name = fmt.split("-")[0]
+        ctx = PrecisionContext(parse_format(name))
+        pairs = [_sequence(name, lower, False, seed=seed) for seed in (7, 8)]
+        if fmt == "binary32-in-kernel":  # the steps of a GMRES correction
+            with np.errstate(over="ignore"):
+                pairs = [[M.astype(np.complex64) for M in (T_A, T_B)]
+                         + [[C.astype(np.complex64) for C in Cs]] for T_A, T_B, Cs in pairs]
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            solves = [sylvester._prepare_sylv_tri(T_A, T_B, ctx) for T_A, T_B, _ in pairs]
+            for k in range(12):
+                for (T_A, T_B, Cs), solve in zip(pairs, solves):
+                    got = _result(solve, Cs[k])
+                    assert isinstance(got, bytes)
+                    assert got == _result(solve_sylv_tri, T_A, T_B, Cs[k], ctx)
+                    wide = [np.asarray(M, dtype=np.complex128) for M in (T_A, T_B, Cs[k])]
+                    assert got == _result(column_order_solve, *wide, ctx)
+
+
 class TestPreparedPairCallers:
     """GMRES-IR prepares one pair per correction and the stationary
     refinement one per call; with a pair prepared afresh for every solve,

@@ -46,6 +46,7 @@ from conftest import cmat, hermitian
 from scalar_oracle import (
     _backsub_steps,
     _givens_steps,
+    _norm2_per_entry,
     _reflector_scalars,
     _rotation_steps,
     _shift_steps,
@@ -305,6 +306,75 @@ def test_norm2_steps_float32_matches_software(rng):
     assert len(native) > SETS[BINARY32] // 2
     assert np.isinf(ref).sum() > 1000 and (ref == 0.0).sum() > 100
     assert np.isinf(want).sum() > np.isinf(ref).sum()  # the NaN vectors
+
+
+def _norm_vectors(rng, fmt):
+    """(family, vectors) of complex128 vectors of values of fmt built to
+    hit each branch of the cast-first norm loop."""
+    top, tiny = fmt.max_finite, fmt.smallest_subnormal
+    t = fmt.significand_bits
+    # odd a with a * a of t + 1 bits: a midpoint of fmt
+    odd = rng.integers(math.ceil(2 ** (t / 2)), math.ceil(2 ** ((t + 1) / 2)), 200) | 1
+    exact = [np.array([a], dtype=np.complex128) for a in odd[:20]]
+    # a square before it lost from the double sum (binary32): its residual
+    # decides the tie; in binary16 the sum is exact and the tie goes to even
+    residual = [np.array([2.0 ** -((t + 7) // 2), a]) + 0j for a in odd]
+    # squares that overflow the format in their sum, some near the top
+    near = [np.array(round_matrix(rng.uniform(0.5, 1.0, 3) * math.sqrt(top), fmt).real)
+            for _ in range(100)]
+    over = near + [np.array([math.sqrt(top) * 0.8] * 2)]
+    # partial sums below the normal range
+    sub = [round_matrix(rng.uniform(1.0, 2.0, 4) * math.sqrt(tiny) * 2.0 ** rng.integers(0, 3),
+                        fmt).real for _ in range(200)]
+    inf, nan = math.inf, math.nan
+    # a NaN with payload bits that a float32 copy keeps, and its negative
+    pay, neg = np.array([0x7FF8010000000000, 0xFFF8000200000000], np.uint64).view(np.float64)
+    special = [np.array(v) for v in ([1.0, inf], [inf, 2.0], [-inf, 1.0], [nan, 1.0],
+                                     [1.0, complex(nan, 2.0)], [inf, nan], [nan, -inf],
+                                     [complex(1.0, -inf), 3.0], [pay, 1.0], [2.0, neg, pay])]
+    ordinary = [round_matrix(rng.standard_normal(int(k)) + 1j * rng.standard_normal(int(k)),
+                             fmt).ravel() for k in rng.integers(1, 40, 200)]
+    return {"exact": exact, "residual": residual, "overflow": over, "subnormal": sub,
+            "special": special, "ordinary": ordinary}
+
+
+@pytest.mark.parametrize("fmt", [BINARY32, BINARY16], ids=_ids)
+def test_norm2_steps_match_the_per_entry_loop(fmt, rng, monkeypatch):
+    """The cast-first loop of `_norm2_steps` against the per-entry loop it
+    replaced (`scalar_oracle._norm2_per_entry`), bit for bit, on complex128
+    vectors and on their complex64 copies, whose float32 magnitudes keep
+    NaN (complex128 magnitudes turn it into inf).  The midpoints take the
+    fallback, and so do binary16's overflows, whose cast raises (binary32's
+    gives inf), and NaN sums; ordinary entries almost never do."""
+    fallback = {"exact", "residual"} if fmt is BINARY32 else {"exact", "overflow"}
+    fallbacks = []
+    sums = linalg._sums
+    monkeypatch.setattr(linalg, "_sums", lambda *a: fallbacks.append(a) or sums(*a))
+    as_bits = lambda v: np.array(v, dtype=np.float64).view(np.uint64)
+    for family, vectors in _norm_vectors(rng, fmt).items():
+        fallbacks.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionOverflowWarning)
+            vectors = [np.asarray(v, dtype=np.complex128) for v in vectors]
+        with np.errstate(over="ignore", invalid="ignore"):
+            wide = [v.astype(np.complex64) for v in vectors]
+            got = [_norm2_steps(v, fmt) for v in vectors + wide]
+            for v, norm in zip(vectors + wide, got):
+                assert as_bits(norm) == as_bits(_norm2_per_entry(v, fmt)), (family, v)
+        if family == "overflow":
+            assert math.inf in got
+        if family == "subnormal":
+            assert all(0.0 < x < math.sqrt(fmt.smallest_normal) for x in got)
+        if family == "special":
+            assert sum(math.isnan(x) for x in got) >= 6 and math.inf in got
+        if family == "ordinary":
+            assert len(fallbacks) < sum(map(len, vectors + wide)) // 100
+        assert fallbacks or family not in fallback, family
+    # the sums before the square root: 4097^2 = 2^24 + 2^13 + 1 is a tie,
+    # which the residual 2^-30 rounds up, and the cast alone to even
+    monkeypatch.setattr(linalg, "_ssqrt", lambda x, fmt: x)
+    assert _norm2_steps(np.array([2.0 ** -15, 4097.0]) + 0j, BINARY32) == 2**24 + 2**13 + 2
+    assert _norm2_steps(np.array([4097.0]) + 0j, BINARY32) == 2**24 + 2**13
 
 
 @pytest.mark.parametrize("fmt", FORMATS, ids=_ids)

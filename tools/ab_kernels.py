@@ -26,16 +26,29 @@ the change in the median, and the rounds the change won.  Every output
 byte for byte in both trees, or the script stops with exit status 1.
 BLAS runs on one thread.
 
-``--fingerprint`` times nothing: it runs ``schur`` on the first N (810
-by default) of a seeded set of cases in both trees and compares U, T,
-the flop buckets, and the error type and message byte for byte, naming
-the first case that differs (exit status 1).  The formats cycle through
-binary32 and binary64 twice, at m 1-24, then bfloat16, binary16, tf32,
-b24 and 40:11, at m 1-14, on stacks of 1-3 matrices.  Each matrix is
-dense, real, Hessenberg with +-0 and negligible subdiagonal entries,
-Hessenberg with a NaN or inf in its deflated last column, near the top
-of the format's range (1e308 in binary64, sometimes past it), a scaled
-cyclic permutation, triangular, diagonal, the identity or graded.
+``--fingerprint`` times nothing: it runs the first N (810 by default)
+of each of two seeded case families in both trees and compares their
+outputs, the flop buckets, and the error type and message byte for
+byte, naming the first case that differs (exit status 1).
+
+- ``schur`` cases.  The formats cycle through binary32 and binary64
+  twice, at m 1-24, then bfloat16, binary16, tf32, b24 and 40:11, at
+  m 1-14, on stacks of 1-3 matrices.  Each matrix is dense, real,
+  Hessenberg with +-0 and negligible subdiagonal entries, Hessenberg with
+  a NaN or inf in its deflated last column, near the top of the format's
+  range (1e308 in binary64, sometimes past it), a scaled cyclic
+  permutation, triangular, diagonal, the identity or graded.
+- Solve cases.  The seven formats in turn, each case a triangular pair
+  T_A Y + Y T_B = C of values of the format at m, n 1-7, with T_B upper
+  or lower triangular and a quarter of the pairs singular, and four
+  right-hand sides: ordinary, near the top of the range (it overflows),
+  not rounded into the format (binary32's software path) and ordinary.
+  A quarter of the binary32 cases pass complex64 operands, as a GMRES
+  correction's steps do.  Each case runs a one-shot ``solve_sylv_tri``
+  of the first C, one prepared pair (``_prepare_sylv_tri``) over all
+  four, and ``_vec_norm2_ctx`` of each C; cases 0 and 4 of every nine
+  also run ``gmres_ir_sylv`` (u_g the format, u_h binary64, restart 3) on
+  a 4x4 or 5x3 problem.
 """
 
 from __future__ import annotations
@@ -44,8 +57,10 @@ import argparse
 import importlib.util
 import os
 import statistics
+import struct
 import sys
 import time
+import warnings
 from pathlib import Path
 
 if __name__ == "__main__":  # before numpy loads its thread pools
@@ -69,7 +84,7 @@ def load_tree(tree: Path, name: str):
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
-    for sub in ("cli", "errors", "linalg", "precision", "sylvester"):
+    for sub in ("cli", "errors", "gmresir", "linalg", "precision", "refinement", "sylvester"):
         importlib.import_module(f"{name}.{sub}")
     return pkg
 
@@ -86,17 +101,23 @@ def problems(lib, m: int, count: int):
             for k in range(count)]
 
 
-def _outcome(lib, fmt, run):
-    """The bytes of ``run(ctx)``'s arrays and the flop buckets, or the type
-    and message of the exception it raises: an MpsylvError, or any other
-    (binary64 ``schur`` raises OverflowError on some inputs near 1e308)."""
+def _result(run, ctx):
+    """The bytes of ``run(ctx)``'s arrays, or the type and message of the
+    exception it raises: an MpsylvError, or any other."""
+    try:
+        return [np.ascontiguousarray(a).tobytes() for a in run(ctx)]
+    except Exception as exc:  # compared between the trees, not handled
+        return type(exc).__name__, str(exc)
+
+
+def _outcome(lib, fmt, *runs):
+    """The `_result` of each of ``runs`` in turn, under one context, and
+    the flop buckets they charged: a 1-tuple's result stands alone."""
     counter = lib.precision.FlopCounter()
     ctx = lib.precision.PrecisionContext(lib.precision.parse_format(fmt), counter, "low")
-    try:
-        out = [np.ascontiguousarray(a).tobytes() for a in run(ctx)]
-    except Exception as exc:  # compared between the trees, not handled
-        out = (type(exc).__name__, str(exc))
-    return out, dict(counter.counts)
+    with np.errstate(all="ignore"):
+        out = [_result(run, ctx) for run in runs]
+    return out[0] if len(out) == 1 else out, dict(counter.counts)
 
 
 def inputs(lib, b32, b64):
@@ -211,11 +232,82 @@ def fingerprint_cases(lib, count: int):
     return cases
 
 
-def fingerprint(parent: Path, change: Path, count: int) -> str:
-    """A summary of the first ``count`` fingerprint cases, whose outputs are
-    the same byte for byte in both trees.  Raises AssertionError naming
-    the first case whose outputs differ."""
-    libs = [load_tree(parent, "mpsylv_parent"), load_tree(change, "mpsylv_change")]
+SOLVE_FORMATS = ("bfloat16", "binary16", "tf32", "b24", "binary32", "40:11", "binary64")
+
+
+def solve_cases(lib, count: int):
+    """The first ``count`` solve cases (label, format, T_A, T_B, [C], p):
+    values of the format in complex128, or complex64 in binary32, and a
+    SylvesterProblem p for `gmres_ir_sylv` or None; case i is drawn from
+    seed 10000 + i."""
+    cases = []
+    for i in range(count):
+        rng = np.random.default_rng(10_000 + i)
+        fmt = SOLVE_FORMATS[i % len(SOLVE_FORMATS)]
+        f = lib.precision.parse_format(fmt)
+        m, n = (int(k) for k in rng.integers(1, 8, 2))
+        cm = lambda r, c: rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+        T_A, T_B = np.triu(cm(m, m)) + 2 * np.eye(m), np.triu(cm(n, n)) + 2 * np.eye(n)
+        tags = []
+        if rng.random() < 0.5:
+            T_B, tags = T_B.T.copy(), tags + ["lower"]
+        if rng.random() < 0.25:  # T_A[k, k] + T_B[j, j] = 0
+            k, j = int(rng.integers(m)), int(rng.integers(n))
+            T_A[k, k] = -T_B[j, j]
+            tags.append("singular")
+        Cs = [cm(m, n) for _ in range(4)]
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            Cs[1] *= f.max_finite / 2
+            warnings.simplefilter("ignore")  # the near-top C rounds to inf in places
+            T_A, T_B = (lib.precision.round_matrix(T, f) for T in (T_A, T_B))
+            Cs = [C if k == 2 else lib.precision.round_matrix(C, f) for k, C in enumerate(Cs)]
+            if fmt == "binary32" and rng.random() < 0.5:
+                T_A, T_B, *Cs = (M.astype(np.complex64) for M in [T_A, T_B] + Cs)
+                tags.append("complex64")
+        p = None
+        if i % 9 in (0, 4):
+            pm, pn = ((4, 4), (5, 3))[i // 4 % 2]
+            A, B = cm(pm, pm) + 3 * np.eye(pm), cm(pn, pn) + 3 * np.eye(pn)
+            p = lib.sylvester.SylvesterProblem(A, B, cm(pm, pn))
+            tags.append(f"gmres-{pm}x{pn}")
+        cases.append((f"solve case {i} {fmt} m={m} n={n} {'+'.join(tags) or 'upper'}",
+                      fmt, T_A, T_B, Cs, p))
+    return cases
+
+
+def _solve_runs(lib, T_A, T_B, Cs, p):
+    """The runs of one solve case, for `_outcome`: a one-shot solve of
+    Cs[0], one prepared pair over each C in turn (a pair that fails to
+    prepare fails each run), the norm of each C raveled, and
+    `gmres_ir_sylv` on p (X, iterations and failure) when p is given."""
+    sylvester, linalg = lib.sylvester, lib.linalg
+    pair = []
+
+    def prepared(C):
+        def run(ctx):
+            if not pair:
+                pair.append(sylvester._prepare_sylv_tri(T_A, T_B, ctx))
+            return [pair[0](C)]
+        return run
+
+    def norm(C):
+        return lambda ctx: [struct.pack("<d", linalg._vec_norm2_ctx(C.ravel(), ctx))]
+
+    def gmres(ctx):
+        fmt = ctx.format
+        rcfg = lib.refinement.RefinementConfig(fmt, lib.precision.parse_format("binary64"),
+                                               max_iter=6)
+        rep = lib.gmresir.gmres_ir_sylv(p, lib.gmresir.GmresConfig(fmt, restart=3), rcfg,
+                                        ctx.counter)
+        return [rep.X, np.array([rep.outer_iterations, *rep.inner_iterations]),
+                str(rep.failure).encode()]
+
+    runs = [lambda ctx: [sylvester.solve_sylv_tri(T_A, T_B, Cs[0], ctx)]]
+    runs += [prepared(C) for C in Cs] + [norm(C) for C in Cs]
+    return runs + ([gmres] if p is not None else [])
+
+
+def _schur_family(libs, count: int) -> str:
     ends = {}
     for label, fmt, A in fingerprint_cases(libs[0], count):
         outs = [_outcome(lib, fmt, lambda ctx, lib=lib: _factors(lib, A, ctx)) for lib in libs]
@@ -227,6 +319,27 @@ def fingerprint(parent: Path, change: Path, count: int) -> str:
         ends[end] = ends.get(end, 0) + 1
     return f"{count} schur cases byte-identical: " + ", ".join(
         f"{n} {end}" for end, n in sorted(ends.items()))
+
+
+def _solve_family(libs, count: int) -> str:
+    ends = {}
+    for label, fmt, T_A, T_B, Cs, p in solve_cases(libs[0], count):
+        outs = [_outcome(lib, fmt, *_solve_runs(lib, T_A, T_B, Cs, p)) for lib in libs]
+        if outs[0] != outs[1]:
+            raise AssertionError(f"{label}: outputs differ")
+        for out in outs[0][0][:5]:  # the solves
+            end = out[0] if isinstance(out, tuple) else "solved"
+            ends[end] = ends.get(end, 0) + 1
+    return f"{count} solve cases byte-identical: " + ", ".join(
+        f"{n} {end}" for end, n in sorted(ends.items())) + " (of 5 solves each)"
+
+
+def fingerprint(parent: Path, change: Path, count: int) -> str:
+    """A summary of the first ``count`` cases of each family, whose outputs
+    are the same byte for byte in both trees, one line per family.  Raises
+    AssertionError naming the first case whose outputs differ."""
+    libs = [load_tree(parent, "mpsylv_parent"), load_tree(change, "mpsylv_change")]
+    return _schur_family(libs, count) + "\n" + _solve_family(libs, count)
 
 
 def format_table(times) -> str:
@@ -252,8 +365,8 @@ def main(argv=None) -> int:
     ap.add_argument("--b64", type=int, nargs=2, default=(24, 5), metavar=("M", "K"),
                     help="binary64 problem size and count")
     ap.add_argument("--fingerprint", type=int, nargs="?", const=810, default=None, metavar="N",
-                    help="compare schur outputs on the first N fingerprint cases (810 if N "
-                         "is not given) instead of timing")
+                    help="compare the outputs of the first N cases of each fingerprint "
+                         "family (810 if N is not given) instead of timing")
     args = ap.parse_args(argv)
     if args.rounds < 1 or min(*args.b32, *args.b64) < 1:
         ap.error("--rounds, M and K must be >= 1")
