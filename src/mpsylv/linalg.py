@@ -13,8 +13,7 @@ functions are the entry points for code outside a kernel.
 Householder reduction updates the whole stack in lockstep, and one driver
 runs the QR iterations a pair at a time, rotating both matrices' rows,
 then columns, through one strided view per pass, padded with exact zeros
-that a finite rotation keeps zero; a complex128 reduction or paired run
-that leaves a matrix not all finite runs again alone, unpadded.
+that a finite rotation keeps zero.
 Its QR iteration is the one eigenvalue iteration here: `hermitian_eig`
 reads a Hermitian matrix's eigendecomposition off its Schur form.
 
@@ -26,9 +25,11 @@ inverse, with no iteration tolerance.
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -54,6 +55,7 @@ from .precision import (
     _accumulate,
     _add,
     _binary32,
+    _canonical,
     _divide,
     _product,
     _resident,
@@ -226,7 +228,7 @@ def _frobenius(v) -> float:
     v = np.asarray(v)
     if v.dtype in (np.complex64, np.float32):
         v = v.astype(np.result_type(v.dtype, np.float64))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         nrm = float(np.linalg.norm(v))
     if math.isinf(nrm) and np.isfinite(v).all():
         s = float(np.abs(v).max())
@@ -312,7 +314,8 @@ def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
     alike (`_givens_chain`).  Each partial sum acc + |x_i|^2 is `_sums`'
     rounding, which in binary32 and binary16 is a ``struct`` cast of the
     double sum s unless that raises OverflowError, s is NaN or Veltkamp's
-    split says s may be a midpoint (see `_round_real_scalar`)."""
+    split says s may be a midpoint (see `_round_real_scalar`).  A NaN part
+    makes |x_i| inf in the rounded steps, so a NaN sum is inf."""
     with np.errstate(invalid="ignore", over="ignore"):
         if x.dtype == np.complex64:
             mag = np.sqrt(np.square(x.real) + np.square(x.imag))
@@ -335,7 +338,7 @@ def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
             y = None
         cast = y == s or y is not None and s == s and (c := s * split) - (c - s) != s
         acc = y if cast else _sums(fmt, acc, b)[0]
-    return _ssqrt(acc, fmt)
+    return _ssqrt(acc if acc == acc else math.inf, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +634,7 @@ def lu_solve(F: LuFactors, B, side: str = "left", transpose: str = "no",
         # X A = B  <=>  A* X* = B*;  X A* = B  <=>  A X* = B*
         inner = "no" if transpose == "conj" else "conj"
         Y = lu_solve(F, B.conj().T, side="left", transpose=inner, ctx=ctx)
-        return Y.conj().T
+        return _canonical(Y.conj().T)  # conj flips a NaN's sign
     if B.shape[0] != n:
         raise DimensionError(f"rhs has {B.shape[0]} rows, expected {n}")
     if transpose == "no":
@@ -653,13 +656,10 @@ def _hessenberg(UH: np.ndarray, ctxs) -> bool:
     of [U; H], U = I on entry, in place, each matrix charged to its own
     context in ctxs.  A column's reflectors are formed in stack order and,
     when every matrix has one, applied in one call per side, else one
-    matrix at a time.  numpy's NaN payloads follow its loop layout, so a
-    complex128 stack left not all finite is reduced again one at a time.
-    False if a complex64 UH meets a w that is not binary32 (a rescaled x,
-    `_make_reflector`) or ends holding a NaN."""
+    matrix at a time.  False if a complex64 UH meets a w that is not
+    binary32 (a rescaled x, `_make_reflector`), else True."""
     p, m = UH.shape[0], UH.shape[2]
     H, fmt = UH[:, m:], ctxs[0].format
-    start = UH.copy() if p > 1 and UH.dtype == np.complex128 else None
     for k in range(m - 2):
         r = m - k - 1
         formed = []
@@ -684,12 +684,7 @@ def _hessenberg(UH: np.ndarray, ctxs) -> bool:
                 ctxs[i].count(r * (12 * m - 4 * k + 3))
     if m > 2:
         H[(slice(None), *np.tril_indices(m, -2))] = 0.0
-    if start is not None and not np.isfinite(UH).all():
-        UH[...] = start
-        for i, c in enumerate(ctxs):
-            c.counter.reset()
-            _hessenberg(UH[i:i + 1], [c])
-    return not (UH.dtype == np.complex64 and np.isnan(UH).any())
+    return True
 
 
 def _givens(f: complex, g: complex, fmt: FpFormat):
@@ -806,8 +801,7 @@ def _rotation(dtype, fmt: FpFormat):
     complex64 X takes `_plane_product`'s steps on its float32 planes V:
     V * [kr, kr] + swap(V) * [-ki, ki] is exactly kr*gr - ki*gi and
     kr*gi + ki*gr, each step correctly rounded in any layout.  Others take
-    `_product` and `_add` of K = [c, s1, c, s2] and [X0, X1, X1, X0]: which
-    NaN numpy's add loop keeps where two meet depends on their place."""
+    `_product` and `_add` of K = [c, s1, c, s2] and [X0, X1, X1, X0]."""
     if dtype == np.complex64:
         (pack1, take1, K1), (pack2, take2, K2) = [
             (S.pack_into, take, np.empty(shape, np.float32)) for S, take, shape in _COMPLEX64]
@@ -833,14 +827,7 @@ def _rotation(dtype, fmt: FpFormat):
             c, s = k
             B = s * X[::-1]
             np.negative(b := B[1], out=b)
-            if X.ndim == 2 and X.strides[1] == X.itemsize:
-                # one matrix's two rows keep the in-place steps: numpy
-                # would run the out-of-place sum as one loop over both
-                # rows, not one per row, and so keep other NaN payloads
-                X *= c
-                X += B
-            else:
-                np.add(X * c, B, out=X)
+            np.add(X * c, B, out=X)
     else:
         def rotate(X, k):
             prods = _product(k, X[_PAIR], fmt)
@@ -971,9 +958,7 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
     matrix in turn.  The reduction runs the stack in lockstep
     (`_hessenberg`), and the QR iterations a pair at a time
     (`_qr_iteration`): two matrices' steps share views padded with exact
-    zeros, which a finite rotation keeps zero.  A complex128 reduction
-    or paired run that leaves a matrix not all finite (as a non-finite c
-    or s does) runs again alone and unpadded.
+    zeros, which a finite rotation keeps zero.
     """
     stacked = np.ndim(A) == 3
     if stacked and len(A) == 0:
@@ -1004,10 +989,10 @@ def schur(A, ctx: PrecisionContext = _CTX64) -> SchurFactors:
 
 def _schur_steps(UH: np.ndarray, *, ctx: PrecisionContext):
     """The steps of `schur` on the stack UH of [U; H], U = I on entry, in
-    place, as a 1-tuple; False as `_hessenberg` or `_qr_iteration` returns
-    it.  The reduction runs the stack in lockstep (`_hessenberg`), the QR
-    iterations a pair at a time (`_qr_iteration`).  Each matrix is charged
-    to a tally of its own, and the tallies go to ctx in stack order."""
+    place, as a 1-tuple, or False as `_hessenberg` returns it.  The
+    reduction runs the stack in lockstep (`_hessenberg`), the QR iterations
+    a pair at a time (`_qr_iteration`).  Each matrix is charged to a tally
+    of its own, and the tallies go to ctx in stack order."""
     ctxs = [PrecisionContext(ctx.format, FlopCounter()) for _ in UH]
     try:
         return _hessenberg(UH, ctxs) and _qr_iteration(UH, ctxs) and (UH,)
@@ -1020,25 +1005,20 @@ def _schur_steps(UH: np.ndarray, *, ctx: PrecisionContext):
 def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
     """The QR iterations of `schur` on the C-contiguous stack UH of
     Hessenberg [U; H], in place, each charged to its own context in ctxs:
-    False if a run (`_qr_steps`) returns False, else True, or the error of
-    the first matrix that raises; the charges of those after it are
-    dropped, and its partner in a pair is run no further.  Matrices 0 and
-    1 run to their ends, then 2 and 3, and an odd last one alone.  A
-    pair's pending steps are applied through one view per pass on UH's
-    buffer: the rows from the smaller first column, the columns to the
-    larger row count, with coefficients(c, s, cb, sb) of both steps.  The
-    entries this pads with are exact zeros below H's subdiagonal or a
-    deflated subdiagonal, which a rotation by finite c and s keeps zero
-    and T drops.  Where two NaN meet in a commutative complex128 step,
-    numpy keeps either, by where its loop meets them: a paired complex128
-    matrix that ends not all finite, however it ends, runs again alone
-    from its reduced [U; H] and tally (`start`); one that ends finite has
-    the bits of a run alone."""
+    True, or the error of the first matrix that raises, whose partner is
+    run no further, raised with the charges of those after it dropped.
+    Matrices 0 and 1 run to their ends, then 2 and 3, and an odd last one
+    alone.  A pair's pending steps are applied through one view per pass
+    on UH's buffer: the rows from the smaller first column, the columns to
+    the larger row count, with coefficients(c, s, cb, sb).  The entries
+    this pads with are exact zeros below H's subdiagonal or a deflated
+    subdiagonal, which a rotation by finite c and s keeps zero.  A Givens
+    step on a non-finite H may not have them (where c is not finite,
+    neither is s): a pair of steps whose s is not finite is applied a
+    matrix at a time."""
     p, m, dtype = UH.shape[0], UH.shape[2], UH.dtype
     coefficients, rotate = _rotation(dtype, ctxs[0].format)
     s0, s1, s2 = UH.strides
-    start = ((UH.copy(), [dict(c.counter.counts) for c in ctxs])
-             if p > 1 and dtype == np.complex128 else None)
 
     def alone(X, step):
         k, first, rows, c, s = step
@@ -1046,24 +1026,22 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
         rotate(X[m + k:m + k + 2, first:], K)
         rotate(X[:rows, k:k + 2].T, L)
 
-    def ended(stop):  # a run's return value, or its error
-        return stop.value if isinstance(stop, StopIteration) else stop
+    def error(stop):  # the error that ended a run, or None
+        return stop if isinstance(stop, MpsylvError) else None
 
-    def to_end(run, X, step=None):
-        """The end of a run, run alone from its pending step on."""
+    def to_end(steps, X):
+        """The error that ends a run of steps applied alone, or None."""
         try:
-            if step is not None:
+            for step in steps:
                 alone(X, step)
-            while True:
-                alone(X, next(run))
-        except (StopIteration, MpsylvError) as stop:
-            return ended(stop)
+        except MpsylvError as exc:
+            return exc
 
     for i in range(0, p, 2):
         X = UH[i]
         a = _qr_steps(X, ctxs[i])
         if i + 1 == p:
-            ends = [to_end(a, X)]
+            errors = [to_end(a, X)]
         else:
             Y, b = UH[i + 1], _qr_steps(UH[i + 1], ctxs[i + 1])
             rows0, cols0 = i * s0 + m * s1, i * s0  # the offsets of the pair's views
@@ -1071,32 +1049,30 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
                 try:
                     step = next(a)
                 except (StopIteration, MpsylvError) as stop:
-                    end = ended(stop)
-                    ends = [end, end is True and to_end(b, Y)]
+                    errors = [error(stop), error(stop) or to_end(b, Y)]
                     break
                 try:
                     other = next(b)
                 except (StopIteration, MpsylvError) as stop:
-                    ends = [to_end(a, X, step), ended(stop)]
+                    errors = [to_end(chain([step], a), X), error(stop)]
                     break
                 k, f, r, c, s = step
                 kb, fb, rb, cb, sb = other
+                if not (cmath.isfinite(s) and cmath.isfinite(sb)):
+                    alone(X, step)
+                    alone(Y, other)
+                    continue
                 K, L = coefficients(c, s, cb, sb)
                 f, r = f if f < fb else fb, r if r > rb else rb
                 rotate(np.ndarray((2, 2, m - f), dtype, UH, rows0 + k * s1 + f * s2,
                                   (s1, s0 + (kb - k) * s1, s2)), K)
                 rotate(np.ndarray((2, 2, r), dtype, UH, cols0 + k * s2,
                                   (s2, s0 + (kb - k) * s2, s1)), L)
-        for j, end in enumerate(ends, i):
-            if start and i + 1 < p and not np.isfinite(UH[j]).all():  # paired, not finite
-                UH[j], ctxs[j].counter.counts = start[0][j], start[1][j]
-                end = to_end(_qr_steps(UH[j], ctxs[j]), UH[j])
-            if end is not True:
+        for j, exc in enumerate(errors, i):
+            if exc is not None:
                 for c in ctxs[j + 1:]:
                     c.counter.reset()
-                if end is False:
-                    return False
-                raise end
+                raise exc
     return True
 
 
@@ -1104,9 +1080,8 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext):
     """The QR iteration of `schur` on one Hessenberg [U; H], a generator
     for `_qr_iteration`: it yields each Givens step (k, first, rows, c, s),
     resuming once the step is applied to rows k, k+1 of H from column
-    first and to columns k, k+1 of UH[:rows], and returns False as soon
-    as a sweep leaves a NaN in a complex64 UH, else True.  A sweep charges
-    its rotations' flops at its end and runs on the block [lo, hi] that
+    first and to columns k, k+1 of UH[:rows].  A sweep charges its
+    rotations' flops at its end and runs on the block [lo, hi] that
     `_deflate` finds, with `_givens`'s body bound once per run.  H's
     entries are read as Python complex numbers (``abs`` of a complex64
     numpy scalar returns float32)."""
@@ -1114,7 +1089,6 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext):
     H = UH[m:]
     fmt = ctx.format
     givens = _givens_binary64 if fmt.is_binary64 else lambda f, g: _givens_chain(f, g, fmt)
-    resident = UH.dtype == np.complex64
     u = fmt.unit_roundoff
     limit = 30 * m
     sweeps = 0
@@ -1152,9 +1126,6 @@ def _qr_steps(UH: np.ndarray, ctx: PrecisionContext):
         ctx.count(6 * columns)
         sweeps += 1
         stuck += 1
-        if resident and np.isnan(UH).any():
-            return False
-    return True
 
 
 def _deflate(H: np.ndarray, hi: int, u: float):

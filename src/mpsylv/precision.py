@@ -42,8 +42,12 @@ when the residual breaks a tie.  The array path hands every such sum to
 the software kernel; the scalar path (`_round_real_scalar`) casts it and
 calls the software kernel only when the double sum is exactly a midpoint
 of the format, the overflow threshold max_finite + ulp/2 included,
-since anywhere else the residual cannot change the rounding.  NaN inputs
-keep their payload.
+since anywhere else the residual cannot change the rounding.  Rounding
+keeps a NaN's payload; results do not.  A NaN only ever means a
+breakdown, and numpy picks its payload by loop layout and SIMD width, so
+every NaN real or imaginary part of a kernel or `fl_*` result is the
+quiet NaN 0x7ff8000000000000, as in RISC-V F and Arm's Default NaN mode,
+and every other part keeps its bits (`_canonical`, in `_entered`).
 
 Sequential sums have one whole-array form, `_accumulate`, the body of
 `fl_sum`.  In binary64 and binary32 it runs its sums as one
@@ -67,22 +71,17 @@ complex64 operation.  A product is formed from the float32 planes as
 (ar*br - ai*bi, ar*bi + ai*br): the steps the software path rounds, in
 the same order.  The complex64 ``*`` is never used, because its SIMD
 multiply may fuse steps.  binary32 is entered through `_resident`, which
-casts the complex128 operands to complex64 and compares them with the
-originals.  A value that is not binary32, or a NaN, fails it, and the
-steps run in software on the originals.  The result is widened to
-complex128 at exit, and one that holds a NaN is recomputed in software,
-so NaN payloads stay the ones the software path produces.  Operands that
-are all complex64 are a step of a kernel that entered already, run on
-the planes unchecked.  `linalg.gemm`, `lu`, the triangular substitution,
-`_mgs_project` (with the remainder's norm), `householder_qr`, `schur`
-and `sylvester.solve_sylv_tri` are kernels, and a binary32 GMRES
-correction (`gmresir._resident_correction`) is one whose `gemm`,
-`solve_sylv_tri` and `_mgs_project` calls are steps.  `householder_qr`
-and `schur` (and so `hermitian_eig`) keep their factors in complex64
-and test for a NaN once per sweep (`schur` also after its
-Householder reduction, `householder_qr` at exit) and for a Householder
-vector, formed from a column scaled past overflow, that is not binary32;
-on either they rerun the whole factorization from its input in software.
+runs the steps in software on the complex128 operands when one of them
+is not a binary32 value (or is NaN), and on complex64 copies otherwise.
+Operands that are all complex64 are a step of a kernel that entered
+already, run on the planes unchecked.  `linalg.gemm`, `lu`, the
+triangular substitution, `_mgs_project` (with the remainder's norm),
+`householder_qr`, `schur` and `sylvester.solve_sylv_tri` are kernels,
+and a binary32 GMRES correction (`gmresir._resident_correction`) is one
+whose `gemm`, `solve_sylv_tri` and `_mgs_project` calls are steps.
+`householder_qr` and `schur` (and so `hermitian_eig`) rerun in software
+on a Householder vector, formed from a column scaled past overflow,
+that is not binary32.
 
 The scalar steps of `schur` and of GMRES have one body each in every
 format but binary64: the Householder scalars, the Givens rotation and the
@@ -450,8 +449,10 @@ def _round_real_scalar(x: float, fmt: FpFormat, err: float = 0.0) -> float:
     try:
         y = packer.unpack(packer.pack(x))[0]
     except OverflowError:
-        # |x| reached the overflow threshold max_finite + ulp/2: a midpoint,
-        # where a residual toward zero still gives max_finite
+        # binary16's 'e' raises once |x| reaches the overflow threshold
+        # max_finite + ulp/2, a midpoint, where a residual toward zero still
+        # gives max_finite; binary32's native 'f' never raises, and returns
+        # inf there, which the Veltkamp branch below corrects
         if err and math.isfinite(err) \
                 and abs(x) - fmt.max_finite == 2.0 ** (fmt.emax - fmt.significand_bits):
             return _chop_scalar(x, fmt, err)
@@ -570,14 +571,19 @@ def _binary32(*xs):
     return out
 
 
-def _widened(*zs):
-    """A tuple of complex128 copies of the complex64 arrays zs, or None if
-    one holds a NaN: the software path then recomputes the result, so that
-    NaN payloads are the ones it produces."""
-    for z in zs:
-        if np.isnan(z).any():
-            return None
-    return tuple([z.astype(np.complex128) for z in zs])
+# the quiet NaN of every NaN part of a kernel result
+_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000))[0]
+
+
+def _canonical(z):
+    """z, a float64 or complex128 array or scalar, or where it holds a NaN
+    a copy with each NaN real or imaginary part `_NAN`."""
+    if np.isnan(z).any():
+        a = np.array(z, order="C")
+        parts = a.reshape(-1).view(np.float64)
+        parts[np.isnan(parts)] = _NAN
+        return a if isinstance(z, np.ndarray) else a[()]
+    return z
 
 
 def _plane_product(a: np.ndarray, b: np.ndarray, out=None):
@@ -655,17 +661,11 @@ def _accumulate(P: np.ndarray, start, fmt: FpFormat) -> np.ndarray:
     """fl(...fl(fl(start + P[0]) + P[1]) ... + P[k-1]) along axis 0; start is
     an array of shape P.shape[1:], or None for +0.
 
-    A complex64 P and any P in binary64 are summed by `_buffer_sum`; in
-    binary64 a NaN total is summed again step by step, since numpy picks
-    the payload of a NaN met by a NaN differently in its accumulate and
-    add loops.  Other P take `_add` step by step.
+    A complex64 P and any P in binary64 are summed by `_buffer_sum`; other
+    P take `_add` step by step.
     """
-    if P.dtype == np.complex64:
+    if P.dtype == np.complex64 or fmt.is_binary64:
         return _buffer_sum(P, start)
-    if fmt.is_binary64:
-        total = _buffer_sum(P, start)
-        if not np.isnan(total).any():
-            return total
     acc = np.zeros(P.shape[1:], dtype=P.dtype) if start is None else start
     for p in P:
         acc = _add(acc, p, fmt)
@@ -679,9 +679,7 @@ def _summed_products(mul, a, b: np.ndarray, start, fmt: FpFormat, shape) -> np.n
         X = np.empty((shape[0] + 1,) + shape[1:], dtype=b.dtype)
         X[0] = 0 if start is None else start
         mul(a, b, fmt, out=X[1:])
-        total = np.add.accumulate(X, axis=0, out=X)[-1]
-        if b.dtype == np.complex64 or not np.isnan(total).any():
-            return total
+        return np.add.accumulate(X, axis=0, out=X)[-1]
     return _accumulate(mul(a, b, fmt), start, fmt)
 
 
@@ -696,26 +694,23 @@ def _buffer_sum(P: np.ndarray, start) -> np.ndarray:
 
 def _resident(kernel, ctx: PrecisionContext, *arrays):
     """``kernel(*arrays, ctx=ctx)``, which returns a tuple of arrays, or
-    False when it finds a NaN or an operand off binary32 in complex64
-    arrays.
+    False when it finds an operand off binary32 in complex64 arrays.
 
     The one entry into a kernel, which runs under one ``np.errstate``
-    (`_entered`).  In binary32, when every entry of every array is a
+    (`_entered`) and returns complex128, every NaN part `_NAN`
+    (`_canonical`).  In binary32, when every entry of every array is a
     binary32 value, the kernel runs on complex64 copies, whose steps then
     run on float32 planes (`_product`, `_add`, `_sub`, `_quotient`,
-    `_accumulate`, `linalg._rotation`), and the flops it counts are
-    charged once, when it returns or raises.  Its result is widened to
-    complex128.  A False, or a result holding a NaN, runs the kernel again
-    from the arrays, uncharged so far, in complex128, whose software steps
-    give the same values and their own NaN payloads.
+    `_accumulate`, `linalg._rotation`), its flops charged once, when it
+    returns or raises; a False runs it again from the arrays, uncharged so
+    far, in complex128, whose software steps give the same values.
 
     Arrays that are all complex64 in binary32 are the operands of a step
     of a kernel that entered already (the `gemm`, `solve_sylv_tri` and
     `_mgs_project` calls of a GMRES correction): the kernel runs on them
-    as they are, under the outer kernel's ``np.errstate``, with no check,
-    widening or rerun, and returns complex64.  Every other call runs the
-    kernel in complex128, widening complex64 operands, so a binary64 call
-    on them computes in complex128.
+    as they are, with no check, rerun or mask, and returns complex64.
+    Every other call widens complex64 operands, so a binary64 call on them
+    computes in complex128.
     """
     if _in_binary32(ctx, *arrays):
         return kernel(*arrays, ctx=ctx)
@@ -728,23 +723,19 @@ def _entered(kernel, ctx: PrecisionContext, arrays):
     numpy's warnings off, so that binary64's steps give inf and NaN
     silently, as the software rounding does.  (The decorator costs about
     half of a ``with np.errstate`` block.)"""
-    if ctx.format._is_binary32:
-        ops = _binary32(*arrays)
-        if ops is not None:
-            tally = ctx if ctx.counter is None else PrecisionContext(ctx.format, FlopCounter())
-            out = None
-            try:
-                out = kernel(*ops, ctx=tally)
-                # a result holding a NaN reruns, as a False does
-                out = out and (_widened(*out) or False)
-            finally:
-                if out is not False and tally is not ctx:
-                    # a bucket is made only by a charge, as each kernel makes it
-                    for n in tally.counter.counts.values():
-                        ctx.count(n)
-            if out:
-                return out
-    return kernel(*[a.astype(np.complex128, copy=False) for a in arrays], ctx=ctx)
+    out = None
+    if ctx.format._is_binary32 and (ops := _binary32(*arrays)) is not None:
+        tally = ctx if ctx.counter is None else PrecisionContext(ctx.format, FlopCounter())
+        try:
+            out = kernel(*ops, ctx=tally)
+        finally:
+            if out is not False and tally is not ctx:
+                # a bucket is made only by a charge, as each kernel makes it
+                for n in tally.counter.counts.values():
+                    ctx.count(n)
+    if not out:
+        out = kernel(*[a.astype(np.complex128, copy=False) for a in arrays], ctx=ctx)
+    return tuple([_canonical(z.astype(np.complex128, copy=False)) for z in out])
 
 
 _COMPLEX64 = np.dtype(np.complex64)
@@ -920,9 +911,7 @@ def fl_sqrt(x, ctx: PrecisionContext):
     scalar = np.ndim(x) == 0
     x = np.asarray(np.real(np.asarray(x)), dtype=np.float64)
     ctx.count(x.size)
-    y = np.sqrt(x)
-    if not ctx.format.is_binary64:
-        y = _round_real_array(y, ctx.format)
+    y = _canonical(_round_real_array(np.sqrt(x), ctx.format))
     return float(y) if scalar else y
 
 
@@ -948,8 +937,9 @@ def _sums(fmt: FpFormat, *xs: float) -> list:
 
 def _cast_stage(s: struct.Struct, fmt: FpFormat):
     """The stage rounding of binary32 or binary16 for n = s's count: one
-    ``struct`` cast, or `_round_real_scalar` per value when a value rounds
-    past the format's range, where the cast raises."""
+    ``struct`` cast, or `_round_real_scalar` per value when the cast
+    raises, as binary16's ``'e'`` does past the range (binary32's native
+    ``'f'`` casts such a value to +-inf, its rounding)."""
     pack, unpack = s.pack, s.unpack
 
     def stage(*xs):

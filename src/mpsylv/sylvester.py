@@ -193,7 +193,7 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     It is `_prepare_sylv_tri`, then one solve of C: a `precision._resident`
     kernel that runs the waves, then checks the shifted diagonals and Y
     and charges the flops, so a breakdown found in complex64 raises from
-    there, once.  NaN payloads never leave the solve.
+    there, once.  No NaN leaves the solve.
 
     Raises SingularEquationError when a shifted diagonal entry is exactly
     zero, and NumericBreakdownError when a NaN or infinity appears in the

@@ -128,4 +128,6 @@ def _norm2_per_entry(x: np.ndarray, fmt: FpFormat) -> float:
             bv = s - acc
             e = (acc - (s - bv)) + (b - bv)
         acc = _round_real_scalar(s, fmt, e)
-    return _ssqrt(acc, fmt)
+    # a NaN |x_i| is inf in the rounded steps above, and so is the NaN sum
+    # it gives the float32 steps
+    return _ssqrt(acc if acc == acc else math.inf, fmt)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -104,4 +105,39 @@ def test_fingerprint_names_the_first_differing_solve_case(monkeypatch):
     monkeypatch.setattr(ab_kernels, "load_tree", changed)
     monkeypatch.setattr(ab_kernels, "_schur_family", lambda libs, count: "")
     with pytest.raises(AssertionError, match=r"^solve case \d+ .*: outputs differ$"):
+        ab_kernels.fingerprint(ROOT, ROOT, FINGERPRINT_CASES)
+
+
+def test_fingerprint_ignores_nan_payloads_only(monkeypatch):
+    """A tree whose schur gives each NaN part of T another payload and sign
+    passes the comparison, since NaN parts are compared as the canonical
+    NaN; one that also moves a non-NaN part of such a T by one ulp fails,
+    naming the case."""
+    load_tree = ab_kernels.load_tree
+    ulp = []
+
+    def changed(tree, name):
+        lib = load_tree(tree, name)
+        if name == "mpsylv_change":
+            schur = lib.linalg.schur
+
+            def altered(A, ctx):
+                sf = schur(A, ctx)
+                T = sf.T.copy()
+                parts = T.view(np.float64)
+                nan = np.isnan(parts)
+                if nan.any():
+                    parts[nan] = np.array(0xFFF4000000000123, dtype=np.uint64).view(np.float64)
+                    if ulp:
+                        i = np.flatnonzero(~nan & (parts != 0))[0]
+                        parts[i] = np.nextafter(parts[i], np.inf)
+                return lib.linalg.SchurFactors(sf.U, T)
+            monkeypatch.setattr(lib.linalg, "schur", altered)
+        return lib
+    monkeypatch.setattr(ab_kernels, "load_tree", changed)
+    monkeypatch.setattr(ab_kernels, "_solve_family", lambda libs, count: "")
+    summary = ab_kernels.fingerprint(ROOT, ROOT, FINGERPRINT_CASES)
+    assert "NaN in T" in summary
+    ulp.append(1)
+    with pytest.raises(AssertionError, match=r"^case \d+ .*: outputs differ$"):
         ab_kernels.fingerprint(ROOT, ROOT, FINGERPRINT_CASES)

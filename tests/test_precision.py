@@ -44,6 +44,8 @@ from mpsylv.precision import (
     _summed_products,
 )
 
+from conftest import CANONICAL_NAN, canonical, nan_parts
+
 ALL_FORMATS = [BFLOAT16, BINARY16, TF32, B24, BINARY32, BINARY64]
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False,
@@ -531,25 +533,30 @@ class TestBinary32Native:
         a, b = self._pairs(rng)
         for op, ref in ((fl_add, _soft_sum(a, b)), (fl_sub, _soft_sum(a, -b)),
                         (fl_mul, _soft_product(a, b))):
-            assert (_cbits(op(a, b, self.CTX)) == _cbits(ref)).all(), op.__name__
-        # the grid holds inf * 0 and inf - inf, whose NaNs the software recomputes
+            assert (_cbits(op(a, b, self.CTX)) == _cbits(canonical(ref))).all(), op.__name__
+        # the grid holds inf * 0 and inf - inf, whose NaN parts are canonical
         assert np.isnan(fl_mul(a, b, self.CTX)).any()
 
-    def test_native_path_taken_unless_the_result_holds_a_nan(self, rng):
+    def test_native_path_taken_when_the_result_holds_a_nan(self, rng, monkeypatch):
         a, b = self._pairs(rng)
-        ok = ~(np.isnan(_soft_product(a, b)) | np.isnan(_soft_sum(a, b))
-               | np.isnan(_soft_sum(a, -b)))
-        a, b = a[ok], b[ok]
         a32, b32 = _binary32(a, b)
         with np.errstate(over="ignore", invalid="ignore"):
-            # the steps fl_mul, fl_add and fl_sub take on complex64 copies
+            # the steps fl_mul, fl_add and fl_sub take on complex64 copies:
+            # the software path's bits in every part that is not NaN there,
+            # and NaN in the same parts
             for step, ref in ((_product, _soft_product(a, b)), (_add, _soft_sum(a, b)),
                               (_sub, _soft_sum(a, -b))):
                 got = step(a32, b32, BINARY32)
                 assert got.dtype == np.complex64
-                assert (_cbits(got.astype(np.complex128)) == _cbits(ref)).all()
+                assert (_cbits(canonical(got)) == _cbits(canonical(ref))).all()
+        assert np.isnan(_soft_product(a, b)).any()  # inf * 0 and inf - inf
         assert np.isinf(_soft_product(a, b)).any()  # products that overflow
         assert (np.abs(_soft_product(a, b)) < BINARY32.smallest_normal).any()
+        # the entries stay on the planes for a result that holds a NaN
+        for name in ("_mul_parts", "_rounded_sum"):
+            monkeypatch.setattr(precision, name, lambda *args: pytest.fail("a software step"))
+        for op in (fl_add, fl_sub, fl_mul):
+            op(a, b, self.CTX)
 
     def test_scalars_and_broadcast_shapes(self, rng):
         v = _binary32_values(rng, 64)[9:]
@@ -559,11 +566,11 @@ class TestBinary32Native:
                         (fl_sub, lambda p, q: _soft_sum(p, -np.asarray(q)))):
             got = op(x, y, self.CTX)
             assert isinstance(got, complex)
-            assert (_cbits(got) == _cbits(ref(x, y))).all()
+            assert (_cbits(got) == _cbits(canonical(ref(x, y)))).all()
             for p, q in ((col, row), (x, row), (col, y)):
                 got = op(p, q, self.CTX)
                 assert got.shape == np.broadcast(p, q).shape
-                assert (_cbits(got) == _cbits(ref(p, q))).all()
+                assert (_cbits(got) == _cbits(canonical(ref(p, q)))).all()
 
     def test_operand_off_the_format_takes_the_software_path(self):
         # 1 + 2^-24 is not a binary32 value: its cast would round it to 1
@@ -572,14 +579,18 @@ class TestBinary32Native:
         assert fl_mul(a, b, self.CTX) == 1 + 2.0**-22
         assert fl_add(0.1, 0.2, self.CTX) == _soft_sum(0.1, 0.2)
 
-    def test_nan_operand_keeps_its_payload(self):
+    def test_nan_operand_gives_the_canonical_nan(self):
+        """A NaN operand is not a binary32 value: the step runs on the
+        software path, whose bits it returns in every part that is not
+        NaN, each NaN part the canonical NaN whatever the operand's payload
+        and sign."""
         nan = np.array([0x7FF8000000000123, 0xFFF4000000000001], dtype=np.uint64).view(np.float64)
         a = _compose(nan, np.array([1.0, 2.0]))
         for got, ref in ((fl_add(a, 1.0, self.CTX), _soft_sum(a, 1.0)),
                          (fl_sub(1.0, a, self.CTX), _soft_sum(1.0, -a)),
                          (fl_mul(a, 3.0, self.CTX), _soft_product(a, 3.0))):
-            assert (_cbits(got) == _cbits(ref)).all()
-        assert _bits(fl_add(a, 1.0, self.CTX).real)[0] == 0x7FF8000000000123
+            assert (_cbits(got) == _cbits(canonical(ref))).all()
+            assert len(nan_parts(got)) >= 2 and set(nan_parts(got)) == {CANONICAL_NAN}
 
 
 class TestProductInto:
@@ -623,11 +634,11 @@ class TestProductInto:
     @pytest.mark.parametrize("fmt", [BINARY32, BINARY64, BFLOAT16], ids=lambda f: f.name)
     def test_summed_products_match_accumulate(self, fmt, rng):
         """complex64 operands in binary32; binary64 with NaNs of distinct
-        payloads, which the one accumulate and the step-by-step sums keep
-        differently where two meet, so a NaN total sums again; bfloat16,
-        which sums step by step."""
+        payloads, which the one accumulate and the step-by-step sums may
+        keep differently where two meet, though in the same parts and with
+        the same other bits; bfloat16, which sums step by step."""
         dtype = np.complex64 if fmt is BINARY32 else np.complex128
-        resummed = 0
+        with_nan = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(40):
                 kb, m, n = (int(k) for k in rng.integers(2, 8, 3))
@@ -649,8 +660,12 @@ class TestProductInto:
                     assert got.dtype == want.dtype == dtype
                     assert got.tobytes() == want.tobytes()
                     if fmt is BINARY64:
-                        resummed += want.tobytes() != precision._buffer_sum(P, s).tobytes()
-        assert resummed or fmt is not BINARY64
+                        steps = np.zeros((m, n), dtype) if s is None else s
+                        for p in P:
+                            steps = steps + p
+                        assert (_cbits(canonical(want)) == _cbits(canonical(steps))).all()
+                        with_nan += np.isnan(want).any()
+        assert with_nan or fmt is not BINARY64
 
 
 class TestRoundMatrix:

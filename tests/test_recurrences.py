@@ -38,6 +38,8 @@ import mpsylv.refinement as refinement
 import mpsylv.sylvester as sylvester
 from mpsylv.sylvester import solve_sylv_tri
 
+from conftest import CANONICAL_NAN, nan_parts
+
 FORMATS = ("bfloat16", "binary16", "tf32", "b24", "binary32", "40:11", "binary64")
 
 
@@ -131,13 +133,16 @@ class TestFlSum:
         got = fl_sum(np.zeros((0, 1)), PrecisionContext(parse_format("bfloat16")), start=start)
         assert same(got, start)
 
-    def test_binary32_nan_payload_is_kept(self):
+    def test_binary32_nan_is_canonical(self):
+        """A NaN operand of any payload sums, as the fl_add chain does, to
+        the canonical NaN."""
         ctx = PrecisionContext(parse_format("binary32"))
         payload = np.array([0x7FF0000000000123], dtype=np.uint64).view(np.float64)[0]
         P = np.array([1.0, complex(payload, 0.0), 2.0])
         got = fl_sum(P, ctx)
         ref = fl_add(fl_add(fl_add(0, P[0], ctx), P[1], ctx), P[2], ctx)
         assert same(got, ref)
+        assert nan_parts(got) == [CANONICAL_NAN]
 
 
 # ---------------------------------------------------------------------------
