@@ -148,59 +148,59 @@ GOLDEN = {
     },
     "gemm-plain/40:11": {
         "flops": 240,
-        "out": ["6f474959db6d2c60f4593cfbbc1e60ffd8b5b30b2ab2c26ec32bd0878b28bf98"],
+        "out": ["a39a021d8b6cad68d886355a182ecaed76c54c190e9e5103168462b1a1629dfa"],
     },
     "gemm-plain/b24": {
         "flops": 240,
-        "out": ["fd304c3cc10c7cadbadb176ddd1515a0eb4c228f4579abfce45b14728cbb4775"],
+        "out": ["f7b1f975848a2b62c1c3f65dd3ea3e22ca6edbc1b29251043b516d04c9fe264f"],
     },
     "gemm-plain/bfloat16": {
         "flops": 240,
-        "out": ["c255ee7f978871c25b490058adc13e84d45747a84e30dc9905c3ffdd89141f0b"],
+        "out": ["6623477db192414a296800b6ae17d2967e2d71ac207c2f2adf839651c5698f4f"],
     },
     "gemm-plain/binary16": {
         "flops": 240,
-        "out": ["c92d2237c88ba4bb5ec67a2fd1f5e3d67652b2346b72f91505584ade134f2232"],
+        "out": ["b4b12cc89ae2d425253af4c54757025c10ced7fd8f6915047970ab6352d8f7b3"],
     },
     "gemm-plain/binary32": {
         "flops": 240,
-        "out": ["5aa59f843f2b766e570329ea8c1397ac0f30b5d6602d4c76478e4d4f7c99940a"],
+        "out": ["7b62e447960dbc8a5019cfd1c7ddeee51b2213902973989ffa78a60385dc5fcf"],
     },
     "gemm-plain/binary64": {
         "flops": 240,
-        "out": ["b375b3ebea3b13592154b8facb5871f87c4131045a9f464fb2333e3d09ce69fd"],
+        "out": ["d5139062d153d8336aa3ccec6f1a3b5c946adf59806ebbcc14b691b343412f2c"],
     },
     "gemm-plain/tf32": {
         "flops": 240,
-        "out": ["c92d2237c88ba4bb5ec67a2fd1f5e3d67652b2346b72f91505584ade134f2232"],
+        "out": ["b4b12cc89ae2d425253af4c54757025c10ced7fd8f6915047970ab6352d8f7b3"],
     },
     "gemm-scaled/40:11": {
         "flops": 300,
-        "out": ["1fc237379cd908b8b7702261c40c2d0fe3d360939eee735d008c35aa77652e77"],
+        "out": ["11da8a3a8d1821180789496418647717d593809523e1fc35423a8756806b1a20"],
     },
     "gemm-scaled/b24": {
         "flops": 300,
-        "out": ["af5a61ea6fde373726d14b18246c83395151969d9ecbd09950f3e3072a1248c4"],
+        "out": ["addee14f9c28478ab60956644cec90dc889d54dcf66d343bf69217982a43de05"],
     },
     "gemm-scaled/bfloat16": {
         "flops": 300,
-        "out": ["c7266ebae99699e24dd307881984bb3c91880f9723ccb1bc2b049f252fe52b6f"],
+        "out": ["4ff2a2ab394db908305d0afe622a2f90e54ae9f5c8fd80d1e0acdc6ccc9349cb"],
     },
     "gemm-scaled/binary16": {
         "flops": 300,
-        "out": ["99cc74ec0973dc28e4c1469f38ae3386f73570a880d1f19938535c3e009a1585"],
+        "out": ["c42bd4a2116b76ac077fb8bc2b0ad9e2784f0ff5cf5895bff4c6c5772347ae4c"],
     },
     "gemm-scaled/binary32": {
         "flops": 300,
-        "out": ["92a44fdb65f2b74d5c048e72197ce4f692b7f18f692c802c8cf44b0349920b91"],
+        "out": ["ffaf4251cf5d6cb8f5f283ad864b7cb861c9c32b25497cca8b2aae9e0ea8d6fd"],
     },
     "gemm-scaled/binary64": {
         "flops": 300,
-        "out": ["3eb211397baa9e4be2df9adb862f0dd905c2c0e3f02dd342e28242ebe5c2bf45"],
+        "out": ["9e4b33f3b71d91d25507dd5cb5e8d20e07833ff864b08d7f7c6d38df0de544eb"],
     },
     "gemm-scaled/tf32": {
         "flops": 300,
-        "out": ["99cc74ec0973dc28e4c1469f38ae3386f73570a880d1f19938535c3e009a1585"],
+        "out": ["c42bd4a2116b76ac077fb8bc2b0ad9e2784f0ff5cf5895bff4c6c5772347ae4c"],
     },
     "sylv_tri-lower-rounded/40:11": {
         "flops": 330,
