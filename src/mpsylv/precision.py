@@ -885,7 +885,7 @@ def fl_sum(P, ctx: PrecisionContext, start=None):
     The sums run in ascending order, each rounded into the context's
     format, and one flop is charged per element of P.  ``start`` may be
     any double and defaults to +0; P holds values of the format.  An
-    empty P returns ``start`` unrounded.
+    empty P returns ``start`` unrounded, its NaN parts canonical.
 
     The sums are `_accumulate`'s.  In binary64, and in binary32 when P and
     start hold binary32 values, they run as one ``np.add.accumulate`` in

@@ -38,7 +38,7 @@ import mpsylv.refinement as refinement
 import mpsylv.sylvester as sylvester
 from mpsylv.sylvester import solve_sylv_tri
 
-from conftest import CANONICAL_NAN, nan_parts
+from conftest import CANONICAL_NAN, canonical, nan_parts
 
 FORMATS = ("bfloat16", "binary16", "tf32", "b24", "binary32", "40:11", "binary64")
 
@@ -109,7 +109,9 @@ class TestFlSum:
         counter = FlopCounter()
         with np.errstate(all="ignore"):
             got = fl_sum(P, PrecisionContext(ctx.format, counter), start=start)
-            acc = np.zeros(P.shape[1], dtype=np.complex128) if start is None else start
+            # with no step the chain is start, whose NaN parts fl_sum
+            # returns canonical as every fl_* result
+            acc = np.zeros(P.shape[1], dtype=np.complex128) if start is None else canonical(start)
             for p in P:
                 acc = np.asarray(fl_add(acc, p, ctx))
         assert same(got, acc), (got, acc)
@@ -132,6 +134,13 @@ class TestFlSum:
         start = np.array([0.1 + 0.2j])
         got = fl_sum(np.zeros((0, 1)), PrecisionContext(parse_format("bfloat16")), start=start)
         assert same(got, start)
+
+    def test_empty_with_a_nan_start_returns_it_canonical(self):
+        payload = np.array([0xFFF0000000000123], dtype=np.uint64).view(np.float64)[0]
+        start = np.array([complex(0.0, payload)])
+        got = fl_sum(np.zeros((0, 1)), PrecisionContext(parse_format("bfloat16")), start=start)
+        assert same(got, canonical(start))
+        assert nan_parts(got) == [CANONICAL_NAN]
 
     def test_binary32_nan_is_canonical(self):
         """A NaN operand of any payload sums, as the fl_add chain does, to
