@@ -13,12 +13,12 @@ matrices, never on an explicitly formed Kronecker matrix.
 Each correction is one `precision._resident` kernel over the
 preconditioned right-hand side, the coefficients in u_g and the Schur
 factors (`_resident_correction`), and plans its matvec once from the
-kernel's own copies (`_correction_plan`): U_A^* and U_B^* are formed and
-the triangular pair prepared once, and its six products run `gemm`'s
-steps with no entry or check.  In binary32 it enters and checks once and
-runs every step in complex64: its products, triangular solves and
-`_mgs_project` are steps on complex64 operands, which `_resident` passes
-straight on.  The scalar steps that apply the stored Hessenberg rotations
+kernel's own copies (`_correction_plan`).  Like every kernel it enters
+once and calls steps, never an entry: `gemm`'s steps, the prepared
+triangular pair's step form, `linalg._mgs_steps` and `precision`'s
+`_sub`, `_divide`, `_add`, `_product` and `_accumulate`, each charged as
+the `fl_*` call it stands for.  So in binary32 the whole correction runs
+in complex64.  The scalar steps that apply the stored Hessenberg rotations
 and the rows of the back substitution run, in every format but binary64,
 as chains on Python floats with one stage rounding per group of
 independent steps (`_rotation_chain`, `_backsub_chain`),
@@ -34,18 +34,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Failure, NumericBreakdownError, SingularEquationError
-from .linalg import (SchurFactors, _frobenius, _gemm_steps, _mgs_project, _scaled_down,
-                     _vec_norm2_ctx, gemm, unvec, vec)
+from .linalg import (SchurFactors, _frobenius, _gemm_steps, _mgs_steps, _scaled_down,
+                     _vec_norm2_ctx, gemm)
 from .precision import (
     BINARY64,
     FlopCounter,
     FpFormat,
     PrecisionContext,
-    fl_add,
-    fl_div,
-    fl_mul,
-    fl_sub,
-    fl_sum,
+    _accumulate,
+    _add,
+    _divide,
     _product,
     _resident,
     _round_complex_array,
@@ -54,6 +52,7 @@ from .precision import (
     _sdiv,
     _smul,
     _ssqrt,
+    _sub,
 )
 from .refinement import RefinementConfig, _refine
 from .sylvester import SylvesterProblem, _prepare_sylv_tri, _schur_pair, residual
@@ -106,30 +105,30 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
 
     Returns (E, inner_iterations, stagnated).  Stagnation means a full
     restart cycle failed to shrink the relative residual below 0.9 of its
-    value at the cycle start.  V, H, the rotations and g take the dtype of
-    the flattened right-hand side: complex64 when the correction runs as a
-    `_resident` kernel in binary32, whose steps then stay in complex64.
+    value at the cycle start.  Steps of a `_resident` kernel: V, H, the
+    rotations and g take the dtype of the right-hand side.
     """
     fmt = ctx.format
     m, n = rhs_mat.shape
     N = m * n
-    b = vec(rhs_mat, ctx)
+    b = rhs_mat.reshape(N, order="F")
     x = np.zeros(N, dtype=b.dtype)
     beta0 = _frobenius(b)
     if beta0 == 0.0:
-        return unvec(x, m, n, ctx), 0, False
+        return x.reshape((m, n), order="F"), 0, False
     tol = max(gcfg.inner_tol, 4.0 * fmt.unit_roundoff)
     total_inner = 0
     stagnated = False
     p = gcfg.restart
     for _ in range(gcfg.max_restarts):
         if np.any(x):
-            r = np.asarray(fl_sub(b, matvec(x), ctx)).ravel()
+            r = _sub(b, matvec(x), fmt)
+            ctx.count(N)
         else:
             r = b.copy()
         beta = _vec_norm2_ctx(r, ctx)
         if not np.isfinite(beta):
-            return unvec(x, m, n, ctx), total_inner, True
+            return x.reshape((m, n), order="F"), total_inner, True
         if beta <= tol * beta0:
             break
         cycle_start = beta
@@ -138,18 +137,20 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
         cs = np.zeros(p, dtype=b.dtype)
         sn = np.zeros(p, dtype=b.dtype)
         g = np.zeros(p + 1, dtype=b.dtype)
-        V[:, 0] = np.asarray(fl_div(r, r.dtype.type(beta), ctx)).ravel()
+        V[:, 0] = _divide(r, r.dtype.type(beta), fmt)
+        ctx.count(N)
         g[0] = beta
         j = 0
         while j < p:
-            w = np.asarray(matvec(V[:, j])).ravel()
-            H[:j + 1, j], w, hq = _mgs_project(V[:, :j + 1], w, ctx)
+            w = matvec(V[:, j])
+            H[:j + 1, j], w, hq = _mgs_steps(V[:, :j + 1], w, ctx=ctx)
             H[j + 1, j] = hq
             total_inner += 1
             if not np.isfinite(hq):
-                return unvec(x, m, n, ctx), total_inner, True
+                return x.reshape((m, n), order="F"), total_inner, True
             if hq != 0.0:
-                V[:, j + 1] = np.asarray(fl_div(w, w.dtype.type(hq), ctx)).ravel()
+                V[:, j + 1] = _divide(w, w.dtype.type(hq), fmt)
+                ctx.count(N)
             # apply accumulated rotations, then a new one zeroing H[j+1, j]
             H[:j + 1, j] = _apply_rotations(cs[:j].tolist(), sn[:j].tolist(),
                                             H[:j + 1, j].tolist(), fmt)
@@ -175,8 +176,8 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
             ctx.count(2 * (j - i))
             y[i] = _sdiv(acc, complex(H[i, i]), fmt)
         y = np.array(y, dtype=b.dtype)
-        upd = fl_sum(fl_mul(y[:, None], V[:, :j].T, ctx), ctx)
-        x = np.asarray(fl_add(x, upd, ctx)).ravel()
+        x = _add(x, _accumulate(_product(y[:, None], V[:, :j].T, fmt), None, fmt), fmt)
+        ctx.count((2 * j + 1) * N)
         final = abs(complex(g[j]))
         if final <= tol * beta0:
             break
@@ -185,7 +186,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
             break
     else:
         stagnated = True
-    return unvec(x, m, n, ctx), total_inner, stagnated
+    return x.reshape((m, n), order="F"), total_inner, stagnated
 
 
 def _apply_rotations(cs: list, sn: list, h: list, fmt: FpFormat) -> list:
@@ -263,20 +264,20 @@ def _resident_correction(b, A_g, B_g, sf_A: SchurFactors, sf_B: SchurFactors,
 
 def _correction_plan(A_g, B_g, U_A, T_A, U_B, T_B, ctx: PrecisionContext):
     """x -> vec(apply_preconditioner(gemm(1, A_g, W, 1, gemm(1, W, B_g, 0,
-    None)))) for W = unvec(x), with its results, charges and errors: U_A^*
-    and U_B^* are formed and the triangular pair prepared once, and each
-    of the six products runs `gemm`'s steps with `_product`, unentered."""
+    None)))) for W = unvec(x), with its results, charges and errors, as
+    steps: U_A^* and U_B^* are formed and the triangular pair prepared
+    once, and each of the six products runs `gemm`'s steps with `_product`."""
     m, n = A_g.shape[0], B_g.shape[0]
     U_AH, U_BH = U_A.conj().T, U_B.conj().T
-    solve = _prepare_sylv_tri(T_A, T_B, ctx)
+    solve = _prepare_sylv_tri(T_A, T_B, ctx).step
 
     def mm(A, B, C=None):  # gemm(1, A, B, 1, C, ctx), C None for beta = 0
         return _gemm_steps(_ONES, A, B, C, ctx=ctx, mul=_product)[0]
 
     def matvec(xflat):
-        W = unvec(xflat, m, n, ctx)
+        W = xflat.ravel().reshape((m, n), order="F")
         V = solve(mm(mm(U_AH, mm(A_g, W, mm(W, B_g))), U_B))
-        return vec(mm(mm(U_A, V), U_BH), ctx)
+        return mm(mm(U_A, V), U_BH).reshape(m * n, order="F")
     return matvec
 
 

@@ -122,31 +122,23 @@ class QrFactors:
     R: np.ndarray
 
 
-def _working_dtype(x, ctx: PrecisionContext | None):
-    """complex64 for a complex64 x under a binary32 ctx, the operand of a
-    step of a `_resident` kernel; complex128 otherwise."""
-    if ctx is not None and getattr(x, "dtype", None) == np.complex64 and ctx.format._is_binary32:
-        return np.complex64
-    return np.complex128
-
-
-def as_matrix(A, ctx: PrecisionContext | None = None) -> np.ndarray:
-    """A as a nonempty 2-d complex128 array, or complex64 as `_working_dtype`
-    keeps it."""
-    M = np.asarray(A, dtype=_working_dtype(A, ctx))
+def as_matrix(A) -> np.ndarray:
+    """A as a nonempty 2-d complex128 array, as every entry takes it (a
+    kernel's steps keep their own dtype)."""
+    M = np.asarray(A, dtype=np.complex128)
     if M.ndim != 2 or M.size == 0:
         raise DimensionError(f"expected a nonempty 2-d matrix, got shape {M.shape}")
     return M
 
 
-def vec(X: np.ndarray, ctx: PrecisionContext | None = None) -> np.ndarray:
-    """Stack the columns of X into one vector, in `as_matrix`'s dtype."""
-    return as_matrix(X, ctx).flatten(order="F")
+def vec(X: np.ndarray) -> np.ndarray:
+    """Stack the columns of X into one complex128 vector (`as_matrix`)."""
+    return as_matrix(X).flatten(order="F")
 
 
-def unvec(x: np.ndarray, m: int, n: int, ctx: PrecisionContext | None = None) -> np.ndarray:
-    """The m x n matrix whose stacked columns are x, in `as_matrix`'s dtype."""
-    x = np.asarray(x, dtype=_working_dtype(x, ctx)).ravel()
+def unvec(x: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The complex128 m x n matrix whose stacked columns are x."""
+    x = np.asarray(x, dtype=np.complex128).ravel()
     if x.size != m * n:
         raise DimensionError(f"cannot reshape length {x.size} into {m}x{n}")
     return x.reshape((m, n), order="F")
@@ -172,22 +164,19 @@ def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     products are formed a block of k indices at a time, each block summed
     on from the last (`_gemm_steps`).  ``C`` may be None when beta == 0.
     """
-    A = as_matrix(A, ctx)
-    B = as_matrix(B, ctx)
+    A = as_matrix(A)
+    B = as_matrix(B)
     m, k = A.shape
     k2, n = B.shape
     if k != k2:
         raise DimensionError(f"inner dimensions differ: {A.shape} @ {B.shape}")
     if C is not None:
-        C = as_matrix(C, ctx)
+        C = as_matrix(C)
         if C.shape != (m, n):
             raise DimensionError(f"C has shape {C.shape}, expected {(m, n)}")
     elif beta != 0:
         raise DimensionError("C is required when beta != 0")
-    # complex64 beside a complex64 A only when alpha and beta are binary32 values
-    ab = np.array([alpha, beta], dtype=A.dtype)
-    if ab.dtype != np.complex128 and ab.tolist() != [alpha, beta]:
-        ab = np.array([alpha, beta], dtype=np.complex128)
+    ab = np.array([alpha, beta], dtype=np.complex128)
     return _resident(_gemm_steps, ctx, ab, A, B, *([] if beta == 0 else [C]))[0]
 
 
@@ -195,20 +184,22 @@ def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext, mul=None):
     """The steps of `gemm` for ab = [alpha, beta] and C (None when beta is
     0), as a 1-tuple: each block's products summed on from the last
     block's sums (`_accumulate`), then the alpha and beta products and the
-    sum with C.  A block's products are one `fl_mul` entry, uncharged, so
-    its preamble runs once per block of up to `_GEMM_BLOCK` products; the
-    steps of a kernel that call this body directly pass ``mul=_product``,
-    whose products `_summed_products` forms in its accumulation buffer."""
+    sum with C.  complex64 blocks, and those of a kernel that calls this
+    body with ``mul=_product``, are `_product` steps in `_summed_products`'
+    accumulation buffer.  Each complex128 block of `gemm` is one uncharged
+    `fl_mul`, the one entry inside a kernel, kept as the call the
+    benchmark's tracer counts."""
     fmt = ctx.format
     alpha, beta = ab.tolist()
     m, k = A.shape
     n = B.shape[1]
     kb = max(1, _GEMM_BLOCK // (m * n))
+    entry = mul is None and A.dtype == np.complex128
     acc = None
     for p in range(0, k, kb):
         a, b = A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :]
-        acc = (_accumulate(fl_mul(a, b, fmt._uncounted), acc, fmt) if mul is None
-               else _summed_products(mul, a, b, acc, fmt, (len(a), m, n)))
+        acc = (_accumulate(fl_mul(a, b, fmt._uncounted), acc, fmt) if entry
+               else _summed_products(mul or _product, a, b, acc, fmt, (len(a), m, n)))
     if alpha != 1:
         acc = _product(ab[0], acc, fmt)
     if C is not None:
@@ -380,7 +371,8 @@ def _mgs_project(Q: np.ndarray, v: np.ndarray, ctx: PrecisionContext):
 
 
 def _mgs_steps(Q: np.ndarray, v: np.ndarray, *, ctx: PrecisionContext):
-    """The steps of `_mgs_project` in one buffer, as (h, v, |v| as a 0-d array)."""
+    """The steps of `_mgs_project` in one buffer, as (h, v, |v| as a 0-d
+    array): a GMRES correction's projection."""
     fmt = ctx.format
     h = np.zeros(Q.shape[1], dtype=Q.dtype)
     X = np.zeros(len(v) + 1, dtype=v.dtype)
@@ -393,9 +385,18 @@ def _mgs_steps(Q: np.ndarray, v: np.ndarray, *, ctx: PrecisionContext):
     return h, v, np.array(_vec_norm2_ctx(v, ctx))
 
 
+def _qr_input(A, ctx: PrecisionContext) -> np.ndarray:
+    """`_enter` of a QR input; NonFiniteInputError for an infinite entry."""
+    # its column's norm is inf, and the steps would end in a false rank
+    # test; a NaN entry gives NaN factors
+    if np.isinf(as_matrix(A)).any():
+        raise NonFiniteInputError("qr input has an infinite entry")
+    return _enter(A, ctx, "qr input")
+
+
 def mgs_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
     """Modified Gram-Schmidt QR with a positive real diagonal of R."""
-    A = _enter(A, ctx, "qr input")
+    A = _qr_input(A, ctx)
     m, n = A.shape
     if m < n:
         raise DimensionError("mgs_qr requires rows >= cols")
@@ -517,7 +518,7 @@ def _apply_reflector_right_rounded(M: np.ndarray, w: np.ndarray, beta,
 def householder_qr(A, ctx: PrecisionContext = _CTX64) -> QrFactors:
     """Householder QR with a positive real diagonal of R.  In binary32 the
     reflections keep Q and R in complex64 (`_resident`)."""
-    A = _enter(A, ctx, "qr input")
+    A = _qr_input(A, ctx)
     m, n = A.shape
     if m < n:
         raise DimensionError("householder_qr requires rows >= cols")

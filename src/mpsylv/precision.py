@@ -47,7 +47,7 @@ keeps a NaN's payload; results do not.  A NaN only ever means a
 breakdown, and numpy picks its payload by loop layout and SIMD width, so
 every NaN real or imaginary part of a kernel or `fl_*` result is the
 quiet NaN 0x7ff8000000000000, as in RISC-V F and Arm's Default NaN mode,
-and every other part keeps its bits (`_canonical`, in `_entered`).
+and every other part keeps its bits (`_canonical`, in `_resident`).
 
 Sequential sums have one whole-array form, `_accumulate`, the body of
 `fl_sum`.  In binary64 and binary32 it runs its sums as one
@@ -59,29 +59,28 @@ result the software path computes (Higham & Pranesh make the same point:
 a format with a hardware dtype needs no simulated rounding).
 
 For the same reason arrays of binary32 values are computed in complex64,
-by one rule.  A kernel's steps are written once, with `_product`, `_add`,
+by one rule: entries take and return complex128, and a kernel calls
+steps.  A kernel's steps are written once, with `_product`, `_add`,
 `_sub`, `_accumulate` and `_divide`, which charge no flops and take their
 arithmetic from the operand dtype: complex128 in binary64, float32 planes
-for complex64 operands, the software rounding otherwise.  A kernel runs
-its steps under the one ``np.errstate`` that `_resident` enters per call
-and charges its flops once (the QR iteration once per sweep).
-The `fl_*` functions, each a one-step kernel with its own charge, are
-the entry points for code outside a kernel.  A sum or difference is one
-complex64 operation.  A product is formed from the float32 planes as
-(ar*br - ai*bi, ar*bi + ai*br): the steps the software path rounds, in
-the same order.  The complex64 ``*`` is never used, because its SIMD
-multiply may fuse steps.  binary32 is entered through `_resident`, which
-runs the steps in software on the complex128 operands when one of them
-is not a binary32 value (or is NaN), and on complex64 copies otherwise.
-Operands that are all complex64 are a step of a kernel that entered
-already, run on the planes unchecked.  `linalg.gemm`, `lu`, the
-triangular substitution, `_mgs_project` (with the remainder's norm),
-`householder_qr`, `schur` and `sylvester.solve_sylv_tri` are kernels,
-and a binary32 GMRES correction (`gmresir._resident_correction`) is one
-whose `gemm`, `solve_sylv_tri` and `_mgs_project` calls are steps.
-`householder_qr` and `schur` (and so `hermitian_eig`) rerun in software
-on a Householder vector, formed from a column scaled past overflow,
-that is not binary32.
+for complex64 operands, the software rounding otherwise.  `_resident`,
+the one way into a kernel, is the one place that knows binary32 runs in
+complex64: it runs the kernel under one ``np.errstate``, on complex64
+copies when every operand holds binary32 values, else on the complex128
+operands.  A kernel charges its flops once (the QR iteration once per
+sweep) and calls no entry, but for the one exception the benchmark's
+tracer counts: `linalg._gemm_steps` forms a block of complex128 products
+by one `fl_mul`.  The `fl_*` functions, each a one-step kernel with its
+own charge, are the entry points for code outside a kernel.  A sum or
+difference is one complex64 operation.  A product is formed from the
+float32 planes as (ar*br - ai*bi, ar*bi + ai*br): the steps the software
+path rounds, in the same order.  The complex64 ``*`` is never used,
+because its SIMD multiply may fuse steps.  `linalg.gemm`, `lu`, the
+triangular substitution, `_mgs_project`, `householder_qr`, `schur`,
+`sylvester.solve_sylv_tri` and a GMRES correction
+(`gmresir._resident_correction`) are kernels.  `householder_qr` and
+`schur` (and so `hermitian_eig`) rerun in software on a Householder
+vector, formed from a column scaled past overflow, that is not binary32.
 
 The scalar steps of `schur` and of GMRES have one body each in every
 format but binary64: the Householder scalars, the Givens rotation and the
@@ -530,12 +529,10 @@ def round_matrix(M: np.ndarray, fmt: FpFormat) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # rounded arithmetic
 #
-# The array functions below accept scalars or ndarrays (anything numpy can
+# The `fl_*` functions below accept scalars or ndarrays (anything numpy can
 # broadcast) and return complex128 results.  Inputs are assumed to be
 # already representable in the context's format; callers round operands on
-# entry to a low-precision region.  In binary32, complex64 operands are the
-# steps of a `_resident` kernel: `fl_add`, `fl_sub`, `fl_mul` and `fl_sum`
-# take them on the float32 planes unchecked and return complex64.
+# entry to a low-precision region.
 
 def _two_sum(a: np.ndarray, b: np.ndarray):
     """Knuth 2Sum: s + e == a + b exactly, s == fl64(a + b)."""
@@ -661,11 +658,15 @@ def _accumulate(P: np.ndarray, start, fmt: FpFormat) -> np.ndarray:
     """fl(...fl(fl(start + P[0]) + P[1]) ... + P[k-1]) along axis 0; start is
     an array of shape P.shape[1:], or None for +0.
 
-    A complex64 P and any P in binary64 are summed by `_buffer_sum`; other
-    P take `_add` step by step.
+    A complex64 P and any P in binary64 are summed by one
+    ``np.add.accumulate`` over P written after start (+0 for None) into one
+    buffer, in P's dtype; other P take `_add` step by step.
     """
     if P.dtype == np.complex64 or fmt.is_binary64:
-        return _buffer_sum(P, start)
+        X = np.empty((len(P) + 1,) + P.shape[1:], dtype=P.dtype)
+        X[0] = 0 if start is None else start
+        X[1:] = P
+        return np.add.accumulate(X, axis=0, out=X)[-1]
     acc = np.zeros(P.shape[1:], dtype=P.dtype) if start is None else start
     for p in P:
         acc = _add(acc, p, fmt)
@@ -674,7 +675,7 @@ def _accumulate(P: np.ndarray, start, fmt: FpFormat) -> np.ndarray:
 
 def _summed_products(mul, a, b: np.ndarray, start, fmt: FpFormat, shape) -> np.ndarray:
     """``_accumulate(mul(a, b, fmt), start, fmt)``, mul being `_product`, with
-    products of ``shape`` formed in `_buffer_sum`'s buffer where it sums."""
+    products of ``shape`` formed in the buffer where `_accumulate` sums."""
     if b.dtype == np.complex64 or fmt.is_binary64:
         X = np.empty((shape[0] + 1,) + shape[1:], dtype=b.dtype)
         X[0] = 0 if start is None else start
@@ -683,46 +684,23 @@ def _summed_products(mul, a, b: np.ndarray, start, fmt: FpFormat, shape) -> np.n
     return _accumulate(mul(a, b, fmt), start, fmt)
 
 
-def _buffer_sum(P: np.ndarray, start) -> np.ndarray:
-    """The sums of `_accumulate` as one ``np.add.accumulate`` over P written
-    after start (+0 for None) into one buffer, in P's dtype."""
-    X = np.empty((len(P) + 1,) + P.shape[1:], dtype=P.dtype)
-    X[0] = 0 if start is None else start
-    X[1:] = P
-    return np.add.accumulate(X, axis=0, out=X)[-1]
-
-
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _resident(kernel, ctx: PrecisionContext, *arrays):
     """``kernel(*arrays, ctx=ctx)``, which returns a tuple of arrays, or
     False when it finds an operand off binary32 in complex64 arrays.
 
-    The one entry into a kernel, which runs under one ``np.errstate``
-    (`_entered`) and returns complex128, every NaN part `_NAN`
+    The one way into a kernel, which runs with numpy's warnings off, so
+    that binary64's steps give inf and NaN silently, as the software
+    rounding does, and returns complex128, every NaN part `_NAN`
     (`_canonical`).  In binary32, when every entry of every array is a
     binary32 value, the kernel runs on complex64 copies, whose steps then
-    run on float32 planes (`_product`, `_add`, `_sub`, `_quotient`,
-    `_accumulate`, `linalg._rotation`), its flops charged once, when it
-    returns or raises; a False runs it again from the arrays, uncharged so
-    far, in complex128, whose software steps give the same values.
-
-    Arrays that are all complex64 in binary32 are the operands of a step
-    of a kernel that entered already (the `gemm`, `solve_sylv_tri` and
-    `_mgs_project` calls of a GMRES correction): the kernel runs on them
-    as they are, with no check, rerun or mask, and returns complex64.
-    Every other call widens complex64 operands, so a binary64 call on them
-    computes in complex128.
+    run on float32 planes, its flops charged once, when it returns or
+    raises; a False runs it again from the arrays, uncharged so far, in
+    complex128, whose software steps give the same values.  Every other
+    call runs on complex128, complex64 operands widened.  A kernel calls
+    steps, never an entry, but for the `fl_mul` per block of complex128
+    products in `linalg._gemm_steps`, the call the benchmark's tracer counts.
     """
-    if _in_binary32(ctx, *arrays):
-        return kernel(*arrays, ctx=ctx)
-    return _entered(kernel, ctx, arrays)
-
-
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _entered(kernel, ctx: PrecisionContext, arrays):
-    """The body of `_resident` for operands that are not a step's, with
-    numpy's warnings off, so that binary64's steps give inf and NaN
-    silently, as the software rounding does.  (The decorator costs about
-    half of a ``with np.errstate`` block.)"""
     out = None
     if ctx.format._is_binary32 and (ops := _binary32(*arrays)) is not None:
         tally = ctx if ctx.counter is None else PrecisionContext(ctx.format, FlopCounter())
@@ -738,31 +716,12 @@ def _entered(kernel, ctx: PrecisionContext, arrays):
     return tuple([_canonical(z.astype(np.complex128, copy=False)) for z in out])
 
 
-_COMPLEX64 = np.dtype(np.complex64)
 _FLOAT32 = np.dtype(np.float32)
 
 
-def _in_binary32(ctx: PrecisionContext, *xs) -> bool:
-    """True in binary32 when every x is a complex64 array or scalar: the
-    operands of a step inside a `_resident` kernel, which hold binary32
-    values by construction and run under its ``np.errstate``."""
-    if not ctx.format._is_binary32:
-        return False
-    for x in xs:
-        if getattr(x, "dtype", None) is not _COMPLEX64:
-            return False
-    return True
-
-
 def _entrywise(step, a, b, ctx: PrecisionContext):
-    """``step(a, b, fmt)`` for `fl_add`, `fl_sub`, `fl_mul` and `fl_div`,
-    charging one flop per element of the broadcast result: directly on
-    complex64 operands in binary32, the step of a kernel, else as a
-    one-step `_resident` kernel on complex128 arrays."""
-    if _in_binary32(ctx, a, b):
-        z = step(a, b, ctx.format)
-        ctx.count(z.size)
-        return z
+    """``step(a, b, fmt)`` for `fl_add`, `fl_sub`, `fl_mul` and `fl_div`, a
+    one-step `_resident` kernel charging one flop per result element."""
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     (z,) = _resident(lambda a, b, ctx: (step(a, b, ctx.format),), ctx.format._uncounted,
                      np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
@@ -894,9 +853,6 @@ def fl_sum(P, ctx: PrecisionContext, start=None):
     the correctly rounded sum the software path computes, with the same
     overflow, gradual underflow and signed zeros.
     """
-    if _in_binary32(ctx, P, P if start is None else start):
-        ctx.count(P.size)
-        return _buffer_sum(P, start)
     P = np.asarray(P, dtype=np.complex128)
     ctx.count(P.size)
     start = np.zeros(P.shape[1:], dtype=np.complex128) if start is None \
@@ -906,8 +862,11 @@ def fl_sum(P, ctx: PrecisionContext, start=None):
     return total
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def fl_sqrt(x, ctx: PrecisionContext):
-    """Rounded square root of a nonnegative real array or scalar."""
+    """Rounded square root of a nonnegative real array or scalar; the
+    square root of a negative value is the canonical NaN, with no numpy
+    warning, as in `_resident`."""
     scalar = np.ndim(x) == 0
     x = np.asarray(np.real(np.asarray(x)), dtype=np.float64)
     ctx.count(x.size)

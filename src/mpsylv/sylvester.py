@@ -205,20 +205,22 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
 
 
 def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
-    """`solve_sylv_tri` with T_A, T_B and ctx fixed: returns solve(C).
+    """`solve_sylv_tri` with T_A, T_B and ctx fixed: returns solve(C), an
+    entry, which takes and returns complex128, and solve.step(C), its
+    steps in C's dtype with no check, which a kernel calls.
 
-    Once per pair: the checks, the wave plan and, per dtype of C, the
-    working buffer [Y | T_A | T_B]; once per dtype the waves run in (as
-    `_resident` chooses): D, the shifted diagonals, their zeros, the Smith
-    denominators and each wave's views of one scratch buffer.  A solve
-    writes Y and the scratch before it reads them, so pairs may be solved
-    in any interleaving.  A wave is one gather, one `_product`, then where no
-    step rounds (binary64, complex64) one ``np.subtract.accumulate`` and
-    Smith's numerator on the planes of its last row (`_smith_planes`),
-    else `_accumulate` and `_smith_numerator`.
+    Once per pair: the checks and the wave plan; once per dtype the waves
+    run in: the working buffer [Y | T_A | T_B], D, the shifted diagonals,
+    their zeros, the Smith denominators and each wave's views of one
+    scratch buffer.  A solve writes Y and the scratch before it reads
+    them, so pairs may be solved in any interleaving.  A wave is one
+    gather, one `_product`, then where no step rounds (binary64,
+    complex64) one ``np.subtract.accumulate`` and Smith's numerator on the
+    planes of its last row (`_smith_planes`), else `_accumulate` and
+    `_smith_numerator`.
     """
-    T_A = as_matrix(T_A, ctx)
-    T_B = as_matrix(T_B, ctx)
+    T_A = as_matrix(T_A)
+    T_B = as_matrix(T_B)
     if _triangular_form(T_A) != "upper":
         raise DimensionError("T_A must be upper triangular")
     b_form = _triangular_form(T_B)
@@ -228,7 +230,7 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     fmt = ctx.format
     cols, order, first, waves = _wave_plan(m, n, b_form == "lower")
     off_b = m * n + m * m
-    prepared, working = {}, {}
+    prepared = {}
 
     def prepare(buf):
         # the shifted diagonals T_A[i, i] + T_B[k, k], row-major
@@ -277,14 +279,17 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
         ctx.count(done + m * (m + 1))
         raise NumericBreakdownError(f"non-finite values while solving column {j}")
 
+    @functools.cache
+    def buffer(dtype):  # the working [Y | T_A | T_B]
+        return np.concatenate([np.zeros(m * n), T_A.ravel(), T_B.ravel()], dtype=dtype)
+
     def solve(C) -> np.ndarray:
-        C = as_matrix(C, ctx)
+        C = as_matrix(C)
         if C.shape != (m, n):
             raise DimensionError("inconsistent dimensions")
-        if C.dtype not in working:
-            working[C.dtype] = np.concatenate([np.zeros(m * n, C.dtype), T_A.ravel(), T_B.ravel()])
-        return _resident(steps, ctx, working[C.dtype], C.ravel()[order])[0]
+        return _resident(steps, ctx, buffer(C.dtype), C.ravel()[order])[0]
 
+    solve.step = lambda C: steps(buffer(C.dtype), C.ravel()[order], ctx)[0]
     return solve
 
 

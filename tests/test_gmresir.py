@@ -147,17 +147,17 @@ class TestGmresIr:
         assert len(rep.residual_history) == rep.outer_iterations
 
 
-def _sweep_correction(t, idx):
-    """The operands of the first binary32 GMRES correction of the 10x10
-    criterion-4 sweep problem at t: the preconditioned right-hand side, the
-    rounded coefficients and the Schur factors."""
+def _sweep_correction(t, idx, fmt=BINARY32):
+    """The operands of the first GMRES correction in fmt (binary32 by
+    default) of the 10x10 criterion-4 sweep problem at t: the
+    preconditioned right-hand side, the rounded coefficients and the Schur
+    factors."""
     p = generate(ProblemGenerator("logspace-conditioned", 10, 10, float(t), 1, stream=idx))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sf_A, sf_B = _schur_pair(p, PrecisionContext(BINARY32))
-    Rt = apply_preconditioner(_round_complex_array(p.C, BINARY32), sf_A, sf_B,
-                              PrecisionContext(BINARY32))
-    A_g, B_g = (_round_complex_array(M, BINARY32) for M in (p.A, p.B))
+        sf_A, sf_B = _schur_pair(p, PrecisionContext(fmt))
+    Rt = apply_preconditioner(_round_complex_array(p.C, fmt), sf_A, sf_B, PrecisionContext(fmt))
+    A_g, B_g = (_round_complex_array(M, fmt) for M in (p.A, p.B))
     return Rt, A_g, B_g, sf_A, sf_B
 
 
@@ -172,7 +172,7 @@ class TestResidentCorrection:
     def _run(operands, gcfg):
         counter = FlopCounter()
         E, inner, stagnated = gmresir._resident_correction(
-            *operands, gcfg, PrecisionContext(BINARY32, counter, "gmres"))
+            *operands, gcfg, PrecisionContext(gcfg.u_g, counter, "gmres"))
         return np.ascontiguousarray(E).view(np.uint64).tobytes(), inner, stagnated, counter.counts
 
     @pytest.mark.parametrize("idx, t", enumerate((2, 6, 10, 14)))
@@ -200,30 +200,46 @@ class TestResidentCorrection:
         assert len(checks) == 1
         assert dtypes == [np.complex64]
 
-    def test_binary64_widens_complex64_operands(self, rng):
-        """A binary64 gemm, triangular solve or projection on complex64
-        arrays computes in complex128: the result of the widened operands."""
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32], ids=lambda f: f.name)
+    def test_binary64_widens_complex64_operands(self, fmt, rng):
+        """A gemm, triangular solve or projection on complex64 arrays is an
+        entry like any other, in binary32 too: it returns complex128, the
+        result of the widened operands."""
+        ctx = PrecisionContext(fmt)
         A, B, C = (cmat(rng, 5, 5).astype(np.complex64) for _ in range(3))
         T_A, T_B = (np.triu(M) + 3 * np.eye(5, dtype=np.complex64) for M in (A, B))
         wide = [M.astype(np.complex128) for M in (A, B, C, T_A, T_B)]
-        got = linalg.gemm(0.5, A, B, -1.0, C, CTX)
-        want = linalg.gemm(0.5, wide[0], wide[1], -1.0, wide[2], CTX)
+        got = linalg.gemm(0.5, A, B, -1.0, C, ctx)
+        want = linalg.gemm(0.5, wide[0], wide[1], -1.0, wide[2], ctx)
         assert got.dtype == np.complex128 and (got == want).all()
-        got = sylvester.solve_sylv_tri(T_A, T_B, C, CTX)
-        want = sylvester.solve_sylv_tri(wide[3], wide[4], wide[2], CTX)
+        got = sylvester.solve_sylv_tri(T_A, T_B, C, ctx)
+        want = sylvester.solve_sylv_tri(wide[3], wide[4], wide[2], ctx)
         assert got.dtype == np.complex128 and (got == want).all()
-        got = linalg._mgs_project(A, C[:, 0], CTX)
-        want = linalg._mgs_project(wide[0], wide[2][:, 0], CTX)
+        got = linalg._mgs_project(A, C[:, 0], ctx)
+        want = linalg._mgs_project(wide[0], wide[2][:, 0], ctx)
         assert got[0].dtype == got[1].dtype == np.complex128
         assert all(np.all(g == w) for g, w in zip(got, want))
 
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32, BFLOAT16], ids=lambda f: f.name)
+    def test_a_correction_enters_once(self, fmt, monkeypatch):
+        """A correction is one `_resident` kernel whose steps call no entry,
+        in every format."""
+        operands = _sweep_correction(6, 1, fmt)
+        entries, resident = [], precision._resident
+        for module in (precision, linalg, sylvester, gmresir):  # wherever the name is bound
+            monkeypatch.setattr(module, "_resident",
+                                lambda *args: entries.append(1) or resident(*args))
+        _, inner, _, _ = self._run(operands, GmresConfig(fmt, restart=4, max_restarts=3))
+        assert inner >= 1
+        assert len(entries) == 1
+
 
 class TestCorrectionPlan:
-    """`_correction_plan`, the matvec of a correction planned once, is the
-    unprepared composition
+    """`_correction_plan`, the matvec of a correction planned once and run
+    as steps inside one `_resident` kernel, is the composition
     vec(apply_preconditioner(gemm(1, A_g, W, 1, gemm(1, W, B_g, 0, None))))
-    bit for bit and in flop buckets, in every format a correction runs in;
-    binary32 runs both inside one complex64 kernel, as a correction does."""
+    of entries outside it, bit for bit and in flop buckets, in every
+    format a correction runs in; binary32 runs the plan in complex64."""
 
     @staticmethod
     def _operands(shape, fmt, rng):
@@ -239,44 +255,44 @@ class TestCorrectionPlan:
                 (cmat(rng, m * n, 1)[:, 0], A, B, U_A, T_A, U_B, T_B)]
 
     @staticmethod
-    def _composition(A_g, B_g, U_A, T_A, U_B, T_B, ctx):
+    def _composition(x, A_g, B_g, U_A, T_A, U_B, T_B, ctx):
         m, n = A_g.shape[0], B_g.shape[0]
-
-        def matvec(x):
-            W = linalg.unvec(x, m, n, ctx)
-            W = linalg.gemm(1.0, A_g, W, 1.0, linalg.gemm(1.0, W, B_g, 0.0, None, ctx), ctx)
-            return vec(apply_preconditioner(W, SchurFactors(U_A, T_A), SchurFactors(U_B, T_B),
-                                            ctx), ctx)
-        return matvec
+        W = linalg.unvec(x, m, n)
+        W = linalg.gemm(1.0, A_g, W, 1.0, linalg.gemm(1.0, W, B_g, 0.0, None, ctx), ctx)
+        return vec(apply_preconditioner(W, SchurFactors(U_A, T_A), SchurFactors(U_B, T_B), ctx))
 
     @staticmethod
     def _outcomes(fmt, operands):
-        """(dtype, bits or error, flop buckets) of the plan's and the
-        composition's matvec of x, each charging its own counter, both in
-        one `_resident` kernel."""
-        got = []
+        """(dtype and bits, or error; flop buckets) of the plan's matvec of
+        x in one `_resident` kernel and of the composition's, each charging
+        its own counter, and the dtypes the plan's matvec returned in the
+        kernel."""
+        got, dtypes = [], []
 
-        def kernel(x, *ops, ctx):
-            for make in (gmresir._correction_plan, TestCorrectionPlan._composition):
-                counter = FlopCounter()
-                try:
-                    z = make(*ops, PrecisionContext(ctx.format, counter, "gmres"))(x)
-                    out = (z.dtype, z.view(np.uint8).tobytes())
-                except SingularEquationError as exc:
-                    out = (type(exc), str(exc), exc.args)
-                got.append((out, dict(counter.counts)))
-            return (x,)
+        def plan(x, *ops, ctx):
+            z = gmresir._correction_plan(*ops, ctx)(x)
+            dtypes.append(z.dtype)
+            return (z,)
 
-        precision._resident(kernel, PrecisionContext(fmt), *operands)
-        return got
+        for run in (lambda ctx: precision._resident(plan, ctx, *operands)[0],
+                    lambda ctx: TestCorrectionPlan._composition(*operands, ctx)):
+            counter = FlopCounter()
+            try:
+                z = run(PrecisionContext(fmt, counter, "gmres"))
+                out = (z.dtype, z.view(np.uint8).tobytes())
+            except SingularEquationError as exc:
+                out = (type(exc), str(exc), exc.args)
+            got.append((out, dict(counter.counts)))
+        return got, dtypes
 
     @pytest.mark.parametrize("fmt", [BINARY64, BINARY32, BFLOAT16, BINARY16],
                              ids=lambda f: f.name)
     @pytest.mark.parametrize("shape", ["square", "7x5", "lyapunov"])
     def test_matches_the_composition(self, shape, fmt, rng):
-        plan, composition = self._outcomes(fmt, self._operands(shape, fmt, rng))
+        (plan, composition), dtypes = self._outcomes(fmt, self._operands(shape, fmt, rng))
         assert plan == composition
-        assert plan[0][0] == (np.complex64 if fmt is BINARY32 else np.complex128)
+        assert plan[0][0] == np.complex128
+        assert dtypes == [np.complex64 if fmt is BINARY32 else np.complex128]
         assert plan[1] == {"gmres": composition[1]["gmres"]} and plan[1]["gmres"] > 0
 
     @pytest.mark.parametrize("fmt", [BINARY64, BINARY32, BFLOAT16, BINARY16],
@@ -285,6 +301,6 @@ class TestCorrectionPlan:
         operands = self._operands("7x5", fmt, rng)
         T_A, T_B = operands[4], operands[6]
         T_A[3, 3] = -T_B[2, 2]  # the shifted diagonal of entry (3, 2) is zero
-        plan, composition = self._outcomes(fmt, operands)
+        (plan, composition), _ = self._outcomes(fmt, operands)
         assert plan == composition
         assert plan[0][:2] == (SingularEquationError, str(SingularEquationError(3, 2)))

@@ -195,6 +195,18 @@ class TestQr:
         with pytest.raises(RankDeficiencyError):
             qr(A, CTX)
 
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32], ids=lambda f: f.name)
+    @pytest.mark.parametrize("qr", [mgs_qr, householder_qr])
+    def test_infinite_entry_raises_before_any_flop(self, qr, fmt):
+        """Not a false rank deficiency after the steps: a NaN entry gives
+        NaN factors, an infinite one is rejected at entry."""
+        A = np.eye(3, dtype=np.complex128)
+        A[0, 1] = np.inf
+        ctx = PrecisionContext(fmt, FlopCounter())
+        with pytest.raises(NonFiniteInputError):
+            qr(A, ctx)
+        assert ctx.counter.counts == {}
+
     @pytest.mark.parametrize("k", [548, 1000])
     def test_householder_below_the_squares_range(self, k):
         # w*w underflows: the reflector is formed from the column scaled up

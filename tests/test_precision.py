@@ -296,6 +296,16 @@ class TestFlOps:
         assert isinstance(fl_add(1.0, 2.0, ctx), complex)
         assert isinstance(fl_mul(np.ones(3), 2.0, ctx), np.ndarray)
 
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32, BFLOAT16], ids=lambda f: f.name)
+    def test_sqrt_of_a_negative_value_is_the_canonical_nan_silently(self, fmt):
+        """No numpy RuntimeWarning, which the tests' filterwarnings turn
+        into an error."""
+        ctx = PrecisionContext(fmt, FlopCounter())
+        assert nan_parts(np.array(fl_sqrt(-1.0, ctx))) == [CANONICAL_NAN]
+        got = fl_sqrt(np.array([-4.0, 4.0]), ctx)
+        assert nan_parts(got) == [CANONICAL_NAN] and got[1] == 2.0
+        assert ctx.counter.total() == 3
+
 
 NATIVE = [(BINARY32, np.float32), (BINARY16, np.float16)]
 

@@ -625,7 +625,11 @@ class TestPreparedPairCallers:
         def fresh(module):
             def prepare_afresh(T_A, T_B, ctx):
                 calls.append(module)
-                return lambda C: prepare(T_A, T_B, ctx)(C)
+
+                def solve(C):
+                    return prepare(T_A, T_B, ctx)(C)
+                solve.step = lambda C: prepare(T_A, T_B, ctx).step(C)
+                return solve
             return prepare_afresh
 
         for module in (sylvester, refinement, gmresir):

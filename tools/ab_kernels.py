@@ -34,7 +34,10 @@ byte, naming the first case that differs (exit status 1).
 Both modes compare each output with every NaN real or imaginary part
 mapped to the quiet NaN 0x7ff8000000000000 first: a NaN's payload means
 nothing in mpsylv, whose kernels return that NaN, so two trees may differ
-in payloads alone.  NaN positions and every other bit are compared.
+in payloads alone.  A complex64 output is widened to complex128 first, an
+exact cast: a tree whose entries return complex128 for complex64
+operands matches one that returned complex64 with the same values.  NaN
+positions and every other bit are compared.
 
 - ``schur`` cases.  The formats cycle through binary32 and binary64
   twice, at m 1-24, then bfloat16, binary16, tf32, b24 and 40:11, at
@@ -48,12 +51,11 @@ in payloads alone.  NaN positions and every other bit are compared.
   or lower triangular and a quarter of the pairs singular, and four
   right-hand sides: ordinary, near the top of the range (it overflows),
   not rounded into the format (binary32's software path) and ordinary.
-  A quarter of the binary32 cases pass complex64 operands, as a GMRES
-  correction's steps do.  Each case runs a one-shot ``solve_sylv_tri``
-  of the first C, one prepared pair (``_prepare_sylv_tri``) over all
-  four, and ``_vec_norm2_ctx`` of each C; cases 0 and 4 of every nine
-  also run ``gmres_ir_sylv`` (u_g the format, u_h binary64, restart 3) on
-  a 4x4 or 5x3 problem.
+  A quarter of the binary32 cases pass complex64 operands.  Each case
+  runs a one-shot ``solve_sylv_tri`` of the first C, one prepared pair
+  (``_prepare_sylv_tri``) over all four, and ``_vec_norm2_ctx`` of each
+  C; cases 0 and 4 of every nine also run ``gmres_ir_sylv`` (u_g the
+  format, u_h binary64, restart 3) on a 4x4 or 5x3 problem.
 """
 
 from __future__ import annotations
@@ -109,11 +111,14 @@ _NAN = np.array(0x7FF8000000000000, dtype=np.uint64).view(np.float64)
 
 
 def _canonical_bytes(a) -> bytes:
-    """The bytes of a, bytes or an array, with each NaN real or imaginary
-    part of a float or complex array the quiet NaN 0x7ff8000000000000."""
+    """The bytes of a, bytes or an array, complex64 widened to complex128,
+    with each NaN real or imaginary part of a float or complex array the
+    quiet NaN 0x7ff8000000000000."""
     if isinstance(a, bytes):
         return a
     a = np.array(a)
+    if a.dtype == np.complex64:
+        a = a.astype(np.complex128)
     if a.dtype.kind in "fc":
         for part in (a.real, a.imag) if a.dtype.kind == "c" else (a,):
             part[np.isnan(part)] = _NAN
