@@ -206,20 +206,20 @@ def _apply_rotations(cs: list, sn: list, h: list, fmt: FpFormat) -> list:
 # The chains below are the one body of a stored rotation and of a row of the
 # back substitution in every format but binary64, by the recipe of
 # `linalg._givens_chain`: the four real products of each complex product
-# and their difference and sum are stages of r, and each complex sum or
-# difference is a stage of add (r, add = `FpFormat._scalar_rounding`).
+# and their difference and sum are stages up[n](pk[n](...)), and each
+# complex sum or difference is a stage of add (`FpFormat._scalar_rounding`).
 
 
 def _rotation_chain(c: complex, s: complex, h0: complex, h1: complex, fmt: FpFormat):
     """One stored rotation of `_apply_rotations` for values of fmt."""
-    r, add = fmt._scalar_rounding
+    pk, up, add = fmt._scalar_rounding
     cr, ci, sr, si = c.real, c.imag, s.real, s.imag
     ar, ai, br, bi = h0.real, h0.imag, h1.real, h1.imag
     # the four real products of conj(c) h0, conj(s) h1, c h1 and s h0
-    p = r[16](cr * ar, -ci * ai, cr * ai, -ci * ar, sr * br, -si * bi, sr * bi, -si * br,
-              cr * br, ci * bi, cr * bi, ci * br, sr * ar, si * ai, sr * ai, si * ar)
-    q = r[8](p[0] - p[1], p[2] + p[3], p[4] - p[5], p[6] + p[7],
-             p[8] - p[9], p[10] + p[11], p[12] - p[13], p[14] + p[15])
+    p = up[16](pk[16](cr * ar, -ci * ai, cr * ai, -ci * ar, sr * br, -si * bi, sr * bi, -si * br,
+                      cr * br, ci * bi, cr * bi, ci * br, sr * ar, si * ai, sr * ai, si * ar))
+    q = up[8](pk[8](p[0] - p[1], p[2] + p[3], p[4] - p[5], p[6] + p[7],
+                    p[8] - p[9], p[10] + p[11], p[12] - p[13], p[14] + p[15]))
     tr, ti, ur, ui = add[4](q[0], q[2], q[1], q[3], q[4], -q[6], q[5], -q[7])
     return complex(tr, ti), complex(ur, ui)
 
@@ -237,12 +237,12 @@ def _backsub(acc: complex, hs: list, ys: list, fmt: FpFormat) -> complex:
 
 def _backsub_chain(acc: complex, hs: list, ys: list, fmt: FpFormat) -> complex:
     """`_backsub` for values of fmt."""
-    r, add = fmt._scalar_rounding
+    pk, up, add = fmt._scalar_rounding
     ar, ai = acc.real, acc.imag
     for h, y in zip(hs, ys):
         hr, hi, yr, yi = h.real, h.imag, y.real, y.imag
-        rr, ii, ri, ir = r[4](hr * yr, hi * yi, hr * yi, hi * yr)
-        pr, pi = r[2](rr - ii, ri + ir)
+        rr, ii, ri, ir = up[4](pk[4](hr * yr, hi * yi, hr * yi, hi * yr))
+        pr, pi = up[2](pk[2](rr - ii, ri + ir))
         ar, ai = add[2](ar, -pr, ai, -pi)
     return complex(ar, ai)
 

@@ -466,22 +466,22 @@ def _reflector_chain(x0: complex, nx: float, fmt: FpFormat):
     fmt.  x0 may lie off the format (the first entry of a rescaled
     column): the quotient x0 / |x0| rounds it first, and w[0] is its
     correctly rounded sum with phase nx."""
-    r, add = fmt._scalar_rounding
+    pk, up, add = fmt._scalar_rounding
     xr, xi = x0.real, x0.imag
-    vr, vi, xx, yy = r[4](xr + xi * 0.0, xi - xr * 0.0, xr * xr, xi * xi)
-    (s,) = r[1](xx + yy)
+    vr, vi, xx, yy = up[4](pk[4](xr + xi * 0.0, xi - xr * 0.0, xr * xr, xi * xi))
+    (s,) = up[1](pk[1](xx + yy))
     if 0.0 < s < math.inf:
-        (a0,) = r[1](math.sqrt(s))
+        (a0,) = up[1](pk[1](math.sqrt(s)))
     else:  # |x0|^2 is 0, inf or NaN: `_shypot` rescales
         a0 = _shypot(xr, xi, fmt)
-    pr, pi = r[2](vr / a0, vi / a0) if a0 != 0.0 else (1.0, 0.0)  # the phase x0 / |x0|
+    pr, pi = up[2](pk[2](vr / a0, vi / a0)) if a0 != 0.0 else (1.0, 0.0)  # the phase x0 / |x0|
     (q,) = add[1](nx, a0)
     # the products of phase * nx, and nx (nx + |x0|)
-    rr, ir, p = r[3](pr * nx, pi * nx, nx * q)
+    rr, ir, p = up[3](pk[3](pr * nx, pi * nx, nx * q))
     nr, ni = rr - pi * 0.0, pr * 0.0 + ir  # phase * nx
     # w*w = 2 p, whose zero imaginary part is NaN once nx or q is inf
-    (ww,) = r[1](2.0 * p - 0.0 * (nx * 0.0 + 0.0 * q))
-    (beta,) = r[1](2.0 / ww) if ww != 0.0 else (math.inf,)  # `_sdiv`'s 2 / 0
+    (ww,) = up[1](pk[1](2.0 * p - 0.0 * (nx * 0.0 + 0.0 * q)))
+    (beta,) = up[1](pk[1](2.0 / ww)) if ww != 0.0 else (math.inf,)  # `_sdiv`'s 2 / 0
     if vr == xr and vi == xi:
         wr, wi = add[2](xr, nr, xi, ni)
     else:  # x0 off the format: the sum needs its 2Sum residual
@@ -718,8 +718,8 @@ def _givens_binary64(f: complex, g: complex):
 # (and `gmresir` has two more).  They run on Python floats for values of
 # the format.  Each step is one double operation on values of the format,
 # rounded as the rounded composition of `_sadd`, `_ssub`, `_smul`, `_sdiv`
-# and `_ssqrt` rounds it: r[n] of `FpFormat._scalar_rounding` rounds the n
-# independent steps of a stage, and add[n] rounds the sums that the
+# and `_ssqrt` rounds it: up[n](pk[n](...)) of `FpFormat._scalar_rounding`
+# rounds the n independent steps of a stage, and add[n] the sums that the
 # composition takes with a 2Sum residual.  The steps keep the zero cross
 # terms of the complex steps, such as Im(f) * 0 in f / |f|, since the signs
 # of zeros and NaN depend on them; a step that adds or subtracts such a
@@ -735,27 +735,27 @@ def _givens_chain(f: complex, g: complex, fmt: FpFormat):
     whose sum of squares is 0 or inf comes from `_shypot`, which rescales."""
     if g == 0:
         return 1.0, 0j
-    r, add = fmt._scalar_rounding
+    pk, up, add = fmt._scalar_rounding
     fr, fi, gr, gi = f.real, f.imag, g.real, g.imag
-    ff, fj, gg, gj = r[4](fr * fr, fi * fi, gr * gr, gi * gi)
-    sf, sg = r[2](ff + fj, gg + gj)
+    ff, fj, gg, gj = up[4](pk[4](fr * fr, fi * fi, gr * gr, gi * gi))
+    sf, sg = up[2](pk[2](ff + fj, gg + gj))
     if 0.0 < sf < math.inf and 0.0 < sg < math.inf:
-        af, ag = r[2](math.sqrt(sf), math.sqrt(sg))
+        af, ag = up[2](pk[2](math.sqrt(sf), math.sqrt(sg)))
     else:  # |f| or |g| is 0, or its squares leave the range, or a part is NaN
         af, ag = _shypot(fr, fi, fmt), _shypot(gr, gi, fmt)
     if f == 0:  # conj(g) / |g|
-        sr, si = r[2]((gr + -gi * 0.0) / ag, (-gi - gr * 0.0) / ag)
+        sr, si = up[2](pk[2]((gr + -gi * 0.0) / ag, (-gi - gr * 0.0) / ag))
         return 0.0, complex(sr, si)
     # the real parts of af * af and ag * ag, and f / af
-    pf, pg, qr, qi = r[4](af * af, ag * ag, (fr + fi * 0.0) / af, (fi - fr * 0.0) / af)
+    pf, pg, qr, qi = up[4](pk[4](af * af, ag * ag, (fr + fi * 0.0) / af, (fi - fr * 0.0) / af))
     (d2,) = add[1](pf, pg)
     # the products of (f / af) * conj(g)
-    rr, ii, ri, ir = r[4](qr * gr, qi * -gi, qr * -gi, qi * gr)
-    d, pr, pi = r[3](math.sqrt(d2), rr - ii, ri + ir)
+    rr, ii, ri, ir = up[4](pk[4](qr * gr, qi * -gi, qr * -gi, qi * gr))
+    d, pr, pi = up[3](pk[3](math.sqrt(d2), rr - ii, ri + ir))
     if d2 == 0.0 or d2 == math.inf:  # the squares left the format's range
         d = _shypot(af, ag, fmt)
     # af / d, and ((f / af) * conj(g)) / d
-    c, sr, si = r[3](af / d, (pr + pi * 0.0) / d, (pi - pr * 0.0) / d)
+    c, sr, si = up[3](pk[3](af / d, (pr + pi * 0.0) / d, (pi - pr * 0.0) / d))
     return c, complex(sr, si)
 
 
@@ -766,27 +766,27 @@ _PAIR = np.array([0, 1, 1, 0])
 
 def _coefficient_layout(code, entries, shape):
     """A table packing of coefficients of one step and of two: (struct,
-    index table, array shape) for each."""
+    index table, array shape) for each.  Each entry is a tuple of indices
+    into the values, stored together for step 0, then for step 1."""
     def packing(q):
-        table = [j if j < 2 else j + 4 * i for pair in entries for i in range(q) for j in pair]
-        axes = shape + ((q,) if q > 1 else ()) + ((1, 2) if code == "f" else (1,))
+        table = [j if j < 2 else j + 4 * i for entry in entries for i in range(q) for j in entry]
+        axes = shape + (q,) * (q > 1) + (1,)
         return struct.Struct(f"{len(table)}{code}"), itemgetter(*table), axes
     return packing(1), packing(2)
 
 
-# Each entry of the complex64 layout is a pair of indices into the values
-# (0.0, -0.0, c, Re s, Im s, -Im s) of one step; for two steps each pair
-# is stored for step 0, then for step 1, whose c, Re s, Im s and -Im s are
-# at 6 to 9.  The pairs of c, s and conj(s) are the float32 planes
-# [kr, kr] and [-ki, ki], and the layout stores the planes of the rows'
-# and then the columns' [[c, s1], [s2, c]] (out, in).  complex128 packs
-# [c, s, c, conj(s), c, s] as (re, im) doubles straight, step 0 then
-# step 1 for each entry: a step's rows take [c, s1, c, s2] from 0 and its
-# columns from 2.
+# The complex64 layout indexes the values (0.0, -0.0, c, Re s, Im s, -Im s)
+# of one step; a second step's c, Re s, Im s and -Im s are at 6 to 9.  The
+# pairs of c, s and conj(s) are the float32 planes [kr, kr] and [-ki, ki],
+# and the layout stores, for the rows' and then the columns'
+# [[c, s1], [s2, c]], kr and then ki as (out, in, plane, [pair,] 1).
+# complex128 packs [c, s, c, conj(s), c, s] as (re, im) doubles straight,
+# step 0 then step 1 for each entry: a step's rows take [c, s1, c, s2] from
+# 0 and its columns from 2.
 _PLANES = ({"c": (2, 2), "s": (3, 3), "s*": (3, 3)}, {"c": (1, 0), "s": (5, 4), "s*": (4, 5)})
 _COMPLEX64 = _coefficient_layout(
-    "f", [plane[x] for rows in (("c", "s", "s*", "c"), ("c", "s*", "s", "c"))
-          for plane in _PLANES for x in rows], (2, 2, 2, 2))
+    "f", [(k[x][plane],) for rows in (("c", "s", "s*", "c"), ("c", "s*", "s", "c"))
+          for k in _PLANES for x in rows for plane in (0, 1)], (2, 2, 2, 2, 2))
 
 
 def _rotation(dtype, fmt: FpFormat):
@@ -799,10 +799,11 @@ def _rotation(dtype, fmt: FpFormat):
     column and holds the errstate.  binary64 takes K as views (c, [s1, s2]),
     keeps `_product`'s operand order, X first, and forms c X out of place,
     which numpy runs faster than an in-place product on a strided view.  A
-    complex64 X takes `_plane_product`'s steps on its float32 planes V:
-    V * [kr, kr] + swap(V) * [-ki, ki] is exactly kr*gr - ki*gi and
-    kr*gi + ki*gr, each step correctly rounded in any layout.  Others take
-    `_product` and `_add` of K = [c, s1, c, s2] and [X0, X1, X1, X0]."""
+    complex64 X is given as its float32 planes V, (in, plane, [pair,] n),
+    so that each numpy call loops over n: V * [kr, kr] + swap(V) * [-ki, ki]
+    is `_plane_product`'s kr*gr - ki*gi and kr*gi + ki*gr, each step
+    correctly rounded in any layout.  Others take `_product` and `_add` of
+    K = [c, s1, c, s2] and [X0, X1, X1, X0]."""
     if dtype == np.complex64:
         (pack1, take1, K1), (pack2, take2, K2) = [
             (S.pack_into, take, np.empty(shape, np.float32)) for S, take, shape in _COMPLEX64]
@@ -816,10 +817,15 @@ def _rotation(dtype, fmt: FpFormat):
                                  cb, sb.real, sb.imag, -sb.imag)))
             return two
 
-        def rotate(X, k):
-            V = X[..., None].view(np.float32)
+        def rotate(V, k):
             kr, ki = k
-            P = V * kr + V[..., ::-1] * ki  # k[o, i] X[i]
+            # k[o, i] X[i], plane by plane, in C order, so that numpy loops
+            # over n whatever V's strides (in K order it would loop over the
+            # planes, V's smallest stride)
+            P = np.multiply(V, kr, order="C")
+            P += np.multiply(V[:, ::-1], ki, order="C")
+            # a contiguous block: numpy 2.4's negative miswrites a float32
+            # input of stride 4 elements into a strided output (x86-64)
             np.negative(P[1, 0], out=P[1, 0])
             np.add(P[:, 0], P[:, 1], out=V)
         return coefficients, rotate
@@ -880,36 +886,36 @@ def _shift_chain(a: complex, b: complex, c: complex, d: complex, fmt: FpFormat) 
     """`_shift_binary64` for values of any other format fmt: the principal
     square root from the unscaled magnitude of its argument (inf past the
     squares' range), and the quotient by Smith's method."""
-    r, add = fmt._scalar_rounding
+    pk, up, add = fmt._scalar_rounding
     ar, ai, br, bi, cr, ci, dr, di = a.real, a.imag, b.real, b.imag, c.real, c.imag, d.real, d.imag
     xr, xi = add[2](ar, -dr, ai, -di)  # a - d
     # 0.5 * (a - d), and the products of b * c
-    hr, hi, p1, p2, p3, p4 = r[6](0.5 * xr, 0.5 * xi, br * cr, bi * ci, br * ci, bi * cr)
+    hr, hi, p1, p2, p3, p4 = up[6](pk[6](0.5 * xr, 0.5 * xi, br * cr, bi * ci, br * ci, bi * cr))
     er, ei = hr - 0.0 * xi, hi + 0.0 * xr  # delta
-    bcr, bci, q1, q2, q3, q4 = r[6](p1 - p2, p3 + p4, er * er, ei * ei, er * ei, ei * er)
-    ddr, ddi = r[2](q1 - q2, q3 + q4)
+    bcr, bci, q1, q2, q3, q4 = up[6](pk[6](p1 - p2, p3 + p4, er * er, ei * ei, er * ei, ei * er))
+    ddr, ddi = up[2](pk[2](q1 - q2, q3 + q4))
     zr, zi = add[2](ddr, bcr, ddi, bci)  # delta^2 + b c
     # its square root (u, v)
     if zr == 0.0 and zi == 0.0:
         ur, ui = 0.0, 0.0
     else:
-        s1, s2 = r[2](zr * zr, zi * zi)
-        (s,) = r[1](s1 + s2)
+        s1, s2 = up[2](pk[2](zr * zr, zi * zi))
+        (s,) = up[1](pk[1](s1 + s2))
         # unscaled, inf past the squares' range: scaling it would change the
         # shifts, and so the results, of binary32 Schur forms whose
         # discriminant passes ~1.8e19
-        (mag,) = r[1](math.sqrt(s)) if s < math.inf else (math.inf,)
+        (mag,) = up[1](pk[1](math.sqrt(s))) if s < math.inf else (math.inf,)
         pos = zr >= 0.0
-        (h,) = r[1](mag + zr if pos else mag - zr)
-        (h,) = r[1](h / 2.0)
-        (root,) = r[1](math.sqrt(h))
+        (h,) = up[1](pk[1](mag + zr if pos else mag - zr))
+        (h,) = up[1](pk[1](h / 2.0))
+        (root,) = up[1](pk[1](math.sqrt(h)))
         if not pos:
             root = math.copysign(root, zi if zi != 0.0 else 1.0)
         if root == 0.0:
             ur, ui = 0.0, (zi if pos else 0.0)
         else:
-            (twice,) = r[1](2.0 * root)
-            (other,) = r[1](zi / twice)
+            (twice,) = up[1](pk[1](2.0 * root))
+            (other,) = up[1](pk[1](zi / twice))
             ur, ui = (root, other) if pos else (other, root)
     if er * ur + ei * ui < 0:  # align the root with delta
         ur, ui = -ur, -ui
@@ -920,15 +926,15 @@ def _shift_chain(a: complex, b: complex, c: complex, d: complex, fmt: FpFormat) 
     # least the larger part of the sum, whose real part is NaN only where
     # its imaginary part is NaN or infinite
     if abs(nr) >= abs(ni):
-        (t,) = r[1](ni / nr)
-        k1, k2, k3 = r[3](ni * t, bci * t, bcr * t)
-        den, n1, n2 = r[3](nr + k1, bcr + k2, bci - k3)
-        qr, qi = r[2](n1 / den, n2 / den)
+        (t,) = up[1](pk[1](ni / nr))
+        k1, k2, k3 = up[3](pk[3](ni * t, bci * t, bcr * t))
+        den, n1, n2 = up[3](pk[3](nr + k1, bcr + k2, bci - k3))
+        qr, qi = up[2](pk[2](n1 / den, n2 / den))
     else:
-        (t,) = r[1](nr / ni)
-        k1, k2, k3 = r[3](nr * t, bcr * t, bci * t)
-        den, n1, n2 = r[3](ni + k1, bci + k2, bcr - k3)
-        qr, qi = r[2](n1 / den, n2 / den)
+        (t,) = up[1](pk[1](nr / ni))
+        k1, k2, k3 = up[3](pk[3](nr * t, bcr * t, bci * t))
+        den, n1, n2 = up[3](pk[3](ni + k1, bci + k2, bcr - k3))
+        qr, qi = up[2](pk[2](n1 / den, n2 / den))
         qi = -qi
     sr, si = add[2](dr, -qr, di, -qi)
     return complex(sr, si)
@@ -938,7 +944,7 @@ def _shifted(h: complex, shift: complex, fmt: FpFormat) -> complex:
     """h - shift for values h and shift of fmt, as `_ssub` rounds it."""
     if fmt.is_binary64:
         return h - shift
-    re, im = fmt._scalar_rounding[1][2](h.real, -shift.real, h.imag, -shift.imag)
+    re, im = fmt._scalar_rounding[2][2](h.real, -shift.real, h.imag, -shift.imag)
     return complex(re, im)
 
 
@@ -1010,65 +1016,69 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
     run no further, raised with the charges of those after it dropped.
     Matrices 0 and 1 run to their ends, then 2 and 3, and an odd last one
     alone.  A pair's pending steps are applied through one view per pass
-    on UH's buffer: the rows from the smaller first column, the columns to
-    the larger row count, with coefficients(c, s, cb, sb).  The entries
-    this pads with are exact zeros below H's subdiagonal or a deflated
-    subdiagonal, which a rotation by finite c and s keeps zero.  A Givens
-    step on a non-finite H may not have them (where c is not finite,
-    neither is s): a pair of steps whose s is not finite is applied a
-    matrix at a time."""
+    on UH's buffer, of its float32 planes in complex64 (`_rotation`): the
+    rows from the smaller first column, the columns to the larger row
+    count, with coefficients(c, s, cb, sb).  The entries this pads with
+    are exact zeros below H's subdiagonal or a deflated subdiagonal, which
+    a rotation by finite c and s keeps zero.  A Givens step on a
+    non-finite H may not have them (where c is not finite, neither is s):
+    a pair of steps whose s is not finite is applied a matrix at a time."""
     p, m, dtype = UH.shape[0], UH.shape[2], UH.dtype
     coefficients, rotate = _rotation(dtype, ctxs[0].format)
     s0, s1, s2 = UH.strides
+    R = UH  # the rows as the body takes them, complex64 as (row, plane, column)
+    if dtype == np.complex64:
+        R = UH.view(np.float32).reshape(p, 2 * m, m, 2).swapaxes(2, 3)
+    C, vt, planes = R.swapaxes(1, -1), R.dtype, R.strides[2:-1]  # () or float32's (4,)
+    lead, rows_at, cols_at = (2, *R.shape[2:-1], 2), (s1, *planes), (s2, *planes)
 
-    def alone(X, step):
+    def alone(i, step):
         k, first, rows, c, s = step
         K, L = coefficients(c, s)
-        rotate(X[m + k:m + k + 2, first:], K)
-        rotate(X[:rows, k:k + 2].T, L)
+        rotate(R[i, m + k:m + k + 2, ..., first:], K)
+        rotate(C[i, k:k + 2, ..., :rows], L)
 
     def error(stop):  # the error that ended a run, or None
         return stop if isinstance(stop, MpsylvError) else None
 
-    def to_end(steps, X):
-        """The error that ends a run of steps applied alone, or None."""
+    def to_end(steps, i):
+        """The error that ends a run of steps of matrix i applied alone, or None."""
         try:
             for step in steps:
-                alone(X, step)
+                alone(i, step)
         except MpsylvError as exc:
             return exc
 
     for i in range(0, p, 2):
-        X = UH[i]
-        a = _qr_steps(X, ctxs[i])
+        a = _qr_steps(UH[i], ctxs[i])
         if i + 1 == p:
-            errors = [to_end(a, X)]
+            errors = [to_end(a, i)]
         else:
-            Y, b = UH[i + 1], _qr_steps(UH[i + 1], ctxs[i + 1])
+            b = _qr_steps(UH[i + 1], ctxs[i + 1])
             rows0, cols0 = i * s0 + m * s1, i * s0  # the offsets of the pair's views
             while True:
                 try:
                     step = next(a)
                 except (StopIteration, MpsylvError) as stop:
-                    errors = [error(stop), error(stop) or to_end(b, Y)]
+                    errors = [error(stop), error(stop) or to_end(b, i + 1)]
                     break
                 try:
                     other = next(b)
                 except (StopIteration, MpsylvError) as stop:
-                    errors = [to_end(chain([step], a), X), error(stop)]
+                    errors = [to_end(chain([step], a), i), error(stop)]
                     break
                 k, f, r, c, s = step
                 kb, fb, rb, cb, sb = other
                 if not (cmath.isfinite(s) and cmath.isfinite(sb)):
-                    alone(X, step)
-                    alone(Y, other)
+                    alone(i, step)
+                    alone(i + 1, other)
                     continue
                 K, L = coefficients(c, s, cb, sb)
                 f, r = f if f < fb else fb, r if r > rb else rb
-                rotate(np.ndarray((2, 2, m - f), dtype, UH, rows0 + k * s1 + f * s2,
-                                  (s1, s0 + (kb - k) * s1, s2)), K)
-                rotate(np.ndarray((2, 2, r), dtype, UH, cols0 + k * s2,
-                                  (s2, s0 + (kb - k) * s2, s1)), L)
+                rotate(np.ndarray(lead + (m - f,), vt, UH, rows0 + k * s1 + f * s2,
+                                  rows_at + (s0 + (kb - k) * s1, s2)), K)
+                rotate(np.ndarray(lead + (r,), vt, UH, cols0 + k * s2,
+                                  cols_at + (s0 + (kb - k) * s2, s1)), L)
         for j, exc in enumerate(errors, i):
             if exc is not None:
                 for c in ctxs[j + 1:]:

@@ -88,15 +88,15 @@ Wilkinson shift (`linalg._reflector_chain`, `linalg._givens_chain`,
 `linalg._shift_chain`), and the stored Hessenberg rotations and the rows
 of the back substitution (`gmresir._rotation_chain`,
 `gmresir._backsub_chain`).  They run on Python floats, each stage of
-independent steps rounded by `FpFormat._scalar_rounding`: one ``struct``
-cast in binary32 and binary16, whose double +, -, *, / or sqrt of values
-of the format, cast once, is correctly rounded since 53 >= 2t + 2;
-`_round_real_scalar` per value elsewhere, with the 2Sum residual in the
-sums, which double rounding needs when t >= 26.  Each chain holds the
-branches of the rounded `_s*` composition on zeros, infinities and
-squares out of range, so every operand runs through the one body and
-gets the bits that composition gives.  binary64 takes plain float and
-complex bodies.  For the same reason the binary32 |x_i| of
+independent steps rounded as up[n](pk[n](...)) (`_scalar_rounding`): a
+bound ``struct`` pack and unpack in binary32 and binary16, whose double
++, -, *, / or sqrt of values of the format, cast once, is correctly
+rounded since 53 >= 2t + 2; `_round_real_scalar` per value elsewhere,
+with the 2Sum residual in sums, which double rounding needs when t >= 26.
+Each chain holds the branches of the rounded `_s*` composition on zeros,
+infinities and squares out of range, so every operand runs through the
+one body and gets the bits that composition gives.  binary64 takes plain
+float and complex bodies.  For the same reason the binary32 |x_i| of
 `linalg._norm2_steps` are float32 steps.
 
 Complex division has two references.  The scalar `_sdiv` in binary64 is
@@ -222,27 +222,29 @@ class FpFormat:
 
     @cached_property
     def _scalar_rounding(self):
-        """(r, add), the stage roundings of the scalar chains, which run in
-        every format but binary64.
+        """(pk, up, add), the stage roundings of the scalar chains, which run
+        in every format but binary64.
 
-        r[n](x_1, ..., x_n), n up to 16, returns the n doubles each rounded
-        into the format as `_round_real_scalar` rounds them, ±inf past its
-        range.  add[n](a_1, b_1, ..., a_n, b_n), n = 1, 2 or 4, returns the n
-        sums a_i + b_i each correctly rounded, as `_sadd` rounds them.
-        binary32 and binary16 round a stage by one ``struct`` cast, and a
-        sum of two values of the format by casting its double: since
-        53 >= 2t + 2, that is the correctly rounded sum.  Other formats
-        round each value by `_round_real_scalar`, and each sum with its 2Sum
-        residual (`_sums`), which double rounding needs when t >= 26.
-        """
+        up[n](pk[n](x_1, ..., x_n)), n up to 16, returns the n doubles each
+        rounded as `_round_real_scalar` rounds them, ±inf past the range.
+        add[n](a_1, b_1, ..., a_n, b_n), n = 1, 2 or 4, returns the n sums
+        a_i + b_i each correctly rounded, as `_sadd` does.  binary32 and
+        binary16 take the bound ``pack`` and ``unpack`` of one ``struct`` of
+        n values (binary16's pk[n] by `_cast_pack`), so a binary32 stage runs
+        no Python frame, and cast a sum's double: since 53 >= 2t + 2, that is
+        the correctly rounded sum.  Other formats round by `_round_real_scalar`
+        in pk[n] (up[n] is ``tuple``), and each sum with its 2Sum residual."""
         native = self._native
         if native is None:
             def stage(*xs):
                 return [_round_real_scalar(x, self) for x in xs]
-            return (stage,) * 17, (lambda *xs: _sums(self, *xs),) * 5
-        r = tuple(_cast_stage(struct.Struct(f"{n}{native[1].format}"), self) for n in range(17))
-        return r, (None, lambda a, b: r[1](a + b), lambda a, b, c, d: r[2](a + b, c + d), None,
-                   lambda a, b, c, d, e, f, g, h: r[4](a + b, c + d, e + f, g + h))
+            return (stage,) * 17, (tuple,) * 17, (lambda *xs: _sums(self, *xs),) * 5
+        casts = [struct.Struct(f"{n}{native[1].format}") for n in range(17)]
+        pk = tuple(s.pack if self._is_binary32 else _cast_pack(s, self) for s in casts)
+        up = tuple(s.unpack for s in casts)
+        return pk, up, (None, lambda a, b: up[1](pk[1](a + b)),
+                        lambda a, b, c, d: up[2](pk[2](a + b, c + d)), None,
+                        lambda a, b, c, d, e, f, g, h: up[4](pk[4](a + b, c + d, e + f, g + h)))
 
     @classmethod
     def from_bits(cls, significand_bits: int, exponent_bits: int,
@@ -894,19 +896,19 @@ def _sums(fmt: FpFormat, *xs: float) -> list:
     return out
 
 
-def _cast_stage(s: struct.Struct, fmt: FpFormat):
-    """The stage rounding of binary32 or binary16 for n = s's count: one
-    ``struct`` cast, or `_round_real_scalar` per value when the cast
-    raises, as binary16's ``'e'`` does past the range (binary32's native
-    ``'f'`` casts such a value to +-inf, its rounding)."""
-    pack, unpack = s.pack, s.unpack
+def _cast_pack(s: struct.Struct, fmt: FpFormat):
+    """The pk[n] of binary16's stages, n = s's count: s.pack, or where that
+    raises, as ``'e'`` does past the range, the values rounded one by one
+    by `_round_real_scalar` (±inf there), then packed.  binary32 takes
+    s.pack itself: its native ``'f'`` casts such a value to ±inf."""
+    pack = s.pack
 
-    def stage(*xs):
+    def packed(*xs):
         try:
-            return unpack(pack(*xs))
+            return pack(*xs)
         except OverflowError:
-            return [_round_real_scalar(x, fmt) for x in xs]
-    return stage
+            return pack(*[_round_real_scalar(x, fmt) for x in xs])
+    return packed
 
 
 def _sadd(a: complex, b: complex, fmt: FpFormat) -> complex:

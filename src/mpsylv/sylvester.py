@@ -45,6 +45,7 @@ from .precision import (
     fl_div,
     _accumulate,
     _add,
+    _binary32,
     _product,
     _resident,
     _round_complex_array,
@@ -212,12 +213,13 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     Once per pair: the checks and the wave plan; once per dtype the waves
     run in: the working buffer [Y | T_A | T_B], D, the shifted diagonals,
     their zeros, the Smith denominators and each wave's views of one
-    scratch buffer.  A solve writes Y and the scratch before it reads
-    them, so pairs may be solved in any interleaving.  A wave is one
-    gather, one `_product`, then where no step rounds (binary64,
-    complex64) one ``np.subtract.accumulate`` and Smith's numerator on the
-    planes of its last row (`_smith_planes`), else `_accumulate` and
-    `_smith_numerator`.
+    scratch buffer; in binary32, whether T_A and T_B hold binary32 values,
+    so that solve(C) enters `_resident` with C alone.  A solve writes Y and
+    the scratch before it reads them, so pairs may be solved in any
+    interleaving.  A wave is one gather, one `_product`, then where no
+    step rounds (binary64, complex64) one ``np.subtract.accumulate`` and
+    Smith's numerator on the planes of its last row (`_smith_planes`),
+    else `_accumulate` and `_smith_numerator`.
     """
     T_A = as_matrix(T_A)
     T_B = as_matrix(T_B)
@@ -283,11 +285,17 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     def buffer(dtype):  # the working [Y | T_A | T_B]
         return np.concatenate([np.zeros(m * n), T_A.ravel(), T_B.ravel()], dtype=dtype)
 
+    # whether T_A and T_B hold binary32 values, checked once, under `_resident`
+    on_format = functools.cache(lambda: _binary32(T_A, T_B) is not None)
+
+    def kernel(c, ctx):  # False for a pair off binary32, which `_resident` reruns
+        return (c.dtype != np.complex64 or on_format()) and steps(buffer(c.dtype), c, ctx)
+
     def solve(C) -> np.ndarray:
         C = as_matrix(C)
         if C.shape != (m, n):
             raise DimensionError("inconsistent dimensions")
-        return _resident(steps, ctx, buffer(C.dtype), C.ravel()[order])[0]
+        return _resident(kernel, ctx, C.ravel()[order])[0]
 
     solve.step = lambda C: steps(buffer(C.dtype), C.ravel()[order], ctx)[0]
     return solve

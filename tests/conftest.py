@@ -41,3 +41,14 @@ def nan_parts(z):
     """The bits of the NaN real and imaginary parts of z, as a list."""
     parts = np.array(z, dtype=np.complex128, ndmin=1, order="C").view(np.float64)
     return parts[np.isnan(parts)].view(np.uint64).tolist()
+
+
+def body_views(X):
+    """The rows and the columns of X (..., r, c) as `linalg._qr_iteration`
+    hands them to the `_rotation` body, (rows, columns): the arrays X and
+    X.swapaxes(-1, -2), a complex64 X as its float32 planes, (..., r,
+    plane, c) and (..., c, plane, r)."""
+    if X.dtype == np.complex64:
+        X = np.moveaxis(X.view(np.float32).reshape(X.shape + (2,)), -1, -2)
+        return X, X.swapaxes(-1, -3)
+    return X, X.swapaxes(-1, -2)

@@ -60,7 +60,7 @@ from mpsylv.precision import (
     round_to,
 )
 
-from conftest import CANONICAL_NAN, canonical, cmat, hermitian, nan_parts
+from conftest import CANONICAL_NAN, body_views, canonical, cmat, hermitian, nan_parts
 from test_precision import _soft_product, _soft_sum
 
 CTX = PrecisionContext(BINARY64)
@@ -368,7 +368,7 @@ def _rotated(P, Q, c, s, i, fmt, dtype=np.complex128):
     X = np.array([P, Q], dtype=dtype)
     coefficients, rotate = _rotation(X.dtype, fmt)
     with np.errstate(over="ignore", invalid="ignore"):
-        rotate(X, coefficients(c, s)[i])
+        rotate(body_views(X)[0], coefficients(c, s)[i])
     return X.astype(np.complex128)
 
 
@@ -434,7 +434,7 @@ class TestRotate:
         before = VW.copy()
         coefficients, rotate = _rotation(VW.dtype, fmt)
         with np.errstate(over="ignore", invalid="ignore"):
-            rotate(VW[:, p:q + 1:q - p].T, coefficients(c, s)[1])
+            rotate(body_views(VW)[1][p:q + 1:q - p], coefficients(c, s)[1])
         for got, ref in ((VW[:, p], want[0]), (VW[:, q], want[1])):
             assert (_bits(got.astype(np.complex128)) == _bits(ref)).all()
         others = np.ones(n, dtype=bool)
@@ -486,22 +486,26 @@ def _with_specials(rng, X, share=0.15):
 
 
 def _schur_views(UH, kind, rng):
-    """A view of the stack UH of [U; H] as `_qr_iteration` rotates it and
-    which of a step's coefficients it takes (0 for the rows, 1 for the
-    columns), by kind: the rows or the columns of a step of matrix 0, or of
-    steps of matrices 0 and 1 paired."""
+    """A view of the stack UH of [U; H] as `_qr_iteration` rotates it (a
+    complex64 UH as float32 planes, `body_views`), which of a step's
+    coefficients it takes (0 for the rows, 1 for the columns), and the
+    step's (k, kb, first, rows), by kind: the rows or the columns of a step
+    of matrix 0, or of steps of matrices 0 and 1 paired."""
     m = UH.shape[2]
     k, kb, first = rng.integers(m - 1), rng.integers(m - 1), rng.integers(m)
     rows = m + min(k + 3, m)
     s0, s1, s2 = UH.strides
+    (R, C), at = body_views(UH), (k, kb, first, rows)
+    lead, gap = R.shape[2:-1], R.strides[2:-1]
     if kind == "row":
-        return UH[0, m + k:m + k + 2, first:], 0
+        return R[0, m + k:m + k + 2, ..., first:], 0, at
     if kind == "column":
-        return UH[0, :rows, k:k + 2].T, 1
+        return C[0, k:k + 2, ..., :rows], 1, at
     if kind == "paired rows":
-        return np.ndarray((2, 2, m - first), UH.dtype, UH, (m + k) * s1 + first * s2,
-                          (s1, s0 + (kb - k) * s1, s2)), 0
-    return np.ndarray((2, 2, rows), UH.dtype, UH, k * s2, (s2, s0 + (kb - k) * s2, s1)), 1
+        return np.ndarray((2, *lead, 2, m - first), R.dtype, UH, (m + k) * s1 + first * s2,
+                          (s1, *gap, s0 + (kb - k) * s1, s2)), 0, at
+    return np.ndarray((2, *lead, 2, rows), R.dtype, UH, k * s2,
+                      (s2, *gap, s0 + (kb - k) * s2, s1)), 1, at
 
 
 class TestBinary64RotationOracle:
@@ -531,9 +535,9 @@ class TestBinary64RotationOracle:
                 assert _same_cut(K, nested)
                 want, got = UH.copy(), UH.copy()
                 seed = rng.integers(2**32)
-                X, i = _schur_views(want, kind, np.random.default_rng(seed))
+                X, i, _ = _schur_views(want, kind, np.random.default_rng(seed))
                 _in_place_rotate(X, nested[2 * i:2 * i + 4])
-                X, i = _schur_views(got, kind, np.random.default_rng(seed))
+                X, i, _ = _schur_views(got, kind, np.random.default_rng(seed))
                 rotate(X, K[i])
             with_nan += np.isnan(want).any()
             assert _part_bits_match(got, want)
@@ -677,6 +681,68 @@ class TestDeflateOracle:
         assert any(out[0] is IterationLimitError for out, _ in got)
 
 
+def _binary32_specials(rng, X, share=0.15):
+    """X rounded into binary32, with about share of its real and imaginary
+    parts replaced by +-0, +-inf, +-3e38, +-2^-149 or a NaN of random sign,
+    as complex64."""
+    X = round_matrix(X, BINARY32)
+    parts = X.view(np.float64).reshape(-1)
+    big = float(np.float32(3e38))
+    for i in np.flatnonzero(rng.random(parts.size) < share):
+        sign = (1.0, -1.0)[rng.integers(2)]
+        parts[i] = sign * (0.0, np.inf, big, 2.0**-149, np.nan)[rng.integers(5)]
+    return X.astype(np.complex64)
+
+
+class TestPairedComplex64Rotation:
+    """The complex64 body of `_rotation` on the views of a [U; H] pair as
+    `_qr_iteration` builds them (`_schur_views`), one matrix or two,
+    against `_soft_rotate`, the software composition in binary32, of each
+    matrix's rows or columns: the same bits in every part that is not NaN,
+    NaN in the same parts, and every entry outside the views unchanged.
+    An error that the one-step and the two-step body shared would pass
+    `TestSchurStack`, which compares them with each other only."""
+
+    # c = 0, s with zero parts of either sign, and the Givens steps of
+    # binary32 values
+    FIXED = [(0.0, complex(0.0, -1.0)), (0.0, complex(-1.0, 0.0)), (0.6, complex(0.8, 0.0)),
+             (0.6, complex(0.8, -0.0)), (1.0, complex(-0.0, 0.0)), (0.28, complex(-0.0, -0.96))]
+
+    def _step(self, rng):
+        if rng.random() < 0.5:
+            c, s = self.FIXED[rng.integers(len(self.FIXED))]
+            return float(np.float32(c)), complex(np.complex64(s))
+        f, g = round_matrix(cmat(rng, 1, 2), BINARY32)[0]
+        return _givens(complex(f if rng.random() < 0.8 else 0j), complex(g), BINARY32)
+
+    @pytest.mark.parametrize("kind", ["row", "column", "paired rows", "paired columns"])
+    def test_bits_match_the_software_composition(self, kind, rng):
+        coefficients, rotate = _rotation(np.complex64, BINARY32)
+        with_nan = with_inf = 0
+        for m in list(range(2, 15)) * 4:
+            UH = _binary32_specials(rng, np.stack([cmat(rng, 2 * m, m), cmat(rng, 2 * m, m)]))
+            steps = [self._step(rng), self._step(rng)]
+            want = UH.astype(np.complex128)
+            seed = rng.integers(2**32)
+            X, i, (k, kb, first, rows) = _schur_views(UH, kind, np.random.default_rng(seed))
+            with np.errstate(all="ignore"):
+                for j, (c, s) in enumerate(steps[:2 if kind.startswith("paired") else 1]):
+                    kj, s1, s2 = (k, kb)[j], *((s, np.conj(s)) if i == 0 else (np.conj(s), s))
+                    if i == 0:
+                        at = (j, slice(m + kj, m + kj + 2), slice(first, None))
+                        want[at] = _soft_rotate(*want[at], c, s1, s2)
+                    else:
+                        at = (j, slice(rows), slice(kj, kj + 2))
+                        want[at] = _soft_rotate(*want[at].T, c, s1, s2).T
+                K = coefficients(*steps[0], *steps[1]) if kind.startswith("paired") \
+                    else coefficients(*steps[0])
+                rotate(X, K[i])
+            with_nan += np.isnan(want).any()
+            with_inf += np.isinf(want).any()
+            assert _part_bits_match(UH.astype(np.complex128), want)
+        assert with_nan > 10 and with_inf > 10
+
+
 def _listed_planes(c, s):
     """The complex64 coefficients from Python lists: the planes [kr, kr]
     and [-ki, ki] of [c, s, c, conj(s), c, s] on the first axis, the
@@ -715,7 +781,7 @@ class TestPackedCoefficients:
         """complex128 takes [c, s, c, conj(s), c, s] from 0 and from 2, as
         pre-cut views (c, [s1, s2]) in binary64 and as arrays [c, s1, c, s2]
         in the software formats; complex64 the planes of [[c, s1], [s2, c]]
-        of each pass."""
+        of each pass, planes after out and in."""
         coefficients, _ = _rotation(dtype, fmt)
         for args, cs in self._cases():
             K = coefficients(*args)
@@ -727,8 +793,10 @@ class TestPackedCoefficients:
                 want = np.array([want[0:4], want[2:6]])
             else:
                 # the rows take [c, s, c, conj(s)] as [[0, 1], [3, 2]],
-                # the columns [c, conj(s), c, s] as [[2, 3], [5, 4]]
-                want = np.moveaxis(_listed_planes(*cs)[[[[0, 1], [3, 2]], [[2, 3], [5, 4]]]], 3, 1)
+                # the columns [c, conj(s), c, s] as [[2, 3], [5, 4]], each
+                # (kr, ki) as (out, in, plane, [pair,] 1)
+                want = _listed_planes(*cs)[[[[0, 1], [3, 2]], [[2, 3], [5, 4]]]]
+                want = np.moveaxis(want, (3, -1), (1, 4))
             assert np.array(K).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("fmt", [BINARY64, BINARY32, BINARY16, BFLOAT16, TF32, B24],
@@ -1349,17 +1417,19 @@ class TestBinary32KernelPath:
         for module in (precision, linalg, sylvester):  # wherever the name is bound
             if hasattr(module, "_binary32"):
                 monkeypatch.setattr(module, "_binary32",
-                                    lambda *xs: checks.append(1) or binary32(*xs))
+                                    lambda *xs: checks.append(len(xs)) or binary32(*xs))
         ctx = PrecisionContext(BINARY32)
         A, B, C = _gemm_operands("bits", rng)
         gemm(0.5, A, B, -1.0, C, ctx)
         assert len(checks) == 1
         _mgs_project(*_mgs_operands(rng), ctx)
         assert len(checks) == 2
+        checks.clear()
         sylvester.solve_sylv_tri(*_triangular_operands(rng), ctx)
-        assert len(checks) == 3
+        # C on entry, then T_A and T_B, once for the prepared pair
+        assert checks == [1, 2]
         precision.fl_div(A, A[::-1], ctx)
-        assert len(checks) == 4
+        assert len(checks) == 3
 
     def test_format_values_take_the_native_path(self, calls, rng):
         ctx = PrecisionContext(BINARY32)

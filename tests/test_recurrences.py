@@ -421,9 +421,9 @@ class TestWavefrontShapes:
         resident = sylvester._resident
 
         def spy(kernel, ctx, *arrays):
-            def recorded(buf, c, ctx):
-                runs.append(buf.dtype)
-                return kernel(buf, c, ctx=ctx)
+            def recorded(c, ctx):
+                runs.append(c.dtype)
+                return kernel(c, ctx=ctx)
             return resident(recorded, ctx, *arrays)
 
         monkeypatch.setattr(sylvester, "_resident", spy)

@@ -42,7 +42,7 @@ from mpsylv.precision import (
     round_matrix,
 )
 
-from conftest import CANONICAL_NAN, cmat, hermitian, nan_parts
+from conftest import CANONICAL_NAN, body_views, cmat, hermitian, nan_parts
 from scalar_oracle import (
     _backsub_steps,
     _givens_steps,
@@ -159,10 +159,10 @@ def test_sum_stage_breaks_double_rounding_ties():
     lies above it.  The sum stage carries the 2Sum residual and rounds up,
     as `_sadd` does."""
     b = 2.0**-40 + 2.0**-79
-    (s,) = P40._scalar_rounding[1][1](1.0, b)
+    (s,) = P40._scalar_rounding[2][1](1.0, b)
     assert s == _sadd(1.0, b, P40).real == 1.0 + 2.0**-39
     # binary32 sums of its values cast the double sum: 53 >= 2 * 24 + 2
-    (s32,) = BINARY32._scalar_rounding[1][1](1.0, 2.0**-24 + 2.0**-47)
+    (s32,) = BINARY32._scalar_rounding[2][1](1.0, 2.0**-24 + 2.0**-47)
     assert s32 == _sadd(1.0, 2.0**-24 + 2.0**-47, BINARY32).real == 1.0 + 2.0**-23
 
 
@@ -182,12 +182,16 @@ def test_chains_round_sums_once():
 
 
 def test_stage_rounds_past_the_range_to_inf():
-    """A stage of binary32 or binary16 whose struct cast raises rounds each
-    value as `_round_real_scalar` does: ±inf past the range."""
+    """A stage up[n](pk[n](...)) of binary32 or binary16 rounds each value
+    as `_round_real_scalar` does: ±inf past the range, where binary16's
+    struct cast raises.  binary32's pk[n] and up[n] are the bound struct
+    methods themselves, so its stage runs no Python frame."""
     for fmt in (BINARY32, BINARY16):
-        r = fmt._scalar_rounding[0]
+        pk, up, _ = fmt._scalar_rounding
         big = 2.0 * fmt.max_finite
-        assert list(r[3](big, -big, 1.0)) == [math.inf, -math.inf, 1.0]
+        assert list(up[3](pk[3](big, -big, 1.0))) == [math.inf, -math.inf, 1.0]
+    pk, up, _ = BINARY32._scalar_rounding
+    assert all(type(f).__name__ == "builtin_function_or_method" for f in pk + up)
 
 
 def _large(fmt):
@@ -463,7 +467,7 @@ def test_complex64_rotation_signed_zeros(c, s, rng):
         want, X32 = X.copy(), X.astype(np.complex64)
         for Z in (X32, want):
             coefficients, rotate = linalg._rotation(Z.dtype, BINARY32)
-            rotate(Z, coefficients(c, s)[i])
+            rotate(body_views(Z)[0], coefficients(c, s)[i])
         assert not np.isnan(want).any()
         assert (_bits(X32.astype(np.complex128)) == _bits(want)).all()
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mpsylv.precision as precision
 import mpsylv.sylvester as sylvester
 from mpsylv import cli
 from mpsylv.errors import (
@@ -93,6 +94,50 @@ class TestSolveSylvTri:
                            cmat(rng, m, n), ctx)
             model = m * n * (m + n)
             assert abs(counter.get("w") - model) <= 0.1 * model
+
+
+class TestPreparedPairCheck:
+    """In binary32 a prepared pair checks that T_A and T_B hold binary32
+    values once per dtype, and each solve enters `_resident` with C alone:
+    an on-format pair then solves in complex64, a pair off binary32 in
+    complex128, each with the bytes and flops of `solve_sylv_tri`."""
+
+    @pytest.mark.parametrize("off", [False, True], ids=["binary32", "off-binary32"])
+    def test_pair_is_checked_once(self, off, rng, monkeypatch):
+        m, n = 5, 4
+        T_A, T_B = (round_matrix(rand_upper(rng, k), BINARY32) for k in (m, n))
+        if off:
+            T_A[0, 1] = 0.1
+        Cs = [round_matrix(cmat(rng, m, n), BINARY32) for _ in range(3)]
+        wants = []
+        for C in Cs:
+            ctx = PrecisionContext(BINARY32, FlopCounter())
+            wants.append((solve_sylv_tri(T_A, T_B, C, ctx), ctx.counter.counts))
+        sizes, dtypes, check, product = [], set(), precision._binary32, sylvester._product
+
+        def spy(*xs):  # the sizes of the arrays each `_binary32` call checks
+            sizes.append([x.size for x in xs])
+            return check(*xs)
+
+        def products(a, b, fmt, out=None):  # the dtypes the waves run in
+            dtypes.add(b.dtype)
+            return product(a, b, fmt, out)
+
+        monkeypatch.setattr(precision, "_binary32", spy)
+        monkeypatch.setattr(sylvester, "_binary32", spy)
+        monkeypatch.setattr(sylvester, "_product", products)
+        ctx = PrecisionContext(BINARY32, FlopCounter())
+        solve, total = sylvester._prepare_sylv_tri(T_A, T_B, ctx), FlopCounter()
+        for i, (C, (want, counts)) in enumerate(zip(Cs, wants)):
+            sizes.clear()
+            got = solve(C)
+            assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+            # C, and T_A and T_B at the first solve only
+            assert sizes == ([[m * n], [m * m, n * n]] if i == 0 else [[m * n]])
+            for bucket, k in counts.items():
+                total.add(bucket, k)
+            assert ctx.counter.counts == total.counts
+        assert dtypes == {np.dtype(np.complex128 if off else np.complex64)}
 
 
 class TestBartelsStewart:
