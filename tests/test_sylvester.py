@@ -97,8 +97,8 @@ class TestSolveSylvTri:
 
 
 class TestPreparedPairCheck:
-    """In binary32 a prepared pair checks that T_A and T_B hold binary32
-    values once per dtype, and each solve enters `_resident` with C alone:
+    """In binary32 a prepared pair checks once that T_A and T_B hold
+    binary32 values, and each solve enters `_resident` with C alone:
     an on-format pair then solves in complex64, a pair off binary32 in
     complex128, each with the bytes and flops of `solve_sylv_tri`."""
 
