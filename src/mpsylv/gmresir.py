@@ -15,15 +15,15 @@ preconditioned right-hand side, the coefficients in u_g and the Schur
 factors (`_resident_correction`), and plans its matvec once from the
 kernel's own copies (`_correction_plan`).  Like every kernel it enters
 once and calls steps, never an entry: `gemm`'s steps, the prepared
-triangular pair's step form, `linalg._mgs_steps` and `precision`'s
-`_sub`, `_divide`, `_add`, `_product` and `_accumulate`, each charged as
-the `fl_*` call it stands for.  So in binary32 the whole correction runs
-in complex64.  The scalar steps that apply the stored Hessenberg rotations
-and the rows of the back substitution run, in every format but binary64,
-as chains on Python floats with one stage rounding per group of
-independent steps (`_rotation_chain`, `_backsub_chain`),
-bit-identical to their rounded `_s*` composition.  Only widened scalars
-are compared: the abs of a complex64 value is a float32.
+triangular pair's step form, `linalg._mgs_steps` and the ``sub``,
+``divide``, ``add``, ``product`` and ``accumulate`` of the arithmetic
+that `_resident` hands it, each charged as the `fl_*` call it stands for.
+The scalar steps that apply the stored Hessenberg rotations and the rows
+of the back substitution run, in every format but binary64, as chains on
+Python floats with one stage rounding per group of independent steps
+(`_rotation_chain`, `_backsub_chain`), bit-identical to their rounded
+`_s*` composition.  Only widened scalars are compared: the abs of a
+numpy scalar keeps its width.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ from .precision import (
     FlopCounter,
     FpFormat,
     PrecisionContext,
-    _accumulate,
-    _add,
-    _divide,
-    _product,
     _resident,
     _round_complex_array,
     _sabs,
@@ -52,7 +48,6 @@ from .precision import (
     _sdiv,
     _smul,
     _ssqrt,
-    _sub,
 )
 from .refinement import RefinementConfig, _refine
 from .sylvester import SylvesterProblem, _prepare_sylv_tri, _schur_pair, residual
@@ -108,7 +103,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
     value at the cycle start.  Steps of a `_resident` kernel: V, H, the
     rotations and g take the dtype of the right-hand side.
     """
-    fmt = ctx.format
+    fmt, ar = ctx.format, ctx.arithmetic
     m, n = rhs_mat.shape
     N = m * n
     b = rhs_mat.reshape(N, order="F")
@@ -122,7 +117,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
     p = gcfg.restart
     for _ in range(gcfg.max_restarts):
         if np.any(x):
-            r = _sub(b, matvec(x), fmt)
+            r = ar.sub(b, matvec(x))
             ctx.count(N)
         else:
             r = b.copy()
@@ -137,7 +132,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
         cs = np.zeros(p, dtype=b.dtype)
         sn = np.zeros(p, dtype=b.dtype)
         g = np.zeros(p + 1, dtype=b.dtype)
-        V[:, 0] = _divide(r, r.dtype.type(beta), fmt)
+        V[:, 0] = ar.divide(r, r.dtype.type(beta))
         ctx.count(N)
         g[0] = beta
         j = 0
@@ -149,7 +144,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
             if not np.isfinite(hq):
                 return x.reshape((m, n), order="F"), total_inner, True
             if hq != 0.0:
-                V[:, j + 1] = _divide(w, w.dtype.type(hq), fmt)
+                V[:, j + 1] = ar.divide(w, w.dtype.type(hq))
                 ctx.count(N)
             # apply accumulated rotations, then a new one zeroing H[j+1, j]
             H[:j + 1, j] = _apply_rotations(cs[:j].tolist(), sn[:j].tolist(),
@@ -176,7 +171,7 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
             ctx.count(2 * (j - i))
             y[i] = _sdiv(acc, complex(H[i, i]), fmt)
         y = np.array(y, dtype=b.dtype)
-        x = _add(x, _accumulate(_product(y[:, None], V[:, :j].T, fmt), None, fmt), fmt)
+        x = ar.add(x, ar.accumulate(ar.product(y[:, None], V[:, :j].T), None))
         ctx.count((2 * j + 1) * N)
         final = abs(complex(g[j]))
         if final <= tol * beta0:
@@ -252,7 +247,7 @@ def _resident_correction(b, A_g, B_g, sf_A: SchurFactors, sf_B: SchurFactors,
     """`_gmres_correction` on b with the operator of A_g and B_g and the
     preconditioner of the Schur factors, as one `_resident` kernel that
     builds both from its own copies of the arrays: in binary32 the whole
-    correction runs in complex64, entered and checked once.  Returns
+    correction runs in `_PLANES32`, entered and checked once.  Returns
     (E, inner iterations, stagnated)."""
     def steps(b, *operands, ctx):
         E, inner, stagnated = _gmres_correction(_correction_plan(*operands, ctx), b, gcfg, ctx)
@@ -266,13 +261,13 @@ def _correction_plan(A_g, B_g, U_A, T_A, U_B, T_B, ctx: PrecisionContext):
     """x -> vec(apply_preconditioner(gemm(1, A_g, W, 1, gemm(1, W, B_g, 0,
     None)))) for W = unvec(x), with its results, charges and errors, as
     steps: U_A^* and U_B^* are formed and the triangular pair prepared
-    once, and each of the six products runs `gemm`'s steps with `_product`."""
+    once, and each of the six products runs `gemm`'s steps, with no entry."""
     m, n = A_g.shape[0], B_g.shape[0]
     U_AH, U_BH = U_A.conj().T, U_B.conj().T
     solve = _prepare_sylv_tri(T_A, T_B, ctx).step
 
     def mm(A, B, C=None):  # gemm(1, A, B, 1, C, ctx), C None for beta = 0
-        return _gemm_steps(_ONES, A, B, C, ctx=ctx, mul=_product)[0]
+        return _gemm_steps(_ONES, A, B, C, ctx=ctx, entry=False)[0]
 
     def matvec(xflat):
         W = xflat.ravel().reshape((m, n), order="F")

@@ -4,10 +4,11 @@ All matrices are dense ``complex128`` ndarrays.  Every factorization and
 product here can run under a :class:`~mpsylv.precision.PrecisionContext`,
 in which case each scalar operation is rounded into the context's format;
 under a binary64 context the kernels reduce to ordinary double arithmetic.
-A kernel calls `precision`'s steps under the one ``np.errstate`` that
-`precision._resident` enters per call and charges its flops once, so a
-step pays no format dispatch, errstate or charge of its own; the `fl_*`
-functions are the entry points for code outside a kernel.
+A kernel calls the steps of the arithmetic that `precision._resident`
+hands it as ``ctx.arithmetic``, under the one ``np.errstate`` it enters
+per call, and charges its flops once, so a step pays no format or dtype
+dispatch, errstate or charge of its own; the `fl_*` functions are the
+entry points for code outside a kernel.
 
 `schur` also takes a stack of matrices, as numpy's linalg does: the
 Householder reduction updates the whole stack in lockstep, and one driver
@@ -27,10 +28,8 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -52,21 +51,14 @@ from .precision import (
     PrecisionContext,
     fl_div,
     fl_mul,
-    _accumulate,
-    _add,
-    _binary32,
     _canonical,
-    _divide,
-    _product,
+    _frobenius,
     _resident,
-    _round_real_array,
     _round_complex_array,
+    _scaled_down,
     _scaled_up,
     _shypot,
-    _ssqrt,
     _ssub,
-    _sub,
-    _summed_products,
     _sums,
 )
 
@@ -180,54 +172,30 @@ def gemm(alpha, A, B, beta, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
     return _resident(_gemm_steps, ctx, ab, A, B, *([] if beta == 0 else [C]))[0]
 
 
-def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext, mul=None):
+def _gemm_steps(ab, A, B, C=None, *, ctx: PrecisionContext, entry=True):
     """The steps of `gemm` for ab = [alpha, beta] and C (None when beta is
     0), as a 1-tuple: each block's products summed on from the last
-    block's sums (`_accumulate`), then the alpha and beta products and the
-    sum with C.  complex64 blocks, and those of a kernel that calls this
-    body with ``mul=_product``, are `_product` steps in `_summed_products`'
-    accumulation buffer.  Each complex128 block of `gemm` is one uncharged
-    `fl_mul`, the one entry inside a kernel, kept as the call the
-    benchmark's tracer counts."""
-    fmt = ctx.format
+    block's sums, then the alpha and beta products and the sum with C.  A
+    block is one ``summed_products`` step, or in `gemm`'s format's own
+    arithmetic (``entry`` and ``wide``) one uncharged `fl_mul`, the one
+    entry inside a kernel, kept as the call the benchmark's tracer counts."""
+    ar = ctx.arithmetic
     alpha, beta = ab.tolist()
     m, k = A.shape
     n = B.shape[1]
     kb = max(1, _GEMM_BLOCK // (m * n))
-    entry = mul is None and A.dtype == np.complex128
+    entry = entry and ar is ar.wide
     acc = None
     for p in range(0, k, kb):
         a, b = A[:, p:p + kb].T[:, :, None], B[p:p + kb, None, :]
-        acc = (_accumulate(fl_mul(a, b, fmt._uncounted), acc, fmt) if entry
-               else _summed_products(mul or _product, a, b, acc, fmt, (len(a), m, n)))
+        acc = (ar.accumulate(fl_mul(a, b, ar._uncounted), acc) if entry
+               else ar.summed_products(a, b, acc, (len(a), m, n)))
     if alpha != 1:
-        acc = _product(ab[0], acc, fmt)
+        acc = ar.product(ab[0], acc)
     if C is not None:
-        acc = _add(acc, C if beta == 1 else _product(ab[1], C, fmt), fmt)
+        acc = ar.add(acc, C if beta == 1 else ar.product(ab[1], C))
     ctx.count(m * n * (2 * k + (alpha != 1) + (C is not None) * (1 + (beta != 1))))
     return (acc,)
-
-
-def _frobenius(v) -> float:
-    """Frobenius norm of an array in binary64: ``np.linalg.norm`` where that
-    is finite and at least 2^-511, else (its unscaled squares overflow past
-    ~1e154 and lose bits below ~1e-154) the norm of v scaled by its largest
-    magnitude, or by a power of two (`_scaled_down`) when small.  Finite
-    exactly when every entry is finite and the norm is below the largest
-    double.  complex64 and float32 input is widened first:
-    ``np.linalg.norm`` keeps the dtype."""
-    v = np.asarray(v)
-    if v.dtype in (np.complex64, np.float32):
-        v = v.astype(np.result_type(v.dtype, np.float64))
-    with np.errstate(over="ignore", invalid="ignore"):
-        nrm = float(np.linalg.norm(v))
-    if math.isinf(nrm) and np.isfinite(v).all():
-        s = float(np.abs(v).max())
-        nrm = s * float(np.linalg.norm(v / s))
-    elif nrm < 2.0 ** -511 and v.any():
-        scaled, e = _scaled_down(v.ravel())
-        nrm = math.ldexp(float(np.linalg.norm(scaled)), e)
-    return nrm
 
 
 def norm(M, kind: str = "frobenius") -> float:
@@ -249,87 +217,19 @@ def norm(M, kind: str = "frobenius") -> float:
     raise ValueError(f"unknown norm kind {kind!r}")
 
 
-def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext, X=None, xh=None) -> complex:
-    """conj(x).y under ctx, charging 2 len(x) flops: numpy's ``vdot`` in
-    binary64, a BLAS call whose summation order depends on the strides, else
-    the products of `_product` (of conj(x), or ``xh`` if the caller formed
-    it) summed in ascending order from +0 as `_accumulate` sums, in X."""
+def _dot(x: np.ndarray, y: np.ndarray, ctx: PrecisionContext) -> complex:
+    """conj(x).y under ctx, charging 2 len(x) flops (the arithmetic's
+    ``dot``)."""
     ctx.count(2 * len(x))
-    if ctx.format.is_binary64:
-        return complex(np.vdot(x, y))
-    X = np.zeros(len(x) + 1, dtype=y.dtype) if X is None else X
-    _product(np.conj(x) if xh is None else xh, y, ctx.format, out=X[1:])
-    return complex(np.add.accumulate(X, out=X)[-1] if X.dtype == np.complex64
-                   else _accumulate(X[1:], X[0], ctx.format))
+    return ctx.arithmetic.dot(x, y)
 
 
 def _vec_norm2_ctx(x: np.ndarray, ctx: PrecisionContext) -> float:
-    """Euclidean vector norm composed from rounded square/add/sqrt steps.
-
-    Each |x_i| is formed from two rounded squares, a rounded add and a
-    rounded sqrt in one vector pass; its square is added unrounded into a
-    rounded ascending accumulation.  When the squares overflow although
-    every entry is finite, or underflow (the norm below the square root of
-    the smallest normal) although an entry is nonzero, the steps run again
-    on the entries scaled by a power of two, which is exact, and the norm
-    is scaled back.
-    """
+    """Euclidean vector norm composed from rounded square/add/sqrt steps
+    (the arithmetic's ``norm2``; `_frobenius` in binary64), charging
+    2 len(x) + 1 flops."""
     ctx.count(2 * len(x) + 1)
-    x = np.asarray(x)
-    x = x if x.dtype == np.complex64 else x.astype(np.complex128, copy=False)
-    if ctx.format.is_binary64:
-        return _frobenius(x)
-    fmt = ctx.format
-    nrm = _norm2_steps(x, fmt)
-    if (nrm == math.inf and np.isfinite(x).all()
-            or nrm < math.sqrt(fmt.smallest_normal) and x.any()):
-        scaled, e = _scaled_down(x)
-        nrm = _scaled_up(_norm2_steps(scaled, fmt), e, fmt).real
-    return nrm
-
-
-def _scaled_down(x: np.ndarray):
-    """(x * 2^-e, e), e the binary exponent of the largest real or imaginary
-    part of the finite nonzero vector x: every scaled part is below 1 in
-    magnitude, and the scaling is exact in binary64.  A factor past 2^1023
-    (x subnormal) is applied in two steps."""
-    parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
-    _, e = math.frexp(float(np.abs(parts).max()))
-    half = -e // 2 if e < -1023 else 0
-    return (parts * math.ldexp(1.0, half) * math.ldexp(1.0, -e - half)).view(np.complex128), e
-
-
-def _norm2_steps(x: np.ndarray, fmt: FpFormat) -> float:
-    """The rounded steps of `_vec_norm2_ctx`; charges no flops.  |x_i| of a
-    complex64 x (binary32 in `schur`) takes float32 steps, which round
-    alike (`_givens_chain`).  Each partial sum acc + |x_i|^2 is `_sums`'
-    rounding, which in binary32 and binary16 is a ``struct`` cast of the
-    double sum s unless that raises OverflowError, s is NaN or Veltkamp's
-    split says s may be a midpoint (see `_round_real_scalar`).  A NaN part
-    makes |x_i| inf in the rounded steps, so a NaN sum is inf."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        if x.dtype == np.complex64:
-            mag = np.sqrt(np.square(x.real) + np.square(x.imag))
-        else:
-            r = _round_real_array
-            sq = r(np.array([x.real * x.real, x.imag * x.imag]), fmt)
-            s = r(sq[0] + sq[1], fmt)
-            finite = np.isfinite(s)
-            mag = np.where(finite, r(np.sqrt(np.where(finite, s, 0.0)), fmt), np.inf)
-    packer, split = fmt._native[1:] if fmt._native else (None, 0.0)
-    acc = 0.0
-    for a in mag.tolist():
-        # a ** 2 (libm pow) is the defined square; for t > 26 it can
-        # differ from a * a in the last bit
-        b = a ** 2
-        s = acc + b
-        try:
-            y = packer and packer.unpack(packer.pack(s))[0]
-        except OverflowError:
-            y = None
-        cast = y == s or y is not None and s == s and (c := s * split) - (c - s) != s
-        acc = y if cast else _sums(fmt, acc, b)[0]
-    return _ssqrt(acc if acc == acc else math.inf, fmt)
+    return ctx.arithmetic.norm2(np.asarray(x))
 
 
 # ---------------------------------------------------------------------------
@@ -364,23 +264,22 @@ def _mgs_project(Q: np.ndarray, v: np.ndarray, ctx: PrecisionContext):
     under ctx; returns the coefficients conj(q_i).v, the remainder and its
     `_vec_norm2_ctx`.
 
-    Each coefficient is a `_dot`, and v loses fl(h_i q_i) (`_product`,
-    `_sub`); binary32 takes the steps in complex64 (`_resident`)."""
+    Each coefficient is a ``dot``, and v loses fl(h_i q_i) (``product``,
+    ``sub``); binary32 takes the steps in complex64 (`_resident`)."""
     h, v, nrm = _resident(_mgs_steps, ctx, Q, v)
     return h, v, float(nrm.real)
 
 
 def _mgs_steps(Q: np.ndarray, v: np.ndarray, *, ctx: PrecisionContext):
-    """The steps of `_mgs_project` in one buffer, as (h, v, |v| as a 0-d
-    array): a GMRES correction's projection."""
-    fmt = ctx.format
+    """The steps of `_mgs_project`, as (h, v, |v| as a 0-d array): a GMRES
+    correction's projection."""
+    ar = ctx.arithmetic
     h = np.zeros(Q.shape[1], dtype=Q.dtype)
-    X = np.zeros(len(v) + 1, dtype=v.dtype)
     # the conjugated basis, row-major, once per call; binary64's vdot takes Q's columns
-    QH = None if fmt.is_binary64 else np.conjugate(Q.T, order="C")
+    QH = np.conjugate(Q.T, order="C")
     for i in range(Q.shape[1]):
-        h[i] = _dot(Q[:, i], v, fmt._uncounted, X, None if QH is None else QH[i])
-        v = _sub(v, _product(h[i], Q[:, i], fmt), fmt)
+        h[i] = ar.dot(Q[:, i], v, QH[i])
+        v = ar.sub(v, ar.product(h[i], Q[:, i]))
     ctx.count(4 * Q.size)
     return h, v, np.array(_vec_norm2_ctx(v, ctx))
 
@@ -419,18 +318,18 @@ def _make_reflector(x: np.ndarray, ctx: PrecisionContext):
     When a step overflows although x is finite, the reflector is formed
     from x * 2^-e instead (see `_scaled_down`).  That is the same
     transformation, with w scaled by 2^-e and beta by 4^e; only head is
-    scaled back.  The flops charged are those of one formation.  w is None
-    for a zero x, and False for a complex64 x (binary32 in a `_resident`
-    kernel) whose rescaled w, formed in binary64, is not binary32.
+    scaled back.  The flops charged are those of one formation.  The
+    rescaled steps run in the format's own arithmetic (``wide``), and w is
+    False where the kernel's does not `enter` it (a w off binary32 in the
+    float32 planes).  w is None for a zero x.
     """
     w, beta, head = _reflector_steps(x, ctx)
     if w is not None and not (0.0 < beta < math.inf and np.isfinite([w[0], head]).all()) \
             and np.isfinite(x).all():
         scaled, e = _scaled_down(x)
-        w, beta, head = _reflector_steps(scaled, PrecisionContext(ctx.format))
+        w, beta, head = _reflector_steps(scaled, ctx.arithmetic.wide._uncounted)
         head = _scaled_up(head, e, ctx.format)
-        if x.dtype == np.complex64:
-            w = (_binary32(w) or [False])[0]
+        w = (ctx.arithmetic.enter(w) or [False])[0]
     return w, beta, head
 
 
@@ -492,14 +391,14 @@ def _reflector_chain(x0: complex, nx: float, fmt: FpFormat):
 def _apply_reflector_left_rounded(M: np.ndarray, w: np.ndarray, beta,
                                   ctx: PrecisionContext) -> None:
     """M <- (I - beta w w*) M in place, rows matching w's last axis: t = w* M
-    summed from +0 (`_accumulate`), less the products of beta w and t, as
-    steps of the calling kernel, charged once: on float32 planes for a
-    complex64 M and w (binary32); a NaN is left for the caller.  A stack
-    M (p, r, c) takes w (p, r) and p betas, each matrix its own."""
-    fmt = ctx.format
-    t = _accumulate(np.moveaxis(_product(np.conj(w)[..., None], M, fmt), -2, 0), None, fmt)
-    bw = _product(np.asarray(beta, w.dtype)[..., None], w, fmt)
-    M[...] = _sub(M, _product(bw[..., None], t[..., None, :], fmt), fmt)
+    summed from +0 (``accumulate``), less the products of beta w and t, as
+    steps of the calling kernel's arithmetic, charged once; a NaN is left
+    for the caller.  A stack M (p, r, c) takes w (p, r) and p betas, each
+    matrix its own."""
+    ar = ctx.arithmetic
+    t = ar.accumulate(np.moveaxis(ar.product(np.conj(w)[..., None], M), -2, 0), None)
+    bw = ar.product(np.asarray(beta, w.dtype)[..., None], w)
+    M[...] = ar.sub(M, ar.product(bw[..., None], t[..., None, :]))
     ctx.count(4 * M.size + w.size)
 
 
@@ -507,11 +406,10 @@ def _apply_reflector_right_rounded(M: np.ndarray, w: np.ndarray, beta,
                                    ctx: PrecisionContext) -> None:
     """M <- M (I - beta w w*) in place, columns matching w's last axis, with
     the steps of `_apply_reflector_left_rounded` on the rows of M."""
-    fmt = ctx.format
-    t = _accumulate(_product(np.moveaxis(M, -1, 0), np.moveaxis(w, -1, 0)[..., None], fmt),
-                    None, fmt)
-    bw = _product(np.asarray(beta, w.dtype)[..., None], np.conj(w), fmt)
-    M[...] = _sub(M, _product(t[..., None], bw[..., None, :], fmt), fmt)
+    ar = ctx.arithmetic
+    t = ar.accumulate(ar.product(np.moveaxis(M, -1, 0), np.moveaxis(w, -1, 0)[..., None]), None)
+    bw = ar.product(np.asarray(beta, w.dtype)[..., None], np.conj(w))
+    M[...] = ar.sub(M, ar.product(t[..., None], bw[..., None, :]))
     ctx.count(4 * M.size + w.size)
 
 
@@ -562,7 +460,7 @@ def lu(A, ctx: PrecisionContext = _CTX64) -> LuFactors:
     piv = np.arange(n)
 
     def steps(W, ctx):
-        fmt, flops = ctx.format, 0
+        ar, flops = ctx.arithmetic, 0
         for k in range(n):
             # on complex128 magnitudes: np.abs of complex64 entries rounds them
             p = k + int(np.argmax(np.abs(W[k:, k].astype(np.complex128, copy=False))))
@@ -574,9 +472,9 @@ def lu(A, ctx: PrecisionContext = _CTX64) -> LuFactors:
             if p != k:
                 W[[k, p], :] = W[[p, k], :]
             if k + 1 < n:
-                W[k + 1:, k] = _divide(W[k + 1:, k], W[k, k], fmt)
-                W[k + 1:, k + 1:] = _sub(
-                    W[k + 1:, k + 1:], _product(W[k + 1:, k:k + 1], W[k:k + 1, k + 1:], fmt), fmt)
+                W[k + 1:, k] = ar.divide(W[k + 1:, k], W[k, k])
+                W[k + 1:, k + 1:] = ar.sub(
+                    W[k + 1:, k + 1:], ar.product(W[k + 1:, k:k + 1], W[k:k + 1, k + 1:]))
                 flops += (n - k - 1) * (2 * n - 2 * k - 1)
         ctx.count(flops)
         return (W,)
@@ -601,7 +499,7 @@ def _substitute(T: np.ndarray, B: np.ndarray, ctx, lower: bool, unit: bool,
     n = T.shape[0]
 
     def steps(T, X, ctx):
-        fmt, flops = ctx.format, 0
+        ar, flops = ctx.arithmetic, 0
         for i in range(n) if lower else range(n - 1, -1, -1):
             rest = slice(i + 1, n) if lower else slice(0, i)
             if not unit:
@@ -610,11 +508,11 @@ def _substitute(T: np.ndarray, B: np.ndarray, ctx, lower: bool, unit: bool,
                     if flops:
                         ctx.count(flops)
                     raise SingularMatrixError("zero diagonal in triangular solve")
-                X[i, :] = _divide(X[i, :], diag, fmt)
+                X[i, :] = ar.divide(X[i, :], diag)
                 flops += X.shape[1]
             col = np.conj(T[i, rest]) if conj else T[rest, i]
             if col.size:
-                X[rest, :] = _sub(X[rest, :], _product(col[:, None], X[i:i + 1, :], fmt), fmt)
+                X[rest, :] = ar.sub(X[rest, :], ar.product(col[:, None], X[i:i + 1, :]))
                 flops += 2 * col.size * X.shape[1]
         if flops:
             ctx.count(flops)
@@ -657,10 +555,10 @@ def _hessenberg(UH: np.ndarray, ctxs) -> bool:
     of [U; H], U = I on entry, in place, each matrix charged to its own
     context in ctxs.  A column's reflectors are formed in stack order and,
     when every matrix has one, applied in one call per side, else one
-    matrix at a time.  False if a complex64 UH meets a w that is not
-    binary32 (a rescaled x, `_make_reflector`), else True."""
+    matrix at a time.  False if `_make_reflector` returns a w that the
+    kernel's arithmetic does not take, else True."""
     p, m = UH.shape[0], UH.shape[2]
-    H, fmt = UH[:, m:], ctxs[0].format
+    H, quiet = UH[:, m:], ctxs[0].arithmetic._uncounted
     for k in range(m - 2):
         r = m - k - 1
         formed = []
@@ -676,11 +574,11 @@ def _hessenberg(UH: np.ndarray, ctxs) -> bool:
         for group in groups:
             idx, w, beta, head = zip(*group)
             at, w = slice(idx[0], idx[-1] + 1), np.array(w)
-            _apply_reflector_left_rounded(H[at, k + 1:, k:], w, beta, fmt._uncounted)
+            _apply_reflector_left_rounded(H[at, k + 1:, k:], w, beta, quiet)
             H[at, k + 1:, k] = 0.0
             H[at, k + 1, k] = head
             # the columns of U and of H in one update
-            _apply_reflector_right_rounded(UH[at, :, k + 1:], w, beta, fmt._uncounted)
+            _apply_reflector_right_rounded(UH[at, :, k + 1:], w, beta, quiet)
             for i in idx:  # the left update, and the right one as two
                 ctxs[i].count(r * (12 * m - 4 * k + 3))
     if m > 2:
@@ -757,104 +655,6 @@ def _givens_chain(f: complex, g: complex, fmt: FpFormat):
     # af / d, and ((f / af) * conj(g)) / d
     c, sr, si = up[3](pk[3](af / d, (pr + pi * 0.0) / d, (pi - pr * 0.0) / d))
     return c, complex(sr, si)
-
-
-# the rows [X0, X1, X1, X0] that the software `_rotation` body multiplies
-# by [c, s1, c, s2]
-_PAIR = np.array([0, 1, 1, 0])
-
-
-def _coefficient_layout(code, entries, shape):
-    """A table packing of coefficients of one step and of two: (struct,
-    index table, array shape) for each.  Each entry is a tuple of indices
-    into the values, stored together for step 0, then for step 1."""
-    def packing(q):
-        table = [j if j < 2 else j + 4 * i for entry in entries for i in range(q) for j in entry]
-        axes = shape + (q,) * (q > 1) + (1,)
-        return struct.Struct(f"{len(table)}{code}"), itemgetter(*table), axes
-    return packing(1), packing(2)
-
-
-# The complex64 layout indexes the values (0.0, -0.0, c, Re s, Im s, -Im s)
-# of one step; a second step's c, Re s, Im s and -Im s are at 6 to 9.  The
-# pairs of c, s and conj(s) are the float32 planes [kr, kr] and [-ki, ki],
-# and the layout stores, for the rows' and then the columns'
-# [[c, s1], [s2, c]], kr and then ki as (out, in, plane, [pair,] 1).
-# complex128 packs [c, s, c, conj(s), c, s] as (re, im) doubles straight,
-# step 0 then step 1 for each entry: a step's rows take [c, s1, c, s2] from
-# 0 and its columns from 2.
-_PLANES = ({"c": (2, 2), "s": (3, 3), "s*": (3, 3)}, {"c": (1, 0), "s": (5, 4), "s*": (4, 5)})
-_COMPLEX64 = _coefficient_layout(
-    "f", [(k[x][plane],) for rows in (("c", "s", "s*", "c"), ("c", "s*", "s", "c"))
-          for k in _PLANES for x in rows for plane in (0, 1)], (2, 2, 2, 2, 2))
-
-
-def _rotation(dtype, fmt: FpFormat):
-    """The Givens rotation body of `schur`, chosen once per call:
-    coefficients(c, s), or (c, s, cb, sb) for two steps, returns the (K, L)
-    of the rows and columns, fixed views of one buffer that the next call
-    overwrites, and rotate(X, K) sets X <- (c X0 + s1 X1, c X1 - s2 X0) in
-    place for a (2, n) view X, (2, 2, n) for two steps: (s1, s2) =
-    (s, conj(s)) in K, (conj(s), s) in L.  The caller charges six flops per
-    column and holds the errstate.  binary64 takes K as views (c, [s1, s2]),
-    keeps `_product`'s operand order, X first, and forms c X out of place,
-    which numpy runs faster than an in-place product on a strided view.  A
-    complex64 X is given as its float32 planes V, (in, plane, [pair,] n),
-    so that each numpy call loops over n: V * [kr, kr] + swap(V) * [-ki, ki]
-    is `_plane_product`'s kr*gr - ki*gi and kr*gi + ki*gr, each step
-    correctly rounded in any layout.  Others take `_product` and `_add` of
-    K = [c, s1, c, s2] and [X0, X1, X1, X0]."""
-    if dtype == np.complex64:
-        (pack1, take1, K1), (pack2, take2, K2) = [
-            (S.pack_into, take, np.empty(shape, np.float32)) for S, take, shape in _COMPLEX64]
-        one, two = (tuple(K1[0]), tuple(K1[1])), (tuple(K2[0]), tuple(K2[1]))
-
-        def coefficients(c, s, cb=None, sb=None):
-            if cb is None:
-                pack1(K1, 0, *take1((0.0, -0.0, c, s.real, s.imag, -s.imag)))
-                return one
-            pack2(K2, 0, *take2((0.0, -0.0, c, s.real, s.imag, -s.imag,
-                                 cb, sb.real, sb.imag, -sb.imag)))
-            return two
-
-        def rotate(V, k):
-            kr, ki = k
-            # k[o, i] X[i], plane by plane, in C order, so that numpy loops
-            # over n whatever V's strides (in K order it would loop over the
-            # planes, V's smallest stride)
-            P = np.multiply(V, kr, order="C")
-            P += np.multiply(V[:, ::-1], ki, order="C")
-            # a contiguous block: numpy 2.4's negative miswrites a float32
-            # input of stride 4 elements into a strided output (x86-64)
-            np.negative(P[1, 0], out=P[1, 0])
-            np.add(P[:, 0], P[:, 1], out=V)
-        return coefficients, rotate
-    if fmt.is_binary64:
-        def rotate(X, k):
-            c, s = k
-            B = s * X[::-1]
-            np.negative(b := B[1], out=b)
-            np.add(X * c, B, out=X)
-    else:
-        def rotate(X, k):
-            prods = _product(k, X[_PAIR], fmt)
-            np.negative(prods[3], out=prods[3])
-            X[...] = _add(prods[0::2], prods[1::2], fmt)
-    K1, K2 = np.empty((6, 1), np.complex128), np.empty((6, 2, 1), np.complex128)
-    pack1, pack2 = struct.Struct("12d").pack_into, struct.Struct("24d").pack_into
-    one, two = [((K[0:1], K[1:4:2]), (K[2:3], K[3:6:2])) if fmt.is_binary64 else (K[0:4], K[2:6])
-                for K in (K1, K2)]
-
-    def coefficients(c, s, cb=None, sb=None):
-        sr, si = s.real, s.imag
-        if cb is None:
-            pack1(K1, 0, c, 0.0, sr, si, c, 0.0, sr, -si, c, 0.0, sr, si)
-            return one
-        tr, ti = sb.real, sb.imag
-        pack2(K2, 0, c, 0.0, cb, 0.0, sr, si, tr, ti, c, 0.0, cb, 0.0, sr, -si, tr, -ti,
-              c, 0.0, cb, 0.0, sr, si, tr, ti)
-        return two
-    return coefficients, rotate
 
 
 def _wilkinson_shift(H: np.ndarray, hi: int, fmt: FpFormat) -> complex:
@@ -1000,7 +800,7 @@ def _schur_steps(UH: np.ndarray, *, ctx: PrecisionContext):
     reduction runs the stack in lockstep (`_hessenberg`), the QR iterations
     a pair at a time (`_qr_iteration`).  Each matrix is charged to a tally
     of its own, and the tallies go to ctx in stack order."""
-    ctxs = [PrecisionContext(ctx.format, FlopCounter()) for _ in UH]
+    ctxs = [ctx._running(ctx.arithmetic, FlopCounter()) for _ in UH]
     try:
         return _hessenberg(UH, ctxs) and _qr_iteration(UH, ctxs) and (UH,)
     finally:
@@ -1016,19 +816,17 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
     run no further, raised with the charges of those after it dropped.
     Matrices 0 and 1 run to their ends, then 2 and 3, and an odd last one
     alone.  A pair's pending steps are applied through one view per pass
-    on UH's buffer, of its float32 planes in complex64 (`_rotation`): the
+    on UH's buffer as the arithmetic's ``rows`` (``rotation``): the
     rows from the smaller first column, the columns to the larger row
     count, with coefficients(c, s, cb, sb).  The entries this pads with
     are exact zeros below H's subdiagonal or a deflated subdiagonal, which
     a rotation by finite c and s keeps zero.  A Givens step on a
     non-finite H may not have them (where c is not finite, neither is s):
     a pair of steps whose s is not finite is applied a matrix at a time."""
-    p, m, dtype = UH.shape[0], UH.shape[2], UH.dtype
-    coefficients, rotate = _rotation(dtype, ctxs[0].format)
+    p, m, ar = UH.shape[0], UH.shape[2], ctxs[0].arithmetic
+    coefficients, rotate = ar.rotation()
     s0, s1, s2 = UH.strides
-    R = UH  # the rows as the body takes them, complex64 as (row, plane, column)
-    if dtype == np.complex64:
-        R = UH.view(np.float32).reshape(p, 2 * m, m, 2).swapaxes(2, 3)
+    R = ar.rows(UH)  # the rows as the body takes them, float32 as (row, plane, column)
     C, vt, planes = R.swapaxes(1, -1), R.dtype, R.strides[2:-1]  # () or float32's (4,)
     lead, rows_at, cols_at = (2, *R.shape[2:-1], 2), (s1, *planes), (s2, *planes)
 

@@ -49,38 +49,22 @@ every NaN real or imaginary part of a kernel or `fl_*` result is the
 quiet NaN 0x7ff8000000000000, as in RISC-V F and Arm's Default NaN mode,
 and every other part keeps its bits (`_canonical`, in `_resident`).
 
-Sequential sums have one whole-array form, `_accumulate`, the body of
-`fl_sum`.  In binary64 and binary32 it runs its sums as one
-``np.add.accumulate`` in complex128 or complex64.  That is exact, not an
-approximation: every partial sum adds two values of the format, the
-hardware rounds that sum to nearest, ties to even, with gradual
-underflow and overflow to infinity, and so returns the correctly rounded
-result the software path computes (Higham & Pranesh make the same point:
-a format with a hardware dtype needs no simulated rounding).
-
-For the same reason arrays of binary32 values are computed in complex64,
-by one rule: entries take and return complex128, and a kernel calls
-steps.  A kernel's steps are written once, with `_product`, `_add`,
-`_sub`, `_accumulate` and `_divide`, which charge no flops and take their
-arithmetic from the operand dtype: complex128 in binary64, float32 planes
-for complex64 operands, the software rounding otherwise.  `_resident`,
-the one way into a kernel, is the one place that knows binary32 runs in
-complex64: it runs the kernel under one ``np.errstate``, on complex64
-copies when every operand holds binary32 values, else on the complex128
-operands.  A kernel charges its flops once (the QR iteration once per
-sweep) and calls no entry, but for the one exception the benchmark's
-tracer counts: `linalg._gemm_steps` forms a block of complex128 products
-by one `fl_mul`.  The `fl_*` functions, each a one-step kernel with its
-own charge, are the entry points for code outside a kernel.  A sum or
-difference is one complex64 operation.  A product is formed from the
-float32 planes as (ar*br - ai*bi, ar*bi + ai*br): the steps the software
-path rounds, in the same order.  The complex64 ``*`` is never used,
-because its SIMD multiply may fuse steps.  `linalg.gemm`, `lu`, the
-triangular substitution, `_mgs_project`, `householder_qr`, `schur`,
-`sylvester.solve_sylv_tri` and a GMRES correction
-(`gmresir._resident_correction`) are kernels.  `householder_qr` and
-`schur` (and so `hermitian_eig`) rerun in software on a Householder
-vector, formed from a column scaled past overflow, that is not binary32.
+Entries take and return complex128.  A kernel's steps are the methods
+of one arithmetic object, which charge no flops: exact binary64 on
+complex128 (`_EXACT64`), binary32 on the float32 planes of complex64
+(`_PLANES32`), or software rounding of any format on complex128 (the
+format's ``_arithmetic``).  `_resident`, the one way into a kernel, is the
+one place that picks it (binary32's planes when every operand holds
+binary32 values) and hands it over as ``ctx.arithmetic``.  In the exact
+ones a sum is one hardware step, and a sequential sum one
+``np.add.accumulate``: every partial sum adds two values of the format,
+which the hardware rounds to nearest, ties to even, with gradual
+underflow and overflow to infinity, as the software path does (Higham &
+Pranesh: a format with a hardware dtype needs no simulated rounding).  A
+kernel charges its flops once and calls no entry, but for the `fl_mul`
+per block of complex128 products in `linalg._gemm_steps`, which the
+benchmark's tracer counts; the `fl_*` functions, each a one-step kernel
+with its own charge, are the entries for code outside a kernel.
 
 The scalar steps of `schur` and of GMRES have one body each in every
 format but binary64: the Householder scalars, the Givens rotation and the
@@ -96,20 +80,20 @@ with the 2Sum residual in sums, which double rounding needs when t >= 26.
 Each chain holds the branches of the rounded `_s*` composition on zeros,
 infinities and squares out of range, so every operand runs through the
 one body and gets the bits that composition gives.  binary64 takes plain
-float and complex bodies.  For the same reason the binary32 |x_i| of
-`linalg._norm2_steps` are float32 steps.
+float and complex bodies.  For the same reason the binary32 |x_i| of a
+vector norm are float32 steps on the planes.
 
 Complex division has two references.  The scalar `_sdiv` in binary64 is
 CPython's complex division (Smith's method, dividing by the
 denominator), while `fl_div` in binary64 is numpy's, which multiplies by
 a reciprocal and differs in the last bit for many quotients.  In the
 other formats both are Smith's method with every step rounded, and a
-zero divisor takes numpy's division.  `_quotient` is the vector form of
-`_sdiv`, bit for bit.  It is composed of two halves:
-`_smith_denominator`, the steps that depend on the divisor only, and
-`_smith_numerator`.  `solve_sylv_tri` divides by the same shifted
-diagonals in every wave, so it forms the denominator half once per
-prepared pair and the numerator half per wave.
+zero divisor takes numpy's division.  An arithmetic's ``quotient`` is the
+vector form of `_sdiv`, bit for bit.  It is composed of two halves:
+``denominator``, the steps that depend on the divisor only, and
+``numerator``.  `solve_sylv_tri` divides by the same shifted diagonals in
+every wave, so it forms the denominator half once per prepared pair and
+the numerator half per wave.
 """
 
 from __future__ import annotations
@@ -119,6 +103,7 @@ import struct
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -206,19 +191,17 @@ class FpFormat:
         return self.significand_bits == 53 and self.exponent_bits == 11
 
     @cached_property
-    def _is_binary32(self) -> bool:
-        return self.significand_bits == 24 and self.exponent_bits == 8
-
-    @cached_property
     def _native(self):
         """(numpy dtype, struct packer, split constant) of the matching IEEE
         format, or None."""
         return _NATIVE.get((self.significand_bits, self.exponent_bits))
 
     @cached_property
-    def _uncounted(self) -> "PrecisionContext":
-        """A context of this format with no counter."""
-        return PrecisionContext(self)
+    def _arithmetic(self) -> "_Arithmetic":
+        """The format's arithmetic on complex128 (`_Arithmetic`)."""
+        if self.is_binary64:
+            return _EXACT64
+        return _Arithmetic(self, _PLANES32 if self == BINARY32 else None)
 
     @cached_property
     def _scalar_rounding(self):
@@ -240,7 +223,7 @@ class FpFormat:
                 return [_round_real_scalar(x, self) for x in xs]
             return (stage,) * 17, (tuple,) * 17, (lambda *xs: _sums(self, *xs),) * 5
         casts = [struct.Struct(f"{n}{native[1].format}") for n in range(17)]
-        pk = tuple(s.pack if self._is_binary32 else _cast_pack(s, self) for s in casts)
+        pk = tuple(s.pack if self == BINARY32 else _cast_pack(s, self) for s in casts)
         up = tuple(s.unpack for s in casts)
         return pk, up, (None, lambda a, b: up[1](pk[1](a + b)),
                         lambda a, b, c, d: up[2](pk[2](a + b, c + d)), None,
@@ -334,6 +317,19 @@ class PrecisionContext:
     format: FpFormat
     counter: FlopCounter | None = field(default=None, compare=False)
     bucket: str = "high"
+    # the arithmetic the steps under the context run in: the format's own,
+    # or the one `_resident` hands a kernel (`_running`)
+    arithmetic: "_Arithmetic" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "arithmetic", self.format._arithmetic)
+
+    def _running(self, arithmetic: "_Arithmetic", counter: FlopCounter | None):
+        """A context of this format and bucket charging counter, if any, whose
+        steps run in arithmetic: a kernel's, or one that keeps the kernel's."""
+        ctx = PrecisionContext(self.format, counter, self.bucket)
+        object.__setattr__(ctx, "arithmetic", arithmetic)
+        return ctx
 
     @property
     def unit_roundoff(self) -> float:
@@ -554,22 +550,6 @@ def _rounded_sum(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
     return _compose(y[0], y[1])
 
 
-def _binary32(*xs):
-    """complex64 copies of the complex128 arrays xs if every entry of every
-    x is a binary32 value, else None; a NaN entry fails the test.
-
-    Call under ``np.errstate(over="ignore")``: a value past binary32's range
-    casts to inf with a warning.
-    """
-    out = []
-    for x in xs:
-        x32 = x.astype(np.complex64)
-        if not (x32 == x).all():
-            return None
-        out.append(x32)
-    return out
-
-
 # the quiet NaN of every NaN part of a kernel result
 _NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000000))[0]
 
@@ -585,24 +565,6 @@ def _canonical(z):
     return z
 
 
-def _plane_product(a: np.ndarray, b: np.ndarray, out=None):
-    """The real and imaginary parts of a * b for complex64 arrays, formed
-    as ar*br - ai*bi and ar*bi + ai*br from float32 planes; the shapes
-    broadcast; with a complex64 ``out``, written into its planes.
-
-    On binary32 values each step is the correctly rounded binary32 result,
-    so the parts equal `_mul_parts`: the same four products, difference
-    and sum, in the same order.  The complex64 ``*`` is not used: its SIMD
-    loop may fuse steps.
-    """
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    if out is None:
-        return ar * br - ai * bi, ar * bi + ai * br
-    np.subtract(ar * br, ai * bi, out=out.real)
-    np.add(ar * bi, ai * br, out=out.imag)
-    return out
-
-
 def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
     """Rounded real and imaginary parts of (ar + i ai)(br + i bi), stacked.
 
@@ -615,262 +577,512 @@ def _mul_parts(ar, ai, br, bi, fmt: FpFormat) -> np.ndarray:
         return r(np.array([p[0] - p[1], p[2] + p[3]]), fmt)
 
 
-# The steps below charge no flops.  Each takes its arithmetic from its
-# operands: complex128 ``*`` and ``+`` in binary64; float32 planes when b is
-# complex64, whose entries are binary32 values by construction (`_resident`
-# checked them) and get no check here; the software rounding otherwise.  b
-# is an array; a may be a scalar.
-
-def _product(a, b: np.ndarray, fmt: FpFormat, out=None) -> np.ndarray:
-    """a * b entrywise, in b's dtype or written into out: for a complex64
-    b, the `_plane_product` parts (in out's planes; out overlaps no operand).
-
-    binary64's numpy array multiply fuses steps on an AVX-512 x86-64 host
-    (numpy 2.4): a * b and b * a differed for 32,884 of 100,000 complex
-    normal pairs at array lengths 1 to 16; scalars matched the unfused
-    formula.  Callers keep their operand order and shapes."""
-    if fmt.is_binary64:
-        return np.multiply(a, b, out=out)
-    if b.dtype == np.complex64:
-        if out is not None:
-            return _plane_product(a, b, out)
-        re, im = _plane_product(a, b)
-    else:
-        re, im = _mul_parts(a.real, a.imag, b.real, b.imag, fmt)
-    z = np.empty(re.shape, dtype=b.dtype) if out is None else out
-    z.real, z.imag = re, im
-    return z
+def _frobenius(v) -> float:
+    """Frobenius norm of an array in binary64: ``np.linalg.norm`` where that
+    is finite and at least 2^-511, else (its unscaled squares overflow past
+    ~1e154 and lose bits below ~1e-154) the norm of v scaled by its largest
+    magnitude, or by a power of two (`_scaled_down`) when small.  Finite
+    exactly when every entry is finite and the norm is below the largest
+    double.  Narrower input is widened first: ``np.linalg.norm`` keeps the
+    dtype."""
+    v = np.asarray(v)
+    v = v.astype(np.result_type(v.dtype, np.float64), copy=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        nrm = float(np.linalg.norm(v))
+    if math.isinf(nrm) and np.isfinite(v).all():
+        s = float(np.abs(v).max())
+        nrm = s * float(np.linalg.norm(v / s))
+    elif nrm < 2.0 ** -511 and v.any():
+        scaled, e = _scaled_down(v.ravel())
+        nrm = math.ldexp(float(np.linalg.norm(scaled)), e)
+    return nrm
 
 
-def _add(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """a + b entrywise, as `_product` chooses the arithmetic."""
-    if fmt.is_binary64 or b.dtype == np.complex64:
-        return a + b
-    return _rounded_sum(a, b, fmt)
+def _scaled_down(x: np.ndarray):
+    """(x * 2^-e, e), e the binary exponent of the largest real or imaginary
+    part of the finite nonzero vector x: every scaled part is below 1 in
+    magnitude, and the scaling is exact in binary64.  A factor past 2^1023
+    (x subnormal) is applied in two steps."""
+    parts = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    _, e = math.frexp(float(np.abs(parts).max()))
+    half = -e // 2 if e < -1023 else 0
+    return (parts * math.ldexp(1.0, half) * math.ldexp(1.0, -e - half)).view(np.complex128), e
 
 
-def _sub(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """a - b entrywise, as `_product` chooses the arithmetic."""
-    if fmt.is_binary64 or b.dtype == np.complex64:
-        return a - b
-    return _rounded_sum(a, -b, fmt)
+def _norm2_sum(mag: np.ndarray, fmt: FpFormat) -> float:
+    """The rounded root of the ascending sum of the squares of mag, each
+    partial sum acc + |x_i|^2 rounded as `_sums` rounds it: in binary32 and
+    binary16 a ``struct`` cast of the double sum s unless that raises, s is
+    NaN or Veltkamp's split says s may be a midpoint.  A NaN sum is inf."""
+    packer, split = fmt._native[1:] if fmt._native else (None, 0.0)
+    acc = 0.0
+    for a in mag.tolist():
+        # a ** 2 (libm pow) is the defined square; for t > 26 it can
+        # differ from a * a in the last bit
+        b = a ** 2
+        s = acc + b
+        try:
+            y = packer and packer.unpack(packer.pack(s))[0]
+        except OverflowError:
+            y = None
+        cast = y == s or y is not None and s == s and (c := s * split) - (c - s) != s
+        acc = y if cast else _sums(fmt, acc, b)[0]
+    return _ssqrt(acc if acc == acc else math.inf, fmt)
 
 
-def _accumulate(P: np.ndarray, start, fmt: FpFormat) -> np.ndarray:
-    """fl(...fl(fl(start + P[0]) + P[1]) ... + P[k-1]) along axis 0; start is
-    an array of shape P.shape[1:], or None for +0.
+_SWAP = np.array([1, -1])  # (re, im) plane indices to (im, re)
 
-    A complex64 P and any P in binary64 are summed by one
-    ``np.add.accumulate`` over P written after start (+0 for None) into one
-    buffer, in P's dtype; other P take `_add` step by step.
+# the rows [X0, X1, X1, X0] that the software rotation body multiplies by
+# [c, s1, c, s2]
+_PAIR = np.array([0, 1, 1, 0])
+
+
+def _coefficient_layout(code, entries, shape):
+    """A table packing of coefficients of one step and of two: (struct,
+    index table, array shape) for each.  Each entry is a tuple of indices
+    into the values, stored together for step 0, then for step 1."""
+    def packing(q):
+        table = [j if j < 2 else j + 4 * i for entry in entries for i in range(q) for j in entry]
+        axes = shape + (q,) * (q > 1) + (1,)
+        return struct.Struct(f"{len(table)}{code}"), itemgetter(*table), axes
+    return packing(1), packing(2)
+
+
+# The float32 layout indexes the values (0.0, -0.0, c, Re s, Im s, -Im s)
+# of one step; a second step's c, Re s, Im s and -Im s are at 6 to 9.  The
+# pairs of c, s and conj(s) are the float32 planes [kr, kr] and [-ki, ki],
+# and the layout stores, for the rows' and then the columns'
+# [[c, s1], [s2, c]], kr and then ki as (out, in, plane, [pair,] 1).
+_PLANES = ({"c": (2, 2), "s": (3, 3), "s*": (3, 3)}, {"c": (1, 0), "s": (5, 4), "s*": (4, 5)})
+_COMPLEX64 = _coefficient_layout(
+    "f", [(k[x][plane],) for rows in (("c", "s", "s*", "c"), ("c", "s*", "s", "c"))
+          for k in _PLANES for x in rows for plane in (0, 1)], (2, 2, 2, 2, 2))
+
+
+def _packer(views):
+    """The coefficients(c, s, cb=None, sb=None) of a complex128 rotation
+    body: views(K) of [c, s, c, conj(s), c, s] packed as (re, im) doubles
+    into K, step 0 then step 1 for each entry; a step's rows take
+    [c, s1, c, s2] from 0 and its columns from 2."""
+    K1, K2 = np.empty((6, 1), np.complex128), np.empty((6, 2, 1), np.complex128)
+    pack1, pack2 = struct.Struct("12d").pack_into, struct.Struct("24d").pack_into
+    one, two = views(K1), views(K2)
+
+    def coefficients(c, s, cb=None, sb=None):
+        sr, si = s.real, s.imag
+        if cb is None:
+            pack1(K1, 0, c, 0.0, sr, si, c, 0.0, sr, -si, c, 0.0, sr, si)
+            return one
+        tr, ti = sb.real, sb.imag
+        pack2(K2, 0, c, 0.0, cb, 0.0, sr, si, tr, ti, c, 0.0, cb, 0.0, sr, -si, tr, -ti,
+              c, 0.0, cb, 0.0, sr, si, tr, ti)
+        return two
+    return coefficients
+
+
+class _Arithmetic:
+    """Software rounding of any (t, e) on complex128, and the steps every
+    arithmetic shares: a kernel's steps, which charge no flops; b is an
+    array in every step, a may be a scalar.  Each step of an array is
+    rounded by `_round_real_array` (`rounded`), a product as `_mul_parts`
+    and a sum with its 2Sum residual (`_rounded_sum`).  ``exact``: no step
+    rounds; ``resident``: the arithmetic on a narrower dtype that
+    `_resident` tries first, or None; ``wide``: the format's own.
     """
-    if P.dtype == np.complex64 or fmt.is_binary64:
+
+    exact = False
+
+    def __init__(self, fmt: FpFormat, resident: "_Arithmetic | None" = None):
+        self.format, self.resident = fmt, resident
+
+    @property
+    def wide(self) -> "_Arithmetic":
+        return self.format._arithmetic
+
+    @cached_property
+    def _uncounted(self) -> PrecisionContext:
+        """A context of the format with no counter running this arithmetic."""
+        return PrecisionContext(self.format)._running(self, None)
+
+    @staticmethod
+    def enter(*xs):
+        """xs as operands, or None for a value off the format: complex128 here."""
+        return [x.astype(np.complex128, copy=False) for x in xs]
+
+    def rounded(self, x: np.ndarray) -> np.ndarray:
+        """A float64 array of steps, each rounded into the format."""
+        return _round_real_array(x, self.format)
+
+    def product(self, a, b: np.ndarray, out=None) -> np.ndarray:
+        """a * b entrywise, into out when given (out overlaps no operand)."""
+        re, im = _mul_parts(a.real, a.imag, b.real, b.imag, self.format)
+        if out is None:
+            return _compose(re, im)
+        out.real, out.imag = re, im
+        return out
+
+    def add(self, a, b: np.ndarray) -> np.ndarray:
+        return _rounded_sum(a, b, self.format)
+
+    def sub(self, a, b: np.ndarray) -> np.ndarray:
+        return _rounded_sum(a, -b, self.format)
+
+    def accumulate(self, P: np.ndarray, start) -> np.ndarray:
+        """fl(...fl(fl(start + P[0]) + P[1]) ... + P[k-1]) along axis 0;
+        start is an array of shape P.shape[1:], or None for +0."""
+        acc = np.zeros(P.shape[1:], dtype=P.dtype) if start is None else start
+        for p in P:
+            acc = self.add(acc, p)
+        return np.array(acc)
+
+    def summed_products(self, a, b: np.ndarray, start, shape) -> np.ndarray:
+        """``accumulate(product(a, b), start)`` for products of shape."""
+        return self.accumulate(self.product(a, b), start)
+
+    def dot(self, x: np.ndarray, y: np.ndarray, xh=None) -> complex:
+        """conj(x).y: the products of conj(x), or of xh if the caller formed
+        it, summed in ascending order from +0."""
+        return complex(self.summed_products(np.conj(x) if xh is None else xh, y, None,
+                                            (len(x),)))
+
+    def quotient(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a / b entrywise by Smith's method, bit-identical to `_sdiv`:
+        `numerator` of `denominator`, in b's dtype, and numpy's complex128
+        division for a zero divisor."""
+        if a.shape != b.shape:
+            a, b = np.broadcast_arrays(a, b)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            z = self.numerator(a, self.denominator(b))
+            zero = b == 0
+            if zero.any():
+                z[zero] = a[zero].astype(np.complex128) / b[zero].astype(np.complex128)
+        return z
+
+    divide = quotient
+
+    def denominator(self, b: np.ndarray):
+        """The half of Smith's method that depends on the divisor b only,
+        each step `rounded`, under ``np.errstate(divide="ignore",
+        invalid="ignore", over="ignore")``: (perm, t, d), and a sign in
+        binary64 (`_swapped`).  perm indexes a's flat planes as (im, re)
+        where |Re b| < |Im b| (swap); the ratio t of b's smaller part to its
+        larger and the scaled denominator d come as one column per part of
+        the quotient, (t, -t) and (d, d)."""
+        r = self.rounded
+        swap = np.abs(b.real) < np.abs(b.imag)
+        perm = np.arange(2 * b.size).reshape(b.shape + (2,)) + swap[..., None] * _SWAP
+        planes = np.ascontiguousarray(b).reshape(-1).view(b.real.dtype)
+        den_big, den_small = planes.take(perm[..., 0]), planes.take(perm[..., 1])
+        t = r(den_small / den_big)
+        d = r(den_big + r(den_small * t))
+        return self._swapped(perm, np.stack([t, -t], axis=-1), np.stack([d, d], axis=-1), swap)
+
+    @staticmethod
+    def _swapped(perm, t, d, swap):
+        """The swapped branch negates the imaginary part, so its d is
+        (d, -d), since -(x / d) is x / -d bit for bit."""
+        np.negative(d[..., 1], out=d[..., 1], where=swap)
+        return perm, t, d
+
+    def numerator(self, a: np.ndarray, den) -> np.ndarray:
+        """a / b from a and the `denominator` of b, in a's dtype: both parts
+        at once on a's planes (x, y) taken by perm, (x + y t) / d and
+        (y - x t) / d, each step `rounded`, under the same errstate."""
+        r = self.rounded
+        perm, t, d = den[:3]
+        num = np.ascontiguousarray(a).reshape(-1).view(a.real.dtype).take(perm)
+        if len(den) > 3:
+            num *= den[3]
+        q = r(r(num + r(num[..., ::-1] * t)) / d)
+        return q.view(a.dtype)[..., 0]
+
+    def norm2(self, x: np.ndarray) -> float:
+        """The Euclidean norm of x from its `magnitudes` (`_norm2_sum`); when
+        the squares overflow although every entry is finite, or underflow
+        (the norm below the square root of the smallest normal) although an
+        entry is nonzero, that of x scaled by a power of two, which is
+        exact, in `wide`, scaled back."""
+        fmt = self.format
+        nrm = _norm2_sum(self.magnitudes(x), fmt)
+        if (nrm == math.inf and np.isfinite(x).all()
+                or nrm < math.sqrt(fmt.smallest_normal) and x.any()):
+            scaled, e = _scaled_down(x)
+            nrm = _scaled_up(_norm2_sum(self.wide.magnitudes(scaled), fmt), e, fmt).real
+        return nrm
+
+    def magnitudes(self, x: np.ndarray) -> np.ndarray:
+        """Each |x_i| from two rounded squares, a rounded add and a rounded
+        sqrt in one vector pass; a NaN part makes it inf."""
+        x = x.astype(np.complex128, copy=False)
+        r = self.rounded
+        with np.errstate(invalid="ignore", over="ignore"):
+            sq = r(np.array([x.real * x.real, x.imag * x.imag]))
+            s = r(sq[0] + sq[1])
+            finite = np.isfinite(s)
+            return np.where(finite, r(np.sqrt(np.where(finite, s, 0.0))), np.inf)
+
+    def rotation(self):
+        """The Givens rotation body of `schur`, made once per call:
+        coefficients(c, s), or (c, s, cb, sb) for two steps, returns the
+        (K, L) of the rows and columns, fixed views of one buffer that the
+        next call overwrites, and rotate(X, K) sets X <- (c X0 + s1 X1,
+        c X1 - s2 X0) in place for a (2, n) view X of `rows`, (2, 2, n) for
+        two steps: (s1, s2) = (s, conj(s)) in K, (conj(s), s) in L.  The
+        caller charges the flops and holds the errstate.  Here the body is
+        `product` and `add` of K = [c, s1, c, s2] and [X0, X1, X1, X0]."""
+        def rotate(X, k):
+            prods = self.product(k, X[_PAIR])
+            np.negative(prods[3], out=prods[3])
+            X[...] = self.add(prods[0::2], prods[1::2])
+        return _packer(lambda K: (K[0:4], K[2:6])), rotate
+
+    @staticmethod
+    def rows(UH: np.ndarray) -> np.ndarray:
+        """The stack UH of [U; H] as `rotation`'s body takes its rows."""
+        return UH
+
+
+class _Exact(_Arithmetic):
+    """An arithmetic whose dtype's own steps are the format's: a sum or
+    difference is the numpy ufunc itself, a step of Smith's method is its
+    own rounding, and a sequential sum is one ``np.add.accumulate`` over
+    the terms written after start (+0 for None) into one buffer."""
+
+    exact = True
+    add, sub = np.add, np.subtract
+
+    @staticmethod
+    def rounded(x):
+        return x
+
+    def accumulate(self, P, start):
         X = np.empty((len(P) + 1,) + P.shape[1:], dtype=P.dtype)
         X[0] = 0 if start is None else start
         X[1:] = P
         return np.add.accumulate(X, axis=0, out=X)[-1]
-    acc = np.zeros(P.shape[1:], dtype=P.dtype) if start is None else start
-    for p in P:
-        acc = _add(acc, p, fmt)
-    return np.array(acc)
 
-
-def _summed_products(mul, a, b: np.ndarray, start, fmt: FpFormat, shape) -> np.ndarray:
-    """``_accumulate(mul(a, b, fmt), start, fmt)``, mul being `_product`, with
-    products of ``shape`` formed in the buffer where `_accumulate` sums."""
-    if b.dtype == np.complex64 or fmt.is_binary64:
+    def summed_products(self, a, b, start, shape):
         X = np.empty((shape[0] + 1,) + shape[1:], dtype=b.dtype)
         X[0] = 0 if start is None else start
-        mul(a, b, fmt, out=X[1:])
+        self.product(a, b, out=X[1:])
         return np.add.accumulate(X, axis=0, out=X)[-1]
-    return _accumulate(mul(a, b, fmt), start, fmt)
+
+    @staticmethod
+    def numerator_into(a: np.ndarray, den, out: np.ndarray) -> None:
+        """`numerator` of a contiguous 1-d a, on its planes, into out's."""
+        perm, t, d = den[0], den[1], den[2]
+        num = a.view(t.dtype).take(perm)
+        if len(den) > 3:
+            num *= den[3]
+        num += num[:, ::-1] * t
+        np.divide(num, d, out.view(t.dtype).reshape(d.shape))
+
+
+class _Binary64(_Exact):
+    """Exact binary64 on complex128, each step a numpy ufunc itself.
+    `divide` is numpy's complex division, which multiplies by a reciprocal
+    and differs from CPython's (`_sdiv`) in the last bit for many
+    quotients; `quotient` keeps CPython's Smith steps for the waves of
+    `sylvester.solve_sylv_tri`.  numpy's array multiply fuses steps on an
+    AVX-512 x86-64 host (numpy 2.4): a * b and b * a differed for 32,884 of
+    100,000 complex normal pairs at lengths 1 to 16, so callers keep their
+    operand order and shapes."""
+
+    product, divide = np.multiply, np.divide
+    norm2 = staticmethod(_frobenius)
+
+    @staticmethod
+    def dot(x, y, xh=None):
+        """numpy's ``vdot``, whose BLAS summation order depends on the strides."""
+        return complex(np.vdot(x, y))
+
+    @staticmethod
+    def _swapped(perm, t, d, swap):
+        """binary64 forms the swapped part as CPython does,
+        (Re a * t - Im a) / d, which differs in the sign of a zero: a
+        fourth entry, the sign (1, -1), negates Im a and t instead."""
+        sign = np.where(swap, -1.0, 1.0)[..., None]
+        return perm, t * sign, d, np.concatenate([np.ones_like(sign), sign], axis=-1)
+
+    def rotation(self):
+        """The body takes K as views (c, [s1, s2]), keeps `product`'s
+        operand order, X first, and forms c X out of place, which numpy
+        runs faster than an in-place product on a strided view."""
+        def rotate(X, k):
+            c, s = k
+            B = s * X[::-1]
+            np.negative(b := B[1], out=b)
+            np.add(X * c, B, out=X)
+        return _packer(lambda K: ((K[0:1], K[1:4:2]), (K[2:3], K[3:6:2]))), rotate
+
+
+class _Planes32(_Exact):
+    """binary32 on complex64, each step on float32 planes: a float32 step
+    on binary32 values is the correctly rounded one.  A product is formed
+    as (ar*br - ai*bi, ar*bi + ai*br), the steps the software path rounds,
+    in the same order; the complex64 ``*`` is never used, because its SIMD
+    loop may fuse steps."""
+
+    @staticmethod
+    def enter(*xs):
+        """complex64 copies of the complex128 arrays xs if every entry is a
+        binary32 value, else None (a NaN entry is not), under
+        ``np.errstate(over="ignore")``: a value past the range casts to inf."""
+        out = []
+        for x in xs:
+            x32 = x.astype(np.complex64)
+            if not (x32 == x).all():
+                return None
+            out.append(x32)
+        return out
+
+    @staticmethod
+    def product(a, b, out=None):
+        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+        if out is None:
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            out = np.empty(re.shape, np.complex64)
+            out.real, out.imag = re, im
+            return out
+        np.subtract(ar * br, ai * bi, out=out.real)
+        np.add(ar * bi, ai * br, out=out.imag)
+        return out
+
+    @staticmethod
+    def magnitudes(x):
+        """|x_i| by float32 steps, which round as the software steps do."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.sqrt(np.square(x.real) + np.square(x.imag))
+
+    def rotation(self):
+        """X is given as its float32 planes V, (in, plane, [pair,] n), so
+        that each numpy call loops over n: V * [kr, kr] + swap(V) * [-ki, ki]
+        is `product`'s kr*gr - ki*gi and kr*gi + ki*gr, each step correctly
+        rounded in any layout."""
+        (pack1, take1, K1), (pack2, take2, K2) = [
+            (S.pack_into, take, np.empty(shape, np.float32)) for S, take, shape in _COMPLEX64]
+        one, two = (tuple(K1[0]), tuple(K1[1])), (tuple(K2[0]), tuple(K2[1]))
+
+        def coefficients(c, s, cb=None, sb=None):
+            if cb is None:
+                pack1(K1, 0, *take1((0.0, -0.0, c, s.real, s.imag, -s.imag)))
+                return one
+            pack2(K2, 0, *take2((0.0, -0.0, c, s.real, s.imag, -s.imag,
+                                 cb, sb.real, sb.imag, -sb.imag)))
+            return two
+
+        def rotate(V, k):
+            kr, ki = k
+            # k[o, i] X[i], plane by plane, in C order, so that numpy loops
+            # over n whatever V's strides (in K order it would loop over the
+            # planes, V's smallest stride)
+            P = np.multiply(V, kr, order="C")
+            P += np.multiply(V[:, ::-1], ki, order="C")
+            # a contiguous block: numpy 2.4's negative miswrites a float32
+            # input of stride 4 elements into a strided output (x86-64)
+            np.negative(P[1, 0], out=P[1, 0])
+            np.add(P[:, 0], P[:, 1], out=V)
+        return coefficients, rotate
+
+    @staticmethod
+    def rows(UH):
+        """UH's float32 planes as (matrix, row, plane, column)."""
+        p, m = UH.shape[0], UH.shape[2]
+        return UH.view(np.float32).reshape(p, 2 * m, m, 2).swapaxes(2, 3)
+
+
+_EXACT64 = _Binary64(BINARY64)
+_PLANES32 = _Planes32(BINARY32)
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _resident(kernel, ctx: PrecisionContext, *arrays):
     """``kernel(*arrays, ctx=ctx)``, which returns a tuple of arrays, or
-    False when it finds an operand off binary32 in complex64 arrays.
+    False when it finds an operand off its arithmetic's format.
 
-    The one way into a kernel, which runs with numpy's warnings off, so
-    that binary64's steps give inf and NaN silently, as the software
-    rounding does, and returns complex128, every NaN part `_NAN`
-    (`_canonical`).  In binary32, when every entry of every array is a
-    binary32 value, the kernel runs on complex64 copies, whose steps then
-    run on float32 planes, its flops charged once, when it returns or
-    raises; a False runs it again from the arrays, uncharged so far, in
-    complex128, whose software steps give the same values.  Every other
-    call runs on complex128, complex64 operands widened.  A kernel calls
-    steps, never an entry, but for the `fl_mul` per block of complex128
-    products in `linalg._gemm_steps`, the call the benchmark's tracer counts.
+    The one way into a kernel, and the one place that picks the arithmetic
+    its steps run in, handed to it as ``ctx.arithmetic``: the format's
+    resident one (binary32's float32 planes) on the copies its `enter`
+    makes when it takes every array, its flops charged once, when the
+    kernel returns or raises; else, or after a False, which runs it again
+    uncharged so far, the format's own (ctx is an entry's), whose steps
+    give the same values.  numpy's warnings are off, as in the software
+    rounding; the results are complex128, every NaN part `_NAN`.
     """
     out = None
-    if ctx.format._is_binary32 and (ops := _binary32(*arrays)) is not None:
-        tally = ctx if ctx.counter is None else PrecisionContext(ctx.format, FlopCounter())
+    resident = ctx.arithmetic.resident
+    if resident is not None and (ops := resident.enter(*arrays)) is not None:
+        tally = (resident._uncounted if ctx.counter is None
+                 else ctx._running(resident, FlopCounter()))
         try:
             out = kernel(*ops, ctx=tally)
         finally:
-            if out is not False and tally is not ctx:
+            if out is not False and tally.counter is not None:
                 # a bucket is made only by a charge, as each kernel makes it
                 for n in tally.counter.counts.values():
                     ctx.count(n)
     if not out:
-        out = kernel(*[a.astype(np.complex128, copy=False) for a in arrays], ctx=ctx)
+        out = kernel(*ctx.arithmetic.enter(*arrays), ctx=ctx)
     return tuple([_canonical(z.astype(np.complex128, copy=False)) for z in out])
 
 
-_FLOAT32 = np.dtype(np.float32)
-
-
-def _entrywise(step, a, b, ctx: PrecisionContext):
-    """``step(a, b, fmt)`` for `fl_add`, `fl_sub`, `fl_mul` and `fl_div`, a
-    one-step `_resident` kernel charging one flop per result element."""
+def _entrywise(step: str, a, b, ctx: PrecisionContext):
+    """The arithmetic's step(a, b) for `fl_add`, `fl_sub`, `fl_mul` and
+    `fl_div`, a one-step `_resident` kernel charging one flop per result
+    element."""
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    (z,) = _resident(lambda a, b, ctx: (step(a, b, ctx.format),), ctx.format._uncounted,
+    (z,) = _resident(lambda a, b, ctx: (getattr(ctx.arithmetic, step)(a, b),),
+                     ctx.arithmetic._uncounted,
                      np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
     ctx.count(z.size)
     return complex(z) if scalar else z
 
 
 def fl_add(a, b, ctx: PrecisionContext):
-    return _entrywise(_add, a, b, ctx)
+    return _entrywise("add", a, b, ctx)
 
 
 def fl_sub(a, b, ctx: PrecisionContext):
-    return _entrywise(_sub, a, b, ctx)
+    return _entrywise("sub", a, b, ctx)
 
 
 def fl_mul(a, b, ctx: PrecisionContext):
-    return _entrywise(_product, a, b, ctx)
-
-
-def _smith_step(x: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """A step of Smith's method rounded into fmt: a step on float32 planes,
-    or in binary64, is its own rounding."""
-    if x.dtype is _FLOAT32 or fmt.is_binary64:
-        return x
-    return _round_real_array(x, fmt)
-
-
-_SWAP = np.array([1, -1])  # (re, im) plane indices to (im, re)
-
-
-def _smith_denominator(b: np.ndarray, fmt: FpFormat):
-    """The half of Smith's method that depends on the divisor b only, each
-    step rounded by `_smith_step`.  Call under
-    ``np.errstate(divide="ignore", invalid="ignore", over="ignore")``.
-
-    Returns (perm, t, d), and a sign in binary64: perm indexes a's flat
-    planes as (im, re) where |Re b| < |Im b| (swap); the ratio t of b's
-    smaller part to its larger and the scaled denominator d come as one
-    column per part of the quotient, (t, -t) and (d, d).  The swapped
-    branch negates the imaginary part, so its d is (d, -d), since -(x / d)
-    is x / -d bit for bit.  binary64 forms that part as CPython does,
-    (Re a * t - Im a) / d, which differs in the sign of a zero: the sign
-    (1, -1) negates Im a and t instead.
-    """
-    r = _smith_step
-    swap = np.abs(b.real) < np.abs(b.imag)
-    perm = np.arange(2 * b.size).reshape(b.shape + (2,)) + swap[..., None] * _SWAP
-    planes = np.ascontiguousarray(b).reshape(-1).view(b.real.dtype)
-    den_big, den_small = planes.take(perm[..., 0]), planes.take(perm[..., 1])
-    t = r(den_small / den_big, fmt)
-    d = r(den_big + r(den_small * t, fmt), fmt)
-    t, d = np.stack([t, -t], axis=-1), np.stack([d, d], axis=-1)
-    if fmt.is_binary64:
-        sign = np.where(swap, -1.0, 1.0)[..., None]
-        return perm, t * sign, d, np.concatenate([np.ones_like(sign), sign], axis=-1)
-    np.negative(d[..., 1], out=d[..., 1], where=swap)
-    return perm, t, d
-
-
-def _smith_numerator(a: np.ndarray, den, fmt: FpFormat) -> np.ndarray:
-    """a / b from a and the `_smith_denominator` of b, in a's dtype.
-
-    Both parts run at once on a's planes (x, y) taken by perm: (x + y t) / d
-    and (y - x t) / d, each step rounded by `_smith_step`.  Call under the
-    same ``np.errstate`` as `_smith_denominator`.
-    """
-    r = _smith_step
-    perm, t, d = den[:3]
-    num = np.ascontiguousarray(a).reshape(-1).view(a.real.dtype).take(perm)
-    if fmt.is_binary64:
-        num *= den[3]
-    q = r(r(num + r(num[..., ::-1] * t, fmt), fmt) / d, fmt)
-    return q.view(a.dtype)[..., 0]
-
-
-def _smith_planes(a: np.ndarray, den, out: np.ndarray) -> None:
-    """`_smith_numerator` of a contiguous 1-d a where no step rounds
-    (binary64, complex64 planes): its steps on a's planes, into out's."""
-    perm, t, d = den[0], den[1], den[2]
-    num = a.view(t.dtype).take(perm)
-    if len(den) > 3:
-        num *= den[3]
-    num += num[:, ::-1] * t
-    np.divide(num, d, out.view(t.dtype).reshape(d.shape))
-
-
-def _quotient(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """a / b entrywise by Smith's method, bit-identical to `_sdiv`:
-    `_smith_numerator` of `_smith_denominator`, in b's dtype, and numpy's
-    complex128 division for a zero divisor.  Every step is rounded into
-    fmt, except in binary64, where the steps follow CPython's complex
-    division as `_sdiv` does, and on complex64 operands, whose float32
-    steps are the correctly rounded ones.  Charges no flops.
-    """
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        z = _smith_numerator(a, _smith_denominator(b, fmt), fmt)
-        zero = b == 0
-        if zero.any():
-            z[zero] = a[zero].astype(np.complex128) / b[zero].astype(np.complex128)
-    return z
-
-
-def _divide(a: np.ndarray, b: np.ndarray, fmt: FpFormat) -> np.ndarray:
-    """a / b entrywise: numpy's complex division in binary64 (run under a
-    kernel's errstate), `_quotient` otherwise."""
-    if fmt.is_binary64:
-        return a / b
-    return _quotient(a, b, fmt)
+    return _entrywise("product", a, b, ctx)
 
 
 def fl_div(a, b, ctx: PrecisionContext):
-    return _entrywise(_divide, a, b, ctx)
+    return _entrywise("divide", a, b, ctx)
 
 
 def fl_sum(P, ctx: PrecisionContext, start=None):
     """fl(...fl(fl(start + P[0]) + P[1]) ... + P[k-1]) along axis 0.
 
     The sums run in ascending order, each rounded into the context's
-    format, and one flop is charged per element of P.  ``start`` may be
-    any double and defaults to +0; P holds values of the format.  An
-    empty P returns ``start`` unrounded, its NaN parts canonical.
-
-    The sums are `_accumulate`'s.  In binary64, and in binary32 when P and
-    start hold binary32 values, they run as one ``np.add.accumulate`` in
-    complex128 or complex64.  Each step adds two values of the format, and
-    the hardware's IEEE round-to-nearest-even sum of two such values is
-    the correctly rounded sum the software path computes, with the same
-    overflow, gradual underflow and signed zeros.
+    format (the arithmetic's ``accumulate``), and one flop is charged per
+    element of P.  ``start`` may be any double and defaults to +0; P holds
+    values of the format.  An empty P returns ``start`` unrounded, its NaN
+    parts canonical.
     """
     P = np.asarray(P, dtype=np.complex128)
     ctx.count(P.size)
     start = np.zeros(P.shape[1:], dtype=np.complex128) if start is None \
         else np.broadcast_to(np.asarray(start, dtype=np.complex128), P.shape[1:])
-    (total,) = _resident(lambda P, start, ctx: (_accumulate(P, start, ctx.format),),
-                         ctx.format._uncounted, P, start)
+    (total,) = _resident(lambda P, start, ctx: (ctx.arithmetic.accumulate(P, start),),
+                         ctx.arithmetic._uncounted, P, start)
     return total
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def fl_sqrt(x, ctx: PrecisionContext):
-    """Rounded square root of a nonnegative real array or scalar; the
-    square root of a negative value is the canonical NaN, with no numpy
-    warning, as in `_resident`."""
+    """Rounded square root of a real array or scalar; complex input is
+    taken when every imaginary part is zero, and a nonzero or NaN one
+    raises ValueError.  The square root of a negative value is the
+    canonical NaN, with no numpy warning, as in `_resident`."""
     scalar = np.ndim(x) == 0
-    x = np.asarray(np.real(np.asarray(x)), dtype=np.float64)
+    x = np.asarray(x)
+    if np.iscomplexobj(x) and (x.imag != 0).any():  # NaN != 0 too
+        raise ValueError("fl_sqrt takes real values; an imaginary part is nonzero or NaN")
+    x = np.asarray(x.real, dtype=np.float64)
     ctx.count(x.size)
     y = _canonical(_round_real_array(np.sqrt(x), ctx.format))
     return float(y) if scalar else y

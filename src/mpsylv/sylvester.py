@@ -43,15 +43,8 @@ from .precision import (
     PrecisionContext,
     fl_add,
     fl_div,
-    _accumulate,
-    _add,
-    _binary32,
-    _product,
     _resident,
     _round_complex_array,
-    _smith_denominator,
-    _smith_numerator,
-    _smith_planes,
 )
 
 __all__ = [
@@ -208,18 +201,19 @@ def solve_sylv_tri(T_A, T_B, C, ctx: PrecisionContext = _CTX64) -> np.ndarray:
 def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     """`solve_sylv_tri` with T_A, T_B and ctx fixed: returns solve(C), an
     entry, which takes and returns complex128, and solve.step(C), its
-    steps in C's dtype with no check, which a kernel calls.
+    steps in ctx's arithmetic on C's dtype with no check, which a kernel
+    calls.
 
-    Once per pair: the checks and the wave plan; once per dtype the waves
-    run in: the working buffer [Y | T_A | T_B], D, the shifted diagonals,
-    their zeros, the Smith denominators and each wave's views of one
-    scratch buffer; in binary32, whether T_A and T_B hold binary32 values,
-    so that solve(C) enters `_resident` with C alone.  A solve writes Y and
-    the scratch before it reads them, so pairs may be solved in any
-    interleaving.  A wave is one gather, one `_product`, then where no
-    step rounds (binary64, complex64) one ``np.subtract.accumulate`` and
-    Smith's numerator on the planes of its last row (`_smith_planes`),
-    else `_accumulate` and `_smith_numerator`.
+    Once per pair: the checks and the wave plan; per dtype, the working
+    buffer [Y | T_A | T_B]; per arithmetic the solve runs in: whether it
+    takes T_A and T_B (its ``enter``), so that solve(C) enters `_resident`
+    with C alone, and D, the shifted diagonals, their zeros, the Smith
+    denominators and each wave's views of one scratch buffer.  A solve
+    writes Y and the scratch before it reads them, so pairs may be solved
+    in any interleaving.  A wave is one gather, one ``product``, then where
+    no step rounds (``exact``) one ``np.subtract.accumulate`` and Smith's
+    numerator on the planes of its last row (``numerator_into``), else
+    ``accumulate`` and ``numerator``.
     """
     T_A = as_matrix(T_A)
     T_B = as_matrix(T_B)
@@ -229,15 +223,14 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     m, n = T_A.shape[0], T_B.shape[0]
     if T_A.shape != (m, m) or T_B.shape != (n, n):
         raise DimensionError("inconsistent dimensions")
-    fmt = ctx.format
     cols, order, first, waves = _wave_plan(m, n, b_form == "lower")
     off_b = m * n + m * m
     prepared = {}
 
-    def prepare(buf):
+    def prepare(ar, buf):
         # the shifted diagonals T_A[i, i] + T_B[k, k], row-major
-        D = _add(buf[m * n:off_b:m + 1, None], buf[off_b::n + 1], fmt)
-        den = list(_smith_denominator(D.ravel()[order], fmt))
+        D = ar.add(buf[m * n:off_b:m + 1, None], buf[off_b::n + 1])
+        den = list(ar.denominator(D.ravel()[order]))
         den[0] -= 2 * first[:, None]  # plane indices within each wave
         # each wave's X = [c; products] is a view of one buffer for the largest
         xs = np.empty(max((w + 1) * (b - a) for w, (a, b, _) in enumerate(waves)), buf.dtype)
@@ -247,20 +240,21 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
             ops.append((a, b, lr, [x[a:b] for x in den], xs[:(w + 1) * k].reshape(w + 1, k),
                         xs[:k], xs[k:(w + 1) * k]))
         singular = D == 0
-        exact = fmt.is_binary64 or buf.dtype == np.complex64  # no step rounds
-        prepared[buf.dtype] = plan = (singular, singular.any(axis=0)[cols], exact, ops)
+        prepared[ar] = plan = (singular, singular.any(axis=0)[cols], ops)
         return plan
 
-    def steps(buf, c, ctx):
-        singular, failing, exact, ops = prepared.get(buf.dtype) or prepare(buf)
+    def steps(c, ctx):
+        ar, buf = ctx.arithmetic, buffer(c.dtype)
+        singular, failing, ops = prepared.get(ar) or prepare(ar, buf)
         for start, stop, lr, den, X, x0, prods in ops:
             x0[...] = c[start:stop]
             P = buf[lr]  # a fancy-index gather beats a take into a kept buffer
-            _product(P[0], P[1], fmt, out=prods)
-            if exact:  # x - p is x + (-p) exactly: the sums of fl_sum(-products, start=c)
-                _smith_planes(np.subtract.accumulate(X, axis=0, out=X)[-1], den, buf[start:stop])
+            ar.product(P[0], P[1], out=prods)
+            if ar.exact:  # x - p is x + (-p) exactly: the sums of fl_sum(-products, start=c)
+                ar.numerator_into(np.subtract.accumulate(X, axis=0, out=X)[-1], den,
+                                  buf[start:stop])
             else:
-                buf[start:stop] = _smith_numerator(_accumulate(-X[1:], x0, fmt), den, fmt)
+                buf[start:stop] = ar.numerator(ar.accumulate(-X[1:], x0), den)
         Y = np.empty(m * n, dtype=buf.dtype)
         Y[order] = buf[:m * n]
         Y = Y.reshape(m, n)
@@ -285,11 +279,11 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
     def buffer(dtype):  # the working [Y | T_A | T_B]
         return np.concatenate([np.zeros(m * n), T_A.ravel(), T_B.ravel()], dtype=dtype)
 
-    # whether T_A and T_B hold binary32 values, checked once, under `_resident`
-    on_format = functools.cache(lambda: _binary32(T_A, T_B) is not None)
+    # whether the arithmetic takes T_A and T_B, checked once, under `_resident`
+    on_format = functools.cache(lambda ar: ar.enter(T_A, T_B) is not None)
 
-    def kernel(c, ctx):  # False for a pair off binary32, which `_resident` reruns
-        return (c.dtype != np.complex64 or on_format()) and steps(buffer(c.dtype), c, ctx)
+    def kernel(c, ctx):  # False for a pair off the format, which `_resident` reruns
+        return on_format(ctx.arithmetic) and steps(c, ctx)
 
     def solve(C) -> np.ndarray:
         C = as_matrix(C)
@@ -297,7 +291,7 @@ def _prepare_sylv_tri(T_A, T_B, ctx: PrecisionContext = _CTX64):
             raise DimensionError("inconsistent dimensions")
         return _resident(kernel, ctx, C.ravel()[order])[0]
 
-    solve.step = lambda C: steps(buffer(C.dtype), C.ravel()[order], ctx)[0]
+    solve.step = lambda C: steps(C.ravel()[order], ctx)[0]
     return solve
 
 

@@ -45,7 +45,7 @@ def nan_parts(z):
 
 def body_views(X):
     """The rows and the columns of X (..., r, c) as `linalg._qr_iteration`
-    hands them to the `_rotation` body, (rows, columns): the arrays X and
+    hands them to the arithmetic's rotation body, (rows, columns): the arrays X and
     X.swapaxes(-1, -2), a complex64 X as its float32 planes, (..., r,
     plane, c) and (..., c, plane, r)."""
     if X.dtype == np.complex64:

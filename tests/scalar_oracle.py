@@ -107,7 +107,7 @@ def _backsub_steps(acc: complex, hs: list, ys: list, fmt: FpFormat) -> complex:
 
 
 def _norm2_per_entry(x: np.ndarray, fmt: FpFormat) -> float:
-    """`linalg._norm2_steps` as each partial sum was rounded before its
+    """The rounded steps of a vector norm as each partial sum was rounded before its
     cast-first loop: the double sum and its 2Sum residual, one
     `_round_real_scalar` per entry, in every format."""
     with np.errstate(invalid="ignore", over="ignore"):

@@ -20,7 +20,7 @@ from mpsylv.precision import (
     BINARY32,
     BINARY64,
     PrecisionContext,
-    _binary32,
+    _PLANES32,
     fl_add,
     fl_div,
     fl_mul,
@@ -68,7 +68,8 @@ def _check(results, fmt, kind, *operands):
     path)."""
     if fmt is BINARY32 and kind == "inf":
         with np.errstate(over="ignore"):
-            assert _binary32(*[np.asarray(x, dtype=np.complex128) for x in operands]) is not None
+            wide = [np.asarray(x, dtype=np.complex128) for x in operands]
+            assert _PLANES32.enter(*wide) is not None
     parts = [bits for z in results for bits in nan_parts(z)]
     assert parts and set(parts) == {CANONICAL_NAN}
 

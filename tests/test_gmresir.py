@@ -179,26 +179,24 @@ class TestResidentCorrection:
     def test_matches_the_software_path(self, idx, t, monkeypatch):
         operands = _sweep_correction(t, idx)
         got = self._run(operands, self.GCFG)
-        monkeypatch.setattr(precision, "_binary32", lambda *xs: None)
+        monkeypatch.setattr(precision._PLANES32, "enter", lambda *xs: None)
         want = self._run(operands, self.GCFG)
         assert got == want
         assert got[2] == (t >= 10)
 
     def test_one_operand_check_per_correction(self, monkeypatch):
         operands = _sweep_correction(10, 2)
-        checks, dtypes = [], []
-        binary32 = precision._binary32
-        for module in (precision, linalg, sylvester, gmresir):  # wherever the name is bound
-            if hasattr(module, "_binary32"):
-                monkeypatch.setattr(module, "_binary32",
-                                    lambda *xs: checks.append(1) or binary32(*xs))
+        checks, runs = [], []
+        planes = precision._PLANES32
+        check = planes.enter
+        monkeypatch.setattr(planes, "enter", lambda *xs: checks.append(1) or check(*xs))
         correction = gmresir._gmres_correction
-        monkeypatch.setattr(gmresir, "_gmres_correction",
-                            lambda mv, b, *a: dtypes.append(b.dtype) or correction(mv, b, *a))
+        monkeypatch.setattr(gmresir, "_gmres_correction", lambda mv, b, gcfg, ctx: runs.append(
+            (b.dtype, ctx.arithmetic)) or correction(mv, b, gcfg, ctx))
         _, inner, _, _ = self._run(operands, self.GCFG)
         assert inner == 12
         assert len(checks) == 1
-        assert dtypes == [np.complex64]
+        assert runs == [(np.complex64, planes)]
 
     @pytest.mark.parametrize("fmt", [BINARY64, BINARY32], ids=lambda f: f.name)
     def test_binary64_widens_complex64_operands(self, fmt, rng):

@@ -22,7 +22,6 @@ from mpsylv.linalg import (
     _givens,
     _make_reflector,
     _mgs_project,
-    _rotation,
     _vec_norm2_ctx,
     cond_inf,
     gemm,
@@ -359,6 +358,12 @@ def _soft_rotate(P, Q, c, s1, s2):
     a, b = np.broadcast_arrays(a, np.array([P, Q, Q, P]))
     prods = _compose(*_mul_parts(a.real, a.imag, b.real, b.imag, BINARY32))
     return _rounded_sum(prods[0::2], np.array([prods[1], -prods[3]]), BINARY32)
+
+
+def _rotation(dtype, fmt):
+    """The rotation body that `schur` runs on arrays of dtype in fmt: the
+    float32 planes' for complex64, else the format's own arithmetic's."""
+    return (precision._PLANES32 if dtype == np.complex64 else fmt._arithmetic).rotation()
 
 
 def _rotated(P, Q, c, s, i, fmt, dtype=np.complex128):
@@ -808,7 +813,7 @@ class TestPackedCoefficients:
         -Im s) of each step, byte for byte."""
         coefficients, _ = _rotation(np.complex128, fmt)
         entries = [{"c": (2, 0), "s": (3, 4), "s*": (3, 5)}[x] for x in ("c", "s", "c", "s*", "c", "s")]
-        tables = linalg._coefficient_layout("d", entries, (6,))
+        tables = precision._coefficient_layout("d", entries, (6,))
         for args, _ in self._cases():
             K = coefficients(*args)
             buffer = (K[0][0] if fmt == BINARY64 else K[0]).base
@@ -1349,7 +1354,7 @@ class TestBinary32Kernels:
         got, flops = _counted(lambda *a: gemm(alpha, *a[:2], beta, C, a[2]), A, B)
         want = canonical(_soft_gemm(alpha, A, B, beta, C))
         assert (_bits(got) == _bits(want)).all()
-        monkeypatch.setattr(precision, "_binary32", lambda *xs: None)
+        monkeypatch.setattr(precision._PLANES32, "enter", lambda *xs: None)
         ref, ref_flops = _counted(lambda *a: gemm(alpha, *a[:2], beta, C, a[2]), A, B)
         assert (_bits(ref) == _bits(want)).all() and flops == ref_flops
         if case == "overflow" and alpha == 1:  # else 0 * inf in alpha * acc
@@ -1381,7 +1386,7 @@ class TestBinary32Kernels:
         (h, w, nrm), flops = _counted(lambda *a: _mgs_project(*a), Q, v)
         want = [canonical(x) for x in _soft_mgs(Q, v)]
         assert (_bits(h) == _bits(want[0])).all() and (_bits(w) == _bits(want[1])).all()
-        monkeypatch.setattr(precision, "_binary32", lambda *xs: None)
+        monkeypatch.setattr(precision._PLANES32, "enter", lambda *xs: None)
         (h2, w2, nrm2), ref_flops = _counted(lambda *a: _mgs_project(*a), Q, v)
         assert (_bits(h2) == _bits(h)).all() and (_bits(w2) == _bits(w)).all()
         # the remainder's norm: its software steps on the software remainder
@@ -1413,11 +1418,9 @@ class TestBinary32KernelPath:
 
     def test_one_operand_check_per_call(self, rng, monkeypatch):
         checks = []
-        binary32 = precision._binary32
-        for module in (precision, linalg, sylvester):  # wherever the name is bound
-            if hasattr(module, "_binary32"):
-                monkeypatch.setattr(module, "_binary32",
-                                    lambda *xs: checks.append(len(xs)) or binary32(*xs))
+        check = precision._PLANES32.enter
+        monkeypatch.setattr(precision._PLANES32, "enter",
+                            lambda *xs: checks.append(len(xs)) or check(*xs))
         ctx = PrecisionContext(BINARY32)
         A, B, C = _gemm_operands("bits", rng)
         gemm(0.5, A, B, -1.0, C, ctx)
@@ -1475,7 +1478,7 @@ def _householder_runs(A, monkeypatch, software=False):
         mp.setattr(linalg, "_householder_steps",
                    lambda Q, R, ctx: runs.append(R.dtype) or steps(Q, R, ctx=ctx))
         if software:
-            mp.setattr(precision, "_binary32", lambda *xs: None)
+            mp.setattr(precision._PLANES32, "enter", lambda *xs: None)
         try:
             out = householder_qr(A, PrecisionContext(BINARY32, counter, "low"))
         except RankDeficiencyError as exc:

@@ -29,19 +29,15 @@ from mpsylv.precision import (
     round_complex,
     round_matrix,
     round_to,
-    _accumulate,
-    _add,
-    _binary32,
+    _EXACT64,
+    _PLANES32,
     _chop,
     _chop_scalar,
     _compose,
     _mul_parts,
-    _product,
     _round_real_array,
     _round_real_scalar,
     _rounded_sum,
-    _sub,
-    _summed_products,
 )
 
 from conftest import CANONICAL_NAN, canonical, nan_parts
@@ -306,6 +302,21 @@ class TestFlOps:
         assert nan_parts(got) == [CANONICAL_NAN] and got[1] == 2.0
         assert ctx.counter.total() == 3
 
+    @pytest.mark.parametrize("fmt", [BINARY64, BINARY32, BFLOAT16], ids=lambda f: f.name)
+    def test_sqrt_rejects_a_nonzero_or_nan_imaginary_part(self, fmt):
+        """The real part alone would be a silently wrong root; a zero
+        imaginary part, of either sign, is taken."""
+        ctx = PrecisionContext(fmt, FlopCounter())
+        for x in (3 + 4j, np.array([4 + 1j, 9]), complex(4.0, math.nan),
+                  np.array([complex(1.0, -0.0), complex(4.0, 5e-324)])):
+            with pytest.raises(ValueError, match="imaginary"):
+                fl_sqrt(x, ctx)
+        assert ctx.counter.total() == 0
+        assert fl_sqrt(complex(4.0, -0.0), ctx) == 2.0
+        got = fl_sqrt(np.array([4 + 0j, complex(9.0, -0.0)]), ctx)
+        assert got.dtype == np.float64 and got.tolist() == [2.0, 3.0]
+        assert fl_sqrt(np.float32(2.25), ctx) == 1.5
+
 
 NATIVE = [(BINARY32, np.float32), (BINARY16, np.float16)]
 
@@ -549,22 +560,24 @@ class TestBinary32Native:
 
     def test_native_path_taken_when_the_result_holds_a_nan(self, rng, monkeypatch):
         a, b = self._pairs(rng)
-        a32, b32 = _binary32(a, b)
+        a32, b32 = _PLANES32.enter(a, b)
         with np.errstate(over="ignore", invalid="ignore"):
             # the steps fl_mul, fl_add and fl_sub take on complex64 copies:
             # the software path's bits in every part that is not NaN there,
             # and NaN in the same parts
-            for step, ref in ((_product, _soft_product(a, b)), (_add, _soft_sum(a, b)),
-                              (_sub, _soft_sum(a, -b))):
-                got = step(a32, b32, BINARY32)
+            for step, ref in ((_PLANES32.product, _soft_product(a, b)),
+                              (_PLANES32.add, _soft_sum(a, b)), (_PLANES32.sub, _soft_sum(a, -b))):
+                got = step(a32, b32)
                 assert got.dtype == np.complex64
                 assert (_cbits(canonical(got)) == _cbits(canonical(ref))).all()
         assert np.isnan(_soft_product(a, b)).any()  # inf * 0 and inf - inf
         assert np.isinf(_soft_product(a, b)).any()  # products that overflow
         assert (np.abs(_soft_product(a, b)) < BINARY32.smallest_normal).any()
-        # the entries stay on the planes for a result that holds a NaN
-        for name in ("_mul_parts", "_rounded_sum"):
-            monkeypatch.setattr(precision, name, lambda *args: pytest.fail("a software step"))
+        # the entries stay on the planes for a result that holds a NaN:
+        # no step of binary32's software arithmetic runs
+        for name in ("product", "add", "sub"):
+            monkeypatch.setattr(BINARY32._arithmetic, name,
+                                lambda *args: pytest.fail("a software step"))
         for op in (fl_add, fl_sub, fl_mul):
             op(a, b, self.CTX)
 
@@ -585,7 +598,7 @@ class TestBinary32Native:
     def test_operand_off_the_format_takes_the_software_path(self):
         # 1 + 2^-24 is not a binary32 value: its cast would round it to 1
         a, b = 1 + 2.0**-24, 1 + 2.0**-23
-        assert _binary32(np.asarray(a + 0j)) is None
+        assert _PLANES32.enter(np.asarray(a + 0j)) is None
         assert fl_mul(a, b, self.CTX) == 1 + 2.0**-22
         assert fl_add(0.1, 0.2, self.CTX) == _soft_sum(0.1, 0.2)
 
@@ -604,11 +617,12 @@ class TestBinary32Native:
 
 
 class TestProductInto:
-    """`_product` of complex64 operands formed straight in the planes of a
-    caller's out has the bytes of `_mul_parts` and of `_product` without
-    out, for broadcast shapes, signed zeros and infinities; and the block
-    sums of `gemm`'s steps formed in their accumulation buffer
-    (`_summed_products`) have the bytes of `_accumulate` of the products."""
+    """The float32 planes' ``product`` of complex64 operands formed straight
+    in the planes of a caller's out has the bytes of `_mul_parts` and of
+    ``product`` without out, for broadcast shapes, signed zeros and
+    infinities; and the block sums of `gemm`'s steps formed in their
+    accumulation buffer (``summed_products``) have the bytes of
+    ``accumulate`` of the products."""
 
     SHAPES = [((7, 5, 1), (7, 1, 3)), ((4,), (4,)), ((), (6,)), ((3, 1), (1, 4)),
               ((2, 1, 5), (5,))]
@@ -631,8 +645,8 @@ class TestProductInto:
                 for sa, sb in self.SHAPES:
                     a, b = self._operands(rng, sa), self._operands(rng, sb)
                     out = np.empty(np.broadcast_shapes(sa, sb), dtype=np.complex64)
-                    assert _product(a, b, BINARY32, out=out) is out
-                    assert out.tobytes() == _product(a, b, BINARY32).tobytes()
+                    assert _PLANES32.product(a, b, out=out) is out
+                    assert out.tobytes() == _PLANES32.product(a, b).tobytes()
                     a, b = a.astype(np.complex128), b.astype(np.complex128)
                     want = _mul_parts(a.real, a.imag, b.real, b.imag, BINARY32)
                     got = np.array([out.real, out.imag], dtype=np.float64)
@@ -648,6 +662,7 @@ class TestProductInto:
         keep differently where two meet, though in the same parts and with
         the same other bits; bfloat16, which sums step by step."""
         dtype = np.complex64 if fmt is BINARY32 else np.complex128
+        ar = {BINARY32: _PLANES32, BINARY64: _EXACT64}.get(fmt, fmt._arithmetic)
         with_nan = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(40):
@@ -664,9 +679,9 @@ class TestProductInto:
                         B[rng.integers(kb), rng.integers(n)] = complex(nan[3 + x], 0.5)
                 a, b = A.T[:, :, None], B[:, None, :]
                 for s in (None, start):
-                    P = _product(a, b, fmt)
-                    want = _accumulate(P, s, fmt)
-                    got = _summed_products(_product, a, b, s, fmt, (kb, m, n))
+                    P = ar.product(a, b)
+                    want = ar.accumulate(P, s)
+                    got = ar.summed_products(a, b, s, (kb, m, n))
                     assert got.dtype == want.dtype == dtype
                     assert got.tobytes() == want.tobytes()
                     if fmt is BINARY64:
@@ -676,6 +691,89 @@ class TestProductInto:
                         assert (_cbits(canonical(want)) == _cbits(canonical(steps))).all()
                         with_nan += np.isnan(want).any()
         assert with_nan or fmt is not BINARY64
+
+
+class TestArithmetic:
+    """`_resident` hands a kernel the arithmetic of its format and of the
+    dtype it runs in, and on binary32 values the float32 planes and
+    binary32's software arithmetic give the same bytes."""
+
+    @staticmethod
+    def _handed(fmt, *arrays, reject=False):
+        """(arithmetic, operand dtypes) of each run of a kernel entered by
+        `_resident` in fmt; with reject, a run in the float32 planes
+        returns False, as a kernel does for an operand off binary32."""
+        runs = []
+
+        def kernel(*ops, ctx):
+            runs.append((ctx.arithmetic, {op.dtype for op in ops}))
+            return not (reject and ctx.arithmetic is _PLANES32) and ops
+        precision._resident(kernel, PrecisionContext(fmt, FlopCounter()), *arrays)
+        return runs
+
+    def test_binary64_gets_exact_complex128(self):
+        a = np.array([1 + 2j, 0.1])
+        assert self._handed(BINARY64, a, a.astype(np.complex64)) == [
+            (_EXACT64, {np.dtype(np.complex128)})]
+        assert PrecisionContext(BINARY64).arithmetic is _EXACT64 and _EXACT64.exact
+
+    def test_binary32_values_get_the_float32_planes(self):
+        a = np.array([1 + 2j, complex(0.5, -0.0)])
+        assert self._handed(BINARY32, a, a[::-1]) == [(_PLANES32, {np.dtype(np.complex64)})]
+        assert _PLANES32.exact and _PLANES32.wide is BINARY32._arithmetic
+
+    def test_off_the_format_runs_get_binary32_software(self):
+        soft = BINARY32._arithmetic
+        assert type(soft) is precision._Arithmetic and soft.format == BINARY32
+        assert soft.resident is _PLANES32 and not soft.exact
+        wide = {np.dtype(np.complex128)}
+        # 0.1 is off binary32, and so is a NaN
+        assert self._handed(BINARY32, np.array([1 + 2j, 0.1])) == [(soft, wide)]
+        assert self._handed(BINARY32, np.array([complex(math.nan, 1.0)])) == [(soft, wide)]
+        # a kernel that finds an operand off the format reruns
+        assert self._handed(BINARY32, np.array([1 + 2j]), reject=True) == [
+            (_PLANES32, {np.dtype(np.complex64)}), (soft, wide)]
+
+    @pytest.mark.parametrize("fmt", [BFLOAT16, BINARY16, TF32, B24, parse_format("40:11")],
+                             ids=lambda f: f.name)
+    def test_other_formats_get_the_software_arithmetic(self, fmt):
+        (ar, dtypes), = self._handed(fmt, np.array([1 + 2j, complex(0.5, -0.0)]))
+        assert type(ar) is precision._Arithmetic and ar.format == fmt
+        assert ar is fmt._arithmetic is PrecisionContext(fmt).arithmetic
+        assert ar.resident is None and not ar.exact and ar.wide is ar
+        assert dtypes == {np.dtype(np.complex128)}
+
+    def test_planes_match_software_bytes(self, rng):
+        """add, sub, product with and without out, accumulate and divide,
+        each NaN part made canonical, as `_resident` returns it."""
+        special = [0.0, -0.0, math.inf, -math.inf, 3e38, -3e38, 2.0**-149, -2.0**-149, math.nan]
+        parts = np.array(special + rng.standard_normal(40).tolist(), dtype=np.float32)
+        parts = parts.astype(np.float64)
+        re, im = np.meshgrid(parts, parts)
+        z = _compose(re.ravel(), im.ravel())
+        a, b = z, rng.permutation(z)
+        a32, b32 = a.astype(np.complex64), b.astype(np.complex64)
+        soft = BINARY32._arithmetic
+
+        def same(got, want):
+            got = np.asarray(got)
+            assert got.dtype == np.complex64 and want.dtype == np.complex128
+            assert canonical(got.astype(np.complex128)).tobytes() == canonical(want).tobytes()
+
+        with np.errstate(all="ignore"):
+            for step in ("add", "sub", "product", "divide"):
+                same(getattr(_PLANES32, step)(a32, b32), getattr(soft, step)(a, b))
+            out32, out = np.empty_like(a32), np.empty_like(a)
+            assert _PLANES32.product(a32, b32, out=out32) is out32
+            assert soft.product(a, b, out=out) is out
+            same(out32, out)
+            k = len(a) // 8
+            P, P32 = a[:8 * k].reshape(8, k), a32[:8 * k].reshape(8, k)
+            for start in (None, b[:k]):
+                same(_PLANES32.accumulate(P32, None if start is None else b32[:k]),
+                     soft.accumulate(P, start))
+        assert np.isnan(soft.product(a, b)).any() and np.isinf(soft.add(a, b)).any()
+        assert (soft.divide(a, b) == 0).any()
 
 
 class TestRoundMatrix:

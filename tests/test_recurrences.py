@@ -1,7 +1,7 @@
 """Property tests of the whole-array recurrences against step-by-step references.
 
-`fl_sum` must equal a loop of `fl_add`, the vector division `_quotient`
-must equal Python's complex division in binary64 and `_sdiv` elsewhere,
+`fl_sum` must equal a loop of `fl_add`, the vector division (an
+arithmetic's ``quotient``) must equal Python's complex division in binary64 and `_sdiv` elsewhere,
 and the wavefront `solve_sylv_tri` must equal the column-by-column
 substitution kept below as `column_order_solve`: the same bits, the same
 flops, and the same error class and position.
@@ -27,11 +27,9 @@ from mpsylv.precision import (
     parse_format,
     round_matrix,
     round_to,
-    _quotient,
+    _PLANES32,
     _sadd,
     _sdiv,
-    _smith_denominator,
-    _smith_planes,
 )
 import mpsylv.gmresir as gmresir
 import mpsylv.refinement as refinement
@@ -194,7 +192,7 @@ class TestQuotient:
     def test_matches_the_scalar_division(self, case):
         fmt, a, b = case
         f = parse_format(fmt)
-        got = _quotient(a, b, f)
+        got = f._arithmetic.quotient(a, b)
         with np.errstate(all="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             if f.is_binary64:  # CPython's complex division
@@ -209,10 +207,10 @@ class TestQuotient:
         # CPython forms the imaginary part as (0.0) / d = +0, the rounded
         # steps as -((0.0) / d) = -0
         a = b = np.array([1 + 2j])
-        got = _quotient(a, b, parse_format("binary64"))[0]
+        got = parse_format("binary64")._arithmetic.quotient(a, b)[0]
         assert same(got, (1 + 2j) / (1 + 2j)) and same(got, 1 + 0j)
         f = parse_format("bfloat16")
-        got = _quotient(a, b, f)[0]
+        got = f._arithmetic.quotient(a, b)[0]
         assert same(got, _sdiv(1 + 2j, 1 + 2j, f)) and same(got, complex(1.0, -0.0))
 
     @pytest.mark.parametrize("fmt", ["binary64", "binary32", "binary16", "bfloat16"])
@@ -227,8 +225,8 @@ class TestQuotient:
 
 
 class TestSmithPlanes:
-    """`_smith_planes`, the Smith step of a triangular wave where no step
-    rounds, on the planes of a contiguous numerator: `_quotient`'s bits,
+    """``numerator_into``, the Smith step of a triangular wave where no step
+    rounds, on the planes of a contiguous numerator: ``quotient``'s bits,
     NaN payloads included, for complex128 divisors in binary64 and
     complex64 divisors in binary32 (a wave never divides by zero)."""
 
@@ -238,8 +236,9 @@ class TestSmithPlanes:
     def _both(a, b, fmt):
         out = np.full_like(a, complex(math.nan, math.nan))
         with np.errstate(all="ignore"):
-            _smith_planes(a, _smith_denominator(b, fmt), out)
-            return out, _quotient(a, b, fmt)
+            ar = _PLANES32 if a.dtype == np.complex64 else fmt._arithmetic
+            ar.numerator_into(a, ar.denominator(b), out)
+            return out, ar.quotient(a, b)
 
     @pytest.mark.parametrize("fmt, dtype, uint", CASES)
     def test_swap_branch_signed_zeros_and_specials(self, fmt, dtype, uint):
@@ -439,7 +438,7 @@ class TestSolvePath:
     with no call into the software rounding; others take the software
     products and sums."""
 
-    SOFTWARE = ("_mul_parts", "_rounded_sum", "_round_real_array", "_quotient")
+    SOFTWARE = ("_mul_parts", "_rounded_sum", "_round_real_array")
 
     @pytest.fixture
     def calls(self, monkeypatch):

@@ -17,7 +17,6 @@ from mpsylv.linalg import (
     _givens,
     _givens_binary64,
     _givens_chain,
-    _norm2_steps,
     _reflector_chain,
     _shift_chain,
     _wilkinson_shift,
@@ -294,6 +293,14 @@ def test_reflector_chain_matches_reference(fmt, rng):
     assert (round_matrix(parts, fmt).real != parts).sum() > n // 4
 
 
+def _norm2_steps(x, fmt):
+    """The rounded steps of a vector norm in fmt: the magnitudes of the
+    float32 planes for a complex64 x, else of fmt's own arithmetic, summed
+    by `precision._norm2_sum`."""
+    ar = precision._PLANES32 if x.dtype == np.complex64 else fmt._arithmetic
+    return precision._norm2_sum(ar.magnitudes(x), fmt)
+
+
 def test_norm2_steps_float32_matches_software(rng):
     """The float32 magnitudes of `_norm2_steps` on complex64 vectors against
     its software steps on 10^5 vectors of binary32 values, subnormals,
@@ -303,7 +310,7 @@ def test_norm2_steps_float32_matches_software(rng):
     vectors = np.split(_complex(rng, lengths.sum(), BINARY32), np.cumsum(lengths)[:-1])
     want = np.array([_norm2_steps(v, BINARY32) for v in vectors])
     # the vectors a binary32 schur keeps in complex64: no NaN
-    native = [v for v in vectors if linalg._binary32(v) is not None]
+    native = [v for v in vectors if precision._PLANES32.enter(v) is not None]
     got = np.array([_norm2_steps(v.astype(np.complex64), BINARY32) for v in native])
     ref = np.array([_norm2_steps(v, BINARY32) for v in native])
     assert (got.view(np.uint64) == ref.view(np.uint64)).all()
@@ -353,8 +360,8 @@ def test_norm2_steps_match_the_per_entry_loop(fmt, rng, monkeypatch):
     gives inf), and NaN sums; ordinary entries almost never do."""
     fallback = {"exact", "residual"} if fmt is BINARY32 else {"exact", "overflow"}
     fallbacks = []
-    sums = linalg._sums
-    monkeypatch.setattr(linalg, "_sums", lambda *a: fallbacks.append(a) or sums(*a))
+    sums = precision._sums
+    monkeypatch.setattr(precision, "_sums", lambda *a: fallbacks.append(a) or sums(*a))
     as_bits = lambda v: np.array(v, dtype=np.float64).view(np.uint64)
     for family, vectors in _norm_vectors(rng, fmt).items():
         fallbacks.clear()
@@ -377,7 +384,7 @@ def test_norm2_steps_match_the_per_entry_loop(fmt, rng, monkeypatch):
         assert fallbacks or family not in fallback, family
     # the sums before the square root: 4097^2 = 2^24 + 2^13 + 1 is a tie,
     # which the residual 2^-30 rounds up, and the cast alone to even
-    monkeypatch.setattr(linalg, "_ssqrt", lambda x, fmt: x)
+    monkeypatch.setattr(precision, "_ssqrt", lambda x, fmt: x)
     assert _norm2_steps(np.array([2.0 ** -15, 4097.0]) + 0j, BINARY32) == 2**24 + 2**13 + 2
     assert _norm2_steps(np.array([4097.0]) + 0j, BINARY32) == 2**24 + 2**13
 
@@ -455,7 +462,7 @@ SIGNED = [0.0, -0.0, 1.0, -1.5, 2.0**-149, -(2.0**-149), 3.0e38]
                                   (1.0, complex(-0.0, 0.0)), (0.0, complex(0.0, -1.0)),
                                   (0.28, complex(-0.96, -0.0))])
 def test_complex64_rotation_signed_zeros(c, s, rng):
-    """The complex64 `_rotation` body (in place, no NaN check) against the
+    """The float32 planes' rotation body (in place, no NaN check) against the
     software steps of the complex128 body in binary32, on entries with
     signed zero, subnormal and large parts, in both passes."""
     c, s = float(np.float32(c)), complex(np.complex64(s))  # binary32 coefficients
@@ -466,7 +473,8 @@ def test_complex64_rotation_signed_zeros(c, s, rng):
     for i in (0, 1):
         want, X32 = X.copy(), X.astype(np.complex64)
         for Z in (X32, want):
-            coefficients, rotate = linalg._rotation(Z.dtype, BINARY32)
+            ar = precision._PLANES32 if Z.dtype == np.complex64 else BINARY32._arithmetic
+            coefficients, rotate = ar.rotation()
             rotate(body_views(Z)[0], coefficients(c, s)[i])
         assert not np.isnan(want).any()
         assert (_bits(X32.astype(np.complex128)) == _bits(want)).all()
@@ -559,7 +567,7 @@ class TestBinary32SchurPath:
         """schur with the complex64 working arrays switched off."""
         counter = FlopCounter()
         with monkeypatch.context() as mp:
-            mp.setattr(precision, "_binary32", lambda *xs: None)
+            mp.setattr(precision._PLANES32, "enter", lambda *xs: None)
             sf = schur(A, PrecisionContext(BINARY32, counter, "low"))
         return sf, counter.counts
 
@@ -642,7 +650,7 @@ class TestBinary32SchurPath:
 
         UH, flops = reduction()
         assert nan == [True, False]
-        monkeypatch.setattr(precision, "_binary32", lambda *xs: None)
+        monkeypatch.setattr(precision._PLANES32, "enter", lambda *xs: None)
         ref, ref_flops = reduction()
         assert len(nan) == 2  # the software path updates complex128 arrays
         assert (_bits(UH) == _bits(ref)).all() and flops == ref_flops
@@ -660,7 +668,7 @@ class TestBinary32SchurPath:
             counter = FlopCounter()
             with monkeypatch.context() as mp:
                 if software:
-                    mp.setattr(precision, "_binary32", lambda *xs: None)
+                    mp.setattr(precision._PLANES32, "enter", lambda *xs: None)
                 # NaN entries never deflate
                 with pytest.raises(IterationLimitError):
                     schur(A, PrecisionContext(BINARY32, counter, "low"))
@@ -695,7 +703,7 @@ class TestBinary32SchurPath:
             counter = FlopCounter()
             with monkeypatch.context() as mp:
                 if software:
-                    mp.setattr(precision, "_binary32", lambda *xs: None)
+                    mp.setattr(precision._PLANES32, "enter", lambda *xs: None)
                 mp.setattr(linalg, "_wilkinson_shift", lambda H, hi, fmt: 0j)
                 mp.setattr(linalg, "_shifted", lambda h, shift, fmt: h)
                 with pytest.raises(IterationLimitError):
@@ -710,7 +718,7 @@ class TestBinary32HermitianPath:
         counter = FlopCounter()
         V, d = hermitian_eig(A, PrecisionContext(BINARY32, counter, "low"))
         ref_counter = FlopCounter()
-        monkeypatch.setattr(precision, "_binary32", lambda *xs: None)
+        monkeypatch.setattr(precision._PLANES32, "enter", lambda *xs: None)
         V2, d2 = hermitian_eig(A, PrecisionContext(BINARY32, ref_counter, "low"))
         assert (_bits(V) == _bits(V2)).all()
         assert (np.ascontiguousarray(d).view(np.uint64) == d2.view(np.uint64)).all()

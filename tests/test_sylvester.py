@@ -113,19 +113,19 @@ class TestPreparedPairCheck:
         for C in Cs:
             ctx = PrecisionContext(BINARY32, FlopCounter())
             wants.append((solve_sylv_tri(T_A, T_B, C, ctx), ctx.counter.counts))
-        sizes, dtypes, check, product = [], set(), precision._binary32, sylvester._product
+        planes = precision._PLANES32
+        sizes, dtypes, check = [], set(), planes.enter
 
-        def spy(*xs):  # the sizes of the arrays each `_binary32` call checks
+        def spy(*xs):  # the sizes of the arrays each check of the float32 planes takes
             sizes.append([x.size for x in xs])
             return check(*xs)
 
-        def products(a, b, fmt, out=None):  # the dtypes the waves run in
-            dtypes.add(b.dtype)
-            return product(a, b, fmt, out)
+        def products(product):  # the dtypes the waves run in
+            return lambda a, b, out=None: dtypes.add(b.dtype) or product(a, b, out)
 
-        monkeypatch.setattr(precision, "_binary32", spy)
-        monkeypatch.setattr(sylvester, "_binary32", spy)
-        monkeypatch.setattr(sylvester, "_product", products)
+        monkeypatch.setattr(planes, "enter", spy)
+        for ar in (planes, BINARY32._arithmetic):
+            monkeypatch.setattr(ar, "product", products(ar.product))
         ctx = PrecisionContext(BINARY32, FlopCounter())
         solve, total = sylvester._prepare_sylv_tri(T_A, T_B, ctx), FlopCounter()
         for i, (C, (want, counts)) in enumerate(zip(Cs, wants)):
