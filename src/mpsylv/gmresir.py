@@ -67,7 +67,8 @@ class GmresConfig:
 
     The effective inner tolerance is max(inner_tol, 4 u_g): a relative
     residual below the roundoff of the precision GMRES runs in cannot be
-    resolved, so demanding it would only burn the restart budget.
+    resolved, so demanding it would only burn the restart budget.  A
+    cycle's storage grows with its steps, however large restart is.
     """
 
     u_g: FpFormat = field(default_factory=lambda: BINARY64)
@@ -101,7 +102,8 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
     Returns (E, inner_iterations, stagnated).  Stagnation means a full
     restart cycle failed to shrink the relative residual below 0.9 of its
     value at the cycle start.  Steps of a `_resident` kernel: V, H, the
-    rotations and g take the dtype of the right-hand side.
+    rotations and g take the dtype of the right-hand side, and grow with
+    the cycle's steps: room for 8, doubled when full, up to restart.
     """
     fmt, ar = ctx.format, ctx.arithmetic
     m, n = rhs_mat.shape
@@ -115,6 +117,14 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
     total_inner = 0
     stagnated = False
     p = gcfg.restart
+
+    def storage(q, *cycle):
+        """V, H, cs, sn and g for q steps, zero but for the entries of cycle."""
+        out = [np.zeros(shape, dtype=b.dtype) for shape in ((N, q + 1), (q + 1, q), q, q, q + 1)]
+        for new, old in zip(out, cycle):
+            new[tuple(map(slice, old.shape))] = old
+        return out
+
     for _ in range(gcfg.max_restarts):
         if np.any(x):
             r = ar.sub(b, matvec(x))
@@ -127,16 +137,14 @@ def _gmres_correction(matvec, rhs_mat, gcfg: GmresConfig, ctx: PrecisionContext)
         if beta <= tol * beta0:
             break
         cycle_start = beta
-        V = np.zeros((N, p + 1), dtype=b.dtype)
-        H = np.zeros((p + 1, p), dtype=b.dtype)
-        cs = np.zeros(p, dtype=b.dtype)
-        sn = np.zeros(p, dtype=b.dtype)
-        g = np.zeros(p + 1, dtype=b.dtype)
+        V, H, cs, sn, g = storage(min(p, 8))
         V[:, 0] = ar.divide(r, r.dtype.type(beta))
         ctx.count(N)
         g[0] = beta
         j = 0
         while j < p:
+            if j == len(cs):  # the storage is full: double it, at most to p steps
+                V, H, cs, sn, g = storage(min(2 * j, p), V, H, cs, sn, g)
             w = matvec(V[:, j])
             H[:j + 1, j], w, hq = _mgs_steps(V[:, :j + 1], w, ctx=ctx)
             H[j + 1, j] = hq

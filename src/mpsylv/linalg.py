@@ -396,7 +396,7 @@ def _apply_reflector_left_rounded(M: np.ndarray, w: np.ndarray, beta,
     for the caller.  A stack M (p, r, c) takes w (p, r) and p betas, each
     matrix its own."""
     ar = ctx.arithmetic
-    t = ar.accumulate(np.moveaxis(ar.product(np.conj(w)[..., None], M), -2, 0), None)
+    t = ar.accumulate(ar.product(np.conj(w)[..., None], M).swapaxes(0, -2), None)
     bw = ar.product(np.asarray(beta, w.dtype)[..., None], w)
     M[...] = ar.sub(M, ar.product(bw[..., None], t[..., None, :]))
     ctx.count(4 * M.size + w.size)
@@ -407,7 +407,8 @@ def _apply_reflector_right_rounded(M: np.ndarray, w: np.ndarray, beta,
     """M <- M (I - beta w w*) in place, columns matching w's last axis, with
     the steps of `_apply_reflector_left_rounded` on the rows of M."""
     ar = ctx.arithmetic
-    t = ar.accumulate(ar.product(np.moveaxis(M, -1, 0), np.moveaxis(w, -1, 0)[..., None]), None)
+    # M's columns first, (c, [p,] r), and w's entries, (c, [p])
+    t = ar.accumulate(ar.product(M.swapaxes(-1, -2).swapaxes(0, -2), w.T[..., None]), None)
     bw = ar.product(np.asarray(beta, w.dtype)[..., None], np.conj(w))
     M[...] = ar.sub(M, ar.product(t[..., None], bw[..., None, :]))
     ctx.count(4 * M.size + w.size)
@@ -815,20 +816,19 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
     True, or the error of the first matrix that raises, whose partner is
     run no further, raised with the charges of those after it dropped.
     Matrices 0 and 1 run to their ends, then 2 and 3, and an odd last one
-    alone.  A pair's pending steps are applied through one view per pass
-    on UH's buffer as the arithmetic's ``rows`` (``rotation``): the
-    rows from the smaller first column, the columns to the larger row
-    count, with coefficients(c, s, cb, sb).  The entries this pads with
-    are exact zeros below H's subdiagonal or a deflated subdiagonal, which
-    a rotation by finite c and s keeps zero.  A Givens step on a
-    non-finite H may not have them (where c is not finite, neither is s):
-    a pair of steps whose s is not finite is applied a matrix at a time."""
+    alone.  A pair's pending steps are applied through the views that
+    `_pair_views` cuts on UH's buffer as the arithmetic's ``rows``
+    (``rotation``): the rows from the smaller first column, the columns to
+    the larger row count, with coefficients(c, s, cb, sb).  The entries
+    this pads with are exact zeros below H's subdiagonal or a deflated
+    subdiagonal, which a rotation by finite c and s keeps zero.  A Givens
+    step on a non-finite H may not have them (where c is not finite,
+    neither is s): a pair of steps whose s is not finite is applied a
+    matrix at a time."""
     p, m, ar = UH.shape[0], UH.shape[2], ctxs[0].arithmetic
     coefficients, rotate = ar.rotation()
-    s0, s1, s2 = UH.strides
     R = ar.rows(UH)  # the rows as the body takes them, float32 as (row, plane, column)
-    C, vt, planes = R.swapaxes(1, -1), R.dtype, R.strides[2:-1]  # () or float32's (4,)
-    lead, rows_at, cols_at = (2, *R.shape[2:-1], 2), (s1, *planes), (s2, *planes)
+    C = R.swapaxes(1, -1)
 
     def alone(i, step):
         k, first, rows, c, s = step
@@ -853,7 +853,7 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
             errors = [to_end(a, i)]
         else:
             b = _qr_steps(UH[i + 1], ctxs[i + 1])
-            rows0, cols0 = i * s0 + m * s1, i * s0  # the offsets of the pair's views
+            cut = _pair_views(UH, R, i)
             while True:
                 try:
                     step = next(a)
@@ -872,17 +872,36 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
                     alone(i + 1, other)
                     continue
                 K, L = coefficients(c, s, cb, sb)
-                f, r = f if f < fb else fb, r if r > rb else rb
-                rotate(np.ndarray(lead + (m - f,), vt, UH, rows0 + k * s1 + f * s2,
-                                  rows_at + (s0 + (kb - k) * s1, s2)), K)
-                rotate(np.ndarray(lead + (r,), vt, UH, cols0 + k * s2,
-                                  cols_at + (s0 + (kb - k) * s2, s1)), L)
+                X, Y = cut(k, kb, f if f < fb else fb, r if r > rb else rb)
+                rotate(X, K)
+                rotate(Y, L)
         for j, exc in enumerate(errors, i):
             if exc is not None:
                 for c in ctxs[j + 1:]:
                     c.counter.reset()
                 raise exc
     return True
+
+
+def _pair_views(UH: np.ndarray, R: np.ndarray, i: int):
+    """cut(k, kb, first, rows): `_qr_iteration`'s views, in R's layout
+    (``rows``), of steps k and kb of matrices i and i + 1 of UH, the rows
+    from column first and the columns to row rows, indexed by k from one
+    base view per offset d = kb - k on UH's buffer, made once per pair."""
+    m, (s0, s1, s2) = UH.shape[2], UH.strides
+    lead, planes = (2, *R.shape[2:-1], 2), R.strides[2:-1]  # () or float32's (4,)
+
+    def base(d, offset, n, step, along):  # (k, in, [plane,] pair, n), k to m - 2 - max(d, 0)
+        return np.ndarray((m - 1 - max(d, 0), *lead, n), R.dtype, UH, offset,
+                          (step, step, *planes, s0 + d * step, along))
+    # d = 0..m-2, then -(m-2)..-1, so that a negative d indexes from the end
+    views = [(base(d, i * s0 + m * s1, m, s1, s2), base(d, i * s0, 2 * m, s2, s1))
+             for d in chain(range(m - 1), range(2 - m, 0))]
+
+    def cut(k, kb, first, rows):
+        X, Y = views[kb - k]
+        return X[k, ..., first:], Y[k, ..., :rows]
+    return cut
 
 
 def _qr_steps(UH: np.ndarray, ctx: PrecisionContext):

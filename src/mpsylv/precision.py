@@ -905,14 +905,17 @@ class _Binary64(_Exact):
         return perm, t * sign, d, np.concatenate([np.ones_like(sign), sign], axis=-1)
 
     def rotation(self):
-        """The body takes K as views (c, [s1, s2]), keeps `product`'s
-        operand order, X first, and forms c X out of place, which numpy
-        runs faster than an in-place product on a strided view."""
+        """The body takes K as views (c, [s1, s2]), keeps `product`'s operand
+        order, s X1 and X c, forms both as fresh C-order arrays, which numpy
+        loops over n whatever X's strides, and copies their sum into X once."""
         def rotate(X, k):
             c, s = k
-            B = s * X[::-1]
+            B = np.multiply(s, X[::-1], order="C")
+            # a contiguous block: numpy 2.4's negative miswrites some
+            # strided float outputs (x86-64)
             np.negative(b := B[1], out=b)
-            np.add(X * c, B, out=X)
+            B += np.multiply(X, c, order="C")
+            X[...] = B
         return _packer(lambda K: ((K[0:1], K[1:4:2]), (K[2:3], K[3:6:2]))), rotate
 
 

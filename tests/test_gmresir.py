@@ -105,6 +105,26 @@ class TestGmresIr:
         assert all(li <= gcfg.restart * gcfg.max_restarts
                    for li in rep.inner_iterations)
 
+    @pytest.mark.parametrize("u_g", [BINARY32, BINARY64], ids=lambda f: f.name)
+    def test_cycle_storage_grows_with_its_steps(self, u_g):
+        """A restart of 10**6 would have V and H take terabytes up front; the
+        cycles of this problem take one or two steps, so it gives the X
+        bytes, inner iterations and failure of a restart of 8."""
+        p = generate(ProblemGenerator("random-dense", 2, 2, 0.0, 0, stream=0))
+        reps = [gmres_ir_sylv(p, GmresConfig(u_g, restart=r), RefinementConfig(BINARY32))
+                for r in (8, 10**6)]
+        assert [(r.X.tobytes(), r.inner_iterations, r.failure) for r in reps[1:]] == \
+            [(reps[0].X.tobytes(), reps[0].inner_iterations, reps[0].failure)]
+
+    def test_cycle_storage_grows_past_its_first_steps(self):
+        """A binary64 cycle of 22 steps grows its storage from 8 steps to 16
+        and 32, as it does with a restart of 10**6: the same bytes."""
+        p = generate(ProblemGenerator("logspace-conditioned", 10, 10, 10.0, 1))
+        reps = [gmres_ir_sylv(p, GmresConfig(BINARY64, restart=r),
+                              RefinementConfig(BINARY32, BINARY64)) for r in (40, 10**6)]
+        assert reps[0].inner_iterations == reps[1].inner_iterations == [22]
+        assert reps[0].X.tobytes() == reps[1].X.tobytes()
+
     def test_left_preconditioned_residual_consistency(self, rng):
         # the norm GMRES converged to matches the directly recomputed
         # preconditioned residual of its correction

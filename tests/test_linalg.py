@@ -490,17 +490,20 @@ def _with_specials(rng, X, share=0.15):
     return X
 
 
-def _schur_views(UH, kind, rng):
+def _schur_views(UH, kind, rng, at=None):
     """A view of the stack UH of [U; H] as `_qr_iteration` rotates it (a
     complex64 UH as float32 planes, `body_views`), which of a step's
     coefficients it takes (0 for the rows, 1 for the columns), and the
-    step's (k, kb, first, rows), by kind: the rows or the columns of a step
-    of matrix 0, or of steps of matrices 0 and 1 paired."""
+    step's (k, kb, first, rows), drawn from rng unless given as at, by
+    kind: the rows or the columns of a step of matrix 0, or of steps of
+    matrices 0 and 1 paired."""
     m = UH.shape[2]
-    k, kb, first = rng.integers(m - 1), rng.integers(m - 1), rng.integers(m)
-    rows = m + min(k + 3, m)
+    if at is None:
+        k, kb, first = rng.integers(m - 1), rng.integers(m - 1), rng.integers(m)
+        at = (k, kb, first, m + min(k + 3, m))
+    k, kb, first, rows = at
     s0, s1, s2 = UH.strides
-    (R, C), at = body_views(UH), (k, kb, first, rows)
+    R, C = body_views(UH)
     lead, gap = R.shape[2:-1], R.strides[2:-1]
     if kind == "row":
         return R[0, m + k:m + k + 2, ..., first:], 0, at
@@ -746,6 +749,103 @@ class TestPairedComplex64Rotation:
             with_inf += np.isinf(want).any()
             assert _part_bits_match(UH.astype(np.complex128), want)
         assert with_nan > 10 and with_inf > 10
+
+
+def _pair_steps(m):
+    """Every (k, kb, first, rows) of a pair of Givens steps of `_qr_steps`
+    at size m: a step k has first k, or k - 1 after the first step of its
+    sweep, and rows m + k + 2 at its sweep's end, or m + k + 3 before it;
+    the pair takes the smaller first and the larger rows."""
+    def sides(k):
+        return {k, max(k - 1, 0)}, {m + k + 2, m + min(k + 3, m)}
+    for k in range(m - 1):
+        for kb in range(m - 1):
+            (f, r), (fb, rb) = sides(k), sides(kb)
+            for first in {min(x, y) for x in f for y in fb}:
+                for rows in {max(x, y) for x in r for y in rb}:
+                    yield k, kb, first, rows
+
+
+class TestPairViews:
+    """`linalg._pair_views`, the views of a pair's steps that
+    `_qr_iteration` cuts, alias the bytes of `_schur_views`' ``np.ndarray``
+    views, the layout each rotation body is checked on: the same data
+    pointer, shape and strides, for binary64 and for the float32 planes,
+    at every step a pair can reach, with the pair at the end of its stack
+    and inside a longer one."""
+
+    @staticmethod
+    def _layout(X):
+        return X.__array_interface__["data"][0], X.shape, X.strides
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_views_alias_the_oracle_views(self, dtype):
+        ar = precision._PLANES32 if dtype == np.complex64 else precision._EXACT64
+        checked = 0
+        for m in range(2, 27):
+            UH = np.zeros((4, 2 * m, m), dtype)
+            R = ar.rows(UH)
+            for i in (0, 2):
+                cut, pair = linalg._pair_views(UH[:i + 2], R[:i + 2], i), UH[i:i + 2]
+                for at in _pair_steps(m):
+                    X, Y = cut(*at)
+                    assert self._layout(X) == self._layout(
+                        _schur_views(pair, "paired rows", None, at)[0])
+                    assert self._layout(Y) == self._layout(
+                        _schur_views(pair, "paired columns", None, at)[0])
+                    checked += 1
+        assert checked > 39000
+
+
+def _moveaxis_left(M, w, beta, ar):
+    """`_apply_reflector_left_rounded` on a matrix M as its steps were first
+    written, with ``np.moveaxis``: its oracle."""
+    t = ar.accumulate(np.moveaxis(ar.product(np.conj(w)[..., None], M), -2, 0), None)
+    bw = ar.product(np.asarray(beta, w.dtype)[..., None], w)
+    M[...] = ar.sub(M, ar.product(bw[..., None], t[..., None, :]))
+
+
+def _moveaxis_right(M, w, beta, ar):
+    """`_apply_reflector_right_rounded` on a matrix M with ``np.moveaxis``."""
+    t = ar.accumulate(ar.product(np.moveaxis(M, -1, 0), np.moveaxis(w, -1, 0)[..., None]), None)
+    bw = ar.product(np.asarray(beta, w.dtype)[..., None], np.conj(w))
+    M[...] = ar.sub(M, ar.product(t[..., None], bw[..., None, :]))
+
+
+class TestStackedReflectors:
+    """The Householder updates on a stack M (p, r, c) give the bytes of p
+    calls on one matrix each, and on one matrix the bytes of their
+    ``np.moveaxis`` form, in binary64, in binary32 on complex64 planes and
+    in bfloat16 (software), with r = 1 and c = 1 among the shapes; the
+    flops charged are those of the p calls."""
+
+    ARITHMETICS = [(BINARY64, np.complex128), (BINARY32, np.complex64),
+                   (BFLOAT16, np.complex128)]
+    SHAPES = [(1, 1, 1), (2, 1, 4), (2, 4, 1), (2, 5, 3), (3, 3, 6), (3, 7, 7)]
+
+    @pytest.mark.parametrize("fmt, dtype", ARITHMETICS, ids=lambda x: getattr(x, "name", ""))
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_stack_matches_one_matrix_calls_and_the_moveaxis_form(self, fmt, dtype, side, rng):
+        apply = getattr(linalg, f"_apply_reflector_{side}_rounded")
+        oracle = _moveaxis_left if side == "left" else _moveaxis_right
+        ar = precision._PLANES32 if dtype == np.complex64 else fmt._arithmetic
+        for p, r, c in self.SHAPES * 3:
+            M = round_matrix(cmat(rng, p * r, c), fmt).reshape(p, r, c).astype(dtype)
+            w = round_matrix(cmat(rng, p, r if side == "left" else c), fmt).astype(dtype)
+            beta = [float(np.float32(b)) for b in rng.random(p) + 0.5]
+            stack, one, moved = M.copy(), M.copy(), M.copy()
+            counts = []
+            for X, ws, betas in [(stack, w, beta)] + [(one[i], w[i], beta[i]) for i in range(p)]:
+                counter = FlopCounter()
+                with np.errstate(all="ignore"):
+                    apply(X, ws, betas, PrecisionContext(fmt)._running(ar, counter))
+                counts.append(counter.counts["high"])
+            for i in range(p):
+                with np.errstate(all="ignore"):
+                    oracle(moved[i], w[i], beta[i], ar)
+            assert stack.dtype == dtype
+            assert stack.tobytes() == one.tobytes() == moved.tobytes()
+            assert counts[0] == sum(counts[1:])
 
 
 def _listed_planes(c, s):
