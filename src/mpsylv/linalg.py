@@ -884,10 +884,10 @@ def _qr_iteration(UH: np.ndarray, ctxs) -> bool:
 
 
 def _pair_views(UH: np.ndarray, R: np.ndarray, i: int):
-    """cut(k, kb, first, rows): `_qr_iteration`'s views, in R's layout
-    (``rows``), of steps k and kb of matrices i and i + 1 of UH, the rows
-    from column first and the columns to row rows, indexed by k from one
-    base view per offset d = kb - k on UH's buffer, made once per pair."""
+    """cut(k, kb, first, rows) -> (X, Y), `_qr_iteration`'s views in R's
+    layout (``rows``) for steps k and kb of matrices i and i + 1 of UH: X
+    their rows from column first, Y their columns to row rows.  Both are
+    indexed by k from one base view per offset d = kb - k on UH's buffer."""
     m, (s0, s1, s2) = UH.shape[2], UH.strides
     lead, planes = (2, *R.shape[2:-1], 2), R.strides[2:-1]  # () or float32's (4,)
 
